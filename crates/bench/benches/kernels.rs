@@ -8,7 +8,7 @@ use rock_crystal::crc32;
 use rock_crystal::ring::{ConsistentHashRing, NodeId};
 use rock_data::{Bitset, TupleId};
 use rock_ml::features::HashingEmbedder;
-use rock_ml::text::{edit_similarity, trigram_cosine};
+use rock_ml::text::{edit_similarity, trigram_cosine, TextProfile};
 use rock_ml::MinHashLsh;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -45,6 +45,21 @@ fn bench_kernels(c: &mut Criterion) {
                 black_box("IPhone 14 Discount ID 41"),
                 black_box("IPhone 14 Discount Code 41"),
             )
+        })
+    });
+
+    // The same kernels split the way blocking uses them: a profile per
+    // string once, then all three scores per candidate pair.
+    c.bench_function("text/prepare", |b| {
+        b.iter(|| TextProfile::new(black_box("IPhone 14 Discount ID 41")))
+    });
+
+    c.bench_function("text/score_prepared", |b| {
+        let x = TextProfile::new("IPhone 14 Discount ID 41");
+        let y = TextProfile::new("IPhone 14 Discount Code 41");
+        b.iter(|| {
+            let (x, y) = (black_box(&x), black_box(&y));
+            x.edit_similarity(y) + x.token_jaccard(y) + x.trigram_cosine(y)
         })
     });
 

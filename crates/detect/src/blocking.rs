@@ -12,10 +12,13 @@
 //! Rule evaluation afterwards never pays inference cost: every
 //! `predict_pair` call hits the memo.
 
-use rock_data::Database;
-use rock_ml::{MinHashLsh, MlBlockIndex, ModelRegistry, PairBlockIndex, PairSignature};
+use rock_data::{AttrId, Database, Relation, TupleId};
+use rock_ml::pair::PreparedSide;
+use rock_ml::{
+    MinHashLsh, MlBlockIndex, ModelId, ModelRegistry, PairBlockIndex, PairClassifier, PairSignature,
+};
 use rock_rees::{Predicate, RuleSet};
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Statistics of a pre-computation pass.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -46,6 +49,37 @@ pub fn precompute_ml(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -
     precompute_ml_indexed(db, rules, registry).0
 }
 
+/// One tuple's projection, with everything the pass derives from it alone.
+struct Side {
+    tid: TupleId,
+    /// Memo and filter key of the projection.
+    key: u64,
+    /// LSH band keys of the model's blocking text.
+    bands: Vec<u64>,
+    prepared: PreparedSide,
+}
+
+/// Project every live tuple of `rel` on `attrs` and derive, once per tuple,
+/// what would otherwise be recomputed for each candidate pair it is in.
+fn prepare_sides(
+    rel: &Relation,
+    attrs: &[AttrId],
+    classifier: &dyn PairClassifier,
+    lsh: &MinHashLsh,
+) -> Vec<Side> {
+    rel.iter()
+        .map(|t| {
+            let vals = t.project(attrs);
+            Side {
+                tid: t.tid,
+                key: ModelRegistry::pair_key(&vals),
+                bands: lsh.band_keys(&classifier.blocking_text(&vals)),
+                prepared: classifier.prepare(&vals),
+            }
+        })
+        .collect()
+}
+
 /// Like [`precompute_ml`], additionally returning the tuple-level
 /// [`MlBlockIndex`] built in the same pass — the semi-naive chase consumes
 /// it to enumerate block-mates of delta tuples instead of whole relations.
@@ -56,7 +90,10 @@ pub fn precompute_ml_indexed(
 ) -> (BlockingStats, MlBlockIndex) {
     let mut stats = BlockingStats::default();
     let mut index = MlBlockIndex::new();
-    let mut done: FxHashSet<String> = FxHashSet::default();
+    // A model's block filter is the union over every signature that uses
+    // the model: installed per signature, a later one would turn all pairs
+    // of an earlier one into non-candidates.
+    let mut filters: FxHashMap<ModelId, FxHashSet<(u64, u64)>> = FxHashMap::default();
     for rule in rules.iter() {
         for p in rule.all_predicates() {
             let Predicate::Ml {
@@ -70,91 +107,69 @@ pub fn precompute_ml_indexed(
                 continue;
             };
             // one pass per (model, relations, attrs) signature
-            let sig = format!(
-                "{}/{}/{:?}/{}/{:?}",
-                model.name,
-                rule.rel_of(*lvar).0,
-                lattrs,
-                rule.rel_of(*rvar).0,
-                rattrs
-            );
-            if !done.insert(sig) {
+            let sig = PairSignature {
+                model: model.resolved(),
+                lrel: rule.rel_of(*lvar),
+                lattrs: lattrs.clone(),
+                rrel: rule.rel_of(*rvar),
+                rattrs: rattrs.clone(),
+            };
+            if index.get(&sig).is_some() {
                 continue;
             }
-            let id = model.resolved();
+            let id = sig.model;
             let Some(classifier) = registry.pair(id) else {
                 continue;
             };
             stats.predicates += 1;
 
-            let lrel = db.relation(rule.rel_of(*lvar));
-            let rrel = db.relation(rule.rel_of(*rvar));
-            let mut pair_idx = PairBlockIndex::default();
-            // index the left side
+            // Both sides are featurized here and dropped with this
+            // iteration: at any time only one signature's sides are alive.
             let mut lsh = MinHashLsh::new(16, 2);
-            let ltexts: Vec<(rock_data::TupleId, Vec<rock_data::Value>, String)> = lrel
-                .iter()
-                .map(|t| {
-                    let vals = t.project(lattrs);
-                    let text = classifier.blocking_text(&vals);
-                    (t.tid, vals, text)
-                })
-                .collect();
-            for (tid, vals, text) in &ltexts {
-                lsh.insert(tid.0, text);
-                pair_idx
-                    .left_key
-                    .insert(*tid, ModelRegistry::pair_key(vals));
+            let left = prepare_sides(db.relation(sig.lrel), lattrs, classifier.as_ref(), &lsh);
+            let self_join = sig.lrel == sig.rrel && lattrs == rattrs;
+            let other = (!self_join)
+                .then(|| prepare_sides(db.relation(sig.rrel), rattrs, classifier.as_ref(), &lsh));
+            let right = other.as_ref().unwrap_or(&left);
+
+            let mut pair_idx = PairBlockIndex::default();
+            // index the left side, by position in `left`
+            for (i, l) in left.iter().enumerate() {
+                lsh.insert_keys(i as u32, &l.bands);
+                pair_idx.left_key.insert(l.tid, l.key);
             }
             // query with the right side: run the model only on LSH
             // candidates; everything else is excluded via a block filter
             // (O(candidates) instead of O(n²) memo entries).
-            let by_tid: std::collections::HashMap<u32, usize> = ltexts
-                .iter()
-                .enumerate()
-                .map(|(i, (tid, _, _))| (tid.0, i))
-                .collect();
-            let mut filter: FxHashSet<(u64, u64)> = FxHashSet::default();
-            for s in rrel.iter() {
-                let svals = s.project(rattrs);
-                let stext = classifier.blocking_text(&svals);
-                stats.total_pairs += ltexts.len() as u64;
-                let skey = ModelRegistry::pair_key(&svals);
-                pair_idx.right_key.insert(s.tid, skey);
-                let mut rmates: Vec<rock_data::TupleId> = Vec::new();
-                for cand in lsh.candidates(&stext) {
-                    let Some(&i) = by_tid.get(&cand) else {
-                        continue;
-                    };
-                    let (ltid, lvals, _) = &ltexts[i];
-                    rmates.push(*ltid);
+            let filter = filters.entry(id).or_default();
+            for s in right {
+                stats.total_pairs += left.len() as u64;
+                pair_idx.right_key.insert(s.tid, s.key);
+                // ascending positions, hence ascending tuple ids
+                let mut rmates: Vec<TupleId> = Vec::new();
+                for cand in lsh.candidates_of(&s.bands) {
+                    let l = &left[cand as usize];
+                    rmates.push(l.tid);
                     stats.candidate_pairs += 1;
-                    let out = classifier.predict(lvals, &svals);
+                    let out = classifier.score_prepared(&l.prepared, &s.prepared)
+                        >= classifier.threshold();
                     registry.meter.add(classifier.cost());
                     if out {
                         stats.matches += 1;
                     }
-                    filter.insert((ModelRegistry::pair_key(lvals), skey));
-                    registry.memoize_pair(id, lvals, &svals, out);
+                    filter.insert((l.key, s.key));
+                    registry.memoize_pair(id, l.key, s.key, out);
                 }
-                rmates.sort_unstable();
                 for l in &rmates {
                     pair_idx.left_mates.entry(*l).or_default().push(s.tid);
                 }
                 pair_idx.right_mates.insert(s.tid, rmates);
             }
-            registry.set_block_filter(id, filter);
-            index.insert(
-                PairSignature {
-                    model: id,
-                    lrel: rule.rel_of(*lvar),
-                    lattrs: lattrs.clone(),
-                    rrel: rule.rel_of(*rvar),
-                    rattrs: rattrs.clone(),
-                },
-                pair_idx,
-            );
+            index.insert(sig, pair_idx);
         }
+    }
+    for (id, filter) in filters {
+        registry.set_block_filter(id, filter);
     }
     (stats, index)
 }
@@ -270,6 +285,37 @@ mod tests {
         for t in db.relation(RelId(0)).iter() {
             assert!(idx.mates(t.tid, false).contains(&t.tid));
         }
+    }
+
+    #[test]
+    fn one_model_on_two_attribute_sets_keeps_both_filters() {
+        let db = db();
+        let schema = db.schema();
+        let reg = ModelRegistry::new();
+        let id = reg.register_pair("MER", Arc::new(NgramPairModel::with_threshold(0.8)));
+        let mut rs = RuleSet::new(
+            parse_rules(
+                "rule a: Trans(t) && Trans(s) && ml:MER(t[com], s[com]) -> t.pid = s.pid\nrule b: Trans(t) && Trans(s) && ml:MER(t[pid], s[pid]) -> t.com = s.com",
+                &schema,
+            )
+            .unwrap(),
+        );
+        rs.resolve(&reg).unwrap();
+        let (stats, index) = precompute_ml_indexed(&db, &rs, &reg);
+        assert_eq!(stats.predicates, 2);
+        assert_eq!(index.len(), 2);
+        let inferences = reg.meter.inferences();
+        assert_eq!(inferences, stats.candidate_pairs);
+        // Every tuple is its own block-mate under either signature, and the
+        // model accepts identical text: a filter holding only the second
+        // signature's pairs would answer `false` for the first's.
+        for t in db.relation(RelId(0)).iter() {
+            for attr in [AttrId(1), AttrId(0)] {
+                let vals = t.project(&[attr]);
+                assert!(reg.predict_pair(id, &vals, &vals), "{vals:?}");
+            }
+        }
+        assert_eq!(reg.meter.inferences(), inferences, "answered from the memo");
     }
 
     #[test]

@@ -358,7 +358,7 @@ mod tests {
         db
     }
 
-    fn const_pred(attr: u32, value: &str) -> Predicate {
+    fn const_pred(attr: u16, value: &str) -> Predicate {
         Predicate::Const {
             var: 0,
             attr: AttrId(attr),

@@ -289,7 +289,7 @@ impl<'a> Discoverer<'a> {
                         rules[i].as_ref()?;
                         let pi = *candidates[i].last()?;
                         let parent = &frontier_ref[u.payload as usize].1;
-                        let child = parent.and(&bits.precondition(pi)?, n);
+                        let child = parent.and(bits.precondition(pi)?.as_ref(), n);
                         let m = bits.measure(ci, &child)?;
                         Some((m, Arc::new(child)))
                     };

@@ -8,19 +8,45 @@
 //! embeddings. That is exactly the property the downstream classifiers rely
 //! on.
 
-use crate::text::{char_ngrams, tokenize};
+use crate::text::{char_ngrams, tokenize, TextProfile};
 use rock_data::Value;
 
 /// FNV-1a 64-bit hash — stable across platforms/runs (we must not use
 /// `DefaultHasher`, whose seed varies and would break reproducibility).
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
+}
+
+/// FNV-1a fed piecewise. As a [`std::fmt::Write`] sink it hashes formatted
+/// output without collecting it; the result equals [`fnv1a`] of the
+/// concatenated bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Dense embedding of dimension `dim` via the hashing trick with sign hashing
@@ -116,7 +142,7 @@ impl HashingEmbedder {
 
 /// L2-normalize in place (no-op on the zero vector).
 pub fn normalize(v: &mut [f64]) {
-    let n = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let n = l2_norm(v);
     if n > 0.0 {
         for x in v {
             *x /= n;
@@ -124,12 +150,19 @@ pub fn normalize(v: &mut [f64]) {
     }
 }
 
+fn l2_norm(v: &[f64]) -> f64 {
+    v.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
 /// Cosine similarity of two equal-length vectors.
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
+    cosine_with_norms(a, l2_norm(a), b, l2_norm(b))
+}
+
+/// [`cosine`] with each vector's L2 norm supplied by the caller.
+fn cosine_with_norms(a: &[f64], na: f64, b: &[f64], nb: f64) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
@@ -137,17 +170,58 @@ pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
+/// The half of [`pair_features`] that depends on one value vector only:
+/// the text profile of its rendering, its embedding and the embedding's
+/// norm. Built once per tuple, it serves every pair the tuple is in.
+#[derive(Debug, Clone)]
+pub struct SideFeatures {
+    text: TextProfile,
+    embedding: Vec<f64>,
+    embedding_norm: f64,
+}
+
+impl SideFeatures {
+    pub fn new(vs: &[Value], embedder: &HashingEmbedder) -> Self {
+        let embedding = embedder.embed_values(vs);
+        SideFeatures {
+            text: TextProfile::new(&render_join(vs)),
+            embedding_norm: l2_norm(&embedding),
+            embedding,
+        }
+    }
+}
+
 /// Pairwise feature vector for two value vectors: per-kernel similarities
 /// plus aggregate embedding cosine. This is the input representation for
 /// trained pair classifiers ([`crate::pair`]).
 pub fn pair_features(a: &[Value], b: &[Value], embedder: &HashingEmbedder) -> Vec<f64> {
-    use crate::text::{edit_similarity, token_jaccard, trigram_cosine};
+    pair_features_prepared(
+        a,
+        &SideFeatures::new(a, embedder),
+        b,
+        &SideFeatures::new(b, embedder),
+    )
+}
+
+/// [`pair_features`] over sides featurized beforehand; `fa` and `fb` must
+/// come from `a` and `b` under one embedder. The embedding dot product runs
+/// in the same order as [`cosine`], so the vector is bit-identical.
+pub fn pair_features_prepared(
+    a: &[Value],
+    fa: &SideFeatures,
+    b: &[Value],
+    fb: &SideFeatures,
+) -> Vec<f64> {
     let mut f = Vec::with_capacity(6);
-    let (sa, sb) = (render_join(a), render_join(b));
-    f.push(edit_similarity(&sa, &sb));
-    f.push(token_jaccard(&sa, &sb));
-    f.push(trigram_cosine(&sa, &sb));
-    f.push(cosine(&embedder.embed_values(a), &embedder.embed_values(b)));
+    f.push(fa.text.edit_similarity(&fb.text));
+    f.push(fa.text.token_jaccard(&fb.text));
+    f.push(fa.text.trigram_cosine(&fb.text));
+    f.push(cosine_with_norms(
+        &fa.embedding,
+        fa.embedding_norm,
+        &fb.embedding,
+        fb.embedding_norm,
+    ));
     // exact-equality fraction over aligned components
     let k = a.len().min(b.len());
     let eq = (0..k).filter(|&i| a[i].sql_eq(&b[i])).count();
@@ -167,7 +241,9 @@ pub fn pair_features(a: &[Value], b: &[Value], embedder: &HashingEmbedder) -> Ve
     f
 }
 
-fn render_join(vs: &[Value]) -> String {
+/// The values rendered and joined by single spaces — the string the text
+/// kernels of the pair models compare.
+pub(crate) fn render_join(vs: &[Value]) -> String {
     let mut s = String::new();
     for (i, v) in vs.iter().enumerate() {
         if i > 0 {

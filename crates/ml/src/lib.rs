@@ -52,6 +52,6 @@ pub use block_index::{MlBlockIndex, PairBlockIndex, PairSignature};
 pub use correlation::{CorrelationModel, ValuePredictor};
 pub use her::HerModel;
 pub use lsh::MinHashLsh;
-pub use pair::{NgramPairModel, PairClassifier};
+pub use pair::{NgramPairModel, PairClassifier, PreparedSide};
 pub use rank::RankModel;
 pub use registry::{CostMeter, ModelId, ModelRegistry};

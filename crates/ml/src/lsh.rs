@@ -27,7 +27,6 @@ use rustc_hash::FxHashMap;
 /// ```
 #[derive(Debug)]
 pub struct MinHashLsh {
-    bands: usize,
     rows: usize,
     seeds: Vec<u64>,
     /// band index -> band signature -> item ids
@@ -44,7 +43,6 @@ impl MinHashLsh {
             .map(|i| fnv1a(format!("lsh-seed-{i}").as_bytes()))
             .collect();
         MinHashLsh {
-            bands,
             rows,
             seeds,
             buckets: vec![FxHashMap::default(); bands],
@@ -77,17 +75,35 @@ impl MinHashLsh {
             .collect()
     }
 
+    /// One hash per band of the text's MinHash signature: two texts are
+    /// candidates exactly when they agree on some band. Computing the keys
+    /// is the whole per-text cost of the index, so a caller that both
+    /// inserts and queries a text computes them once and uses
+    /// [`insert_keys`](Self::insert_keys) and
+    /// [`candidates_of`](Self::candidates_of).
+    pub fn band_keys(&self, text: &str) -> Vec<u64> {
+        let sig = self.signature(text);
+        sig.chunks_exact(self.rows)
+            .map(|band| {
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for &x in band {
+                    h ^= x;
+                    h = h.wrapping_mul(0x100_0000_01b3);
+                }
+                h
+            })
+            .collect()
+    }
+
     /// Insert an item; `id` is caller-chosen (e.g. a TupleId index).
     pub fn insert(&mut self, id: u32, text: &str) {
-        let sig = self.signature(text);
-        for b in 0..self.bands {
-            let band = &sig[b * self.rows..(b + 1) * self.rows];
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &x in band {
-                h ^= x;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            self.buckets[b].entry(h).or_default().push(id);
+        self.insert_keys(id, &self.band_keys(text));
+    }
+
+    /// Insert an item by its [`band_keys`](Self::band_keys).
+    pub fn insert_keys(&mut self, id: u32, keys: &[u64]) {
+        for (bucket, &h) in self.buckets.iter_mut().zip(keys) {
+            bucket.entry(h).or_default().push(id);
         }
         self.items += 1;
     }
@@ -104,16 +120,15 @@ impl MinHashLsh {
     /// Candidate ids for a query text (deduplicated; may include the item
     /// itself if it was inserted).
     pub fn candidates(&self, text: &str) -> Vec<u32> {
-        let sig = self.signature(text);
+        self.candidates_of(&self.band_keys(text))
+    }
+
+    /// Candidate ids for a query given by its [`band_keys`](Self::band_keys),
+    /// sorted and deduplicated.
+    pub fn candidates_of(&self, keys: &[u64]) -> Vec<u32> {
         let mut out = Vec::new();
-        for b in 0..self.bands {
-            let band = &sig[b * self.rows..(b + 1) * self.rows];
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &x in band {
-                h ^= x;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            if let Some(ids) = self.buckets[b].get(&h) {
+        for (bucket, h) in self.buckets.iter().zip(keys) {
+            if let Some(ids) = bucket.get(h) {
                 out.extend_from_slice(ids);
             }
         }

@@ -16,7 +16,7 @@
 //!   a similarity kernel) without actually running transformer inference.
 
 use crate::correlation::{CorrelationModel, ValuePredictor};
-use crate::features::fnv1a;
+use crate::features::Fnv1a;
 use crate::her::HerModel;
 use crate::pair::PairClassifier;
 use crate::rank::RankModel;
@@ -137,12 +137,17 @@ impl std::fmt::Debug for ModelRegistry {
     }
 }
 
+/// FNV-1a of the values' `Debug` renderings, each followed by `\u{1}`. The
+/// bytes are hashed as they are formatted, never collected: this runs twice
+/// per `predict_pair`, memo hit or not.
 fn hash_values(vs: &[Value]) -> u64 {
-    let mut buf = String::new();
+    use std::fmt::Write;
+    let mut h = Fnv1a::default();
     for v in vs {
-        buf.push_str(&format!("{v:?}\u{1}"));
+        // the writer never fails
+        let _ = write!(h, "{v:?}\u{1}");
     }
-    fnv1a(buf.as_bytes())
+    h.0
 }
 
 impl ModelRegistry {
@@ -362,12 +367,15 @@ impl ModelRegistry {
     /// Seed the memo with a known result without running inference — the
     /// pre-computation path of §5.4 ("Rock pre-computes the results in
     /// advance once the ML predicates are ready"): the blocking layer
-    /// memoizes `false` for all non-candidate pairs and the model's real
-    /// output for candidates.
-    pub fn memoize_pair(&self, id: ModelId, a: &[Value], b: &[Value], result: bool) {
-        let key = (id, hash_values(a), hash_values(b));
-        let shard = memo_shard(key.1, key.2);
-        self.lock_shard(&self.memo_bool, shard).insert(key, result);
+    /// memoizes the model's output for every candidate pair (the block
+    /// filter answers for the rest).
+    ///
+    /// The sides are given as their [`pair_key`](Self::pair_key)s, which
+    /// the blocking layer computes once per tuple.
+    pub fn memoize_pair(&self, id: ModelId, a_key: u64, b_key: u64, result: bool) {
+        let shard = memo_shard(a_key, b_key);
+        self.lock_shard(&self.memo_bool, shard)
+            .insert((id, a_key, b_key), result);
     }
 
     /// Drop all memoized results (tests / repeated experiments).
@@ -426,6 +434,61 @@ mod tests {
         assert!(reg.predict_pair(id, &[Value::Int(1)], &[Value::Int(1)]));
         assert!(!reg.predict_pair(id, &[Value::Int(1)], &[Value::Int(2)]));
         assert_eq!(reg.meter.inferences(), 2);
+    }
+
+    #[test]
+    fn pair_key_hashes_the_debug_bytes_of_every_variant() {
+        // the key as it was computed before it streamed: format, then hash
+        let formatted = |vs: &[Value]| {
+            let mut buf = String::new();
+            for v in vs {
+                buf.push_str(&format!("{v:?}\u{1}"));
+            }
+            crate::features::fnv1a(buf.as_bytes())
+        };
+        let each = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(i64::MIN),
+            Value::Float(-0.0),
+            Value::Float(1.5e300),
+            Value::Float(f64::NAN),
+            Value::str(""),
+            Value::str("plain"),
+            Value::str("quote \" slash \\ tab \t nl \n \u{1} é 北 😀 \u{301}"),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Date(-1),
+            Value::Date(19_000),
+        ];
+        for v in &each {
+            let vs = std::slice::from_ref(v);
+            assert_eq!(ModelRegistry::pair_key(vs), formatted(vs), "{v:?}");
+        }
+        assert_eq!(ModelRegistry::pair_key(&each), formatted(&each));
+        assert_eq!(ModelRegistry::pair_key(&[]), formatted(&[]));
+        // the separator keeps ("ab", "c") apart from ("a", "bc")
+        assert_ne!(
+            ModelRegistry::pair_key(&[Value::str("ab"), Value::str("c")]),
+            ModelRegistry::pair_key(&[Value::str("a"), Value::str("bc")])
+        );
+    }
+
+    #[test]
+    fn memoize_pair_by_key_is_found_by_predict_pair() {
+        let reg = ModelRegistry::new();
+        let id = reg.register_pair("M", Arc::new(ExactMatchModel));
+        let (a, b) = ([Value::Int(1)], [Value::Int(2)]);
+        // seed the opposite of what the model would say
+        reg.memoize_pair(
+            id,
+            ModelRegistry::pair_key(&a),
+            ModelRegistry::pair_key(&b),
+            true,
+        );
+        assert!(reg.predict_pair(id, &a, &b));
+        assert_eq!(reg.meter.inferences(), 0);
+        assert_eq!(reg.meter.memo_hits(), 1);
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl Rule {
                     format!(
                         "constant in {p} is null (unparseable for {} attribute {}) \
                          and can never compare true",
-                        ty.name(),
+                        ty,
                         rel.attr_name(attr)
                     ),
                 ));
@@ -248,8 +248,8 @@ impl Rule {
                 span,
                 format!(
                     "constant type {} can never satisfy {} attribute {} in {p}",
-                    vty.name(),
-                    ty.name(),
+                    vty,
+                    ty,
                     rel.attr_name(attr)
                 ),
             ));

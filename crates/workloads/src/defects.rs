@@ -127,7 +127,7 @@ fn private_marker(ty: AttrType, salt: u64) -> Value {
         AttrType::Int => Value::Int(-(1_000_000_007 + salt as i64)),
         AttrType::Float => Value::Float(-(1e15 + salt as f64 * 1e9)),
         AttrType::Bool => Value::Bool(salt % 2 == 0),
-        AttrType::Date => Value::Date(-(1_000_000 + salt as i64)),
+        AttrType::Date => Value::Date(-(1_000_000 + salt as i32)),
     }
 }
 
