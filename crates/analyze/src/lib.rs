@@ -34,9 +34,9 @@
 //! the chase can rebuild the same artifacts without depending on this
 //! crate; this crate re-exports them path-compatibly and adds the
 //! diagnostics, the certification pass and the CLI. The [`RuleGraph`] is
-//! the scheduling artifact behind `ChaseConfig { use_rule_graph: true }`,
-//! and the schedule is the certified variant behind
-//! `ChaseConfig { use_schedule: true }` (see `rock-chase`).
+//! the chase's scheduling artifact, and the schedule that embeds it carries
+//! the termination certificate every chase run is checked against (see
+//! `rock-chase`).
 
 // Same gate as rock-rees/rock-chase: the analyzer runs inside discovery's
 // mining loop and the CI gate; a panic must not take those down.

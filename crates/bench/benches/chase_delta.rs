@@ -1,11 +1,12 @@
-//! `chase-delta` benches: the semi-naive delta chase (tuple-level
-//! incremental evaluation with blocking-pruned pair enumeration) against
-//! the full re-scan ablation, batch and incremental. The two modes repair
-//! identically (asserted by `tests/chase_delta_equivalence.rs` and the
-//! `chase-delta` figure panel); these benches measure the wall-clock gap.
+//! `chase-delta` benches: the production chase (semi-naive delta rounds
+//! with blocking-pruned pair enumeration) against the reference chase
+//! (`rock_chase::reference`: every active rule re-enumerated in full each
+//! round), batch and incremental. The two repair identically (asserted by
+//! `tests/engine_equivalence.rs` and the `chase-delta` figure panel);
+//! these benches measure the wall-clock gap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rock_chase::{ChaseConfig, ChaseEngine};
+use rock_chase::{reference, ChaseConfig, ChaseEngine};
 use rock_core::variant::sorted_rules;
 use rock_data::{AttrId, Delta, RelId, TupleId, Update, Value};
 use rock_detect::blocking::precompute_ml_indexed;
@@ -21,30 +22,21 @@ fn bench_chase_delta(c: &mut Criterion) {
     let task = w.task("RClean").unwrap().clone();
     let rules = sorted_rules(&w.rules_for(&task));
     let (_, index) = precompute_ml_indexed(&w.dirty, &rules, &w.registry);
-    let mk = |semi_naive: bool| {
-        ChaseEngine::new(
-            &rules,
-            &w.registry,
-            ChaseConfig {
-                semi_naive,
-                ..ChaseConfig::default()
-            },
-        )
-        .with_blocking(&index)
-    };
+    let engine =
+        ChaseEngine::new(&rules, &w.registry, ChaseConfig::default()).with_blocking(&index);
 
     let mut group = c.benchmark_group("chase_delta");
     group.sample_size(10);
-    // batch: round 1 is a full scan in both modes; round ≥ 2 enumerates
-    // only delta-pinned valuations (semi-naive) vs everything (re-scan)
-    for semi in [true, false] {
-        let label = if semi { "semi-naive" } else { "full-rescan" };
-        group.bench_function(format!("batch/{label}"), |b| {
-            b.iter(|| mk(semi).run(&w.dirty, &w.trusted))
-        });
-    }
-    // incremental: a small ΔD of nulled cells; both modes chase only the
-    // touched tuples, the flag picks pinned-bitset vs scan-and-filter
+    // batch: round 1 is a full scan on both sides; round ≥ 2 enumerates
+    // only delta-pinned valuations (production) vs everything (reference)
+    group.bench_function("batch/semi-naive", |b| {
+        b.iter(|| engine.run(&w.dirty, &w.trusted))
+    });
+    group.bench_function("batch/reference", |b| {
+        b.iter(|| reference::run(&engine, &w.dirty, &w.trusted))
+    });
+    // incremental: a small ΔD of nulled cells; both chase only the touched
+    // tuples, by pinned bitsets vs by filtering a full enumeration
     let arity = w.dirty.relation(RelId(0)).schema.arity();
     let delta = Delta::new(
         (0..8u32)
@@ -56,16 +48,16 @@ fn bench_chase_delta(c: &mut Criterion) {
             })
             .collect(),
     );
-    for semi in [true, false] {
-        let label = if semi { "pinned" } else { "scan-filter" };
-        group.bench_function(format!("incremental/{label}"), |b| {
-            b.iter(|| {
-                mk(semi)
-                    .run_incremental(&w.dirty, &w.trusted, &delta)
-                    .unwrap()
-            })
-        });
-    }
+    group.bench_function("incremental/pinned", |b| {
+        b.iter(|| {
+            engine
+                .run_incremental(&w.dirty, &w.trusted, &delta)
+                .unwrap()
+        })
+    });
+    group.bench_function("incremental/reference", |b| {
+        b.iter(|| reference::run_incremental(&engine, &w.dirty, &w.trusted, &delta).unwrap())
+    });
     group.finish();
 }
 

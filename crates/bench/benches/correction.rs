@@ -1,6 +1,7 @@
 //! Error-correction benches (Fig 4(i)–(l) drivers): the unified chase vs
 //! the sequential (Rockseq-style) and single-pass (RocknoC-style)
-//! schedules, plus ablations of the chase's own optimizations.
+//! schedules, the chase against its naive reference, and the work-unit
+//! granularity ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rock_chase::{ChaseConfig, ChaseEngine};
@@ -36,23 +37,15 @@ fn bench_correction(c: &mut Criterion) {
             })
         });
     }
-    // ablation: lazy REE++ activation vs naive re-scan (§4.1 Novelty (a))
-    for lazy in [true, false] {
-        let label = if lazy { "lazy" } else { "naive-rescan" };
-        group.bench_function(format!("chase/activation-{label}"), |b| {
-            b.iter(|| {
-                let engine = ChaseEngine::new(
-                    &rules,
-                    &w.registry,
-                    ChaseConfig {
-                        lazy_activation: lazy,
-                        ..ChaseConfig::default()
-                    },
-                );
-                engine.run(&w.dirty, &w.trusted)
-            })
-        });
-    }
+    // the production chase vs the reference: classic activation, every
+    // active rule re-enumerated in full, scalar, single-threaded
+    let engine = ChaseEngine::new(&rules, &w.registry, ChaseConfig::default());
+    group.bench_function("chase/production", |b| {
+        b.iter(|| engine.run(&w.dirty, &w.trusted))
+    });
+    group.bench_function("chase/reference", |b| {
+        b.iter(|| rock_chase::reference::run(&engine, &w.dirty, &w.trusted))
+    });
     // ablation: chase work-unit granularity (coarse vs fine partitions)
     for parts in [1u32, 16] {
         group.bench_function(format!("chase/partitions-{parts}"), |b| {

@@ -33,12 +33,8 @@ fn bench_discovery(c: &mut Criterion) {
         })
     });
     group.bench_function("rock/levelwise-scan", |b| {
-        let scan_cfg = DiscoveryConfig {
-            use_bitset_cache: false,
-            ..cfg.clone()
-        };
         b.iter(|| {
-            Discoverer::new(&w.registry, scan_cfg.clone()).mine_relation(&w.dirty, RelId(0), &space)
+            Discoverer::new(&w.registry, cfg.clone()).mine_relation_scan(&w.dirty, RelId(0), &space)
         })
     });
     group.bench_function("rock/sampled-10pct", |b| {

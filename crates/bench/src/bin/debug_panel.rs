@@ -205,7 +205,10 @@ fn main() {
         let plan = rock_crystal::FaultPlan::chaos(seed).with_crash(1, 2);
         let sys = rock_core::RockSystem::new(rock_core::RockConfig {
             workers: 4,
-            cluster: rock_crystal::ClusterConfig::default().with_fault_plan(plan),
+            chase: rock_chase::ChaseConfig {
+                cluster: rock_crystal::ClusterConfig::default().with_fault_plan(plan),
+                ..Default::default()
+            },
             ..rock_core::RockConfig::default()
         });
         let t0 = std::time::Instant::now();
@@ -250,7 +253,10 @@ fn main() {
         let task = w.task("RClean").unwrap().clone();
         let t0 = std::time::Instant::now();
         let sys = rock_core::RockSystem::new(rock_core::RockConfig {
-            partitions_per_rule: 64,
+            chase: rock_chase::ChaseConfig {
+                partitions_per_rule: 64,
+                ..Default::default()
+            },
             ..rock_core::RockConfig::default()
         });
         let out = sys.correct(&w, &task);

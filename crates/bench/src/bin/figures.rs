@@ -8,11 +8,11 @@
 //! Panels: f4a f4b f4c (RD time), f4d f4e f4f (ED F1), f4g (ED time),
 //! f4h (ED scaling), f4i (EC F1), f4j (Sales-EC per task), f4k (EC time),
 //! f4l (EC scaling), rdcache (bitset-cache vs scan discovery throughput),
-//! chase-delta (semi-naive delta chase vs full re-scan valuation counts),
-//! analyze (ruleset static analysis: defect recall + graph-scheduled chase
-//! vs classic activation),
+//! chase-delta (production chase vs reference chase valuation counts),
+//! analyze (ruleset static analysis: defect recall + scheduled production
+//! chase vs the reference's classic activation),
 //! certify (chase certifier: termination class, certified vs observed
-//! round bounds, byte-identical `use_schedule` repairs per workload),
+//! round bounds, repairs byte-identical to the reference per workload),
 //! chaos (fault injection: byte-identical repairs under panics, transient
 //! errors, stragglers and a node crash; seed via `ROCK_CHAOS_SEED`),
 //! durability (WAL + checkpoint chase: byte-identical durable repairs,

@@ -42,6 +42,54 @@ pub fn sales() -> Workload {
     })
 }
 
+/// The production chase and the reference chase (`rock_chase::reference`)
+/// over `rules`, both configured the way `RockSystem` configures the chase
+/// for `w`, each with its wall seconds. Panels that used to compare two
+/// engine flags compare these two.
+fn chase_both(
+    w: &Workload,
+    rules: &rock_rees::RuleSet,
+) -> (
+    (rock_chase::ChaseResult, f64),
+    (rock_chase::ReferenceResult, f64),
+) {
+    let cfg = rock_core::RockConfig::default().chase_config(w);
+    let engine = rock_chase::ChaseEngine::new(rules, &w.registry, cfg);
+    let engine = match &w.graph {
+        Some(g) => engine.with_graph(g),
+        None => engine,
+    };
+    let t0 = std::time::Instant::now();
+    let prod = engine.run(&w.dirty, &w.trusted);
+    let prod_wall = t0.elapsed().as_secs_f64();
+    let t1 = std::time::Instant::now();
+    let naive = rock_chase::reference::run(&engine, &w.dirty, &w.trusted);
+    let naive_wall = t1.elapsed().as_secs_f64();
+    assert_eq!(
+        serde_json::to_string(&prod.db).unwrap(),
+        serde_json::to_string(&naive.db).unwrap(),
+        "production and reference chases must repair identically"
+    );
+    assert_eq!(
+        (prod.changes.len(), prod.merged_pairs.len(), prod.conflicts),
+        (
+            naive.changes.len(),
+            naive.merged_pairs.len(),
+            naive.conflicts
+        ),
+        "production and reference chases must agree on changes/merges/conflicts"
+    );
+    assert!(
+        prod.rounds <= naive.rounds,
+        "the schedule must not add rounds"
+    );
+    ((prod, prod_wall), (naive, naive_wall))
+}
+
+fn rule_rounds(stats: &[rock_chase::RoundStats]) -> usize {
+    stats.iter().map(|s| s.active_rules).sum()
+}
+
 fn app(name: &str) -> Workload {
     match name {
         "Bank" => bank(),
@@ -132,11 +180,11 @@ pub fn rd_time(app_name: &str) -> (Table, serde_json::Value) {
 }
 
 /// Extra panel: candidate-evaluation throughput of the levelwise miner
-/// with the predicate satisfaction-bitset cache (default) vs the tuple
-/// re-scan path, on the Logistics app with ML predicates in the space.
-/// Both paths mine the identical rule set (asserted here), so the speedup
-/// column is a like-for-like kernel comparison; a tight-budget row shows
-/// the LRU spill behaviour trading time for memory.
+/// (predicate satisfaction-bitset cache) vs its tuple re-scan reference
+/// (`Discoverer::mine_relation_scan`), on the Logistics app with ML
+/// predicates in the space. Both mine the identical rule set (asserted
+/// here), so the speedup column is a like-for-like kernel comparison; a
+/// tight-budget row shows the LRU spill behaviour trading time for memory.
 pub fn rd_cache() -> (Table, serde_json::Value) {
     use rock_data::RelId;
     use rock_discovery::levelwise::{Discoverer, DiscoveryConfig};
@@ -172,10 +220,11 @@ pub fn rd_cache() -> (Table, serde_json::Value) {
     let run = |cfg: DiscoveryConfig| {
         Discoverer::new(&w.registry, cfg).mine_relation(&w.dirty, RelId(0), &space)
     };
-    let scan = run(DiscoveryConfig {
-        use_bitset_cache: false,
-        ..base_cfg.clone()
-    });
+    let scan = Discoverer::new(&w.registry, base_cfg.clone()).mine_relation_scan(
+        &w.dirty,
+        RelId(0),
+        &space,
+    );
     let cached = run(base_cfg.clone());
     let tight = run(DiscoveryConfig {
         cache_budget_bytes: 8 << 10,
@@ -184,7 +233,7 @@ pub fn rd_cache() -> (Table, serde_json::Value) {
     assert_eq!(
         serde_json::to_string(&cached.rules).unwrap(),
         serde_json::to_string(&scan.rules).unwrap(),
-        "bitset and scan paths must mine identical rules"
+        "the miner and its scan reference must mine identical rules"
     );
 
     let mut table = Table::new(
@@ -240,35 +289,17 @@ pub fn rd_cache() -> (Table, serde_json::Value) {
     (table, json!({ "panel": "rdcache", "rows": rows_json }))
 }
 
-/// Extra panel: semi-naive delta chase (default) vs full re-scan on the
-/// Logistics correction task. Both modes repair the database identically
-/// (asserted here — the full-rescan path is the equivalence oracle, see
-/// `tests/chase_delta_equivalence.rs`); the per-round rows show the
-/// valuation-count reduction the delta restriction buys from round 2 on.
+/// Extra panel: the production chase (semi-naive delta rounds) vs the
+/// reference chase (every active rule re-enumerated in full each round) on
+/// the Logistics correction task. Both repair the database identically
+/// (asserted in `chase_both`; `tests/engine_equivalence.rs` holds the pair
+/// together); the per-round rows show the valuation-count reduction the
+/// delta restriction buys from round 2 on.
 pub fn chase_delta() -> (Table, serde_json::Value) {
     let w = logistics();
     let task = w.task("RClean").expect("RClean task").clone();
-    let run = |semi_naive: bool| {
-        let sys = rock_core::RockSystem::new(rock_core::RockConfig {
-            semi_naive,
-            ..rock_core::RockConfig::default()
-        });
-        let t0 = std::time::Instant::now();
-        let out = sys.correct(&w, &task);
-        (out, t0.elapsed().as_secs_f64())
-    };
-    let (full, full_wall) = run(false);
-    let (semi, semi_wall) = run(true);
-    assert_eq!(
-        serde_json::to_string(&full.repaired).unwrap(),
-        serde_json::to_string(&semi.repaired).unwrap(),
-        "semi-naive and full-rescan chases must repair identically"
-    );
-    assert_eq!(
-        (full.rounds, full.changes, full.conflicts),
-        (semi.rounds, semi.changes, semi.conflicts),
-        "semi-naive and full-rescan chases must agree on rounds/changes/conflicts"
-    );
+    let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
+    let ((semi, semi_wall), (full, full_wall)) = chase_both(&w, &rules);
 
     let mut table = Table::new(
         "Chase delta — semi-naive vs full re-scan (Logistics EC)",
@@ -333,9 +364,9 @@ pub fn chase_delta() -> (Table, serde_json::Value) {
 /// Static-analysis panel: `rock-analyze` verdicts over every workload's
 /// curated ruleset (must be clean) and its defect-seeded variant (every
 /// injected defect class must be re-found — recall 1.0), plus the
-/// rule × round pairs the graph-driven chase schedule evaluates versus
-/// the classic activation oracle on the Bank correction chase, with the
-/// byte-identical-repairs equivalence asserted inline.
+/// rule × round pairs the scheduled production chase evaluates versus the
+/// reference chase's classic activation on the Bank correction chase, with
+/// the byte-identical-repairs equivalence asserted inline.
 pub fn analyze() -> (Table, serde_json::Value) {
     let mut table = Table::new(
         "Static analysis — rock-analyze verdicts and graph-driven chase scheduling",
@@ -392,33 +423,22 @@ pub fn analyze() -> (Table, serde_json::Value) {
         }
     }
 
-    // Graph-driven chase scheduling vs the classic activation oracle.
+    // The scheduled production chase vs the reference's classic
+    // activation, which keeps evaluating every rule the delta reaches.
     let w = bank();
     let task = w
         .task("CNC")
         .or_else(|| w.tasks.first())
         .expect("bank task")
         .clone();
-    let run = |use_rule_graph: bool| {
-        let sys = rock_core::RockSystem::new(rock_core::RockConfig {
-            use_rule_graph,
-            ..rock_core::RockConfig::default()
-        });
-        sys.correct(&w, &task)
-    };
-    let classic = run(false);
-    let graph = run(true);
-    assert_eq!(
-        serde_json::to_string(&classic.repaired).unwrap(),
-        serde_json::to_string(&graph.repaired).unwrap(),
-        "graph-driven and classic chases must repair identically"
-    );
-    let rule_rounds = |out: &rock_core::CorrectionOutcome| -> usize {
-        out.round_stats.iter().map(|s| s.active_rules).sum()
-    };
+    let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
+    let ((graph, _), (classic, _)) = chase_both(&w, &rules);
     let pruned: usize = graph.round_stats.iter().map(|s| s.rules_pruned).sum();
-    let (on, off) = (rule_rounds(&graph), rule_rounds(&classic));
-    assert!(on <= off, "graph schedule must not grow: {on} > {off}");
+    let (on, off) = (
+        rule_rounds(&graph.round_stats),
+        rule_rounds(&classic.round_stats),
+    );
+    assert!(on <= off, "the schedule must not grow: {on} > {off}");
     table.row(vec![
         "Bank chase rule-rounds".into(),
         format!("{off} classic"),
@@ -442,23 +462,23 @@ pub fn analyze() -> (Table, serde_json::Value) {
                 "rounds_classic": classic.rounds,
                 "rounds_graph": graph.rounds,
             },
-            // runner-speed-invariant gate metric: classic/graph rule-round
-            // pairs; >= 1.0 by the inline assertion above
+            // runner-speed-invariant gate metric: reference/production
+            // rule-round pairs; >= 1.0 by the inline assertion above
             "rule_rounds_ratio": off as f64 / on.max(1) as f64,
         }),
     )
 }
 
 /// Certify panel: the chase certifier's bound-tightness table. For every
-/// workload the certified stratified schedule (`use_schedule: true`) must
-/// (1) repair byte-identically to the classic activation oracle, (2) earn
-/// a finite-bound termination certificate, and (3) finish within its
-/// resolved bound — all asserted inline, so a violated certificate fails
-/// the panel rather than degrading silently. The rows report certified vs
-/// observed rounds per workload; `bound_margin_ratio` (certified bound /
-/// observed rounds, minimum over workloads) feeds the trajectory gate.
+/// workload the production chase — which always runs under the certified
+/// stratified schedule — must (1) repair byte-identically to the reference
+/// chase's unscheduled activation, (2) earn a finite-bound termination
+/// certificate, and (3) finish within its resolved bound — all asserted
+/// inline, so a violated certificate fails the panel rather than degrading
+/// silently. The rows report certified vs observed rounds per workload;
+/// `bound_margin_ratio` (certified bound / observed rounds, minimum over
+/// workloads) feeds the trajectory gate.
 pub fn certify() -> (Table, serde_json::Value) {
-    use rock_chase::{ChaseConfig, ChaseEngine, ChaseResult, ConflictPolicy};
     use rock_rees::RoundBound;
 
     let mut table = Table::new(
@@ -480,54 +500,8 @@ pub fn certify() -> (Table, serde_json::Value) {
         ("Logistics", logistics()),
         ("Sales", sales()),
     ] {
-        let policy = ConflictPolicy {
-            mc: w.registry.id("Mc"),
-            mrank: ["Mstatus", "Mtier", "Mrank"]
-                .iter()
-                .find_map(|n| w.registry.id(n)),
-        };
-        let run = |use_schedule: bool| {
-            let cfg = ChaseConfig {
-                max_rounds: 32,
-                policy: policy.clone(),
-                use_schedule,
-                ..ChaseConfig::default()
-            };
-            let engine = ChaseEngine::new(&w.rules, &w.registry, cfg);
-            let engine = match &w.graph {
-                Some(g) => engine.with_graph(g),
-                None => engine,
-            };
-            engine.run(&w.dirty, &w.trusted)
-        };
-        let classic = run(false);
-        let sched = run(true);
-        assert_eq!(
-            serde_json::to_string(&classic.db).unwrap(),
-            serde_json::to_string(&sched.db).unwrap(),
-            "{name}: certified schedule must repair byte-identically to classic"
-        );
-        assert_eq!(
-            (
-                classic.changes.len(),
-                classic.merged_pairs.len(),
-                classic.conflicts
-            ),
-            (
-                sched.changes.len(),
-                sched.merged_pairs.len(),
-                sched.conflicts
-            ),
-            "{name}: certified schedule must not change chase semantics"
-        );
-        assert!(
-            sched.rounds <= classic.rounds,
-            "{name}: certified schedule added rounds"
-        );
-        let cert = sched
-            .certification
-            .clone()
-            .expect("schedule runs carry a certificate");
+        let ((sched, _), (classic, _)) = chase_both(&w, &w.rules);
+        let cert = sched.certification.clone();
         assert!(
             cert.violation.is_none(),
             "{name}: certified bound violated: {:?}",
@@ -543,8 +517,10 @@ pub fn certify() -> (Table, serde_json::Value) {
         );
         let ratio = resolved as f64 / sched.rounds.max(1) as f64;
         min_ratio = min_ratio.min(ratio);
-        let rr = |r: &ChaseResult| r.round_stats.iter().map(|s| s.active_rules).sum::<usize>();
-        let (off, on) = (rr(&classic), rr(&sched));
+        let (off, on) = (
+            rule_rounds(&classic.round_stats),
+            rule_rounds(&sched.round_stats),
+        );
         assert!(on <= off, "{name}: certified schedule grew rule-rounds");
         let bound_str = match cert.bound {
             Some(RoundBound::Rounds(n)) => format!("{n} (static)"),
@@ -689,7 +665,10 @@ pub fn chaos() -> (Table, serde_json::Value) {
     let run = |cluster: ClusterConfig| {
         let sys = rock_core::RockSystem::new(rock_core::RockConfig {
             workers: WORKERS,
-            cluster,
+            chase: rock_chase::ChaseConfig {
+                cluster,
+                ..Default::default()
+            },
             ..rock_core::RockConfig::default()
         });
         let t0 = std::time::Instant::now();
@@ -1410,9 +1389,10 @@ pub fn durability() -> (Table, serde_json::Value) {
 
 /// Columnar panel: the typed-column data plane (`rock_data::ColumnSet` —
 /// dense vectors, dictionary-encoded strings, null/live bitmaps) versus
-/// the scalar row store. Headline assertions, all inline: (1) on every
-/// workload, detection and correction with `columnar: true` are
-/// byte-identical to the row-store oracle (`columnar: false`); (2) the
+/// scalar evaluation. Headline assertions, all inline: (1) on every
+/// workload, detection flags exactly the cells the scalar detector
+/// (`Detector::with_columnar(false)`) flags and the production chase
+/// repairs byte-identically to the scalar reference chase; (2) the
 /// vectorized constant-predicate scan beats the row-at-a-time scan by at
 /// least 2x on Logistics-shaped data, with identical match counts. The
 /// footprint rows show what dictionary encoding buys on string-heavy
@@ -1426,7 +1406,7 @@ pub fn columnar() -> (Table, serde_json::Value) {
     );
     let mut workloads_json = Vec::new();
 
-    // (1) end-to-end equivalence: the row store is the oracle; the
+    // (1) end-to-end equivalence: scalar evaluation is the baseline; the
     // columnar plane must reproduce its detections and repairs
     // byte-for-byte on all three workloads.
     for name in ["Bank", "Logistics", "Sales"] {
@@ -1447,25 +1427,10 @@ pub fn columnar() -> (Table, serde_json::Value) {
             "{name}: columnar detection must flag exactly the row store's cells"
         );
 
-        let correct = |columnar: bool| {
-            let sys = rock_core::RockSystem::new(rock_core::RockConfig {
-                columnar,
-                ..rock_core::RockConfig::default()
-            });
-            sys.correct(&w, &task)
-        };
-        let (row_out, col_out) = (correct(false), correct(true));
-        let row_db = serde_json::to_string(&row_out.repaired).expect("serialize repaired db");
-        let col_db = serde_json::to_string(&col_out.repaired).expect("serialize repaired db");
-        assert_eq!(
-            row_db, col_db,
-            "{name}: columnar repairs must be byte-identical to the row store"
-        );
-        assert_eq!(
-            (row_out.rounds, row_out.changes, row_out.conflicts),
-            (col_out.rounds, col_out.changes, col_out.conflicts),
-            "{name}: the columnar plane must not change chase semantics"
-        );
+        let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
+        let ((col_out, _), (row_out, _)) = chase_both(&w, &rules);
+        let row_db = serde_json::to_string(&row_out.db).expect("serialize repaired db");
+        let col_db = serde_json::to_string(&col_out.db).expect("serialize repaired db");
 
         table.row(vec![
             format!("{name}: flagged cells / repaired bytes"),
@@ -1478,9 +1443,9 @@ pub fn columnar() -> (Table, serde_json::Value) {
             "byte_identical": true,
             "flagged_cells": row_cells.len(),
             "repaired_bytes": row_db.len(),
-            "rounds": row_out.rounds,
-            "changes": row_out.changes,
-            "conflicts": row_out.conflicts,
+            "rounds": col_out.rounds,
+            "changes": col_out.changes.len(),
+            "conflicts": col_out.conflicts,
         }));
     }
 

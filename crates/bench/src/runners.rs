@@ -202,7 +202,10 @@ pub fn rock_detect_parts(
     let sys = RockSystem::new(RockConfig {
         variant,
         workers,
-        partitions_per_rule,
+        chase: rock_chase::ChaseConfig {
+            partitions_per_rule,
+            ..Default::default()
+        },
         ..RockConfig::default()
     });
     let out = sys.detect(w, task);
@@ -239,7 +242,10 @@ pub fn rock_correct_parts(
     let sys = RockSystem::new(RockConfig {
         variant,
         workers,
-        partitions_per_rule,
+        chase: rock_chase::ChaseConfig {
+            partitions_per_rule,
+            ..Default::default()
+        },
         ..RockConfig::default()
     });
     let out = sys.correct(w, task);

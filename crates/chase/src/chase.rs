@@ -2,12 +2,19 @@
 //!
 //! Each round: (1) activated rules enumerate valuations whose precondition
 //! holds under the *resolved view* (the working database with all committed
-//! fixes materialized, validated temporal orders, and `[EID]=` classes);
-//! (2) valuations whose consequence is not yet satisfied emit *proposals*;
-//! (3) all proposals commit together with deterministic, learning-based
-//! conflict resolution. Round-atomic commits with deterministic resolution
-//! give the Church–Rosser property: the final `Chase(D, Σ, Γ)` does not
-//! depend on rule order (property-tested in the workspace `tests/`).
+//! fixes materialized, validated temporal orders, and `[EID]=` classes) and
+//! valuations whose consequence is not yet satisfied emit *proposals*
+//! (`crate::evaluate`); (2) all proposals commit together with
+//! deterministic, learning-based conflict resolution (`crate::commit`);
+//! (3) the committed delta decides which rules run next (below).
+//! Round-atomic commits with deterministic resolution give the
+//! Church–Rosser property: the final `Chase(D, Σ, Γ)` does not depend on
+//! rule order (property-tested in the workspace `tests/`).
+//!
+//! There is one production path: semi-naive delta rounds, lazy activation
+//! filtered by the certified [`ChaseSchedule`], columnar prefilters. Its
+//! correctness is pinned against `crate::reference`, a deliberately naive
+//! chase that shares only the valuation leaf and the commit phase.
 //!
 //! Ground-truth gating: trusted tuples' raw cells are never overwritten
 //! (certain fixes respect Γ), and in [`GateMode::Strict`] a rule only fires
@@ -17,90 +24,44 @@
 //! which is how the deployed system bootstraps beyond its 10k-tuple seed
 //! (DESIGN.md §3 discusses the interpretation).
 
-use crate::checkpoint::{self, ChaseCheckpoint, CHECKPOINT_VERSION};
+use crate::commit::{Committed, Committer, RoundCommit};
 use crate::conflict::ConflictPolicy;
 use crate::delta::{DeltaSet, RoundStats};
-use crate::fixes::{ChaseOrderOracle, EntityKey, FixStore, MergeOutcome};
-use crate::order::OrderInsert;
-use crate::wal::{
-    DurabilityConfig, DurabilityCtx, FixKind, RoundFix, WalError, WalHealth, WalSummary,
-};
-use rock_crystal::work::{partition_range, Partition};
-use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure, WorkUnit};
+use crate::evaluate::{evaluate, Frontier};
+use crate::fixes::FixStore;
+use crate::wal::{DurabilityConfig, DurabilityCtx, WalHealth, WalSummary};
+use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
 use rock_data::{AttrId, CellRef, Database, Delta, GlobalTid, RelId, TupleId, Update, Value};
 use rock_kg::Graph;
-use rock_ml::{MlBlockIndex, ModelRegistry, PairSignature};
-use rock_rees::eval::{
-    distinct_ok, enumerate_valuations_restricted, enumerate_valuations_with_candidates,
-    EntityOracle, EvalContext, Valuation,
-};
-use rock_rees::{ChaseSchedule, Predicate, RoundBound, Rule, RuleSet, TerminationClass};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rock_ml::{MlBlockIndex, ModelRegistry};
+use rock_rees::{ChaseSchedule, RoundBound, Rule, RuleSet, TerminationClass};
+use rustc_hash::FxHashSet;
 
-/// Work-unit payload tags (see [`WorkUnit::payload`]): how a unit's
-/// partition is to be interpreted by the evaluation closure.
-const PAYLOAD_FULL: u64 = 0;
-/// Full enumeration, then keep only valuations touching the rule's pending
-/// delta — the trivially-correct oracle mechanism (`semi_naive: false` in a
-/// seeded run).
-const PAYLOAD_FILTER: u64 = 1;
-/// `PAYLOAD_PINNED_BASE + v`: pin tuple variable `v` to a chunk of the
-/// rule's pending-delta ones-list; the partition's `[start, end)` indexes
-/// into that shared list.
-const PAYLOAD_PINNED_BASE: u64 = 2;
-
-/// One emitted proposal together with the tuples its valuation bound
-/// (empty when tuple-level tracking is off).
-type Emission = (Vec<GlobalTid>, Proposal);
+pub use crate::proposal::Proposal;
 
 /// The chase loop's complete mutable state, factored out of the engine so
-/// a [`ChaseCheckpoint`] can capture it at a round boundary and `resume`
-/// can re-enter `run_loop` with recovered state. Every round is a
+/// a `ChaseCheckpoint` can capture it at a round boundary and `resume` can
+/// re-enter `run_loop` with recovered state. Every round is a
 /// deterministic function of this struct (plus the immutable engine), so
 /// checkpoint + re-run reproduces an uninterrupted run byte-identically.
-struct LoopState {
-    work_db: Database,
-    fixes: FixStore,
-    active: FxHashSet<usize>,
-    pruned_carry: usize,
-    seeded: bool,
-    pending: Vec<DeltaSet>,
-    carry: Vec<Option<Vec<Emission>>>,
-    cumulative: DeltaSet,
-    changes: Vec<(CellRef, Value, Value)>,
-    merged_pairs: Vec<(GlobalTid, GlobalTid)>,
-    conflicts: usize,
-    steps: usize,
-    rounds: usize,
-    round_stats: Vec<RoundStats>,
+pub(crate) struct LoopState {
+    pub st: Committed,
+    pub frontier: Frontier,
+    pub active: FxHashSet<usize>,
+    /// Rules the schedule pruned from the upcoming round's activation.
+    pub pruned_carry: usize,
+    pub rounds: usize,
+    pub round_stats: Vec<RoundStats>,
     /// ΔD batch this loop belongs to (1 for plain runs; durable sessions
     /// increment it per [`ChaseEngine::run_incremental_durable`] step).
-    batch: u64,
+    pub batch: u64,
     /// Global rounds committed by earlier batches of a durable session:
     /// `rounds - round_base` is this batch's own round count, and all
     /// budget/bound accounting is relative to it.
-    round_base: usize,
+    pub round_base: usize,
     /// Loop decided to stop after the last completed round; resume skips
     /// straight to the final ER materialization.
-    done: bool,
-}
-
-/// Valuation tuples supporting a deduped proposal (WAL provenance).
-fn support_of(support: &FxHashMap<ProposalKey, Vec<GlobalTid>>, p: &Proposal) -> Vec<GlobalTid> {
-    support.get(&p.key()).cloned().unwrap_or_default()
-}
-
-/// Fold a proposal's provenance into a cell's attribution: the smallest
-/// proposing rule id wins, valuations union.
-fn attribute(
-    map: &mut FxHashMap<CellRef, (u32, Vec<GlobalTid>)>,
-    cell: CellRef,
-    rule: u32,
-    sup: Vec<GlobalTid>,
-) {
-    let e = map.entry(cell).or_insert((rule, Vec::new()));
-    e.0 = e.0.min(rule);
-    e.1.extend(sup);
+    pub done: bool,
 }
 
 /// How strictly preconditions must be backed by ground truth.
@@ -113,7 +74,8 @@ pub enum GateMode {
     Resolved,
 }
 
-/// Chase configuration.
+/// Chase configuration: what a caller can meaningfully choose. How rounds
+/// are evaluated and scheduled is not an option — see the module docs.
 #[derive(Debug, Clone)]
 pub struct ChaseConfig {
     /// Safety bound on rounds (the fix lattice is finite, but adversarial
@@ -125,54 +87,17 @@ pub struct ChaseConfig {
     pub partitions_per_rule: u32,
     pub policy: ConflictPolicy,
     pub gate: GateMode,
-    /// Lazy REE++ activation (§4.1 Novelty (a)): re-evaluate only rules
-    /// whose precondition reads cells fixed in the previous round. `false`
-    /// re-activates every rule every round (the naive-re-scan ablation the
-    /// benches measure).
-    pub lazy_activation: bool,
-    /// Semi-naive delta rounds: from round 2 on, enumerate only valuations
-    /// where at least one tuple variable binds a tuple touched since the
-    /// rule last ran; untouched valuations re-emit their previous proposals
-    /// from the per-rule carry. `false` keeps the full re-scan of every
-    /// active rule — the equivalence oracle and ablation baseline. Round 1
-    /// is a full scan either way, so results are identical by construction
-    /// (property-tested in `tests/chase_delta_equivalence.rs`).
-    pub semi_naive: bool,
     /// Crystal resilience knobs (fault plan, retry budget, backoff,
     /// speculation threshold). A rule with a quarantined unit has its round
-    /// voided and re-runs from scratch the next round, so recoverable
-    /// faults never change the committed fixes.
+    /// voided and retries the next round, so recoverable faults never
+    /// change the committed fixes.
     pub cluster: ClusterConfig,
-    /// Schedule rounds with the `rock-analyze` rule-dependency graph:
-    /// statically dead rules never activate, and after each round only
-    /// rules the committed delta can reach (their reads intersect the
-    /// changed cells, their relations saw delta tuples, or another rule
-    /// writes into their write set) re-activate. Always a *subset* of the
-    /// classic activation, so committed fixes are byte-identical with the
-    /// flag off (property-tested in `tests/analyze_properties.rs`); the
-    /// default stays `false` so the classic activation remains the oracle.
-    pub use_rule_graph: bool,
-    /// Schedule rounds with the *certified* [`ChaseSchedule`]: the same
-    /// activation filter as `use_rule_graph` (the schedule embeds the same
-    /// scheduling graph, so committed fixes stay byte-identical — property
-    /// tested in `tests/analyze_properties.rs`), plus runtime enforcement
-    /// of the certifier's termination bound. The schedule's round bound is
-    /// resolved against the instance before the loop; per-round margins
-    /// land in [`RoundStats`], and a run that exceeds its certified bound
-    /// reports a [`CertViolation`] in [`ChaseResult::certification`] — a
-    /// certifier bug surfaced as a typed error, never silently.
-    pub use_schedule: bool,
     /// Durable chase: append every committed fix to a CRC-framed WAL and
     /// checkpoint the loop state at round boundaries, so a crashed run
     /// resumes from its last durable round byte-identically (see
     /// `crate::wal` / `crate::checkpoint`). `None` (default) keeps the
     /// zero-IO in-memory chase.
     pub durability: Option<DurabilityConfig>,
-    /// Route valuation enumeration's unary prefilters through the columnar
-    /// kernels (`rock_data::ColumnSet`). Off = the scalar row path, kept as
-    /// the byte-identical equivalence oracle
-    /// (`tests/columnar_equivalence.rs`).
-    pub columnar: bool,
 }
 
 impl Default for ChaseConfig {
@@ -183,83 +108,8 @@ impl Default for ChaseConfig {
             partitions_per_rule: 4,
             policy: ConflictPolicy::default(),
             gate: GateMode::Resolved,
-            lazy_activation: true,
-            semi_naive: true,
             cluster: ClusterConfig::default(),
-            use_rule_graph: false,
-            use_schedule: false,
             durability: None,
-            columnar: rock_data::DataConfig::default().columnar,
-        }
-    }
-}
-
-/// A deduced fix proposal (one chase step's consequence).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum Proposal {
-    /// Validate `t[A] = value`.
-    SetCell {
-        cell: CellRef,
-        value: Value,
-        rule: u32,
-    },
-    /// Validate `a[A] = b[B]` without knowing which side is correct.
-    EquateCells { a: CellRef, b: CellRef, rule: u32 },
-    /// Validate `t.eid = s.eid`.
-    Merge {
-        a: GlobalTid,
-        b: GlobalTid,
-        rule: u32,
-    },
-    /// Validate `t.eid != s.eid`.
-    Distinct {
-        a: GlobalTid,
-        b: GlobalTid,
-        rule: u32,
-    },
-    /// Validate `t1 ⪯A t2` / `t1 ≺A t2`.
-    Order {
-        rel: RelId,
-        attr: AttrId,
-        t1: TupleId,
-        t2: TupleId,
-        strict: bool,
-        rule: u32,
-    },
-}
-
-/// Canonical proposal sort key (also the WAL support-map key).
-pub(crate) type ProposalKey = (u8, u64, u64, String);
-
-impl Proposal {
-    /// Canonical sort key for deterministic commit order.
-    pub(crate) fn key(&self) -> ProposalKey {
-        fn cell_key(c: &CellRef) -> u64 {
-            ((c.rel.0 as u64) << 48) | ((c.tid.0 as u64) << 16) | c.attr.0 as u64
-        }
-        fn tid_key(t: &GlobalTid) -> u64 {
-            ((t.rel.0 as u64) << 32) | t.tid.0 as u64
-        }
-        match self {
-            Proposal::Distinct { a, b, rule } => (0, tid_key(a), tid_key(b), rule.to_string()),
-            Proposal::Merge { a, b, rule } => (1, tid_key(a), tid_key(b), rule.to_string()),
-            Proposal::SetCell { cell, value, rule } => {
-                (2, cell_key(cell), 0, format!("{rule}/{value:?}"))
-            }
-            Proposal::EquateCells { a, b, rule } => (2, cell_key(a), cell_key(b), rule.to_string()),
-            Proposal::Order {
-                rel,
-                attr,
-                t1,
-                t2,
-                strict,
-                rule,
-            } => (
-                3,
-                ((rel.0 as u64) << 32) | attr.0 as u64,
-                ((t1.0 as u64) << 33) | ((t2.0 as u64) << 1) | u64::from(*strict),
-                rule.to_string(),
-            ),
         }
     }
 }
@@ -285,23 +135,22 @@ pub struct ChaseResult {
     /// sum; see `rock_crystal::SchedulerStats::modeled_makespan`).
     pub round_makespans: Vec<Vec<f64>>,
     /// Per-round evaluation observability (valuations enumerated, delta
-    /// sizes, carried emissions). Mechanism-dependent: the semi-naive and
-    /// full-rescan paths produce identical fixes but different counts here.
+    /// sizes, carried emissions).
     pub round_stats: Vec<RoundStats>,
     /// Fault-handling counters accumulated over all rounds (all zero in an
     /// undisturbed run).
     pub fault_stats: FaultStats,
     /// Units quarantined across the whole chase. Each voids its rule's
-    /// round (the rule re-runs from scratch the next round), so this being
-    /// non-empty means degraded progress, not wrong fixes.
+    /// round (the rule retries the next round), so this being non-empty
+    /// means degraded progress, not wrong fixes.
     pub unit_failures: Vec<UnitFailure>,
     /// Durability totals (records/checkpoints written, resumed round,
     /// degradation error). `None` when durability was not configured.
     pub wal: Option<WalSummary>,
     /// The termination certificate the run executed under, with the bound
     /// resolved against this instance and checked against the observed
-    /// round count. `None` unless `use_schedule` was set.
-    pub certification: Option<ChaseCertification>,
+    /// round count.
+    pub certification: ChaseCertification,
 }
 
 /// Runtime view of the certifier's termination certificate (see
@@ -360,52 +209,6 @@ impl ChaseResult {
     }
 }
 
-struct EntityIdx {
-    members: FxHashMap<EntityKey, Vec<GlobalTid>>,
-}
-
-impl EntityIdx {
-    fn build(db: &Database) -> Self {
-        let mut members: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
-        for (rid, rel) in db.iter() {
-            for t in rel.iter() {
-                members
-                    .entry(EntityKey::new(rid, t.eid))
-                    .or_default()
-                    .push(GlobalTid::new(rid, t.tid));
-            }
-        }
-        EntityIdx { members }
-    }
-
-    /// One O(E) pass grouping every member by its current class root —
-    /// the commit phase does thousands of membership lookups per round,
-    /// and per-lookup scans ([`Self::members_of`]) are quadratic.
-    fn grouped(&self, fixes: &FixStore) -> FxHashMap<EntityKey, Vec<GlobalTid>> {
-        let mut out: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
-        for (k, v) in &self.members {
-            out.entry(fixes.find_ref(*k))
-                .or_default()
-                .extend_from_slice(v);
-        }
-        for v in out.values_mut() {
-            v.sort();
-        }
-        out
-    }
-}
-
-struct FixEntityOracle<'a> {
-    fixes: &'a FixStore,
-}
-
-impl EntityOracle for FixEntityOracle<'_> {
-    fn same(&self, a: (RelId, rock_data::Eid), b: (RelId, rock_data::Eid)) -> bool {
-        self.fixes
-            .same_entity(EntityKey::new(a.0, a.1), EntityKey::new(b.0, b.1))
-    }
-}
-
 /// The chase engine. Borrows the rule set, model registry and optional
 /// knowledge graph; owns nothing but configuration.
 pub struct ChaseEngine<'a> {
@@ -442,22 +245,21 @@ impl<'a> ChaseEngine<'a> {
 
     /// Batch chase: `Chase(D, Σ, Γ)` with `trusted` seeding Γ=.
     pub fn run(&self, db: &Database, trusted: &[GlobalTid]) -> ChaseResult {
-        self.run_inner(db.clone(), trusted, None, FixStore::new())
+        self.run_seeded(db, trusted, FixStore::new())
     }
 
     /// Batch chase continuing from an existing fix store — the Rockseq /
     /// RocknoC schedules run the ER/CR/MI/TD groups one at a time and must
     /// carry `[EID]=` classes and validated orders across the group runs.
     pub fn run_seeded(&self, db: &Database, trusted: &[GlobalTid], fixes: FixStore) -> ChaseResult {
-        self.run_inner(db.clone(), trusted, None, fixes)
+        let (ls, schedule) = self.start(db.clone(), trusted, None, fixes);
+        self.run_loop(ls, schedule, self.begin_durable())
     }
 
     /// Incremental chase: apply ΔD, then chase with the round-1 delta
     /// seeded from the *tuples* ΔD touched (paper §4.1 workflow,
     /// incremental mode). Only valuations binding at least one touched
     /// tuple fire — the tuple-level analogue of incremental detection.
-    /// Both `semi_naive` settings run these delta semantics; the flag only
-    /// selects the mechanism (pinned enumeration vs. scan-and-filter).
     ///
     /// A malformed ΔD (wrong-arity insert) is rejected as
     /// [`rock_data::DataError`] before anything runs — `Database::apply`
@@ -470,408 +272,86 @@ impl<'a> ChaseEngine<'a> {
     ) -> Result<ChaseResult, rock_data::DataError> {
         let mut work = db.clone();
         let inserted = work.apply(delta)?;
-        let seed = Self::seed_from_delta(&work, delta, &inserted);
-        Ok(self.run_inner(work, trusted, Some(seed), FixStore::new()))
+        let seed = seed_from_delta(&work, delta, &inserted);
+        let (ls, schedule) = self.start(work, trusted, Some(seed), FixStore::new());
+        Ok(self.run_loop(ls, schedule, self.begin_durable()))
     }
 
-    /// The round-1 delta of an incremental run: the tuples ΔD touched,
-    /// sized to the post-apply database. `inserted` is `Database::apply`'s
-    /// return (inserted ids in update order).
-    fn seed_from_delta(work: &Database, delta: &Delta, inserted: &[TupleId]) -> DeltaSet {
-        let mut seed = DeltaSet::empty(work);
-        let mut ins = inserted.iter();
-        for u in &delta.updates {
-            match u {
-                Update::Insert { rel, .. } => {
-                    if let Some(tid) = ins.next() {
-                        seed.mark(*rel, *tid);
-                    }
-                }
-                Update::Delete { rel, tid } | Update::SetCell { rel, tid, .. } => {
-                    seed.mark(*rel, *tid);
-                }
-            }
-        }
-        seed
-    }
-
-    /// One ΔD batch of a **durable incremental session**: semantically the
-    /// fold `run_incremental(run_incremental(db, Δ1).db, Δ2)…`, but with
-    /// the session state persisted in `config.durability.dir` so a crashed
-    /// batch resumes mid-stream via [`ChaseEngine::resume`] and the next
-    /// batch continues from the durable state.
-    ///
-    /// Behaviour per call:
-    /// 1. **Empty durability dir** — runs a plain durable incremental
-    ///    batch 1 over `db`.
-    /// 2. **Existing session** — first brings the log current (finishing a
-    ///    crashed batch durably; a no-op when the last batch completed),
-    ///    then starts batch N+1 from the previous batch's materialized
-    ///    database: applies ΔD, logs a `BatchBegin` record, and chases
-    ///    with a fresh fix store (matching the in-memory fold). `db` is
-    ///    ignored in this case — the durable state is authoritative.
-    ///
-    /// `trusted` must be the same set across all batches of a session (it
-    /// is re-applied idempotently on resume). Fix ids and provenance
-    /// parents continue across batches, so `ProvenanceGraph::load` answers
-    /// "why" across the whole session.
-    pub fn run_incremental_durable(
-        &self,
-        db: &Database,
-        trusted: &[GlobalTid],
-        delta: &Delta,
-    ) -> Result<ChaseResult, WalError> {
-        let cfg = self
-            .config
-            .durability
-            .clone()
-            .ok_or(WalError::NotConfigured)?;
-        if crate::wal::list_segments(&cfg.vfs, &cfg.dir)?.is_empty() {
-            return self
-                .run_incremental(db, trusted, delta)
-                .map_err(|e| WalError::Codec(e.to_string()));
-        }
-        // Bring the existing log current: a crashed batch finishes its
-        // remaining rounds durably; a completed one just re-materializes.
-        let finished = self.resume(trusted)?;
-        let mut work = finished.db;
-        // Re-locate for the durable position/state the new batch chains to.
-        let rp = checkpoint::locate(&cfg, self.fingerprint(), None)?;
-        let batch = rp.checkpoint.batch.max(1) + 1;
-        let round_base = rp.checkpoint.round;
-        let inserted = work
-            .apply(delta)
-            .map_err(|e| WalError::Codec(e.to_string()))?;
-        let seed = Self::seed_from_delta(&work, delta, &inserted);
-        // Fresh fix store per batch, like the in-memory fold; Strict mode
-        // re-seeds Γ= from the trusted tuples of the *current* database.
-        let mut fixes = FixStore::new();
-        for t in trusted {
-            fixes.trust_tuple(*t);
-        }
-        if self.config.gate == GateMode::Strict {
-            for t in trusted {
-                let rel = work.relation(t.rel);
-                if let Some(tu) = rel.get(t.tid) {
-                    for (i, v) in tu.values.iter().enumerate() {
-                        if !v.is_null() {
-                            fixes.set_value(
-                                EntityKey::new(t.rel, tu.eid),
-                                t.rel,
-                                AttrId(i as u16),
-                                v.clone(),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        let schedule = self.build_schedule(&work);
-        let mut active: FxHashSet<usize> = (0..self.rules.len())
-            .filter(|&i| {
-                self.rules.rules[i]
-                    .tuple_vars
-                    .iter()
-                    .any(|(_, r)| seed.rel_count(*r) > 0)
-            })
-            .collect();
-        let mut pruned_carry = 0usize;
-        if let Some(s) = &schedule {
-            let before = active.len();
-            active.retain(|&ri| !s.graph.dead[ri]);
-            pruned_carry = before - active.len();
-        }
-        let nrules = self.rules.len();
-        let st = LoopState {
-            work_db: work,
-            fixes,
-            active,
-            pruned_carry,
-            seeded: true,
-            pending: vec![seed.clone(); nrules],
-            carry: vec![None; nrules],
-            cumulative: seed,
-            changes: Vec::new(),
-            merged_pairs: Vec::new(),
-            conflicts: 0,
-            steps: 0,
-            rounds: round_base as usize,
-            round_stats: Vec::new(),
-            batch,
-            round_base: round_base as usize,
-            done: false,
-        };
-        let writer = checkpoint::reopen_writer(&cfg, rp.pos, self.fingerprint())?;
-        let prev = rp.prev();
-        let mut dur = DurabilityCtx::attach(cfg, writer, prev, round_base);
-        dur.begin_batch(batch, round_base);
-        // Batch-opening checkpoint: the post-ΔD state becomes durable
-        // *before* the first round runs, so a crash anywhere in this batch
-        // (even before its first commit) resumes with the delta applied —
-        // and a batch that activates nothing still advances the session.
-        // It re-uses the previous batch's final round number; being a
-        // batch boundary it is always encoded as a full document.
-        dur.commit_round(round_base, &[], Some(self.make_checkpoint(&st)));
-        Ok(self.run_loop(st, schedule, Some(dur)))
-    }
-
-    fn rule_reads(&self, rule: &Rule) -> FxHashSet<(RelId, AttrId)> {
-        let mut reads = FxHashSet::default();
-        for p in &rule.precondition {
-            for v in p.tuple_vars() {
-                let rel = rule.rel_of(v);
-                for a in p.reads_of(v) {
-                    reads.insert((rel, a));
-                }
-            }
-        }
-        reads
-    }
-
-    fn run_inner(
+    /// Round-0 state of a chase over `work_db`: Γ seeded, the schedule
+    /// derived, and the initial activation — every live rule in batch mode,
+    /// live rules binding a seeded relation in incremental mode.
+    pub(crate) fn start(
         &self,
         work_db: Database,
         trusted: &[GlobalTid],
         seed: Option<DeltaSet>,
-        mut fixes: FixStore,
-    ) -> ChaseResult {
-        for t in trusted {
-            fixes.trust_tuple(*t);
-        }
-        // Γ⪯ is initialized "with the temporal orders in D with initial
-        // timestamps" (§4.1). Materializing that order is quadratic in the
-        // timestamped cells, so it stays *lazy*: the chase's temporal
-        // oracle ([`ChaseOrderOracle`]) answers `t1 ⪯A t2` from the
-        // explicit validated pairs OR from the timestamps directly.
-        // In Strict mode, Γ= additionally validates every trusted cell.
-        if self.config.gate == GateMode::Strict {
-            for t in trusted {
-                let rel = work_db.relation(t.rel);
-                if let Some(tu) = rel.get(t.tid) {
-                    for (i, v) in tu.values.iter().enumerate() {
-                        if !v.is_null() {
-                            fixes.set_value(
-                                EntityKey::new(t.rel, tu.eid),
-                                t.rel,
-                                AttrId(i as u16),
-                                v.clone(),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        let schedule = self.build_schedule(&work_db);
-
-        // initial activation: every rule in batch mode, rules reading a
-        // seeded relation in incremental mode
-        let mut active: FxHashSet<usize> = match &seed {
-            None => (0..self.rules.len()).collect(),
-            Some(d) => (0..self.rules.len())
-                .filter(|&i| {
-                    self.rules.rules[i]
-                        .tuple_vars
-                        .iter()
-                        .any(|(_, r)| d.rel_count(*r) > 0)
-                })
-                .collect(),
-        };
-        // rules the graph pruned from the upcoming round's activation
-        let mut pruned_carry = 0usize;
-        if let Some(s) = &schedule {
-            let before = active.len();
-            active.retain(|&ri| !s.graph.dead[ri]);
-            pruned_carry = before - active.len();
-        }
-
-        let seeded = seed.is_some();
-        let nrules = self.rules.len();
-        let empty_delta = DeltaSet::empty(&work_db);
-        // per-rule delta accumulated since the rule last ran
-        let pending: Vec<DeltaSet> = match &seed {
-            Some(d) => vec![d.clone(); nrules],
-            None => vec![empty_delta.clone(); nrules],
-        };
-        // Union of every delta since chase start. Blocking-pruned pinned
-        // enumeration unions this into the non-pinned candidates: block-mate
-        // lists are build-time state, so tuples rewritten after the index
-        // was built must always stay candidates.
-        let cumulative = match &seed {
-            Some(d) => d.clone(),
-            None => empty_delta,
-        };
-
-        let st = LoopState {
-            work_db,
-            fixes,
+        fixes: FixStore,
+    ) -> (LoopState, ChaseSchedule) {
+        let schedule = ChaseSchedule::derive(self.rules, &work_db.schema());
+        let classic = initial_activation(self.rules, seed.as_ref());
+        let active: FxHashSet<usize> = classic
+            .iter()
+            .copied()
+            .filter(|&ri| !schedule.graph.dead[ri])
+            .collect();
+        let ls = LoopState {
+            pruned_carry: classic.len() - active.len(),
             active,
-            pruned_carry,
-            seeded,
-            pending,
-            // Emissions of each rule's last run, keyed by the valuation's
-            // bound tuples. Delta rounds re-emit the untouched ones
-            // verbatim: a valuation whose tuples, oracles and gate inputs
-            // are all unchanged since the rule last ran emits exactly what
-            // it emitted then (and the commit phase re-counts persistent
-            // conflicts from them, like the full re-scan does).
-            carry: vec![None; nrules],
-            cumulative,
-            changes: Vec::new(),
-            merged_pairs: Vec::new(),
-            conflicts: 0,
-            steps: 0,
+            frontier: Frontier::new(&work_db, self.rules.len(), seed),
+            st: Committed::seed(work_db, fixes, trusted, self.config.gate),
             rounds: 0,
             round_stats: Vec::new(),
             batch: 1,
             round_base: 0,
             done: false,
         };
-        let dur = self
-            .config
-            .durability
-            .clone()
-            .map(|cfg| DurabilityCtx::begin(cfg, self.fingerprint()));
-        self.run_loop(st, schedule, dur)
+        (ls, schedule)
     }
 
-    /// Rule-dependency-graph scheduling: statically dead rules never
-    /// activate, and each round's re-activation is filtered to rules the
-    /// committed delta can actually reach. Every filter is a retain() over
-    /// the classic activation set, so the graph-driven schedule evaluates
-    /// a subset of the oracle's rule × round pairs and commits identical
-    /// fixes. [`ChaseSchedule::derive`] mirrors the `rock-analyze` pass
-    /// masks exactly, so the self-built schedule and the analyzer's report
-    /// can never disagree about which rules are live; `use_schedule`
-    /// additionally enforces the schedule's termination certificate.
-    fn build_schedule(&self, db: &Database) -> Option<ChaseSchedule> {
-        (self.config.use_rule_graph || self.config.use_schedule).then(|| {
-            let schema = db.schema();
-            ChaseSchedule::derive(self.rules, &schema)
-        })
-    }
-
-    /// Fingerprint of the ruleset plus the semantics-relevant config,
-    /// stamped into the WAL's `Begin` header: resume refuses state written
-    /// by a differently-configured engine instead of silently diverging.
+    /// Fingerprint of the ruleset (names and bodies) plus the
+    /// semantics-relevant config, stamped into the WAL's `Begin` header:
+    /// resume refuses state written under different rules or gating
+    /// instead of silently diverging.
     pub fn fingerprint(&self) -> u64 {
         let mut bytes: Vec<u8> = Vec::new();
         for r in &self.rules.rules {
             bytes.extend_from_slice(r.name.as_bytes());
             bytes.push(0);
+            let body = format!(
+                "{:?}{:?}{:?}{:?}",
+                r.tuple_vars, r.vertex_vars, r.precondition, r.consequence
+            );
+            bytes.extend_from_slice(body.as_bytes());
+            bytes.push(0);
         }
         bytes.push((self.config.gate == GateMode::Strict) as u8);
-        bytes.push(self.config.lazy_activation as u8);
-        bytes.push(self.config.semi_naive as u8);
-        bytes.push(self.config.use_rule_graph as u8);
-        bytes.push(self.config.use_schedule as u8);
         bytes.extend_from_slice(&(self.rules.len() as u32).to_le_bytes());
         let lo = rock_crystal::crc32(&bytes) as u64;
         (lo << 32) | rock_crystal::crc32(&lo.to_le_bytes()) as u64
     }
 
-    /// Resume a crashed durable run from its last durable round. The
-    /// continued run commits byte-identical repairs to an uninterrupted
-    /// one (see `crate::checkpoint` for the recovery invariants).
-    ///
-    /// Requires `config.durability`; `trusted` must match the original
-    /// run's trusted set (it is re-applied idempotently).
-    pub fn resume(&self, trusted: &[GlobalTid]) -> Result<ChaseResult, WalError> {
-        self.resume_impl(trusted, None)
-    }
-
-    /// Resume from a *specific* durable round instead of the newest — the
-    /// resume-at-every-round oracle check in `tests/wal_durability.rs`.
-    pub fn resume_at(&self, trusted: &[GlobalTid], round: u64) -> Result<ChaseResult, WalError> {
-        self.resume_impl(trusted, Some(round))
-    }
-
-    fn resume_impl(&self, trusted: &[GlobalTid], at: Option<u64>) -> Result<ChaseResult, WalError> {
-        let cfg = self
-            .config
-            .durability
-            .clone()
-            .ok_or(WalError::NotConfigured)?;
-        let rp = checkpoint::locate(&cfg, self.fingerprint(), at)?;
-        let writer = checkpoint::reopen_writer(&cfg, rp.pos, self.fingerprint())?;
-        let prev = rp.prev();
-        let ck = rp.checkpoint;
-        let mut fixes = FixStore::from_snapshot(&ck.fixes);
-        for t in trusted {
-            fixes.trust_tuple(*t);
-        }
-        let st = LoopState {
-            work_db: ck.db,
-            fixes,
-            active: ck.active.iter().copied().collect(),
-            pruned_carry: ck.pruned_carry,
-            seeded: ck.seeded,
-            pending: ck.pending,
-            carry: ck.carry,
-            cumulative: ck.cumulative,
-            changes: ck.changes,
-            merged_pairs: ck.merged_pairs,
-            conflicts: ck.conflicts,
-            steps: ck.steps,
-            rounds: ck.round as usize,
-            round_stats: ck.round_stats,
-            batch: ck.batch.max(1),
-            round_base: ck.round_base as usize,
-            done: ck.done,
-        };
-        let schedule = self.build_schedule(&st.work_db);
-        let dur = DurabilityCtx::attach(cfg, writer, prev, ck.round);
-        Ok(self.run_loop(st, schedule, Some(dur)))
-    }
-
-    /// The round loop, entered with a fresh [`LoopState`] (`run_inner`) or
-    /// a recovered one (`resume`). Every round is a deterministic function
-    /// of `st`, which is what makes checkpoint + re-run byte-identical to
+    /// The round loop, entered with a fresh [`LoopState`] (`start`) or a
+    /// recovered one (`resume`). Every round is a deterministic function
+    /// of `ls`, which is what makes checkpoint + re-run byte-identical to
     /// an uninterrupted run.
-    fn run_loop(
+    pub(crate) fn run_loop(
         &self,
-        mut st: LoopState,
-        schedule: Option<ChaseSchedule>,
+        mut ls: LoopState,
+        schedule: ChaseSchedule,
         mut dur: Option<DurabilityCtx>,
     ) -> ChaseResult {
-        let rule_graph = schedule.as_ref().map(|s| &s.graph);
-        // Certified-bound enforcement (`use_schedule`): resolve the
-        // schedule's round bound against this instance once, up front. A
-        // resume re-resolves against the recovered database — recovered
-        // state never relaxes the certificate.
-        let resolved_bound: Option<u64> = match (&schedule, self.config.use_schedule) {
-            (Some(s), true) => s.bound.map(|b| {
-                let schema = st.work_db.schema();
-                let tuples: u64 = (0..schema.relations.len())
-                    .map(|r| st.work_db.relation(RelId(r as u16)).len() as u64)
-                    .sum();
-                let cells: u64 = s
-                    .writable_cells()
-                    .iter()
-                    .map(|(rel, _)| st.work_db.relation(*rel).len() as u64)
-                    .sum();
-                b.resolve(tuples, cells)
-            }),
-            _ => None,
-        };
-        let entity_idx = EntityIdx::build(&st.work_db);
-        let reads: Vec<FxHashSet<(RelId, AttrId)>> = self
-            .rules
-            .rules
-            .iter()
-            .map(|r| self.rule_reads(r))
-            .collect();
-        let nrules = self.rules.len();
-        let empty_delta = DeltaSet::empty(&st.work_db);
-        // Tuple-level tracking is needed whenever delta rounds can happen
-        // (semi-naive batch rounds >= 2, any seeded run) and whenever the
-        // WAL needs valuations for provenance records. The full-rescan
-        // ablation without durability keeps the untracked zero-overhead
-        // path; tracking never changes the deduped proposal set.
-        let track = self.config.semi_naive || st.seeded || dur.is_some();
-        // capture per-proposal support + per-phase fix records for the WAL
-        let capture = dur.is_some();
-
+        // Resolve the schedule's round bound against this instance once,
+        // up front. A resume re-resolves against the recovered database —
+        // recovered state never relaxes the certificate.
+        let resolved_bound = resolve_bound(&schedule, &ls.st.db);
+        let committer = Committer::new(
+            self.registry,
+            &self.config.policy,
+            self.config.gate,
+            &ls.st.db,
+        );
+        let reads: Vec<FxHashSet<(RelId, AttrId)>> =
+            self.rules.rules.iter().map(rule_reads).collect();
         // One Cluster for all rounds: membership (a crashed node, the
         // rebuilt ring) persists across rounds, so later rounds place work
         // on survivors only.
@@ -880,735 +360,81 @@ impl<'a> ChaseEngine<'a> {
         let mut fault_stats = FaultStats::default();
         let mut unit_failures: Vec<UnitFailure> = Vec::new();
 
-        while !st.done
-            && st.rounds - st.round_base < self.config.max_rounds
-            && !st.active.is_empty()
+        while !ls.done
+            && ls.rounds - ls.round_base < self.config.max_rounds
+            && !ls.active.is_empty()
         {
-            st.rounds += 1;
-            // Rules with a quarantined unit this round: their round is
-            // voided (partial emissions discarded, carry dropped, pending
-            // kept) and they re-run from scratch next round.
-            let mut round_failed: FxHashSet<usize> = FxHashSet::default();
-            let mut stat = RoundStats::default();
-            let mut sorted_active: Vec<usize> = st.active.iter().copied().collect();
+            ls.rounds += 1;
+            let batch_round = ls.rounds - ls.round_base;
+            let mut sorted_active: Vec<usize> = ls.active.iter().copied().collect();
             sorted_active.sort_unstable();
-            stat.active_rules = sorted_active.len();
-            stat.rules_pruned = st.pruned_carry;
-            if let (Some(s), true) = (&schedule, self.config.use_schedule) {
-                let mut strata: Vec<usize> = sorted_active
-                    .iter()
-                    .filter_map(|&ri| s.stratum_of.get(ri).copied().flatten())
-                    .collect();
-                strata.sort_unstable();
-                strata.dedup();
-                stat.strata = strata.len();
+            let mut strata: Vec<usize> = sorted_active
+                .iter()
+                .filter_map(|&ri| schedule.stratum_of.get(ri).copied().flatten())
+                .collect();
+            strata.sort_unstable();
+            strata.dedup();
+            let mut stat = RoundStats {
+                active_rules: sorted_active.len(),
+                rules_pruned: ls.pruned_carry,
+                strata: strata.len(),
                 // margin left under the certified bound after this round;
                 // monotonically decreasing, and never negative on a run
                 // whose certificate holds
-                stat.bound_margin =
-                    resolved_bound.map_or(0, |b| b as i64 - (st.rounds - st.round_base) as i64);
-            }
-            // Full scan when: batch round 1, the full-rescan ablation, or a
-            // rule first activated mid-run (it has no carry to complete a
-            // delta round with). Seeded runs are delta rounds throughout.
-            let full_mode: Vec<bool> = (0..nrules)
-                .map(|ri| {
-                    !st.seeded
-                        && (st.rounds - st.round_base == 1
-                            || !self.config.semi_naive
-                            || st.carry[ri].is_none())
-                })
-                .collect();
-            // valuation tuples supporting each deduped proposal, and the
-            // round's committed fixes — both feed the WAL's provenance
-            // records; empty/unused without durability
-            let mut support: FxHashMap<ProposalKey, Vec<GlobalTid>> = FxHashMap::default();
-            let mut round_fixes: Vec<RoundFix> = Vec::new();
-            // ---- evaluation phase ----
-            let proposals = {
-                let oracle = ChaseOrderOracle {
-                    fixes: &st.fixes,
-                    db: &st.work_db,
-                };
-                let entity_oracle = FixEntityOracle { fixes: &st.fixes };
-                let mut ctx = EvalContext::new(&st.work_db, self.registry)
-                    .with_temporal(&oracle)
-                    .with_entities(&entity_oracle)
-                    .with_columnar(self.config.columnar);
-                if let Some(g) = self.graph {
-                    ctx = ctx.with_graph(g);
-                }
-                // Build work units. Full/filter scans partition var0's slot
-                // range; pinned delta units partition the rule's pending
-                // ones-list for one variable (symmetric over variables, so
-                // every delta-touching valuation is reached).
-                let mut units = Vec::new();
-                let mut pinned_lists: FxHashMap<(usize, usize), Vec<TupleId>> =
-                    FxHashMap::default();
-                for &ri in &sorted_active {
-                    let rule = &self.rules.rules[ri];
-                    if !full_mode[ri] {
-                        stat.delta_tuples += st.pending[ri].count();
-                    }
-                    if full_mode[ri] || !self.config.semi_naive {
-                        let payload = if full_mode[ri] {
-                            PAYLOAD_FULL
-                        } else {
-                            PAYLOAD_FILTER
-                        };
-                        let rel0 = rule.rel_of(0);
-                        let rows = st.work_db.relation(rel0).capacity() as u32;
-                        for p in partition_range(rel0.0, rows, self.config.partitions_per_rule) {
-                            units.push(WorkUnit::new(ri as u32, vec![p]).with_payload(payload));
-                        }
-                        if rows == 0 {
-                            units.push(
-                                WorkUnit::new(ri as u32, vec![Partition::new(rel0.0, 0, 0)])
-                                    .with_payload(payload),
-                            );
-                        }
-                    } else {
-                        for v in 0..rule.tuple_vars.len() {
-                            let rel = rule.rel_of(v);
-                            let ones = st.pending[ri].ones_vec(rel);
-                            if ones.is_empty() {
-                                continue;
-                            }
-                            let n = ones.len() as u32;
-                            pinned_lists.insert((ri, v), ones);
-                            for p in partition_range(rel.0, n, self.config.partitions_per_rule) {
-                                units.push(
-                                    WorkUnit::new(ri as u32, vec![p])
-                                        .with_payload(PAYLOAD_PINNED_BASE + v as u64),
-                                );
-                            }
-                        }
-                    }
-                }
-                let gate = self.config.gate;
-                let fixes_ref = &st.fixes;
-                let rules = self.rules;
-                let pending_ref = &st.pending;
-                let pinned_ref = &pinned_lists;
-                let dirty_ref = &st.cumulative;
-                let blocking = self.blocking;
-                let registry = self.registry;
-                let unit_rules: Vec<usize> = units.iter().map(|u| u.rule as usize).collect();
-                let outcome = cluster.execute(units, |unit| {
-                    let ri = unit.rule as usize;
-                    let rule = &rules.rules[ri];
-                    let mut out: Vec<Emission> = Vec::new();
-                    let mut count = 0u64;
-                    match unit.payload {
-                        PAYLOAD_FULL => {
-                            let range = unit.partitions[0].start..unit.partitions[0].end;
-                            enumerate_valuations_restricted(rule, &ctx, Some((0, range)), |h| {
-                                count += 1;
-                                visit_valuation(
-                                    rule, unit.rule, h, &ctx, gate, fixes_ref, track, &mut out,
-                                );
-                                true
-                            });
-                        }
-                        PAYLOAD_FILTER => {
-                            // trivially-correct delta oracle: enumerate
-                            // everything, keep valuations touching the
-                            // rule's pending delta
-                            let pend = &pending_ref[ri];
-                            let range = unit.partitions[0].start..unit.partitions[0].end;
-                            enumerate_valuations_restricted(rule, &ctx, Some((0, range)), |h| {
-                                count += 1;
-                                if h.tuples.iter().any(|gt| pend.contains(gt.rel, gt.tid)) {
-                                    visit_valuation(
-                                        rule, unit.rule, h, &ctx, gate, fixes_ref, track, &mut out,
-                                    );
-                                }
-                                true
-                            });
-                        }
-                        payload => {
-                            let v = (payload - PAYLOAD_PINNED_BASE) as usize;
-                            let list = &pinned_ref[&(ri, v)];
-                            let chunk = &list[unit.partitions[0].start as usize
-                                ..unit.partitions[0].end as usize];
-                            let pend = &pending_ref[ri];
-                            let mut overrides: FxHashMap<usize, Vec<TupleId>> =
-                                FxHashMap::default();
-                            overrides.insert(v, chunk.to_vec());
-                            prune_with_blocking(
-                                rule,
-                                v,
-                                chunk,
-                                blocking,
-                                registry,
-                                dirty_ref,
-                                ctx.db,
-                                &mut overrides,
-                            );
-                            enumerate_valuations_with_candidates(rule, &ctx, &overrides, |h| {
-                                count += 1;
-                                // symmetric passes overlap: a valuation is
-                                // handled by the pass pinning its first
-                                // delta variable only
-                                if (0..v).any(|w| pend.contains(h.tuples[w].rel, h.tuples[w].tid)) {
-                                    return true;
-                                }
-                                visit_valuation(
-                                    rule, unit.rule, h, &ctx, gate, fixes_ref, track, &mut out,
-                                );
-                                true
-                            });
-                        }
-                    }
-                    Ok((out, count))
-                });
-                round_makespans.push(outcome.stats.unit_seconds.clone());
-                fault_stats.merge(&outcome.stats.faults);
-                for fl in &outcome.failures {
-                    round_failed.insert(fl.rule as usize);
-                }
-                unit_failures.extend(outcome.failures);
-                let mut per_rule: FxHashMap<usize, Vec<Emission>> = FxHashMap::default();
-                for (ri, res) in unit_rules.iter().zip(outcome.results) {
-                    let Some((ems, cnt)) = res else { continue };
-                    stat.valuations += cnt;
-                    per_rule.entry(*ri).or_default().extend(ems);
-                }
-                let mut all: Vec<Proposal> = Vec::new();
-                for &ri in &sorted_active {
-                    if round_failed.contains(&ri) {
-                        // void the rule's round: partial emissions could
-                        // miss valuations, so nothing commits and the
-                        // carry is dropped (next round is a full scan)
-                        st.carry[ri] = None;
-                        per_rule.remove(&ri);
-                        continue;
-                    }
-                    let mut emissions = per_rule.remove(&ri).unwrap_or_default();
-                    if track {
-                        if !full_mode[ri] {
-                            if let Some(prev) = &st.carry[ri] {
-                                let pend = &st.pending[ri];
-                                for (tids, p) in prev {
-                                    // untouched valuations re-emit verbatim;
-                                    // touched ones were re-derived (or
-                                    // retracted) by the delta enumeration
-                                    if tids.iter().any(|gt| pend.contains(gt.rel, gt.tid)) {
-                                        continue;
-                                    }
-                                    stat.carried += 1;
-                                    emissions.push((tids.clone(), p.clone()));
-                                }
-                            }
-                        }
-                        emissions
-                            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.key().cmp(&b.1.key())));
-                        emissions.dedup();
-                        st.carry[ri] = Some(emissions.clone());
-                    }
-                    for (tids, p) in emissions {
-                        if capture {
-                            support
-                                .entry(p.key())
-                                .or_default()
-                                .extend(tids.iter().copied());
-                        }
-                        all.push(p);
-                    }
-                }
-                all.sort_by_key(|p| p.key());
-                all.dedup();
-                all
+                bound_margin: resolved_bound.map_or(0, |b| b as i64 - batch_round as i64),
+                ..RoundStats::default()
             };
-            if capture {
-                for v in support.values_mut() {
-                    v.sort_unstable();
-                    v.dedup();
-                }
-            }
-            // pending was consumed by every rule that ran this round
-            // (failed rules keep theirs: their round is retried)
-            if track {
-                for &ri in &sorted_active {
-                    if !round_failed.contains(&ri) {
-                        st.pending[ri].clear();
-                    }
-                }
-            }
-            stat.proposals = proposals.len();
 
-            if proposals.is_empty() {
-                st.round_stats.push(stat);
-                if round_failed.is_empty() {
-                    st.done = true;
-                } else {
-                    // nothing committed, but failed rules must retry
-                    st.active = round_failed;
-                    st.pruned_carry = 0;
-                }
-                // still a round boundary: carries/pendings changed
-                self.commit_round_durable(&st, &mut dur, &round_fixes);
-                continue;
-            }
+            let eval = evaluate(
+                self,
+                &cluster,
+                &ls.st,
+                &mut ls.frontier,
+                &sorted_active,
+                dur.is_some(),
+                &mut stat,
+            );
+            round_makespans.push(eval.unit_seconds);
+            fault_stats.merge(&eval.faults);
+            unit_failures.extend(eval.failures);
+            ls.round_stats.push(stat);
 
-            // ---- commit phase ----
-            let mut changed_cells: FxHashSet<(RelId, AttrId)> = FxHashSet::default();
-            let mut any_merge = false;
-            let mut groups_by_root = entity_idx.grouped(&st.fixes);
-            // tuples this round's commit touches, for the next delta rounds
-            let mut round_delta = empty_delta.clone();
-            let changes_start = st.changes.len();
-
-            // Phase A: distinctness
-            for p in &proposals {
-                if let Proposal::Distinct { a, b, rule } = p {
-                    let (ka, kb) = (entity_key(&st.work_db, *a), entity_key(&st.work_db, *b));
-                    if let (Some(ka), Some(kb)) = (ka, kb) {
-                        if !st.fixes.set_distinct(ka, kb) {
-                            st.conflicts += 1; // already merged: ER conflict
-                        } else {
-                            st.steps += 1;
-                            if capture {
-                                round_fixes.push((
-                                    FixKind::Distinct { a: *a, b: *b },
-                                    *rule,
-                                    support_of(&support, p),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Phase B: merges
-            for p in &proposals {
-                if let Proposal::Merge { a, b, rule } = p {
-                    let (Some(ka), Some(kb)) =
-                        (entity_key(&st.work_db, *a), entity_key(&st.work_db, *b))
-                    else {
-                        continue;
-                    };
-                    match st.fixes.merge(ka, kb) {
-                        MergeOutcome::Merged { conflicts: vcs } => {
-                            st.steps += 1;
-                            any_merge = true;
-                            st.merged_pairs.push((*a, *b));
-                            let merge_changes_start = st.changes.len();
-                            if capture {
-                                round_fixes.push((
-                                    FixKind::Merge { a: *a, b: *b },
-                                    *rule,
-                                    support_of(&support, p),
-                                ));
-                            }
-                            // membership changed: refresh the grouped view
-                            groups_by_root = entity_idx.grouped(&st.fixes);
-                            // the merge changes the entity oracle (and the
-                            // validated-value visibility) for every member
-                            // of the united class, even when no cell is
-                            // rewritten — all of them join the delta
-                            let root = st.fixes.find(ka);
-                            if let Some(ms) = groups_by_root.get(&root) {
-                                for m in ms {
-                                    round_delta.mark(m.rel, m.tid);
-                                }
-                            }
-                            for (rel, attr, v1, v2) in vcs {
-                                st.conflicts += 1;
-                                self.resolve_and_commit(
-                                    &mut st.fixes,
-                                    &mut st.work_db,
-                                    &groups_by_root,
-                                    ka,
-                                    rel,
-                                    attr,
-                                    &[v1, v2],
-                                    &mut st.changes,
-                                    &mut changed_cells,
-                                );
-                            }
-                            // propagate the merged class's validated values
-                            self.materialize_class(
-                                &mut st.fixes,
-                                &mut st.work_db,
-                                &groups_by_root,
-                                ka,
-                                &mut st.changes,
-                                &mut changed_cells,
-                            );
-                            if capture {
-                                // cell writes the merge forced (conflict
-                                // resolutions + class materialization) are
-                                // fixes of the merge's rule; within-round
-                                // parent chaining makes the Merge record
-                                // their provenance parent
-                                for (cell, old, new) in &st.changes[merge_changes_start..] {
-                                    round_fixes.push((
-                                        FixKind::Cell {
-                                            cell: *cell,
-                                            old: old.clone(),
-                                            new: new.clone(),
-                                        },
-                                        *rule,
-                                        support_of(&support, p),
-                                    ));
-                                }
-                            }
-                        }
-                        MergeOutcome::Known => {}
-                        MergeOutcome::Distinct => st.conflicts += 1,
-                    }
-                }
-            }
-
-            // Phase C: value fixes. Cells connected by EquateCells form
-            // *clusters* (union–find over CellRef): the FD-repair semantics
-            // equate all connected cells, then one resolution picks the
-            // cluster's value (majority over the cluster's raw cells, Mc,
-            // ground truth — see ConflictPolicy). SetCell proposals pin an
-            // explicit candidate onto the cell's cluster.
-            let mut cluster = CellClusters::default();
-            // provenance attribution per member cell: smallest proposing
-            // rule id + the union of supporting valuations
-            let mut cell_prov: FxHashMap<CellRef, (u32, Vec<GlobalTid>)> = FxHashMap::default();
-            for p in &proposals {
-                match p {
-                    Proposal::SetCell { cell, value, rule } => {
-                        cluster.propose(*cell, value.clone());
-                        if capture {
-                            attribute(&mut cell_prov, *cell, *rule, support_of(&support, p));
-                        }
-                    }
-                    Proposal::EquateCells { a, b, rule } => {
-                        cluster.union(*a, *b);
-                        if capture {
-                            let sup = support_of(&support, p);
-                            attribute(&mut cell_prov, *a, *rule, sup.clone());
-                            attribute(&mut cell_prov, *b, *rule, sup);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            for (members, mut cands) in cluster.into_groups() {
-                // cluster-level provenance: min rule over the member cells,
-                // union of their supporting valuations
-                let (cl_rule, cl_sup) = if capture {
-                    let mut rule = u32::MAX;
-                    let mut sup: Vec<GlobalTid> = Vec::new();
-                    for cell in &members {
-                        if let Some((r, s)) = cell_prov.get(cell) {
-                            rule = rule.min(*r);
-                            sup.extend(s.iter().copied());
-                        }
-                    }
-                    sup.sort_unstable();
-                    sup.dedup();
-                    (if rule == u32::MAX { 0 } else { rule }, sup)
-                } else {
-                    (0, Vec::new())
-                };
-                // candidates: proposed constants + current non-null member
-                // values + any already-validated value of a member entity.
-                // A *single-cell* cluster (a rule-asserted value with no
-                // equate group: extraction, prediction, constant) does NOT
-                // take its own current value as a candidate — the rule
-                // asserts what the cell should be and the current value is
-                // the suspect (trusted cells stay protected below).
-                let equate_group = members.len() > 1;
-                let mut raw_votes: Vec<Value> = Vec::new();
-                let mut trusted_val: Option<Value> = None;
-                let mut evidence: Vec<Value> = Vec::new();
-                for cell in &members {
-                    if let Some(v) = st.work_db.cell(cell.rel, cell.tid, cell.attr) {
-                        if !v.is_null() {
-                            raw_votes.push(v.clone());
-                            if equate_group {
-                                cands.push(v.clone());
-                            }
-                            if trusted_val.is_none() && st.fixes.is_trusted(cell.tuple()) {
-                                trusted_val = Some(v.clone());
-                            }
-                        }
-                    }
-                    if let Some(k) = entity_key(&st.work_db, cell.tuple()) {
-                        if let Some(v) = st.fixes.validated_value(k, cell.rel, cell.attr) {
-                            cands.push(v.clone());
-                            // Strict mode: validated facts ARE ground truth
-                            // (certain fixes may not contradict them).
-                            if self.config.gate == GateMode::Strict && trusted_val.is_none() {
-                                trusted_val = Some(v.clone());
-                            }
-                        }
-                    }
-                    if evidence.is_empty() {
-                        if let Some(t) = st.work_db.relation(cell.rel).get(cell.tid) {
-                            let mut ev = t.values.clone();
-                            ev[cell.attr.index()] = Value::Null;
-                            evidence = ev;
-                        }
-                    }
-                }
-                let distinct: FxHashSet<&Value> = cands.iter().filter(|v| !v.is_null()).collect();
-                if distinct.len() > 1 {
-                    st.conflicts += 1;
-                }
-                // single-cell clusters carry no majority signal — the
-                // only raw vote would be the suspect cell itself
-                let votes: &[Value] = if equate_group { &raw_votes } else { &[] };
-                let Some((winner, _)) = self.config.policy.resolve_value(
-                    self.registry,
-                    trusted_val.as_ref(),
-                    &evidence,
-                    &cands,
-                    votes,
-                ) else {
-                    continue;
-                };
-                st.steps += 1;
-                // validate on every member's entity and materialize onto
-                // every member tuple of that entity.
-                let mut roots_done: FxHashSet<(EntityKey, RelId, AttrId)> = FxHashSet::default();
-                for cell in &members {
-                    let Some(k) = entity_key(&st.work_db, cell.tuple()) else {
-                        continue;
-                    };
-                    let root = st.fixes.find(k);
-                    if !roots_done.insert((root, cell.rel, cell.attr)) {
-                        continue;
-                    }
-                    st.fixes
-                        .override_value(root, cell.rel, cell.attr, winner.clone());
-                    if capture {
-                        round_fixes.push((
-                            FixKind::Validate {
-                                entity: root,
-                                rel: cell.rel,
-                                attr: cell.attr,
-                                value: winner.clone(),
-                            },
-                            cl_rule,
-                            cl_sup.clone(),
-                        ));
-                    }
-                    // the validated value is visible to the Strict gate for
-                    // every member of the class in this relation, whether
-                    // or not its cell is rewritten below
-                    if let Some(ms) = groups_by_root.get(&root) {
-                        for m in ms {
-                            if m.rel == cell.rel {
-                                round_delta.mark(m.rel, m.tid);
-                            }
-                        }
-                    }
-                    for m in groups_by_root.get(&root).cloned().unwrap_or_default() {
-                        if m.rel != cell.rel {
-                            continue;
-                        }
-                        let old = st
-                            .work_db
-                            .cell(m.rel, m.tid, cell.attr)
-                            .cloned()
-                            .unwrap_or(Value::Null);
-                        // ground truth protects non-null trusted cells;
-                        // filling a trusted tuple's null is fine.
-                        if st.fixes.is_trusted(m) && !old.is_null() {
-                            continue;
-                        }
-                        if old != winner {
-                            st.work_db.relation_mut(m.rel).set_cell(
-                                m.tid,
-                                cell.attr,
-                                winner.clone(),
-                            );
-                            let cref = CellRef::new(m.rel, m.tid, cell.attr);
-                            if capture {
-                                round_fixes.push((
-                                    FixKind::Cell {
-                                        cell: cref,
-                                        old: old.clone(),
-                                        new: winner.clone(),
-                                    },
-                                    cl_rule,
-                                    cl_sup.clone(),
-                                ));
-                            }
-                            st.changes.push((cref, old, winner.clone()));
-                            changed_cells.insert((cell.rel, cell.attr));
-                        }
-                    }
-                }
-            }
-
-            // Phase D: temporal orders
-            for p in &proposals {
-                if let Proposal::Order {
-                    rel,
-                    attr,
-                    t1,
-                    t2,
-                    strict,
-                    rule,
-                } = p
-                {
-                    match st.fixes.add_order(*rel, *attr, *t1, *t2, *strict) {
-                        OrderInsert::Added => {
-                            st.steps += 1;
-                            if capture {
-                                round_fixes.push((
-                                    FixKind::Order {
-                                        rel: *rel,
-                                        attr: *attr,
-                                        t1: *t1,
-                                        t2: *t2,
-                                        strict: *strict,
-                                    },
-                                    *rule,
-                                    support_of(&support, p),
-                                ));
-                            }
-                            changed_cells.insert((*rel, *attr));
-                            // order edges act transitively through the DAG,
-                            // so tuple-level delta tracking of their reach
-                            // is unsound — coarsen to the whole relation
-                            round_delta.mark_all(*rel);
-                        }
-                        OrderInsert::Known => {}
-                        OrderInsert::Conflict => {
-                            st.conflicts += 1;
-                            // TD conflict resolution (§4.2(2)): Mrank
-                            // confidences decide; the validated direction is
-                            // retained when it wins, otherwise the new pair
-                            // is dropped (the store cannot retract derived
-                            // closure edges, so a losing existing *direct*
-                            // edge simply stays — deterministic either way).
-                            let f1 = tuple_features(&st.work_db, *rel, *t1);
-                            let f2 = tuple_features(&st.work_db, *rel, *t2);
-                            let (_keep_new, _) =
-                                self.config.policy.resolve_order(self.registry, &f1, &f2);
-                        }
-                    }
-                }
-            }
-
-            // ---- delta bookkeeping ----
-            if track {
-                for (cell, _, _) in &st.changes[changes_start..] {
-                    round_delta.mark(cell.rel, cell.tid);
-                }
-                st.cumulative.union_with(&round_delta);
-                for p in st.pending.iter_mut() {
-                    p.union_with(&round_delta);
-                }
-            }
-            st.round_stats.push(stat);
-
-            // ---- next activation ----
-            st.active.clear();
-            if !self.config.lazy_activation {
-                // naive re-scan ablation: everything stays active as long
-                // as anything changed
-                if !changed_cells.is_empty() || any_merge {
-                    st.active.extend(0..self.rules.len());
-                }
-                st.active.extend(round_failed.iter().copied());
-                if let Some(g) = &rule_graph {
-                    let before = st.active.len();
-                    st.active.retain(|&ri| !g.dead[ri]);
-                    st.pruned_carry = before - st.active.len();
-                }
+            let committed = if eval.proposals.is_empty() {
+                None
             } else {
-                if any_merge {
-                    // merges may enable any rule with multi-variable
-                    // predicates
-                    st.active.extend(0..self.rules.len());
-                } else {
-                    for (ri, rs) in reads.iter().enumerate() {
-                        if rs.iter().any(|ra| changed_cells.contains(ra)) {
-                            st.active.insert(ri);
-                        }
-                    }
-                }
-                // failed rules always retry, whatever the lazy analysis says
-                st.active.extend(round_failed.iter().copied());
-                if let Some(g) = &rule_graph {
-                    // Graph refinement: keep a rule only when the round's
-                    // committed delta can reach it — its reads saw a changed
-                    // cell, one of its relations holds pending delta tuples
-                    // (covers merges, validated-value visibility and the
-                    // order-write coarsening, all of which mark tuples), or
-                    // another rule writes into its write set (its carried
-                    // proposals must keep joining those conflict clusters).
-                    // Tuple-level pending is only maintained when `track`;
-                    // without it only the dead filter applies.
-                    let before = st.active.len();
-                    st.active.retain(|&ri| {
-                        !g.dead[ri]
-                            && (round_failed.contains(&ri)
-                                || !track
-                                || g.follows_writes[ri]
-                                || reads[ri].iter().any(|ra| changed_cells.contains(ra))
-                                || g.rels[ri].iter().any(|r| st.pending[ri].rel_count(*r) > 0))
-                    });
-                    st.pruned_carry = before - st.active.len();
-                }
-                if changed_cells.is_empty() && !any_merge && round_failed.is_empty() {
-                    st.done = true;
-                }
-            }
-            // ---- round boundary: make the round durable ----
-            self.commit_round_durable(&st, &mut dur, &round_fixes);
+                let c = committer.commit(&mut ls.st, &eval.proposals, eval.support.as_ref());
+                ls.frontier.absorb(&c.delta);
+                Some(c)
+            };
+            self.activate(&mut ls, &schedule, &reads, committed.as_ref(), eval.failed);
+            let round_fixes = committed.map(|c| c.fixes).unwrap_or_default();
+            self.commit_round_durable(&ls, &mut dur, &round_fixes);
         }
 
-        // Materialize the ER outcome into the repaired database: within
-        // each validated entity class, all member tuples of a relation get
-        // the class's smallest eid in that relation (the repaired data then
-        // *carries* the deduplication, and re-chasing it is a no-op for
-        // same-relation ER rules).
-        for members in entity_idx.grouped(&st.fixes).values() {
-            let mut min_per_rel: FxHashMap<RelId, rock_data::Eid> = FxHashMap::default();
-            for m in members {
-                if let Some(t) = st.work_db.relation(m.rel).get(m.tid) {
-                    min_per_rel
-                        .entry(m.rel)
-                        .and_modify(|e| *e = (*e).min(t.eid))
-                        .or_insert(t.eid);
-                }
-            }
-            for m in members {
-                let target = min_per_rel[&m.rel];
-                if let Some(t) = st.work_db.relation_mut(m.rel).get_mut(m.tid) {
-                    t.eid = target;
-                }
-            }
-        }
-
-        let certification = match (&schedule, self.config.use_schedule) {
-            (Some(s), true) => Some(ChaseCertification {
-                class: s.class,
-                bound: s.bound,
-                resolved_bound,
-                strata: s.strata.len(),
-                violation: resolved_bound.and_then(|b| {
-                    ((st.rounds - st.round_base) as u64 > b).then_some(CertViolation {
-                        certified: b,
-                        observed: (st.rounds - st.round_base) as u64,
-                    })
+        committer.materialize_entities(&mut ls.st);
+        let observed = (ls.rounds - ls.round_base) as u64;
+        let certification = ChaseCertification {
+            class: schedule.class,
+            bound: schedule.bound,
+            resolved_bound,
+            strata: schedule.strata.len(),
+            violation: resolved_bound
+                .filter(|&b| observed > b)
+                .map(|certified| CertViolation {
+                    certified,
+                    observed,
                 }),
-            }),
-            _ => None,
         };
-
         ChaseResult {
-            db: st.work_db,
-            fixes: st.fixes,
-            rounds: st.rounds - st.round_base,
-            changes: st.changes,
-            merged_pairs: st.merged_pairs,
-            conflicts: st.conflicts,
-            steps: st.steps,
+            db: ls.st.db,
+            fixes: ls.st.fixes,
+            rounds: ls.rounds - ls.round_base,
+            changes: ls.st.changes,
+            merged_pairs: ls.st.merged_pairs,
+            conflicts: ls.st.conflicts,
+            steps: ls.st.steps,
             round_makespans,
-            round_stats: st.round_stats,
+            round_stats: ls.round_stats,
             fault_stats,
             unit_failures,
             wal: dur.map(DurabilityCtx::into_summary),
@@ -1616,533 +442,126 @@ impl<'a> ChaseEngine<'a> {
         }
     }
 
-    /// Snapshot the loop state for a round-boundary checkpoint.
-    fn make_checkpoint(&self, st: &LoopState) -> ChaseCheckpoint {
-        let mut active: Vec<usize> = st.active.iter().copied().collect();
-        active.sort_unstable();
-        ChaseCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: self.fingerprint(),
-            round: st.rounds as u64,
-            batch: st.batch,
-            round_base: st.round_base as u64,
-            done: st.done,
-            db: st.work_db.clone(),
-            fixes: st.fixes.to_snapshot(),
-            active,
-            pruned_carry: st.pruned_carry,
-            seeded: st.seeded,
-            pending: st.pending.clone(),
-            carry: st.carry.clone(),
-            cumulative: st.cumulative.clone(),
-            changes: st.changes.clone(),
-            merged_pairs: st.merged_pairs.clone(),
-            conflicts: st.conflicts,
-            steps: st.steps,
-            round_stats: st.round_stats.clone(),
-            // provenance id state is stamped by the durability context at
-            // write time (it owns the fix-id counter)
-            next_fix_id: 0,
-            last_fix: Vec::new(),
-        }
-    }
-
-    /// Round-boundary durability hook: append the round's fix records to
-    /// the WAL, write a checkpoint when due (every `snapshot_every` rounds
-    /// and always on the final round), fsync the boundary, then honour the
-    /// planned-crash drill. A no-op without durability or after the
-    /// context poisoned itself on an earlier IO error.
-    fn commit_round_durable(
+    /// Decide the next round's activation from what this round committed
+    /// (`None`: no proposals, nothing changed).
+    ///
+    /// Lazy activation (§4.1 Novelty (a)): a merge may enable any rule with
+    /// multi-variable predicates, so it re-activates everything; otherwise
+    /// only rules whose precondition reads a changed cell re-run. The
+    /// certified schedule then filters that set — every filter is a
+    /// `retain()`, so a subset of the classic rule × round pairs runs and
+    /// the committed fixes are identical: statically dead rules never run,
+    /// and a live rule is kept only when the round's committed delta can
+    /// reach it — its reads saw a changed cell, one of its relations holds
+    /// pending delta tuples (covers merges, validated-value visibility and
+    /// the order-write coarsening, all of which mark tuples), or another
+    /// rule writes into its write set (its carried proposals must keep
+    /// joining those conflict clusters). Voided rules always retry.
+    fn activate(
         &self,
-        st: &LoopState,
-        dur: &mut Option<DurabilityCtx>,
-        round_fixes: &[RoundFix],
+        ls: &mut LoopState,
+        schedule: &ChaseSchedule,
+        reads: &[FxHashSet<(RelId, AttrId)>],
+        committed: Option<&RoundCommit>,
+        failed: FxHashSet<usize>,
     ) {
-        let Some(d) = dur.as_mut() else { return };
-        let round = st.rounds as u64;
-        let due = st.done
-            || st.active.is_empty()
-            || st.rounds - st.round_base >= self.config.max_rounds
-            || d.cfg.snapshot_every <= 1
-            || st.rounds % d.cfg.snapshot_every == 0;
-        let checkpoint = due.then(|| self.make_checkpoint(st));
-        d.commit_round(round, round_fixes, checkpoint);
-        if d.cfg.crash_at_round == Some(st.rounds) {
-            // planned crash drill (the CI kill-and-resume job): die hard
-            // *after* the round became durable, like a kill -9 would
-            std::process::abort();
-        }
-    }
-
-    /// Resolve a multi-candidate value for one entity attribute and commit
-    /// the winner to the fix store and the working database.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_and_commit(
-        &self,
-        fixes: &mut FixStore,
-        work_db: &mut Database,
-        groups_by_root: &FxHashMap<EntityKey, Vec<GlobalTid>>,
-        key: EntityKey,
-        rel: RelId,
-        attr: AttrId,
-        candidates: &[Value],
-        changes: &mut Vec<(CellRef, Value, Value)>,
-        changed_cells: &mut FxHashSet<(RelId, AttrId)>,
-    ) {
-        let root = fixes.find(key);
-        let members = groups_by_root.get(&root).cloned().unwrap_or_default();
-        // trusted value: a trusted member tuple's raw cell, if non-null
-        let mut trusted_val: Option<Value> = None;
-        let mut raw_votes: Vec<Value> = Vec::new();
-        let mut evidence: Vec<Value> = Vec::new();
-        for m in &members {
-            if m.rel != rel {
-                continue;
-            }
-            if let Some(t) = work_db.relation(m.rel).get(m.tid) {
-                let v = t.get(attr);
-                if !v.is_null() {
-                    raw_votes.push(v.clone());
-                    if fixes.is_trusted(*m) && trusted_val.is_none() {
-                        trusted_val = Some(v.clone());
-                    }
-                }
-                if evidence.is_empty() {
-                    let mut ev = t.values.clone();
-                    ev[attr.index()] = Value::Null;
-                    evidence = ev;
-                }
-            }
-        }
-        let Some((winner, _)) = self.config.policy.resolve_value(
-            self.registry,
-            trusted_val.as_ref(),
-            &evidence,
-            candidates,
-            &raw_votes,
-        ) else {
-            return;
+        ls.active.clear();
+        let changed = |ri: usize| {
+            committed.is_some_and(|c| reads[ri].iter().any(|ra| c.changed_cells.contains(ra)))
         };
-        fixes.override_value(key, rel, attr, winner.clone());
-        // materialize onto all member tuples of this relation
-        for m in members {
-            if m.rel != rel {
-                continue;
-            }
-            let old = work_db
-                .cell(m.rel, m.tid, attr)
-                .cloned()
-                .unwrap_or(Value::Null);
-            if fixes.is_trusted(m) && !old.is_null() {
-                continue;
-            }
-            if old != winner {
-                work_db
-                    .relation_mut(m.rel)
-                    .set_cell(m.tid, attr, winner.clone());
-                changes.push((CellRef::new(m.rel, m.tid, attr), old, winner.clone()));
-                changed_cells.insert((rel, attr));
-            }
-        }
-    }
-
-    /// After a merge, propagate every validated value of the class onto all
-    /// member tuples.
-    fn materialize_class(
-        &self,
-        fixes: &mut FixStore,
-        work_db: &mut Database,
-        groups_by_root: &FxHashMap<EntityKey, Vec<GlobalTid>>,
-        key: EntityKey,
-        changes: &mut Vec<(CellRef, Value, Value)>,
-        changed_cells: &mut FxHashSet<(RelId, AttrId)>,
-    ) {
-        let root = fixes.find(key);
-        let members = groups_by_root.get(&root).cloned().unwrap_or_default();
-        // snapshot the validated values of this class
-        let mut vals: Vec<(RelId, AttrId, Value)> = Vec::new();
-        for m in &members {
-            let rel = work_db.relation(m.rel);
-            for a in 0..rel.schema.arity() {
-                let attr = AttrId(a as u16);
-                if let Some(v) = fixes.validated_value(root, m.rel, attr) {
-                    vals.push((m.rel, attr, v.clone()));
-                }
-            }
-        }
-        vals.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| a.2.cmp(&b.2)));
-        vals.dedup();
-        for (rel, attr, v) in vals {
-            for m in &members {
-                if m.rel != rel {
-                    continue;
-                }
-                let old = work_db
-                    .cell(m.rel, m.tid, attr)
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                if fixes.is_trusted(*m) && !old.is_null() {
-                    continue;
-                }
-                if old != v {
-                    work_db.relation_mut(m.rel).set_cell(m.tid, attr, v.clone());
-                    changes.push((CellRef::new(m.rel, m.tid, attr), old, v.clone()));
-                    changed_cells.insert((rel, attr));
-                }
-            }
-        }
-    }
-}
-
-/// A Phase C cluster: its member cells and the rule-proposed candidates.
-type CellGroup = (Vec<CellRef>, Vec<Value>);
-
-/// Union–find over cells for Phase C value clustering, with proposed
-/// constants attached to each cluster.
-#[derive(Default)]
-struct CellClusters {
-    parent: FxHashMap<CellRef, CellRef>,
-    proposed: FxHashMap<CellRef, Vec<Value>>,
-}
-
-impl CellClusters {
-    fn find(&mut self, c: CellRef) -> CellRef {
-        let mut root = c;
-        while let Some(&p) = self.parent.get(&root) {
-            if p == root {
-                break;
-            }
-            root = p;
-        }
-        let mut cur = c;
-        while let Some(&p) = self.parent.get(&cur) {
-            if p == root || p == cur {
-                break;
-            }
-            self.parent.insert(cur, root);
-            cur = p;
-        }
-        self.parent.entry(root).or_insert(root);
-        root
-    }
-
-    fn union(&mut self, a: CellRef, b: CellRef) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // deterministic: smaller root wins
-            let (keep, drop) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent.insert(drop, keep);
-        }
-    }
-
-    fn propose(&mut self, c: CellRef, v: Value) {
-        self.find(c);
-        self.proposed.entry(c).or_default().push(v);
-    }
-
-    /// Consume into `(member cells, proposed candidates)` groups, sorted
-    /// deterministically by root cell.
-    fn into_groups(mut self) -> Vec<CellGroup> {
-        let cells: Vec<CellRef> = self.parent.keys().copied().collect();
-        let mut groups: FxHashMap<CellRef, CellGroup> = FxHashMap::default();
-        for c in cells {
-            let root = self.find(c);
-            groups.entry(root).or_default().0.push(c);
-        }
-        let proposed = std::mem::take(&mut self.proposed);
-        for (c, vs) in proposed {
-            let root = self.find(c);
-            groups.entry(root).or_default().1.extend(vs);
-        }
-        let mut out: Vec<(CellRef, CellGroup)> = groups.into_iter().collect();
-        out.sort_by_key(|(root, _)| *root);
-        out.into_iter()
-            .map(|(_, (mut members, mut cands))| {
-                members.sort();
-                members.dedup();
-                cands.sort();
-                cands.dedup();
-                (members, cands)
-            })
-            .collect()
-    }
-}
-
-fn entity_key(db: &Database, t: GlobalTid) -> Option<EntityKey> {
-    db.relation(t.rel)
-        .get(t.tid)
-        .map(|tu| EntityKey::new(t.rel, tu.eid))
-}
-
-fn tuple_features(db: &Database, rel: RelId, tid: TupleId) -> Vec<Value> {
-    db.relation(rel)
-        .get(tid)
-        .map(|t| t.values.clone())
-        .unwrap_or_default()
-}
-
-/// Shared leaf of every evaluation mode: distinctness, the Strict gate, the
-/// consequence check, and the proposal emission (with the valuation's bound
-/// tuples recorded when tuple-level tracking is on).
-#[allow(clippy::too_many_arguments)]
-fn visit_valuation(
-    rule: &Rule,
-    ri: u32,
-    h: &Valuation,
-    ctx: &EvalContext<'_>,
-    gate: GateMode,
-    fixes: &FixStore,
-    track: bool,
-    out: &mut Vec<Emission>,
-) {
-    if !distinct_ok(rule, h) {
-        return;
-    }
-    if gate == GateMode::Strict && !precondition_validated(rule, h, ctx, fixes) {
-        return;
-    }
-    if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-        // Already satisfied. In Strict mode the fix is still recorded in U
-        // — satisfied consequences are validated facts, and accumulation of
-        // ground truth (§4.1) depends on them.
-        if gate == GateMode::Strict {
-            if let Some(p) = propose(rule, ri, h, ctx) {
-                out.push((if track { h.tuples.clone() } else { Vec::new() }, p));
-            }
-        }
-        return;
-    }
-    if let Some(p) = propose(rule, ri, h, ctx) {
-        out.push((if track { h.tuples.clone() } else { Vec::new() }, p));
-    }
-}
-
-/// Blocking-pruned pair enumeration: for each tuple variable paired with
-/// the pinned variable by an ML predicate, restrict its candidates to the
-/// pinned chunk's block-mates plus the cumulative dirty set.
-///
-/// Soundness: a pair excluded here has both projections unchanged since the
-/// index build (the pinned side is checked against its build-time key
-/// below; the other side would be in `dirty` otherwise), was no LSH
-/// candidate at build time, and is therefore excluded by the model's block
-/// filter — the full scan would evaluate it to `false` anyway. Pruning is
-/// skipped (full fallback for that variable) when the index or block filter
-/// is missing or any pinned tuple's projection changed.
-#[allow(clippy::too_many_arguments)]
-fn prune_with_blocking(
-    rule: &Rule,
-    pinned: usize,
-    chunk: &[TupleId],
-    blocking: Option<&MlBlockIndex>,
-    registry: &ModelRegistry,
-    dirty: &DeltaSet,
-    db: &Database,
-    overrides: &mut FxHashMap<usize, Vec<TupleId>>,
-) {
-    let Some(index) = blocking else {
-        return;
-    };
-    for p in &rule.precondition {
-        let Predicate::Ml {
-            model,
-            lvar,
-            lattrs,
-            rvar,
-            rattrs,
-        } = p
-        else {
-            continue;
-        };
-        if lvar == rvar {
-            continue;
-        }
-        let (other, pinned_left) = if *lvar == pinned {
-            (*rvar, true)
-        } else if *rvar == pinned {
-            (*lvar, false)
+        if committed.is_some_and(|c| c.any_merge) {
+            ls.active.extend(0..self.rules.len());
         } else {
-            continue;
-        };
-        if overrides.contains_key(&other) {
-            continue; // first applicable predicate wins
+            ls.active
+                .extend((0..self.rules.len()).filter(|&ri| changed(ri)));
         }
-        let id = model.resolved();
-        if !registry.has_block_filter(id) {
-            continue;
-        }
-        let sig = PairSignature {
-            model: id,
-            lrel: rule.rel_of(*lvar),
-            lattrs: lattrs.clone(),
-            rrel: rule.rel_of(*rvar),
-            rattrs: rattrs.clone(),
-        };
-        let Some(pair_idx) = index.get(&sig) else {
-            continue;
-        };
-        // every pinned tuple must still project to its build-time key,
-        // otherwise its mate list is stale and pruning would be unsound
-        let attrs = if pinned_left { lattrs } else { rattrs };
-        let rel = db.relation(rule.rel_of(pinned));
-        let fresh = chunk.iter().all(|tid| match rel.get(*tid) {
-            Some(t) => {
-                pair_idx.build_key(*tid, pinned_left)
-                    == Some(ModelRegistry::pair_key(&t.project(attrs)))
-            }
-            None => true, // dead tuples bind nothing
+        ls.active.extend(failed.iter().copied());
+        let g = &schedule.graph;
+        let before = ls.active.len();
+        let pending = &ls.frontier.pending;
+        ls.active.retain(|&ri| {
+            !g.dead[ri]
+                && (failed.contains(&ri)
+                    || g.follows_writes[ri]
+                    || changed(ri)
+                    || g.rels[ri].iter().any(|r| pending[ri].rel_count(*r) > 0))
         });
-        if !fresh {
-            continue;
+        ls.pruned_carry = before - ls.active.len();
+        let quiescent = committed.map_or(true, |c| c.changed_cells.is_empty() && !c.any_merge);
+        if quiescent && failed.is_empty() {
+            ls.done = true;
         }
-        let mut cands: Vec<TupleId> = Vec::new();
-        for tid in chunk {
-            cands.extend_from_slice(pair_idx.mates(*tid, pinned_left));
-        }
-        cands.extend(dirty.ones_vec(rule.rel_of(other)));
-        cands.sort_unstable();
-        cands.dedup();
-        overrides.insert(other, cands);
     }
 }
 
-/// Strict-gate check: every precondition cell read by the rule must belong
-/// to a trusted tuple or be validated in `U`.
-fn precondition_validated(
-    rule: &Rule,
-    h: &Valuation,
-    ctx: &EvalContext<'_>,
-    fixes: &FixStore,
-) -> bool {
+/// Classic initial activation: every rule in batch mode, rules binding a
+/// seeded relation in incremental mode.
+fn initial_activation(rules: &RuleSet, seed: Option<&DeltaSet>) -> Vec<usize> {
+    (0..rules.len())
+        .filter(|&i| {
+            seed.map_or(true, |d| {
+                rules.rules[i]
+                    .tuple_vars
+                    .iter()
+                    .any(|(_, r)| d.rel_count(*r) > 0)
+            })
+        })
+        .collect()
+}
+
+/// `(relation, attribute)` cells a rule's precondition reads.
+fn rule_reads(rule: &Rule) -> FxHashSet<(RelId, AttrId)> {
+    let mut reads = FxHashSet::default();
     for p in &rule.precondition {
-        // `null(t.A)` is the MI trigger: a null cell has no value to
-        // validate — exempt (the rest of the precondition still gates).
-        if matches!(p, Predicate::IsNull { .. }) {
-            continue;
-        }
         for v in p.tuple_vars() {
-            let gt = h.tuples[v];
-            if fixes.is_trusted(gt) {
-                continue;
-            }
-            let Some(tu) = ctx.db.relation(gt.rel).get(gt.tid) else {
-                return false;
-            };
-            let key = EntityKey::new(gt.rel, tu.eid);
+            let rel = rule.rel_of(v);
             for a in p.reads_of(v) {
-                if fixes.validated_value(key, gt.rel, a).is_none() {
-                    return false;
+                reads.insert((rel, a));
+            }
+        }
+    }
+    reads
+}
+
+/// The schedule's round bound concretized against `db`'s tuple count and
+/// the writable cells of its live rules.
+fn resolve_bound(schedule: &ChaseSchedule, db: &Database) -> Option<u64> {
+    schedule.bound.map(|b| {
+        let tuples: u64 = db.iter().map(|(_, rel)| rel.len() as u64).sum();
+        let cells: u64 = schedule
+            .writable_cells()
+            .iter()
+            .map(|(rel, _)| db.relation(*rel).len() as u64)
+            .sum();
+        b.resolve(tuples, cells)
+    })
+}
+
+/// The round-1 delta of an incremental run: the tuples ΔD touched, sized
+/// to the post-apply database. `inserted` is `Database::apply`'s return
+/// (inserted ids in update order).
+pub(crate) fn seed_from_delta(work: &Database, delta: &Delta, inserted: &[TupleId]) -> DeltaSet {
+    let mut seed = DeltaSet::empty(work);
+    let mut ins = inserted.iter();
+    for u in &delta.updates {
+        match u {
+            Update::Insert { rel, .. } => {
+                if let Some(tid) = ins.next() {
+                    seed.mark(*rel, *tid);
                 }
             }
-        }
-    }
-    true
-}
-
-/// Turn a satisfied-precondition, unsatisfied-consequence valuation into a
-/// fix proposal. Returns `None` for consequences that cannot generate fixes
-/// (inequality comparisons, bare ML assertions) — those are detection-only.
-fn propose(rule: &Rule, ri: u32, h: &Valuation, ctx: &EvalContext<'_>) -> Option<Proposal> {
-    use rock_rees::CmpOp;
-    match &rule.consequence {
-        Predicate::Const {
-            var,
-            attr,
-            op: CmpOp::Eq,
-            value,
-        } => {
-            let gt = h.tuples[*var];
-            Some(Proposal::SetCell {
-                cell: CellRef::new(gt.rel, gt.tid, *attr),
-                value: value.clone(),
-                rule: ri,
-            })
-        }
-        Predicate::Attr {
-            lvar,
-            lattr,
-            op: CmpOp::Eq,
-            rvar,
-            rattr,
-        } => {
-            let (l, r) = (h.tuples[*lvar], h.tuples[*rvar]);
-            Some(Proposal::EquateCells {
-                a: CellRef::new(l.rel, l.tid, *lattr),
-                b: CellRef::new(r.rel, r.tid, *rattr),
-                rule: ri,
-            })
-        }
-        Predicate::EidCmp { lvar, rvar, eq } => {
-            let (l, r) = (h.tuples[*lvar], h.tuples[*rvar]);
-            if *eq {
-                Some(Proposal::Merge {
-                    a: l,
-                    b: r,
-                    rule: ri,
-                })
-            } else {
-                Some(Proposal::Distinct {
-                    a: l,
-                    b: r,
-                    rule: ri,
-                })
+            Update::Delete { rel, tid } | Update::SetCell { rel, tid, .. } => {
+                seed.mark(*rel, *tid);
             }
         }
-        Predicate::Temporal {
-            lvar,
-            rvar,
-            attr,
-            strict,
-        } => {
-            let (l, r) = (h.tuples[*lvar], h.tuples[*rvar]);
-            Some(Proposal::Order {
-                rel: l.rel,
-                attr: *attr,
-                t1: l.tid,
-                t2: r.tid,
-                strict: *strict,
-                rule: ri,
-            })
-        }
-        Predicate::ValExtract {
-            tvar,
-            attr,
-            xvar,
-            path,
-        } => {
-            let x = h.vertices[*xvar]?;
-            let value = path.val(ctx.graph?, x)?;
-            let gt = h.tuples[*tvar];
-            Some(Proposal::SetCell {
-                cell: CellRef::new(gt.rel, gt.tid, *attr),
-                value,
-                rule: ri,
-            })
-        }
-        Predicate::Predict {
-            model,
-            var,
-            evidence,
-            target,
-        } => {
-            let gt = h.tuples[*var];
-            let t = ctx.db.relation(gt.rel).get(gt.tid)?;
-            let ev = t.project(evidence);
-            let value = ctx.models.predict_value(model.resolved(), &ev)?;
-            Some(Proposal::SetCell {
-                cell: CellRef::new(gt.rel, gt.tid, *target),
-                value,
-                rule: ri,
-            })
-        }
-        // Inequalities and bare ML consequences assert properties but
-        // cannot be turned into a single certain fix.
-        _ => None,
     }
+    seed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixes::EntityKey;
     use rock_data::{AttrType, DatabaseSchema, Eid, RelationSchema};
     use rock_rees::parse_rules;
 
@@ -2420,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_run_matches_classic_and_certifies() {
+    fn every_run_matches_the_reference_and_certifies() {
         let schema = trans_schema();
         let rules = RuleSet::new(
             parse_rules(
@@ -2430,27 +849,43 @@ mod tests {
             .unwrap(),
         );
         let reg = registry();
-        let classic = ChaseEngine::new(&rules, &reg, ChaseConfig::default()).run(&trans_db(), &[]);
-        let cfg = ChaseConfig {
-            use_schedule: true,
-            ..ChaseConfig::default()
-        };
-        let sched = ChaseEngine::new(&rules, &reg, cfg).run(&trans_db(), &[]);
-        // byte-identical repairs: the schedule only *filters* activation
-        assert_eq!(classic.changes, sched.changes);
-        assert_eq!(classic.merged_pairs, sched.merged_pairs);
-        assert_eq!(classic.conflicts, sched.conflicts);
+        let engine = ChaseEngine::new(&rules, &reg, ChaseConfig::default());
+        let naive = crate::reference::run(&engine, &trans_db(), &[]);
+        let run = engine.run(&trans_db(), &[]);
+        assert_eq!(naive.changes, run.changes);
+        assert_eq!(naive.merged_pairs, run.merged_pairs);
+        assert_eq!(naive.conflicts, run.conflicts);
+        assert!(run.rounds <= naive.rounds);
         // the run carries its certificate and respected the bound
-        assert!(classic.certification.is_none());
-        let cert = sched.certification.expect("use_schedule must certify");
+        let cert = &run.certification;
         assert_eq!(cert.class, TerminationClass::AcyclicStrata);
         let resolved = cert.resolved_bound.expect("bounded class resolves");
         assert!(cert.violation.is_none(), "{:?}", cert.violation);
-        assert!(sched.rounds as u64 <= resolved);
-        assert!(sched
+        assert!(run.rounds as u64 <= resolved);
+        assert!(run
             .round_stats
             .iter()
             .all(|s| s.strata >= 1 && s.bound_margin >= 0));
+    }
+
+    #[test]
+    fn fingerprint_covers_rule_bodies() {
+        let schema = trans_schema();
+        let parse = |text: &str| RuleSet::new(parse_rules(text, &schema).unwrap());
+        let a = parse("rule fill: Trans(t) && t.com = 'IPhone 14' -> t.price = 6500");
+        let b = parse("rule fill: Trans(t) && t.com = 'IPhone 15' -> t.price = 6500");
+        let reg = registry();
+        let fp = |rules: &RuleSet, gate| {
+            let cfg = ChaseConfig {
+                gate,
+                ..ChaseConfig::default()
+            };
+            ChaseEngine::new(rules, &reg, cfg).fingerprint()
+        };
+        assert_eq!(fp(&a, GateMode::Resolved), fp(&a, GateMode::Resolved));
+        // same name, one predicate constant edited
+        assert_ne!(fp(&a, GateMode::Resolved), fp(&b, GateMode::Resolved));
+        assert_ne!(fp(&a, GateMode::Resolved), fp(&a, GateMode::Strict));
     }
 
     #[test]

@@ -688,7 +688,7 @@ mod tests {
             round_base: 0,
             done: false,
             db,
-            fixes: FixSnapshot::default(),
+            fixes: crate::fixes::FixStore::new().to_snapshot(),
             active: vec![0],
             pruned_carry: 0,
             seeded: false,

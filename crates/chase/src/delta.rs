@@ -11,7 +11,7 @@
 //!
 //! Round ≥ 2 of the chase then only enumerates valuations where at least
 //! one tuple variable binds a delta tuple; untouched valuations are covered
-//! by the per-rule carry (see `chase.rs`).
+//! by the per-rule carry (see `evaluate.rs`).
 
 use rock_data::{Bitset, Database, RelId, TupleId};
 
@@ -119,17 +119,16 @@ pub struct RoundStats {
     pub proposals: usize,
     /// Carried emissions re-used without re-enumeration.
     pub carried: usize,
-    /// Rules the rule-dependency graph removed from this round's
-    /// activation (0 unless `ChaseConfig::use_rule_graph`).
+    /// Rules the certified schedule removed from this round's classic
+    /// activation.
     pub rules_pruned: usize,
-    /// Distinct certified strata the round's active rules belong to
-    /// (0 unless `ChaseConfig::use_schedule`). `serde(default)` keeps old
-    /// checkpoints readable.
+    /// Distinct certified strata the round's active rules belong to.
+    /// `serde(default)` keeps old checkpoints readable.
     #[serde(default)]
     pub strata: usize,
     /// Rounds left under the instance-resolved certified bound after this
-    /// round (0 unless `use_schedule` with a bounded certificate; negative
-    /// would mean the certificate was violated).
+    /// round (0 when the certificate is unbounded; negative would mean the
+    /// certificate was violated).
     #[serde(default)]
     pub bound_margin: i64,
 }

@@ -25,6 +25,12 @@
 //! previous round (plus EID-sensitive rules after merges). Batch mode seeds
 //! the worklist with every rule; incremental mode seeds it from ΔD.
 //!
+//! Module map: [`chase`] is the round loop and its activation step,
+//! `evaluate` the semi-naive evaluation phase, `commit` the commit phase,
+//! `durable` the WAL/checkpoint driver around the loop, and [`reference`]
+//! the naive chase the production path is tested against (it shares the
+//! valuation leaf in `proposal` and the commit phase, nothing else).
+//!
 //! Durability (`wal` / `checkpoint` / `provenance`): with
 //! [`DurabilityConfig`] set, every committed fix is appended to a
 //! CRC-framed, *segmented* write-ahead log at round boundaries alongside
@@ -44,12 +50,17 @@
 
 pub mod chase;
 pub mod checkpoint;
+mod commit;
 pub mod conflict;
 pub mod delta;
+mod durable;
+mod evaluate;
 pub mod fixes;
 pub mod order;
+mod proposal;
 pub mod provenance;
 pub mod quality;
+pub mod reference;
 pub mod wal;
 
 pub use chase::{
@@ -67,6 +78,7 @@ pub use provenance::{
     replay_witness, ProvenanceChain, ProvenanceGraph, ReplayError, WitnessReplay,
 };
 pub use quality::QualityReport;
+pub use reference::ReferenceResult;
 pub use wal::{
     list_segments, read_wal, read_wal_dir, segment_file_name, wal_bytes, DurabilityConfig, FixKind,
     FixRecord, SegmentInfo, WalDirScan, WalError, WalHealth, WalPos, WalRecord, WalSummary,

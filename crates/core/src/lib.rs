@@ -24,5 +24,7 @@ pub mod variant;
 pub use rock_data::bitset;
 
 pub use poly::PolyPipeline;
-pub use system::{CorrectionOutcome, DetectionOutcome, DiscoveryOutcome, RockConfig, RockSystem};
+pub use system::{
+    conflict_policy, CorrectionOutcome, DetectionOutcome, DiscoveryOutcome, RockConfig, RockSystem,
+};
 pub use variant::Variant;

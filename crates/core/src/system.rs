@@ -6,7 +6,7 @@ use crate::variant::{effective_rules, sorted_rules, split_by_task, Variant};
 use rock_chase::{
     ChaseConfig, ChaseEngine, ChaseResult, ConflictPolicy, RoundStats, WalError, WalSummary,
 };
-use rock_crystal::{ClusterConfig, FaultStats, UnitFailure};
+use rock_crystal::{FaultStats, UnitFailure};
 use rock_data::Database;
 use rock_detect::blocking::{precompute_ml, precompute_ml_indexed, BlockingStats};
 use rock_detect::{DetectReport, Detector};
@@ -22,10 +22,13 @@ use rock_workloads::metrics::{correction_metrics, detection_metrics, Metrics};
 use rock_workloads::{Task, Workload};
 use std::time::Instant;
 
-/// System configuration.
+/// System configuration: the paper's variants plus what a deployment
+/// chooses. Engine internals (how the chase evaluates and schedules its
+/// rounds) are not options.
 #[derive(Debug, Clone)]
 pub struct RockConfig {
     pub variant: Variant,
+    /// Crystal workers for discovery, detection and the chase.
     pub workers: usize,
     /// Sampling ratio for discovery when the data is large (paper: 10%).
     pub sample_ratio: f64,
@@ -34,42 +37,12 @@ pub struct RockConfig {
     pub poly_tolerance: f64,
     /// Run LSH blocking + ML pre-computation before evaluation (§5.3).
     pub blocking: bool,
-    /// HyperCube work units per rule (finer units = better balance on
-    /// more workers; the scaling panels raise this).
-    pub partitions_per_rule: u32,
-    /// Ground-truth gating for the chase (§4.1): `Strict` applies a rule
-    /// only when its precondition cells are trusted or already validated
-    /// (the letter of the certain-fix regime); `Resolved` (default)
-    /// bootstraps from the resolved view.
-    pub gate: rock_chase::chase::GateMode,
-    /// Semi-naive delta chase for round ≥ 2 (§4.1); `false` keeps the
-    /// full-rescan ablation used by the `chase-delta` panel and the
-    /// equivalence tests.
-    pub semi_naive: bool,
-    /// Schedule chase rounds with the `rock-analyze` rule-dependency
-    /// graph: statically dead rules never activate and re-activation is
-    /// narrowed to rules the committed delta can reach. Off by default —
-    /// the classic activation set is the equivalence oracle.
-    pub use_rule_graph: bool,
-    /// Schedule chase rounds with the *certified* stratified schedule
-    /// (`rock_rees::ChaseSchedule`): the same activation subset as
-    /// `use_rule_graph` (repairs stay byte-identical), plus runtime
-    /// enforcement of the certifier's termination bound
-    /// (`ChaseResult::certification`). Off by default.
-    pub use_schedule: bool,
-    /// Crystal fault-tolerance knobs (fault injection plan, retry budget,
-    /// backoff, speculation threshold), threaded into every discovery /
-    /// detection / chase cluster this system builds.
-    pub cluster: ClusterConfig,
-    /// Durable chase: WAL + round-boundary checkpoints in this directory,
-    /// so a killed correction resumes byte-identically (`rock_chase::wal`).
-    /// `None` (default) keeps the zero-IO in-memory chase.
-    pub durability: Option<rock_chase::wal::DurabilityConfig>,
-    /// Columnar data plane: route detection and chase prefilters through
-    /// the vectorized kernels (`rock_data::ColumnSet`). Off = the scalar
-    /// row path, the byte-identical equivalence oracle
-    /// (`tests/columnar_equivalence.rs`, `figures -- columnar`).
-    pub columnar: bool,
+    /// The chase this system runs: gate, partitions per rule, round
+    /// budget, Crystal fault-tolerance knobs (also threaded into discovery
+    /// and detection), durability. Its `workers` and `policy` are filled
+    /// in per run from `workers` above and the workload's models — see
+    /// [`RockConfig::chase_config`].
+    pub chase: ChaseConfig,
 }
 
 impl Default for RockConfig {
@@ -81,15 +54,31 @@ impl Default for RockConfig {
             discovery: DiscoveryConfig::default(),
             poly_tolerance: 0.02,
             blocking: true,
-            partitions_per_rule: 4,
-            gate: rock_chase::chase::GateMode::Resolved,
-            semi_naive: true,
-            use_rule_graph: false,
-            use_schedule: false,
-            cluster: ClusterConfig::default(),
-            durability: None,
-            columnar: rock_data::DataConfig::default().columnar,
+            chase: ChaseConfig::default(),
         }
+    }
+}
+
+impl RockConfig {
+    /// The one place a [`ChaseConfig`] is built: `chase`, with the
+    /// system-wide worker count and the workload's conflict-resolution
+    /// models.
+    pub fn chase_config(&self, w: &Workload) -> ChaseConfig {
+        ChaseConfig {
+            workers: self.workers,
+            policy: conflict_policy(w),
+            ..self.chase.clone()
+        }
+    }
+}
+
+/// Conflict resolution with the workload's `Mc` and ranking models (§4.2).
+pub fn conflict_policy(w: &Workload) -> ConflictPolicy {
+    ConflictPolicy {
+        mc: w.registry.id("Mc"),
+        mrank: ["Mstatus", "Mtier", "Mrank"]
+            .iter()
+            .find_map(|n| w.registry.id(n)),
     }
 }
 
@@ -138,9 +127,42 @@ pub struct CorrectionOutcome {
     /// re-attempted; a non-empty list after convergence means best-effort).
     pub unit_failures: Vec<UnitFailure>,
     /// Durability counters and [`rock_chase::WalHealth`] when the chase ran
-    /// with a WAL (`RockConfig::durability`); `None` for in-memory runs and
-    /// the sequential variants (which chase per group, un-logged).
+    /// with a WAL (`RockConfig::chase.durability`); `None` for in-memory
+    /// runs and the sequential variants (which chase per group, un-logged).
     pub wal: Option<WalSummary>,
+}
+
+impl CorrectionOutcome {
+    /// The one `ChaseResult → CorrectionOutcome` conversion. `metrics` and
+    /// `wall_seconds` are filled in by [`RockSystem`] once the polynomial
+    /// pipeline has run over `repaired`.
+    fn from_chase(res: ChaseResult) -> Self {
+        CorrectionOutcome {
+            metrics: Metrics::default(),
+            wall_seconds: 0.0,
+            rounds: res.rounds,
+            conflicts: res.conflicts,
+            changes: res.changes.len(),
+            unit_seconds: res.round_makespans.concat(),
+            round_stats: res.round_stats,
+            fault_stats: res.fault_stats,
+            unit_failures: res.unit_failures,
+            wal: res.wal,
+            repaired: res.db,
+        }
+    }
+
+    /// Fold a later group run of a sequential variant into this outcome.
+    fn absorb(&mut self, next: CorrectionOutcome) {
+        self.rounds += next.rounds;
+        self.conflicts += next.conflicts;
+        self.changes += next.changes;
+        self.unit_seconds.extend(next.unit_seconds);
+        self.round_stats.extend(next.round_stats);
+        self.fault_stats.merge(&next.fault_stats);
+        self.unit_failures.extend(next.unit_failures);
+        self.repaired = next.repaired;
+    }
 }
 
 /// The Rock system facade.
@@ -182,7 +204,7 @@ impl RockSystem {
             Vec::new()
         };
         let mut disc_cfg = self.config.discovery.clone();
-        disc_cfg.cluster = self.config.cluster.clone();
+        disc_cfg.cluster = self.config.chase.cluster.clone();
         let disc = Discoverer::new(&w.registry, disc_cfg);
         let mut rules = RuleSet::default();
         let mut candidates = 0usize;
@@ -229,7 +251,7 @@ impl RockSystem {
     /// Error detection for one task with the workload's curated rules.
     pub fn detect(&self, w: &Workload, task: &Task) -> DetectionOutcome {
         let start = Instant::now();
-        let rules = sorted_rules(&effective_rules(self.config.variant, &w.rules_for(task)));
+        let rules = self.task_rules(w, task);
         let blocking = if self.config.blocking && self.config.variant.uses_ml() {
             Some(precompute_ml(&w.dirty, &rules, &w.registry))
         } else {
@@ -237,9 +259,8 @@ impl RockSystem {
         };
         let mut detector = Detector::new(&rules, &w.registry)
             .with_workers(self.config.workers)
-            .with_cluster(self.config.cluster.clone())
-            .with_columnar(self.config.columnar);
-        detector.partitions_per_rule = self.config.partitions_per_rule;
+            .with_cluster(self.config.chase.cluster.clone());
+        detector.partitions_per_rule = self.config.chase.partitions_per_rule;
         if let Some(g) = &w.graph {
             detector = detector.with_graph(g);
         }
@@ -268,109 +289,39 @@ impl RockSystem {
     /// the polynomial pipeline, scored against the clean oracle.
     pub fn correct(&self, w: &Workload, task: &Task) -> CorrectionOutcome {
         let start = Instant::now();
-        let rules = sorted_rules(&effective_rules(self.config.variant, &w.rules_for(task)));
-        // the tuple-level blocking index doubles as the semi-naive chase's
-        // pair-enumeration pruner, so keep it alive for the engine
-        let block_index: Option<MlBlockIndex> =
-            if self.config.blocking && self.config.variant.uses_ml() {
-                Some(precompute_ml_indexed(&w.dirty, &rules, &w.registry).1)
-            } else {
-                None
-            };
-        let policy = ConflictPolicy {
-            mc: w.registry.id("Mc"),
-            mrank: ["Mstatus", "Mtier", "Mrank"]
-                .iter()
-                .find_map(|n| w.registry.id(n)),
-        };
-        let mk_engine = |rules: &RuleSet, max_rounds: usize| -> ChaseResult {
-            let cfg = ChaseConfig {
-                workers: self.config.workers,
-                max_rounds,
-                policy: policy.clone(),
-                partitions_per_rule: self.config.partitions_per_rule,
-                gate: self.config.gate,
-                semi_naive: self.config.semi_naive,
-                use_rule_graph: self.config.use_rule_graph,
-                use_schedule: self.config.use_schedule,
-                cluster: self.config.cluster.clone(),
-                durability: self.config.durability.clone(),
-                columnar: self.config.columnar,
-                ..ChaseConfig::default()
-            };
-            let engine = ChaseEngine::new(rules, &w.registry, cfg);
-            let engine = match &w.graph {
-                Some(g) => engine.with_graph(g),
-                None => engine,
-            };
-            let engine = match &block_index {
-                Some(idx) => engine.with_blocking(idx),
-                None => engine,
-            };
-            engine.run(&w.dirty, &w.trusted)
-        };
-
-        let (
-            mut repaired,
-            rounds,
-            conflicts,
-            changes,
-            unit_seconds,
-            round_stats,
-            fault_stats,
-            unit_failures,
-            wal,
-        ) = match self.config.variant {
+        let rules = self.task_rules(w, task);
+        // Blocking installs the models' block filters and warms the memo
+        // for every variant; the tuple-level index it returns doubles as
+        // the unified chase's pair-enumeration pruner.
+        let block_index: Option<MlBlockIndex> = (self.config.blocking
+            && self.config.variant.uses_ml())
+        .then(|| precompute_ml_indexed(&w.dirty, &rules, &w.registry).1);
+        let mut out = match self.config.variant {
             Variant::Rock | Variant::RockNoMl => {
-                let res = mk_engine(&rules, 32);
-                let us = res.round_makespans.concat();
-                (
-                    res.db,
-                    res.rounds,
-                    res.conflicts,
-                    res.changes.len(),
-                    us,
-                    res.round_stats,
-                    res.fault_stats,
-                    res.unit_failures,
-                    res.wal,
-                )
+                let engine = self.engine(w, &rules, self.config.chase_config(w));
+                let engine = match &block_index {
+                    Some(idx) => engine.with_blocking(idx),
+                    None => engine,
+                };
+                CorrectionOutcome::from_chase(engine.run(&w.dirty, &w.trusted))
             }
-            Variant::RockSeq => {
-                let (a, b, c, d, e, f, g, h) = self.run_sequential(w, &rules, &policy, true);
-                (a, b, c, d, e, f, g, h, None)
-            }
-            Variant::RockNoC => {
-                let (a, b, c, d, e, f, g, h) = self.run_sequential(w, &rules, &policy, false);
-                (a, b, c, d, e, f, g, h, None)
-            }
+            Variant::RockSeq => self.run_sequential(w, &rules, true),
+            Variant::RockNoC => self.run_sequential(w, &rules, false),
         };
-
         if self.config.variant.uses_ml() {
             if let Some((rel, attr)) = task.polynomial_target {
-                if let Some(pipe) =
-                    PolyPipeline::fit(&repaired, rel, attr, &w.trusted, self.config.poly_tolerance)
-                {
-                    pipe.correct(&mut repaired);
+                if let Some(pipe) = PolyPipeline::fit(
+                    &out.repaired,
+                    rel,
+                    attr,
+                    &w.trusted,
+                    self.config.poly_tolerance,
+                ) {
+                    pipe.correct(&mut out.repaired);
                 }
             }
         }
-
-        let metrics =
-            correction_metrics(&w.dirty, &repaired, &w.clean, &w.truth, task.scope.as_ref());
-        CorrectionOutcome {
-            repaired,
-            metrics,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            rounds,
-            conflicts,
-            changes,
-            unit_seconds,
-            round_stats,
-            fault_stats,
-            unit_failures,
-            wal,
-        }
+        self.scored(w, task, start, out)
     }
 
     /// Incremental error correction (§3: "Rock corrects errors in batch
@@ -383,57 +334,20 @@ impl RockSystem {
         delta: &rock_data::Delta,
     ) -> CorrectionOutcome {
         let start = Instant::now();
-        let rules = sorted_rules(&effective_rules(self.config.variant, &w.rules_for(task)));
-        let policy = ConflictPolicy {
-            mc: w.registry.id("Mc"),
-            mrank: ["Mstatus", "Mtier", "Mrank"]
-                .iter()
-                .find_map(|n| w.registry.id(n)),
-        };
-        let cfg = ChaseConfig {
-            workers: self.config.workers,
-            policy,
-            partitions_per_rule: self.config.partitions_per_rule,
-            gate: self.config.gate,
-            semi_naive: self.config.semi_naive,
-            use_rule_graph: self.config.use_rule_graph,
-            use_schedule: self.config.use_schedule,
-            cluster: self.config.cluster.clone(),
-            durability: self.config.durability.clone(),
-            columnar: self.config.columnar,
-            ..ChaseConfig::default()
-        };
-        let engine = ChaseEngine::new(&rules, &w.registry, cfg);
-        let engine = match &w.graph {
-            Some(g) => engine.with_graph(g),
-            None => engine,
-        };
-        let res = engine
+        let rules = self.task_rules(w, task);
+        let res = self
+            .engine(w, &rules, self.config.chase_config(w))
             .run_incremental(&w.dirty, &w.trusted, delta)
             .expect("workload deltas are well-formed");
-        let metrics =
-            correction_metrics(&w.dirty, &res.db, &w.clean, &w.truth, task.scope.as_ref());
-        CorrectionOutcome {
-            metrics,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            rounds: res.rounds,
-            conflicts: res.conflicts,
-            changes: res.changes.len(),
-            unit_seconds: res.round_makespans.concat(),
-            round_stats: res.round_stats,
-            fault_stats: res.fault_stats,
-            unit_failures: res.unit_failures,
-            wal: res.wal,
-            repaired: res.db,
-        }
+        self.scored(w, task, start, CorrectionOutcome::from_chase(res))
     }
 
     /// Durable incremental correction: like [`Self::correct_incremental`],
-    /// but each ΔD batch is logged to `config.durability`'s WAL as a new
-    /// session batch before its rounds run, so a correction stream killed
-    /// mid-batch resumes mid-stream with the delta already durable
+    /// but each ΔD batch is logged to `config.chase.durability`'s WAL as a
+    /// new session batch before its rounds run, so a correction stream
+    /// killed mid-batch resumes mid-stream with the delta already durable
     /// ([`ChaseEngine::run_incremental_durable`]). Returns the chase's
-    /// typed error surface; requires `config.durability` to be set.
+    /// typed error surface; requires `config.chase.durability` to be set.
     pub fn correct_incremental_durable(
         &self,
         w: &Workload,
@@ -441,47 +355,45 @@ impl RockSystem {
         delta: &rock_data::Delta,
     ) -> Result<CorrectionOutcome, WalError> {
         let start = Instant::now();
-        let rules = sorted_rules(&effective_rules(self.config.variant, &w.rules_for(task)));
-        let policy = ConflictPolicy {
-            mc: w.registry.id("Mc"),
-            mrank: ["Mstatus", "Mtier", "Mrank"]
-                .iter()
-                .find_map(|n| w.registry.id(n)),
-        };
-        let cfg = ChaseConfig {
-            workers: self.config.workers,
-            policy,
-            partitions_per_rule: self.config.partitions_per_rule,
-            gate: self.config.gate,
-            semi_naive: self.config.semi_naive,
-            use_rule_graph: self.config.use_rule_graph,
-            use_schedule: self.config.use_schedule,
-            cluster: self.config.cluster.clone(),
-            durability: self.config.durability.clone(),
-            columnar: self.config.columnar,
-            ..ChaseConfig::default()
-        };
-        let engine = ChaseEngine::new(&rules, &w.registry, cfg);
-        let engine = match &w.graph {
+        let rules = self.task_rules(w, task);
+        let res = self
+            .engine(w, &rules, self.config.chase_config(w))
+            .run_incremental_durable(&w.dirty, &w.trusted, delta)?;
+        Ok(self.scored(w, task, start, CorrectionOutcome::from_chase(res)))
+    }
+
+    /// The rule set this variant runs for `task`, in deterministic order.
+    fn task_rules(&self, w: &Workload, task: &Task) -> RuleSet {
+        sorted_rules(&effective_rules(self.config.variant, &w.rules_for(task)))
+    }
+
+    /// A chase engine over `rules` with the workload's models and graph.
+    fn engine<'a>(&self, w: &'a Workload, rules: &'a RuleSet, cfg: ChaseConfig) -> ChaseEngine<'a> {
+        let engine = ChaseEngine::new(rules, &w.registry, cfg);
+        match &w.graph {
             Some(g) => engine.with_graph(g),
             None => engine,
-        };
-        let res = engine.run_incremental_durable(&w.dirty, &w.trusted, delta)?;
-        let metrics =
-            correction_metrics(&w.dirty, &res.db, &w.clean, &w.truth, task.scope.as_ref());
-        Ok(CorrectionOutcome {
-            metrics,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            rounds: res.rounds,
-            conflicts: res.conflicts,
-            changes: res.changes.len(),
-            unit_seconds: res.round_makespans.concat(),
-            round_stats: res.round_stats,
-            fault_stats: res.fault_stats,
-            unit_failures: res.unit_failures,
-            wal: res.wal,
-            repaired: res.db,
-        })
+        }
+    }
+
+    /// Score the repaired database against the clean oracle and stamp the
+    /// wall time.
+    fn scored(
+        &self,
+        w: &Workload,
+        task: &Task,
+        start: Instant,
+        mut out: CorrectionOutcome,
+    ) -> CorrectionOutcome {
+        out.metrics = correction_metrics(
+            &w.dirty,
+            &out.repaired,
+            &w.clean,
+            &w.truth,
+            task.scope.as_ref(),
+        );
+        out.wall_seconds = start.elapsed().as_secs_f64();
+        out
     }
 
     /// Data-quality assessment (§4.1): completeness / uniqueness /
@@ -549,84 +461,47 @@ impl RockSystem {
 
     /// Rockseq / RocknoC scheduling: run the four task groups one at a
     /// time. `iterate` loops the whole sequence until no group changes
-    /// anything (Rockseq); otherwise a single pass (RocknoC).
-    fn run_sequential(
-        &self,
-        w: &Workload,
-        rules: &RuleSet,
-        policy: &ConflictPolicy,
-        iterate: bool,
-    ) -> (
-        Database,
-        usize,
-        usize,
-        usize,
-        Vec<f64>,
-        Vec<RoundStats>,
-        FaultStats,
-        Vec<UnitFailure>,
-    ) {
+    /// anything (Rockseq); otherwise a single pass (RocknoC). The group
+    /// runs chase un-logged: a WAL describes one chase, not a sequence.
+    fn run_sequential(&self, w: &Workload, rules: &RuleSet, iterate: bool) -> CorrectionOutcome {
         let groups = split_by_task(rules);
-        let mut db = w.dirty.clone();
+        let cfg = ChaseConfig {
+            max_rounds: if iterate {
+                self.config.chase.max_rounds
+            } else {
+                1
+            },
+            durability: None,
+            ..self.config.chase_config(w)
+        };
         let mut fixes = rock_chase::FixStore::new();
-        let mut total_rounds = 0usize;
-        let mut conflicts = 0usize;
-        let mut changes = 0usize;
-        let mut unit_seconds = Vec::new();
-        let mut round_stats: Vec<RoundStats> = Vec::new();
-        let mut fault_stats = FaultStats::default();
-        let mut unit_failures: Vec<UnitFailure> = Vec::new();
+        let mut out: Option<CorrectionOutcome> = None;
         let max_sweeps = if iterate { 8 } else { 1 };
         for _sweep in 0..max_sweeps {
             let mut changed_this_sweep = 0usize;
-            for group in &groups {
-                if group.is_empty() {
-                    continue;
-                }
-                let cfg = ChaseConfig {
-                    workers: self.config.workers,
-                    max_rounds: if iterate { 32 } else { 1 },
-                    policy: policy.clone(),
-                    semi_naive: self.config.semi_naive,
-                    use_rule_graph: self.config.use_rule_graph,
-                    use_schedule: self.config.use_schedule,
-                    cluster: self.config.cluster.clone(),
-                    columnar: self.config.columnar,
-                    ..ChaseConfig::default()
-                };
-                let engine = ChaseEngine::new(group, &w.registry, cfg);
-                let engine = match &w.graph {
-                    Some(g) => engine.with_graph(g),
-                    None => engine,
-                };
+            for group in groups.iter().filter(|g| !g.is_empty()) {
+                let db = out.as_ref().map_or(&w.dirty, |o| &o.repaired);
                 // thread the fix store through: later groups (and sweeps)
                 // must see earlier groups' entity merges and orders
-                let res = engine.run_seeded(&db, &w.trusted, fixes);
-                total_rounds += res.rounds;
-                conflicts += res.conflicts;
-                changes += res.changes.len();
+                let mut res = self
+                    .engine(w, group, cfg.clone())
+                    .run_seeded(db, &w.trusted, fixes);
                 changed_this_sweep += res.changes.len() + res.merged_pairs.len();
-                unit_seconds.extend(res.round_makespans.concat());
-                round_stats.extend(res.round_stats);
-                fault_stats.merge(&res.fault_stats);
-                unit_failures.extend(res.unit_failures);
-                db = res.db;
-                fixes = res.fixes;
+                fixes = std::mem::take(&mut res.fixes);
+                let next = CorrectionOutcome::from_chase(res);
+                match &mut out {
+                    Some(o) => o.absorb(next),
+                    None => out = Some(next),
+                }
             }
             if changed_this_sweep == 0 {
                 break;
             }
         }
-        (
-            db,
-            total_rounds,
-            conflicts,
-            changes,
-            unit_seconds,
-            round_stats,
-            fault_stats,
-            unit_failures,
-        )
+        // no rules at all: the chase of an empty rule set is the identity
+        out.unwrap_or_else(|| {
+            CorrectionOutcome::from_chase(self.engine(w, rules, cfg).run(&w.dirty, &w.trusted))
+        })
     }
 }
 
@@ -634,6 +509,17 @@ impl RockSystem {
 mod tests {
     use super::*;
     use rock_workloads::workload::GenConfig;
+
+    fn strict_config(variant: Variant) -> RockConfig {
+        RockConfig {
+            variant,
+            chase: ChaseConfig {
+                gate: rock_chase::GateMode::Strict,
+                ..ChaseConfig::default()
+            },
+            ..RockConfig::default()
+        }
+    }
 
     fn small() -> Workload {
         rock_workloads::logistics::generate(&GenConfig {
@@ -779,15 +665,38 @@ mod tests {
         let w = small();
         let task = w.task("RClean").unwrap().clone();
         let resolved = RockSystem::new(RockConfig::default()).correct(&w, &task);
-        let strict = RockSystem::new(RockConfig {
-            gate: rock_chase::chase::GateMode::Strict,
-            ..RockConfig::default()
-        })
-        .correct(&w, &task);
+        let strict = RockSystem::new(strict_config(Variant::Rock)).correct(&w, &task);
         assert!(strict.changes <= resolved.changes);
         // strict precision should not be worse
         if strict.metrics.tp + strict.metrics.fp > 0 {
             assert!(strict.metrics.precision() >= resolved.metrics.precision() - 0.05);
+        }
+    }
+
+    /// Every variant chases under the configured gate. With nothing
+    /// trusted, the Strict gate validates no precondition cell, so only
+    /// rules that read none (null-triggered imputations) can fire — far
+    /// fewer changes than the Resolved bootstrap. The sequential variants
+    /// used to ignore the gate and repair as if it were Resolved.
+    #[test]
+    fn every_variant_honours_the_gate() {
+        let mut w = small();
+        w.trusted.clear();
+        let task = w.task("RClean").unwrap().clone();
+        for variant in [Variant::Rock, Variant::RockSeq, Variant::RockNoC] {
+            let strict = RockSystem::new(strict_config(variant)).correct(&w, &task);
+            let resolved = RockSystem::new(RockConfig {
+                variant,
+                ..RockConfig::default()
+            })
+            .correct(&w, &task);
+            assert!(
+                strict.changes < resolved.changes,
+                "{} ignored the Strict gate: {} vs {} changes",
+                variant.name(),
+                strict.changes,
+                resolved.changes
+            );
         }
     }
 

@@ -49,21 +49,6 @@ use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
-/// Storage-layer configuration. `columnar` routes the evaluation hot
-/// paths (rees prefilters, detection scans, chase enumeration) through
-/// the vectorized kernels; with it off the row store is the equivalence
-/// oracle. Default on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DataConfig {
-    pub columnar: bool,
-}
-
-impl Default for DataConfig {
-    fn default() -> Self {
-        DataConfig { columnar: true }
-    }
-}
-
 /// A comparison operator with the storage layer's SQL-null semantics:
 /// any comparison involving `Null` is false (even `≠`). This is the single
 /// scalar comparison implementation both planes share — the rule

@@ -37,7 +37,7 @@ pub mod update;
 pub mod value;
 
 pub use bitset::Bitset;
-pub use column::{row_heap_bytes, Column, ColumnData, ColumnSet, DataConfig, PredOp};
+pub use column::{row_heap_bytes, Column, ColumnData, ColumnSet, PredOp};
 pub use database::Database;
 pub use dict::Dictionary;
 pub use error::DataError;

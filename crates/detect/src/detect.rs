@@ -223,8 +223,8 @@ pub struct Detector<'a> {
     pub workers: usize,
     pub partitions_per_rule: u32,
     pub cluster: ClusterConfig,
-    /// Route scan prefilters through the columnar kernels; off = the
-    /// scalar row path (the byte-identical equivalence oracle).
+    /// Route scan prefilters through the columnar kernels. Always on in
+    /// production; see [`Detector::with_columnar`].
     pub columnar: bool,
 }
 
@@ -237,7 +237,7 @@ impl<'a> Detector<'a> {
             workers: 1,
             partitions_per_rule: 4,
             cluster: ClusterConfig::default(),
-            columnar: rock_data::DataConfig::default().columnar,
+            columnar: true,
         }
     }
 
@@ -257,6 +257,9 @@ impl<'a> Detector<'a> {
         self
     }
 
+    /// Reference hook, not a user option: `false` scans with scalar
+    /// per-tuple prefilters, the baseline the columnar ≡ scalar detection
+    /// tests compare against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self

@@ -14,17 +14,17 @@
 //! [`rock_rees::measures`], and the thresholds default to the paper's
 //! values (§6: support 1e-8, confidence 0.9).
 //!
-//! Two evaluation strategies produce identical rule sets:
+//! Candidates are measured with bitset kernels: predicates are
+//! materialized once into satisfaction bitsets via
+//! [`crate::cache::PredicateBitsets`]; each level-k candidate intersects its
+//! level-(k−1) parent's running bitset with one predicate bitset and
+//! measures by AND+popcount. Workers share the parent bitsets read-only
+//! (`Arc`), addressed through the Crystal work unit's `payload`.
 //!
-//! * **bitset path** (default) — predicates are materialized once into
-//!   satisfaction bitsets via [`crate::cache::PredicateBitsets`]; each
-//!   level-k candidate intersects its level-(k−1) parent's running bitset
-//!   with one predicate bitset and measures by AND+popcount. Workers share
-//!   the parent bitsets read-only (`Arc`), addressed through the Crystal
-//!   work unit's `payload`.
-//! * **scan path** (`use_bitset_cache: false`) — the original per-candidate
-//!   tuple re-scan via [`measure`], kept as the equivalence baseline and
-//!   the uncached arm of the benchmark panel.
+//! [`Discoverer::mine_relation_scan`] is the reference: the same search
+//! with every candidate measured by a tuple re-scan via [`measure`]. It
+//! mines the identical rule set (`tests/engine_equivalence.rs`) and is the
+//! uncached arm of the `rdcache` panel.
 
 use crate::cache::{CacheStats, PredicateBitsets};
 use crate::space::PredicateSpace;
@@ -54,9 +54,6 @@ pub struct DiscoveryConfig {
     /// Byte budget for the predicate satisfaction-bitset cache; entries
     /// beyond it are LRU-evicted and re-materialized on demand.
     pub cache_budget_bytes: usize,
-    /// Evaluate candidates with bitset kernels (default). `false` selects
-    /// the tuple re-scan path — same mined rules, no cache.
-    pub use_bitset_cache: bool,
     /// Fault-injection / retry / speculation knobs for candidate
     /// measurement on the cluster.
     pub cluster: ClusterConfig,
@@ -71,7 +68,6 @@ impl Default for DiscoveryConfig {
             workers: 1,
             min_consequence_support: 1e-9,
             cache_budget_bytes: 64 << 20,
-            use_bitset_cache: true,
             cluster: ClusterConfig::default(),
         }
     }
@@ -88,15 +84,14 @@ pub struct DiscoveryReport {
     pub wall_seconds: f64,
     /// Per-candidate evaluation durations (for modeled parallel time).
     pub unit_seconds: Vec<f64>,
-    /// Predicate-bitset cache counters (`None` on the scan path).
+    /// Predicate-bitset cache counters (`None` from the scan reference).
     pub cache: Option<CacheStats>,
     /// Fault/retry/speculation counters from the Crystal scheduler.
     pub fault_stats: FaultStats,
     /// Candidate units quarantined after exhausting retries; their
     /// candidates are treated as pruned (not measured).
     pub unit_failures: Vec<UnitFailure>,
-    /// `rock-analyze` counters from the post-mining screen (runs on both
-    /// the bitset and the scan path, over the same mined set).
+    /// `rock-analyze` counters from the post-mining screen.
     pub analyzer: rock_analyze::AnalyzerStats,
     /// Mined rules the screen rejected: error-severity diagnostics
     /// (unsatisfiable or ill-typed) or subsumed by another mined rule.
@@ -128,19 +123,28 @@ impl<'a> Discoverer<'a> {
     /// Mine rules over one relation's two-variable template. The mined
     /// set is screened by `rock-analyze` before it is returned: rules with
     /// error-severity diagnostics or subsumed by another mined rule are
-    /// dropped (with counters in the report), identically for the bitset
-    /// and the scan path.
+    /// dropped (with counters in the report).
     pub fn mine_relation(
         &self,
         db: &Database,
         rel: RelId,
         space: &PredicateSpace,
     ) -> DiscoveryReport {
-        let mut report = if self.config.use_bitset_cache {
-            self.mine_relation_cached(db, rel, space)
-        } else {
-            self.mine_relation_scan(db, rel, space)
-        };
+        let mut report = self.mine_relation_cached(db, rel, space);
+        Self::screen_mined(db, &mut report);
+        report
+    }
+
+    /// Reference for [`Self::mine_relation`]: the same levelwise search and
+    /// the same screen, with every candidate measured by re-scanning the
+    /// tuples instead of intersecting cached bitsets.
+    pub fn mine_relation_scan(
+        &self,
+        db: &Database,
+        rel: RelId,
+        space: &PredicateSpace,
+    ) -> DiscoveryReport {
+        let mut report = self.scan_candidates(db, rel, space);
         Self::screen_mined(db, &mut report);
         report
     }
@@ -165,9 +169,8 @@ impl<'a> Discoverer<'a> {
         report.rules_dropped_by_analyzer = before - report.rules.len();
     }
 
-    /// Bitset-kernel mining: identical candidate generation, ordering and
-    /// naming as the scan path, with measures computed by AND+popcount
-    /// over cached satisfaction bitsets.
+    /// Bitset-kernel mining: measures computed by AND+popcount over cached
+    /// satisfaction bitsets.
     fn mine_relation_cached(
         &self,
         db: &Database,
@@ -206,8 +209,7 @@ impl<'a> Discoverer<'a> {
 
         for (ci, consequence) in space.consequences.iter().enumerate() {
             // level 0: the consequence alone must clear the support floor.
-            // An unknown-model consequence yields no measure and is skipped
-            // exactly like the scan path's failed `make_rule`.
+            // An unknown-model consequence yields no measure and is skipped.
             let root = bits.root();
             let Some(base) = bits.measure(ci, &root) else {
                 continue;
@@ -225,7 +227,7 @@ impl<'a> Discoverer<'a> {
             let mut accepted_for_consequence: Vec<Vec<usize>> = Vec::new();
 
             for level in 1..=self.config.max_preconditions {
-                // expand frontier (same order as the scan path)
+                // expand frontier
                 let mut candidates: Vec<Vec<usize>> = Vec::new();
                 let mut parents: Vec<usize> = Vec::new();
                 for (fi, (x, _)) in frontier.iter().enumerate() {
@@ -332,11 +334,10 @@ impl<'a> Discoverer<'a> {
         report
     }
 
-    /// Tuple re-scan mining (the pre-cache implementation): measures every
-    /// candidate by enumerating valuations. Selected by
-    /// `use_bitset_cache: false`; mines the same rule set as the bitset
-    /// path, which the discovery equivalence tests assert.
-    fn mine_relation_scan(
+    /// Tuple re-scan mining: identical candidate generation, ordering and
+    /// naming as [`Self::mine_relation_cached`], every candidate measured
+    /// by enumerating valuations.
+    fn scan_candidates(
         &self,
         db: &Database,
         rel: RelId,
@@ -675,9 +676,8 @@ mod tests {
         assert!(report.rules.is_empty() || report.rules.iter().all(|r| r.support >= 0.9));
     }
 
-    /// The acceptance bar of the bitset rewrite: both strategies mine
-    /// byte-identical rule sets (names, measures and all), with identical
-    /// search-space accounting.
+    /// Production and the scan reference mine identical rule sets (names,
+    /// measures and all), with identical search-space accounting.
     #[test]
     fn cached_and_scan_paths_mine_identical_rules() {
         let db = db();
@@ -690,18 +690,11 @@ mod tests {
                 max_preconditions,
                 ..Default::default()
             };
-            let cached = Discoverer::new(&reg, cfg.clone()).mine_relation(&db, RelId(0), &space);
-            let scan = Discoverer::new(
-                &reg,
-                DiscoveryConfig {
-                    use_bitset_cache: false,
-                    ..cfg
-                },
-            )
-            .mine_relation(&db, RelId(0), &space);
+            let miner = Discoverer::new(&reg, cfg);
+            let cached = miner.mine_relation(&db, RelId(0), &space);
+            let scan = miner.mine_relation_scan(&db, RelId(0), &space);
             assert_eq!(
-                serde_json::to_string(&cached.rules).unwrap(),
-                serde_json::to_string(&scan.rules).unwrap(),
+                cached.rules.rules, scan.rules.rules,
                 "rule sets diverge at max_preconditions={max_preconditions}"
             );
             assert_eq!(cached.candidates_evaluated, scan.candidates_evaluated);

@@ -47,8 +47,8 @@ pub struct EvalContext<'a> {
     /// `[EID]=` classes). Raw eid comparison when absent.
     pub entities: Option<&'a dyn EntityOracle>,
     /// Route unary constant/two-attribute prefilters through the columnar
-    /// kernels ([`rock_data::ColumnSet::eval_const_op`]). Off = the scalar
-    /// row path, kept as the byte-identical equivalence oracle.
+    /// kernels ([`rock_data::ColumnSet::eval_const_op`]). Always on in
+    /// production; see [`EvalContext::with_columnar`].
     pub columnar: bool,
 }
 
@@ -116,7 +116,7 @@ impl<'a> EvalContext<'a> {
             models,
             temporal: None,
             entities: None,
-            columnar: rock_data::DataConfig::default().columnar,
+            columnar: true,
         }
     }
 
@@ -135,6 +135,9 @@ impl<'a> EvalContext<'a> {
         self
     }
 
+    /// Reference hook, not a user option: `false` answers every prefilter
+    /// by scalar per-tuple evaluation — what the reference chase and the
+    /// columnar ≡ scalar tests compare the kernels against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self

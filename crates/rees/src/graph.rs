@@ -7,8 +7,8 @@
 //! rule touching a mergeable relation (a merge can rewrite any validated
 //! attribute of the united class, so it is ⊤ over those relations).
 //!
-//! The graph doubles as the chase's scheduling artifact
-//! (`ChaseConfig::use_rule_graph`):
+//! The graph doubles as the chase's scheduling artifact (every chase
+//! filters its activation through it):
 //!
 //! * [`RuleGraph::dead`] — rules that provably never extend the fix
 //!   store: unsatisfiable or malformed preconditions, and reflexive

@@ -18,8 +18,7 @@
 //!   contests one cell with different constants around a cycle;
 //! * a **stratified schedule** — the topologically ordered strongly
 //!   connected components of the certification graph, each with its own
-//!   [`RoundBound`] — which the chase consumes behind
-//!   `ChaseConfig { use_schedule: true }`;
+//!   [`RoundBound`] — which every chase run derives and executes under;
 //! * **witnesses** for the certify diagnostics: oscillating cycles
 //!   (`E301`) and self-sustaining but consistent constant cascades
 //!   (`W302`). The diagnostics themselves are emitted by `rock-analyze`'s
@@ -118,7 +117,7 @@ pub struct Oscillation {
 /// certificate the chase enforces at runtime.
 #[derive(Debug, Clone, Serialize)]
 pub struct ChaseSchedule {
-    /// The scheduling graph (shared with `use_rule_graph` activation).
+    /// The scheduling graph the chase filters its activation through.
     pub graph: graph::RuleGraph,
     /// Strongly connected components of the certification graph in
     /// topological order; members sorted. Dead rules appear in no stratum.

@@ -1,304 +1,29 @@
-//! Property suite for `rock-analyze` (static ruleset analysis) and the
-//! rule-dependency-graph chase scheduling it exports.
+//! Property suite for `rock-analyze` (static ruleset analysis).
 //!
-//! Four guarantees are pinned down here:
+//! Two guarantees are pinned down here:
 //!
-//! 1. **Schedule equivalence** — `ChaseConfig { use_rule_graph: true }`
-//!    commits byte-identical repairs to the classic activation oracle
-//!    while evaluating a subset of its rule × round pairs (the graph
-//!    filter is a `retain()` over the oracle's activation set).
-//! 2. **Defect recall** — every defect class seeded by
+//! 1. **Defect recall** — every defect class seeded by
 //!    `rock_workloads::defects` is reported with its expected diagnostic
 //!    code on the expected rule, across workloads and seeds (100% recall)
 //!    — including the certifier band (`E301`/`W301`/`W302`).
-//! 3. **No false positives** — the curated rulesets of all three standard
-//!    workloads analyze clean, and injected-defect runs never flag an
-//!    original (non-injected) rule.
-//! 4. **Certified scheduling** — `ChaseConfig { use_schedule: true }` is
-//!    repair-equivalent to the classic oracle, carries a termination
-//!    certificate, and the observed rounds never exceed the certified
-//!    bound (the runtime check never fires on curated rulesets).
+//! 2. **No false positives** — the curated rulesets of all three standard
+//!    workloads analyze clean, earn a finite-bound termination
+//!    certificate, and injected-defect runs never flag an original
+//!    (non-injected) rule.
+//!
+//! That the chase, which always runs under the schedule these passes
+//! derive, commits what unscheduled activation commits — with no more
+//! rule × round pairs and inside its certificate — is checked by
+//! `tests/engine_equivalence.rs`.
 
 use proptest::prelude::*;
 use rock::analyze::Analyzer;
-use rock::chase::{ChaseConfig, ChaseEngine, ChaseResult, ConflictPolicy, GateMode};
-use rock::data::{AttrType, Database, DatabaseSchema, RelId, RelationSchema, Value};
-use rock::ml::ModelRegistry;
-use rock::rees::parse_rules;
 use rock::workloads::workload::{GenConfig, Workload};
 use rock::workloads::{inject_defects, DefectKind};
 use rustc_hash::FxHashSet;
 
-fn schema() -> DatabaseSchema {
-    DatabaseSchema::new(vec![RelationSchema::of(
-        "T",
-        &[
-            ("k", AttrType::Str),
-            ("a", AttrType::Str),
-            ("b", AttrType::Str),
-            ("c", AttrType::Str),
-        ],
-    )])
-}
-
-/// The `tests/chase_properties.rs` cascade rules (propagation, a constant
-/// rule, an ER merge, a null-fill) plus two statically dead rules the
-/// analyzer must keep out of every round: an unsatisfiable precondition
-/// (`u1`, E101) and a reflexive merge consequence (`d1`, union–find
-/// no-op). The oracle evaluates them every round they activate; the graph
-/// schedule never does — with identical repairs.
-fn rules_text() -> &'static str {
-    "rule r1: T(t) && T(s) && t.k = s.k -> t.a = s.a\n\
-     rule r2: T(t) && T(s) && t.a = s.a -> t.b = s.b\n\
-     rule r3: T(t) && t.a = 'x' -> t.c = 'cx'\n\
-     rule r4: T(t) && T(s) && t.k = s.k -> t.eid = s.eid\n\
-     rule r5: T(t) && null(t.c) && t.b = 'bz' -> t.c = 'cz'\n\
-     rule u1: T(t) && t.a = 'p' && t.a = 'q' -> t.c = 'zz'\n\
-     rule d1: T(t) && t.b = 'b1' -> t.eid = t.eid"
-}
-
-fn build_db(rows: &[(u8, u8, u8, Option<u8>)]) -> Database {
-    let schema = schema();
-    let mut db = Database::new(&schema);
-    let r = db.relation_mut(RelId(0));
-    for (k, a, b, c) in rows {
-        r.insert_row(vec![
-            Value::str(format!("k{}", k % 4)),
-            Value::str(if a % 3 == 0 {
-                "x".into()
-            } else {
-                format!("a{}", a % 3)
-            }),
-            Value::str(if b % 3 == 0 {
-                "bz".into()
-            } else {
-                format!("b{}", b % 3)
-            }),
-            match c {
-                None => Value::Null,
-                Some(v) => Value::str(format!("c{}", v % 2)),
-            },
-        ])
-        .unwrap();
-    }
-    db
-}
-
-/// Repairs must be byte-identical. Round counts may differ by the tail:
-/// when the oracle's final activation holds only dead rules, the graph
-/// schedule stops a round earlier, so `rounds` is ≤, not =.
-fn assert_same_repairs(classic: &ChaseResult, graph: &ChaseResult) {
-    assert_eq!(
-        serde_json::to_string(&classic.db).unwrap(),
-        serde_json::to_string(&graph.db).unwrap(),
-        "repaired databases diverged"
-    );
-    assert_eq!(classic.changes, graph.changes, "change lists diverged");
-    assert_eq!(classic.merged_pairs, graph.merged_pairs, "merges diverged");
-    assert_eq!(classic.conflicts, graph.conflicts, "conflicts diverged");
-    assert_eq!(classic.steps, graph.steps, "steps diverged");
-    assert!(graph.rounds <= classic.rounds, "graph mode added rounds");
-    assert!(graph.fixes.is_valid());
-}
-
-fn rule_rounds(r: &ChaseResult) -> usize {
-    r.round_stats.iter().map(|s| s.active_rules).sum()
-}
-
-/// A `use_schedule` run must carry a certificate the chase respected: no
-/// violation, observed rounds within the resolved bound, and non-negative
-/// per-round bound margins.
-fn assert_certified(run: &ChaseResult, name: &str) {
-    let cert = run
-        .certification
-        .as_ref()
-        .unwrap_or_else(|| panic!("{name}: schedule run must carry a certificate"));
-    assert!(
-        cert.violation.is_none(),
-        "{name}: certified bound violated: {:?}",
-        cert.violation
-    );
-    match cert.resolved_bound {
-        Some(bound) => {
-            assert!(
-                run.rounds as u64 <= bound,
-                "{name}: {} rounds exceed certified bound {bound}",
-                run.rounds
-            );
-            for s in &run.round_stats {
-                assert!(
-                    s.bound_margin >= 0,
-                    "{name}: negative bound margin {}",
-                    s.bound_margin
-                );
-                assert!(
-                    s.strata >= 1 || s.active_rules == 0,
-                    "{name}: active round reports no strata"
-                );
-            }
-        }
-        None => assert_eq!(
-            cert.class,
-            rock::rees::TerminationClass::Unbounded,
-            "{name}: only unbounded rulesets may lack a resolved bound"
-        ),
-    }
-}
-
-fn pruned_total(r: &ChaseResult) -> usize {
-    r.round_stats.iter().map(|s| s.rules_pruned).sum()
-}
-
-// Default-configured blocks: CI's global `PROPTEST_CASES=64` governs them.
+// Default-configured block: CI's global `PROPTEST_CASES=64` governs it.
 proptest! {
-    /// Graph scheduling ≡ classic activation, across gate modes, the
-    /// semi-naive/full-rescan mechanisms and the naive-activation
-    /// ablation, with strictly fewer rule × round pairs (the two dead
-    /// rules never activate).
-    #[test]
-    fn graph_schedule_equals_classic(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..3, prop::option::of(0u8..2)), 2..12),
-        strict in any::<bool>(),
-        semi_naive in any::<bool>(),
-        lazy in any::<bool>(),
-    ) {
-        let schema = schema();
-        let rs = rock::rees::RuleSet::new(parse_rules(rules_text(), &schema).unwrap());
-        let db = build_db(&rows);
-        let reg = ModelRegistry::new();
-        let run = |use_rule_graph: bool| {
-            let cfg = ChaseConfig {
-                gate: if strict { GateMode::Strict } else { GateMode::Resolved },
-                semi_naive,
-                lazy_activation: lazy,
-                use_rule_graph,
-                ..ChaseConfig::default()
-            };
-            ChaseEngine::new(&rs, &reg, cfg).run(&db, &[])
-        };
-        let classic = run(false);
-        let graph = run(true);
-        assert_same_repairs(&classic, &graph);
-        prop_assert!(rule_rounds(&graph) < rule_rounds(&classic),
-            "graph {} !< classic {}", rule_rounds(&graph), rule_rounds(&classic));
-        // both dead rules are pruned from the very first activation
-        prop_assert_eq!(graph.round_stats[0].rules_pruned, 2);
-        prop_assert_eq!(pruned_total(&classic), 0);
-    }
-
-    /// Same equivalence through `run_incremental`: seeded activation is
-    /// filtered by the same graph, over random ΔDs.
-    #[test]
-    fn graph_schedule_equals_classic_incremental(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..3, prop::option::of(0u8..2)), 3..10),
-        edits in prop::collection::vec((0u8..10, 0u8..4, prop::option::of(0u8..3)), 1..6),
-    ) {
-        use rock::data::{AttrId, Delta, TupleId, Update};
-        let schema = schema();
-        let rs = rock::rees::RuleSet::new(parse_rules(rules_text(), &schema).unwrap());
-        let db = build_db(&rows);
-        let updates: Vec<Update> = edits
-            .iter()
-            .map(|(t, attr, v)| Update::SetCell {
-                rel: RelId(0),
-                tid: TupleId(*t as u32 % rows.len() as u32),
-                attr: AttrId(*attr as u16),
-                value: match v {
-                    None => Value::Null,
-                    Some(x) => Value::str(format!("v{x}")),
-                },
-            })
-            .collect();
-        let delta = Delta::new(updates);
-        let reg = ModelRegistry::new();
-        let run = |use_rule_graph: bool| {
-            let cfg = ChaseConfig { use_rule_graph, ..ChaseConfig::default() };
-            ChaseEngine::new(&rs, &reg, cfg).run_incremental(&db, &[], &delta).unwrap()
-        };
-        let classic = run(false);
-        let graph = run(true);
-        assert_same_repairs(&classic, &graph);
-        prop_assert!(rule_rounds(&graph) <= rule_rounds(&classic));
-    }
-
-    /// Certified stratified scheduling ≡ classic activation on the
-    /// synthetic cascade, across gate modes and evaluation mechanisms —
-    /// and the run always stays inside its certificate.
-    #[test]
-    fn certified_schedule_equals_classic(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..3, prop::option::of(0u8..2)), 2..12),
-        strict in any::<bool>(),
-        semi_naive in any::<bool>(),
-    ) {
-        let schema = schema();
-        let rs = rock::rees::RuleSet::new(parse_rules(rules_text(), &schema).unwrap());
-        let db = build_db(&rows);
-        let reg = ModelRegistry::new();
-        let run = |use_schedule: bool| {
-            let cfg = ChaseConfig {
-                gate: if strict { GateMode::Strict } else { GateMode::Resolved },
-                semi_naive,
-                use_schedule,
-                ..ChaseConfig::default()
-            };
-            ChaseEngine::new(&rs, &reg, cfg).run(&db, &[])
-        };
-        let classic = run(false);
-        let sched = run(true);
-        assert_same_repairs(&classic, &sched);
-        prop_assert!(classic.certification.is_none(), "classic runs are uncertified");
-        assert_certified(&sched, "synthetic");
-        prop_assert!(rule_rounds(&sched) <= rule_rounds(&classic));
-    }
-
-    /// The ISSUE acceptance property on real workloads: `use_schedule`
-    /// repairs byte-identically to the classic oracle on all three
-    /// standard workloads with no more rule × round pairs, and every
-    /// curated ruleset earns a finite-bound termination certificate.
-    #[test]
-    fn certified_schedule_equals_classic_on_workloads(
-        which in 0usize..3,
-        rows in 8usize..32,
-    ) {
-        let cfg = GenConfig { rows, ..GenConfig::default() };
-        let w = match which {
-            0 => rock::workloads::bank::generate(&cfg),
-            1 => rock::workloads::logistics::generate(&cfg),
-            _ => rock::workloads::sales::generate(&cfg),
-        };
-        let policy = ConflictPolicy {
-            mc: w.registry.id("Mc"),
-            mrank: ["Mstatus", "Mtier", "Mrank"]
-                .iter()
-                .find_map(|n| w.registry.id(n)),
-        };
-        let run = |use_schedule: bool| {
-            let cfg = ChaseConfig {
-                max_rounds: 32,
-                policy: policy.clone(),
-                use_schedule,
-                ..ChaseConfig::default()
-            };
-            let engine = ChaseEngine::new(&w.rules, &w.registry, cfg);
-            let engine = match &w.graph {
-                Some(g) => engine.with_graph(g),
-                None => engine,
-            };
-            engine.run(&w.dirty, &w.trusted)
-        };
-        let classic = run(false);
-        let sched = run(true);
-        assert_same_repairs(&classic, &sched);
-        prop_assert!(rule_rounds(&sched) <= rule_rounds(&classic));
-        assert_certified(&sched, "workload");
-        let cert = sched.certification.as_ref().unwrap();
-        prop_assert!(
-            cert.bound.is_some() && cert.resolved_bound.is_some(),
-            "curated ruleset must earn a finite-bound certificate, got {:?}",
-            cert.class
-        );
-    }
-
     /// Defect recall is seed-independent: every injected defect is
     /// reported with its expected code on its expected rule.
     #[test]
@@ -391,71 +116,4 @@ fn curated_rulesets_analyze_clean() {
             "{name} curated rules must earn a finite round bound"
         );
     }
-}
-
-/// The acceptance benchmark: on the standard workloads the graph-driven
-/// chase repairs byte-identically while evaluating no more rule × round
-/// pairs than the classic schedule — and strictly fewer on the
-/// defect-augmented bank run (the `rock-analyze --defects` demo shape),
-/// whose dead rules the classic schedule keeps re-evaluating.
-#[test]
-fn graph_chase_matches_classic_on_workloads() {
-    let cfg = GenConfig {
-        rows: 80,
-        ..GenConfig::default()
-    };
-    let bank = rock::workloads::bank::generate(&cfg);
-    let logistics = rock::workloads::logistics::generate(&cfg);
-    let sales = rock::workloads::sales::generate(&cfg);
-    let bank_defective = {
-        let schema = bank.dirty.schema();
-        inject_defects(&bank.rules, &schema, 7, &DefectKind::ALL).0
-    };
-    let mut strict_somewhere = false;
-    let runs: [(&str, &Workload, &rock::rees::RuleSet); 4] = [
-        ("bank", &bank, &bank.rules),
-        ("bank+defects", &bank, &bank_defective),
-        ("logistics", &logistics, &logistics.rules),
-        ("sales", &sales, &sales.rules),
-    ];
-    for (name, w, rules) in runs {
-        let policy = ConflictPolicy {
-            mc: w.registry.id("Mc"),
-            mrank: ["Mstatus", "Mtier", "Mrank"]
-                .iter()
-                .find_map(|n| w.registry.id(n)),
-        };
-        let run = |use_rule_graph: bool| {
-            let cfg = ChaseConfig {
-                max_rounds: 32,
-                policy: policy.clone(),
-                use_rule_graph,
-                ..ChaseConfig::default()
-            };
-            let engine = ChaseEngine::new(rules, &w.registry, cfg);
-            let engine = match &w.graph {
-                Some(g) => engine.with_graph(g),
-                None => engine,
-            };
-            engine.run(&w.dirty, &w.trusted)
-        };
-        let classic = run(false);
-        let graph = run(true);
-        assert_same_repairs(&classic, &graph);
-        let (on, off) = (rule_rounds(&graph), rule_rounds(&classic));
-        assert!(on <= off, "{name}: graph schedule grew ({on} > {off})");
-        if name == "bank+defects" {
-            assert!(
-                pruned_total(&graph) > 0 && on < off,
-                "{name}: dead rules must be pruned ({on} vs {off})"
-            );
-        }
-        if on < off {
-            strict_somewhere = true;
-        }
-    }
-    assert!(
-        strict_somewhere,
-        "graph scheduling pruned nothing on any standard workload"
-    );
 }

@@ -1,17 +1,16 @@
-//! Equivalence suite for the columnar data plane: with
-//! `columnar: true` the chase and detector route unary predicates through
-//! the vectorized column kernels (`rock_data::ColumnSet`); the row store
-//! (`columnar: false`) is the byte-identical oracle. Covered: batch and
-//! multi-worker chases, random `Delta`s through `run_incremental`,
-//! detection, end-to-end `RockSystem` runs on all three workloads, and
-//! the column-plane invariants themselves — dictionary re-encoding, null
-//! bitmap round-trips, and tombstone / `TupleId` stability.
+//! The columnar data plane against its scalar baseline: with
+//! `Detector::with_columnar(false)` the detector answers unary prefilters by
+//! per-tuple evaluation instead of the vectorized column kernels
+//! (`rock_data::ColumnSet`) and must flag exactly the same cells. The chase
+//! side of the same comparison lives in `tests/engine_equivalence.rs` (the
+//! reference chase evaluates scalar). Also here: the column-plane
+//! invariants themselves — dictionary re-encoding, null bitmap
+//! round-trips, and tombstone / `TupleId` stability.
 
 use proptest::prelude::*;
-use rock::chase::{ChaseConfig, ChaseEngine, ChaseResult, GateMode};
 use rock::data::{
-    AttrId, AttrType, ColumnData, Database, DatabaseSchema, Delta, GlobalTid, PredOp, RelId,
-    RelationSchema, TupleId, Update, Value,
+    AttrId, AttrType, ColumnData, Database, DatabaseSchema, PredOp, RelId, RelationSchema, TupleId,
+    Value,
 };
 use rock::ml::ModelRegistry;
 use rock::rees::{parse_rules, RuleSet};
@@ -76,126 +75,11 @@ fn build_db(rows: &[(u8, u8, u8, Option<u8>)]) -> Database {
     db
 }
 
-/// Everything observable except the mechanism-dependent fields must match
-/// byte-for-byte.
-fn assert_equiv(row: &ChaseResult, col: &ChaseResult) {
-    assert_eq!(
-        serde_json::to_string(&row.db).unwrap(),
-        serde_json::to_string(&col.db).unwrap(),
-        "databases diverged"
-    );
-    assert_eq!(row.changes, col.changes, "change lists diverged");
-    assert_eq!(row.merged_pairs, col.merged_pairs, "merges diverged");
-    assert_eq!(row.conflicts, col.conflicts, "conflict counts diverged");
-    assert_eq!(row.steps, col.steps, "step counts diverged");
-    assert_eq!(row.rounds, col.rounds, "round counts diverged");
-    assert!(col.fixes.is_valid());
-}
-
-/// Run the row-store oracle and the columnar chase on the same input.
-fn run_pair(
-    db: &Database,
-    rs: &RuleSet,
-    trusted: &[GlobalTid],
-    cfg: ChaseConfig,
-) -> (ChaseResult, ChaseResult) {
-    let reg = ModelRegistry::new();
-    let row = ChaseEngine::new(
-        rs,
-        &reg,
-        ChaseConfig {
-            columnar: false,
-            ..cfg.clone()
-        },
-    )
-    .run(db, trusted);
-    let col = ChaseEngine::new(
-        rs,
-        &reg,
-        ChaseConfig {
-            columnar: true,
-            ..cfg
-        },
-    )
-    .run(db, trusted);
-    (row, col)
-}
-
-// No explicit case count: these blocks stay default-configured so CI's
-// global `PROPTEST_CASES=64` governs them (see .github/workflows/ci.yml).
+// No explicit case count: this block stays default-configured so CI's
+// global `PROPTEST_CASES=64` governs it (see .github/workflows/ci.yml).
 proptest! {
-    /// Batch equivalence across both gate modes, with row 0 trusted so the
-    /// Strict gate has ground truth to bootstrap from.
-    #[test]
-    fn columnar_equals_row_store_batch(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..4, prop::option::of(0u8..2)), 2..12),
-        strict in any::<bool>(),
-    ) {
-        let schema = schema();
-        let rs = rules(&schema);
-        let db = build_db(&rows);
-        let trusted = vec![GlobalTid::new(RelId(0), TupleId(0))];
-        let cfg = ChaseConfig {
-            gate: if strict { GateMode::Strict } else { GateMode::Resolved },
-            ..ChaseConfig::default()
-        };
-        let (row, col) = run_pair(&db, &rs, &trusted, cfg);
-        assert_equiv(&row, &col);
-    }
-
-    /// Multi-worker columnar ≡ row store: the kernel masks feed the same
-    /// pinned work units, so stealing must not change the outcome.
-    #[test]
-    fn columnar_equals_row_store_parallel(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..4, prop::option::of(0u8..2)), 2..10),
-    ) {
-        let schema = schema();
-        let rs = rules(&schema);
-        let db = build_db(&rows);
-        let cfg = ChaseConfig {
-            workers: 4,
-            partitions_per_rule: 8,
-            ..ChaseConfig::default()
-        };
-        let (row, col) = run_pair(&db, &rs, &[], cfg);
-        assert_equiv(&row, &col);
-    }
-
-    /// `run_incremental` over random ΔDs: the delta path mutates relations
-    /// mid-run, so this exercises cache invalidation and write-through —
-    /// stale column snapshots would diverge here.
-    #[test]
-    fn columnar_equals_row_store_incremental(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..4, prop::option::of(0u8..2)), 3..10),
-        edits in prop::collection::vec((0u8..10, 0u8..4, prop::option::of(0u8..3)), 1..6),
-    ) {
-        let schema = schema();
-        let rs = rules(&schema);
-        let db = build_db(&rows);
-        let updates: Vec<Update> = edits
-            .iter()
-            .map(|(t, attr, v)| Update::SetCell {
-                rel: RelId(0),
-                tid: TupleId(*t as u32 % rows.len() as u32),
-                attr: AttrId(*attr as u16),
-                value: match v {
-                    None => Value::Null,
-                    Some(x) => Value::str(format!("v{x}")),
-                },
-            })
-            .collect();
-        let delta = Delta::new(updates);
-        let reg = ModelRegistry::new();
-        let run = |columnar: bool| {
-            ChaseEngine::new(&rs, &reg, ChaseConfig { columnar, ..ChaseConfig::default() })
-                .run_incremental(&db, &[], &delta).unwrap()
-        };
-        let (row, col) = (run(false), run(true));
-        assert_equiv(&row, &col);
-    }
-
     /// Detection equivalence: the columnar detector must flag exactly the
-    /// row-store detector's cells.
+    /// scalar detector's cells.
     #[test]
     fn columnar_detection_flags_identical_cells(
         rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..4, prop::option::of(0u8..2)), 2..12),
@@ -213,44 +97,6 @@ proptest! {
             (cells, report.violations.len())
         };
         assert_eq!(flagged(false), flagged(true), "detections diverged");
-    }
-}
-
-/// End-to-end byte-identity on all three curated workloads (small
-/// instances; `figures -- columnar` asserts the same at panel scale).
-#[test]
-fn workloads_repair_byte_identically_under_columnar() {
-    use rock::workloads::workload::GenConfig;
-    let gen = |seed| GenConfig {
-        rows: 90,
-        error_rate: 0.08,
-        seed,
-        trusted_per_rel: 15,
-    };
-    for (name, w) in [
-        ("Bank", rock::workloads::bank::generate(&gen(42))),
-        ("Logistics", rock::workloads::logistics::generate(&gen(43))),
-        ("Sales", rock::workloads::sales::generate(&gen(44))),
-    ] {
-        let task = w.tasks.last().expect("workload has tasks").clone();
-        let run = |columnar: bool| {
-            rock::core::RockSystem::new(rock::core::RockConfig {
-                columnar,
-                ..rock::core::RockConfig::default()
-            })
-            .correct(&w, &task)
-        };
-        let (row, col) = (run(false), run(true));
-        assert_eq!(
-            serde_json::to_string(&row.repaired).unwrap(),
-            serde_json::to_string(&col.repaired).unwrap(),
-            "{name}: repairs diverged"
-        );
-        assert_eq!(
-            (row.rounds, row.changes, row.conflicts),
-            (col.rounds, col.changes, col.conflicts),
-            "{name}: chase semantics diverged"
-        );
     }
 }
 

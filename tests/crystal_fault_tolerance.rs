@@ -18,6 +18,15 @@ fn units(n: u32) -> Vec<WorkUnit> {
         .collect()
 }
 
+/// The default chase with the given Crystal fault-tolerance knobs, which
+/// `RockSystem` also threads into discovery and detection.
+fn chase_with(cluster: ClusterConfig) -> rock::chase::ChaseConfig {
+    rock::chase::ChaseConfig {
+        cluster,
+        ..Default::default()
+    }
+}
+
 /// Seed for chaos runs: `ROCK_CHAOS_SEED` when CI sweeps a matrix,
 /// otherwise a fixed default.
 fn chaos_seed() -> u64 {
@@ -208,7 +217,7 @@ fn e2e_repairs_byte_identical_under_chaos() {
     let run = |cluster: ClusterConfig| {
         RockSystem::new(RockConfig {
             workers: 4,
-            cluster,
+            chase: chase_with(cluster),
             ..RockConfig::default()
         })
         .correct(&w, &task)
@@ -245,7 +254,7 @@ fn e2e_detection_identical_under_chaos() {
     let run = |cluster: ClusterConfig| {
         RockSystem::new(RockConfig {
             workers: 3,
-            cluster,
+            chase: chase_with(cluster),
             ..RockConfig::default()
         })
         .detect(&w, &task)
@@ -271,9 +280,11 @@ fn chase_survives_quarantine_with_degraded_rounds() {
     let task = w.tasks.last().unwrap().clone();
     let out = RockSystem::new(RockConfig {
         workers: 2,
-        cluster: ClusterConfig::default()
-            .with_fault_plan(FaultPlan::seeded(chaos_seed()).with_poison(vec![0]))
-            .with_max_retries(1),
+        chase: chase_with(
+            ClusterConfig::default()
+                .with_fault_plan(FaultPlan::seeded(chaos_seed()).with_poison(vec![0]))
+                .with_max_retries(1),
+        ),
         ..RockConfig::default()
     })
     .correct(&w, &task);
