@@ -18,7 +18,7 @@
 use rock_analyze::{certify, Analyzer};
 use rock_chase::provenance::replay_witness;
 use rock_chase::FixKind;
-use rock_data::DatabaseSchema;
+use rock_data::{json::Json, DatabaseSchema};
 use rock_ml::ModelRegistry;
 use rock_rees::{RuleSet, Severity};
 use rock_workloads::defects::{inject_defects, DefectKind};
@@ -128,13 +128,7 @@ fn main() -> ExitCode {
         }
     }
     if opts.format == "json" {
-        match serde_json::to_string_pretty(&json_docs) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("rock-analyze: serializing report: {e}");
-                return ExitCode::from(70); // EX_SOFTWARE
-            }
-        }
+        println!("{}", Json::Arr(json_docs).to_pretty());
     }
     ExitCode::from(worst.map_or(0, |s| s.exit_code() as u8))
 }

@@ -42,10 +42,13 @@
 // mining loop and the CI gate; a panic must not take those down.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use rock_data::DatabaseSchema;
+use rock_data::{
+    json,
+    json::{Json, ToJson},
+    DatabaseSchema, FxHashSet,
+};
 use rock_rees::schedule::ChaseSchedule;
 use rock_rees::{Diagnostic, RuleSet, Severity};
-use rustc_hash::FxHashSet;
 use std::collections::BTreeMap;
 
 pub mod certify;
@@ -186,8 +189,8 @@ impl AnalysisReport {
 
     /// Machine-readable report (the CLI's `--format json` and the CI
     /// artifact shape).
-    pub fn to_json(&self, ruleset: &str) -> serde_json::Value {
-        serde_json::json!({
+    pub fn to_json(&self, ruleset: &str) -> Json {
+        json!({
             "ruleset": ruleset,
             "rules": self.graph.nrules,
             "max_severity": self.max_severity().map(|s| s.as_str()),
@@ -205,7 +208,7 @@ impl AnalysisReport {
                 "oscillations": self.schedule.oscillations,
                 "cascades": self.schedule.cascades,
             },
-            "diagnostics": self.diagnostics.iter().map(|d| serde_json::json!({
+            "diagnostics": self.diagnostics.iter().map(|d| json!({
                 "code": d.code.as_str(),
                 "severity": d.severity.as_str(),
                 "rule": d.rule,
@@ -220,7 +223,7 @@ impl AnalysisReport {
 
 /// Serializable analyzer summary threaded into `DiscoveryReport` and the
 /// `figures -- analyze` panel.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalyzerStats {
     pub rules: usize,
     pub errors: usize,
@@ -228,6 +231,19 @@ pub struct AnalyzerStats {
     pub dead_rules: usize,
     pub subsumed_rules: usize,
     pub diagnostics_by_code: BTreeMap<String, usize>,
+}
+
+impl ToJson for AnalyzerStats {
+    fn to_json(&self) -> Json {
+        json!({
+            "rules": self.rules,
+            "errors": self.errors,
+            "warnings": self.warnings,
+            "dead_rules": self.dead_rules,
+            "subsumed_rules": self.subsumed_rules,
+            "diagnostics_by_code": self.diagnostics_by_code,
+        })
+    }
 }
 
 impl AnalyzerStats {
@@ -290,7 +306,8 @@ mod tests {
         assert!(rep.rules_with_errors().contains("bad"));
         assert_eq!(rep.exit_code(), 2);
         let j = rep.to_json("test");
-        assert_eq!(j["ruleset"], "test");
-        assert_eq!(j["diagnostics"][0]["code"], "E101");
+        assert_eq!(j.field("ruleset").unwrap(), &json!("test"));
+        let first = &j.field("diagnostics").unwrap().as_array().unwrap()[0];
+        assert_eq!(first.field("code").unwrap(), &json!("E101"));
     }
 }

@@ -176,8 +176,8 @@ impl<'a> EsMiner<'a> {
 /// majority is strict (a lone disagreeing pair gives no direction), which
 /// keeps ES precise and recall-poor, as in §6.
 pub fn es_correct(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -> Database {
+    use rock_data::FxHashMap;
     use rock_rees::eval::find_violations;
-    use rustc_hash::FxHashMap;
     let mut out = db.clone();
     let ctx = EvalContext::new(db, registry);
     // collect partner values per violated cell

@@ -14,10 +14,9 @@
 //! * no ER and no TD support ("TD and ER of RB are not shown because they
 //!   do not support these operations").
 
-use rock_data::{AttrId, CellRef, Database, RelId, Value};
+use rock_data::{AttrId, CellRef, Database, FxHashMap, FxHashSet, RelId, Value};
 use rock_ml::tree::GradientBoosting;
 use rock_ml::CostMeter;
-use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
 /// Modeled cost per cell featurization (wide feature engineering).

@@ -13,10 +13,9 @@
 //! leaner than Spark's task scheduling at small scale — the figures care
 //! about the Rock-vs-engine gap, not Spark-vs-Presto).
 
-use rock_data::{CellRef, Database, GlobalTid, Value};
+use rock_data::{CellRef, Database, FxHashSet, GlobalTid, Value};
 use rock_ml::{CostMeter, ModelRegistry};
 use rock_rees::{CmpOp, Predicate, Rule, RuleSet};
-use rustc_hash::FxHashSet;
 use std::time::Instant;
 
 /// Which engine personality to simulate.

@@ -20,10 +20,9 @@
 //! published weakness. Every cell processed adds `COST_PER_CELL` to the
 //! cost meter (≈ the ratio of a T5 forward pass to an n-gram kernel).
 
-use rock_data::{AttrId, CellRef, Database, RelId, Value};
+use rock_data::{AttrId, CellRef, Database, FxHashMap, FxHashSet, RelId, Value};
 use rock_ml::features::{cosine, HashingEmbedder};
 use rock_ml::CostMeter;
-use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
 /// Modeled cost units per cell inference (transformer-scale).

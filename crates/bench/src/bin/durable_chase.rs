@@ -29,7 +29,11 @@
 //! crash dies by `abort()`, so the shell sees a signal, not an exit code).
 
 use rock_chase::{ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, ProvenanceGraph};
-use rock_data::{AttrId, CellRef, RelId, TupleId};
+use rock_data::{
+    json,
+    json::{Json, ToJson},
+    AttrId, CellRef, RelId, TupleId,
+};
 use rock_workloads::workload::GenConfig;
 use std::path::PathBuf;
 
@@ -100,8 +104,8 @@ fn parse_args() -> Args {
 /// Canonical dump of everything the byte-identity contract covers. No
 /// timing observability (`round_makespans`, fault counters) — those are
 /// deliberately not checkpointed, so an interrupted run restarts them.
-fn dump(res: &ChaseResult) -> serde_json::Value {
-    serde_json::json!({
+fn dump(res: &ChaseResult) -> Json {
+    json!({
         "rounds": res.rounds,
         "steps": res.steps,
         "conflicts": res.conflicts,
@@ -177,7 +181,7 @@ fn main() {
     }
 
     if let Some(out) = &args.out {
-        let body = serde_json::to_string_pretty(&dump(&res)).expect("serialize dump");
+        let body = dump(&res).to_pretty();
         rock_bench::write_atomic(out, body).expect("write dump");
     }
 
@@ -210,8 +214,7 @@ fn main() {
         };
         match graph.why(cell) {
             Some(chain) => {
-                let body = serde_json::to_string_pretty(&chain).expect("serialize chain");
-                println!("{body}");
+                println!("{}", chain.to_json().to_pretty());
             }
             None => {
                 eprintln!("no fix recorded for cell {cell:?}");

@@ -30,12 +30,17 @@
 
 use rock_bench::panels;
 use rock_bench::table::Table;
+use rock_data::{
+    json,
+    json::{FromJson, Json},
+};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 /// The §6 "Summary" panel: the paper's headline claims recomputed from
 /// fresh runs (see EXPERIMENTS.md for the full record).
-fn summary() -> (Table, serde_json::Value) {
+fn summary() -> (Table, Json) {
     use rock_bench::runners;
     use rock_core::Variant;
     let mut table = Table::new(
@@ -77,7 +82,7 @@ fn summary() -> (Table, serde_json::Value) {
             rock.modeled_seconds * 1000.0
         ),
     ]);
-    let json = serde_json::json!({
+    let json = json!({
         "panel": "summary",
         "rock_f1": rock.metrics.f1(),
         "noml_f1": noml.metrics.f1(),
@@ -123,11 +128,11 @@ fn main() {
 
     fs::create_dir_all("results").expect("create results/");
 
-    let mut trajectory_panels = serde_json::Map::new();
-    let mut trajectory_metrics = serde_json::Map::new();
+    let mut trajectory_panels = BTreeMap::<String, Json>::new();
+    let mut trajectory_metrics = BTreeMap::<String, Json>::new();
     for p in &panels_requested {
         let started = std::time::Instant::now();
-        let (table, json): (Table, serde_json::Value) = match p.as_str() {
+        let (table, json): (Table, Json) = match p.as_str() {
             "f4a" => panels::rd_time("Bank"),
             "f4b" => panels::rd_time("Logistics"),
             "f4c" => panels::rd_time("Sales"),
@@ -158,7 +163,7 @@ fn main() {
             }
         };
         let wall = started.elapsed().as_secs_f64();
-        trajectory_panels.insert(p.clone(), serde_json::json!({ "wall_seconds": wall }));
+        trajectory_panels.insert(p.clone(), json!({ "wall_seconds": wall }));
         // semantic ratio metrics (runner-speed invariant) for the gate
         match p.as_str() {
             "durability" => {
@@ -176,24 +181,29 @@ fn main() {
                 }
             }
             "chaos" => {
-                let c = json.get("clean_wall_seconds").and_then(|v| v.as_f64());
-                let ch = json.get("chaos_wall_seconds").and_then(|v| v.as_f64());
+                let c = json
+                    .get("clean_wall_seconds")
+                    .and_then(|v| f64::from_json(v).ok());
+                let ch = json
+                    .get("chaos_wall_seconds")
+                    .and_then(|v| f64::from_json(v).ok());
                 if let (Some(c), Some(ch)) = (c, ch) {
                     if c > 0.0 {
-                        trajectory_metrics
-                            .insert("chaos_wall_ratio".into(), serde_json::json!(ch / c));
+                        trajectory_metrics.insert("chaos_wall_ratio".into(), json!(ch / c));
                     }
                 }
             }
             "chase-delta" => {
-                let full = json.get("full_valuations_total").and_then(|v| v.as_f64());
-                let semi = json.get("semi_valuations_total").and_then(|v| v.as_f64());
+                let full = json
+                    .get("full_valuations_total")
+                    .and_then(|v| f64::from_json(v).ok());
+                let semi = json
+                    .get("semi_valuations_total")
+                    .and_then(|v| f64::from_json(v).ok());
                 if let (Some(full), Some(semi)) = (full, semi) {
                     if semi > 0.0 {
-                        trajectory_metrics.insert(
-                            "chase_delta_valuation_ratio".into(),
-                            serde_json::json!(full / semi),
-                        );
+                        trajectory_metrics
+                            .insert("chase_delta_valuation_ratio".into(), json!(full / semi));
                     }
                 }
             }
@@ -233,21 +243,16 @@ fn main() {
         let txt_path = Path::new("results").join(format!("{p}.txt"));
         rock_bench::write_atomic(&txt_path, &rendered).expect("write panel text");
         let json_path = Path::new("results").join(format!("{p}.json"));
-        rock_bench::write_atomic(&json_path, serde_json::to_string_pretty(&json).unwrap())
-            .expect("write panel json");
+        rock_bench::write_atomic(&json_path, json.to_pretty()).expect("write panel json");
     }
     // Trajectory record for the CI regression gate: per-panel wall seconds
     // plus the runner-speed-invariant ratio metrics collected above.
-    let trajectory = serde_json::json!({
+    let trajectory = json!({
         "panels": trajectory_panels,
         "metrics": trajectory_metrics,
     });
     let traj_path = Path::new("results").join("BENCH_trajectory.json");
-    rock_bench::write_atomic(
-        &traj_path,
-        serde_json::to_string_pretty(&trajectory).unwrap(),
-    )
-    .expect("write trajectory json");
+    rock_bench::write_atomic(&traj_path, trajectory.to_pretty()).expect("write trajectory json");
     println!(
         "wrote {} panels + BENCH_trajectory.json to results/",
         panels_requested.len()

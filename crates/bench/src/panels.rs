@@ -7,12 +7,10 @@ use crate::table::{fmt_f1, fmt_secs, Table};
 use rock_baselines::sqlengine::SqlEngineKind;
 use rock_core::Variant;
 use rock_crystal::scheduler::makespan_lpt;
-use rock_data::CellRef;
+use rock_data::{json, json::Json, CellRef, FxHashSet};
 use rock_workloads::metrics::{correction_metrics, detection_metrics, er_pair_metrics, Metrics};
 use rock_workloads::workload::GenConfig;
 use rock_workloads::Workload;
-use rustc_hash::FxHashSet;
-use serde_json::json;
 
 /// Workload scales for the panels (laptop-size; shapes, not magnitudes).
 pub fn bank() -> Workload {
@@ -66,8 +64,7 @@ fn chase_both(
     let naive = rock_chase::reference::run(&engine, &w.dirty, &w.trusted);
     let naive_wall = t1.elapsed().as_secs_f64();
     assert_eq!(
-        serde_json::to_string(&prod.db).unwrap(),
-        serde_json::to_string(&naive.db).unwrap(),
+        prod.db, naive.db,
         "production and reference chases must repair identically"
     );
     assert_eq!(
@@ -127,7 +124,7 @@ fn at_scale(measured: f64, ours: f64, paper: f64, exponent: f64, parallelism: f6
 /// discovery or model training within one day") is a *scale* statement:
 /// ES's unsampled evidence pass is quadratic in N, while Rock mines on a
 /// 10% sample with parallel scalability.
-pub fn rd_time(app_name: &str) -> (Table, serde_json::Value) {
+pub fn rd_time(app_name: &str) -> (Table, Json) {
     let w = app(app_name);
     let n_ours = w.dirty.total_tuples() as f64;
     let n_paper = paper_tuples(app_name);
@@ -185,7 +182,7 @@ pub fn rd_time(app_name: &str) -> (Table, serde_json::Value) {
 /// predicates in the space. Both mine the identical rule set (asserted
 /// here), so the speedup column is a like-for-like kernel comparison; a
 /// tight-budget row shows the LRU spill behaviour trading time for memory.
-pub fn rd_cache() -> (Table, serde_json::Value) {
+pub fn rd_cache() -> (Table, Json) {
     use rock_data::RelId;
     use rock_discovery::levelwise::{Discoverer, DiscoveryConfig};
     use rock_discovery::space::{MlSignature, PredicateSpace, SpaceConfig};
@@ -231,8 +228,7 @@ pub fn rd_cache() -> (Table, serde_json::Value) {
         ..base_cfg
     });
     assert_eq!(
-        serde_json::to_string(&cached.rules).unwrap(),
-        serde_json::to_string(&scan.rules).unwrap(),
+        cached.rules.rules, scan.rules.rules,
         "the miner and its scan reference must mine identical rules"
     );
 
@@ -295,7 +291,7 @@ pub fn rd_cache() -> (Table, serde_json::Value) {
 /// (asserted in `chase_both`; `tests/engine_equivalence.rs` holds the pair
 /// together); the per-round rows show the valuation-count reduction the
 /// delta restriction buys from round 2 on.
-pub fn chase_delta() -> (Table, serde_json::Value) {
+pub fn chase_delta() -> (Table, Json) {
     let w = logistics();
     let task = w.task("RClean").expect("RClean task").clone();
     let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
@@ -367,7 +363,7 @@ pub fn chase_delta() -> (Table, serde_json::Value) {
 /// rule × round pairs the scheduled production chase evaluates versus the
 /// reference chase's classic activation on the Bank correction chase, with
 /// the byte-identical-repairs equivalence asserted inline.
-pub fn analyze() -> (Table, serde_json::Value) {
+pub fn analyze() -> (Table, Json) {
     let mut table = Table::new(
         "Static analysis — rock-analyze verdicts and graph-driven chase scheduling",
         &[
@@ -478,7 +474,7 @@ pub fn analyze() -> (Table, serde_json::Value) {
 /// silently. The rows report certified vs observed rounds per workload;
 /// `bound_margin_ratio` (certified bound / observed rounds, minimum over
 /// workloads) feeds the trajectory gate.
-pub fn certify() -> (Table, serde_json::Value) {
+pub fn certify() -> (Table, Json) {
     use rock_rees::RoundBound;
 
     let mut table = Table::new(
@@ -563,7 +559,7 @@ pub fn certify() -> (Table, serde_json::Value) {
 /// stay exactly zero) plus the seeded-defect self-check under
 /// `fixtures/lint_defects/` (every `//~ LXXX` marker hit, nothing else
 /// fired: 100% recall, zero false positives).
-pub fn lint() -> (Table, serde_json::Value) {
+pub fn lint() -> (Table, Json) {
     use rock_lint::Severity;
     use std::path::Path;
 
@@ -651,7 +647,7 @@ pub fn lint() -> (Table, serde_json::Value) {
 /// quarantine of a poison unit after exactly `max_retries + 1` attempts.
 /// Seed comes from `ROCK_CHAOS_SEED` (default 4242) so CI can sweep a
 /// matrix.
-pub fn chaos() -> (Table, serde_json::Value) {
+pub fn chaos() -> (Table, Json) {
     use rock_crystal::work::Partition;
     use rock_crystal::{Cluster, ClusterConfig, FaultPlan, WorkUnit};
 
@@ -682,8 +678,7 @@ pub fn chaos() -> (Table, serde_json::Value) {
     let plan = FaultPlan::chaos(seed).with_crash(1, 2);
     let (chaotic, chaos_wall) = run(ClusterConfig::default().with_fault_plan(plan));
     assert_eq!(
-        serde_json::to_string(&clean.repaired).unwrap(),
-        serde_json::to_string(&chaotic.repaired).unwrap(),
+        clean.repaired, chaotic.repaired,
         "repairs must be byte-identical under fault injection (seed {seed})"
     );
     assert!(
@@ -839,7 +834,7 @@ pub fn chaos() -> (Table, serde_json::Value) {
 }
 
 /// Panels 4(d)/(e)/(f): error-detection F1 per task.
-pub fn ed_f1(app_name: &str) -> (Table, serde_json::Value) {
+pub fn ed_f1(app_name: &str) -> (Table, Json) {
     let w = app(app_name);
     let mut table = Table::new(
         format!("Fig 4 ED F-measure — {app_name}"),
@@ -876,7 +871,7 @@ pub fn ed_f1(app_name: &str) -> (Table, serde_json::Value) {
 }
 
 /// Panel 4(g): error-detection time per application (whole-app task).
-pub fn ed_time() -> (Table, serde_json::Value) {
+pub fn ed_time() -> (Table, Json) {
     let mut table = Table::new(
         "Fig 4(g) ED time (modeled seconds)",
         &["app", "Rock", "RocknoML", "T5s", "SparkSQL", "Presto", "RB"],
@@ -924,7 +919,7 @@ fn logistics_large() -> Workload {
 }
 
 /// Panel 4(h): Logistics-ED parallel scalability (modeled makespan).
-pub fn ed_scaling() -> (Table, serde_json::Value) {
+pub fn ed_scaling() -> (Table, Json) {
     let w = logistics_large();
     let task = w.task("RClean").unwrap().clone();
     // sample unit durations once on a single worker, then schedule
@@ -933,14 +928,14 @@ pub fn ed_scaling() -> (Table, serde_json::Value) {
 }
 
 /// Panel 4(l): Logistics-EC parallel scalability.
-pub fn ec_scaling() -> (Table, serde_json::Value) {
+pub fn ec_scaling() -> (Table, Json) {
     let w = logistics_large();
     let task = w.task("RClean").unwrap().clone();
     let (run, _) = runners::rock_correct_parts(&w, &task, Variant::Rock, 1, 64);
     scaling_table("Fig 4(l) Logistics-EC scaling", "ec-scaling", &run)
 }
 
-fn scaling_table(title: &str, panel: &str, run: &RunResult) -> (Table, serde_json::Value) {
+fn scaling_table(title: &str, panel: &str, run: &RunResult) -> (Table, Json) {
     let mut table = Table::new(title, &["workers", "modeled time", "speedup vs 4"]);
     // The serial residue — everything outside work-unit execution
     // (activation, LSH/index building, proposal commits, result merging) —
@@ -965,7 +960,7 @@ fn scaling_table(title: &str, panel: &str, run: &RunResult) -> (Table, serde_jso
 }
 
 /// Panel 4(i): error-correction F1 per application.
-pub fn ec_f1() -> (Table, serde_json::Value) {
+pub fn ec_f1() -> (Table, Json) {
     let mut table = Table::new(
         "Fig 4(i) EC F-measure",
         &[
@@ -1007,7 +1002,7 @@ pub fn ec_f1() -> (Table, serde_json::Value) {
 }
 
 /// Panel 4(k): error-correction time per application.
-pub fn ec_time() -> (Table, serde_json::Value) {
+pub fn ec_time() -> (Table, Json) {
     let mut table = Table::new(
         "Fig 4(k) EC time (modeled seconds)",
         &[
@@ -1053,7 +1048,7 @@ pub fn ec_time() -> (Table, serde_json::Value) {
 /// Panel 4(j): Sales-EC F1 per task (ER / CR / MI / TD). The paper omits
 /// TD for ES and T5s and TD+ER for RB ("they do not support these
 /// operations"); those cells render as "-".
-pub fn ec_per_task() -> (Table, serde_json::Value) {
+pub fn ec_per_task() -> (Table, Json) {
     let w = sales();
     let task = w.task("SClean").unwrap().clone();
 
@@ -1224,11 +1219,13 @@ pub fn ec_per_task() -> (Table, serde_json::Value) {
         let mut row = vec![tname.to_string()];
         row.extend(vals.iter().map(|v| fmt(*v)));
         table.row(row);
-        let obj: serde_json::Map<String, serde_json::Value> = systems
-            .iter()
-            .zip(&vals)
-            .map(|((n, _), v)| ((*n).to_string(), json!(v)))
-            .collect();
+        let obj = Json::Obj(
+            systems
+                .iter()
+                .zip(&vals)
+                .map(|((n, _), v)| ((*n).to_string(), json!(v)))
+                .collect(),
+        );
         rows_json.push(json!({ "task": tname, "systems": obj }));
     }
     (table, json!({ "panel": "ec-per-task", "rows": rows_json }))
@@ -1246,7 +1243,7 @@ pub fn metrics_f1(m: &Metrics) -> f64 {
 /// the same WAL bytes (replay idempotence); (3) every repaired cell
 /// answers a provenance query ("why is this cell 42?") with its rule,
 /// valuation, and parent fixes.
-pub fn durability() -> (Table, serde_json::Value) {
+pub fn durability() -> (Table, Json) {
     use rock_chase::{wal_bytes, ChaseConfig, ChaseEngine, DurabilityConfig, ProvenanceGraph};
 
     let w = logistics();
@@ -1270,7 +1267,7 @@ pub fn durability() -> (Table, serde_json::Value) {
     let t0 = std::time::Instant::now();
     let oracle = mk(None).run(&w.dirty, &w.trusted);
     let wall_memory = t0.elapsed().as_secs_f64();
-    let oracle_db = serde_json::to_string(&oracle.db).unwrap();
+    let oracle_db = oracle.db.clone();
 
     let durable_engine = mk(Some(DurabilityConfig::new(&dir)));
     let t1 = std::time::Instant::now();
@@ -1283,8 +1280,7 @@ pub fn durability() -> (Table, serde_json::Value) {
         wal.error
     );
     assert_eq!(
-        oracle_db,
-        serde_json::to_string(&durable.db).unwrap(),
+        oracle_db, durable.db,
         "durable repairs must be byte-identical to the in-memory chase"
     );
     assert_eq!(
@@ -1302,8 +1298,7 @@ pub fn durability() -> (Table, serde_json::Value) {
             .resume_at(&w.trusted, r)
             .unwrap_or_else(|e| panic!("resume from round {r} failed: {e}"));
         assert_eq!(
-            oracle_db,
-            serde_json::to_string(&res.db).unwrap(),
+            oracle_db, res.db,
             "resume from round {r} must reproduce the repairs byte-identically"
         );
         assert_eq!(
@@ -1397,7 +1392,7 @@ pub fn durability() -> (Table, serde_json::Value) {
 /// least 2x on Logistics-shaped data, with identical match counts. The
 /// footprint rows show what dictionary encoding buys on string-heavy
 /// relations.
-pub fn columnar() -> (Table, serde_json::Value) {
+pub fn columnar() -> (Table, Json) {
     use rock_data::{AttrId, PredOp, RelId, Value};
 
     let mut table = Table::new(
@@ -1429,8 +1424,8 @@ pub fn columnar() -> (Table, serde_json::Value) {
 
         let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
         let ((col_out, _), (row_out, _)) = chase_both(&w, &rules);
-        let row_db = serde_json::to_string(&row_out.db).expect("serialize repaired db");
-        let col_db = serde_json::to_string(&col_out.db).expect("serialize repaired db");
+        let row_db = row_out.db;
+        let col_db = col_out.db;
 
         table.row(vec![
             format!("{name}: flagged cells / repaired bytes"),
@@ -1576,7 +1571,7 @@ pub fn columnar() -> (Table, serde_json::Value) {
 /// with oracle-identical repairs, and transient faults are retried to
 /// `WalHealth::Recovered`. Seed comes from `ROCK_CRASHSIM_SEED`
 /// (default 7) so CI sweeps several fault schedules.
-pub fn crashsim() -> (Table, serde_json::Value) {
+pub fn crashsim() -> (Table, Json) {
     use rock_chase::{
         checkpoint_chain, list_segments, locate, ChaseConfig, ChaseEngine, DurabilityConfig,
         WalHealth,
@@ -1587,13 +1582,15 @@ pub fn crashsim() -> (Table, serde_json::Value) {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
-    let w = rock_workloads::logistics::generate(&GenConfig {
+    // Sales SClean chases 4 rounds at every generator seed (Logistics
+    // RClean settles in 2), which the delta-chain assertions below need.
+    let w = rock_workloads::sales::generate(&GenConfig {
         rows: 240,
         error_rate: 0.08,
         seed: 45,
         trusted_per_rel: 24,
     });
-    let task = w.task("RClean").expect("RClean task").clone();
+    let task = w.task("SClean").expect("SClean task").clone();
     let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
     let base = std::env::temp_dir().join(format!("rock-crashsim-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -1622,7 +1619,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
 
     // (0) uninterrupted in-memory oracle
     let oracle = mk(None).run(&w.dirty, &w.trusted);
-    let oracle_db = serde_json::to_string(&oracle.db).unwrap();
+    let oracle_db = oracle.db.clone();
     let canon = (oracle.rounds, oracle.changes.len(), oracle.conflicts);
 
     // (1) recorded durable run: oracle-identical repairs + full I/O trace
@@ -1633,8 +1630,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
     let durable = rec_engine.run(&w.dirty, &w.trusted);
     let wall_durable = t0.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(
-        oracle_db,
-        serde_json::to_string(&durable.db).unwrap(),
+        oracle_db, durable.db,
         "durable repairs must be byte-identical to the in-memory oracle"
     );
     assert_eq!(
@@ -1767,8 +1763,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
         let crash_vfs = FaultVfs::with_plan(StorageFaultPlan::seeded(seed).with_crash_at_op(p));
         let res = mk(Some(dcfg(&dir_p, crash_vfs))).run(&w.dirty, &w.trusted);
         assert_eq!(
-            oracle_db,
-            serde_json::to_string(&res.db).unwrap(),
+            oracle_db, res.db,
             "crash at op {p}: repairs must still be byte-identical to the oracle"
         );
         let cw = res.wal.as_ref().expect("durability was configured");
@@ -1782,8 +1777,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
         match mk(Some(dcfg(&dir_p, FaultVfs::clean()))).resume(&w.trusted) {
             Ok(rec) => {
                 assert_eq!(
-                    oracle_db,
-                    serde_json::to_string(&rec.db).unwrap(),
+                    oracle_db, rec.db,
                     "crash at op {p}: recovery must be byte-identical to the oracle"
                 );
                 assert_eq!(
@@ -1799,8 +1793,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
                 let _ = std::fs::remove_dir_all(&dir_p);
                 let rec = mk(Some(dcfg(&dir_p, FaultVfs::clean()))).run(&w.dirty, &w.trusted);
                 assert_eq!(
-                    oracle_db,
-                    serde_json::to_string(&rec.db).unwrap(),
+                    oracle_db, rec.db,
                     "crash at op {p}: fresh-run recovery must match the oracle"
                 );
                 fresh_fallbacks += 1;
@@ -1820,8 +1813,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
     )))
     .run(&w.dirty, &w.trusted);
     assert_eq!(
-        oracle_db,
-        serde_json::to_string(&res_d.db).unwrap(),
+        oracle_db, res_d.db,
         "persistent fsync failure must not change repairs"
     );
     let health_d = res_d.wal.as_ref().map(|s| s.health.clone());
@@ -1842,8 +1834,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
     cfg_t.max_io_retries = 8;
     let res_t = mk(Some(cfg_t)).run(&w.dirty, &w.trusted);
     assert_eq!(
-        oracle_db,
-        serde_json::to_string(&res_t.db).unwrap(),
+        oracle_db, res_t.db,
         "transient faults must not change repairs"
     );
     let wal_t = res_t.wal.clone().expect("durability was configured");
@@ -1859,7 +1850,7 @@ pub fn crashsim() -> (Table, serde_json::Value) {
     let _ = std::fs::remove_dir_all(&base);
 
     let mut table = Table::new(
-        "Crashsim — storage faults, crash sweep, disk bound (Logistics EC)",
+        "Crashsim — storage faults, crash sweep, disk bound (Sales EC)",
         &["metric", "value"],
     );
     table.row(vec!["seed".into(), format!("{seed}")]);

@@ -6,14 +6,13 @@ use rock_baselines::rb::RbCleaner;
 use rock_baselines::sqlengine::{SqlEngine, SqlEngineKind};
 use rock_baselines::t5s::T5sModel;
 use rock_core::{RockConfig, RockSystem, Variant};
-use rock_data::{CellRef, Database, GlobalTid, RelId, TupleId};
+use rock_data::{CellRef, Database, FxHashSet, GlobalTid, RelId, TupleId};
 use rock_detect::Detector;
 use rock_discovery::sampling::sample_database;
 use rock_discovery::space::{PredicateSpace, SpaceConfig};
 use rock_rees::RuleSet;
 use rock_workloads::metrics::{correction_metrics, detection_metrics, Metrics};
 use rock_workloads::{Task, Workload};
-use rustc_hash::FxHashSet;
 
 /// Seconds of modeled accelerator time per ML cost unit (see the crate
 /// docs for the calibration rationale).

@@ -31,11 +31,12 @@ use crate::evaluate::{evaluate, Frontier};
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityConfig, DurabilityCtx, WalHealth, WalSummary};
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
-use rock_data::{AttrId, CellRef, Database, Delta, GlobalTid, RelId, TupleId, Update, Value};
+use rock_data::{
+    AttrId, CellRef, Database, Delta, FxHashSet, GlobalTid, RelId, TupleId, Update, Value,
+};
 use rock_kg::Graph;
 use rock_ml::{MlBlockIndex, ModelRegistry};
 use rock_rees::{ChaseSchedule, RoundBound, Rule, RuleSet, TerminationClass};
-use rustc_hash::FxHashSet;
 
 pub use crate::proposal::Proposal;
 
@@ -156,7 +157,7 @@ pub struct ChaseResult {
 /// Runtime view of the certifier's termination certificate (see
 /// `rock_rees::schedule`): what was certified, what it resolved to on this
 /// instance, and whether the run respected it.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaseCertification {
     pub class: TerminationClass,
     /// The certified bound (`None` exactly when `class` is `Unbounded`).
@@ -171,7 +172,7 @@ pub struct ChaseCertification {
 }
 
 /// The chase ran more rounds than its certificate allows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CertViolation {
     /// Rounds the certificate permits on this instance.
     pub certified: u64,

@@ -48,20 +48,24 @@ use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixSnapshot;
 use crate::wal::{self, DurabilityConfig, WalError, WalPos, WalRecord, WalWriter};
 use rock_crystal::{crc32, FaultVfs};
-use rock_data::{AttrId, CellRef, Database, Eid, GlobalTid, RelId, TupleId, Value};
-use serde::{Deserialize, Serialize};
+use rock_data::{
+    json::{self, Json, ToJson},
+    AttrId, CellRef, Database, Eid, GlobalTid, RelId, TupleId, Value,
+};
 use std::path::Path;
 
 /// Bumped when the checkpoint encoding changes incompatibly.
 /// v2: self-contained provenance id state, session batches, delta docs.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// v3: the in-tree JSON codec (`rock_data::json`): exact 64-bit integers,
+/// tagged dates and non-finite floats, no optional fields.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Hard cap on delta-chain length: a longer chain means a corrupt or
 /// cyclic `base_name` graph, not a real configuration.
 const MAX_CHAIN: usize = 1024;
 
 /// Complete chase loop state at a round boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaseCheckpoint {
     pub version: u32,
     /// Engine fingerprint (rules + config) the state belongs to.
@@ -101,6 +105,12 @@ pub struct ChaseCheckpoint {
     pub last_fix: Vec<(GlobalTid, u64)>,
 }
 
+rock_data::json_codec!(struct ChaseCheckpoint {
+    version, fingerprint, round, batch, round_base, done, db, fixes, active, pruned_carry,
+    seeded, pending, carry, cumulative, changes, merged_pairs, conflicts, steps,
+    round_stats, next_fix_id, last_fix,
+});
+
 impl ChaseCheckpoint {
     /// Canonical file name of a **full** checkpoint for a round.
     pub fn file_name(round: u64) -> String {
@@ -111,20 +121,12 @@ impl ChaseCheckpoint {
     pub fn delta_file_name(round: u64) -> String {
         format!("checkpoint-{round:06}.delta.json")
     }
-
-    pub fn to_bytes(&self) -> Result<Vec<u8>, WalError> {
-        serde_json::to_vec(self).map_err(|e| WalError::Codec(e.to_string()))
-    }
-
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WalError> {
-        serde_json::from_slice(bytes).map_err(|e| WalError::Codec(e.to_string()))
-    }
 }
 
 /// Incremental checkpoint: the difference between this round's state and
 /// `base_name`'s (the previously written checkpoint). Everything not
 /// listed is inherited from the base.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CheckpointDelta {
     pub version: u32,
     pub fingerprint: u64,
@@ -168,25 +170,26 @@ pub struct CheckpointDelta {
     pub last_fix: Vec<(GlobalTid, u64)>,
 }
 
+rock_data::json_codec!(struct CheckpointDelta {
+    version, fingerprint, round, batch, round_base, done, base_round, base_name, base_crc,
+    cells, eids, fixes, active, pruned_carry, seeded, pending, carry, cumulative,
+    changes_base, changes_suffix, merged_base, merged_suffix, conflicts, steps, stats_base,
+    stats_suffix, next_fix_id, last_fix,
+});
+
 /// What actually sits in a `checkpoint-*.json` file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum CheckpointDoc {
     Full(ChaseCheckpoint),
     Delta(CheckpointDelta),
 }
 
+rock_data::json_codec!(tagged CheckpointDoc { Full(ck), Delta(d) });
+
 impl CheckpointDoc {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WalError> {
-        serde_json::from_slice(bytes).map_err(|e| WalError::Codec(e.to_string()))
+        json::from_slice(bytes).map_err(|e| WalError::Codec(e.to_string()))
     }
-}
-
-/// Borrowing serializer for [`CheckpointDoc`] (avoids cloning a full
-/// database image just to write it). Variant names must match.
-#[derive(Serialize)]
-enum CheckpointDocSer<'a> {
-    Full(&'a ChaseCheckpoint),
-    Delta(&'a CheckpointDelta),
 }
 
 /// The last checkpoint the durability context wrote: the delta base, its
@@ -225,33 +228,25 @@ pub(crate) fn encode_doc(
     prev: Option<&PrevCheckpoint>,
     ck: ChaseCheckpoint,
     full_every: usize,
-) -> Result<EncodedCheckpoint, WalError> {
+) -> EncodedCheckpoint {
     let delta = if periodic_full(ck.round, ck.round_base, full_every) {
         None
     } else {
         prev.and_then(|p| diff_checkpoint(p, &ck))
     };
     match delta {
-        Some(d) => {
-            let bytes = serde_json::to_vec(&CheckpointDocSer::Delta(&d))
-                .map_err(|e| WalError::Codec(e.to_string()))?;
-            Ok(EncodedCheckpoint {
-                name: ChaseCheckpoint::delta_file_name(ck.round),
-                bytes,
-                is_full: false,
-                state: ck,
-            })
-        }
-        None => {
-            let bytes = serde_json::to_vec(&CheckpointDocSer::Full(&ck))
-                .map_err(|e| WalError::Codec(e.to_string()))?;
-            Ok(EncodedCheckpoint {
-                name: ChaseCheckpoint::file_name(ck.round),
-                bytes,
-                is_full: true,
-                state: ck,
-            })
-        }
+        Some(d) => EncodedCheckpoint {
+            name: ChaseCheckpoint::delta_file_name(ck.round),
+            bytes: json::to_vec(&Json::tagged("Delta", d.to_json())),
+            is_full: false,
+            state: ck,
+        },
+        None => EncodedCheckpoint {
+            name: ChaseCheckpoint::file_name(ck.round),
+            bytes: json::to_vec(&Json::tagged("Full", ck.to_json())),
+            is_full: true,
+            state: ck,
+        },
     }
 }
 
@@ -590,7 +585,7 @@ pub fn locate(
 }
 
 /// One link of a checkpoint chain, for the `debug_panel wal` inspector.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChainEntry {
     pub name: String,
     pub round: u64,
@@ -661,6 +656,7 @@ pub(crate) fn reopen_writer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rock_data::rng::StdRng;
     use rock_data::{AttrType, Attribute, DatabaseSchema, RelationSchema};
 
     fn tiny_db(vals: &[i64]) -> Database {
@@ -741,7 +737,7 @@ mod tests {
         assert_eq!(d.cells.len(), 1);
         assert!(d.eids.is_empty());
         let rebuilt = apply_delta(&base, &d).unwrap();
-        assert_eq!(rebuilt.to_bytes().unwrap(), next.to_bytes().unwrap());
+        assert_eq!(json::to_vec(&rebuilt), json::to_vec(&next));
     }
 
     #[test]
@@ -756,8 +752,147 @@ mod tests {
         };
         assert!(diff_checkpoint(&prev, &next).is_none());
         // encode_doc then falls back to a full document
-        let enc = encode_doc(Some(&prev), next, 100).unwrap();
+        let enc = encode_doc(Some(&prev), next, 100);
         assert!(enc.is_full);
         assert_eq!(enc.name, ChaseCheckpoint::file_name(2));
+    }
+
+    /// One random edit of `bytes`: flip a bit, insert a byte, delete a
+    /// byte, truncate, or overwrite a run of digits with a small or a huge
+    /// number (the edit that forges lengths, indices and counts).
+    fn mutate(rng: &mut StdRng, bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let at = rng.gen_range(0..out.len());
+        match rng.gen_range(0..5u8) {
+            0 => out[at] ^= 1 << rng.gen_range(0..8u8),
+            1 => out.insert(at, rng.gen_range(0..=255u8)),
+            2 => {
+                out.remove(at);
+            }
+            3 => out.truncate(at),
+            _ => {
+                if let Some(start) = (at..out.len()).find(|&i| out[i].is_ascii_digit()) {
+                    let end = (start..out.len())
+                        .find(|&i| !out[i].is_ascii_digit())
+                        .unwrap_or(out.len());
+                    let forged = match rng.gen_range(0..4u8) {
+                        0 => u64::MAX,
+                        1 => u32::MAX as u64 + 1,
+                        _ => rng.gen_range(0..16u64),
+                    };
+                    out.splice(start..end, forged.to_string().into_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// Everything that decodes bytes from disk — the JSON reader, the WAL
+    /// frame scanner, the checkpoint documents and the delta application —
+    /// answers damaged input with a typed error or a valid value: no panic,
+    /// and nothing allocated from a forged length. (The CRCs normally keep
+    /// damaged bytes away from the decoders; this drives them directly.)
+    #[test]
+    fn damaged_bytes_never_panic_a_decoder() {
+        let mut rng = StdRng::seed_from_u64(0xdec0de);
+        let base = ck_at(1, &[1, 2, 3]);
+        let mut next = ck_at(2, &[1, 2, 3]);
+        let cell = CellRef::new(RelId(0), TupleId(1), AttrId(0));
+        next.db
+            .relation_mut(RelId(0))
+            .set_cell(cell.tid, cell.attr, Value::Float(f64::NAN));
+        next.changes
+            .push((cell, Value::Int(2), Value::str("a \"quoted\" \u{1} é")));
+        next.carry = vec![Some(vec![(
+            vec![cell.tuple()],
+            Proposal::SetCell {
+                cell,
+                value: Value::Date(-3),
+                rule: 0,
+            },
+        )])];
+        next.pending[0].mark(RelId(0), TupleId(2));
+        next.last_fix = vec![(cell.tuple(), u64::MAX)];
+        let prev = PrevCheckpoint {
+            state: base.clone(),
+            name: ChaseCheckpoint::file_name(1),
+            crc: 7,
+            chain: vec![ChaseCheckpoint::file_name(1)],
+        };
+        let full = encode_doc(None, base.clone(), 1).bytes;
+        let delta = encode_doc(Some(&prev), next, 100);
+        assert!(!delta.is_full);
+
+        // JSON reader + checkpoint documents + delta application.
+        let (mut applied, mut refused) = (0, 0);
+        for doc in [&full, &delta.bytes] {
+            for _ in 0..8_000 {
+                let damaged = mutate(&mut rng, doc);
+                if let Ok(text) = std::str::from_utf8(&damaged) {
+                    let _ = Json::parse(text);
+                }
+                if let Ok(CheckpointDoc::Delta(d)) = CheckpointDoc::from_bytes(&damaged) {
+                    match apply_delta(&base, &d) {
+                        Ok(_) => applied += 1,
+                        Err(_) => refused += 1,
+                    }
+                }
+            }
+        }
+        // the edits must reach past the parser, into both outcomes
+        assert!(
+            applied > 50 && refused > 50,
+            "{applied} applied, {refused} refused"
+        );
+
+        // A WAL segment: whatever survives is a prefix of what was written.
+        let records = vec![
+            WalRecord::Begin {
+                fingerprint: u64::MAX,
+            },
+            WalRecord::BatchBegin {
+                batch: 1,
+                round_base: 0,
+            },
+            WalRecord::RoundBegin { round: 1 },
+            WalRecord::Fix(crate::wal::FixRecord {
+                id: 0,
+                round: 1,
+                rule: 3,
+                kind: crate::wal::FixKind::Cell {
+                    cell,
+                    old: Value::Null,
+                    new: Value::Float(f64::INFINITY),
+                },
+                valuation: vec![cell.tuple()],
+                parents: vec![],
+            }),
+            WalRecord::RoundCommit {
+                round: 1,
+                checkpoint: Some(ChaseCheckpoint::file_name(1)),
+                state_crc: u32::MAX,
+            },
+        ];
+        let mut segment = wal::WAL_MAGIC.to_vec();
+        for r in &records {
+            segment.extend_from_slice(&wal::encode_frame(r).unwrap());
+        }
+        let clean = wal::decode_wal(&segment).unwrap();
+        assert_eq!(clean.records.len(), records.len());
+        for _ in 0..4_000 {
+            let damaged = mutate(&mut rng, &segment);
+            if let Ok(scan) = wal::decode_wal(&damaged) {
+                assert!(scan.valid_len as usize <= damaged.len());
+                for ((_, got), want) in scan.records.iter().zip(&records) {
+                    assert_eq!(got, want, "a damaged frame passed its CRC");
+                }
+            }
+        }
+        // A frame that claims 4 GiB of payload ends the prefix; nothing is
+        // allocated for it.
+        let first_len = wal::WAL_MAGIC.len();
+        segment[first_len..first_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let scan = wal::decode_wal(&segment).unwrap();
+        assert!(scan.corrupt_tail && scan.records.is_empty());
     }
 }

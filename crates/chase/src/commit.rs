@@ -20,9 +20,10 @@ use crate::fixes::{EntityKey, FixStore, MergeOutcome};
 use crate::order::OrderInsert;
 use crate::proposal::{Proposal, ProposalKey};
 use crate::wal::{FixKind, RoundFix};
-use rock_data::{AttrId, CellRef, Database, GlobalTid, RelId, TupleId, Value};
+use rock_data::{
+    AttrId, CellRef, Database, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId, Value,
+};
 use rock_ml::ModelRegistry;
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Valuation tuples supporting each deduplicated proposal of a round — the
 /// WAL's provenance input; only built for durable runs.

@@ -15,10 +15,9 @@
 
 use rock_data::Value;
 use rock_ml::{ModelId, ModelRegistry};
-use serde::{Deserialize, Serialize};
 
 /// Which strategy resolved a conflict (reported in chase stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resolution {
     GroundTruth,
     Correlation,

@@ -17,12 +17,14 @@ use rock_data::{Bitset, Database, RelId, TupleId};
 
 /// Per-relation sets of touched tuple slots.
 ///
-/// Serializable so round-boundary checkpoints (`crate::checkpoint`) can
-/// persist the per-rule pending deltas and the cumulative dirty set.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Has a JSON codec so round-boundary checkpoints (`crate::checkpoint`)
+/// can persist the per-rule pending deltas and the cumulative dirty set.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSet {
     rels: Vec<Bitset>,
 }
+
+rock_data::json_codec!(struct DeltaSet { rels });
 
 impl DeltaSet {
     /// All-empty delta sized to `db`'s relation capacities. Capacities are
@@ -106,7 +108,7 @@ impl DeltaSet {
 
 /// Per-round evaluation observability (surfaced by `debug_panel` and the
 /// `chase-delta` figure panel).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundStats {
     /// Rules evaluated this round.
     pub active_rules: usize,
@@ -123,15 +125,17 @@ pub struct RoundStats {
     /// activation.
     pub rules_pruned: usize,
     /// Distinct certified strata the round's active rules belong to.
-    /// `serde(default)` keeps old checkpoints readable.
-    #[serde(default)]
     pub strata: usize,
     /// Rounds left under the instance-resolved certified bound after this
     /// round (0 when the certificate is unbounded; negative would mean the
     /// certificate was violated).
-    #[serde(default)]
     pub bound_margin: i64,
 }
+
+rock_data::json_codec!(struct RoundStats {
+    active_rules, delta_tuples, valuations, proposals, carried, rules_pruned, strata,
+    bound_margin,
+});
 
 #[cfg(test)]
 mod tests {

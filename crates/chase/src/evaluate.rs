@@ -19,13 +19,12 @@ use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
 use rock_crystal::work::{partition_range, Partition};
 use rock_crystal::{Cluster, FaultStats, UnitFailure, WorkUnit};
-use rock_data::{Database, TupleId};
+use rock_data::{Database, FxHashMap, FxHashSet, TupleId};
 use rock_ml::{MlBlockIndex, ModelRegistry, PairSignature};
 use rock_rees::eval::{
     enumerate_valuations_restricted, enumerate_valuations_with_candidates, EvalContext,
 };
 use rock_rees::{Predicate, Rule};
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Work-unit payload tag (see [`WorkUnit::payload`]): scan the partition's
 /// slot range of variable 0 in full.

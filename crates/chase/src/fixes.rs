@@ -13,17 +13,17 @@
 //! can never be overwritten — certain fixes must respect the ground truth.
 
 use crate::order::{OrderInsert, PartialOrderStore};
-use rock_data::{AttrId, Eid, GlobalTid, RelId, TupleId, Value};
-use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
+use rock_data::{AttrId, Eid, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId, Value};
 
 /// Entity key: which relation's eid space the entity id lives in. Merges
 /// may cross relations (heterogeneous ER).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityKey {
     pub rel: RelId,
     pub eid: Eid,
 }
+
+rock_data::json_codec!(struct EntityKey { rel, eid });
 
 impl EntityKey {
     pub fn new(rel: RelId, eid: Eid) -> Self {
@@ -286,8 +286,8 @@ impl FixStore {
         self.merges
     }
 
-    /// Flatten into a serializable, *deterministic* image (all maps and
-    /// sets become sorted pair lists — serde_json cannot key maps by
+    /// Flatten into a *deterministic* image with a JSON codec (all maps
+    /// and sets become sorted pair lists — JSON cannot key objects by
     /// struct types, and the sort makes the checkpoint bytes stable).
     pub fn to_snapshot(&self) -> FixSnapshot {
         let mut parent: Vec<(EntityKey, EntityKey)> =
@@ -360,9 +360,9 @@ impl FixStore {
     }
 }
 
-/// Serializable, deterministic image of a [`FixStore`] for round-boundary
-/// checkpoints (see `crate::checkpoint`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Deterministic image of a [`FixStore`] for round-boundary checkpoints
+/// (see `crate::checkpoint`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixSnapshot {
     parent: Vec<(EntityKey, EntityKey)>,
     values: Vec<(EntityKey, Vec<((RelId, AttrId), Value)>)>,
@@ -373,6 +373,10 @@ pub struct FixSnapshot {
     merges: usize,
     added_orders: usize,
 }
+
+rock_data::json_codec!(struct FixSnapshot {
+    parent, values, distinct, orders, trusted, added_values, merges, added_orders,
+});
 
 /// [`rock_rees::eval::TemporalOracle`] backed by the fix store: the chase
 /// evaluates `t ⪯A s` preconditions against *validated* orders only.
@@ -549,10 +553,7 @@ mod tests {
         assert_eq!(g.merge_count(), 1);
         assert_eq!(g.added_orders, 2);
         // deterministic: re-snapshotting the rebuilt store is bit-identical
-        assert_eq!(
-            serde_json::to_string(&snap).unwrap(),
-            serde_json::to_string(&g.to_snapshot()).unwrap()
-        );
+        assert_eq!(snap, g.to_snapshot());
     }
 
     #[test]

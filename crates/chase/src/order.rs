@@ -7,12 +7,10 @@
 //! answers `holds` queries; adding an edge that closes a *strict* cycle is
 //! a conflict and is rejected (the caller resolves it, §4.2(2)).
 
-use rock_data::TupleId;
-use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
+use rock_data::{FxHashMap, FxHashSet, TupleId};
 
 /// One attribute's validated partial order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PartialOrderStore {
     /// adjacency: t -> [(successor, strict)]
     succ: FxHashMap<TupleId, Vec<(TupleId, bool)>>,

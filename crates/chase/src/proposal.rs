@@ -17,7 +17,7 @@ use rock_rees::{Predicate, Rule};
 pub(crate) type Emission = (Vec<GlobalTid>, Proposal);
 
 /// A deduced fix proposal (one chase step's consequence).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Proposal {
     /// Validate `t[A] = value`.
     SetCell {
@@ -49,6 +49,14 @@ pub enum Proposal {
         rule: u32,
     },
 }
+
+rock_data::json_codec!(tagged Proposal {
+    SetCell { cell, value, rule },
+    EquateCells { a, b, rule },
+    Merge { a, b, rule },
+    Distinct { a, b, rule },
+    Order { rel, attr, t1, t2, strict, rule },
+});
 
 /// Canonical proposal sort key (also the WAL support-map key).
 pub(crate) type ProposalKey = (u8, u64, u64, String);

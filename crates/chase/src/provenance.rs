@@ -11,11 +11,9 @@
 use crate::chase::{ChaseConfig, ChaseEngine};
 use crate::wal::{self, DurabilityConfig, FixKind, FixRecord, WalError, WalRecord};
 use rock_crystal::sync::{AtomicU64, Ordering};
-use rock_data::{AttrId, CellRef, DataError, Database, DatabaseSchema, RelId, Value};
+use rock_data::{AttrId, CellRef, DataError, Database, DatabaseSchema, FxHashMap, RelId, Value};
 use rock_ml::ModelRegistry;
 use rock_rees::RuleSet;
-use rustc_hash::FxHashMap;
-use serde::Serialize;
 use std::fmt;
 use std::path::Path;
 
@@ -30,13 +28,15 @@ pub struct ProvenanceGraph {
 }
 
 /// Answer to a `why(cell)` query.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProvenanceChain {
     /// The last fix that wrote the cell.
     pub fix: FixRecord,
     /// Its transitive parents, ascending id — the full derivation.
     pub ancestors: Vec<FixRecord>,
 }
+
+rock_data::json_codec!(struct ProvenanceChain { fix, ancestors });
 
 impl ProvenanceGraph {
     /// Load from a durability directory's WAL (all segments, in order).

@@ -3,15 +3,13 @@
 //! completeness, timeliness, validity and consistency, e.g., checking
 //! nulls/duplicates in an attribute").
 
-use rock_data::{AttrId, Database, RelId};
+use rock_data::{AttrId, Database, FxHashMap, RelId};
 use rock_ml::ModelRegistry;
 use rock_rees::eval::{find_violations, EvalContext};
 use rock_rees::RuleSet;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Quality report over a database.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QualityReport {
     /// 1 − fraction of null cells.
     pub completeness: f64,

@@ -24,9 +24,8 @@ use crate::commit::{Committed, Committer};
 use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
-use rock_data::{AttrId, CellRef, Database, Delta, GlobalTid, RelId, Update, Value};
+use rock_data::{AttrId, CellRef, Database, Delta, FxHashSet, GlobalTid, RelId, Update, Value};
 use rock_rees::eval::enumerate_valuations;
-use rustc_hash::FxHashSet;
 
 /// What the reference chase computed — the fields production is compared on.
 #[derive(Debug)]

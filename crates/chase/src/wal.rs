@@ -13,7 +13,7 @@
 //! uses on its hash ring and block checksums):
 //!
 //! ```text
-//! [len: u32 LE] [crc32(payload): u32 LE] [payload: serde_json bytes]
+//! [len: u32 LE] [crc32(payload): u32 LE] [payload: compact JSON, rock_data::json]
 //! ```
 //!
 //! The reader accepts the longest valid prefix and stops at the first
@@ -49,9 +49,7 @@
 
 use crate::fixes::EntityKey;
 use rock_crystal::{crc32, ClusterConfig, FaultVfs};
-use rock_data::{AttrId, CellRef, GlobalTid, RelId, TupleId, Value};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_data::{json, AttrId, CellRef, FxHashMap, GlobalTid, RelId, TupleId, Value};
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -76,7 +74,7 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 
 /// Position in the segmented log: segment sequence number + byte offset
 /// within that segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WalPos {
     pub seg: u64,
     pub off: u64,
@@ -198,21 +196,44 @@ impl DurabilityConfig {
         self.full_every = n.max(1);
         self
     }
+}
 
-    /// Capped exponential backoff before I/O retry `attempt` (0-based) —
-    /// delegates to the same formula Crystal's unit retries use.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        ClusterConfig {
-            retry_backoff: self.io_backoff,
-            ..ClusterConfig::default()
+/// Capped exponential backoff before I/O retry `attempt` (0-based): the
+/// formula Crystal's unit retries use, on the durability layer's base.
+fn io_backoff(base: Duration, attempt: u32) -> Duration {
+    ClusterConfig {
+        retry_backoff: base,
+        ..ClusterConfig::default()
+    }
+    .backoff_for(attempt)
+}
+
+/// Run `op`, retrying a failure up to `max_retries` times with
+/// [`io_backoff`] naps in between; every retry is counted into `retries`.
+/// `op` must be idempotent.
+fn retry_io<T>(
+    max_retries: u32,
+    base: Duration,
+    retries: &mut u64,
+    mut op: impl FnMut() -> std::io::Result<T>,
+) -> Result<T, WalError> {
+    let mut attempt = 0u32;
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) if attempt >= max_retries => return Err(WalError::Io(e)),
+            Err(_) => {
+                *retries += 1;
+                std::thread::sleep(io_backoff(base, attempt));
+                attempt += 1;
+            }
         }
-        .backoff_for(attempt)
     }
 }
 
 /// Typed durability health of a finished run, surfaced on
 /// [`crate::ChaseResult`] via [`WalSummary::health`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalHealth {
     /// Every append, sync, and checkpoint write succeeded first try.
     Healthy,
@@ -226,7 +247,7 @@ pub enum WalHealth {
 }
 
 /// What one fix did to the store / working database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FixKind {
     /// A cell of the working database was rewritten.
     Cell {
@@ -255,6 +276,14 @@ pub enum FixKind {
     },
 }
 
+rock_data::json_codec!(tagged FixKind {
+    Cell { cell, old, new },
+    Merge { a, b },
+    Distinct { a, b },
+    Validate { entity, rel, attr, value },
+    Order { rel, attr, t1, t2, strict },
+});
+
 impl FixKind {
     /// Tuples this fix writes/affects — they become the fix's provenance
     /// footprint (later fixes touching them list this fix as a parent).
@@ -279,7 +308,7 @@ impl FixKind {
 }
 
 /// One committed fix = one WAL record = one provenance node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixRecord {
     /// Monotonic fix id (stable across crash/resume: rounds re-run after
     /// a resume regenerate identical ids).
@@ -297,8 +326,10 @@ pub struct FixRecord {
     pub parents: Vec<u64>,
 }
 
+rock_data::json_codec!(struct FixRecord { id, round, rule, kind, valuation, parents });
+
 /// One framed WAL record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Run/segment header: guards resume against a different rule set /
     /// config. Every segment starts with one.
@@ -327,11 +358,25 @@ pub enum WalRecord {
     },
 }
 
+rock_data::json_codec!(tagged WalRecord {
+    Begin { fingerprint },
+    BatchBegin { batch, round_base },
+    RoundBegin { round },
+    Fix(rec),
+    RoundCommit { round, checkpoint, state_crc },
+});
+
 /// Encode a record into one `[len][crc][payload]` frame.
 pub fn encode_frame(rec: &WalRecord) -> Result<Vec<u8>, WalError> {
-    let payload = serde_json::to_vec(rec).map_err(|e| WalError::Codec(e.to_string()))?;
+    let payload = json::to_vec(rec);
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        WalError::Codec(format!(
+            "a {}-byte record exceeds the frame length field",
+            payload.len()
+        ))
+    })?;
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
     Ok(frame)
@@ -385,7 +430,7 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
             corrupt_tail = true;
             break;
         }
-        let rec: WalRecord = match serde_json::from_slice(payload) {
+        let rec: WalRecord = match json::from_slice(payload) {
             Ok(r) => r,
             Err(_) => {
                 corrupt_tail = true;
@@ -429,7 +474,7 @@ pub fn list_segments(vfs: &FaultVfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>, 
 }
 
 /// Per-segment summary from a directory scan.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentInfo {
     pub seq: u64,
     /// Total file bytes on disk.
@@ -579,6 +624,32 @@ pub struct WalWriter {
     pub(crate) segments_rotated: u64,
 }
 
+/// The bytes every segment starts with: the magic and a `Begin` frame.
+fn segment_header(fingerprint: u64) -> Result<Vec<u8>, WalError> {
+    let mut header = WAL_MAGIC.to_vec();
+    header.extend_from_slice(&encode_frame(&WalRecord::Begin { fingerprint })?);
+    Ok(header)
+}
+
+/// Create segment `seq` holding `header`, synced (file + directory) when
+/// `sync` is on. Creation truncates, so the whole step is idempotent and a
+/// transient failure anywhere in it can be retried from the top.
+fn start_segment(
+    vfs: &FaultVfs,
+    dir: &Path,
+    seq: u64,
+    header: &[u8],
+    sync: bool,
+) -> std::io::Result<rock_crystal::VfsFile> {
+    let mut file = vfs.create(&dir.join(segment_file_name(seq)))?;
+    file.write_all(header)?;
+    if sync {
+        file.sync_all()?;
+        vfs.fsync_dir(dir)?;
+    }
+    Ok(file)
+}
+
 impl WalWriter {
     /// Start a fresh log: remove any existing segments, create
     /// `wal.000001`, and write its magic + `Begin` header durably.
@@ -587,10 +658,12 @@ impl WalWriter {
         for (_, path) in list_segments(&vfs, &cfg.dir)? {
             vfs.remove_file(&path)?;
         }
-        let path = cfg.dir.join(segment_file_name(1));
-        let mut file = vfs.create(&path)?;
-        file.write_all(WAL_MAGIC)?;
-        let mut w = WalWriter {
+        let header = segment_header(fingerprint)?;
+        let mut io_retries = 0;
+        let file = retry_io(cfg.max_io_retries, cfg.io_backoff, &mut io_retries, || {
+            start_segment(&vfs, &cfg.dir, 1, &header, cfg.sync)
+        })?;
+        Ok(WalWriter {
             vfs,
             dir: cfg.dir.clone(),
             sync: cfg.sync,
@@ -600,17 +673,11 @@ impl WalWriter {
             backoff: cfg.io_backoff,
             seq: 1,
             file,
-            offset: WAL_MAGIC.len() as u64,
-            appended: 0,
-            io_retries: 0,
+            offset: header.len() as u64,
+            appended: 1,
+            io_retries,
             segments_rotated: 0,
-        };
-        w.append(&WalRecord::Begin { fingerprint })?;
-        if w.sync {
-            w.file.sync_all()?;
-            w.vfs.fsync_dir(&cfg.dir)?;
-        }
-        Ok(w)
+        })
     }
 
     /// Open the log for appending at `pos`, discarding any crashed or
@@ -662,14 +729,6 @@ impl WalWriter {
         }
     }
 
-    fn backoff_for(&self, attempt: u32) -> Duration {
-        ClusterConfig {
-            retry_backoff: self.backoff,
-            ..ClusterConfig::default()
-        }
-        .backoff_for(attempt)
-    }
-
     /// Append one frame, retrying transient write errors after truncating
     /// the partial frame back off the tail (keeps the file frame-aligned
     /// even when a torn write persisted a prefix).
@@ -693,7 +752,7 @@ impl WalWriter {
                         return Err(WalError::Io(e));
                     }
                     self.io_retries += 1;
-                    std::thread::sleep(self.backoff_for(attempt));
+                    std::thread::sleep(io_backoff(self.backoff, attempt));
                     attempt += 1;
                 }
             }
@@ -706,20 +765,9 @@ impl WalWriter {
         if !self.sync {
             return Ok(());
         }
-        let mut attempt = 0u32;
-        loop {
-            match self.file.sync_all() {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if attempt >= self.max_retries {
-                        return Err(WalError::Io(e));
-                    }
-                    self.io_retries += 1;
-                    std::thread::sleep(self.backoff_for(attempt));
-                    attempt += 1;
-                }
-            }
-        }
+        retry_io(self.max_retries, self.backoff, &mut self.io_retries, || {
+            self.file.sync_all()
+        })
     }
 
     /// Rotate to a fresh segment if the live one is over budget. Called at
@@ -732,20 +780,12 @@ impl WalWriter {
             return Ok(());
         }
         let next_seq = self.seq + 1;
-        let path = self.dir.join(segment_file_name(next_seq));
-        let mut file = self.vfs.create(&path)?;
-        file.write_all(WAL_MAGIC)?;
-        let frame = encode_frame(&WalRecord::Begin {
-            fingerprint: self.fingerprint,
+        let header = segment_header(self.fingerprint)?;
+        self.file = retry_io(self.max_retries, self.backoff, &mut self.io_retries, || {
+            start_segment(&self.vfs, &self.dir, next_seq, &header, self.sync)
         })?;
-        file.write_all(&frame)?;
-        if self.sync {
-            file.sync_all()?;
-            self.vfs.fsync_dir(&self.dir)?;
-        }
-        self.file = file;
         self.seq = next_seq;
-        self.offset = (WAL_MAGIC.len() + frame.len()) as u64;
+        self.offset = header.len() as u64;
         self.appended += 1;
         self.segments_rotated += 1;
         Ok(())
@@ -766,7 +806,7 @@ impl WalWriter {
 }
 
 /// Totals reported back on [`crate::ChaseResult`] when durability is on.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WalSummary {
     /// Records appended this run (excluding replayed history).
     pub records: u64,
@@ -1026,7 +1066,7 @@ impl DurabilityCtx {
                 lf.sort_unstable();
                 ck.last_fix = lf;
                 let enc =
-                    crate::checkpoint::encode_doc(self.prev.as_ref(), ck, self.cfg.full_every)?;
+                    crate::checkpoint::encode_doc(self.prev.as_ref(), ck, self.cfg.full_every);
                 let crc = crc32(&enc.bytes);
                 self.write_checkpoint_file(&enc.name, &enc.bytes)?;
                 self.checkpoints += 1;
@@ -1083,25 +1123,19 @@ impl DurabilityCtx {
     /// terminal strays.
     fn write_checkpoint_file(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
         let path = self.cfg.dir.join(name);
-        let mut attempt = 0u32;
-        loop {
-            let res = if self.cfg.sync {
-                self.cfg.vfs.write_atomic_durable(&path, bytes, true)
-            } else {
-                self.cfg.vfs.write_file(&path, bytes)
-            };
-            match res {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if attempt >= self.cfg.max_io_retries {
-                        return Err(WalError::Io(e));
-                    }
-                    self.ckpt_io_retries += 1;
-                    std::thread::sleep(self.cfg.backoff_for(attempt));
-                    attempt += 1;
+        let cfg = &self.cfg;
+        retry_io(
+            cfg.max_io_retries,
+            cfg.io_backoff,
+            &mut self.ckpt_io_retries,
+            || {
+                if cfg.sync {
+                    cfg.vfs.write_atomic_durable(&path, bytes, true)
+                } else {
+                    cfg.vfs.write_file(&path, bytes)
                 }
-            }
-        }
+            },
+        )
     }
 
     pub(crate) fn into_summary(self) -> WalSummary {
@@ -1314,8 +1348,10 @@ mod tests {
             w.append(&rec(i)).unwrap();
         }
         drop(w);
-        // destroy segment 2's magic: segments 2..4 must be discarded
-        std::fs::write(d.join(segment_file_name(2)), b"garbage").unwrap();
+        // Segment 1 holds only the header (the first rotation happens before
+        // the first append), segment 2 holds rec(0). Destroy segment 3's
+        // magic: segments 3..4 must be discarded, 1..2 kept.
+        std::fs::write(d.join(segment_file_name(3)), b"garbage").unwrap();
         let scan = read_wal_dir(&d).unwrap();
         assert!(scan.corrupt_tail);
         let got: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();

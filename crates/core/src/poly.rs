@@ -9,9 +9,8 @@
 //! Detection flags cells violating the expression; correction recomputes
 //! the target from the expression when every input attribute is present.
 
-use rock_data::{AttrId, CellRef, Database, GlobalTid, RelId, Value};
+use rock_data::{AttrId, CellRef, Database, FxHashSet, GlobalTid, RelId, Value};
 use rock_discovery::prune::{discover_polynomial, PolynomialExpression};
-use rustc_hash::FxHashSet;
 
 /// A fitted polynomial pipeline for one target attribute.
 #[derive(Debug)]

@@ -428,12 +428,12 @@ impl RockSystem {
         }
         // coverage: tuple ids (first variable) whose bindings satisfy the
         // precondition
-        let coverage: Vec<rustc_hash::FxHashSet<u32>> = pool
+        let coverage: Vec<rock_data::FxHashSet<u32>> = pool
             .rules
             .iter()
             .map(|rule| {
                 let ctx = EvalContext::new(&w.dirty, &w.registry);
-                let mut cov = rustc_hash::FxHashSet::default();
+                let mut cov = rock_data::FxHashSet::default();
                 enumerate_valuations(rule, &ctx, |h| {
                     cov.insert(h.tuples[0].tid.0);
                     cov.len() < 5_000 // cap the scan; coverage is a ranking signal

@@ -2,10 +2,9 @@
 
 use rock_detect::detect::{consequence_kind, ErrorKind};
 use rock_rees::{Rule, RuleSet};
-use serde::{Deserialize, Serialize};
 
 /// Which system variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Full Rock: unified chase, ML predicates, polynomial pipeline.
     Rock,

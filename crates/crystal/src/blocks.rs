@@ -12,10 +12,9 @@
 //! chained (each block records the next block of its object on that node),
 //! mirroring the linked-list layout.
 
+use crate::hash::FxHashMap;
 use crate::ring::{ConsistentHashRing, NodeId};
-use crate::sync::{AtomicU64, LockRank, Ordering, RankedRwLock};
-use bytes::Bytes;
-use rustc_hash::FxHashMap;
+use crate::sync::{Arc, AtomicU64, LockRank, Ordering, RankedRwLock};
 
 /// Identifies a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,7 +22,7 @@ pub struct BlockId(pub u64);
 
 #[derive(Debug, Clone)]
 struct Block {
-    data: Bytes,
+    data: Arc<[u8]>,
     node: NodeId,
     /// Next block of the same object on the same node (linked-list layout).
     next: Option<BlockId>,
@@ -92,7 +91,7 @@ impl BlockStore {
             blocks.insert(
                 id,
                 Block {
-                    data: Bytes::copy_from_slice(chunk),
+                    data: Arc::from(chunk),
                     node,
                     next: None,
                 },

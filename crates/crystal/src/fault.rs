@@ -16,7 +16,6 @@
 //! makes "a faulted run yields byte-identical repairs to a clean run" a
 //! testable CI property rather than a flaky aspiration.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixer. Used to derive all
@@ -51,7 +50,7 @@ pub fn unit_fraction(h: u64) -> f64 {
 /// Crash node `node` after it has completed `after_units` units in a run
 /// (the crash fires at a unit boundary, so no in-flight work is lost — the
 /// node's remaining queue is re-enqueued onto survivors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCrash {
     /// Worker index to kill (ignored when it is the only worker: killing
     /// the last survivor would deadlock the run, so the crash is skipped).
@@ -68,7 +67,7 @@ pub struct NodeCrash {
 /// this is the mode the byte-identical-repair assertions use. Units listed
 /// in `poison_units` panic on *every* attempt and are the only way to
 /// exercise quarantine deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Root seed; all decisions derive from it.
     pub seed: u64,
@@ -258,7 +257,7 @@ pub fn silence_injected_panics() {
 }
 
 /// Why one attempt of a work unit failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnitError {
     /// The unit body panicked (injected or genuine); the message is the
     /// stringified panic payload.
@@ -284,7 +283,7 @@ impl std::error::Error for UnitError {}
 
 /// A unit that was quarantined after exhausting its retry budget. Reported
 /// in [`crate::scheduler::ExecuteOutcome::failures`]; never fatal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitFailure {
     /// Index of the unit in the submitted batch.
     pub unit: usize,
@@ -298,7 +297,7 @@ pub struct UnitFailure {
 
 /// Fault-handling counters, embedded in
 /// [`crate::scheduler::SchedulerStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Failed attempts that were retried.
     pub retries: u64,
@@ -343,7 +342,7 @@ impl FaultStats {
 
 /// Resilience knobs for [`crate::scheduler::Cluster`], surfaced on
 /// `rock::RockConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Faults to inject; `None` disables injection (production default).
     pub fault_plan: Option<FaultPlan>,
@@ -494,15 +493,5 @@ mod tests {
         assert_eq!(a.retries, 4);
         assert_eq!(a.panics_caught, 2);
         assert!(a.any());
-    }
-
-    #[test]
-    fn plan_serde_roundtrip() {
-        let plan = FaultPlan::chaos(11)
-            .with_poison(vec![1, 2])
-            .with_crash(0, 3);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -11,14 +11,13 @@
 //! [`crate::scheduler::Cluster::sync_membership`] uses to rebuild the
 //! ring without the dead node).
 
-use crate::sync::{AtomicU64, LockRank, Ordering, RankedRwLock};
-use bytes::Bytes;
+use crate::sync::{Arc, AtomicU64, LockRank, Ordering, RankedRwLock};
 use std::collections::BTreeMap;
 
 /// One stored entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
-    pub value: Bytes,
+    pub value: Arc<[u8]>,
     /// Monotone per-key modification version.
     pub version: u64,
     /// Lease this key is attached to (0 = none).
@@ -100,7 +99,7 @@ impl KvStore {
         self.events.write().push(event);
     }
 
-    fn put_inner(&self, key: &str, value: Bytes, lease: u64) -> u64 {
+    fn put_inner(&self, key: &str, value: Arc<[u8]>, lease: u64) -> u64 {
         let mut map = self.inner.write();
         let version = map.get(key).map(|e| e.version + 1).unwrap_or(1);
         map.insert(
@@ -120,21 +119,21 @@ impl KvStore {
     }
 
     /// Put unconditionally; returns the new version.
-    pub fn put(&self, key: &str, value: impl Into<Bytes>) -> u64 {
-        self.put_inner(key, value.into(), 0)
+    pub fn put(&self, key: &str, value: impl AsRef<[u8]>) -> u64 {
+        self.put_inner(key, Arc::from(value.as_ref()), 0)
     }
 
     /// Put a key attached to a lease: the key is deleted when the lease
     /// expires or is revoked. Returns `None` if the lease does not exist
     /// (or has already expired).
-    pub fn put_with_lease(&self, key: &str, value: impl Into<Bytes>, lease: u64) -> Option<u64> {
+    pub fn put_with_lease(&self, key: &str, value: impl AsRef<[u8]>, lease: u64) -> Option<u64> {
         let mut leases = self.leases.write();
         let state = leases.get_mut(&lease)?;
         if !state.keys.iter().any(|k| k == key) {
             state.keys.push(key.to_owned());
         }
         drop(leases);
-        Some(self.put_inner(key, value.into(), lease))
+        Some(self.put_inner(key, Arc::from(value.as_ref()), lease))
     }
 
     /// Get a value.
@@ -144,7 +143,7 @@ impl KvStore {
 
     /// Compare-and-swap on the version; returns Ok(new version) or
     /// Err(current version). `expected = 0` means "key must not exist".
-    pub fn cas(&self, key: &str, expected: u64, value: impl Into<Bytes>) -> Result<u64, u64> {
+    pub fn cas(&self, key: &str, expected: u64, value: impl AsRef<[u8]>) -> Result<u64, u64> {
         let mut map = self.inner.write();
         let current = map.get(key).map(|e| e.version).unwrap_or(0);
         if current != expected {
@@ -154,7 +153,7 @@ impl KvStore {
         map.insert(
             key.to_owned(),
             Entry {
-                value: value.into(),
+                value: Arc::from(value.as_ref()),
                 version,
                 lease: 0,
             },
@@ -309,7 +308,7 @@ mod tests {
         assert_eq!(kv.put("a", "1"), 1);
         assert_eq!(kv.put("a", "2"), 2);
         let e = kv.get("a").unwrap();
-        assert_eq!(e.value, Bytes::from("2"));
+        assert_eq!(&*e.value, b"2");
         assert_eq!(e.version, 2);
         assert!(kv.get("b").is_none());
     }
@@ -320,7 +319,7 @@ mod tests {
         assert_eq!(kv.cas("k", 0, "init"), Ok(1));
         assert_eq!(kv.cas("k", 0, "again"), Err(1));
         assert_eq!(kv.cas("k", 1, "next"), Ok(2));
-        assert_eq!(kv.get("k").unwrap().value, Bytes::from("next"));
+        assert_eq!(&*kv.get("k").unwrap().value, b"next");
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //!   plus [`storage::FaultVfs`], the seeded storage fault layer (torn
 //!   writes, fsync EIO/ENOSPC, rename failures, read bit-flips,
 //!   crash-at-op) behind the crash-consistency harness.
-//! * [`sync`] — the workspace-wide concurrency shim: swappable
-//!   lock/atomic backends (`cfg(loom)`-ready), [`sync::RankedMutex`]/
-//!   [`sync::RankedRwLock`] enforcing the static [`sync::LockRank`]
-//!   order in debug builds, and poison-free guards. `rock-lint` (L001)
-//!   rejects concurrency primitives used anywhere else.
+//! * [`sync`] — the workspace-wide concurrency shim over `std::sync`:
+//!   [`sync::RankedMutex`]/[`sync::RankedRwLock`] enforcing the static
+//!   [`sync::LockRank`] order in debug builds, and poison-free guards.
+//!   `rock-lint` (L001) rejects concurrency primitives used anywhere else.
+//! * [`hash`], [`rng`], [`json`] — the std-only Fx hasher, seeded
+//!   splitmix64 generator and JSON codec the whole workspace uses (this
+//!   crate is the bottom of the crate graph; `rock-data` re-exports them).
 //! * [`model`] — bounded CHESS-style interleaving explorer certifying
 //!   the runtime's five core protocols (work stealing + quarantine,
 //!   lease keep-alive vs expiry, speculative first-writer-wins commit,
@@ -46,9 +48,12 @@
 pub mod blocks;
 pub mod crc32;
 pub mod fault;
+pub mod hash;
+pub mod json;
 pub mod kvstore;
 pub mod model;
 pub mod ring;
+pub mod rng;
 pub mod scheduler;
 pub mod storage;
 pub mod sync;

@@ -8,9 +8,7 @@
 //! scheduler's choice points, re-executing the model from its initial
 //! state along each recorded prefix — exactly loom's execution model,
 //! minus weak-memory simulation (steps interleave under sequential
-//! consistency; the nightly TSan job covers ordering-level races, and the
-//! `sync` shim keeps the `cfg(loom)` hooks so the real loom can slot in
-//! the day a registry route exists).
+//! consistency; the nightly TSan job covers ordering-level races).
 //!
 //! What the explorer *proves*, per model, within its bounds:
 //!

@@ -11,11 +11,10 @@
 //! keys from existing nodes.
 
 use crate::crc32::crc32;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A computing node in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Consistent hash ring with virtual nodes.
@@ -131,7 +130,7 @@ impl ConsistentHashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustc_hash::FxHashMap;
+    use crate::hash::FxHashMap;
 
     fn keys(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("object-{i}")).collect()

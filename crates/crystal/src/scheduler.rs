@@ -9,9 +9,9 @@
 //! balancing and high scalability; no node is idle unless all work units
 //! are finished."
 //!
-//! Simulation: `n` worker threads, one lock-free deque each
-//! (crossbeam-deque); units placed by consistent-hash owner; idle workers
-//! steal. Per-worker execution counts and steal counts are reported so the
+//! Simulation: `n` worker threads, one mutex-guarded FIFO queue each;
+//! units placed by consistent-hash owner; idle workers steal. Per-worker
+//! execution counts and steal counts are reported so the
 //! scalability experiments (Fig. 4(h)/(l)) can verify balance.
 //!
 //! Fault tolerance (see [`crate::fault`] and DESIGN.md §Crystal): every
@@ -19,7 +19,7 @@
 //! retried with capped deterministic exponential backoff, poison units are
 //! quarantined after `max_retries + 1` attempts (reported in
 //! [`ExecuteOutcome::failures`], never fatal), a crashed node's remaining
-//! queue is re-enqueued onto survivors via a global injector, and
+//! queue is re-enqueued onto survivors via a shared queue, and
 //! stragglers get speculative copies with first-writer-wins idempotent
 //! commit into the per-unit result slot. A unit settles exactly once
 //! (commit or quarantine), which is the at-most-once commit argument: the
@@ -28,6 +28,7 @@
 use crate::fault::{
     ClusterConfig, FaultDecision, FaultInjector, FaultStats, InjectedFault, UnitError, UnitFailure,
 };
+use crate::hash::FxHashMap;
 use crate::kvstore::KvStore;
 use crate::ring::{ConsistentHashRing, NodeId};
 use crate::sync::{
@@ -35,8 +36,7 @@ use crate::sync::{
     RankedRwLock,
 };
 use crate::work::WorkUnit;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
-use rustc_hash::FxHashMap;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -161,6 +161,26 @@ struct Membership {
 struct Task {
     idx: usize,
     spec: bool,
+}
+
+/// A FIFO task queue: a worker pops its own from the front, idle workers
+/// steal from the same end, and a crashed node's backlog is re-queued on
+/// the shared one. Every method takes and drops the lock itself, so no
+/// guard outlives a call and a thread never holds two queues at once.
+struct TaskQueue(RankedMutex<VecDeque<Task>>);
+
+impl TaskQueue {
+    fn new() -> Self {
+        TaskQueue(RankedMutex::new(LockRank::SchedQueue, VecDeque::new()))
+    }
+
+    fn push(&self, task: Task) {
+        self.0.lock().push_back(task);
+    }
+
+    fn pop(&self) -> Option<Task> {
+        self.0.lock().pop_front()
+    }
 }
 
 /// Atomic fault counters shared by the worker threads of one run.
@@ -409,11 +429,10 @@ impl Cluster {
         }
 
         // Build per-worker deques and place units (indices into `units`).
-        let deques: Vec<Deque<Task>> = (0..n).map(|_| Deque::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task>> = deques.iter().map(|d| d.stealer()).collect();
+        let mut deques: Vec<TaskQueue> = (0..n).map(|_| TaskQueue::new()).collect();
         // A crashed node drains its remaining queue here; any worker polls
         // it before stealing.
-        let global: Injector<Task> = Injector::new();
+        let global = TaskQueue::new();
         // Sort by estimated cost descending within each queue so big units
         // start early (classic LPT-flavoured placement).
         let mut placed: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -423,7 +442,7 @@ impl Cluster {
         for (w, mut list) in placed.into_iter().enumerate() {
             list.sort_by(|&a, &b| units[b].est_cost.total_cmp(&units[a].est_cost));
             for i in list {
-                deques[w].push(Task {
+                deques[w].0.get_mut().push_back(Task {
                     idx: i,
                     spec: false,
                 });
@@ -461,13 +480,10 @@ impl Cluster {
         let config = &self.config;
         let kv = self.kv.as_deref();
 
-        // Absorb the scope result instead of propagating worker panics:
-        // unit bodies run under catch_unwind, so a scope-level unwind means
-        // a scheduler bug — its unsettled units surface as `Lost` failures
-        // below rather than aborting the caller.
-        let _ = crossbeam::scope(|scope| {
-            for (w, deque) in deques.into_iter().enumerate() {
-                let stealers = &stealers;
+        std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(n);
+            for (w, deque) in deques.iter().enumerate() {
+                let deques = &deques;
                 let global = &global;
                 let executed = &executed;
                 let stolen = &stolen;
@@ -489,7 +505,7 @@ impl Cluster {
                 let units = &units;
                 let fault = &fault;
                 let f = &f;
-                scope.spawn(move |_| {
+                workers.push(scope.spawn(move || {
                     if !membership.alive[w].load(Ordering::Acquire) {
                         // Dead from a crash in an earlier round: drain
                         // anything mistakenly placed here and exit.
@@ -645,7 +661,7 @@ impl Cluster {
                     };
 
                     let crash = fault.as_ref().and_then(|fi| fi.plan().crash);
-                    let backoff = Backoff::new();
+                    let backoff = Backoff::default();
                     let mut local_done: u64 = 0;
                     loop {
                         // Planned whole-node crash, honored at a unit
@@ -682,32 +698,11 @@ impl Cluster {
                         let mut task = deque.pop();
                         let mut was_steal = false;
                         if task.is_none() {
-                            loop {
-                                match global.steal() {
-                                    Steal::Success(t) => {
-                                        task = Some(t);
-                                        break;
-                                    }
-                                    Steal::Retry => continue,
-                                    Steal::Empty => break,
-                                }
-                            }
+                            task = global.pop();
                         }
                         if task.is_none() {
-                            'steal: for off in 1..n {
-                                let victim = (w + off) % n;
-                                loop {
-                                    match stealers[victim].steal() {
-                                        Steal::Success(t) => {
-                                            task = Some(t);
-                                            was_steal = true;
-                                            break 'steal;
-                                        }
-                                        Steal::Retry => continue,
-                                        Steal::Empty => break,
-                                    }
-                                }
-                            }
+                            task = (1..n).find_map(|off| deques[(w + off) % n].pop());
+                            was_steal = task.is_some();
                         }
                         match task {
                             Some(t) => {
@@ -737,7 +732,15 @@ impl Cluster {
                             }
                         }
                     }
-                });
+                }));
+            }
+            // Joined by hand, absorbing worker panics (`scope` re-raises the
+            // panic of a thread it joins itself): unit bodies run under
+            // catch_unwind, so a worker-level unwind means a scheduler bug —
+            // its unsettled units surface as `Lost` failures below rather
+            // than aborting the caller.
+            for worker in workers {
+                let _ = worker.join();
             }
         });
 

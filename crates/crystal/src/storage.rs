@@ -42,7 +42,6 @@
 
 use crate::fault::{mix, unit_fraction};
 use crate::sync::{Arc, AtomicBool, AtomicU64, LockRank, Ordering, RankedMutex};
-use serde::Serialize;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -104,7 +103,7 @@ const SALT_FLIPBIT: u64 = 0xbf;
 /// Seeded storage fault schedule. `Default` is the clean plan: no faults, no
 /// crash. Probabilities are per-operation; `transient_fraction` splits fired
 /// faults into retryable ([`io::ErrorKind::Interrupted`]) vs persistent.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageFaultPlan {
     /// Master seed; all decisions derive from it via [`mix`].
     pub seed: u64,
@@ -179,7 +178,7 @@ impl StorageFaultPlan {
 }
 
 /// Kind of a traced I/O operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOpKind {
     Create,
     Open,
@@ -194,7 +193,7 @@ pub enum IoOpKind {
 }
 
 /// One entry of a recorded I/O trace.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceOp {
     /// Operation index (the value `crash_at_op` matches against).
     pub index: u64,
@@ -203,7 +202,7 @@ pub struct TraceOp {
 }
 
 /// Snapshot of fault-layer counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StorageFaultStats {
     /// Operations issued (faulted or not).
     pub ops: u64,

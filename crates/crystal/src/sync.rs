@@ -3,66 +3,69 @@
 //!
 //! Three jobs, one choke point:
 //!
-//! 1. **Swappable backends.** Re-exports of the atomic types, [`Arc`],
-//!    [`Once`]/[`OnceLock`] and the [`Backoff`] spin helper resolve to the
-//!    `std`/`crossbeam` implementations in normal builds and to `loom`'s
-//!    model-checked types under `--cfg loom` (the branches are kept
-//!    loom-shaped so vendoring loom is a one-line change; the from-scratch
-//!    explorer in [`crate::model`] covers the bounded-interleaving job in
-//!    the meantime, since this container cannot add dependencies).
+//! 1. **One import site.** The atomic types, [`Arc`], [`Once`]/[`OnceLock`]
+//!    and the [`Backoff`] spin helper are re-exported (or defined) here, so
+//!    a concurrency primitive in use anywhere in the workspace is one
+//!    `grep` away. The backend is `std::sync`, and only that; bounded
+//!    interleaving exploration is the job of the in-tree explorer in
+//!    [`crate::model`] (`--cfg rock_model` widens its bounds).
 //! 2. **Static lock ranks.** [`RankedMutex`]/[`RankedRwLock`] carry a
 //!    [`LockRank`] from a single workspace-wide total order. Debug builds
 //!    keep a thread-local stack of held ranks and panic the moment any
 //!    thread acquires a lock whose rank is not strictly above everything
 //!    it already holds — turning a potential deadlock into a deterministic
 //!    unit-test failure. Release builds compile the check away.
-//! 3. **No poisoning.** The lock backend is `parking_lot`, which does not
-//!    poison on panic: a quarantined worker that dies mid-critical-section
-//!    (see `fault::ClusterConfig`) leaves the lock usable for survivors,
-//!    so none of the old `.lock().unwrap()` / `unwrap_or_else(|e|
-//!    e.into_inner())` poison plumbing survives the refactor.
+//! 3. **No poisoning.** `std::sync` locks poison when a holder panics; the
+//!    ranked wrappers recover the guard (`PoisonError::into_inner`) on
+//!    every acquisition, so a quarantined worker that dies
+//!    mid-critical-section (see `fault::ClusterConfig`) leaves the lock
+//!    usable for survivors and no call site carries poison plumbing. That
+//!    is sound here because every guarded structure is valid after each
+//!    individual update (maps, logs, result slots), never mid-way through
+//!    a multi-step invariant.
 //!
-//! The lint companion (`rock-lint`, L001) rejects direct `std::sync` /
-//! `parking_lot` / `crossbeam` primitive use anywhere outside this file,
-//! and L002 re-derives the rank order statically from the
-//! `RankedMutex::new(LockRank::…)` declarations.
+//! The lint companion (`rock-lint`, L001) rejects direct `std::sync`
+//! primitive use anywhere outside this file, and L002 re-derives the rank
+//! order statically from the `RankedMutex::new(LockRank::…)` declarations.
 
-#[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-#[cfg(loom)]
-pub use loom::sync::Arc;
+use std::sync::{self, PoisonError, TryLockError};
 
-#[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(loom))]
 pub use std::sync::Arc;
-
-#[cfg(not(loom))]
 pub use std::sync::{Once, OnceLock};
 
-/// Spin-then-yield helper for lock-free retry loops (work stealing,
-/// speculative commit). Under loom the real `Backoff` would spin forever
-/// inside the model, so it degrades to an explicit yield point.
-#[cfg(not(loom))]
-pub use crossbeam::utils::Backoff;
-
-#[cfg(loom)]
+/// Spin-then-yield helper for retry loops (work stealing, speculative
+/// commit): exponentially longer spins, then `yield_now`, then
+/// [`is_completed`](Backoff::is_completed) tells the caller to block.
 #[derive(Debug, Default)]
-pub struct Backoff;
+pub struct Backoff {
+    step: std::cell::Cell<u32>,
+}
 
-#[cfg(loom)]
 impl Backoff {
-    pub fn new() -> Self {
-        Backoff
+    const SPIN_LIMIT: u32 = 6;
+    const YIELD_LIMIT: u32 = 10;
+
+    pub fn reset(&self) {
+        self.step.set(0);
     }
+
     pub fn snooze(&self) {
-        loom::thread::yield_now();
+        let step = self.step.get();
+        if step <= Self::SPIN_LIMIT {
+            for _ in 0..1u32 << step {
+                std::hint::spin_loop();
+            }
+        } else {
+            std::thread::yield_now();
+        }
+        if step <= Self::YIELD_LIMIT {
+            self.step.set(step + 1);
+        }
     }
-    pub fn spin(&self) {
-        loom::thread::yield_now();
-    }
+
     pub fn is_completed(&self) -> bool {
-        true
+        self.step.get() > Self::YIELD_LIMIT
     }
 }
 
@@ -115,6 +118,9 @@ pub enum LockRank {
     DiscoveryCache = 120,
     /// `data::ColumnCache.snapshot` — versioned columnar snapshot slot.
     ColumnSnapshot = 130,
+    /// `scheduler` task queues (per-worker and the shared re-queue); one
+    /// rank for all: every queue operation locks and unlocks by itself.
+    SchedQueue = 135,
     /// `scheduler` per-unit result slot (first-writer-wins commit).
     SchedResultSlot = 140,
     /// `scheduler` failure log.
@@ -128,34 +134,13 @@ impl LockRank {
     pub fn value(self) -> u16 {
         self as u16
     }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            LockRank::MembershipRing => "MembershipRing",
-            LockRank::MembershipLeases => "MembershipLeases",
-            LockRank::KvLeases => "KvLeases",
-            LockRank::KvMap => "KvMap",
-            LockRank::KvEvents => "KvEvents",
-            LockRank::BlockObjects => "BlockObjects",
-            LockRank::BlockData => "BlockData",
-            LockRank::RegistryModels => "RegistryModels",
-            LockRank::RegistryNames => "RegistryNames",
-            LockRank::RegistryFilters => "RegistryFilters",
-            LockRank::RegistryMemo => "RegistryMemo",
-            LockRank::DiscoveryCache => "DiscoveryCache",
-            LockRank::ColumnSnapshot => "ColumnSnapshot",
-            LockRank::SchedResultSlot => "SchedResultSlot",
-            LockRank::SchedFailures => "SchedFailures",
-            LockRank::StorageTrace => "StorageTrace",
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Debug-build held-rank tracking
 // ---------------------------------------------------------------------------
 
-#[cfg(all(debug_assertions, not(loom)))]
+#[cfg(debug_assertions)]
 mod rank_check {
     use super::LockRank;
     use std::cell::RefCell;
@@ -174,11 +159,10 @@ mod rank_check {
             if let Some(&worst) = held.iter().max() {
                 assert!(
                     rank > worst,
-                    "lock rank violation: acquiring {} (rank {}) while holding {} (rank {}); \
-                     the static order in rock_crystal::sync::LockRank forbids this nesting",
-                    rank.name(),
+                    "lock rank violation: acquiring {rank:?} (rank {}) while holding {worst:?} \
+                     (rank {}); the static order in rock_crystal::sync::LockRank forbids this \
+                     nesting",
                     rank.value(),
-                    worst.name(),
                     worst.value(),
                 );
             }
@@ -203,22 +187,22 @@ mod rank_check {
     }
 }
 
-#[cfg(all(debug_assertions, not(loom)))]
+#[cfg(debug_assertions)]
 pub use rank_check::held as held_ranks;
 
-#[cfg(not(all(debug_assertions, not(loom))))]
+#[cfg(not(debug_assertions))]
 #[inline(always)]
 fn rank_acquire(_rank: LockRank) {}
-#[cfg(not(all(debug_assertions, not(loom))))]
+#[cfg(not(debug_assertions))]
 #[inline(always)]
 fn rank_release(_rank: LockRank) {}
 
-#[cfg(all(debug_assertions, not(loom)))]
+#[cfg(debug_assertions)]
 #[inline]
 fn rank_acquire(rank: LockRank) {
     rank_check::acquire(rank);
 }
-#[cfg(all(debug_assertions, not(loom)))]
+#[cfg(debug_assertions)]
 #[inline]
 fn rank_release(rank: LockRank) {
     rank_check::release(rank);
@@ -228,50 +212,33 @@ fn rank_release(rank: LockRank) {
 // Ranked mutex
 // ---------------------------------------------------------------------------
 
-/// A mutex that participates in the workspace lock order. Backed by
-/// `parking_lot` (no poisoning: a panicking critical section leaves the
-/// lock usable — required by the scheduler's quarantine model).
+/// A mutex that participates in the workspace lock order. Never poisoned:
+/// a panicking critical section leaves the lock usable, which the
+/// scheduler's quarantine model requires.
 #[derive(Debug)]
 pub struct RankedMutex<T: ?Sized> {
     rank: LockRank,
-    #[cfg(not(loom))]
-    inner: parking_lot::Mutex<T>,
-    #[cfg(loom)]
-    inner: loom::sync::Mutex<T>,
+    inner: sync::Mutex<T>,
 }
 
 /// RAII guard for [`RankedMutex`]; releases the rank slot on drop.
 pub struct RankedMutexGuard<'a, T: ?Sized> {
     rank: LockRank,
-    #[cfg(not(loom))]
-    guard: parking_lot::MutexGuard<'a, T>,
-    #[cfg(loom)]
-    guard: loom::sync::MutexGuard<'a, T>,
+    guard: sync::MutexGuard<'a, T>,
 }
 
 impl<T> RankedMutex<T> {
     pub fn new(rank: LockRank, value: T) -> Self {
         RankedMutex {
             rank,
-            #[cfg(not(loom))]
-            inner: parking_lot::Mutex::new(value),
-            #[cfg(loom)]
-            inner: loom::sync::Mutex::new(value),
+            inner: sync::Mutex::new(value),
         }
     }
 
     pub fn into_inner(self) -> T {
-        #[cfg(not(loom))]
-        {
-            self.inner.into_inner()
-        }
-        #[cfg(loom)]
-        {
-            match self.inner.into_inner() {
-                Ok(v) => v,
-                Err(e) => e.into_inner(),
-            }
-        }
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -285,16 +252,9 @@ impl<T: ?Sized> RankedMutex<T> {
     /// schedule happens not to deadlock.
     pub fn lock(&self) -> RankedMutexGuard<'_, T> {
         rank_acquire(self.rank);
-        #[cfg(not(loom))]
-        let guard = self.inner.lock();
-        #[cfg(loom)]
-        let guard = match self.inner.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
         RankedMutexGuard {
             rank: self.rank,
-            guard,
+            guard: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
@@ -303,10 +263,11 @@ impl<T: ?Sized> RankedMutex<T> {
     /// deadlock by itself (it can still invert the order for a later
     /// blocking acquire).
     pub fn try_lock(&self) -> Option<RankedMutexGuard<'_, T>> {
-        #[cfg(not(loom))]
-        let guard = self.inner.try_lock()?;
-        #[cfg(loom)]
-        let guard = self.inner.try_lock().ok()?;
+        let guard = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
         rank_acquire(self.rank);
         Some(RankedMutexGuard {
             rank: self.rank,
@@ -315,17 +276,7 @@ impl<T: ?Sized> RankedMutex<T> {
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        #[cfg(not(loom))]
-        {
-            self.inner.get_mut()
-        }
-        #[cfg(loom)]
-        {
-            match self.inner.get_mut() {
-                Ok(v) => v,
-                Err(e) => e.into_inner(),
-            }
-        }
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -358,53 +309,33 @@ impl<T: ?Sized> Drop for RankedMutexGuard<'_, T> {
 #[derive(Debug)]
 pub struct RankedRwLock<T: ?Sized> {
     rank: LockRank,
-    #[cfg(not(loom))]
-    inner: parking_lot::RwLock<T>,
-    #[cfg(loom)]
-    inner: loom::sync::RwLock<T>,
+    inner: sync::RwLock<T>,
 }
 
 /// Shared-read RAII guard for [`RankedRwLock`].
 pub struct RankedReadGuard<'a, T: ?Sized> {
     rank: LockRank,
-    #[cfg(not(loom))]
-    guard: parking_lot::RwLockReadGuard<'a, T>,
-    #[cfg(loom)]
-    guard: loom::sync::RwLockReadGuard<'a, T>,
+    guard: sync::RwLockReadGuard<'a, T>,
 }
 
 /// Exclusive-write RAII guard for [`RankedRwLock`].
 pub struct RankedWriteGuard<'a, T: ?Sized> {
     rank: LockRank,
-    #[cfg(not(loom))]
-    guard: parking_lot::RwLockWriteGuard<'a, T>,
-    #[cfg(loom)]
-    guard: loom::sync::RwLockWriteGuard<'a, T>,
+    guard: sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RankedRwLock<T> {
     pub fn new(rank: LockRank, value: T) -> Self {
         RankedRwLock {
             rank,
-            #[cfg(not(loom))]
-            inner: parking_lot::RwLock::new(value),
-            #[cfg(loom)]
-            inner: loom::sync::RwLock::new(value),
+            inner: sync::RwLock::new(value),
         }
     }
 
     pub fn into_inner(self) -> T {
-        #[cfg(not(loom))]
-        {
-            self.inner.into_inner()
-        }
-        #[cfg(loom)]
-        {
-            match self.inner.into_inner() {
-                Ok(v) => v,
-                Err(e) => e.into_inner(),
-            }
-        }
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -415,46 +346,22 @@ impl<T: ?Sized> RankedRwLock<T> {
 
     pub fn read(&self) -> RankedReadGuard<'_, T> {
         rank_acquire(self.rank);
-        #[cfg(not(loom))]
-        let guard = self.inner.read();
-        #[cfg(loom)]
-        let guard = match self.inner.read() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
         RankedReadGuard {
             rank: self.rank,
-            guard,
+            guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     pub fn write(&self) -> RankedWriteGuard<'_, T> {
         rank_acquire(self.rank);
-        #[cfg(not(loom))]
-        let guard = self.inner.write();
-        #[cfg(loom)]
-        let guard = match self.inner.write() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
         RankedWriteGuard {
             rank: self.rank,
-            guard,
+            guard: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        #[cfg(not(loom))]
-        {
-            self.inner.get_mut()
-        }
-        #[cfg(loom)]
-        {
-            match self.inner.get_mut() {
-                Ok(v) => v,
-                Err(e) => e.into_inner(),
-            }
-        }
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -490,18 +397,6 @@ impl<T: ?Sized> Drop for RankedWriteGuard<'_, T> {
     }
 }
 
-impl<T: Default> Default for RankedMutex<T>
-where
-    T: Sized,
-{
-    /// Defaults are only used in tests/fixtures; real call sites name
-    /// their rank explicitly. Uses the highest rank so a defaulted lock
-    /// can never sit below a real one.
-    fn default() -> Self {
-        RankedMutex::new(LockRank::StorageTrace, T::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,14 +417,15 @@ mod tests {
             LockRank::RegistryMemo,
             LockRank::DiscoveryCache,
             LockRank::ColumnSnapshot,
+            LockRank::SchedQueue,
             LockRank::SchedResultSlot,
             LockRank::SchedFailures,
             LockRank::StorageTrace,
         ];
         for w in all.windows(2) {
-            assert!(w[0] < w[1], "{} !< {}", w[0].name(), w[1].name());
+            assert!(w[0] < w[1], "{:?} !< {:?}", w[0], w[1]);
         }
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 17);
     }
 
     #[test]
@@ -590,20 +486,41 @@ mod tests {
         assert_eq!(*a.lock(), 7);
     }
 
+    /// A panic inside a critical section must leave the lock usable: the
+    /// std backend poisons, the ranked wrappers recover on every path.
     #[test]
-    fn rank_state_survives_critical_section_panic() {
-        let a = Arc::new(RankedMutex::new(LockRank::KvMap, 0u32));
-        let a2 = Arc::clone(&a);
+    fn locks_stay_usable_after_a_critical_section_panic() {
+        let m = Arc::new(RankedMutex::new(LockRank::KvMap, 0u32));
+        let l = Arc::new(RankedRwLock::new(LockRank::KvEvents, 0u32));
+        let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
         let res = std::thread::spawn(move || {
-            let mut g = a2.lock();
-            *g = 9;
-            panic!("die holding the lock");
+            let mut gm = m2.lock();
+            let mut gl = l2.write();
+            *gm = 9;
+            *gl = 9;
+            panic!("die holding both locks");
         })
         .join();
         assert!(res.is_err());
-        // parking_lot does not poison: survivors keep going.
-        assert_eq!(*a.lock(), 9);
+        // Survivors keep going, through every acquisition path.
+        assert_eq!(*m.lock(), 9);
+        assert_eq!(m.try_lock().map(|g| *g), Some(9));
+        assert_eq!(*l.read(), 9);
+        *l.write() += 1;
+        assert_eq!(*l.read(), 10);
+        let (mut m, mut l) = (m, l);
+        assert_eq!(Arc::get_mut(&mut m).map(|m| *m.get_mut()), Some(9));
+        assert_eq!(Arc::get_mut(&mut l).map(|l| *l.get_mut()), Some(10));
+        assert_eq!(
+            Arc::try_unwrap(m).map(RankedMutex::into_inner).ok(),
+            Some(9)
+        );
+        assert_eq!(
+            Arc::try_unwrap(l).map(RankedRwLock::into_inner).ok(),
+            Some(10)
+        );
+        // This thread's rank stack is unaffected by the other thread's death.
         let b = RankedMutex::new(LockRank::KvLeases, ());
-        drop(b.lock()); // this thread's rank stack is unaffected
+        drop(b.lock());
     }
 }

@@ -10,12 +10,10 @@
 //! unit computes. The detect/chase/discovery crates construct units with a
 //! closure payload when they submit to the [`crate::scheduler::Cluster`].
 
-use serde::{Deserialize, Serialize};
-
 /// Descriptor of a data partition `D_T` (a HyperCube-style virtual block:
 /// a relation plus a contiguous tuple-id range; multi-relation rules carry
 /// one range per variable, flattened by the producer into multiple units).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Partition {
     /// Relation index.
     pub rel: u16,
@@ -46,7 +44,7 @@ impl Partition {
 }
 
 /// One work unit `T = (φ, D_T)` plus its cost estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkUnit {
     /// Which rule (index into the submitted Σ) this unit evaluates.
     pub rule: u32,
@@ -57,7 +55,6 @@ pub struct WorkUnit {
     /// Opaque producer tag carried through scheduling untouched. Discovery
     /// uses it to name the parent frontier entry whose satisfaction bitset
     /// the worker extends, so siblings share one read-only parent.
-    #[serde(default)]
     pub payload: u64,
 }
 
@@ -200,16 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn payload_roundtrips_and_defaults_to_zero() {
-        let unit = WorkUnit::new(3, vec![Partition::new(0, 0, 5)]).with_payload(42);
-        assert_eq!(unit.payload, 42);
-        let json = serde_json::to_string(&unit).unwrap();
-        let back: WorkUnit = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, unit);
-        // pre-payload serializations still deserialize (field defaults)
-        let legacy = r#"{"rule":1,"partitions":[],"est_cost":1.0}"#;
-        let old: WorkUnit = serde_json::from_str(legacy).unwrap();
-        assert_eq!(old.payload, 0);
+    fn payload_defaults_to_zero() {
+        let unit = WorkUnit::new(3, vec![Partition::new(0, 0, 5)]);
+        assert_eq!(unit.payload, 0);
+        assert_eq!(unit.with_payload(42).payload, 42);
     }
 
     #[test]

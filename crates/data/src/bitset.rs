@@ -13,15 +13,40 @@
 //! Invariant: bits at positions `>= len` in the last word are always zero,
 //! so popcount kernels never need a tail mask.
 
-use serde::{Deserialize, Serialize};
+use rock_crystal::json::{FromJson, Json, JsonError, ToJson};
 
 const WORD_BITS: usize = 64;
 
 /// A fixed-length dense bitset over `u64` words.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Bitset {
     len: usize,
     words: Vec<u64>,
+}
+
+/// `{"len", "words"}`; decoding rejects a word count that does not match
+/// `len` or set bits past it, so a forged length allocates nothing and the
+/// tail invariant holds.
+impl ToJson for Bitset {
+    fn to_json(&self) -> Json {
+        rock_crystal::json!({ "len": self.len, "words": self.words })
+    }
+}
+
+impl FromJson for Bitset {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let len: usize = j.take("len")?;
+        let words: Vec<u64> = j.take("words")?;
+        let tail = len % WORD_BITS;
+        let tail_clear = tail == 0 || words.last().map_or(true, |w| w >> tail == 0);
+        if words.len() != words_for(len) || !tail_clear {
+            return Err(JsonError(format!(
+                "bitset of {len} bits does not match its {} words",
+                words.len()
+            )));
+        }
+        Ok(Bitset { len, words })
+    }
 }
 
 impl Bitset {
@@ -195,7 +220,7 @@ impl Bitset {
 }
 
 fn words_for(len: usize) -> usize {
-    (len + WORD_BITS - 1) / WORD_BITS
+    len.div_ceil(WORD_BITS)
 }
 
 impl std::fmt::Debug for Bitset {

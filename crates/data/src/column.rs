@@ -44,16 +44,15 @@ use crate::relation::Relation;
 use crate::schema::AttrType;
 use crate::value::{cmp_int_float, Value};
 use crate::Dictionary;
+use rock_crystal::hash::FxHashMap;
 use rock_crystal::sync::{Arc, AtomicU64, LockRank, Ordering as AtomicOrdering, RankedRwLock};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A comparison operator with the storage layer's SQL-null semantics:
 /// any comparison involving `Null` is false (even `≠`). This is the single
 /// scalar comparison implementation both planes share — the rule
 /// language's `CmpOp` delegates here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredOp {
     Eq,
     Neq,
@@ -476,7 +475,7 @@ pub fn row_heap_bytes(rel: &Relation) -> usize {
 
 /// Versioned per-relation cache of the [`ColumnSet`].
 ///
-/// * serde-skipped: checkpoint/WAL bytes are unchanged by the columnar
+/// * never persisted: checkpoint/WAL bytes are unchanged by the columnar
 ///   plane;
 /// * `Clone` yields an *empty* cache (a cloned relation rebuilds lazily);
 /// * mutators bump `version`; readers rebuild when their snapshot's

@@ -6,15 +6,16 @@ use crate::relation::Relation;
 use crate::schema::{DatabaseSchema, RelationSchema};
 use crate::update::{Delta, Update};
 use crate::value::Value;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_crystal::hash::FxHashMap;
 use std::sync::Arc;
 
 /// A database instance over a [`DatabaseSchema`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Database {
     relations: Vec<Relation>,
 }
+
+rock_crystal::json_codec!(struct Database { relations });
 
 impl Database {
     /// Create an empty instance of the given schema.

@@ -7,7 +7,7 @@
 //! dictionary back to the live value set — property-tested in
 //! `tests/columnar_equivalence.rs`.
 
-use rustc_hash::FxHashMap;
+use rock_crystal::hash::FxHashMap;
 use std::sync::Arc;
 
 /// A per-column string dictionary: code ↔ interned payload.

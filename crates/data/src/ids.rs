@@ -4,15 +4,12 @@
 //! indices shrink hot types); a database of up to 4B tuples per relation is
 //! far beyond the laptop-scale reproduction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -22,6 +19,8 @@ macro_rules! id_type {
                 self.0 as usize
             }
         }
+
+        rock_crystal::json_codec!(newtype $name);
 
         impl From<$inner> for $name {
             #[inline]
@@ -67,11 +66,14 @@ id_type!(
 );
 
 /// Globally unique tuple address: (relation, tuple).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalTid {
     pub rel: RelId,
     pub tid: TupleId,
 }
+
+rock_crystal::json_codec!(struct GlobalTid { rel, tid });
+rock_crystal::json_codec!(struct CellRef { rel, tid, attr });
 
 impl GlobalTid {
     pub fn new(rel: RelId, tid: TupleId) -> Self {
@@ -86,7 +88,7 @@ impl fmt::Display for GlobalTid {
 }
 
 /// Globally unique cell address: (relation, tuple, attribute).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellRef {
     pub rel: RelId,
     pub tid: TupleId,

@@ -36,6 +36,9 @@ pub mod tuple;
 pub mod update;
 pub mod value;
 
+pub use rock_crystal::hash::{FxHashMap, FxHashSet};
+pub use rock_crystal::{json, json_codec, rng};
+
 pub use bitset::Bitset;
 pub use column::{row_heap_bytes, Column, ColumnData, ColumnSet, PredOp};
 pub use database::Database;

@@ -8,8 +8,8 @@ use crate::schema::RelationSchema;
 use crate::temporal::{CellTimestamps, Timestamp};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_crystal::hash::FxHashMap;
+use rock_crystal::json::{FromJson, Json, JsonError, ToJson};
 use std::sync::Arc;
 
 /// One relation instance `D` of schema `R`, optionally temporal `(D, T)`.
@@ -19,18 +19,63 @@ use std::sync::Arc;
 ///
 /// Rows are the source of truth; the columnar image ([`Relation::columns`])
 /// is a versioned cache that evaluation hot paths use for vectorized
-/// predicate kernels. The cache is serde-skipped (persisted bytes are
-/// identical with or without it) and cloned relations start with a cold
-/// cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// predicate kernels. The cache is neither persisted nor compared
+/// (encoded bytes and `==` are identical with or without it) and cloned
+/// relations start with a cold cache.
+#[derive(Debug, Clone)]
 pub struct Relation {
     pub schema: RelationSchema,
     tuples: Vec<Option<Tuple>>,
     live: usize,
     /// Partial timestamp function `T`.
     pub timestamps: CellTimestamps,
-    #[serde(skip, default)]
     columns: ColumnCache,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema.name == other.schema.name
+            && self.schema.attrs == other.schema.attrs
+            && self.tuples == other.tuples
+            && self.timestamps == other.timestamps
+    }
+}
+
+/// `{"schema", "tuples", "timestamps"}`, tombstones as `null`. Decoding
+/// checks what the accessors rely on: a tuple sits in the slot its id
+/// names and has the schema's arity.
+impl ToJson for Relation {
+    fn to_json(&self) -> Json {
+        rock_crystal::json!({
+            "schema": self.schema,
+            "tuples": self.tuples,
+            "timestamps": self.timestamps,
+        })
+    }
+}
+
+impl FromJson for Relation {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let schema: RelationSchema = j.take("schema")?;
+        let tuples: Vec<Option<Tuple>> = j.take("tuples")?;
+        for (slot, t) in tuples.iter().enumerate() {
+            if let Some(t) = t {
+                if t.tid.index() != slot || t.values.len() != schema.arity() {
+                    return Err(JsonError(format!(
+                        "relation {}: slot {slot} holds a misplaced or mis-sized tuple",
+                        schema.name
+                    )));
+                }
+            }
+        }
+        Ok(Relation {
+            live: tuples.iter().flatten().count(),
+            schema,
+            tuples,
+            timestamps: j.take("timestamps")?,
+            columns: ColumnCache::default(),
+        })
+    }
 }
 
 impl Relation {
@@ -118,11 +163,18 @@ impl Relation {
 
     /// Overwrite a cell (used when materializing fixes back into data).
     /// Writes through to the cached columnar image when possible, so the
-    /// chase's commit path does not force a rebuild per fix.
+    /// chase's commit path does not force a rebuild per fix. Returns `false`,
+    /// writing nothing, when the tuple is dead or the attribute is out of
+    /// range.
     pub fn set_cell(&mut self, tid: TupleId, attr: AttrId, v: Value) -> bool {
-        match self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut()) {
-            Some(t) => {
-                *t.get_mut(attr) = v.clone();
+        let slot = self
+            .tuples
+            .get_mut(tid.index())
+            .and_then(|t| t.as_mut())
+            .and_then(|t| t.values.get_mut(attr.index()));
+        match slot {
+            Some(slot) => {
+                *slot = v.clone();
                 self.columns.write_cell(tid.index(), attr, &v);
                 true
             }

@@ -8,12 +8,12 @@
 //! mangling.
 
 use crate::ids::{AttrId, RelId};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_crystal::hash::FxHashMap;
+use rock_crystal::json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// Attribute type `τ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrType {
     Int,
     Float,
@@ -54,12 +54,31 @@ impl fmt::Display for AttrType {
     }
 }
 
+/// The [`fmt::Display`] name.
+impl ToJson for AttrType {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl FromJson for AttrType {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let name = j.as_str()?;
+        [Self::Int, Self::Float, Self::Str, Self::Bool, Self::Date]
+            .into_iter()
+            .find(|ty| ty.to_string() == name)
+            .ok_or_else(|| JsonError(format!("unknown attribute type `{name}`")))
+    }
+}
+
 /// One attribute `A : τ` of a relation schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     pub name: String,
     pub ty: AttrType,
 }
+
+rock_crystal::json_codec!(struct Attribute { name, ty });
 
 impl Attribute {
     pub fn new(name: impl Into<String>, ty: AttrType) -> Self {
@@ -71,12 +90,27 @@ impl Attribute {
 }
 
 /// Schema of one relation `R(A1:τ1, …, Ak:τk)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RelationSchema {
     pub name: String,
     pub attrs: Vec<Attribute>,
-    #[serde(skip)]
     by_name: FxHashMap<String, AttrId>,
+}
+
+/// `{"name", "attrs"}`; the name index is rebuilt on decode.
+impl ToJson for RelationSchema {
+    fn to_json(&self) -> Json {
+        rock_crystal::json!({ "name": self.name, "attrs": self.attrs })
+    }
+}
+
+impl FromJson for RelationSchema {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        Ok(RelationSchema::new(
+            j.take::<String>("name")?,
+            j.take("attrs")?,
+        ))
+    }
 }
 
 impl RelationSchema {
@@ -108,14 +142,6 @@ impl RelationSchema {
 
     /// Look up an attribute id by name.
     pub fn attr_id(&self, name: &str) -> Option<AttrId> {
-        if self.by_name.is_empty() && !self.attrs.is_empty() {
-            // Deserialized schema: fall back to linear scan.
-            return self
-                .attrs
-                .iter()
-                .position(|a| a.name == name)
-                .map(|i| AttrId(i as u16));
-        }
         self.by_name.get(name).copied()
     }
 
@@ -139,10 +165,9 @@ impl RelationSchema {
 }
 
 /// Database schema `R = (R1, …, Rm)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DatabaseSchema {
     pub relations: Vec<RelationSchema>,
-    #[serde(skip)]
     by_name: FxHashMap<String, RelId>,
 }
 
@@ -165,13 +190,6 @@ impl DatabaseSchema {
     }
 
     pub fn rel_id(&self, name: &str) -> Option<RelId> {
-        if self.by_name.is_empty() && !self.relations.is_empty() {
-            return self
-                .relations
-                .iter()
-                .position(|r| r.name == name)
-                .map(|i| RelId(i as u16));
-        }
         self.by_name.get(name).copied()
     }
 
@@ -190,6 +208,7 @@ impl DatabaseSchema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rock_crystal::json;
 
     fn person() -> RelationSchema {
         RelationSchema::of(
@@ -233,11 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_lookup() {
+    fn json_roundtrip_rebuilds_the_name_index() {
         let p = person();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: RelationSchema = serde_json::from_str(&json).unwrap();
-        // by_name is skipped; lookup must still work via fallback scan.
+        let back: RelationSchema = json::from_slice(&json::to_vec(&p)).unwrap();
+        assert_eq!(back.attrs, p.attrs);
         assert_eq!(back.attr_id("spouse"), Some(AttrId(6)));
     }
 }

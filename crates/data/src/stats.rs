@@ -12,11 +12,10 @@ use crate::ids::AttrId;
 use crate::relation::Relation;
 use crate::schema::AttrType;
 use crate::value::Value;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_crystal::hash::FxHashMap;
 
 /// Statistics for one column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnStats {
     pub attr: AttrId,
     pub ty: AttrType,
@@ -34,7 +33,7 @@ pub struct ColumnStats {
 }
 
 /// min/max/mean/variance of a numeric column.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NumericStats {
     pub min: f64,
     pub max: f64,
@@ -142,7 +141,7 @@ impl ColumnStats {
 }
 
 /// Statistics for one relation: all columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableStats {
     pub rel_name: String,
     pub rows: usize,

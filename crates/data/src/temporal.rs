@@ -8,16 +8,16 @@
 //! chase seeds its `[A]⪯` orders (`Γ⪯`) from these.
 
 use crate::ids::{AttrId, TupleId};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_crystal::hash::FxHashMap;
+use rock_crystal::json::{FromJson, Json, JsonError, ToJson};
 
 /// Timestamp: seconds since the Unix epoch. Orderable; `Timestamp(0)` is a
 /// valid early time (we never treat 0 as "missing" — missing means *absent
 /// from the partial map*).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub i64);
+
+rock_crystal::json_codec!(newtype Timestamp);
 
 impl Timestamp {
     pub fn from_days(days: i32) -> Self {
@@ -27,31 +27,28 @@ impl Timestamp {
 
 /// Partial per-cell timestamp function `T` for one relation.
 ///
-/// Serialized as a *sorted* `[(tid, attr, ts), ...]` entry list rather
+/// Encoded as a *sorted* `[(tid, attr, ts), ...]` entry list rather
 /// than a map: JSON cannot key objects by tuples, and the sort makes the
 /// encoding deterministic — the chase checkpoints whole databases and
 /// compares serialized repairs byte-for-byte across runs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellTimestamps {
     map: FxHashMap<(TupleId, AttrId), Timestamp>,
 }
 
-impl Serialize for CellTimestamps {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+impl ToJson for CellTimestamps {
+    fn to_json(&self) -> Json {
         let mut entries: Vec<(TupleId, AttrId, Timestamp)> =
             self.map.iter().map(|(&(t, a), &ts)| (t, a, ts)).collect();
         entries.sort_unstable_by_key(|&(t, a, _)| (t, a));
-        entries.serialize(s)
+        entries.to_json()
     }
 }
 
-impl<'de> Deserialize<'de> for CellTimestamps {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let entries = Vec::<(TupleId, AttrId, Timestamp)>::deserialize(d)?;
-        let mut map = FxHashMap::default();
-        for (t, a, ts) in entries {
-            map.insert((t, a), ts);
-        }
+impl FromJson for CellTimestamps {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let entries = Vec::<(TupleId, AttrId, Timestamp)>::from_json(j)?;
+        let map = entries.into_iter().map(|(t, a, ts)| ((t, a), ts)).collect();
         Ok(CellTimestamps { map })
     }
 }
@@ -148,10 +145,10 @@ mod tests {
         t.set(TupleId(5), AttrId(1), Timestamp(50));
         t.set(TupleId(0), AttrId(2), Timestamp(10));
         t.set(TupleId(0), AttrId(1), Timestamp(99));
-        let js = serde_json::to_string(&t).unwrap();
+        let js = t.to_json().to_string();
         // deterministic: entries sorted by (tid, attr)
         assert_eq!(js, "[[0,1,99],[0,2,10],[5,1,50]]");
-        let back: CellTimestamps = serde_json::from_str(&js).unwrap();
+        let back: CellTimestamps = rock_crystal::json::from_slice(js.as_bytes()).unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(back.get(TupleId(5), AttrId(1)), Some(Timestamp(50)));
         assert_eq!(back.get(TupleId(0), AttrId(2)), Some(Timestamp(10)));

@@ -2,7 +2,6 @@
 
 use crate::ids::{AttrId, Eid, TupleId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// One tuple of a relation.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// identifying the real-world entity it represents. ER rules may later prove
 /// that two distinct `Eid`s denote the same entity; that knowledge lives in
 /// the chase's fix store, not here — the tuple keeps its original id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
     /// Stable id within the owning relation.
     pub tid: TupleId,
@@ -19,6 +18,8 @@ pub struct Tuple {
     /// Attribute values, indexed by [`AttrId`].
     pub values: Vec<Value>,
 }
+
+rock_crystal::json_codec!(struct Tuple { tid, eid, values });
 
 impl Tuple {
     pub fn new(tid: TupleId, eid: Eid, values: Vec<Value>) -> Self {

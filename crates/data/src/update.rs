@@ -5,10 +5,9 @@ use crate::error::DataError;
 use crate::ids::{AttrId, Eid, RelId, TupleId};
 use crate::schema::RelationSchema;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A single update.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Update {
     /// Insert a new tuple.
     Insert {
@@ -39,7 +38,7 @@ impl Update {
 }
 
 /// An ordered batch ΔD.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Delta {
     pub updates: Vec<Update>,
 }

@@ -6,7 +6,7 @@
 //! itself under the structural `Eq` used by indexes. The chase distinguishes
 //! the two via [`Value::sql_eq`].
 
-use serde::{Deserialize, Serialize};
+use rock_crystal::json::{FromJson, Json, JsonError, ToJson};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// assert!(Value::Null < Value::Int(0));
 /// assert_eq!(Value::Int(3), Value::Float(3.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Missing value. MI rules (`null(t[B]) → …`, paper §2.3) target these.
     Null,
@@ -39,6 +39,40 @@ pub enum Value {
     Bool(bool),
     /// Date as days since the Unix epoch (compact; formats as YYYY-MM-DD).
     Date(i32),
+}
+
+/// Null, integers, finite floats, strings and booleans are the matching
+/// JSON scalar (the codec keeps integer and float lexemes apart); dates and
+/// non-finite floats are tagged: `{"date": days}`, `{"float": "NaN"}`.
+impl ToJson for Value {
+    fn to_json(&self) -> Json {
+        match self {
+            Value::Null => Json::Null,
+            Value::Int(i) => i.to_json(),
+            Value::Float(x) if x.is_finite() => Json::Float(*x),
+            Value::Float(x) => Json::tagged("float", Json::Float(*x)),
+            Value::Str(s) => Json::Str(s.to_string()),
+            Value::Bool(b) => Json::Bool(*b),
+            Value::Date(d) => Json::tagged("date", d.to_json()),
+        }
+    }
+}
+
+impl FromJson for Value {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        match j {
+            Json::Null => Ok(Value::Null),
+            Json::Int(_) => i64::from_json(j).map(Value::Int),
+            Json::Float(x) => Ok(Value::Float(*x)),
+            Json::Str(s) => Ok(Value::str(s)),
+            Json::Bool(b) => Ok(Value::Bool(*b)),
+            Json::Arr(_) | Json::Obj(_) => match j.variant()? {
+                ("float", x) => f64::from_json(x).map(Value::Float),
+                ("date", d) => i32::from_json(d).map(Value::Date),
+                (tag, _) => Err(JsonError(format!("unknown value tag `{tag}`"))),
+            },
+        }
+    }
 }
 
 impl Value {
@@ -296,6 +330,53 @@ impl From<bool> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A checkpoint must hold whatever `parse_as` can produce: non-finite
+    /// floats, the extremes of every integer width, and a float keeps its
+    /// type (and sign of zero) instead of collapsing into an integer.
+    #[test]
+    fn json_codec_round_trips_every_edge_value_exactly() {
+        use crate::schema::AttrType;
+        let edge = vec![
+            Value::Null,
+            Value::parse_as("NaN", AttrType::Float),
+            Value::parse_as("inf", AttrType::Float),
+            Value::parse_as("-inf", AttrType::Float),
+            Value::Float(-0.0),
+            Value::Float(3.0),
+            Value::Float(f64::MIN_POSITIVE),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int((1 << 53) + 1),
+            Value::Date(i32::MIN),
+            Value::Date(i32::MAX),
+            Value::Bool(false),
+            Value::str(""),
+            Value::str("NaN"),
+            Value::str("quote \" and \\ and \u{1} and 🦀"),
+        ];
+        assert!(matches!(edge[1], Value::Float(x) if x.is_nan()));
+        let bytes = rock_crystal::json::to_vec(&edge);
+        let back: Vec<Value> = rock_crystal::json::from_slice(&bytes).unwrap();
+        assert_eq!(back.len(), edge.len());
+        for (a, b) in edge.iter().zip(&back) {
+            // `==` treats Int(3) and Float(3.0) alike; compare the variant
+            // and the float bits too.
+            assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "{a:?}"
+            );
+            match (a, b) {
+                (Value::Float(x), Value::Float(y)) if x.is_nan() => assert!(y.is_nan()),
+                (Value::Float(x), Value::Float(y)) => assert_eq!(x.to_bits(), y.to_bits()),
+                _ => assert_eq!(a, b),
+            }
+        }
+        // u64::MAX is exact in the codec but no `Value` holds it: typed error.
+        assert!(rock_crystal::json::from_slice::<Value>(b"18446744073709551615").is_err());
+        assert!(rock_crystal::json::from_slice::<Value>(b"{\"int\":1}").is_err());
+    }
 
     #[test]
     fn null_is_not_sql_equal_to_itself() {

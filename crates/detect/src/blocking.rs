@@ -12,13 +12,12 @@
 //! Rule evaluation afterwards never pays inference cost: every
 //! `predict_pair` call hits the memo.
 
-use rock_data::{AttrId, Database, Relation, TupleId};
+use rock_data::{AttrId, Database, FxHashMap, FxHashSet, Relation, TupleId};
 use rock_ml::pair::PreparedSide;
 use rock_ml::{
     MinHashLsh, MlBlockIndex, ModelId, ModelRegistry, PairBlockIndex, PairClassifier, PairSignature,
 };
 use rock_rees::{Predicate, RuleSet};
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Statistics of a pre-computation pass.
 #[derive(Debug, Clone, Default, PartialEq)]

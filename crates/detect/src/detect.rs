@@ -2,7 +2,7 @@
 
 use rock_crystal::work::partition_range;
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure, WorkUnit};
-use rock_data::{CellRef, Database, Delta, GlobalTid, TupleId};
+use rock_data::{CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, TupleId};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
 use rock_rees::eval::{
@@ -10,12 +10,10 @@ use rock_rees::eval::{
     TemporalOracle, TimestampOracle, Valuation,
 };
 use rock_rees::{Predicate, Rule, RuleSet};
-use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 
 /// Classification of a detected error (what kind of consequence was
 /// violated) — ER/CR/TD/MI, matching the paper's four tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorKind {
     /// Duplicate entities missed or wrongly split (EID consequences).
     Er,

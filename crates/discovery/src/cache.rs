@@ -19,15 +19,13 @@
 //! via [`CacheStats`] and surfaced in the miner's `DiscoveryReport`.
 
 use rock_crystal::sync::{Arc, LockRank, OnceLock, RankedMutex};
-use rock_data::{Bitset, Database, RelId, TupleId};
+use rock_data::{Bitset, Database, FxHashMap, RelId, TupleId};
 use rock_ml::ModelRegistry;
 use rock_rees::measures::{measure_bits, pair_offdiag, predicate_sat_bits, Measures, SatBits};
 use rock_rees::{EvalContext, Predicate, Rule};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Which materialized form of a predicate a cache entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitsForm {
     /// A precondition predicate, in its natural (unary or pair) domain.
     Precondition,
@@ -42,7 +40,7 @@ pub enum BitsForm {
 /// identified by their stable index in the predicate space (`Predicate`
 /// itself is not hashable — it contains float constants), partitions by
 /// their tid range over the instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PredKey {
     pub form: BitsForm,
     pub slot: u32,
@@ -51,7 +49,7 @@ pub struct PredKey {
 }
 
 /// Counters describing a cache's lifetime behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from a resident bitset.
     pub hits: u64,

@@ -13,10 +13,7 @@
 //!   the selected features; non-zero weights become arithmetic
 //!   consistency checks (e.g. `total ≈ price · qty`).
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use rock_data::{AttrId, Database, RelId};
+use rock_data::{rng::StdRng, AttrId, Database, RelId};
 use rock_ml::linear::Lasso;
 use rock_ml::tree::GradientBoosting;
 

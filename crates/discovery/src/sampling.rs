@@ -13,10 +13,7 @@
 
 use crate::levelwise::{Discoverer, DiscoveryConfig, DiscoveryReport};
 use crate::space::PredicateSpace;
-use rand::rngs::StdRng;
-use rand::seq::index::sample as index_sample;
-use rand::SeedableRng;
-use rock_data::{Database, RelId, Relation};
+use rock_data::{rng::StdRng, Database, RelId, Relation};
 use rock_rees::measures::measure_into;
 use rock_rees::EvalContext;
 
@@ -46,7 +43,7 @@ pub fn sample_database(db: &Database, ratio: f64, seed: u64) -> Database {
         let mut chosen: Vec<usize> = if k >= tids.len() {
             (0..tids.len()).collect()
         } else {
-            index_sample(&mut rng, tids.len(), k).into_vec()
+            rng.sample_indices(tids.len(), k)
         };
         chosen.sort_unstable();
         for idx in chosen {

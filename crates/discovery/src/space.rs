@@ -17,11 +17,10 @@
 
 use rock_data::{AttrId, Database, RelId, TableStats};
 use rock_rees::{CmpOp, ModelRef, Predicate};
-use serde::{Deserialize, Serialize};
 
 /// Declared applicability of a registered ML model (the "external
 /// knowledge" metadata of §5.1 linking models to attributes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MlSignature {
     pub model: String,
     pub rel: RelId,

@@ -14,13 +14,12 @@
 //! * **Anytime**: [`AnytimeMiner`] yields the next-best rules on demand
 //!   and accepts incremental feedback that retrains the preference model.
 
+use rock_data::FxHashSet;
 use rock_ml::linear::{LogisticRegression, SgdParams};
 use rock_rees::{Predicate, Rule};
-use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 
 /// A scored rule (index into the candidate pool plus its score parts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleScore {
     pub rule_index: usize,
     pub objective: f64,

@@ -1,12 +1,10 @@
 //! Labeled graph `G = (V, E, L)` (paper §2, Preliminaries).
 
-use rock_data::Value;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use rock_data::{FxHashMap, Value};
 use std::sync::Arc;
 
 /// Vertex identifier inside one [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -18,7 +16,7 @@ impl VertexId {
 
 /// One vertex: a label (which "may carry values") plus an optional entity
 /// name used by HER feature extraction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vertex {
     /// The value this vertex carries (e.g. the string "Beijing").
     pub label: Value,
@@ -28,7 +26,7 @@ pub struct Vertex {
 }
 
 /// A directed labeled edge `(u, l, v)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     pub from: VertexId,
     pub label: Arc<str>,
@@ -37,7 +35,7 @@ pub struct Edge {
 
 /// In-memory labeled graph with per-vertex adjacency grouped by edge label,
 /// so a label-path step is a hash lookup rather than a scan.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     pub name: String,
     vertices: Vec<Vertex>,

@@ -4,12 +4,11 @@
 
 use crate::graph::{Graph, VertexId};
 use rock_data::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A label path: a list of edge labels.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelPath {
     pub labels: Vec<Arc<str>>,
 }

@@ -26,7 +26,7 @@ const DENY_STD_SYNC: [&str; 9] = [
 ];
 
 // Everything else in `std::sync` stays allowed — `Arc`, `Weak`, and
-// `mpsc` carry no lock-rank or loom-modelling concerns.
+// `mpsc` carry no lock-rank concerns.
 
 const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
@@ -266,11 +266,9 @@ fn push(
     diags.push(d);
 }
 
-/// L001: raw `std::sync` / `parking_lot` / `crossbeam::utils::Backoff`
-/// primitives outside the shim.
+/// L001: raw `std::sync` primitives outside the shim.
 fn l001_raw_primitives(file: &str, ts: &TokenStream, diags: &mut Vec<Diagnostic>) {
-    const NOTE: &str = "route synchronization through rock_crystal::sync so loom models and \
-                        lock ranks see it";
+    const NOTE: &str = "route synchronization through rock_crystal::sync so lock ranks see it";
     let toks = &ts.toks;
     let mut i = 0;
     while i < toks.len() {
@@ -323,36 +321,6 @@ fn l001_raw_primitives(file: &str, ts: &TokenStream, diags: &mut Vec<Diagnostic>
                     continue;
                 }
             }
-        }
-        // parking_lot :: …
-        if toks[i].is_ident("parking_lot")
-            && i + 2 < toks.len()
-            && toks[i + 1].is(":")
-            && toks[i + 2].is(":")
-        {
-            push(
-                diags,
-                ts,
-                LintCode::L001,
-                file,
-                &toks[i],
-                "direct use of parking_lot".to_owned(),
-                NOTE,
-            );
-            i += 3;
-            continue;
-        }
-        // crossbeam :: utils :: Backoff (deque/scope/channel stay allowed)
-        if path_at(toks, i, &["crossbeam", "utils", "Backoff"]) {
-            push(
-                diags,
-                ts,
-                LintCode::L001,
-                file,
-                &toks[i],
-                "direct use of crossbeam::utils::Backoff".to_owned(),
-                NOTE,
-            );
         }
         i += 1;
     }
@@ -668,21 +636,17 @@ mod tests {
         assert_eq!(codes(&d), vec!["L001"]);
         let d = lint_src("use std::sync::{Arc, RwLock, atomic::{AtomicU64, Ordering}};\n");
         assert_eq!(codes(&d), vec!["L001", "L001"]); // RwLock + atomic, not Arc
-        let d = lint_src("use parking_lot::Mutex;\nuse crossbeam::utils::Backoff;\n");
-        assert_eq!(codes(&d), vec!["L001", "L001"]);
     }
 
     #[test]
-    fn l001_allows_arc_channels_and_deque() {
-        let d = lint_src(
-            "use std::sync::Arc;\nuse std::sync::mpsc;\nuse crossbeam::deque::Injector;\n",
-        );
+    fn l001_allows_arc_and_channels() {
+        let d = lint_src("use std::sync::Arc;\nuse std::sync::mpsc;\n");
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn l001_ignores_comments_and_strings() {
-        let d = lint_src("// std::sync::Mutex\nlet s = \"parking_lot::Mutex\";\n");
+        let d = lint_src("// std::sync::Mutex\nlet s = \"std::sync::RwLock\";\n");
         assert!(d.is_empty(), "{d:?}");
     }
 

@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn comments_are_lifted_out() {
-        let ts = tokenize("a // std::sync::Mutex\nb /* parking_lot */ c");
+        let ts = tokenize("a // std::sync::Mutex\nb /* RwLock */ c");
         let texts: Vec<&str> = ts.toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, vec!["a", "b", "c"]);
         assert_eq!(ts.comments.len(), 2);

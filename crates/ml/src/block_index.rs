@@ -19,8 +19,7 @@
 //! dirty set; see DESIGN.md).
 
 use crate::registry::ModelId;
-use rock_data::{AttrId, RelId, TupleId};
-use rustc_hash::FxHashMap;
+use rock_data::{AttrId, FxHashMap, RelId, TupleId};
 
 /// Identifies one ML pair-predicate signature: the model plus the two
 /// (relation, projection) sides it compares.

@@ -15,8 +15,7 @@
 //! deterministic and trainable from the workloads' validated tuples.
 
 use crate::features::{cosine, HashingEmbedder};
-use rock_data::Value;
-use rustc_hash::FxHashMap;
+use rock_data::{FxHashMap, Value};
 
 /// Evidence key: (attribute position within the feature tuple, value).
 type Evidence = (usize, Value);

@@ -7,10 +7,7 @@
 //! with LASSO regularization, it learns a weight for each feature;
 //! unimportant features tend to have zero weights").
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use rock_data::rng::StdRng;
 
 /// Numerically stable logistic sigmoid.
 #[inline]
@@ -25,7 +22,7 @@ pub fn sigmoid(z: f64) -> f64 {
 }
 
 /// Binary logistic-regression classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     pub weights: Vec<f64>,
     pub bias: f64,
@@ -72,7 +69,7 @@ impl LogisticRegression {
         let mut rng = StdRng::seed_from_u64(p.seed);
         let mut loss = 0.0;
         for epoch in 0..p.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let lr = p.lr / (1.0 + epoch as f64 * 0.05);
             loss = 0.0;
             for &i in &order {
@@ -121,7 +118,7 @@ impl LogisticRegression {
 
 /// LASSO linear regression solved by cyclic coordinate descent with
 /// soft-thresholding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lasso {
     pub weights: Vec<f64>,
     pub intercept: f64,

@@ -11,7 +11,7 @@
 
 use crate::features::fnv1a;
 use crate::text::{char_ngrams, tokenize};
-use rustc_hash::FxHashMap;
+use rock_data::FxHashMap;
 
 /// MinHash-with-banding index.
 ///

@@ -16,10 +16,7 @@
 
 use crate::features::HashingEmbedder;
 use crate::linear::sigmoid;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rock_data::Value;
+use rock_data::{rng::StdRng, Value};
 
 /// A currency constraint on a categorical attribute: within the feature
 /// tuple, position `attr_pos`'s value `earlier` precedes `later`
@@ -138,7 +135,7 @@ impl RankModel {
         let mut rng = StdRng::seed_from_u64(seed);
         self.weights.iter_mut().for_each(|w| *w = 0.0);
         for epoch in 0..80 {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let lr = 0.5 / (1.0 + epoch as f64 * 0.05);
             for &i in &order {
                 let (fa, fb) = &feats[i];

@@ -23,8 +23,7 @@ use crate::rank::RankModel;
 use rock_crystal::sync::{
     Arc, AtomicU64, LockRank, Ordering, RankedMutex, RankedMutexGuard, RankedRwLock,
 };
-use rock_data::Value;
-use rustc_hash::FxHashMap;
+use rock_data::{FxHashMap, Value};
 
 /// Identifier of a registered model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -118,7 +117,7 @@ pub struct ModelRegistry {
     /// filter, pairs outside it short-circuit to `false` without inference
     /// — LSH guarantees matches are in the filter with high probability.
     /// Read-mostly after precomputation, hence the `RwLock`.
-    block_filters: RankedRwLock<FxHashMap<ModelId, rustc_hash::FxHashSet<(u64, u64)>>>,
+    block_filters: RankedRwLock<FxHashMap<ModelId, rock_data::FxHashSet<(u64, u64)>>>,
     pub meter: CostMeter,
 }
 
@@ -189,7 +188,7 @@ impl ModelRegistry {
 
     /// Install a blocking filter for a pair model: `predict_pair` returns
     /// `false` without inference for pairs outside `candidates`.
-    pub fn set_block_filter(&self, id: ModelId, candidates: rustc_hash::FxHashSet<(u64, u64)>) {
+    pub fn set_block_filter(&self, id: ModelId, candidates: rock_data::FxHashSet<(u64, u64)>) {
         self.block_filters.write().insert(id, candidates);
     }
 
@@ -510,7 +509,7 @@ mod tests {
         let b = [Value::Int(1)];
         let c = [Value::Int(2)];
         // filter admits only (a, b)
-        let mut filter = rustc_hash::FxHashSet::default();
+        let mut filter = rock_data::FxHashSet::default();
         filter.insert((ModelRegistry::pair_key(&a), ModelRegistry::pair_key(&b)));
         reg.set_block_filter(id, filter);
         assert!(
@@ -559,7 +558,7 @@ mod tests {
         let reg = ModelRegistry::new();
         let id = reg.register_pair("M", Arc::new(ExactMatchModel));
         assert!(!reg.has_block_filter(id));
-        reg.set_block_filter(id, rustc_hash::FxHashSet::default());
+        reg.set_block_filter(id, rock_data::FxHashSet::default());
         assert!(reg.has_block_filter(id));
         reg.clear_block_filter(id);
         assert!(!reg.has_block_filter(id));

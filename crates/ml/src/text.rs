@@ -325,7 +325,7 @@ pub fn trigram_cosine(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{char_ngrams, tokenize};
-    use rustc_hash::{FxHashMap, FxHashSet};
+    use rock_data::{FxHashMap, FxHashSet};
 
     pub fn levenshtein(a: &str, b: &str) -> usize {
         let a: Vec<char> = a.chars().collect();

@@ -6,10 +6,8 @@
 //!   prunes irrelevant features" — [`GradientBoosting::feature_importance`].
 //! * the RB (Baran) baseline's downstream random-forest-ish corrector.
 
-use serde::{Deserialize, Serialize};
-
 /// A depth-1 regression tree: split one feature at one threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Stump {
     pub feature: usize,
     pub threshold: f64,
@@ -78,7 +76,7 @@ impl Stump {
 }
 
 /// Gradient-boosted stumps for regression (squared loss).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GradientBoosting {
     pub base: f64,
     pub learning_rate: f64,

@@ -8,13 +8,12 @@
 //! (`E001`, `W202`, …) documented in DESIGN.md; severity drives the
 //! analyzer's process exit code.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A source region inside a rule's DSL text: 1-based line, byte columns
 /// `[start, end)` within that line. `Span::none()` (all zeros) marks rules
 /// built programmatically rather than parsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     pub line: u32,
     pub start: u32,
@@ -54,9 +53,9 @@ impl fmt::Display for Span {
 /// [`crate::predicate::Predicate`] so the AST stays a pure value type:
 /// spans are *position* metadata, not rule identity. Two rules that parse
 /// from different lines of the same DSL text are the same rule, so this
-/// type compares equal to everything and is skipped by serde — round-trip
-/// (`parse → print → parse`) and serialization equality keep holding.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// type compares equal to everything — round-trip (`parse → print →
+/// parse`) equality keeps holding.
+#[derive(Debug, Clone, Default)]
 pub struct RuleSpans {
     pub rule: Span,
     pub preconditions: Vec<Span>,
@@ -79,9 +78,7 @@ impl PartialEq for RuleSpans {
 
 /// Diagnostic severity, ordered so `max()` picks the worst. The
 /// `rock-analyze` CLI exits with this as its status code.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Severity {
     #[default]
     Info,
@@ -118,7 +115,7 @@ impl fmt::Display for Severity {
 /// satisfiability, `W2xx` inter-rule analysis, `E3xx`/`W3xx` chase
 /// certification. The numeric bands match the analyzer's pass structure
 /// (see DESIGN.md for the full table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagCode {
     /// E001 — predicate uses a tuple variable not bound by a relation atom.
     UnboundTupleVar,
@@ -209,7 +206,7 @@ impl fmt::Display for DiagCode {
 }
 
 /// One analyzer finding, attached to a rule and a span within it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     pub code: DiagCode,
     pub severity: Severity,

@@ -10,10 +10,9 @@
 
 use crate::predicate::Predicate;
 use crate::rule::Rule;
-use rock_data::{Database, GlobalTid, TupleId, Value};
+use rock_data::{Database, FxHashMap, GlobalTid, TupleId, Value};
 use rock_kg::{Graph, VertexId};
 use rock_ml::ModelRegistry;
-use rustc_hash::FxHashMap;
 
 /// A (partial) valuation of a rule's variables.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -348,7 +347,7 @@ pub fn enumerate_valuations_in_set<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     var: usize,
-    tids: &rustc_hash::FxHashSet<TupleId>,
+    tids: &rock_data::FxHashSet<TupleId>,
     mut on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -531,7 +530,7 @@ fn enumerate_from_candidates<F>(
             indexes.entry((v, a)).or_insert_with(|| {
                 let rel = ctx.db.relation(rule.rel_of(v));
                 let mut idx: FxHashMap<Value, Vec<TupleId>> = FxHashMap::default();
-                let cand: rustc_hash::FxHashSet<TupleId> = candidates[v].iter().copied().collect();
+                let cand: rock_data::FxHashSet<TupleId> = candidates[v].iter().copied().collect();
                 for (val, tids) in rel.index_on(a) {
                     let filtered: Vec<TupleId> =
                         tids.into_iter().filter(|t| cand.contains(t)).collect();

@@ -28,10 +28,9 @@
 
 use crate::{CmpOp, DiagCode, Diagnostic, Predicate, Rule, RuleSet};
 use rock_data::{AttrId, DatabaseSchema, RelId};
-use serde::Serialize;
 
 /// The rule-dependency graph over a ruleset (see module docs).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleGraph {
     pub nrules: usize,
     /// Relations each rule binds (sorted, deduped).

@@ -12,10 +12,9 @@ use crate::eval::{distinct_ok, enumerate_valuations, EvalContext, Valuation};
 use crate::predicate::Predicate;
 use crate::rule::Rule;
 use rock_data::{Bitset, GlobalTid, RelId, TupleId};
-use serde::{Deserialize, Serialize};
 
 /// Measured support/confidence of one rule over one instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measures {
     /// Count of valuations with `h ⊨ X`.
     pub precondition_count: u64,

@@ -1,11 +1,10 @@
 //! Comparison operators ⊕ ∈ {=, ≠, <, ≤, >, ≥} (paper §2.1).
 
 use rock_data::{PredOp, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Neq,

@@ -9,7 +9,6 @@ use crate::op::CmpOp;
 use rock_data::{AttrId, Value};
 use rock_kg::LabelPath;
 use rock_ml::ModelId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a tuple variable within a rule.
@@ -18,11 +17,10 @@ pub type VarId = usize;
 pub type VertexVarId = usize;
 
 /// A reference to a registered ML model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelRef {
     pub name: String,
     /// Filled by `Rule::resolve` against a `ModelRegistry`.
-    #[serde(skip)]
     pub id: Option<ModelId>,
 }
 
@@ -43,7 +41,7 @@ impl ModelRef {
 }
 
 /// One predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// `t.A ⊕ c`
     Const {

@@ -4,7 +4,6 @@ use crate::diag::{DiagCode, Diagnostic, RuleSpans};
 use crate::predicate::{ModelRef, Predicate, VarId, VertexVarId};
 use rock_data::{AttrType, DatabaseSchema, RelId, Value};
 use rock_ml::ModelRegistry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An REE++ rule.
@@ -13,7 +12,7 @@ use std::fmt;
 /// all vertex variables by `vertex(x, G)` atoms (`vertex_vars`) — the
 /// well-formedness condition of §2. The precondition is a conjunction; the
 /// consequence a single predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     pub name: String,
     /// `(variable name, bound relation)` — the relation atoms `R(t)`.
@@ -28,9 +27,7 @@ pub struct Rule {
     /// Confidence measured at discovery time; 1.0 when hand-written.
     pub confidence: f64,
     /// Source spans when parsed from DSL text; empty for programmatic
-    /// rules. Compares equal to everything and is skipped by serde — see
-    /// [`RuleSpans`].
-    #[serde(skip)]
+    /// rules. Compares equal to everything — see [`RuleSpans`].
     pub spans: RuleSpans,
 }
 
@@ -547,7 +544,7 @@ impl RuleDisplay<'_> {
 }
 
 /// A set Σ of REE++s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     pub rules: Vec<Rule>,
 }

@@ -33,10 +33,9 @@
 use crate::graph::{self, const_eq_consequence, order_reads, order_writes, value_reads};
 use crate::{sat, Predicate, Rule, RuleSet, Severity};
 use rock_data::{AttrId, DatabaseSchema, RelId};
-use serde::Serialize;
 
 /// How the certifier classifies a ruleset's chase termination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminationClass {
     /// The certification graph is acyclic (self-edges included): new fixes
     /// can only propagate down a finite dependency chain, so the round
@@ -65,7 +64,7 @@ impl TerminationClass {
 }
 
 /// A certified upper bound on chase rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundBound {
     /// Instance-independent: at most this many rounds, full stop.
     Rounds(u64),
@@ -75,6 +74,11 @@ pub enum RoundBound {
     /// plus structural `slack` rounds for cross-stratum propagation.
     LatticeHeight { slack: u64, ordered_attrs: bool },
 }
+
+rock_data::json_codec!(tagged RoundBound {
+    Rounds(n),
+    LatticeHeight { slack, ordered_attrs },
+});
 
 impl RoundBound {
     /// Concretize against an instance of `tuples` tuples / `cells` cells.
@@ -101,7 +105,7 @@ impl RoundBound {
 
 /// An `E301` witness: a constant-flow cycle around which two rules keep
 /// pinning the same cell to different constants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Oscillation {
     /// Rule indices forming the cycle (sorted; every member is reachable
     /// from every other through constant-flow edges).
@@ -113,9 +117,11 @@ pub struct Oscillation {
     pub writers: (usize, usize),
 }
 
+rock_data::json_codec!(struct Oscillation { cycle, rel, attr, writers });
+
 /// The certifier's full output: scheduling strata plus the termination
 /// certificate the chase enforces at runtime.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaseSchedule {
     /// The scheduling graph the chase filters its activation through.
     pub graph: graph::RuleGraph,

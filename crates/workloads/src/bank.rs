@@ -18,10 +18,9 @@
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
 use crate::workload::{GenConfig, MlHint, Task, Workload};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use rock_data::{AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Value};
+use rock_data::{
+    rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Value,
+};
 use rock_kg::Graph;
 use rock_ml::correlation::{CorrelationModel, ValuePredictor};
 use rock_ml::pair::NgramPairModel;
@@ -277,7 +276,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
     // which a single non-iterating pass cannot complete.
     inj.corrupt_cells(&mut dirty, cu, &dups, AttrId(cust::CID));
     {
-        use rustc_hash::FxHashSet;
+        use rock_data::FxHashSet;
         let dup_set: FxHashSet<_> = dups.iter().copied().collect();
         let dup_sources: FxHashSet<rock_data::Eid> = inj
             .truth

@@ -10,9 +10,7 @@
 //! Only `rock-rees` types are used here (the analyzer depends on this
 //! crate, not the other way around).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rock_data::{AttrId, AttrType, DatabaseSchema, Value};
+use rock_data::{rng::StdRng, AttrId, AttrType, DatabaseSchema, Value};
 use rock_rees::{CmpOp, DiagCode, Predicate, Rule, RuleSet};
 
 /// The classes of ruleset defects the generator can seed.

@@ -8,11 +8,10 @@
 //! full oracle).
 
 use crate::namegen::typo;
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use rock_data::{AttrId, CellRef, Database, GlobalTid, RelId, Timestamp, TupleId, Value};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rock_data::{
+    rng::StdRng, AttrId, CellRef, Database, FxHashMap, FxHashSet, GlobalTid, RelId, Timestamp,
+    TupleId, Value,
+};
 
 /// The record of injected errors: cell → correct (clean) value.
 #[derive(Debug, Clone, Default)]
@@ -78,7 +77,7 @@ impl Injector {
     pub fn corrupt_attr(&mut self, db: &mut Database, rel: RelId, attr: AttrId, rate: f64) {
         let tids: Vec<TupleId> = db.relation(rel).tids().collect();
         for tid in tids {
-            if self.rng.gen::<f64>() >= rate {
+            if self.rng.gen_f64() >= rate {
                 continue;
             }
             let cell = CellRef::new(rel, tid, attr);
@@ -118,7 +117,7 @@ impl Injector {
         }
         let tids: Vec<TupleId> = db.relation(rel).tids().collect();
         for tid in tids {
-            if self.rng.gen::<f64>() >= rate {
+            if self.rng.gen_f64() >= rate {
                 continue;
             }
             let cell = CellRef::new(rel, tid, attr);
@@ -142,7 +141,7 @@ impl Injector {
     pub fn null_attr(&mut self, db: &mut Database, rel: RelId, attr: AttrId, rate: f64) {
         let tids: Vec<TupleId> = db.relation(rel).tids().collect();
         for tid in tids {
-            if self.rng.gen::<f64>() >= rate {
+            if self.rng.gen_f64() >= rate {
                 continue;
             }
             let cell = CellRef::new(rel, tid, attr);
@@ -177,7 +176,7 @@ impl Injector {
         }
         let tids: Vec<TupleId> = db.relation(rel).tids().collect();
         for tid in tids {
-            if self.rng.gen::<f64>() >= rate {
+            if self.rng.gen_f64() >= rate {
                 continue;
             }
             let cell = CellRef::new(rel, tid, attr);
@@ -248,7 +247,7 @@ impl Injector {
         let originals: Vec<TupleId> = db.relation(rel).tids().collect();
         let mut dups = Vec::new();
         for tid in originals {
-            if self.rng.gen::<f64>() >= rate {
+            if self.rng.gen_f64() >= rate {
                 continue;
             }
             let Some(orig) = db.relation(rel).get(tid).cloned() else {

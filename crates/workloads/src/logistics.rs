@@ -14,11 +14,9 @@
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
 use crate::workload::{GenConfig, MlHint, Task, Workload};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
 use rock_data::{
-    AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Timestamp, Value,
+    rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Timestamp,
+    Value,
 };
 use rock_kg::Graph;
 use rock_ml::correlation::{CorrelationModel, ValuePredictor};

@@ -4,12 +4,10 @@
 //! all detected errors (resp. to all errors)").
 
 use crate::inject::ErrorTruth;
-use rock_data::{CellRef, Database, Value};
-use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
+use rock_data::{CellRef, Database, FxHashSet, Value};
 
 /// Precision/recall/F1 triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Metrics {
     pub tp: usize,
     pub fp: usize,

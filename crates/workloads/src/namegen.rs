@@ -4,8 +4,7 @@
 //! Everything is driven by a caller-supplied `StdRng`, so workloads are
 //! bit-for-bit reproducible for a given seed.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use rock_data::rng::StdRng;
 
 pub const FIRST_NAMES: &[&str] = &[
     "Christine",
@@ -168,7 +167,6 @@ pub fn reformat(rng: &mut StdRng, s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn deterministic_per_seed() {
@@ -202,7 +200,7 @@ mod tests {
 
     #[test]
     fn city_area_codes_unique() {
-        use rustc_hash::FxHashSet;
+        use rock_data::FxHashSet;
         let codes: FxHashSet<&str> = CITIES.iter().map(|(_, c)| *c).collect();
         assert_eq!(codes.len(), CITIES.len());
     }

@@ -1,11 +1,10 @@
 //! The common workload bundle the evaluation harness consumes.
 
 use crate::inject::ErrorTruth;
-use rock_data::{AttrId, CellRef, Database, GlobalTid, RelId};
+use rock_data::{AttrId, CellRef, Database, FxHashSet, GlobalTid, RelId};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
 use rock_rees::RuleSet;
-use rustc_hash::FxHashSet;
 use std::sync::Arc;
 
 /// A named cleaning task within an application (e.g. Bank's `CNC` —

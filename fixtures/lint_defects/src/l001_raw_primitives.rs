@@ -18,8 +18,3 @@ struct Holder {
 fn inline_paths() {
     let _m = std::sync::Mutex::new(0u8); //~ L001
 }
-
-#[cfg(any())] // never compiled (crossbeam is not a fixture dependency) — but still linted
-fn inline_backoff() {
-    let _b = crossbeam::utils::Backoff::new(); //~ L001
-}

@@ -7,7 +7,9 @@
 //! invariants themselves — dictionary re-encoding, null bitmap
 //! round-trips, and tombstone / `TupleId` stability.
 
-use proptest::prelude::*;
+mod common;
+
+use common::check;
 use rock::data::{
     AttrId, AttrType, ColumnData, Database, DatabaseSchema, PredOp, RelId, RelationSchema, TupleId,
     Value,
@@ -75,15 +77,19 @@ fn build_db(rows: &[(u8, u8, u8, Option<u8>)]) -> Database {
     db
 }
 
-// No explicit case count: this block stays default-configured so CI's
-// global `PROPTEST_CASES=64` governs it (see .github/workflows/ci.yml).
-proptest! {
-    /// Detection equivalence: the columnar detector must flag exactly the
-    /// scalar detector's cells.
-    #[test]
-    fn columnar_detection_flags_identical_cells(
-        rows in prop::collection::vec((0u8..4, 0u8..3, 0u8..4, prop::option::of(0u8..2)), 2..12),
-    ) {
+/// Detection equivalence: the columnar detector must flag exactly the
+/// scalar detector's cells.
+#[test]
+fn columnar_detection_flags_identical_cells() {
+    check(64, |g| {
+        let rows = g.vec(2..12, |g| {
+            (
+                g.range(0u8..4),
+                g.range(0u8..3),
+                g.range(0u8..4),
+                g.option(|g| g.range(0u8..2)),
+            )
+        });
         let schema = schema();
         let rs = rules(&schema);
         let db = build_db(&rows);
@@ -97,7 +103,7 @@ proptest! {
             (cells, report.violations.len())
         };
         assert_eq!(flagged(false), flagged(true), "detections diverged");
-    }
+    });
 }
 
 /// Dictionary re-encoding: write-through grows the dictionary append-only;

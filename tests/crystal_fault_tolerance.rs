@@ -4,13 +4,17 @@
 //! scheduler (retry, quarantine, speculation, node crash), lease-based
 //! membership, and the end-to-end cleaning pipeline under chaos.
 
-use proptest::prelude::*;
+mod common;
+
+use common::check;
 use rock::core::{RockConfig, RockSystem};
 use rock::crystal::work::{Partition, WorkUnit};
 use rock::crystal::{Cluster, ClusterConfig, FaultPlan, KvStore, UnitError};
 use rock::workloads::workload::GenConfig;
 use std::sync::Arc;
 use std::time::Duration;
+
+const CASES: u64 = 16;
 
 fn units(n: u32) -> Vec<WorkUnit> {
     (0..n)
@@ -36,82 +40,71 @@ fn chaos_seed() -> u64 {
         .unwrap_or(4242)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// For any seed and any recoverable fault mix, the non-quarantined
-    /// results equal the fault-free run's results (here: everything, since
-    /// first-attempt-only faults always recover within one retry).
-    #[test]
-    fn faulted_results_equal_fault_free(
-        seed in any::<u64>(),
-        panic_prob in 0.0f64..0.3,
-        transient_prob in 0.0f64..0.3,
-        workers in 1usize..5,
-        n_units in 20u32..80,
-    ) {
+/// For any seed and any recoverable fault mix, the non-quarantined
+/// results equal the fault-free run's results (here: everything, since
+/// first-attempt-only faults always recover within one retry).
+#[test]
+fn faulted_results_equal_fault_free() {
+    check(CASES, |g| {
+        let (seed, panic_prob, transient_prob) =
+            (g.u64(), g.range(0.0f64..0.3), g.range(0.0f64..0.3));
+        let (workers, n_units) = (g.range(1usize..5), g.range(20u32..80));
         let us = units(n_units);
         let clean = Cluster::new(workers).execute(us.clone(), |u| Ok(u.placement_hash()));
         let plan = FaultPlan::seeded(seed)
             .with_panics(panic_prob)
             .with_transients(transient_prob);
-        let chaotic = Cluster::with_config(
-            workers,
-            ClusterConfig::default().with_fault_plan(plan),
-        )
-        .execute(us, |u| Ok(u.placement_hash()));
-        prop_assert!(chaotic.is_complete(), "failures: {:?}", chaotic.failures);
-        prop_assert_eq!(clean.results, chaotic.results);
-        prop_assert_eq!(chaotic.stats.faults.quarantined, 0);
-    }
+        let chaotic = Cluster::with_config(workers, ClusterConfig::default().with_fault_plan(plan))
+            .execute(us, |u| Ok(u.placement_hash()));
+        assert!(chaotic.is_complete(), "failures: {:?}", chaotic.failures);
+        assert_eq!(clean.results, chaotic.results);
+        assert_eq!(chaotic.stats.faults.quarantined, 0);
+    });
+}
 
-    /// A poison unit is quarantined after exactly `max_retries + 1`
-    /// attempts, for any retry budget; every other unit commits.
-    #[test]
-    fn quarantine_after_exact_retry_budget(
-        seed in any::<u64>(),
-        max_retries in 0u32..5,
-        poisoned in 0u32..20,
-    ) {
+/// A poison unit is quarantined after exactly `max_retries + 1`
+/// attempts, for any retry budget; every other unit commits.
+#[test]
+fn quarantine_after_exact_retry_budget() {
+    check(CASES, |g| {
+        let (seed, max_retries, poisoned) = (g.u64(), g.range(0u32..5), g.range(0u32..20));
         let cfg = ClusterConfig::default()
             .with_fault_plan(FaultPlan::seeded(seed).with_poison(vec![poisoned]))
             .with_max_retries(max_retries);
         let out = Cluster::with_config(2, cfg).execute(units(20), |u| Ok(u.rule));
-        prop_assert_eq!(out.failures.len(), 1);
+        assert_eq!(out.failures.len(), 1);
         let fl = &out.failures[0];
-        prop_assert_eq!(fl.unit, poisoned as usize);
-        prop_assert_eq!(fl.attempts, max_retries + 1);
-        prop_assert!(matches!(fl.error, UnitError::Panic(_)));
-        prop_assert!(out.results[poisoned as usize].is_none());
-        prop_assert_eq!(
-            out.results.iter().filter(|r| r.is_some()).count(),
-            19
-        );
-        prop_assert_eq!(out.stats.faults.quarantined, 1);
-    }
+        assert_eq!(fl.unit, poisoned as usize);
+        assert_eq!(fl.attempts, max_retries + 1);
+        assert!(matches!(fl.error, UnitError::Panic(_)));
+        assert!(out.results[poisoned as usize].is_none());
+        assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), 19);
+        assert_eq!(out.stats.faults.quarantined, 1);
+    });
+}
 
-    /// Transient typed errors from the unit body itself (not injected) are
-    /// retried like faults and recover when they stop.
-    #[test]
-    fn own_transient_errors_retried(seed in any::<u64>(), workers in 1usize..4) {
+/// Transient typed errors from the unit body itself (not injected) are
+/// retried like faults and recover when they stop.
+#[test]
+fn own_transient_errors_retried() {
+    check(CASES, |g| {
+        let (seed, workers) = (g.u64(), g.range(1usize..4));
         use std::sync::atomic::{AtomicU32, Ordering};
         let first_tries: Vec<AtomicU32> = (0..30).map(|_| AtomicU32::new(0)).collect();
         let salt = seed; // fail a seed-dependent subset on the first attempt
-        let out = Cluster::with_config(
-            workers,
-            ClusterConfig::default().with_max_retries(2),
-        )
-        .execute(units(30), |u| {
-            let i = u.partitions[0].start as usize / 10;
-            let flaky = (salt.wrapping_mul(i as u64 + 1)).wrapping_mul(0x9E3779B97F4A7C15) >> 63 == 1;
-            if flaky && first_tries[i].fetch_add(1, Ordering::Relaxed) == 0 {
-                return Err(UnitError::Transient("cold cache".into()));
-            }
-            Ok(u.placement_hash())
-        });
-        prop_assert!(out.is_complete(), "failures: {:?}", out.failures);
-        prop_assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), 30);
-    }
+        let out = Cluster::with_config(workers, ClusterConfig::default().with_max_retries(2))
+            .execute(units(30), |u| {
+                let i = u.partitions[0].start as usize / 10;
+                let flaky =
+                    (salt.wrapping_mul(i as u64 + 1)).wrapping_mul(0x9E3779B97F4A7C15) >> 63 == 1;
+                if flaky && first_tries[i].fetch_add(1, Ordering::Relaxed) == 0 {
+                    return Err(UnitError::Transient("cold cache".into()));
+                }
+                Ok(u.placement_hash())
+            });
+        assert!(out.is_complete(), "failures: {:?}", out.failures);
+        assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), 30);
+    });
 }
 
 #[test]
@@ -231,8 +224,8 @@ fn e2e_repairs_byte_identical_under_chaos() {
         chaotic.unit_failures
     );
     assert_eq!(
-        serde_json::to_string(&clean.repaired).unwrap(),
-        serde_json::to_string(&chaotic.repaired).unwrap(),
+        clean.repaired,
+        chaotic.repaired,
         "repairs diverged under fault injection (seed {})",
         chaos_seed()
     );

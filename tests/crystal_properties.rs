@@ -2,84 +2,95 @@
 //! bounds, partial-order antisymmetry under random insertions, and
 //! scheduler completeness.
 
-use proptest::prelude::*;
+mod common;
+
+use common::check;
 use rock::chase::PartialOrderStore;
 use rock::crystal::ring::{ConsistentHashRing, NodeId};
 use rock::crystal::work::{partition_range, Partition, WorkUnit};
 use rock::crystal::Cluster;
 use rock::data::TupleId;
-use rustc_hash::FxHashMap;
+use rock_data::FxHashMap;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+const CASES: u64 = 24;
 
-    /// Removing a node only remaps that node's keys (the consistent-hash
-    /// guarantee of §5.1).
-    #[test]
-    fn ring_remaps_only_removed_nodes_keys(
-        nodes in 2usize..12,
-        removed in 0usize..12,
-        keys in prop::collection::vec("[a-z0-9]{3,12}", 10..80),
-    ) {
+/// Removing a node only remaps that node's keys (the consistent-hash
+/// guarantee of §5.1).
+#[test]
+fn ring_remaps_only_removed_nodes_keys() {
+    check(CASES, |g| {
+        let (nodes, removed) = (g.range(2usize..12), g.range(0usize..12));
+        let keys = g.vec(10..80, |g| {
+            g.string("abcdefghijklmnopqrstuvwxyz0123456789", 3..13)
+        });
         let removed = removed % nodes;
         let mut ring = ConsistentHashRing::new(32);
         for i in 0..nodes {
             ring.add_node(NodeId(i as u32), &format!("10.1.0.{i}"));
         }
-        let before: FxHashMap<&String, NodeId> =
-            keys.iter().map(|k| (k, ring.owner(k.as_bytes()).unwrap())).collect();
+        let before: FxHashMap<&String, NodeId> = keys
+            .iter()
+            .map(|k| (k, ring.owner(k.as_bytes()).unwrap()))
+            .collect();
         ring.remove_node(NodeId(removed as u32));
         for k in &keys {
             let after = ring.owner(k.as_bytes()).unwrap();
             if before[k] != NodeId(removed as u32) {
-                prop_assert_eq!(before[k], after, "key {} moved needlessly", k);
+                assert_eq!(before[k], after, "key {} moved needlessly", k);
             } else {
-                prop_assert_ne!(after, NodeId(removed as u32));
+                assert_ne!(after, NodeId(removed as u32));
             }
         }
-    }
+    });
+}
 
-    /// Partition ranges always cover [0, rows) exactly, contiguously, with
-    /// near-equal sizes.
-    #[test]
-    fn partitions_cover_exactly(rows in 0u32..5000, units in 1u32..64) {
+/// Partition ranges always cover [0, rows) exactly, contiguously, with
+/// near-equal sizes.
+#[test]
+fn partitions_cover_exactly() {
+    check(CASES, |g| {
+        let (rows, units) = (g.range(0u32..5000), g.range(1u32..64));
         let parts = partition_range(0, rows, units);
         let total: u32 = parts.iter().map(|p| p.len()).sum();
-        prop_assert_eq!(total, rows);
+        assert_eq!(total, rows);
         for w in parts.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start);
+            assert_eq!(w[0].end, w[1].start);
         }
         if let (Some(min), Some(max)) = (
             parts.iter().map(|p| p.len()).min(),
             parts.iter().map(|p| p.len()).max(),
         ) {
-            prop_assert!(max - min <= 1);
+            assert!(max - min <= 1);
         }
-    }
+    });
+}
 
-    /// The scheduler executes every unit exactly once, in result order,
-    /// for any worker count.
-    #[test]
-    fn scheduler_executes_all(units in 1usize..60, workers in 1usize..8) {
+/// The scheduler executes every unit exactly once, in result order,
+/// for any worker count.
+#[test]
+fn scheduler_executes_all() {
+    check(CASES, |g| {
+        let (units, workers) = (g.range(1usize..60), g.range(1usize..8));
         let us: Vec<WorkUnit> = (0..units)
             .map(|i| WorkUnit::new(i as u32, vec![Partition::new(0, i as u32, i as u32 + 1)]))
             .collect();
         let cluster = Cluster::new(workers);
         let outcome = cluster.execute(us, |u| Ok(u.rule));
-        prop_assert!(outcome.is_complete());
-        prop_assert_eq!(outcome.results.len(), units);
+        assert!(outcome.is_complete());
+        assert_eq!(outcome.results.len(), units);
         for (i, r) in outcome.results.iter().enumerate() {
-            prop_assert_eq!(r.unwrap() as usize, i);
+            assert_eq!(r.unwrap() as usize, i);
         }
-        prop_assert_eq!(outcome.stats.executed.iter().sum::<u64>() as usize, units);
-    }
+        assert_eq!(outcome.stats.executed.iter().sum::<u64>() as usize, units);
+    });
+}
 
-    /// Partial order: inserting random pairs never yields a state where
-    /// both `a ≺ b` and `b ⪯ a` hold.
-    #[test]
-    fn partial_order_antisymmetry(
-        pairs in prop::collection::vec((0u32..6, 0u32..6, any::<bool>()), 1..40),
-    ) {
+/// Partial order: inserting random pairs never yields a state where
+/// both `a ≺ b` and `b ⪯ a` hold.
+#[test]
+fn partial_order_antisymmetry() {
+    check(CASES, |g| {
+        let pairs = g.vec(1..40, |g| (g.range(0u32..6), g.range(0u32..6), g.bool()));
         let mut store = PartialOrderStore::new();
         for (a, b, strict) in &pairs {
             let _ = store.insert(TupleId(*a), TupleId(*b), *strict);
@@ -91,20 +102,21 @@ proptest! {
                 }
                 let a_strictly_before_b = store.holds(TupleId(a), TupleId(b), true);
                 let b_before_a = store.holds(TupleId(b), TupleId(a), false);
-                prop_assert!(
+                assert!(
                     !(a_strictly_before_b && b_before_a),
                     "antisymmetry violated for ({a}, {b})"
                 );
             }
         }
-    }
+    });
+}
 
-    /// Transitivity: whatever was accepted is transitively closed under
-    /// `holds`.
-    #[test]
-    fn partial_order_transitive(
-        pairs in prop::collection::vec((0u32..5, 0u32..5), 1..20),
-    ) {
+/// Transitivity: whatever was accepted is transitively closed under
+/// `holds`.
+#[test]
+fn partial_order_transitive() {
+    check(CASES, |g| {
+        let pairs = g.vec(1..20, |g| (g.range(0u32..5), g.range(0u32..5)));
         let mut store = PartialOrderStore::new();
         for (a, b) in &pairs {
             let _ = store.insert(TupleId(*a), TupleId(*b), false);
@@ -115,10 +127,10 @@ proptest! {
                     if store.holds(TupleId(a), TupleId(b), false)
                         && store.holds(TupleId(b), TupleId(c), false)
                     {
-                        prop_assert!(store.holds(TupleId(a), TupleId(c), false));
+                        assert!(store.holds(TupleId(a), TupleId(c), false));
                     }
                 }
             }
         }
-    }
+    });
 }

@@ -3,7 +3,9 @@
 //! mining never returns rules failing full-data verification, and the
 //! Hoeffding helpers are mutually consistent.
 
-use proptest::prelude::*;
+mod common;
+
+use common::check;
 use rock::data::{AttrType, Database, DatabaseSchema, RelId, RelationSchema, Value};
 use rock::discovery::levelwise::{Discoverer, DiscoveryConfig};
 use rock::discovery::sampling::{
@@ -13,6 +15,8 @@ use rock::discovery::space::{PredicateSpace, SpaceConfig};
 use rock::ml::ModelRegistry;
 use rock::rees::measures::measure;
 use rock::rees::EvalContext;
+
+const CASES: u64 = 16;
 
 fn db_from(rows: &[(u8, u8)]) -> Database {
     let schema = DatabaseSchema::new(vec![RelationSchema::of(
@@ -31,14 +35,11 @@ fn db_from(rows: &[(u8, u8)]) -> Database {
     db
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Accepted rules re-measure at or above the thresholds.
-    #[test]
-    fn accepted_rules_clear_thresholds(
-        rows in prop::collection::vec((0u8..3, 0u8..3), 4..24),
-    ) {
+/// Accepted rules re-measure at or above the thresholds.
+#[test]
+fn accepted_rules_clear_thresholds() {
+    check(CASES, |g| {
+        let rows = g.vec(4..24, |g| (g.range(0u8..3), g.range(0u8..3)));
         let db = db_from(&rows);
         let reg = ModelRegistry::new();
         let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
@@ -52,18 +53,23 @@ proptest! {
         let ctx = EvalContext::new(&db, &reg);
         for rule in report.rules.iter() {
             let m = measure(rule, &ctx);
-            prop_assert!(m.support() >= cfg.min_support - 1e-12, "{}", rule.name);
-            prop_assert!(m.confidence() >= cfg.min_confidence - 1e-12, "{}", rule.name);
+            assert!(m.support() >= cfg.min_support - 1e-12, "{}", rule.name);
+            assert!(
+                m.confidence() >= cfg.min_confidence - 1e-12,
+                "{}",
+                rule.name
+            );
         }
-    }
+    });
+}
 
-    /// Sampled mining: every returned rule passes full-data verification
-    /// (the multi-round guarantee of [36]).
-    #[test]
-    fn sampled_rules_verified_on_full_data(
-        rows in prop::collection::vec((0u8..3, 0u8..3), 12..40),
-        seed in 0u64..50,
-    ) {
+/// Sampled mining: every returned rule passes full-data verification
+/// (the multi-round guarantee of [36]).
+#[test]
+fn sampled_rules_verified_on_full_data() {
+    check(CASES, |g| {
+        let rows = g.vec(12..40, |g| (g.range(0u8..3), g.range(0u8..3)));
+        let seed = g.below(50);
         let db = db_from(&rows);
         let reg = ModelRegistry::new();
         let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
@@ -78,32 +84,35 @@ proptest! {
         let ctx = EvalContext::new(&db, &reg);
         for rule in report.rules.iter() {
             let m = measure(rule, &ctx);
-            prop_assert!(m.support() >= cfg.min_support - 1e-12);
-            prop_assert!(m.confidence() >= cfg.min_confidence - 1e-12);
+            assert!(m.support() >= cfg.min_support - 1e-12);
+            assert!(m.confidence() >= cfg.min_confidence - 1e-12);
         }
-    }
+    });
+}
 
-    /// Hoeffding helpers invert each other.
-    #[test]
-    fn hoeffding_inversion(eps in 0.01f64..0.3, delta in 0.001f64..0.2) {
+/// Hoeffding helpers invert each other.
+#[test]
+fn hoeffding_inversion() {
+    check(CASES, |g| {
+        let (eps, delta) = (g.range(0.01f64..0.3), g.range(0.001f64..0.2));
         let n = required_sample(eps, delta);
-        prop_assert!(deviation_bound(n, delta) <= eps + 1e-9);
+        assert!(deviation_bound(n, delta) <= eps + 1e-9);
         if n > 1 {
-            prop_assert!(deviation_bound(n - 1, delta) > eps - 1e-9);
+            assert!(deviation_bound(n - 1, delta) > eps - 1e-9);
         }
-    }
+    });
+}
 
-    /// Sampling preserves schema and respects the requested ratio.
-    #[test]
-    fn sample_size_is_exact(
-        rows in prop::collection::vec((0u8..3, 0u8..3), 1..60),
-        ratio_pct in 0u32..=100,
-        seed in 0u64..20,
-    ) {
+/// Sampling preserves schema and respects the requested ratio.
+#[test]
+fn sample_size_is_exact() {
+    check(CASES, |g| {
+        let rows = g.vec(1..60, |g| (g.range(0u8..3), g.range(0u8..3)));
+        let (ratio_pct, seed) = (g.range(0u32..=100), g.below(20));
         let db = db_from(&rows);
         let ratio = f64::from(ratio_pct) / 100.0;
         let sampled = sample_database(&db, ratio, seed);
         let expect = ((rows.len() as f64) * ratio).round() as usize;
-        prop_assert_eq!(sampled.relation(RelId(0)).len(), expect);
-    }
+        assert_eq!(sampled.relation(RelId(0)).len(), expect);
+    });
 }

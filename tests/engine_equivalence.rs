@@ -11,10 +11,12 @@
 //!   exactly what `Discoverer::mine_relation_scan` (tuple re-scan) mines,
 //!   whatever the cache budget.
 //!
-//! Std-only on purpose (no proptest, no serde): inputs come from a seeded
-//! splitmix64 generator and databases are compared structurally, so the
-//! suite runs wherever the engine compiles — `scripts/offline_test.sh`
-//! runs it without a registry. A failing case prints its seed.
+//! Inputs come from the shared seeded generator (`tests/common`) and
+//! databases are compared structurally. A failing case prints its seed.
+
+mod common;
+
+use common::Gen as Rng;
 
 use rock::chase::reference::{self, ReferenceResult};
 use rock::chase::{ChaseConfig, ChaseEngine, ChaseResult, GateMode};
@@ -32,22 +34,6 @@ use rock::workloads::workload::{GenConfig, Workload};
 
 /// Cases per randomized property.
 const CASES: u64 = 96;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::new(vec![RelationSchema::of(
@@ -195,7 +181,7 @@ fn batch_production_equals_reference() {
     let reg = ModelRegistry::new();
     let trusted = [GlobalTid::new(RelId(0), TupleId(0))];
     for seed in 0..CASES {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let rows = 2 + rng.below(10);
         let db = random_db(&mut rng, rows);
         for gate in [GateMode::Resolved, GateMode::Strict] {
@@ -228,7 +214,7 @@ fn incremental_production_equals_reference() {
     let rules = cascade_rules();
     let reg = ModelRegistry::new();
     for seed in 0..CASES {
-        let mut rng = Rng(seed ^ 0xdead_beef);
+        let mut rng = Rng::new(seed ^ 0xdead_beef);
         let rows = 3 + rng.below(8);
         let db = random_db(&mut rng, rows);
         let delta = random_delta(&mut rng, rows);
@@ -341,7 +327,7 @@ fn quarantined_incremental_rounds_lose_nothing() {
     rock::crystal::fault::silence_injected_panics();
     let mut recovered = 0;
     for seed in 0..16u64 {
-        let mut rng = Rng(seed ^ 0x5eed);
+        let mut rng = Rng::new(seed ^ 0x5eed);
         let mut db = Database::new(&schema);
         for rel in [RelId(0), RelId(1)] {
             for _ in 0..8 {
@@ -486,7 +472,7 @@ fn workloads_incremental_production_equals_reference() {
     for (name, w) in workloads(120) {
         let index = precompute_ml_indexed(&w.dirty, &w.rules, &w.registry).1;
         for seed in 0..4u64 {
-            let mut rng = Rng(seed ^ 0xfeed);
+            let mut rng = Rng::new(seed ^ 0xfeed);
             let mut updates = Vec::new();
             for (rid, rel) in w.dirty.iter() {
                 let tids: Vec<TupleId> = rel.tids().collect();
@@ -526,8 +512,12 @@ fn workloads_incremental_production_equals_reference() {
 // ---------------------------------------------------------------------------
 
 fn logistics() -> Workload {
+    logistics_rows(120)
+}
+
+fn logistics_rows(rows: usize) -> Workload {
     rock::workloads::logistics::generate(&GenConfig {
-        rows: 120,
+        rows,
         error_rate: 0.08,
         seed: 7,
         trusted_per_rel: 10,
@@ -601,10 +591,13 @@ fn cached_miner_matches_scan() {
 }
 
 /// The budget trades only time, never results: nothing fits a zero budget,
-/// and a few KiB hold some unary bitsets but no pair-domain ones.
+/// and a few KiB hold only some of the bitsets. A zero budget rebuilds
+/// every bitset on every use, so this runs on a smaller instance (the
+/// pair domain is quadratic in the rows) to stay inside a debug-build
+/// `cargo test`.
 #[test]
 fn cache_budget_never_changes_mined_rules() {
-    let w = logistics();
+    let w = logistics_rows(48);
     let (zero, _) = mine_both(
         &w,
         DiscoveryConfig {

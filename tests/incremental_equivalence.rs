@@ -1,7 +1,9 @@
 //! Incremental ≡ batch (paper §3, [41]): incremental detection after ΔD
 //! must find exactly the batch violations that touch updated tuples.
 
-use proptest::prelude::*;
+mod common;
+
+use common::check;
 use rock::data::{
     AttrId, AttrType, Database, DatabaseSchema, Delta, Eid, RelId, RelationSchema, TupleId, Update,
     Value,
@@ -9,7 +11,7 @@ use rock::data::{
 use rock::detect::Detector;
 use rock::ml::ModelRegistry;
 use rock::rees::{parse_rules, RuleSet};
-use rustc_hash::FxHashSet;
+use rock_data::FxHashSet;
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::new(vec![RelationSchema::of(
@@ -52,6 +54,8 @@ fn build_db(rows: &[(u8, u8, Option<u8>)]) -> Database {
     db
 }
 
+const CASES: u64 = 32;
+
 fn build_delta(db: &Database, ops: &[(u8, u8, u8)]) -> Delta {
     // op kinds: 0 = insert, 1 = set v, 2 = null w
     let n = db.relation(RelId(0)).capacity() as u32;
@@ -84,14 +88,19 @@ fn build_delta(db: &Database, ops: &[(u8, u8, u8)]) -> Delta {
     delta
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn incremental_detection_equals_batch_on_touched(
-        rows in prop::collection::vec((0u8..3, 0u8..3, prop::option::of(0u8..2)), 2..10),
-        ops in prop::collection::vec((0u8..3, 0u8..8, 0u8..4), 1..5),
-    ) {
+#[test]
+fn incremental_detection_equals_batch_on_touched() {
+    check(CASES, |g| {
+        let rows = g.vec(2..10, |g| {
+            (
+                g.range(0u8..3),
+                g.range(0u8..3),
+                g.option(|g| g.range(0u8..2)),
+            )
+        });
+        let ops = g.vec(1..5, |g| {
+            (g.range(0u8..3), g.range(0u8..8), g.range(0u8..4))
+        });
         let schema = schema();
         let rules = rules(&schema);
         let reg = ModelRegistry::new();
@@ -118,27 +127,34 @@ proptest! {
             .filter(|v| v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)))
             .count();
 
-        prop_assert_eq!(incremental.count(), batch_touched);
+        assert_eq!(incremental.count(), batch_touched);
 
         // every incremental violation touches an updated tuple
         for v in &incremental.violations {
-            prop_assert!(v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)));
+            assert!(v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)));
         }
-    }
+    });
+}
 
-    /// Applying an empty delta detects nothing incrementally.
-    #[test]
-    fn empty_delta_detects_nothing(
-        rows in prop::collection::vec((0u8..3, 0u8..3, prop::option::of(0u8..2)), 2..8),
-    ) {
+/// Applying an empty delta detects nothing incrementally.
+#[test]
+fn empty_delta_detects_nothing() {
+    check(CASES, |g| {
+        let rows = g.vec(2..8, |g| {
+            (
+                g.range(0u8..3),
+                g.range(0u8..3),
+                g.option(|g| g.range(0u8..2)),
+            )
+        });
         let schema = schema();
         let rules = rules(&schema);
         let reg = ModelRegistry::new();
         let db = build_db(&rows);
         let detector = Detector::new(&rules, &reg);
         let rep = detector.detect_incremental(&db, &Delta::default(), &[]);
-        prop_assert_eq!(rep.count(), 0);
-    }
+        assert_eq!(rep.count(), 0);
+    });
 }
 
 /// Deterministic regression: an insert conflicting with existing rows is
