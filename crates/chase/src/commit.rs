@@ -132,6 +132,25 @@ impl EntityIdx {
     }
 }
 
+/// Keep a [`EntityIdx::grouped`] map equal to a regrouping after one
+/// merge united the classes rooted at `old_roots` under `root`: their two
+/// member lists become one sorted list, and no other class moves.
+fn regroup(
+    groups: &mut FxHashMap<EntityKey, Vec<GlobalTid>>,
+    old_roots: [EntityKey; 2],
+    root: EntityKey,
+) {
+    let mut members: Vec<GlobalTid> = old_roots
+        .iter()
+        .filter_map(|k| groups.remove(k))
+        .flatten()
+        .collect();
+    if !members.is_empty() {
+        members.sort();
+        groups.insert(root, members);
+    }
+}
+
 /// The commit phase, bound to one run's policy and entity index.
 pub(crate) struct Committer<'a> {
     registry: &'a ModelRegistry,
@@ -220,7 +239,7 @@ impl<'a> Committer<'a> {
 struct Round<'r, 'a> {
     c: &'r Committer<'a>,
     st: &'r mut Committed,
-    /// Class members by current root; refreshed after every merge.
+    /// Class members by current root; regrouped after every merge.
     groups: FxHashMap<EntityKey, Vec<GlobalTid>>,
     support: Option<&'r Support>,
     out: RoundCommit,
@@ -296,6 +315,7 @@ impl Round<'_, '_> {
             else {
                 continue;
             };
+            let old_roots = [self.st.fixes.find_ref(ka), self.st.fixes.find_ref(kb)];
             match self.st.fixes.merge(ka, kb) {
                 MergeOutcome::Merged { conflicts: vcs } => {
                     self.st.steps += 1;
@@ -303,13 +323,12 @@ impl Round<'_, '_> {
                     self.st.merged_pairs.push((*a, *b));
                     let merge_changes_start = self.st.changes.len();
                     self.record(FixKind::Merge { a: *a, b: *b }, *rule, p);
-                    // membership changed: refresh the grouped view
-                    self.groups = self.c.entity_idx.grouped(&self.st.fixes);
+                    let root = self.st.fixes.find(ka);
+                    regroup(&mut self.groups, old_roots, root);
                     // the merge changes the entity oracle (and the
                     // validated-value visibility) for every member of the
                     // united class, even when no cell is rewritten — all of
                     // them join the delta
-                    let root = self.st.fixes.find(ka);
                     for m in self.groups.get(&root).into_iter().flatten() {
                         self.out.delta.mark(m.rel, m.tid);
                     }
@@ -701,4 +720,48 @@ fn tuple_features(db: &Database, rel: RelId, tid: TupleId) -> Vec<Value> {
         .get(tid)
         .map(|t| t.values.clone())
         .unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rock_data::rng::StdRng;
+    use rock_data::{AttrType, DatabaseSchema, Eid, RelationSchema};
+
+    #[test]
+    fn regrouping_after_each_merge_equals_a_full_regroup() {
+        let schema = DatabaseSchema::new(vec![
+            RelationSchema::of("A", &[("x", AttrType::Int)]),
+            RelationSchema::of("B", &[("x", AttrType::Int)]),
+        ]);
+        let mut db = Database::new(&schema);
+        let mut rng = StdRng::seed_from_u64(7);
+        for rel in [RelId(0), RelId(1)] {
+            for i in 0..40 {
+                // eids shared by several tuples: classes start with members
+                let eid = Eid(rng.gen_range(0..12u32));
+                db.relation_mut(rel)
+                    .insert(eid, vec![Value::Int(i)])
+                    .unwrap();
+            }
+        }
+        let idx = EntityIdx::build(&db);
+        let mut fixes = FixStore::new();
+        let mut groups = idx.grouped(&fixes);
+        let key = |rng: &mut StdRng| {
+            EntityKey::new(RelId(rng.gen_range(0..2u16)), Eid(rng.gen_range(0..12u32)))
+        };
+        let mut merged = 0;
+        for _ in 0..30 {
+            let (ka, kb) = (key(&mut rng), key(&mut rng));
+            let old_roots = [fixes.find_ref(ka), fixes.find_ref(kb)];
+            if let MergeOutcome::Merged { .. } = fixes.merge(ka, kb) {
+                merged += 1;
+                let root = fixes.find(ka);
+                regroup(&mut groups, old_roots, root);
+            }
+            assert_eq!(groups, idx.grouped(&fixes), "after merging {ka:?} {kb:?}");
+        }
+        assert!(merged > 10, "the sequence merges classes: {merged}");
+    }
 }

@@ -37,16 +37,28 @@
 //! snapshot is exclusively held, so a chase round does not pay a rebuild
 //! per committed fix. String dictionaries are append-only within a
 //! snapshot; a rebuild re-encodes them down to the live value set.
+//!
+//! Each snapshot also carries the equality-join index of every attribute
+//! ([`ColumnSet::join_index`]), built on first probe and shared by every
+//! reader of the snapshot. It lives and dies with the snapshot: a
+//! structural mutation starts a new snapshot with no index built, and an
+//! in-place cell write drops only the written attribute's index.
 
 use crate::bitset::Bitset;
-use crate::ids::AttrId;
+use crate::ids::{AttrId, TupleId};
 use crate::relation::Relation;
 use crate::schema::AttrType;
 use crate::value::{cmp_int_float, Value};
 use crate::Dictionary;
 use rock_crystal::hash::FxHashMap;
-use rock_crystal::sync::{Arc, AtomicU64, LockRank, Ordering as AtomicOrdering, RankedRwLock};
+use rock_crystal::sync::{
+    Arc, AtomicU64, LockRank, OnceLock, Ordering as AtomicOrdering, RankedRwLock,
+};
 use std::cmp::Ordering;
+
+/// The hash side of an equality join over one attribute: each non-null
+/// value maps to the live tuples holding it, in ascending id order.
+pub type JoinIndex = FxHashMap<Value, Vec<TupleId>>;
 
 /// A comparison operator with the storage layer's SQL-null semantics:
 /// any comparison involving `Null` is false (even `≠`). This is the single
@@ -265,6 +277,8 @@ pub struct ColumnSet {
     slots: usize,
     live: Bitset,
     columns: Vec<Column>,
+    /// One lazily built [`JoinIndex`] per attribute; must match `columns`.
+    join_indexes: Vec<OnceLock<JoinIndex>>,
 }
 
 impl ColumnSet {
@@ -298,6 +312,7 @@ impl ColumnSet {
         ColumnSet {
             slots,
             live,
+            join_indexes: columns.iter().map(|_| OnceLock::new()).collect(),
             columns,
         }
     }
@@ -326,8 +341,28 @@ impl ColumnSet {
         self.columns[attr.index()].nulls.and(&self.live)
     }
 
+    /// The equality-join index of one attribute, built from the columns on
+    /// the first call and shared by every later caller of this snapshot.
+    /// Equal to what [`Relation::index_on`] builds from the rows.
+    pub fn join_index(&self, attr: AttrId) -> &JoinIndex {
+        self.join_indexes[attr.index()].get_or_init(|| {
+            let col = &self.columns[attr.index()];
+            let mut idx = JoinIndex::default();
+            for slot in self.live.ones() {
+                if !col.nulls.get(slot) {
+                    idx.entry(col.value_at(slot))
+                        .or_default()
+                        .push(TupleId(slot as u32));
+                }
+            }
+            idx
+        })
+    }
+
     fn set_cell(&mut self, slot: usize, attr: AttrId, v: &Value) {
         self.columns[attr.index()].set_value(slot, v);
+        // only the written attribute's index goes stale
+        self.join_indexes[attr.index()].take();
     }
 
     /// Vectorized `t.A ⊕ const`: one bit per slot, set iff the scalar
@@ -452,7 +487,8 @@ impl ColumnSet {
     }
 
     /// Heap footprint of the columnar image (bytes-touched accounting for
-    /// the bench panel).
+    /// the bench panel). Join indexes are not counted: they exist only
+    /// once probed.
     pub fn heap_bytes(&self) -> usize {
         self.live.heap_bytes() + self.columns.iter().map(Column::heap_bytes).sum::<usize>()
     }
@@ -481,7 +517,9 @@ pub fn row_heap_bytes(rel: &Relation) -> usize {
 /// * mutators bump `version`; readers rebuild when their snapshot's
 ///   version is stale;
 /// * `write_cell` patches the snapshot in place when it is current and
-///   exclusively held, keeping the chase's commit path rebuild-free.
+///   exclusively held, keeping the chase's commit path rebuild-free; the
+///   written attribute's join index is dropped under the same exclusive
+///   borrow, every other attribute keeps its index.
 #[derive(Debug)]
 pub struct ColumnCache {
     // Release bump / Acquire read: a reader that observes version v also
@@ -786,6 +824,92 @@ mod tests {
         c.set_cell(TupleId(0), AttrId(1), Value::Int(5));
         assert_eq!(r.columns().value_at(AttrId(1), 0), Value::Int(1));
         assert_eq!(c.columns().value_at(AttrId(1), 0), Value::Int(5));
+    }
+
+    /// Probe every attribute's cached join index and compare it with the
+    /// reference build from the rows.
+    fn assert_join_indexes_match_rows(r: &Relation) {
+        let cols = r.columns();
+        for (attr, _) in r.schema.iter_attrs() {
+            assert_eq!(*cols.join_index(attr), r.index_on(attr), "attr {attr:?}");
+        }
+    }
+
+    fn join_index_built(r: &Relation, attr: AttrId) -> bool {
+        r.columns().join_indexes[attr.index()].get().is_some()
+    }
+
+    #[test]
+    fn join_index_equals_row_index_across_snapshots() {
+        let mut r = rel();
+        // a second fallback cell with the same payload shares its key
+        r.insert_row(vec![Value::str("b"), Value::str("oops"), Value::Int(2)])
+            .unwrap();
+        assert!(r.delete(TupleId(1)));
+        assert_join_indexes_match_rows(&r);
+        assert_eq!(
+            r.columns().join_index(AttrId(1))[&Value::str("oops")],
+            vec![TupleId(3), TupleId(4)]
+        );
+        // insert and delete start a new snapshot with no index built
+        r.insert_row(vec![Value::str("a"), Value::Int(1), Value::Null])
+            .unwrap();
+        assert!(!join_index_built(&r, AttrId(0)));
+        assert_join_indexes_match_rows(&r);
+        assert!(r.delete(TupleId(0)));
+        assert!(!join_index_built(&r, AttrId(0)));
+        assert_join_indexes_match_rows(&r);
+    }
+
+    #[test]
+    fn in_place_write_drops_only_the_written_attributes_index() {
+        let mut r = rel();
+        assert_join_indexes_match_rows(&r);
+        // the written attribute's index is dropped; the rebuild matches
+        assert!(r.set_cell(TupleId(0), AttrId(0), Value::str("b")));
+        assert!(!join_index_built(&r, AttrId(0)));
+        assert!(join_index_built(&r, AttrId(1)), "patched in place");
+        assert_join_indexes_match_rows(&r);
+        // another attribute, nulling a cell and clearing a fallback cell:
+        // attribute 0 keeps the index it already has
+        assert!(r.set_cell(TupleId(0), AttrId(1), Value::Null));
+        assert!(r.set_cell(TupleId(3), AttrId(1), Value::Int(1)));
+        assert!(join_index_built(&r, AttrId(0)));
+        assert!(!join_index_built(&r, AttrId(1)));
+        assert_join_indexes_match_rows(&r);
+    }
+
+    #[test]
+    fn racing_first_probes_share_one_index() {
+        use rock_crystal::sync::AtomicUsize;
+        const THREADS: usize = 4;
+        let mut r = Relation::new(RelationSchema::of("T", &[("k", AttrType::Int)]));
+        for i in 0..64 {
+            r.insert_row(vec![Value::Int(i % 5)]).unwrap();
+        }
+        let cols = r.columns();
+        let ready = AtomicUsize::new(0);
+        let seen: Vec<(usize, JoinIndex)> = std::thread::scope(|s| {
+            let probes: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        // start gate: no thread probes before all are running
+                        ready.fetch_add(1, AtomicOrdering::AcqRel);
+                        while ready.load(AtomicOrdering::Acquire) < THREADS {
+                            std::thread::yield_now();
+                        }
+                        let idx = cols.join_index(AttrId(0));
+                        (idx as *const JoinIndex as usize, idx.clone())
+                    })
+                })
+                .collect();
+            probes.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        let expected = r.index_on(AttrId(0));
+        for (addr, idx) in &seen {
+            assert_eq!(*addr, seen[0].0, "every thread sees the one built map");
+            assert_eq!(*idx, expected);
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use rock_crystal::hash::{FxHashMap, FxHashSet};
 pub use rock_crystal::{json, json_codec, rng};
 
 pub use bitset::Bitset;
-pub use column::{row_heap_bytes, Column, ColumnData, ColumnSet, PredOp};
+pub use column::{row_heap_bytes, Column, ColumnData, ColumnSet, JoinIndex, PredOp};
 pub use database::Database;
 pub use dict::Dictionary;
 pub use error::DataError;

@@ -1,14 +1,13 @@
 //! Relations: a schema, a set of tuples, and (optionally) per-cell
 //! timestamps making the relation *temporal* (paper §2.2).
 
-use crate::column::{ColumnCache, ColumnSet};
+use crate::column::{ColumnCache, ColumnSet, JoinIndex};
 use crate::error::DataError;
 use crate::ids::{AttrId, Eid, TupleId};
 use crate::schema::RelationSchema;
 use crate::temporal::{CellTimestamps, Timestamp};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use rock_crystal::hash::FxHashMap;
 use rock_crystal::json::{FromJson, Json, JsonError, ToJson};
 use std::sync::Arc;
 
@@ -207,10 +206,16 @@ impl Relation {
             .map(|(i, _)| TupleId(i as u32))
     }
 
-    /// Build an equality index `value -> tuple ids` over one attribute.
-    /// Null cells are skipped (null never satisfies an equality predicate).
-    pub fn index_on(&self, attr: AttrId) -> FxHashMap<Value, Vec<TupleId>> {
-        let mut idx: FxHashMap<Value, Vec<TupleId>> = FxHashMap::default();
+    /// Build an equality index `value -> ascending tuple ids` over one
+    /// attribute from the rows. Null cells are skipped (null never
+    /// satisfies an equality predicate).
+    ///
+    /// This is the reference builder: production probes the snapshot's
+    /// cached [`ColumnSet::join_index`], and the scalar evaluation path
+    /// (`columnar == false`) builds this map per call instead, so the
+    /// equivalence suites compare the cache against an independent build.
+    pub fn index_on(&self, attr: AttrId) -> JoinIndex {
+        let mut idx = JoinIndex::default();
         for t in self.iter() {
             let v = t.get(attr);
             if !v.is_null() {
@@ -218,13 +223,6 @@ impl Relation {
             }
         }
         idx
-    }
-
-    /// Distinct non-null values of an attribute, sorted.
-    pub fn active_domain(&self, attr: AttrId) -> Vec<Value> {
-        let mut dom: Vec<Value> = self.index_on(attr).into_keys().collect();
-        dom.sort();
-        dom
     }
 }
 
@@ -285,18 +283,6 @@ mod tests {
         let by_sales = r.index_on(AttrId(1));
         assert_eq!(by_sales.len(), 1);
         assert_eq!(by_sales[&Value::Int(5)].len(), 2);
-    }
-
-    #[test]
-    fn active_domain_sorted_distinct() {
-        let mut r = rel();
-        r.insert_row(vec![Value::str("B"), Value::Int(2)]).unwrap();
-        r.insert_row(vec![Value::str("A"), Value::Int(1)]).unwrap();
-        r.insert_row(vec![Value::str("B"), Value::Null]).unwrap();
-        assert_eq!(
-            r.active_domain(AttrId(0)),
-            vec![Value::str("A"), Value::str("B")]
-        );
     }
 
     #[test]

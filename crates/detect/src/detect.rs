@@ -221,8 +221,9 @@ pub struct Detector<'a> {
     pub workers: usize,
     pub partitions_per_rule: u32,
     pub cluster: ClusterConfig,
-    /// Route scan prefilters through the columnar kernels. Always on in
-    /// production; see [`Detector::with_columnar`].
+    /// Route scan prefilters through the columnar kernels and equality
+    /// joins through the cached join indexes. Always on in production;
+    /// see [`Detector::with_columnar`].
     pub columnar: bool,
 }
 
@@ -256,8 +257,8 @@ impl<'a> Detector<'a> {
     }
 
     /// Reference hook, not a user option: `false` scans with scalar
-    /// per-tuple prefilters, the baseline the columnar ≡ scalar detection
-    /// tests compare against.
+    /// per-tuple prefilters and per-call join indexes built from the rows,
+    /// the baseline the columnar ≡ scalar detection tests compare against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self

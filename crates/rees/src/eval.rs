@@ -10,9 +10,13 @@
 
 use crate::predicate::Predicate;
 use crate::rule::Rule;
-use rock_data::{Database, FxHashMap, GlobalTid, TupleId, Value};
+use rock_data::{
+    AttrId, Bitset, ColumnSet, Database, FxHashMap, GlobalTid, JoinIndex, TupleId, Value,
+};
 use rock_kg::{Graph, VertexId};
 use rock_ml::ModelRegistry;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A (partial) valuation of a rule's variables.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -46,8 +50,9 @@ pub struct EvalContext<'a> {
     /// `[EID]=` classes). Raw eid comparison when absent.
     pub entities: Option<&'a dyn EntityOracle>,
     /// Route unary constant/two-attribute prefilters through the columnar
-    /// kernels ([`rock_data::ColumnSet::eval_const_op`]). Always on in
-    /// production; see [`EvalContext::with_columnar`].
+    /// kernels ([`rock_data::ColumnSet::eval_const_op`]) and equality joins
+    /// through the snapshot's cached [`rock_data::ColumnSet::join_index`].
+    /// Always on in production; see [`EvalContext::with_columnar`].
     pub columnar: bool,
 }
 
@@ -135,8 +140,10 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Reference hook, not a user option: `false` answers every prefilter
-    /// by scalar per-tuple evaluation — what the reference chase and the
-    /// columnar ≡ scalar tests compare the kernels against.
+    /// by scalar per-tuple evaluation and builds each join index per call
+    /// from the rows ([`rock_data::Relation::index_on`]) — what the
+    /// reference chase and the columnar ≡ scalar tests compare the kernels
+    /// and the cached indexes against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self
@@ -490,6 +497,16 @@ fn columnar_prefilter_mask(
     }
 }
 
+/// The equality predicates between two variables, with the hash side of
+/// each joined `(variable, attribute)` and each joined variable's
+/// candidates as a bitset. An index spans every live tuple of the
+/// relation; probes keep only the hits that are candidates.
+struct Joins<'s> {
+    preds: Vec<(usize, AttrId, usize, AttrId)>,
+    indexes: FxHashMap<(usize, AttrId), Cow<'s, JoinIndex>>,
+    candidates: FxHashMap<usize, Bitset>,
+}
+
 /// The shared enumeration core: greedy variable ordering, hash-join
 /// narrowing on equality predicates, and recursive binding with full
 /// verification at the leaves.
@@ -507,7 +524,7 @@ fn enumerate_from_candidates<F>(
     order.sort_by_key(|&v| candidates[v].len());
 
     // 3. binary equality predicates for hash-join binding.
-    let eq_preds: Vec<(usize, rock_data::AttrId, usize, rock_data::AttrId)> = rule
+    let preds: Vec<(usize, AttrId, usize, AttrId)> = rule
         .precondition
         .iter()
         .filter_map(|p| match p {
@@ -522,26 +539,41 @@ fn enumerate_from_candidates<F>(
         })
         .collect();
 
-    // Pre-build indexes for join attributes (lazily per (var, attr)).
-    let mut indexes: FxHashMap<(usize, rock_data::AttrId), FxHashMap<Value, Vec<TupleId>>> =
-        FxHashMap::default();
-    for &(lv, la, rv, ra) in &eq_preds {
-        for (v, a) in [(lv, la), (rv, ra)] {
-            indexes.entry((v, a)).or_insert_with(|| {
-                let rel = ctx.db.relation(rule.rel_of(v));
-                let mut idx: FxHashMap<Value, Vec<TupleId>> = FxHashMap::default();
-                let cand: rock_data::FxHashSet<TupleId> = candidates[v].iter().copied().collect();
-                for (val, tids) in rel.index_on(a) {
-                    let filtered: Vec<TupleId> =
-                        tids.into_iter().filter(|t| cand.contains(t)).collect();
-                    if !filtered.is_empty() {
-                        idx.insert(val, filtered);
-                    }
-                }
-                idx
-            });
-        }
+    // The hash sides: the snapshot's cached indexes in production, built
+    // at most once per snapshot and shared by every caller; a per-call
+    // build from the rows on the scalar reference path.
+    let mut snapshots: Vec<Option<Arc<ColumnSet>>> = vec![None; nvars];
+    let mut joined: FxHashMap<usize, Bitset> = FxHashMap::default();
+    for v in preds.iter().flat_map(|&(lv, _, rv, _)| [lv, rv]) {
+        joined.entry(v).or_insert_with(|| {
+            let rel = ctx.db.relation(rule.rel_of(v));
+            if ctx.columnar {
+                snapshots[v] = Some(rel.columns());
+            }
+            let mut mask = Bitset::new(rel.capacity());
+            for t in &candidates[v] {
+                mask.set(t.index());
+            }
+            mask
+        });
     }
+    let mut indexes: FxHashMap<(usize, AttrId), Cow<'_, JoinIndex>> = FxHashMap::default();
+    for (v, a) in preds
+        .iter()
+        .flat_map(|&(lv, la, rv, ra)| [(lv, la), (rv, ra)])
+    {
+        indexes
+            .entry((v, a))
+            .or_insert_with(|| match &snapshots[v] {
+                Some(cols) => Cow::Borrowed(cols.join_index(a)),
+                None => Cow::Owned(ctx.db.relation(rule.rel_of(v)).index_on(a)),
+            });
+    }
+    let joins = Joins {
+        preds,
+        indexes,
+        candidates: joined,
+    };
 
     // 4. ordered precondition for final verification (cheap first).
     let mut ordered_preds: Vec<&Predicate> = rule.precondition.iter().collect();
@@ -559,8 +591,7 @@ fn enumerate_from_candidates<F>(
         &order,
         0,
         &candidates,
-        &indexes,
-        &eq_preds,
+        &joins,
         &ordered_preds,
         &mut h,
         &mut bound,
@@ -581,8 +612,7 @@ fn bind_next<F>(
     order: &[usize],
     depth: usize,
     candidates: &[Vec<TupleId>],
-    indexes: &FxHashMap<(usize, rock_data::AttrId), FxHashMap<Value, Vec<TupleId>>>,
-    eq_preds: &[(usize, rock_data::AttrId, usize, rock_data::AttrId)],
+    joins: &Joins<'_>,
     ordered_preds: &[&Predicate],
     h: &mut Valuation,
     bound: &mut [bool],
@@ -607,7 +637,7 @@ where
     let v = order[depth];
     // Try to narrow candidates via an equality predicate to a bound var.
     let mut narrowed: Option<Vec<TupleId>> = None;
-    for &(lv, la, rv, ra) in eq_preds {
+    for &(lv, la, rv, ra) in &joins.preds {
         let (this_attr, other, other_attr) = if lv == v && bound[rv] {
             (la, rv, ra)
         } else if rv == v && bound[lv] {
@@ -626,11 +656,22 @@ where
         if val.is_null() {
             return true; // equality with null can never hold
         }
-        let idx = &indexes[&(v, this_attr)];
-        let hits = idx.get(&val).map(|v| v.as_slice()).unwrap_or(&[]);
+        let hits = joins.indexes[&(v, this_attr)]
+            .get(&val)
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
         match &mut narrowed {
-            None => narrowed = Some(hits.to_vec()),
-            Some(cur) => cur.retain(|t| hits.contains(t)),
+            None => {
+                let cands = &joins.candidates[&v];
+                narrowed = Some(
+                    hits.iter()
+                        .copied()
+                        .filter(|t| cands.get(t.index()))
+                        .collect(),
+                );
+            }
+            // `cur` holds candidates only, and both lists ascend
+            Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
         }
     }
     let list = narrowed.as_deref().unwrap_or(&candidates[v]);
@@ -643,8 +684,7 @@ where
             order,
             depth + 1,
             candidates,
-            indexes,
-            eq_preds,
+            joins,
             ordered_preds,
             h,
             bound,
@@ -988,6 +1028,138 @@ mod tests {
         for v in &violations {
             let stores: Vec<u32> = v.tuples[2..].iter().map(|g| g.tid.0).collect();
             assert!(stores.contains(&0) && stores.contains(&1));
+        }
+    }
+
+    /// Payment / Company / Branch with small value domains, so joins hit:
+    /// null join keys, cells whose type disagrees with the column, and
+    /// tombstones.
+    fn seeded_join_db(seed: u64) -> Database {
+        use rock_data::rng::StdRng;
+        let schema = DatabaseSchema::new(vec![
+            RelationSchema::of(
+                "Payment",
+                &[
+                    ("aid", AttrType::Str),
+                    ("amount", AttrType::Int),
+                    ("fee", AttrType::Float),
+                    ("total", AttrType::Int),
+                ],
+            ),
+            RelationSchema::of(
+                "Company",
+                &[("city", AttrType::Str), ("area_code", AttrType::Str)],
+            ),
+            RelationSchema::of(
+                "Branch",
+                &[("city", AttrType::Str), ("area_code", AttrType::Str)],
+            ),
+        ]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = Database::new(&schema);
+        for i in 0..48 {
+            let roll = rng.gen_range(0..16u32);
+            let aid = match (i, rng.gen_range(0..8u32)) {
+                (0, _) | (_, 0) => Value::Null,
+                (_, k) => Value::str(format!("a{}", k % 3)),
+            };
+            let amount = match roll {
+                0 | 1 => Value::Null,
+                2 => Value::str("n/a"),
+                _ => Value::Int(rng.gen_range(0..3i64)),
+            };
+            let fee = match roll {
+                3 => Value::Null,
+                4 => Value::Int(1),
+                _ => Value::Float(if rng.gen_range(0..2u32) == 0 {
+                    0.5
+                } else {
+                    1.0
+                }),
+            };
+            let total = Value::Int(rng.gen_range(0..4i64));
+            db.relation_mut(RelId(0))
+                .insert_row(vec![aid, amount, fee, total])
+                .unwrap();
+        }
+        for (rel, n) in [(RelId(1), 16), (RelId(2), 6)] {
+            for i in 0..n {
+                let city = match (i, rng.gen_range(0..6u32)) {
+                    (0, _) | (_, 0) => Value::Null,
+                    (_, k) => Value::str(format!("c{}", k % 3)),
+                };
+                let code = Value::str(format!("0{}", rng.gen_range(0..3u32)));
+                db.relation_mut(rel).insert_row(vec![city, code]).unwrap();
+            }
+        }
+        for tid in (3..48).step_by(7) {
+            db.relation_mut(RelId(0)).delete(TupleId(tid));
+        }
+        db.relation_mut(RelId(1)).delete(TupleId(5));
+        db
+    }
+
+    /// Every valuation the enumerator calls back with, in call order.
+    fn visit_sequence(
+        rule: &Rule,
+        db: &Database,
+        columnar: bool,
+        overrides: &FxHashMap<usize, Vec<TupleId>>,
+    ) -> Vec<Vec<GlobalTid>> {
+        let reg = ModelRegistry::new();
+        let ctx = EvalContext::new(db, &reg).with_columnar(columnar);
+        let mut seen = Vec::new();
+        enumerate_valuations_with_candidates(rule, &ctx, overrides, |h| {
+            seen.push(h.tuples.clone());
+            true
+        });
+        seen
+    }
+
+    #[test]
+    fn columnar_and_scalar_joins_visit_valuations_in_one_order() {
+        let rules = [
+            "rule tpa_null: Payment(t) && Payment(s) && t.aid = s.aid && t.amount = s.amount && t.fee = s.fee -> t.total = s.total",
+            "rule cic_area: Company(t) && Branch(b) && t.city = b.city -> t.area_code = b.area_code",
+        ];
+        for seed in 0..8 {
+            let db = seeded_join_db(seed);
+            for text in rules {
+                let rule = crate::parse_rule(text, &db.schema()).unwrap();
+                let full = visit_sequence(&rule, &db, true, &FxHashMap::default());
+                assert!(!full.is_empty(), "seed {seed}: {text}");
+                assert_eq!(
+                    full,
+                    visit_sequence(&rule, &db, false, &FxHashMap::default()),
+                    "seed {seed}: {text}"
+                );
+                // pin each variable to every other tid, live or dead: the
+                // same order, and exactly the full run's valuations that
+                // bind a pinned tuple
+                for var in 0..2 {
+                    let rel = db.relation(rule.rel_of(var));
+                    let pinned: Vec<TupleId> =
+                        (0..rel.capacity() as u32).step_by(2).map(TupleId).collect();
+                    let overrides: FxHashMap<usize, Vec<TupleId>> =
+                        [(var, pinned.clone())].into_iter().collect();
+                    let restricted = visit_sequence(&rule, &db, true, &overrides);
+                    assert_eq!(
+                        restricted,
+                        visit_sequence(&rule, &db, false, &overrides),
+                        "seed {seed} var {var}: {text}"
+                    );
+                    let mut expected: Vec<_> = full
+                        .iter()
+                        .filter(|h| pinned.contains(&h[var].tid))
+                        .cloned()
+                        .collect();
+                    let mut got = restricted;
+                    expected.sort();
+                    got.sort();
+                    assert_eq!(got, expected, "seed {seed} var {var}: {text}");
+                    assert!(got.len() < full.len(), "seed {seed}: a strict subset");
+                }
+            }
         }
     }
 

@@ -1,7 +1,9 @@
 //! The columnar data plane against its scalar baseline: with
 //! `Detector::with_columnar(false)` the detector answers unary prefilters by
 //! per-tuple evaluation instead of the vectorized column kernels
-//! (`rock_data::ColumnSet`) and must flag exactly the same cells. The chase
+//! (`rock_data::ColumnSet`) and builds equality-join indexes per call from
+//! the rows instead of probing the snapshot's cached ones; it must flag
+//! exactly the same cells. The chase
 //! side of the same comparison lives in `tests/engine_equivalence.rs` (the
 //! reference chase evaluates scalar). Also here: the column-plane
 //! invariants themselves — dictionary re-encoding, null bitmap
