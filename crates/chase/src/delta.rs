@@ -115,7 +115,9 @@ pub struct RoundStats {
     /// Sum over delta-mode rules of their pending delta sizes (0 in
     /// full-scan rounds).
     pub delta_tuples: u64,
-    /// Valuations enumerated (leaf callbacks) across all work units.
+    /// Valuations that reached the leaf (callbacks) across all work units;
+    /// those whose consequence the join already found satisfied are
+    /// skipped before the leaf and not counted.
     pub valuations: u64,
     /// Proposals after global dedup.
     pub proposals: usize,

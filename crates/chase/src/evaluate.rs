@@ -4,15 +4,20 @@
 //!
 //! A rule's first run is a full scan, partitioned on its first variable.
 //! Every later run — and every run of an incremental chase — is a *delta
-//! round*: one pass per tuple variable pins that variable to the tuples
-//! touched since the rule last ran ([`Frontier::pending`]), and valuations
-//! binding no touched tuple re-emit what they emitted then from the
-//! per-rule carry. A valuation whose tuples, oracles and gate inputs are
-//! all unchanged emits exactly what it emitted before, so the round's
+//! round*: the pass for tuple variable `v` pins `v` to the tuples touched
+//! since the rule last ran ([`Frontier::pending`]) and keeps every earlier
+//! variable off them, so each touched valuation is enumerated exactly once;
+//! valuations binding no touched tuple re-emit what they emitted then from
+//! the per-rule carry. A valuation whose tuples, oracles and gate inputs
+//! are all unchanged emits exactly what it emitted before, so the round's
 //! proposal set equals a full re-scan's (`crate::reference` is that
-//! re-scan; `tests/engine_equivalence.rs` holds the two together).
+//! re-scan; `tests/engine_equivalence.rs` holds the two together). Under
+//! [`GateMode::Resolved`] the enumerator skips a valuation whose `t.A = s.B`
+//! consequence already holds inside the join ([`Satisfied::Skip`]) — it
+//! would emit nothing; Strict visits it, because there a satisfied
+//! consequence is still recorded in U.
 
-use crate::chase::ChaseEngine;
+use crate::chase::{ChaseEngine, GateMode};
 use crate::commit::{Committed, Support};
 use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixStore;
@@ -22,7 +27,8 @@ use rock_crystal::{Cluster, FaultStats, UnitFailure, WorkUnit};
 use rock_data::{Database, FxHashMap, FxHashSet, TupleId};
 use rock_ml::{MlBlockIndex, ModelRegistry, PairSignature};
 use rock_rees::eval::{
-    enumerate_valuations_restricted, enumerate_valuations_with_candidates, EvalContext,
+    enumerate_valuations_restricted, enumerate_valuations_with_candidates, EvalContext, Satisfied,
+    Valuation,
 };
 use rock_rees::{Predicate, Rule};
 
@@ -107,6 +113,12 @@ pub(crate) fn evaluate(
     // variables, so every delta-touching valuation is reached).
     let mut units = Vec::new();
     let mut pinned_lists: FxHashMap<(usize, usize), Vec<TupleId>> = FxHashMap::default();
+    // ΔR ⋈ S ∪ R_old ⋈ ΔS: a pass pinning `v` binds every earlier variable
+    // `w` to R_old — its live tuples minus the pending ones — so each
+    // delta-touching valuation is enumerated once, by the pass that pins
+    // its first pending variable. Built once per (rule, w) and shared by
+    // every unit of the round.
+    let mut old_lists: FxHashMap<(usize, usize), Vec<TupleId>> = FxHashMap::default();
     let parts = engine.config.partitions_per_rule;
     for &ri in active {
         let rule = &engine.rules.rules[ri];
@@ -124,10 +136,12 @@ pub(crate) fn evaluate(
             );
             continue;
         }
-        stat.delta_tuples += frontier.pending[ri].count();
+        let pend = &frontier.pending[ri];
+        stat.delta_tuples += pend.count();
+        let mut pinned: Vec<usize> = Vec::new();
         for v in 0..rule.tuple_vars.len() {
             let rel = rule.rel_of(v);
-            let ones = frontier.pending[ri].ones_vec(rel);
+            let ones = pend.ones_vec(rel);
             if ones.is_empty() {
                 continue;
             }
@@ -138,6 +152,16 @@ pub(crate) fn evaluate(
                     .map(|p| WorkUnit::new(ri as u32, vec![p]).with_payload(payload)),
             );
             pinned_lists.insert((ri, v), ones);
+            pinned.push(v);
+        }
+        // a variable without pending tuples is R_old already, and no pass
+        // comes after the last pinned one
+        if let Some((_, earlier)) = pinned.split_last() {
+            for &w in earlier {
+                let rel = rule.rel_of(w);
+                let old = st.db.relation(rel).tids();
+                old_lists.insert((ri, w), old.filter(|t| !pend.contains(rel, *t)).collect());
+            }
         }
     }
 
@@ -151,6 +175,7 @@ pub(crate) fn evaluate(
                 &st.fixes,
                 frontier_ref,
                 &pinned_lists,
+                &old_lists,
                 unit,
             ))
         })
@@ -220,27 +245,35 @@ fn run_unit(
     fixes: &FixStore,
     frontier: &Frontier,
     pinned_lists: &FxHashMap<(usize, usize), Vec<TupleId>>,
+    old_lists: &FxHashMap<(usize, usize), Vec<TupleId>>,
     unit: &WorkUnit,
 ) -> (Vec<Emission>, u64) {
     let ri = unit.rule as usize;
     let rule = &engine.rules.rules[ri];
     let gate = engine.config.gate;
     let (start, end) = (unit.partitions[0].start, unit.partitions[0].end);
+    // A satisfied consequence emits nothing under Resolved, so the join
+    // skips it; Strict records it in U and must visit it.
+    let satisfied = || match gate {
+        GateMode::Strict => Satisfied::Visit,
+        GateMode::Resolved => Satisfied::Skip,
+    };
     let mut out: Vec<Emission> = Vec::new();
     let mut count = 0u64;
+    let mut visit = |h: &Valuation| {
+        count += 1;
+        visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out);
+        true
+    };
     if unit.payload == PAYLOAD_FULL {
-        enumerate_valuations_restricted(rule, ctx, Some((0, start..end)), |h| {
-            count += 1;
-            visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out);
-            true
-        });
+        let restrict = Some((0, start..end));
+        enumerate_valuations_restricted(rule, ctx, restrict, satisfied(), &mut visit);
         return (out, count);
     }
     let v = (unit.payload - PAYLOAD_PINNED_BASE) as usize;
     let chunk = &pinned_lists[&(ri, v)][start as usize..end as usize];
     let pend = &frontier.pending[ri];
-    let mut overrides: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
-    overrides.insert(v, chunk.to_vec());
+    let mut mates: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
     prune_with_blocking(
         rule,
         v,
@@ -249,17 +282,24 @@ fn run_unit(
         engine.registry,
         &frontier.cumulative,
         ctx.db,
-        &mut overrides,
+        &mut mates,
     );
-    enumerate_valuations_with_candidates(rule, ctx, &overrides, |h| {
-        count += 1;
-        // symmetric passes overlap: a valuation is handled by the pass
-        // pinning its first delta variable only
-        if !(0..v).any(|w| pend.contains(h.tuples[w].rel, h.tuples[w].tid)) {
-            visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out);
+    // variables before `v` bind R_old only (see `evaluate`)
+    for (&w, list) in mates.iter_mut().filter(|(&w, _)| w < v) {
+        let rel = rule.rel_of(w);
+        list.retain(|t| !pend.contains(rel, *t));
+    }
+    let mut overrides: FxHashMap<usize, &[TupleId]> = mates
+        .iter()
+        .map(|(&w, list)| (w, list.as_slice()))
+        .collect();
+    overrides.insert(v, chunk);
+    for w in 0..v {
+        if let Some(old) = old_lists.get(&(ri, w)) {
+            overrides.entry(w).or_insert(old.as_slice());
         }
-        true
-    });
+    }
+    enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied(), &mut visit);
     (out, count)
 }
 

@@ -7,9 +7,10 @@ use rock_kg::Graph;
 use rock_ml::ModelRegistry;
 use rock_rees::eval::{
     distinct_ok, enumerate_valuations_in_set, enumerate_valuations_restricted, EvalContext,
-    TemporalOracle, TimestampOracle, Valuation,
+    Satisfied, TemporalOracle, TimestampOracle, Valuation,
 };
 use rock_rees::{Predicate, Rule, RuleSet};
+use std::cell::RefCell;
 
 /// Classification of a detected error (what kind of consequence was
 /// violated) — ER/CR/TD/MI, matching the paper's four tasks.
@@ -338,30 +339,38 @@ impl<'a> Detector<'a> {
                     let rule = &rules.rules[ri];
                     let range = unit.partitions[0].start..unit.partitions[0].end;
                     let mut found = Vec::new();
-                    let mut sats = Vec::new();
-                    enumerate_valuations_restricted(rule, &ctx, Some((0, range)), |h| {
+                    // satisfied pairs only feed the blame counts: the join
+                    // reports what it decides, the leaf the rest
+                    let sats = RefCell::new(FxHashMap::default());
+                    let mut count = |h: &Valuation| {
+                        if distinct_ok(rule, h) {
+                            record_satisfied(rule, ri, h, &mut sats.borrow_mut());
+                        }
+                    };
+                    let satisfied = Satisfied::Count(&mut count);
+                    enumerate_valuations_restricted(rule, &ctx, Some((0, range)), satisfied, |h| {
                         if !distinct_ok(rule, h) {
                             return true;
                         }
                         if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-                            sats.push((ri, h.clone()));
+                            record_satisfied(rule, ri, h, &mut sats.borrow_mut());
                         } else {
-                            found.push((ri, h.clone()));
+                            found.push(h.clone());
                         }
                         true
                     });
-                    Ok((found, sats))
+                    Ok((ri, found, sats.into_inner()))
                 });
                 report.unit_seconds = outcome.stats.unit_seconds;
                 report.fault_stats.merge(&outcome.stats.faults);
                 report.unit_failures.extend(outcome.failures);
-                for (found, sats) in outcome.results.into_iter().flatten() {
-                    for (ri, h) in found {
-                        let rule = &self.rules.rules[ri];
-                        record(rule, ri, consequence_kind(rule), &h, &mut report);
+                for (ri, found, sats) in outcome.results.into_iter().flatten() {
+                    let rule = &self.rules.rules[ri];
+                    for h in &found {
+                        record(rule, ri, consequence_kind(rule), h, &mut report);
                     }
-                    for (ri, h) in sats {
-                        record_satisfied(&self.rules.rules[ri], ri, &h, &mut satisfied);
+                    for (cell, n) in sats {
+                        *satisfied.entry(cell).or_insert(0) += n;
                     }
                 }
             }

@@ -336,6 +336,32 @@ impl<'a> EvalContext<'a> {
     }
 }
 
+/// What the enumerator does with a valuation whose `t.A = s.B` consequence
+/// it decides inside the hash join, before the valuation is built.
+///
+/// The check runs at the depth that binds the later of the consequence's
+/// two (distinct) variables, and only on a list an equality join narrowed:
+/// each hit's `B` cell is compared with the bound tuple's `A` cell by
+/// [`Value::sql_eq`] — `PredOp::Eq`, the leaf's semantics — on borrowed
+/// row values. Unnarrowed lists are never checked: there the check is
+/// per-candidate work that saves nothing. A scalar context
+/// ([`EvalContext::with_columnar`]`(false)`) always visits, so the
+/// reference paths stay independent of this shortcut.
+pub enum Satisfied<'f> {
+    /// Verify every valuation at the leaf and call back with it.
+    Visit,
+    /// Drop a hit whose consequence holds, with its whole subtree: the
+    /// consequence reads only those two variables, so every completion
+    /// satisfies it too.
+    Skip,
+    /// Report a hit whose consequence holds to the closure, without leaf
+    /// verification, when the joins alone decide the precondition: no
+    /// vertex variables, every predicate a unary prefilter or a
+    /// two-variable `=`, and the checked variable bound last. Otherwise
+    /// behaves like `Visit`.
+    Count(&'f mut dyn FnMut(&Valuation)),
+}
+
 /// Enumerate valuations of `rule` over the database, with cheap predicates
 /// evaluated early and equality predicates used as hash joins (§5.3's local
 /// query optimizer). Calls `on_valuation` for every valuation satisfying
@@ -344,7 +370,7 @@ pub fn enumerate_valuations<F>(rule: &Rule, ctx: &EvalContext<'_>, on_valuation:
 where
     F: FnMut(&Valuation) -> bool,
 {
-    enumerate_valuations_restricted(rule, ctx, None, on_valuation)
+    enumerate_valuations_restricted(rule, ctx, None, Satisfied::Visit, on_valuation)
 }
 
 /// Like [`enumerate_valuations`], but requiring one variable to bind only
@@ -368,7 +394,7 @@ pub fn enumerate_valuations_in_set<F>(
         (Some(a), Some(b)) => (a.0, b.0 + 1),
         _ => return,
     };
-    enumerate_valuations_restricted(rule, ctx, Some((var, min..max)), |h| {
+    enumerate_valuations_restricted(rule, ctx, Some((var, min..max)), Satisfied::Visit, |h| {
         if !tids.contains(&h.tuples[var].tid) {
             return true;
         }
@@ -378,11 +404,13 @@ pub fn enumerate_valuations_in_set<F>(
 
 /// Like [`enumerate_valuations`], but optionally restricting one variable's
 /// candidate tuples to a tid range `[start, end)` — the HyperCube-style
-/// work-unit partitioning of §5.3 slices on the first variable.
+/// work-unit partitioning of §5.3 slices on the first variable — and with
+/// the caller's choice of what happens to [`Satisfied`] valuations.
 pub fn enumerate_valuations_restricted<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     restrict: Option<(usize, std::ops::Range<u32>)>,
+    satisfied: Satisfied<'_>,
     on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -401,20 +429,21 @@ pub fn enumerate_valuations_restricted<F>(
         apply_unary_prefilters(rule, ctx, v, &mut tids);
         candidates.push(tids);
     }
-    enumerate_from_candidates(rule, ctx, candidates, on_valuation);
+    enumerate_from_candidates(rule, ctx, candidates, satisfied, on_valuation);
 }
 
-/// Like [`enumerate_valuations`], but with explicit per-variable candidate
-/// lists for any subset of the tuple variables — the semi-naive chase pins
-/// one variable to the delta set and (for ML pair rules) prunes the other
-/// to the pinned tuples' block-mates. Variables absent from `overrides`
-/// enumerate the full relation. Overridden lists are filtered to live
-/// tuples and re-run through the cheap unary prefilters, so callers may
-/// pass raw tid lists.
+/// Like [`enumerate_valuations_restricted`], but with explicit per-variable
+/// candidate lists for any subset of the tuple variables — the semi-naive
+/// chase pins one variable to the delta set, keeps earlier variables off
+/// it and (for ML pair rules) prunes the other to the pinned tuples'
+/// block-mates. Variables absent from `overrides` enumerate the full
+/// relation. Overridden lists are filtered to live tuples and re-run
+/// through the cheap unary prefilters, so callers may pass raw tid lists.
 pub fn enumerate_valuations_with_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
-    overrides: &FxHashMap<usize, Vec<TupleId>>,
+    overrides: &FxHashMap<usize, &[TupleId]>,
+    satisfied: Satisfied<'_>,
     on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -434,7 +463,7 @@ pub fn enumerate_valuations_with_candidates<F>(
         apply_unary_prefilters(rule, ctx, v, &mut tids);
         candidates.push(tids);
     }
-    enumerate_from_candidates(rule, ctx, candidates, on_valuation);
+    enumerate_from_candidates(rule, ctx, candidates, satisfied, on_valuation);
 }
 
 /// Cheap single-variable predicate prefilter shared by all enumeration
@@ -505,15 +534,81 @@ struct Joins<'s> {
     preds: Vec<(usize, AttrId, usize, AttrId)>,
     indexes: FxHashMap<(usize, AttrId), Cow<'s, JoinIndex>>,
     candidates: FxHashMap<usize, Bitset>,
+    consequence: Option<ConsequenceCheck>,
+}
+
+/// A `t.A = s.B` consequence decided in the join at `depth`, where the
+/// later of its variables binds: that variable's `attr` against the
+/// earlier-bound `other`'s `other_attr`.
+struct ConsequenceCheck {
+    depth: usize,
+    attr: AttrId,
+    other: usize,
+    other_attr: AttrId,
+}
+
+impl ConsequenceCheck {
+    /// `None` when `satisfied` has nothing to decide in `rule`'s joins.
+    fn new(rule: &Rule, order: &[usize], satisfied: &Satisfied<'_>) -> Option<ConsequenceCheck> {
+        let Predicate::Attr {
+            lvar,
+            lattr,
+            op: crate::op::CmpOp::Eq,
+            rvar,
+            rattr,
+        } = &rule.consequence
+        else {
+            return None;
+        };
+        if lvar == rvar {
+            return None;
+        }
+        let depth_of = |v: usize| order.iter().position(|&w| w == v);
+        let (ld, rd) = (depth_of(*lvar)?, depth_of(*rvar)?);
+        let (depth, attr, other, other_attr) = if ld > rd {
+            (ld, *lattr, *rvar, *rattr)
+        } else {
+            (rd, *rattr, *lvar, *lattr)
+        };
+        let join_decided = |p: &Predicate| match p {
+            Predicate::Attr {
+                lvar,
+                op: crate::op::CmpOp::Eq,
+                rvar,
+                ..
+            } if lvar != rvar => true,
+            // what `apply_unary_prefilters` answers
+            _ => p.tuple_vars().len() == 1 && !p.is_ml() && p.vertex_vars().is_empty(),
+        };
+        let decides = match satisfied {
+            Satisfied::Visit => false,
+            Satisfied::Skip => true,
+            // no leaf verification: sound only when the joins alone decide
+            // the precondition once the checked variable is bound
+            Satisfied::Count(_) => {
+                depth + 1 == order.len()
+                    && rule.vertex_vars.is_empty()
+                    && rule.precondition.iter().all(join_decided)
+            }
+        };
+        decides.then_some(ConsequenceCheck {
+            depth,
+            attr,
+            other,
+            other_attr,
+        })
+    }
 }
 
 /// The shared enumeration core: greedy variable ordering, hash-join
-/// narrowing on equality predicates, and recursive binding with full
-/// verification at the leaves.
+/// narrowing on equality predicates, the [`Satisfied`] consequence check
+/// inside the join, and recursive binding with full verification at the
+/// leaves.
 fn enumerate_from_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     candidates: Vec<Vec<TupleId>>,
+    mut satisfied: Satisfied<'_>,
     mut on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -573,6 +668,12 @@ fn enumerate_from_candidates<F>(
         preds,
         indexes,
         candidates: joined,
+        // the scalar reference path decides nothing in the join
+        consequence: if ctx.columnar {
+            ConsequenceCheck::new(rule, &order, &satisfied)
+        } else {
+            None
+        },
     };
 
     // 4. ordered precondition for final verification (cheap first).
@@ -595,6 +696,7 @@ fn enumerate_from_candidates<F>(
         &ordered_preds,
         &mut h,
         &mut bound,
+        &mut satisfied,
         &mut on_valuation,
     );
 }
@@ -616,6 +718,7 @@ fn bind_next<F>(
     ordered_preds: &[&Predicate],
     h: &mut Valuation,
     bound: &mut [bool],
+    satisfied: &mut Satisfied<'_>,
     on_valuation: &mut F,
 ) -> bool
 where
@@ -674,9 +777,28 @@ where
             Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
         }
     }
+    // The consequence, decided on each narrowed hit before its subtree is
+    // built: the bound side's cell, borrowed once for the whole list.
+    let decide = joins
+        .consequence
+        .as_ref()
+        .filter(|c| c.depth == depth && narrowed.is_some())
+        .and_then(|c| {
+            let gt = h.tuples[c.other];
+            let val = ctx.db.relation(gt.rel).get(gt.tid)?.get(c.other_attr);
+            Some((ctx.db.relation(rule.rel_of(v)), c.attr, val))
+        });
     let list = narrowed.as_deref().unwrap_or(&candidates[v]);
     for &tid in list {
         h.tuples[v] = GlobalTid::new(rule.rel_of(v), tid);
+        if let Some((rel, attr, val)) = decide {
+            if rel.get(tid).is_some_and(|t| t.get(attr).sql_eq(val)) {
+                if let Satisfied::Count(count) = satisfied {
+                    count(h);
+                }
+                continue;
+            }
+        }
         bound[v] = true;
         let cont = bind_next(
             rule,
@@ -688,6 +810,7 @@ where
             ordered_preds,
             h,
             bound,
+            satisfied,
             on_valuation,
         );
         bound[v] = false;
@@ -742,9 +865,10 @@ fn bind_vertices(rule: &Rule, ctx: &EvalContext<'_>, h: &mut Valuation) -> bool 
 /// `h ⊭ p0` (§4.2). Trivial valuations binding two variables of the same
 /// relation to the same tuple are skipped for inequality-flavoured
 /// consequences only when they would be vacuous (`t` and `t` always agree).
+/// Satisfied valuations are skipped inside the join ([`Satisfied::Skip`]).
 pub fn find_violations(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
     let mut out = Vec::new();
-    enumerate_valuations(rule, ctx, |h| {
+    enumerate_valuations_restricted(rule, ctx, None, Satisfied::Skip, |h| {
         if distinct_ok(rule, h) && ctx.eval_predicate(rule, h, &rule.consequence) != Some(true) {
             out.push(h.clone());
         }
@@ -1104,12 +1228,12 @@ mod tests {
         rule: &Rule,
         db: &Database,
         columnar: bool,
-        overrides: &FxHashMap<usize, Vec<TupleId>>,
+        overrides: &FxHashMap<usize, &[TupleId]>,
     ) -> Vec<Vec<GlobalTid>> {
         let reg = ModelRegistry::new();
         let ctx = EvalContext::new(db, &reg).with_columnar(columnar);
         let mut seen = Vec::new();
-        enumerate_valuations_with_candidates(rule, &ctx, overrides, |h| {
+        enumerate_valuations_with_candidates(rule, &ctx, overrides, Satisfied::Visit, |h| {
             seen.push(h.tuples.clone());
             true
         });
@@ -1140,8 +1264,8 @@ mod tests {
                     let rel = db.relation(rule.rel_of(var));
                     let pinned: Vec<TupleId> =
                         (0..rel.capacity() as u32).step_by(2).map(TupleId).collect();
-                    let overrides: FxHashMap<usize, Vec<TupleId>> =
-                        [(var, pinned.clone())].into_iter().collect();
+                    let overrides: FxHashMap<usize, &[TupleId]> =
+                        [(var, pinned.as_slice())].into_iter().collect();
                     let restricted = visit_sequence(&rule, &db, true, &overrides);
                     assert_eq!(
                         restricted,
@@ -1161,6 +1285,178 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Mode {
+        Visit,
+        Skip,
+        Count,
+    }
+
+    /// Every valuation one mode reports, in call order, marked `true` when
+    /// `Count` reported it from the join rather than the leaf.
+    fn mode_run(rule: &Rule, ctx: &EvalContext<'_>, mode: Mode) -> Vec<(bool, Valuation)> {
+        let seen = std::cell::RefCell::new(Vec::new());
+        let mut count = |h: &Valuation| seen.borrow_mut().push((true, h.clone()));
+        let satisfied = match mode {
+            Mode::Visit => Satisfied::Visit,
+            Mode::Skip => Satisfied::Skip,
+            Mode::Count => Satisfied::Count(&mut count),
+        };
+        enumerate_valuations_restricted(rule, ctx, None, satisfied, |h| {
+            seen.borrow_mut().push((false, h.clone()));
+            true
+        });
+        seen.into_inner()
+    }
+
+    /// Runs `Skip` and `Count` against `Visit`; returns how many of
+    /// `Visit`'s valuations satisfy p0, how many `Skip` dropped and how
+    /// many `Count` reported from the join. Always checked: `Skip` drops
+    /// only satisfied valuations and keeps `Visit`'s order; `Count`'s
+    /// reports and visits together are `Visit`'s sequence; every counted
+    /// valuation satisfies X and p0. With `skips_all`, `Skip` must be
+    /// exactly `Visit` minus its satisfied valuations.
+    fn compare_modes(
+        rule: &Rule,
+        ctx: &EvalContext<'_>,
+        skips_all: bool,
+        label: &str,
+    ) -> (usize, usize, usize) {
+        let holds = |h: &Valuation| ctx.eval_predicate(rule, h, &rule.consequence) == Some(true);
+        let strip = |run: Vec<(bool, Valuation)>| -> Vec<Valuation> {
+            run.into_iter().map(|(_, h)| h).collect()
+        };
+        let visit = strip(mode_run(rule, ctx, Mode::Visit));
+        let skip = strip(mode_run(rule, ctx, Mode::Skip));
+        let unsatisfied: Vec<Valuation> = visit.iter().filter(|h| !holds(h)).cloned().collect();
+        if skips_all {
+            assert_eq!(skip, unsatisfied, "{label}: Skip is Visit minus satisfied");
+        } else {
+            let mut rest = skip.iter().peekable();
+            for h in &visit {
+                if rest.peek() == Some(&h) {
+                    rest.next();
+                } else {
+                    assert!(holds(h), "{label}: Skip dropped a violation {h:?}");
+                }
+            }
+            assert!(
+                rest.next().is_none(),
+                "{label}: Skip is a subsequence of Visit"
+            );
+        }
+        let count = mode_run(rule, ctx, Mode::Count);
+        for (counted, h) in &count {
+            if *counted {
+                assert!(
+                    ctx.satisfies_precondition(rule, h) && holds(h),
+                    "{label}: counted {h:?} must satisfy X and p0"
+                );
+            }
+        }
+        let counted = count.iter().filter(|(c, _)| *c).count();
+        assert_eq!(strip(count), visit, "{label}: Count hits ∪ visits = Visit");
+        (
+            visit.len() - unsatisfied.len(),
+            visit.len() - skip.len(),
+            counted,
+        )
+    }
+
+    fn mode_registry() -> ModelRegistry {
+        let reg = ModelRegistry::new();
+        reg.register_pair("M", Arc::new(NgramPairModel::with_threshold(0.5)));
+        reg
+    }
+
+    /// The shapes the join decides: null consequence cells on either side
+    /// and fallback `"n/a"` cells in an Int column (`amount`), `Int(1)` vs
+    /// `Float(1.0)` in one column (`fee`) and across columns (`total` vs
+    /// `fee`), unary prefilters next to the joins, and a cross-relation
+    /// consequence. `Skip` drops exactly the satisfied valuations and
+    /// `Count` reports every one of them from the join.
+    #[test]
+    fn skip_and_count_decide_satisfied_valuations_in_the_join() {
+        let rules = [
+            "rule cic_area: Company(t) && Branch(b) && t.city = b.city -> t.area_code = b.area_code",
+            "rule tpa_amount: Payment(t) && Payment(s) && t.aid = s.aid -> t.amount = s.amount",
+            "rule tpa_fee: Payment(t) && Payment(s) && t.aid = s.aid && t.total >= 1 -> s.fee = t.fee",
+            "rule tpa_cross: Payment(t) && Payment(s) && t.aid = s.aid && t.amount = s.amount && s.fee > 0.7 -> t.total = s.fee",
+        ];
+        let reg = mode_registry();
+        for text in rules {
+            let mut counted = 0;
+            for seed in 0..8 {
+                let db = seeded_join_db(seed);
+                let mut rule = crate::parse_rule(text, &db.schema()).unwrap();
+                rule.resolve(&reg).unwrap();
+                let ctx = EvalContext::new(&db, &reg);
+                let label = format!("seed {seed}: {text}");
+                let (sat, skipped, c) = compare_modes(&rule, &ctx, true, &label);
+                assert_eq!((skipped, c), (sat, sat), "{label}");
+                counted += c;
+            }
+            assert!(counted > 0, "{text}: the join decided nothing");
+        }
+    }
+
+    /// Where the joins alone cannot decide the precondition, `Count`
+    /// visits everything while `Skip` still prunes narrowed lists: a
+    /// 3-variable rule whose consequence variables bind before the last
+    /// one, and `!=`, `EidCmp` and ML preconditions. A list no join
+    /// narrowed is never checked, by either mode.
+    #[test]
+    fn count_falls_back_and_unnarrowed_lists_are_never_checked() {
+        let pruned = [
+            "rule three: Company(t) && Branch(b) && Company(u) && t.city = b.city && t.area_code = u.area_code -> t.area_code = b.area_code",
+            "rule neq: Payment(t) && Payment(s) && t.aid = s.aid && t.total != s.total -> t.amount = s.amount",
+            "rule eid: Payment(t) && Payment(s) && t.aid = s.aid && t.eid != s.eid -> t.amount = s.amount",
+            "rule ml: Payment(t) && Payment(s) && t.aid = s.aid && ml:M(t[aid], s[aid]) -> t.amount = s.amount",
+        ];
+        let unnarrowed =
+            "rule cross: Company(t) && Branch(b) && t.city = 'c1' -> t.area_code = b.area_code";
+        let reg = mode_registry();
+        for text in pruned.into_iter().chain([unnarrowed]) {
+            let (mut satisfied, mut skipped) = (0, 0);
+            for seed in 0..8 {
+                let db = seeded_join_db(seed);
+                let mut rule = crate::parse_rule(text, &db.schema()).unwrap();
+                rule.resolve(&reg).unwrap();
+                let ctx = EvalContext::new(&db, &reg);
+                let label = format!("seed {seed}: {text}");
+                let (sat, s, c) = compare_modes(&rule, &ctx, text != unnarrowed, &label);
+                assert_eq!(c, 0, "{label}: Count must fall back to Visit");
+                satisfied += sat;
+                skipped += s;
+            }
+            assert!(satisfied > 0, "{text}: no satisfied valuation to decide");
+            if text == unnarrowed {
+                assert_eq!(skipped, 0, "{text}: an unnarrowed list was checked");
+            } else {
+                assert_eq!(skipped, satisfied, "{text}");
+            }
+        }
+    }
+
+    /// A scalar context is a reference: every mode visits everything.
+    #[test]
+    fn scalar_context_always_visits() {
+        let db = seeded_join_db(3);
+        let reg = mode_registry();
+        let rule = crate::parse_rule(
+            "rule cic_area: Company(t) && Branch(b) && t.city = b.city -> t.area_code = b.area_code",
+            &db.schema(),
+        )
+        .unwrap();
+        let ctx = EvalContext::new(&db, &reg).with_columnar(false);
+        let visit = mode_run(&rule, &ctx, Mode::Visit);
+        assert!(visit
+            .iter()
+            .any(|(_, h)| ctx.eval_predicate(&rule, h, &rule.consequence) == Some(true)));
+        assert_eq!(mode_run(&rule, &ctx, Mode::Skip), visit);
+        assert_eq!(mode_run(&rule, &ctx, Mode::Count), visit);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! `Detector::with_columnar(false)` the detector answers unary prefilters by
 //! per-tuple evaluation instead of the vectorized column kernels
 //! (`rock_data::ColumnSet`) and builds equality-join indexes per call from
-//! the rows instead of probing the snapshot's cached ones; it must flag
-//! exactly the same cells. The chase
+//! the rows instead of probing the snapshot's cached ones, and it visits
+//! every satisfied valuation instead of counting it inside the join; it
+//! must report exactly the same violations and flag the same cells. The chase
 //! side of the same comparison lives in `tests/engine_equivalence.rs` (the
 //! reference chase evaluates scalar). Also here: the column-plane
 //! invariants themselves — dictionary re-encoding, null bitmap
@@ -13,11 +14,14 @@ mod common;
 
 use common::check;
 use rock::data::{
-    AttrId, AttrType, ColumnData, Database, DatabaseSchema, PredOp, RelId, RelationSchema, TupleId,
-    Value,
+    AttrId, AttrType, CellRef, ColumnData, Database, DatabaseSchema, GlobalTid, PredOp, RelId,
+    RelationSchema, TupleId, Value,
 };
+use rock::detect::blocking::precompute_ml;
 use rock::ml::ModelRegistry;
+use rock::rees::eval::Valuation;
 use rock::rees::{parse_rules, RuleSet};
+use rock::workloads::workload::GenConfig;
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::new(vec![RelationSchema::of(
@@ -79,8 +83,31 @@ fn build_db(rows: &[(u8, u8, u8, Option<u8>)]) -> Database {
     db
 }
 
-/// Detection equivalence: the columnar detector must flag exactly the
-/// scalar detector's cells.
+/// What a detection reports: the violations (rule and valuation) in report
+/// order, the duplicate pairs in report order, and the flagged cells.
+type Detection = (
+    Vec<(usize, Valuation)>,
+    Vec<(GlobalTid, GlobalTid)>,
+    Vec<CellRef>,
+);
+
+fn detection(detector: rock::detect::Detector<'_>, db: &Database) -> Detection {
+    let report = detector.detect(db);
+    let mut cells: Vec<_> = report.flagged_cells.into_iter().collect();
+    cells.sort_unstable();
+    let violations = report
+        .violations
+        .into_iter()
+        .map(|v| (v.rule, v.valuation))
+        .collect();
+    (violations, report.duplicate_pairs, cells)
+}
+
+/// Detection equivalence: the columnar detector — kernel prefilters,
+/// cached join indexes, satisfied pairs counted inside the join — must
+/// report exactly the scalar detector's violations, in the same order,
+/// the same duplicate pairs and the same flagged cells. Random instances
+/// of the small rule set, then each workload's curated rules at 300 rows.
 #[test]
 fn columnar_detection_flags_identical_cells() {
     check(64, |g| {
@@ -96,16 +123,40 @@ fn columnar_detection_flags_identical_cells() {
         let rs = rules(&schema);
         let db = build_db(&rows);
         let reg = ModelRegistry::new();
-        let flagged = |columnar: bool| {
-            let report = rock::detect::Detector::new(&rs, &reg)
-                .with_columnar(columnar)
-                .detect(&db);
-            let mut cells: Vec<_> = report.flagged_cells.into_iter().collect();
-            cells.sort_unstable();
-            (cells, report.violations.len())
+        let detect = |columnar: bool| {
+            detection(
+                rock::detect::Detector::new(&rs, &reg).with_columnar(columnar),
+                &db,
+            )
         };
-        assert_eq!(flagged(false), flagged(true), "detections diverged");
+        assert_eq!(detect(false), detect(true), "detections diverged");
     });
+    let gen = |seed| GenConfig {
+        rows: 300,
+        error_rate: 0.08,
+        seed,
+        trusted_per_rel: 15,
+    };
+    for w in [
+        rock::workloads::bank::generate(&gen(42)),
+        rock::workloads::logistics::generate(&gen(43)),
+        rock::workloads::sales::generate(&gen(44)),
+    ] {
+        precompute_ml(&w.dirty, &w.rules, &w.registry);
+        let detect = |columnar: bool| {
+            let detector = rock::detect::Detector::new(&w.rules, &w.registry)
+                .with_workers(2)
+                .with_columnar(columnar);
+            let detector = match &w.graph {
+                Some(g) => detector.with_graph(g),
+                None => detector,
+            };
+            detection(detector, &w.dirty)
+        };
+        let (scalar, columnar) = (detect(false), detect(true));
+        assert!(!scalar.0.is_empty(), "{}: no violations", w.name);
+        assert!(scalar == columnar, "{}: detections diverged", w.name);
+    }
 }
 
 /// Dictionary re-encoding: write-through grows the dictionary append-only;
