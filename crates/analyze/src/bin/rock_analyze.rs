@@ -150,20 +150,12 @@ fn print_human(label: &str, report: &rock_analyze::AnalysisReport) {
         dead,
         report.graph.follows_writes.iter().filter(|x| **x).count()
     );
-    let bound = match &report.schedule.bound {
-        Some(rock_rees::RoundBound::Rounds(n)) => format!("{n} rounds"),
-        Some(rock_rees::RoundBound::LatticeHeight {
-            slack,
-            ordered_attrs,
-        }) => format!(
-            "lattice height + {slack}{}",
-            if *ordered_attrs { " (ordered)" } else { "" }
-        ),
-        None => "none".to_owned(),
+    let terminates = match report.counts_by_code().get("E301") {
+        None => "yes".to_owned(),
+        Some(k) => format!("no (E301 ×{k})"),
     };
     println!(
-        "   certificate: {}, {} strata ({} cyclic), bound: {bound}",
-        report.schedule.class.as_str(),
+        "   terminates: {terminates}, {} strata ({} cyclic)",
         report.schedule.strata.len(),
         report
             .schedule

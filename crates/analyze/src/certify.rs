@@ -1,7 +1,7 @@
 //! Pass 4 — chase certification diagnostics.
 //!
-//! Consumes the facts computed by `rock_rees::schedule` (termination
-//! class, strata, constant-flow cycles) and the critical-pair
+//! Consumes the facts computed by `rock_rees::schedule` (strata and
+//! constant-flow cycles) and the critical-pair
 //! co-satisfiability check in `rock_rees::sat`, and turns them into the
 //! `3xx` diagnostic band plus the upgraded `W203`:
 //!
@@ -18,11 +18,11 @@
 //!   through a two-rule chase and prints both competing
 //!   `ProvenanceGraph::why` chains.
 //! * **E301** — a constant-flow cycle contests one cell with different
-//!   constants (an oscillator): the chase has no termination bound.
-//!   Reported on *every* rule of the cycle, with the cycle as witness.
+//!   constants (an oscillator): the chase need not terminate. Reported on
+//!   *every* rule of the cycle, with the cycle as witness.
 //! * **W302** — a constant-flow cycle whose writes are mutually
-//!   consistent: terminating, but the certified bound degrades from the
-//!   dependency depth to the instance's lattice height.
+//!   consistent: terminating (the writes agree), but the cycle
+//!   re-activates itself until every cell it pins holds its constant.
 
 use rock_data::{AttrId, DatabaseSchema, RelId, Value};
 use rock_rees::graph::const_eq_consequence;
@@ -108,7 +108,7 @@ pub fn render_witness(rel: RelId, tuple: &[Value], schema: &DatabaseSchema) -> S
 }
 
 /// The certify diagnostics: upgraded `W203`, witnessed `W301`, and the
-/// termination-certificate findings `E301`/`W302` from the schedule.
+/// termination findings `E301`/`W302` from the strata pass.
 pub fn diagnose(
     rules: &RuleSet,
     schedule: &ChaseSchedule,
@@ -179,7 +179,7 @@ pub fn diagnose(
                     format!(
                         "constant-flow cycle [{}] keeps contesting {cell}: rules '{}' \
                          and '{}' write different constants and each write re-enables \
-                         the cycle — the chase has no termination bound",
+                         the cycle — the chase need not terminate",
                         names.join(" -> "),
                         rs[wa].name,
                         rs[wb].name,
@@ -200,8 +200,9 @@ pub fn diagnose(
                     rs[k].spans.consequence,
                     format!(
                         "self-sustaining constant cascade [{}]: each write satisfies \
-                         the next rule's guard; terminating, but the round bound \
-                         degrades from the dependency depth to the lattice height",
+                         the next rule's guard; terminating (the writes agree), but \
+                         the cycle re-activates itself until every cell it pins \
+                         holds its constant",
                         names.join(" -> "),
                     ),
                 )
@@ -298,7 +299,7 @@ mod tests {
         assert!(rules.contains(&"f1") && rules.contains(&"f2"));
         // the pair's Eq guards are exclusive, so no W203/W301 noise
         assert!(codes(&rep, DiagCode::ConfluenceHazard).is_empty());
-        assert_eq!(rep.schedule.bound, None);
+        assert!(!rep.schedule.terminates());
     }
 
     #[test]
@@ -309,6 +310,6 @@ mod tests {
         );
         assert_eq!(codes(&rep, DiagCode::ConstantCascade).len(), 2);
         assert!(codes(&rep, DiagCode::UnboundedChase).is_empty());
-        assert!(rep.schedule.bound.is_some());
+        assert!(rep.schedule.terminates());
     }
 }

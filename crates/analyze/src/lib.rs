@@ -22,21 +22,19 @@
 //! 3. **Inter-rule analysis** ([`graph`]) — builds the [`RuleGraph`] of
 //!    (consequence action) → (precondition read) edges and reports dead
 //!    and subsumed rules (`W201`/`W202`).
-//! 4. **Chase certification** ([`certify`]) — classifies the ruleset's
-//!    chase termination (static round bound / stratified lattice bound /
-//!    unbounded), upgrades the confluence check to critical-pair
-//!    co-satisfiability, and exports the stratified
-//!    [`ChaseSchedule`](rock_rees::ChaseSchedule) (`W203`,
+//! 4. **Chase certification** ([`certify`]) — computes the rule strata
+//!    and decides termination (the ruleset terminates unless a
+//!    constant-flow cycle oscillates), upgrades the confluence check to
+//!    critical-pair co-satisfiability, and reports both (`W203`,
 //!    `E301`/`W301`/`W302`).
 //!
-//! The graph and sat passes themselves live in `rock-rees`
-//! ([`rock_rees::graph`], [`rock_rees::sat`], [`rock_rees::schedule`]) so
-//! the chase can rebuild the same artifacts without depending on this
-//! crate; this crate re-exports them path-compatibly and adds the
-//! diagnostics, the certification pass and the CLI. The [`RuleGraph`] is
-//! the chase's scheduling artifact, and the schedule that embeds it carries
-//! the termination certificate every chase run is checked against (see
-//! `rock-chase`).
+//! The graph, sat and strata passes themselves live in `rock-rees`
+//! ([`rock_rees::graph`], [`rock_rees::sat`], [`rock_rees::schedule`]);
+//! this crate re-exports them path-compatibly and adds the diagnostics,
+//! the certification pass and the CLI. The chase builds only the
+//! [`RuleGraph`], through [`RuleGraph::derive`], which masks rules exactly
+//! as passes 1 and 2 here do, so the two agree on which rules are live
+//! (`tests/analyze_properties.rs` holds them together).
 
 // Same gate as rock-rees/rock-chase: the analyzer runs inside discovery's
 // mining loop and the CI gate; a panic must not take those down.
@@ -94,7 +92,7 @@ impl<'a> Analyzer<'a> {
         // Pass 3: inter-rule analysis over the structurally sound rules.
         let graph = RuleGraph::build_masked(rules, self.schema, &malformed, &unsat);
         diagnostics.extend(graph.diagnose(rules, self.schema));
-        // Pass 4: chase certification over the same graph.
+        // Pass 4: strata and termination witnesses over the same graph.
         let schedule = ChaseSchedule::from_graph(graph.clone(), rules);
         diagnostics.extend(certify::diagnose(rules, &schedule, self.schema));
         AnalysisReport {
@@ -105,8 +103,8 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Everything the analyzer found, plus the scheduling graph and the
-/// termination certificate / stratified schedule.
+/// Everything the analyzer found, plus the rule graph and the strata with
+/// their termination witnesses.
 #[derive(Debug)]
 pub struct AnalysisReport {
     pub diagnostics: Vec<Diagnostic>,
@@ -201,8 +199,7 @@ impl AnalysisReport {
                 "follows_writes": self.graph.follows_writes,
             },
             "certificate": {
-                "class": self.schedule.class.as_str(),
-                "bound": self.schedule.bound,
+                "terminates": self.schedule.terminates(),
                 "strata": self.schedule.strata.len(),
                 "cyclic_strata": self.schedule.stratum_cyclic.iter().filter(|c| **c).count(),
                 "oscillations": self.schedule.oscillations,

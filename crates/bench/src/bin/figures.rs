@@ -11,8 +11,6 @@
 //! chase-delta (production chase vs reference chase valuation counts),
 //! analyze (ruleset static analysis: defect recall + scheduled production
 //! chase vs the reference's classic activation),
-//! certify (chase certifier: termination class, certified vs observed
-//! round bounds, repairs byte-identical to the reference per workload),
 //! chaos (fault injection: byte-identical repairs under panics, transient
 //! errors, stragglers and a node crash; seed via `ROCK_CHAOS_SEED`),
 //! durability (WAL + checkpoint chase: byte-identical durable repairs,
@@ -111,7 +109,6 @@ fn main() {
             "rdcache",
             "chase-delta",
             "analyze",
-            "certify",
             "chaos",
             "durability",
             "crashsim",
@@ -148,7 +145,6 @@ fn main() {
             "rdcache" => panels::rd_cache(),
             "chase-delta" => panels::chase_delta(),
             "analyze" => panels::analyze(),
-            "certify" => panels::certify(),
             "chaos" => panels::chaos(),
             "durability" => panels::durability(),
             "crashsim" => panels::crashsim(),
@@ -157,7 +153,7 @@ fn main() {
             "summary" => summary(),
             other => {
                 eprintln!(
-                    "unknown panel '{other}' — expected f4a..f4l, rdcache, chase-delta, analyze, certify, chaos, durability, crashsim, columnar, lint, summary, or all"
+                    "unknown panel '{other}' — expected f4a..f4l, rdcache, chase-delta, analyze, chaos, durability, crashsim, columnar, lint, summary, or all"
                 );
                 std::process::exit(2);
             }
@@ -215,11 +211,6 @@ fn main() {
             "analyze" => {
                 if let Some(v) = json.get("rule_rounds_ratio") {
                     trajectory_metrics.insert("analyze_rule_rounds_ratio".into(), v.clone());
-                }
-            }
-            "certify" => {
-                if let Some(v) = json.get("bound_margin_ratio") {
-                    trajectory_metrics.insert("certify_bound_margin_ratio".into(), v.clone());
                 }
             }
             "lint" => {

@@ -465,95 +465,6 @@ pub fn analyze() -> (Table, Json) {
     )
 }
 
-/// Certify panel: the chase certifier's bound-tightness table. For every
-/// workload the production chase — which always runs under the certified
-/// stratified schedule — must (1) repair byte-identically to the reference
-/// chase's unscheduled activation, (2) earn a finite-bound termination
-/// certificate, and (3) finish within its resolved bound — all asserted
-/// inline, so a violated certificate fails the panel rather than degrading
-/// silently. The rows report certified vs observed rounds per workload;
-/// `bound_margin_ratio` (certified bound / observed rounds, minimum over
-/// workloads) feeds the trajectory gate.
-pub fn certify() -> (Table, Json) {
-    use rock_rees::RoundBound;
-
-    let mut table = Table::new(
-        "Certify — termination certificates and bound tightness",
-        &[
-            "workload",
-            "class",
-            "strata",
-            "certified bound",
-            "rounds",
-            "margin",
-            "rule-rounds (classic|sched)",
-        ],
-    );
-    let mut rows_json = Vec::new();
-    let mut min_ratio = f64::INFINITY;
-    for (name, w) in [
-        ("Bank", bank()),
-        ("Logistics", logistics()),
-        ("Sales", sales()),
-    ] {
-        let ((sched, _), (classic, _)) = chase_both(&w, &w.rules);
-        let cert = sched.certification.clone();
-        assert!(
-            cert.violation.is_none(),
-            "{name}: certified bound violated: {:?}",
-            cert.violation
-        );
-        let resolved = cert
-            .resolved_bound
-            .expect("curated rulesets certify a finite bound");
-        assert!(
-            sched.rounds as u64 <= resolved,
-            "{name}: {} rounds exceed certified bound {resolved}",
-            sched.rounds
-        );
-        let ratio = resolved as f64 / sched.rounds.max(1) as f64;
-        min_ratio = min_ratio.min(ratio);
-        let (off, on) = (
-            rule_rounds(&classic.round_stats),
-            rule_rounds(&sched.round_stats),
-        );
-        assert!(on <= off, "{name}: certified schedule grew rule-rounds");
-        let bound_str = match cert.bound {
-            Some(RoundBound::Rounds(n)) => format!("{n} (static)"),
-            Some(RoundBound::LatticeHeight { .. }) => format!("{resolved} (lattice)"),
-            None => unreachable!("resolved bound implies a symbolic bound"),
-        };
-        table.row(vec![
-            name.into(),
-            cert.class.as_str().into(),
-            cert.strata.to_string(),
-            bound_str,
-            sched.rounds.to_string(),
-            format!("{}", resolved - sched.rounds as u64),
-            format!("{off} | {on}"),
-        ]);
-        rows_json.push(json!({
-            "workload": name,
-            "class": cert.class.as_str(),
-            "strata": cert.strata,
-            "certified_bound": resolved,
-            "observed_rounds": sched.rounds,
-            "bound_margin": resolved - sched.rounds as u64,
-            "rule_rounds_classic": off,
-            "rule_rounds_schedule": on,
-            "byte_identical": true,
-        }));
-    }
-    (
-        table,
-        json!({
-            "panel": "certify",
-            "rows": rows_json,
-            "bound_margin_ratio": min_ratio,
-        }),
-    )
-}
-
 /// Concurrency-lint panel: `rock-lint` over the workspace sources (must be
 /// clean — the headline trajectory metric `lint_violations` is gated to
 /// stay exactly zero) plus the seeded-defect self-check under

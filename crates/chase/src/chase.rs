@@ -12,7 +12,7 @@
 //! rule order (property-tested in the workspace `tests/`).
 //!
 //! There is one production path: semi-naive delta rounds, lazy activation
-//! filtered by the certified [`ChaseSchedule`], columnar prefilters. Its
+//! filtered by the [`RuleGraph`], columnar prefilters. Its
 //! correctness is pinned against `crate::reference`, a deliberately naive
 //! chase that shares only the valuation leaf and the commit phase.
 //!
@@ -36,7 +36,7 @@ use rock_data::{
 };
 use rock_kg::Graph;
 use rock_ml::{MlBlockIndex, ModelRegistry};
-use rock_rees::{ChaseSchedule, RoundBound, Rule, RuleSet, TerminationClass};
+use rock_rees::{Rule, RuleGraph, RuleSet};
 
 pub use crate::proposal::Proposal;
 
@@ -49,7 +49,7 @@ pub(crate) struct LoopState {
     pub st: Committed,
     pub frontier: Frontier,
     pub active: FxHashSet<usize>,
-    /// Rules the schedule pruned from the upcoming round's activation.
+    /// Rules the rule graph pruned from the upcoming round's activation.
     pub pruned_carry: usize,
     pub rounds: usize,
     pub round_stats: Vec<RoundStats>,
@@ -57,8 +57,8 @@ pub(crate) struct LoopState {
     /// increment it per [`ChaseEngine::run_incremental_durable`] step).
     pub batch: u64,
     /// Global rounds committed by earlier batches of a durable session:
-    /// `rounds - round_base` is this batch's own round count, and all
-    /// budget/bound accounting is relative to it.
+    /// `rounds - round_base` is this batch's own round count, and the
+    /// round budget is relative to it.
     pub round_base: usize,
     /// Loop decided to stop after the last completed round; resume skips
     /// straight to the final ER materialization.
@@ -148,49 +148,7 @@ pub struct ChaseResult {
     /// Durability totals (records/checkpoints written, resumed round,
     /// degradation error). `None` when durability was not configured.
     pub wal: Option<WalSummary>,
-    /// The termination certificate the run executed under, with the bound
-    /// resolved against this instance and checked against the observed
-    /// round count.
-    pub certification: ChaseCertification,
 }
-
-/// Runtime view of the certifier's termination certificate (see
-/// `rock_rees::schedule`): what was certified, what it resolved to on this
-/// instance, and whether the run respected it.
-#[derive(Debug, Clone)]
-pub struct ChaseCertification {
-    pub class: TerminationClass,
-    /// The certified bound (`None` exactly when `class` is `Unbounded`).
-    pub bound: Option<RoundBound>,
-    /// The bound resolved against this instance's tuple/cell counts.
-    pub resolved_bound: Option<u64>,
-    /// Strata in the certified schedule.
-    pub strata: usize,
-    /// `Some` when the run exceeded its certified bound — a certifier bug
-    /// surfaced as a typed error, never silently.
-    pub violation: Option<CertViolation>,
-}
-
-/// The chase ran more rounds than its certificate allows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CertViolation {
-    /// Rounds the certificate permits on this instance.
-    pub certified: u64,
-    /// Rounds the chase actually ran.
-    pub observed: u64,
-}
-
-impl std::fmt::Display for CertViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "chase ran {} rounds but the termination certificate allows only {}",
-            self.observed, self.certified
-        )
-    }
-}
-
-impl std::error::Error for CertViolation {}
 
 impl ChaseResult {
     /// Modeled parallel runtime over `workers` nodes (sum over rounds of
@@ -253,8 +211,8 @@ impl<'a> ChaseEngine<'a> {
     /// RocknoC schedules run the ER/CR/MI/TD groups one at a time and must
     /// carry `[EID]=` classes and validated orders across the group runs.
     pub fn run_seeded(&self, db: &Database, trusted: &[GlobalTid], fixes: FixStore) -> ChaseResult {
-        let (ls, schedule) = self.start(db.clone(), trusted, None, fixes);
-        self.run_loop(ls, schedule, self.begin_durable())
+        let (ls, graph) = self.start(db.clone(), trusted, None, fixes);
+        self.run_loop(ls, graph, self.begin_durable())
     }
 
     /// Incremental chase: apply ΔD, then chase with the round-1 delta
@@ -274,11 +232,11 @@ impl<'a> ChaseEngine<'a> {
         let mut work = db.clone();
         let inserted = work.apply(delta)?;
         let seed = seed_from_delta(&work, delta, &inserted);
-        let (ls, schedule) = self.start(work, trusted, Some(seed), FixStore::new());
-        Ok(self.run_loop(ls, schedule, self.begin_durable()))
+        let (ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());
+        Ok(self.run_loop(ls, graph, self.begin_durable()))
     }
 
-    /// Round-0 state of a chase over `work_db`: Γ seeded, the schedule
+    /// Round-0 state of a chase over `work_db`: Γ seeded, the rule graph
     /// derived, and the initial activation — every live rule in batch mode,
     /// live rules binding a seeded relation in incremental mode.
     pub(crate) fn start(
@@ -287,13 +245,13 @@ impl<'a> ChaseEngine<'a> {
         trusted: &[GlobalTid],
         seed: Option<DeltaSet>,
         fixes: FixStore,
-    ) -> (LoopState, ChaseSchedule) {
-        let schedule = ChaseSchedule::derive(self.rules, &work_db.schema());
+    ) -> (LoopState, RuleGraph) {
+        let graph = RuleGraph::derive(self.rules, &work_db.schema());
         let classic = initial_activation(self.rules, seed.as_ref());
         let active: FxHashSet<usize> = classic
             .iter()
             .copied()
-            .filter(|&ri| !schedule.graph.dead[ri])
+            .filter(|&ri| !graph.dead[ri])
             .collect();
         let ls = LoopState {
             pruned_carry: classic.len() - active.len(),
@@ -306,7 +264,7 @@ impl<'a> ChaseEngine<'a> {
             round_base: 0,
             done: false,
         };
-        (ls, schedule)
+        (ls, graph)
     }
 
     /// Fingerprint of the ruleset (names and bodies) plus the
@@ -338,13 +296,9 @@ impl<'a> ChaseEngine<'a> {
     pub(crate) fn run_loop(
         &self,
         mut ls: LoopState,
-        schedule: ChaseSchedule,
+        graph: RuleGraph,
         mut dur: Option<DurabilityCtx>,
     ) -> ChaseResult {
-        // Resolve the schedule's round bound against this instance once,
-        // up front. A resume re-resolves against the recovered database —
-        // recovered state never relaxes the certificate.
-        let resolved_bound = resolve_bound(&schedule, &ls.st.db);
         let committer = Committer::new(
             self.registry,
             &self.config.policy,
@@ -365,23 +319,11 @@ impl<'a> ChaseEngine<'a> {
             && !ls.active.is_empty()
         {
             ls.rounds += 1;
-            let batch_round = ls.rounds - ls.round_base;
             let mut sorted_active: Vec<usize> = ls.active.iter().copied().collect();
             sorted_active.sort_unstable();
-            let mut strata: Vec<usize> = sorted_active
-                .iter()
-                .filter_map(|&ri| schedule.stratum_of.get(ri).copied().flatten())
-                .collect();
-            strata.sort_unstable();
-            strata.dedup();
             let mut stat = RoundStats {
                 active_rules: sorted_active.len(),
                 rules_pruned: ls.pruned_carry,
-                strata: strata.len(),
-                // margin left under the certified bound after this round;
-                // monotonically decreasing, and never negative on a run
-                // whose certificate holds
-                bound_margin: resolved_bound.map_or(0, |b| b as i64 - batch_round as i64),
                 ..RoundStats::default()
             };
 
@@ -406,25 +348,12 @@ impl<'a> ChaseEngine<'a> {
                 ls.frontier.absorb(&c.delta);
                 Some(c)
             };
-            self.activate(&mut ls, &schedule, &reads, committed.as_ref(), eval.failed);
+            self.activate(&mut ls, &graph, &reads, committed.as_ref(), eval.failed);
             let round_fixes = committed.map(|c| c.fixes).unwrap_or_default();
             self.commit_round_durable(&ls, &mut dur, &round_fixes);
         }
 
         committer.materialize_entities(&mut ls.st);
-        let observed = (ls.rounds - ls.round_base) as u64;
-        let certification = ChaseCertification {
-            class: schedule.class,
-            bound: schedule.bound,
-            resolved_bound,
-            strata: schedule.strata.len(),
-            violation: resolved_bound
-                .filter(|&b| observed > b)
-                .map(|certified| CertViolation {
-                    certified,
-                    observed,
-                }),
-        };
         ChaseResult {
             db: ls.st.db,
             fixes: ls.st.fixes,
@@ -438,7 +367,6 @@ impl<'a> ChaseEngine<'a> {
             fault_stats,
             unit_failures,
             wal: dur.map(DurabilityCtx::into_summary),
-            certification,
         }
     }
 
@@ -448,7 +376,7 @@ impl<'a> ChaseEngine<'a> {
     /// Lazy activation (§4.1 Novelty (a)): a merge may enable any rule with
     /// multi-variable predicates, so it re-activates everything; otherwise
     /// only rules whose precondition reads a changed cell re-run. The
-    /// certified schedule then filters that set — every filter is a
+    /// rule graph then filters that set — every filter is a
     /// `retain()`, so a subset of the classic rule × round pairs runs and
     /// the committed fixes are identical: statically dead rules never run,
     /// and a live rule is kept only when the round's committed delta can
@@ -460,7 +388,7 @@ impl<'a> ChaseEngine<'a> {
     fn activate(
         &self,
         ls: &mut LoopState,
-        schedule: &ChaseSchedule,
+        g: &RuleGraph,
         reads: &[FxHashSet<(RelId, AttrId)>],
         committed: Option<&RoundCommit>,
         failed: FxHashSet<usize>,
@@ -476,7 +404,6 @@ impl<'a> ChaseEngine<'a> {
                 .extend((0..self.rules.len()).filter(|&ri| changed(ri)));
         }
         ls.active.extend(failed.iter().copied());
-        let g = &schedule.graph;
         let before = ls.active.len();
         let pending = &ls.frontier.pending;
         ls.active.retain(|&ri| {
@@ -521,20 +448,6 @@ fn rule_reads(rule: &Rule) -> FxHashSet<(RelId, AttrId)> {
         }
     }
     reads
-}
-
-/// The schedule's round bound concretized against `db`'s tuple count and
-/// the writable cells of its live rules.
-fn resolve_bound(schedule: &ChaseSchedule, db: &Database) -> Option<u64> {
-    schedule.bound.map(|b| {
-        let tuples: u64 = db.iter().map(|(_, rel)| rel.len() as u64).sum();
-        let cells: u64 = schedule
-            .writable_cells()
-            .iter()
-            .map(|(rel, _)| db.relation(*rel).len() as u64)
-            .sum();
-        b.resolve(tuples, cells)
-    })
 }
 
 /// The round-1 delta of an incremental run: the tuples ΔD touched, sized
@@ -839,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn every_run_matches_the_reference_and_certifies() {
+    fn every_run_matches_the_reference() {
         let schema = trans_schema();
         let rules = RuleSet::new(
             parse_rules(
@@ -856,16 +769,6 @@ mod tests {
         assert_eq!(naive.merged_pairs, run.merged_pairs);
         assert_eq!(naive.conflicts, run.conflicts);
         assert!(run.rounds <= naive.rounds);
-        // the run carries its certificate and respected the bound
-        let cert = &run.certification;
-        assert_eq!(cert.class, TerminationClass::AcyclicStrata);
-        let resolved = cert.resolved_bound.expect("bounded class resolves");
-        assert!(cert.violation.is_none(), "{:?}", cert.violation);
-        assert!(run.rounds as u64 <= resolved);
-        assert!(run
-            .round_stats
-            .iter()
-            .all(|s| s.strata >= 1 && s.bound_margin >= 0));
     }
 
     #[test]

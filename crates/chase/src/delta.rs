@@ -123,20 +123,12 @@ pub struct RoundStats {
     pub proposals: usize,
     /// Carried emissions re-used without re-enumeration.
     pub carried: usize,
-    /// Rules the certified schedule removed from this round's classic
-    /// activation.
+    /// Rules the rule graph removed from this round's classic activation.
     pub rules_pruned: usize,
-    /// Distinct certified strata the round's active rules belong to.
-    pub strata: usize,
-    /// Rounds left under the instance-resolved certified bound after this
-    /// round (0 when the certificate is unbounded; negative would mean the
-    /// certificate was violated).
-    pub bound_margin: i64,
 }
 
 rock_data::json_codec!(struct RoundStats {
-    active_rules, delta_tuples, valuations, proposals, carried, rules_pruned, strata,
-    bound_margin,
+    active_rules, delta_tuples, valuations, proposals, carried, rules_pruned,
 });
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::evaluate::Frontier;
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityCtx, RoundFix, WalError};
 use rock_data::{Database, Delta, GlobalTid};
-use rock_rees::ChaseSchedule;
+use rock_rees::RuleGraph;
 
 impl ChaseEngine<'_> {
     /// A fresh WAL for a run starting from round 0, when configured.
@@ -53,7 +53,7 @@ impl ChaseEngine<'_> {
         for t in trusted {
             fixes.trust_tuple(*t);
         }
-        let schedule = ChaseSchedule::derive(self.rules, &ck.db.schema());
+        let graph = RuleGraph::derive(self.rules, &ck.db.schema());
         let ls = LoopState {
             st: Committed {
                 db: ck.db,
@@ -78,7 +78,7 @@ impl ChaseEngine<'_> {
             done: ck.done,
         };
         let dur = DurabilityCtx::attach(cfg, writer, prev, ck.round);
-        Ok(self.run_loop(ls, schedule, Some(dur)))
+        Ok(self.run_loop(ls, graph, Some(dur)))
     }
 
     /// One ΔD batch of a **durable incremental session**: semantically the
@@ -130,7 +130,7 @@ impl ChaseEngine<'_> {
         let seed = seed_from_delta(&work, delta, &inserted);
         // Fresh fix store per batch, like the in-memory fold; Strict mode
         // re-seeds Γ= from the trusted tuples of the *current* database.
-        let (mut ls, schedule) = self.start(work, trusted, Some(seed), FixStore::new());
+        let (mut ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());
         ls.batch = rp.checkpoint.batch.max(1) + 1;
         ls.rounds = round_base as usize;
         ls.round_base = round_base as usize;
@@ -145,7 +145,7 @@ impl ChaseEngine<'_> {
         // It re-uses the previous batch's final round number; being a
         // batch boundary it is always encoded as a full document.
         dur.commit_round(round_base, &[], Some(self.make_checkpoint(&ls)));
-        Ok(self.run_loop(ls, schedule, Some(dur)))
+        Ok(self.run_loop(ls, graph, Some(dur)))
     }
 
     /// Snapshot the loop state for a round-boundary checkpoint.

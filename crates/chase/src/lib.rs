@@ -63,9 +63,7 @@ pub mod quality;
 pub mod reference;
 pub mod wal;
 
-pub use chase::{
-    CertViolation, ChaseCertification, ChaseConfig, ChaseEngine, ChaseResult, GateMode, Proposal,
-};
+pub use chase::{ChaseConfig, ChaseEngine, ChaseResult, GateMode, Proposal};
 pub use checkpoint::{
     checkpoint_chain, locate, ChainEntry, ChaseCheckpoint, CheckpointDelta, CheckpointDoc,
     ResumePoint, CHECKPOINT_VERSION,

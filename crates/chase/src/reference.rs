@@ -9,7 +9,7 @@
 //!   blocking index;
 //! * activation is the classic lazy rule of §4.1: everything after a merge,
 //!   otherwise the rules whose precondition reads a changed cell — no
-//!   dependency graph, no dead-rule pruning, no certificate;
+//!   dependency graph, no dead-rule pruning;
 //! * an incremental run applies ΔD and keeps the valuations binding a tuple
 //!   in the *cumulative* delta (ΔD's tuples plus every tuple a commit has
 //!   touched since).

@@ -2,12 +2,12 @@
 
 use rock_crystal::work::partition_range;
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure, WorkUnit};
-use rock_data::{CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, TupleId};
+use rock_data::{CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
 use rock_rees::eval::{
-    distinct_ok, enumerate_valuations_in_set, enumerate_valuations_restricted, EvalContext,
-    Satisfied, TemporalOracle, TimestampOracle, Valuation,
+    distinct_ok, enumerate_valuations_restricted, enumerate_valuations_with_candidates,
+    EvalContext, Satisfied, TemporalOracle, TimestampOracle, Valuation,
 };
 use rock_rees::{Predicate, Rule, RuleSet};
 use std::cell::RefCell;
@@ -284,21 +284,25 @@ impl<'a> Detector<'a> {
         inserted: &[TupleId],
     ) -> DetectReport {
         let start = std::time::Instant::now();
-        // touched tuples per relation
-        let mut touched: FxHashMap<rock_data::RelId, FxHashSet<TupleId>> = FxHashMap::default();
+        // touched tuples per relation, sorted
+        let mut touched: FxHashMap<RelId, Vec<TupleId>> = FxHashMap::default();
         let mut ins = inserted.iter();
         for u in &delta.updates {
             match u {
                 rock_data::Update::Insert { rel, .. } => {
                     if let Some(t) = ins.next() {
-                        touched.entry(*rel).or_default().insert(*t);
+                        touched.entry(*rel).or_default().push(*t);
                     }
                 }
                 rock_data::Update::Delete { .. } => {}
                 rock_data::Update::SetCell { rel, tid, .. } => {
-                    touched.entry(*rel).or_default().insert(*tid);
+                    touched.entry(*rel).or_default().push(*tid);
                 }
             }
+        }
+        for ts in touched.values_mut() {
+            ts.sort_unstable();
+            ts.dedup();
         }
         let oracle = TimestampOracle { db };
         let mut report = self.detect_inner(db, &oracle, Some(&touched));
@@ -310,7 +314,7 @@ impl<'a> Detector<'a> {
         &self,
         db: &Database,
         oracle: &dyn TemporalOracle,
-        touched: Option<&FxHashMap<rock_data::RelId, FxHashSet<TupleId>>>,
+        touched: Option<&FxHashMap<RelId, Vec<TupleId>>>,
     ) -> DetectReport {
         let mut ctx = EvalContext::new(db, self.registry)
             .with_temporal(oracle)
@@ -375,21 +379,30 @@ impl<'a> Detector<'a> {
                 }
             }
             Some(touched) => {
+                // ΔR ⋈ S ∪ R_old ⋈ ΔS, as in the chase's delta rounds: the
+                // pass pinning variable `v` to the touched tuples binds every
+                // earlier variable to R_old, the live tuples outside the
+                // touched set, so each valuation binding a touched tuple is
+                // enumerated once, by the pass pinning its first touched
+                // variable.
+                let old: FxHashMap<RelId, Vec<TupleId>> = touched
+                    .iter()
+                    .map(|(&rel, ts)| {
+                        let live = db.relation(rel).tids();
+                        (rel, live.filter(|t| ts.binary_search(t).is_err()).collect())
+                    })
+                    .collect();
                 for (ri, rule) in self.rules.iter().enumerate() {
                     let kind = consequence_kind(rule);
-                    // a violation must bind ≥1 touched tuple: run one
-                    // restricted enumeration per variable and dedup.
-                    let mut seen: FxHashSet<Vec<GlobalTid>> = FxHashSet::default();
-                    for var in 0..rule.tuple_vars.len() {
-                        let rel = rule.rel_of(var);
-                        let Some(set) = touched.get(&rel) else {
+                    let mut overrides: FxHashMap<usize, &[TupleId]> = FxHashMap::default();
+                    for v in 0..rule.tuple_vars.len() {
+                        let rel = rule.rel_of(v);
+                        let (Some(pinned), Some(rest)) = (touched.get(&rel), old.get(&rel)) else {
                             continue;
                         };
-                        if set.is_empty() {
-                            continue;
-                        }
-                        enumerate_valuations_in_set(rule, &ctx, var, set, |h| {
-                            if !distinct_ok(rule, h) || !seen.insert(h.tuples.clone()) {
+                        overrides.insert(v, pinned);
+                        let visit = |h: &Valuation| {
+                            if !distinct_ok(rule, h) {
                                 return true;
                             }
                             if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
@@ -398,7 +411,11 @@ impl<'a> Detector<'a> {
                                 record(rule, ri, kind, h, &mut report);
                             }
                             true
-                        });
+                        };
+                        let mode = Satisfied::Visit;
+                        enumerate_valuations_with_candidates(rule, &ctx, &overrides, mode, visit);
+                        // later passes bind `v` to R_old
+                        overrides.insert(v, rest);
                     }
                 }
             }

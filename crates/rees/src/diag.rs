@@ -149,15 +149,15 @@ pub enum DiagCode {
     /// W203 — confluence hazard: two rules can co-fire on overlapping
     /// valuations but assign conflicting constants to the same cell.
     ConfluenceHazard,
-    /// E301 — unbounded chase: a constant-flow cycle keeps contesting one
-    /// cell with different constants, so no termination bound exists.
+    /// E301 — non-terminating chase: a constant-flow cycle keeps
+    /// contesting one cell with different constants.
     UnboundedChase,
     /// W301 — competing writers proven co-satisfiable: a concrete witness
     /// tuple fires both rules, turning the W203 hazard into a certainty.
     CompetingWriters,
     /// W302 — self-sustaining constant cascade: a constant-flow cycle
-    /// whose writes are mutually consistent; terminating, but the round
-    /// bound degrades from the dependency depth to the lattice height.
+    /// whose writes are mutually consistent; terminating, but the cycle
+    /// re-activates itself until every cell it pins holds its constant.
     ConstantCascade,
 }
 

@@ -373,35 +373,6 @@ where
     enumerate_valuations_restricted(rule, ctx, None, Satisfied::Visit, on_valuation)
 }
 
-/// Like [`enumerate_valuations`], but requiring one variable to bind only
-/// tuples from an explicit id set — the incremental-detection pass
-/// restricts a variable to the tuples touched by ΔD ([41]).
-pub fn enumerate_valuations_in_set<F>(
-    rule: &Rule,
-    ctx: &EvalContext<'_>,
-    var: usize,
-    tids: &rock_data::FxHashSet<TupleId>,
-    mut on_valuation: F,
-) where
-    F: FnMut(&Valuation) -> bool,
-{
-    // Reuse the range-based path by temporarily filtering candidates via a
-    // wrapper closure: enumerate unrestricted but skip valuations whose
-    // `var` binding is outside the set. To keep the candidate list small
-    // (the point of incrementality), pre-check inside the callback AND
-    // seed a narrow range when the set is contiguous-ish.
-    let (min, max) = match (tids.iter().min(), tids.iter().max()) {
-        (Some(a), Some(b)) => (a.0, b.0 + 1),
-        _ => return,
-    };
-    enumerate_valuations_restricted(rule, ctx, Some((var, min..max)), Satisfied::Visit, |h| {
-        if !tids.contains(&h.tuples[var].tid) {
-            return true;
-        }
-        on_valuation(h)
-    });
-}
-
 /// Like [`enumerate_valuations`], but optionally restricting one variable's
 /// candidate tuples to a tid range `[start, end)` — the HyperCube-style
 /// work-unit partitioning of §5.3 slices on the first variable — and with
@@ -434,9 +405,9 @@ pub fn enumerate_valuations_restricted<F>(
 
 /// Like [`enumerate_valuations_restricted`], but with explicit per-variable
 /// candidate lists for any subset of the tuple variables — the semi-naive
-/// chase pins one variable to the delta set, keeps earlier variables off
-/// it and (for ML pair rules) prunes the other to the pinned tuples'
-/// block-mates. Variables absent from `overrides` enumerate the full
+/// chase and incremental detection pin one variable to the delta set and
+/// keep earlier variables off it, and the chase (for ML pair rules) prunes
+/// the other to the pinned tuples' block-mates. Variables absent from `overrides` enumerate the full
 /// relation. Overridden lists are filtered to live tuples and re-run
 /// through the cheap unary prefilters, so callers may pass raw tid lists.
 pub fn enumerate_valuations_with_candidates<F>(

@@ -7,8 +7,8 @@
 //! rule touching a mergeable relation (a merge can rewrite any validated
 //! attribute of the united class, so it is ⊤ over those relations).
 //!
-//! The graph doubles as the chase's scheduling artifact (every chase
-//! filters its activation through it):
+//! The graph doubles as the chase's activation filter (every chase builds
+//! it with [`RuleGraph::derive`] and filters its activation through it):
 //!
 //! * [`RuleGraph::dead`] — rules that provably never extend the fix
 //!   store: unsatisfiable or malformed preconditions, and reflexive
@@ -26,7 +26,7 @@
 //! * [`RuleGraph::rels`] — relations each rule binds, intersected with
 //!   the round's tuple-level delta.
 
-use crate::{CmpOp, DiagCode, Diagnostic, Predicate, Rule, RuleSet};
+use crate::{CmpOp, DiagCode, Diagnostic, Predicate, Rule, RuleSet, Severity};
 use rock_data::{AttrId, DatabaseSchema, RelId};
 
 /// The rule-dependency graph over a ruleset (see module docs).
@@ -52,11 +52,22 @@ pub struct RuleGraph {
 }
 
 impl RuleGraph {
-    /// Build the graph for a ruleset assumed well-formed and satisfiable
-    /// (the common case: parsed + validated rules).
-    pub fn build(rules: &RuleSet, schema: &DatabaseSchema) -> RuleGraph {
-        let mask = vec![false; rules.len()];
-        RuleGraph::build_masked(rules, schema, &mask, &mask)
+    /// The graph the chase activates through: malformed rules
+    /// (error-severity well-formedness) and locally unsatisfiable ones are
+    /// masked exactly as `rock-analyze`'s first two passes mask them, so
+    /// the chase and the analyzer agree on which rules are live.
+    pub fn derive(rules: &RuleSet, schema: &DatabaseSchema) -> RuleGraph {
+        let has_error = |ds: Vec<Diagnostic>| ds.iter().any(|d| d.severity == Severity::Error);
+        let malformed: Vec<bool> = rules
+            .iter()
+            .map(|r| has_error(r.well_formedness(schema)))
+            .collect();
+        let unsat: Vec<bool> = rules
+            .iter()
+            .zip(&malformed)
+            .map(|(r, &bad)| !bad && has_error(crate::sat::check_rule(r)))
+            .collect();
+        RuleGraph::build_masked(rules, schema, &malformed, &unsat)
     }
 
     /// Build with per-rule masks from the earlier passes: `malformed`
@@ -402,7 +413,7 @@ mod tests {
     fn graph(text: &str) -> (RuleGraph, RuleSet, DatabaseSchema) {
         let s = schema();
         let rules = RuleSet::new(parse_rules(text, &s).expect("rules parse"));
-        let g = RuleGraph::build(&rules, &s);
+        let g = RuleGraph::derive(&rules, &s);
         (g, rules, s)
     }
 

@@ -57,4 +57,4 @@ pub use parser::{parse_rule, parse_rules, ParseError};
 pub use predicate::{ModelRef, Predicate};
 pub use rule::{Rule, RuleSet};
 pub use sat::{co_satisfiable, CoSat};
-pub use schedule::{ChaseSchedule, Oscillation, RoundBound, TerminationClass};
+pub use schedule::{ChaseSchedule, Oscillation};

@@ -1,22 +1,24 @@
 //! Property suite for `rock-analyze` (static ruleset analysis).
 //!
-//! Two guarantees are pinned down here:
+//! Three guarantees are pinned down here:
 //!
 //! 1. **Defect recall** — every defect class seeded by
 //!    `rock_workloads::defects` is reported with its expected diagnostic
 //!    code on the expected rule, across workloads and seeds (100% recall)
 //!    — including the certifier band (`E301`/`W301`/`W302`).
 //! 2. **No false positives** — the curated rulesets of all three standard
-//!    workloads analyze clean, earn a finite-bound termination
-//!    certificate, and injected-defect runs never flag an original
-//!    (non-injected) rule.
+//!    workloads analyze clean and terminate, and injected-defect runs never
+//!    flag an original (non-injected) rule.
+//! 3. **One rule graph** — the graph the chase derives for itself
+//!    (`RuleGraph::derive`) is the analyzer's graph, curated or seeded
+//!    with defects.
 //!
-//! That the chase, which always runs under the schedule these passes
-//! derive, commits what unscheduled activation commits — with no more
-//! rule × round pairs and inside its certificate — is checked by
-//! `tests/engine_equivalence.rs`.
+//! That the chase, which always activates through that graph, commits what
+//! unfiltered activation commits — with no more rule × round pairs — is
+//! checked by `tests/engine_equivalence.rs`.
 
 use rock::analyze::Analyzer;
+use rock::rees::RuleGraph;
 use rock::workloads::workload::{GenConfig, Workload};
 use rock::workloads::{inject_defects, DefectKind};
 use rock_data::FxHashSet;
@@ -102,16 +104,40 @@ fn curated_rulesets_analyze_clean() {
             report.diagnostics
         );
         assert_eq!(report.exit_code(), 0);
-        // every curated ruleset earns a finite-bound termination
-        // certificate — the certifier never refuses a bound on them
-        assert_ne!(
-            report.schedule.class,
-            rock::rees::TerminationClass::Unbounded,
-            "{name} curated rules must certify as terminating"
-        );
         assert!(
-            report.schedule.bound.is_some(),
-            "{name} curated rules must earn a finite round bound"
+            report.schedule.terminates(),
+            "{name} curated rules must terminate: {:?}",
+            report.schedule.oscillations
         );
+    }
+}
+
+/// The chase builds its rule graph without the analyzer; it must be the
+/// analyzer's graph, so the two agree on which rules are dead, which follow
+/// writes, which relations each binds and what reads each write reaches.
+#[test]
+fn chase_graph_is_the_analyzers_graph() {
+    let cfg = GenConfig {
+        rows: 40,
+        ..GenConfig::default()
+    };
+    for (name, w) in [
+        ("bank", rock::workloads::bank::generate(&cfg)),
+        ("logistics", rock::workloads::logistics::generate(&cfg)),
+        ("sales", rock::workloads::sales::generate(&cfg)),
+    ] {
+        let schema = w.dirty.schema();
+        let defective = inject_defects(&w.rules, &schema, 7, &DefectKind::ALL).0;
+        for (label, rules) in [("curated", &w.rules), ("+defects", &defective)] {
+            let chase = RuleGraph::derive(rules, &schema);
+            let analyzer = Analyzer::new(&schema).analyze(rules).graph;
+            let case = format!("{name} {label}");
+            assert_eq!(chase.dead, analyzer.dead, "{case}: dead");
+            assert_eq!(chase.follows_writes, analyzer.follows_writes, "{case}");
+            assert_eq!(chase.rels, analyzer.rels, "{case}: rels");
+            assert_eq!(chase.edges, analyzer.edges, "{case}: edges");
+        }
+        // the seeded defects include dead rules, so the masks are exercised
+        assert!(RuleGraph::derive(&defective, &schema).dead.contains(&true));
     }
 }

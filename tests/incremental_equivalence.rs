@@ -8,6 +8,7 @@ use rock::data::{
     AttrId, AttrType, Database, DatabaseSchema, Delta, Eid, RelId, RelationSchema, TupleId, Update,
     Value,
 };
+use rock::detect::detect::Violation;
 use rock::detect::Detector;
 use rock::ml::ModelRegistry;
 use rock::rees::{parse_rules, RuleSet};
@@ -119,20 +120,21 @@ fn incremental_detection_equals_batch_on_touched() {
             }
         }
 
-        // batch violations restricted to touched tuples
+        // the batch violations binding a touched tuple, as (rule, tuples)
+        // pairs: incremental detection finds exactly these, each once
+        let key = |v: &Violation| (v.rule, v.valuation.tuples.clone());
         let batch = detector.detect(&db);
-        let batch_touched: usize = batch
+        let mut batch_touched: Vec<_> = batch
             .violations
             .iter()
             .filter(|v| v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)))
-            .count();
-
-        assert_eq!(incremental.count(), batch_touched);
-
-        // every incremental violation touches an updated tuple
-        for v in &incremental.violations {
-            assert!(v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)));
-        }
+            .map(key)
+            .collect();
+        batch_touched.sort();
+        let mut found: Vec<_> = incremental.violations.iter().map(key).collect();
+        found.sort();
+        assert_eq!(found, batch_touched);
+        assert_eq!(incremental.count(), batch_touched.len());
     });
 }
 

@@ -10,11 +10,13 @@
 mod common;
 
 use common::check;
+use rock::chase::wal::{encode_frame, WAL_MAGIC};
 use rock::chase::{
     read_wal, read_wal_dir, segment_file_name, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult,
-    DurabilityConfig, ProvenanceGraph, WalRecord,
+    DurabilityConfig, ProvenanceGraph, RoundStats, WalRecord, CHECKPOINT_VERSION,
 };
 use rock::data::json;
+use rock::data::json::{FromJson, Json, ToJson};
 use rock::data::{
     AttrType, Database, DatabaseSchema, GlobalTid, RelId, RelationSchema, TupleId, Value,
 };
@@ -430,4 +432,119 @@ fn durable_chase_equals_oracle_on_random_dbs() {
         assert_eq!(wal_before, wal_after, "WAL not replay-idempotent");
         let _ = std::fs::remove_dir_all(&dir);
     });
+}
+
+/// One `RoundStats` object as version-3 checkpoints wrote it before the
+/// chase stopped recording termination strata and a round bound per round.
+const OLD_ROUND_STATS: &str = include_str!("../fixtures/checkpoint_v3/round_stats.json");
+
+/// The fields of the old `RoundStats` encoding that today's struct no
+/// longer has.
+fn retired_round_stats_fields() -> Vec<(String, Json)> {
+    let old = Json::parse(OLD_ROUND_STATS).unwrap();
+    let now = RoundStats::from_json(&old).unwrap().to_json();
+    let (Json::Obj(old), Json::Obj(now)) = (old, now) else {
+        panic!("RoundStats encodes as an object");
+    };
+    old.into_iter()
+        .filter(|(k, _)| !now.iter().any(|(n, _)| n == k))
+        .collect()
+}
+
+/// The codec ignores keys it does not know, so an old checkpoint's round
+/// stats decode into the new struct without a version bump.
+#[test]
+fn round_stats_with_retired_fields_still_decode() {
+    assert_eq!(CHECKPOINT_VERSION, 3);
+    let stats: RoundStats = json::from_slice(OLD_ROUND_STATS.as_bytes()).unwrap();
+    assert_eq!(
+        stats,
+        RoundStats {
+            active_rules: 3,
+            delta_tuples: 0,
+            valuations: 42,
+            proposals: 5,
+            carried: 0,
+            rules_pruned: 1,
+        }
+    );
+    assert_eq!(retired_round_stats_fields().len(), 2);
+}
+
+/// Every checkpoint of a durable run is rewritten the way the older
+/// encoder wrote it (each round's stats carrying the retired fields) and
+/// its commit marker re-pointed at the new bytes; resuming from each round
+/// still reproduces the uninterrupted run.
+#[test]
+fn resume_from_checkpoints_with_retired_round_stats_fields() {
+    let schema = schema();
+    let rs = rules(&schema);
+    let reg = ModelRegistry::new();
+    let db = build_db(&default_rows());
+    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
+
+    let oracle = engine(&rs, &reg, None).run(&db, &trusted);
+    let want = canon(&oracle);
+
+    let dir = fresh_dir("retired-fields");
+    let durable = engine(&rs, &reg, Some(DurabilityConfig::new(&dir)));
+    let first = durable.run(&db, &trusted);
+    assert_no_wal_error(&first);
+    assert!(first.rounds >= 2, "workload too shallow to exercise resume");
+
+    let retired = retired_round_stats_fields();
+    let path = dir.join(segment_file_name(1));
+    let mut wal = WAL_MAGIC.to_vec();
+    for (_, rec) in read_wal(&path).unwrap().records {
+        let rec = match rec {
+            WalRecord::RoundCommit {
+                round,
+                checkpoint: Some(name),
+                ..
+            } => {
+                let file = dir.join(&name);
+                let mut doc = Json::parse(&std::fs::read_to_string(&file).unwrap()).unwrap();
+                let Json::Obj(tagged) = &mut doc else {
+                    panic!("{name}: a tagged document");
+                };
+                let Some((tag, Json::Obj(ck))) = tagged.first_mut() else {
+                    panic!("{name}: a tagged document");
+                };
+                assert_eq!(tag, "Full", "{name}: every checkpoint is full by default");
+                let Some((_, Json::Arr(stats))) = ck.iter_mut().find(|(k, _)| k == "round_stats")
+                else {
+                    panic!("{name}: round_stats");
+                };
+                assert!(!stats.is_empty());
+                for s in stats {
+                    let Json::Obj(fields) = s else {
+                        panic!("{name}: RoundStats encodes as an object");
+                    };
+                    fields.extend(retired.iter().cloned());
+                }
+                let bytes = json::to_vec(&doc);
+                std::fs::write(&file, &bytes).unwrap();
+                WalRecord::RoundCommit {
+                    round,
+                    checkpoint: Some(name),
+                    state_crc: rock::crystal::crc32(&bytes),
+                }
+            }
+            other => other,
+        };
+        wal.extend(encode_frame(&rec).unwrap());
+    }
+    std::fs::write(&path, &wal).unwrap();
+
+    // Descending, so that no resume rewrites a checkpoint a later one
+    // reads: resuming at round r re-writes only rounds after r.
+    for r in (1..=first.rounds as u64).rev() {
+        let resumed = durable.resume_at(&trusted, r).unwrap_or_else(|e| {
+            panic!("resume at round {r} failed: {e}");
+        });
+        assert_no_wal_error(&resumed);
+        assert_eq!(resumed.wal.as_ref().unwrap().resumed_from, Some(r));
+        assert_eq!(canon(&resumed), want, "resume from round {r} diverged");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
