@@ -398,7 +398,4 @@ fn main() {
     }
 }
 
-#[allow(dead_code)]
-fn unused() {}
-
 // Extra mode: `debug_panel ec` — time the Logistics-EC chase pieces.

@@ -180,32 +180,14 @@ pub fn rd_time(app_name: &str) -> (Table, Json) {
 /// (predicate satisfaction-bitset cache) vs its tuple re-scan reference
 /// (`Discoverer::mine_relation_scan`), on the Logistics app with ML
 /// predicates in the space. Both mine the identical rule set (asserted
-/// here), so the speedup column is a like-for-like kernel comparison; a
-/// tight-budget row shows the LRU spill behaviour trading time for memory.
+/// here), so the speedup column is a like-for-like kernel comparison.
 pub fn rd_cache() -> (Table, Json) {
     use rock_data::RelId;
     use rock_discovery::levelwise::{Discoverer, DiscoveryConfig};
-    use rock_discovery::space::{MlSignature, PredicateSpace, SpaceConfig};
+    use rock_discovery::space::{PredicateSpace, SpaceConfig};
 
     let w = logistics();
-    let schema = w.dirty.schema();
-    let sigs: Vec<MlSignature> = w
-        .ml_hints
-        .iter()
-        .filter_map(|h| {
-            let rel = schema.rel_id(&h.rel)?;
-            let attrs = h
-                .attrs
-                .iter()
-                .filter_map(|a| schema.relation(rel).attr_id(a))
-                .collect();
-            Some(MlSignature {
-                model: h.model.clone(),
-                rel,
-                attrs,
-            })
-        })
-        .collect();
+    let sigs = rock_core::ml_signatures(&w);
     let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig::default());
     let base_cfg = DiscoveryConfig {
         min_support: 1e-4,
@@ -214,19 +196,9 @@ pub fn rd_cache() -> (Table, Json) {
         ..Default::default()
     };
 
-    let run = |cfg: DiscoveryConfig| {
-        Discoverer::new(&w.registry, cfg).mine_relation(&w.dirty, RelId(0), &space)
-    };
-    let scan = Discoverer::new(&w.registry, base_cfg.clone()).mine_relation_scan(
-        &w.dirty,
-        RelId(0),
-        &space,
-    );
-    let cached = run(base_cfg.clone());
-    let tight = run(DiscoveryConfig {
-        cache_budget_bytes: 8 << 10,
-        ..base_cfg
-    });
+    let miner = Discoverer::new(&w.registry, base_cfg);
+    let scan = miner.mine_relation_scan(&w.dirty, RelId(0), &space);
+    let cached = miner.mine_relation(&w.dirty, RelId(0), &space);
     assert_eq!(
         cached.rules.rules, scan.rules.rules,
         "the miner and its scan reference must mine identical rules"
@@ -281,7 +253,6 @@ pub fn rd_cache() -> (Table, Json) {
     };
     row("scan", &scan);
     row("bitset (64 MiB budget)", &cached);
-    row("bitset (8 KiB budget)", &tight);
     (table, json!({ "panel": "rdcache", "rows": rows_json }))
 }
 

@@ -25,6 +25,7 @@ pub use rock_data::bitset;
 
 pub use poly::PolyPipeline;
 pub use system::{
-    conflict_policy, CorrectionOutcome, DetectionOutcome, DiscoveryOutcome, RockConfig, RockSystem,
+    conflict_policy, ml_signatures, CorrectionOutcome, DetectionOutcome, DiscoveryOutcome,
+    RockConfig, RockSystem,
 };
 pub use variant::Variant;

@@ -7,13 +7,13 @@ use rock_chase::{
     ChaseConfig, ChaseEngine, ChaseResult, ConflictPolicy, RoundStats, WalError, WalSummary,
 };
 use rock_crystal::{FaultStats, UnitFailure};
-use rock_data::Database;
+use rock_data::{DataError, Database};
 use rock_detect::blocking::{precompute_ml, precompute_ml_indexed, BlockingStats};
 use rock_detect::{DetectReport, Detector};
 use rock_discovery::levelwise::{Discoverer, DiscoveryConfig};
 use rock_discovery::sampling::mine_with_sampling;
 use rock_discovery::space::{MlSignature, PredicateSpace, SpaceConfig};
-use rock_discovery::topk::{diversified_top_k, score_rules, AnytimeMiner};
+use rock_discovery::topk::{diversified_top_k, score_rules, PreferenceModel};
 use rock_ml::MlBlockIndex;
 use rock_rees::eval::enumerate_valuations;
 use rock_rees::EvalContext;
@@ -32,11 +32,12 @@ pub struct RockConfig {
     pub workers: usize,
     /// Sampling ratio for discovery when the data is large (paper: 10%).
     pub sample_ratio: f64,
+    /// Discovery thresholds and cache budget. Its `workers` and `cluster`
+    /// are filled in from `workers` and `chase.cluster` — see
+    /// [`RockConfig::discovery_config`].
     pub discovery: DiscoveryConfig,
     /// Relative tolerance for polynomial checks.
     pub poly_tolerance: f64,
-    /// Run LSH blocking + ML pre-computation before evaluation (§5.3).
-    pub blocking: bool,
     /// The chase this system runs: gate, partitions per rule, round
     /// budget, Crystal fault-tolerance knobs (also threaded into discovery
     /// and detection), durability. Its `workers` and `policy` are filled
@@ -53,7 +54,6 @@ impl Default for RockConfig {
             sample_ratio: 0.1,
             discovery: DiscoveryConfig::default(),
             poly_tolerance: 0.02,
-            blocking: true,
             chase: ChaseConfig::default(),
         }
     }
@@ -70,6 +70,39 @@ impl RockConfig {
             ..self.chase.clone()
         }
     }
+
+    /// The one place the system builds its [`DiscoveryConfig`]:
+    /// `discovery`, with the system-wide worker count and the chase's
+    /// Crystal fault-tolerance knobs.
+    pub fn discovery_config(&self) -> DiscoveryConfig {
+        DiscoveryConfig {
+            workers: self.workers,
+            cluster: self.chase.cluster.clone(),
+            ..self.discovery.clone()
+        }
+    }
+}
+
+/// The workload's ML hints as predicate-space signatures; hints naming an
+/// unknown relation are skipped, and so are unknown attributes.
+pub fn ml_signatures(w: &Workload) -> Vec<MlSignature> {
+    let schema = w.dirty.schema();
+    w.ml_hints
+        .iter()
+        .filter_map(|h| {
+            let rel = schema.rel_id(&h.rel)?;
+            let attrs = h
+                .attrs
+                .iter()
+                .filter_map(|a| schema.relation(rel).attr_id(a))
+                .collect();
+            Some(MlSignature {
+                model: h.model.clone(),
+                rel,
+                attrs,
+            })
+        })
+        .collect()
 }
 
 /// Conflict resolution with the workload's `Mc` and ranking models (§4.2).
@@ -181,31 +214,12 @@ impl RockSystem {
     pub fn discover(&self, w: &Workload) -> DiscoveryOutcome {
         let start = Instant::now();
         let cost0 = w.registry.meter.cost();
-        let schema = w.dirty.schema();
-        // convert hints
-        let sigs: Vec<MlSignature> = if self.config.variant.uses_ml() {
-            w.ml_hints
-                .iter()
-                .filter_map(|h| {
-                    let rel = schema.rel_id(&h.rel)?;
-                    let attrs = h
-                        .attrs
-                        .iter()
-                        .filter_map(|a| schema.relation(rel).attr_id(a))
-                        .collect();
-                    Some(MlSignature {
-                        model: h.model.clone(),
-                        rel,
-                        attrs,
-                    })
-                })
-                .collect()
+        let sigs = if self.config.variant.uses_ml() {
+            ml_signatures(w)
         } else {
             Vec::new()
         };
-        let mut disc_cfg = self.config.discovery.clone();
-        disc_cfg.cluster = self.config.chase.cluster.clone();
-        let disc = Discoverer::new(&w.registry, disc_cfg);
+        let disc = Discoverer::new(&w.registry, self.config.discovery_config());
         let mut rules = RuleSet::default();
         let mut candidates = 0usize;
         let mut fault_stats = FaultStats::default();
@@ -252,11 +266,11 @@ impl RockSystem {
     pub fn detect(&self, w: &Workload, task: &Task) -> DetectionOutcome {
         let start = Instant::now();
         let rules = self.task_rules(w, task);
-        let blocking = if self.config.blocking && self.config.variant.uses_ml() {
-            Some(precompute_ml(&w.dirty, &rules, &w.registry))
-        } else {
-            None
-        };
+        let blocking = self
+            .config
+            .variant
+            .uses_ml()
+            .then(|| precompute_ml(&w.dirty, &rules, &w.registry));
         let mut detector = Detector::new(&rules, &w.registry)
             .with_workers(self.config.workers)
             .with_cluster(self.config.chase.cluster.clone());
@@ -293,9 +307,11 @@ impl RockSystem {
         // Blocking installs the models' block filters and warms the memo
         // for every variant; the tuple-level index it returns doubles as
         // the unified chase's pair-enumeration pruner.
-        let block_index: Option<MlBlockIndex> = (self.config.blocking
-            && self.config.variant.uses_ml())
-        .then(|| precompute_ml_indexed(&w.dirty, &rules, &w.registry).1);
+        let block_index: Option<MlBlockIndex> = self
+            .config
+            .variant
+            .uses_ml()
+            .then(|| precompute_ml_indexed(&w.dirty, &rules, &w.registry).1);
         let mut out = match self.config.variant {
             Variant::Rock | Variant::RockNoMl => {
                 let engine = self.engine(w, &rules, self.config.chase_config(w));
@@ -326,20 +342,21 @@ impl RockSystem {
 
     /// Incremental error correction (§3: "Rock corrects errors in batch
     /// and incremental modes"): apply ΔD and chase, activating only rules
-    /// that read the touched relations.
+    /// that read the touched relations. A ΔD that does not apply to the
+    /// workload's database (an insert of the wrong arity) comes back as the
+    /// typed [`DataError`].
     pub fn correct_incremental(
         &self,
         w: &Workload,
         task: &Task,
         delta: &rock_data::Delta,
-    ) -> CorrectionOutcome {
+    ) -> Result<CorrectionOutcome, DataError> {
         let start = Instant::now();
         let rules = self.task_rules(w, task);
         let res = self
             .engine(w, &rules, self.config.chase_config(w))
-            .run_incremental(&w.dirty, &w.trusted, delta)
-            .expect("workload deltas are well-formed");
-        self.scored(w, task, start, CorrectionOutcome::from_chase(res))
+            .run_incremental(&w.dirty, &w.trusted, delta)?;
+        Ok(self.scored(w, task, start, CorrectionOutcome::from_chase(res)))
     }
 
     /// Durable incremental correction: like [`Self::correct_incremental`],
@@ -420,12 +437,6 @@ impl RockSystem {
     /// touches).
     pub fn discover_top_k(&self, w: &Workload, k: usize, labeled: &[(String, bool)]) -> RuleSet {
         let pool = self.discover(w).rules;
-        let mut miner = AnytimeMiner::new(pool.rules.clone());
-        for (name, useful) in labeled {
-            if let Some(i) = pool.rules.iter().position(|r| &r.name == name) {
-                miner.feedback(i, *useful);
-            }
-        }
         // coverage: tuple ids (first variable) whose bindings satisfy the
         // precondition
         let coverage: Vec<rock_data::FxHashSet<u32>> = pool
@@ -441,19 +452,12 @@ impl RockSystem {
                 cov
             })
             .collect();
-        let pref = {
-            // rebuild the preference model from the same feedback for
-            // scoring (AnytimeMiner keeps its own copy for its iterator)
-            let mut p = rock_discovery::topk::PreferenceModel::new();
-            let labeled_rules: Vec<(&rock_rees::Rule, bool)> = labeled
-                .iter()
-                .filter_map(|(name, y)| {
-                    pool.rules.iter().find(|r| &r.name == name).map(|r| (r, *y))
-                })
-                .collect();
-            p.train(&labeled_rules);
-            p
-        };
+        let labeled_rules: Vec<(&rock_rees::Rule, bool)> = labeled
+            .iter()
+            .filter_map(|(name, y)| pool.rules.iter().find(|r| &r.name == name).map(|r| (r, *y)))
+            .collect();
+        let mut pref = PreferenceModel::new();
+        pref.train(&labeled_rules);
         let scores = score_rules(&pool.rules, &pref, 0.6, 0.4);
         let picked = diversified_top_k(&scores, &coverage, k);
         RuleSet::new(picked.into_iter().map(|i| pool.rules[i].clone()).collect())
@@ -716,5 +720,69 @@ mod tests {
         let out = sys.discover(&w);
         assert!(!out.rules.is_empty(), "no rules discovered");
         assert!(out.candidates_evaluated > 0);
+    }
+
+    #[test]
+    fn discovery_config_carries_workers_and_cluster() {
+        let cluster = rock_crystal::ClusterConfig::default().with_max_retries(5);
+        let cfg = RockConfig {
+            workers: 3,
+            chase: ChaseConfig {
+                cluster: cluster.clone(),
+                ..ChaseConfig::default()
+            },
+            ..RockConfig::default()
+        };
+        let disc = cfg.discovery_config();
+        assert_eq!(disc.workers, 3);
+        assert_eq!(disc.cluster, cluster);
+        assert_eq!(disc.max_preconditions, cfg.discovery.max_preconditions);
+    }
+
+    #[test]
+    fn discovery_mines_the_same_rules_at_any_worker_count() {
+        let w = small();
+        let mine = |workers: usize| {
+            RockSystem::new(RockConfig {
+                workers,
+                discovery: DiscoveryConfig {
+                    min_support: 1e-4,
+                    min_confidence: 0.9,
+                    max_preconditions: 2,
+                    ..Default::default()
+                },
+                sample_ratio: 0.5,
+                ..RockConfig::default()
+            })
+            .discover(&w)
+        };
+        let (one, three) = (mine(1), mine(3));
+        assert!(!one.rules.is_empty());
+        assert_eq!(one.rules.rules, three.rules.rules);
+        assert_eq!(one.candidates_evaluated, three.candidates_evaluated);
+    }
+
+    #[test]
+    fn malformed_delta_is_a_typed_error() {
+        let w = small();
+        let task = w.task("RClean").unwrap().clone();
+        let rel = rock_data::RelId(0);
+        let arity = w.dirty.relation(rel).schema.arity();
+        let delta = rock_data::Delta::new(vec![rock_data::Update::Insert {
+            rel,
+            eid: rock_data::Eid(999_999),
+            values: vec![rock_data::Value::str("x")],
+        }]);
+        let err = RockSystem::new(RockConfig::default())
+            .correct_incremental(&w, &task, &delta)
+            .err();
+        assert_eq!(
+            err,
+            Some(DataError::ArityMismatch {
+                relation: w.dirty.relation(rel).schema.name.clone(),
+                expected: arity,
+                got: 1,
+            })
+        );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Discovery's cost used to grow multiplicatively with level depth: every
 //! candidate conjunction re-evaluated each of its predicates from raw
-//! tuples. This module materializes, once per `(predicate, partition)`
-//! over the candidate instance set, the bitset of satisfied instances
+//! tuples. This module materializes, once per predicate over the
+//! candidate instance set, the bitset of satisfied instances
 //! ([`rock_rees::measures::predicate_sat_bits`]) — ML-predicate outputs
 //! included, so each embedded classifier runs once per instance rather
 //! than once per candidate containing it. The levelwise loop then measures
@@ -36,16 +36,14 @@ pub enum BitsForm {
     ConsequencePair,
 }
 
-/// Cache key: one bitset per `(predicate slot, partition)`. Predicates are
-/// identified by their stable index in the predicate space (`Predicate`
-/// itself is not hashable — it contains float constants), partitions by
-/// their tid range over the instance.
+/// Cache key: one bitset per `(form, predicate slot)` over the whole
+/// instance. Predicates are identified by their stable index in the
+/// predicate space (`Predicate` itself is not hashable — it contains float
+/// constants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PredKey {
     pub form: BitsForm,
     pub slot: u32,
-    pub start: u32,
-    pub end: u32,
 }
 
 /// Counters describing a cache's lifetime behaviour.
@@ -262,13 +260,7 @@ impl<'a> PredicateBitsets<'a> {
     }
 
     fn build(&self, form: BitsForm, slot: u32, p: &Predicate) -> Arc<SatBits> {
-        let key = PredKey {
-            form,
-            slot,
-            start: 0,
-            end: self.tids.len() as u32,
-        };
-        self.cache.get_or_build(key, || {
+        self.cache.get_or_build(PredKey { form, slot }, || {
             predicate_sat_bits(p, self.ctx, self.rel, &self.tids)
         })
     }
@@ -285,8 +277,6 @@ impl<'a> PredicateBitsets<'a> {
                 let key = PredKey {
                     form: BitsForm::ConsequencePair,
                     slot: ci as u32,
-                    start: 0,
-                    end: n as u32,
                 };
                 Some(self.cache.get_or_build(key, || match natural.as_ref() {
                     SatBits::Unary(u) => SatBits::Pair(rock_rees::measures::broadcast_rows(u, n)),
@@ -371,8 +361,6 @@ mod tests {
         let key = PredKey {
             form: BitsForm::Precondition,
             slot: 0,
-            start: 0,
-            end: 64,
         };
         let mut builds = 0;
         for _ in 0..3 {
@@ -396,8 +384,6 @@ mod tests {
         let key = |slot: u32| PredKey {
             form: BitsForm::Precondition,
             slot,
-            start: 0,
-            end: 64,
         };
         let build = || SatBits::Unary(Bitset::new(64));
         cache.get_or_build(key(0), build);
@@ -420,8 +406,6 @@ mod tests {
         let key = PredKey {
             form: BitsForm::Precondition,
             slot: 0,
-            start: 0,
-            end: 64,
         };
         let mut builds = 0;
         for _ in 0..2 {

@@ -14,17 +14,21 @@
 //! [`rock_rees::measures`], and the thresholds default to the paper's
 //! values (§6: support 1e-8, confidence 0.9).
 //!
-//! Candidates are measured with bitset kernels: predicates are
-//! materialized once into satisfaction bitsets via
-//! [`crate::cache::PredicateBitsets`]; each level-k candidate intersects its
-//! level-(k−1) parent's running bitset with one predicate bitset and
-//! measures by AND+popcount. Workers share the parent bitsets read-only
-//! (`Arc`), addressed through the Crystal work unit's `payload`.
+//! One search serves both miners. It is generic over a private `Measurer`
+//! that decides how one candidate is measured (static dispatch). Production
+//! ([`Discoverer::mine_relation`]) measures with bitset kernels: predicates
+//! are materialized once into satisfaction bitsets via
+//! [`crate::cache::PredicateBitsets`]; each frontier entry keeps its
+//! conjunction's bitset, and a level-k candidate ANDs one predicate bitset
+//! into its level-(k−1) parent's and measures by popcount. Workers share
+//! the parent bitsets read-only (`Arc`), addressed through the Crystal work
+//! unit's `payload`.
 //!
 //! [`Discoverer::mine_relation_scan`] is the reference: the same search
-//! with every candidate measured by a tuple re-scan via [`measure`]. It
-//! mines the identical rule set (`tests/engine_equivalence.rs`) and is the
-//! uncached arm of the `rdcache` panel.
+//! with a measurer that keeps nothing and re-measures every candidate rule
+//! by a tuple re-scan via [`measure`]. It mines the identical rule set
+//! (`tests/engine_equivalence.rs`) and is the uncached arm of the
+//! `rdcache` panel.
 
 use crate::cache::{CacheStats, PredicateBitsets};
 use crate::space::PredicateSpace;
@@ -33,7 +37,7 @@ use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure, WorkUnit};
 use rock_data::{Database, RelId};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
-use rock_rees::measures::{measure, SatBits};
+use rock_rees::measures::{measure, Measures, SatBits};
 use rock_rees::{EvalContext, Predicate, Rule, RuleSet};
 use std::sync::Arc;
 
@@ -74,7 +78,7 @@ impl Default for DiscoveryConfig {
 }
 
 /// Outcome of a discovery run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DiscoveryReport {
     pub rules: RuleSet,
     /// Candidates evaluated (search-space size actually visited).
@@ -120,33 +124,39 @@ impl<'a> Discoverer<'a> {
         }
     }
 
-    /// Mine rules over one relation's two-variable template. The mined
-    /// set is screened by `rock-analyze` before it is returned: rules with
-    /// error-severity diagnostics or subsumed by another mined rule are
-    /// dropped (with counters in the report).
+    /// Mine rules over one relation's two-variable template, measuring
+    /// candidates with cached predicate bitsets. The mined set is screened
+    /// by `rock-analyze` before it is returned: rules with error-severity
+    /// diagnostics or subsumed by another mined rule are dropped (with
+    /// counters in the report).
     pub fn mine_relation(
         &self,
         db: &Database,
         rel: RelId,
         space: &PredicateSpace,
     ) -> DiscoveryReport {
-        let mut report = self.mine_relation_cached(db, rel, space);
-        Self::screen_mined(db, &mut report);
-        report
+        let ctx = self.ctx(db);
+        let bits = PredicateBitsets::new(
+            &ctx,
+            db,
+            rel,
+            &space.preconditions(),
+            &space.consequences,
+            self.registry,
+            self.config.cache_budget_bytes,
+        );
+        self.search(db, rel, space, &bits)
     }
 
-    /// Reference for [`Self::mine_relation`]: the same levelwise search and
-    /// the same screen, with every candidate measured by re-scanning the
-    /// tuples instead of intersecting cached bitsets.
+    /// Reference for [`Self::mine_relation`]: the same search and the same
+    /// screen, with every candidate measured by re-scanning the tuples.
     pub fn mine_relation_scan(
         &self,
         db: &Database,
         rel: RelId,
         space: &PredicateSpace,
     ) -> DiscoveryReport {
-        let mut report = self.scan_candidates(db, rel, space);
-        Self::screen_mined(db, &mut report);
-        report
+        self.search(db, rel, space, &Rescan(self.ctx(db)))
     }
 
     /// The static-analysis screen over a freshly mined ruleset. Mining
@@ -169,49 +179,33 @@ impl<'a> Discoverer<'a> {
         report.rules_dropped_by_analyzer = before - report.rules.len();
     }
 
-    /// Bitset-kernel mining: measures computed by AND+popcount over cached
-    /// satisfaction bitsets.
-    fn mine_relation_cached(
+    /// The levelwise search for every measurer: frontier expansion,
+    /// the minimality check, candidate naming, support pruning and
+    /// acceptance. Each level's candidates are measured in parallel, one
+    /// Crystal work unit per candidate; the unit payload names the parent
+    /// frontier entry whose [`Measurer::Conj`] the worker extends.
+    fn search<M: Measurer>(
         &self,
         db: &Database,
         rel: RelId,
         space: &PredicateSpace,
+        measurer: &M,
     ) -> DiscoveryReport {
         let start = std::time::Instant::now();
         let rel_name = db.relation(rel).schema.name.clone();
+        let n = db.relation(rel).len();
         let preconditions = space.preconditions();
-        let mut report = DiscoveryReport {
-            rules: RuleSet::default(),
-            candidates_evaluated: 0,
-            pruned: 0,
-            wall_seconds: 0.0,
-            unit_seconds: Vec::new(),
-            cache: None,
-            fault_stats: FaultStats::default(),
-            unit_failures: Vec::new(),
-            analyzer: rock_analyze::AnalyzerStats::default(),
-            rules_dropped_by_analyzer: 0,
-        };
-
-        let ctx = self.ctx(db);
-        let bits = PredicateBitsets::new(
-            &ctx,
-            db,
-            rel,
-            &preconditions,
-            &space.consequences,
-            self.registry,
-            self.config.cache_budget_bytes,
-        );
-        let n = bits.n();
+        let mut report = DiscoveryReport::default();
         let cluster = Cluster::with_config(self.config.workers, self.config.cluster.clone());
         let mut counter = 0usize;
 
         for (ci, consequence) in space.consequences.iter().enumerate() {
             // level 0: the consequence alone must clear the support floor.
-            // An unknown-model consequence yields no measure and is skipped.
-            let root = bits.root();
-            let Some(base) = bits.measure(ci, &root) else {
+            // An unknown-model consequence yields no rule and is skipped.
+            let Some((base, root)) = self
+                .make_rule(format!("{rel_name}-c{ci}"), rel, consequence, Vec::new())
+                .and_then(|base| measurer.base(ci, &base))
+            else {
                 continue;
             };
             report.candidates_evaluated += 1;
@@ -221,9 +215,8 @@ impl<'a> Discoverer<'a> {
             }
 
             // frontier: precondition index-vectors (sorted, no dups), each
-            // carrying the running satisfaction bitset of its conjunction —
-            // shared read-only with every worker expanding it at level k.
-            let mut frontier: Vec<(Vec<usize>, Arc<SatBits>)> = vec![(Vec::new(), root)];
+            // with what the measurer keeps of its conjunction
+            let mut frontier: Vec<(Vec<usize>, M::Conj)> = vec![(Vec::new(), root)];
             let mut accepted_for_consequence: Vec<Vec<usize>> = Vec::new();
 
             for level in 1..=self.config.max_preconditions {
@@ -265,19 +258,7 @@ impl<'a> Discoverer<'a> {
                         )
                     })
                     .collect();
-                // prefetch each distinct new conjunct's bitset serially so
-                // workers hit the cache instead of racing to materialize
-                let mut fresh: Vec<usize> = candidates
-                    .iter()
-                    .filter_map(|idxs| idxs.last().copied())
-                    .collect();
-                fresh.sort_unstable();
-                fresh.dedup();
-                for &pi in &fresh {
-                    let _ = bits.precondition(pi);
-                }
-                // measure candidates in parallel; the unit payload names
-                // the parent frontier entry whose bitset the worker reuses
+                measurer.prepare(&candidates);
                 let units: Vec<WorkUnit> = (0..candidates.len())
                     .map(|i| {
                         WorkUnit::new(i as u32, vec![Partition::new(rel.0, 0, n as u32)])
@@ -288,12 +269,9 @@ impl<'a> Discoverer<'a> {
                 let outcome = cluster.execute(units, |u| {
                     let i = u.rule as usize;
                     let evaluate = || {
-                        rules[i].as_ref()?;
+                        let rule = rules[i].as_ref()?;
                         let pi = *candidates[i].last()?;
-                        let parent = &frontier_ref[u.payload as usize].1;
-                        let child = parent.and(bits.precondition(pi)?.as_ref(), n);
-                        let m = bits.measure(ci, &child)?;
-                        Some((m, Arc::new(child)))
+                        measurer.extend(ci, &frontier_ref[u.payload as usize].1, pi, rule)
                     };
                     Ok(evaluate())
                 });
@@ -304,9 +282,9 @@ impl<'a> Discoverer<'a> {
                 // dropped exactly like a support-pruned one
                 let outs = outcome.results.into_iter().map(Option::flatten);
 
-                let mut next_frontier: Vec<(Vec<usize>, Arc<SatBits>)> = Vec::new();
+                let mut next_frontier: Vec<(Vec<usize>, M::Conj)> = Vec::new();
                 for ((idxs, rule), out) in candidates.into_iter().zip(rules).zip(outs) {
-                    let (Some(mut rule), Some((m, child))) = (rule, out) else {
+                    let (Some(mut rule), Some((m, conj))) = (rule, out) else {
                         continue;
                     };
                     report.candidates_evaluated += 1;
@@ -320,7 +298,7 @@ impl<'a> Discoverer<'a> {
                         accepted_for_consequence.push(idxs);
                         report.rules.push(rule);
                     } else if level < self.config.max_preconditions {
-                        next_frontier.push((idxs, child));
+                        next_frontier.push((idxs, conj));
                     }
                 }
                 frontier = next_frontier;
@@ -329,136 +307,9 @@ impl<'a> Discoverer<'a> {
                 }
             }
         }
-        report.cache = Some(bits.stats());
+        report.cache = measurer.cache_stats();
         report.wall_seconds = start.elapsed().as_secs_f64();
-        report
-    }
-
-    /// Tuple re-scan mining: identical candidate generation, ordering and
-    /// naming as [`Self::mine_relation_cached`], every candidate measured
-    /// by enumerating valuations.
-    fn scan_candidates(
-        &self,
-        db: &Database,
-        rel: RelId,
-        space: &PredicateSpace,
-    ) -> DiscoveryReport {
-        let start = std::time::Instant::now();
-        let rel_name = db.relation(rel).schema.name.clone();
-        let preconditions = space.preconditions();
-        let mut report = DiscoveryReport {
-            rules: RuleSet::default(),
-            candidates_evaluated: 0,
-            pruned: 0,
-            wall_seconds: 0.0,
-            unit_seconds: Vec::new(),
-            cache: None,
-            fault_stats: FaultStats::default(),
-            unit_failures: Vec::new(),
-            analyzer: rock_analyze::AnalyzerStats::default(),
-            rules_dropped_by_analyzer: 0,
-        };
-
-        // Parallel evaluation of candidates happens per level: build the
-        // level's candidate list, measure each as a work unit, then expand
-        // survivors.
-        let cluster = Cluster::with_config(self.config.workers, self.config.cluster.clone());
-        let mut counter = 0usize;
-
-        for (ci, consequence) in space.consequences.iter().enumerate() {
-            // level 0: the consequence alone must clear the support floor
-            let base_rule =
-                self.make_rule(format!("{rel_name}-c{ci}"), rel, consequence, Vec::new());
-            let Some(base_rule) = base_rule else { continue };
-            let ctx = self.ctx(db);
-            let base = measure(&base_rule, &ctx);
-            report.candidates_evaluated += 1;
-            if base.support() < self.config.min_consequence_support {
-                report.pruned += 1;
-                continue;
-            }
-
-            // frontier: vectors of predicate indices (sorted, no dups)
-            let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
-            let mut accepted_for_consequence: Vec<Vec<usize>> = Vec::new();
-
-            for level in 1..=self.config.max_preconditions {
-                // expand frontier
-                let mut candidates: Vec<Vec<usize>> = Vec::new();
-                for x in &frontier {
-                    let startp = x.last().map(|&i| i + 1).unwrap_or(0);
-                    #[allow(clippy::needless_range_loop)] // pi is also data
-                    for pi in startp..preconditions.len() {
-                        if &preconditions[pi] == consequence {
-                            continue;
-                        }
-                        // minimality: skip supersets of accepted rules
-                        let mut next = x.clone();
-                        next.push(pi);
-                        if accepted_for_consequence
-                            .iter()
-                            .any(|acc| acc.iter().all(|i| next.contains(i)))
-                        {
-                            continue;
-                        }
-                        candidates.push(next);
-                    }
-                }
-                if candidates.is_empty() {
-                    break;
-                }
-                // measure candidates in parallel
-                let units: Vec<WorkUnit> = (0..candidates.len())
-                    .map(|i| WorkUnit::new(i as u32, vec![Partition::new(rel.0, 0, 1)]))
-                    .collect();
-                let rules: Vec<Option<Rule>> = candidates
-                    .iter()
-                    .map(|idxs| {
-                        counter += 1;
-                        self.make_rule(
-                            format!("{rel_name}-r{counter}"),
-                            rel,
-                            consequence,
-                            idxs.iter().map(|&i| preconditions[i].clone()).collect(),
-                        )
-                    })
-                    .collect();
-                let ctx = self.ctx(db);
-                let outcome = cluster.execute(units, |u| {
-                    let i = u.rule as usize;
-                    Ok(rules[i].as_ref().map(|r| measure(r, &ctx)))
-                });
-                report.unit_seconds.extend(outcome.stats.unit_seconds);
-                report.fault_stats.merge(&outcome.stats.faults);
-                report.unit_failures.extend(outcome.failures);
-                let measures = outcome.results.into_iter().map(Option::flatten);
-
-                let mut next_frontier = Vec::new();
-                for ((idxs, rule), m) in candidates.into_iter().zip(rules).zip(measures) {
-                    let (Some(mut rule), Some(m)) = (rule, m) else {
-                        continue;
-                    };
-                    report.candidates_evaluated += 1;
-                    if m.support() < self.config.min_support {
-                        report.pruned += 1;
-                        continue; // anti-monotone: no supersets either
-                    }
-                    if m.confidence() >= self.config.min_confidence && m.precondition_count > 0 {
-                        rule.support = m.support();
-                        rule.confidence = m.confidence();
-                        accepted_for_consequence.push(idxs);
-                        report.rules.push(rule);
-                    } else if level < self.config.max_preconditions {
-                        next_frontier.push(idxs);
-                    }
-                }
-                frontier = next_frontier;
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-        }
-        report.wall_seconds = start.elapsed().as_secs_f64();
+        Self::screen_mined(db, &mut report);
         report
     }
 
@@ -493,6 +344,93 @@ impl<'a> Discoverer<'a> {
         let mut rule = Rule::new(name, tuple_vars, vec![], precondition, consequence.clone());
         rule.resolve(self.registry).ok()?;
         Some(rule)
+    }
+}
+
+/// How the levelwise search measures a candidate `X ∧ p → p0`. A frontier
+/// entry keeps the measurer's [`Self::Conj`] for its conjunction `X`, and
+/// every worker extending that entry reads it.
+trait Measurer: Sync {
+    /// What a frontier entry keeps of its conjunction.
+    type Conj: Send + Sync;
+
+    /// The measures of `base` (`∅ → p0`, the consequence at slot `ci`)
+    /// and the empty conjunction the first level extends.
+    fn base(&self, ci: usize, base: &Rule) -> Option<(Measures, Self::Conj)>;
+
+    /// Runs serially before a level's candidates are measured.
+    fn prepare(&self, _candidates: &[Vec<usize>]) {}
+
+    /// Measures of `rule`: the parent conjunction `x` extended with
+    /// precondition slot `pi`, implying consequence slot `ci`.
+    fn extend(
+        &self,
+        ci: usize,
+        x: &Self::Conj,
+        pi: usize,
+        rule: &Rule,
+    ) -> Option<(Measures, Self::Conj)>;
+
+    /// Cache counters, for a measurer that caches.
+    fn cache_stats(&self) -> Option<CacheStats> {
+        None
+    }
+}
+
+/// Production: a frontier entry keeps its conjunction's satisfaction
+/// bitset; a candidate ANDs one predicate bitset into its parent's and
+/// measures by popcount.
+impl Measurer for PredicateBitsets<'_> {
+    type Conj = Arc<SatBits>;
+
+    fn base(&self, ci: usize, _base: &Rule) -> Option<(Measures, Arc<SatBits>)> {
+        let root = self.root();
+        Some((self.measure(ci, &root)?, root))
+    }
+
+    /// Materialize each distinct new conjunct's bitset before the level
+    /// runs, so workers hit the cache instead of racing to build it.
+    fn prepare(&self, candidates: &[Vec<usize>]) {
+        let mut fresh: Vec<usize> = candidates
+            .iter()
+            .filter_map(|idxs| idxs.last().copied())
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        for pi in fresh {
+            let _ = self.precondition(pi);
+        }
+    }
+
+    fn extend(
+        &self,
+        ci: usize,
+        x: &Arc<SatBits>,
+        pi: usize,
+        _rule: &Rule,
+    ) -> Option<(Measures, Arc<SatBits>)> {
+        let child = x.and(self.precondition(pi)?.as_ref(), self.n());
+        Some((self.measure(ci, &child)?, Arc::new(child)))
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        Some(self.stats())
+    }
+}
+
+/// The reference: keeps nothing and measures every candidate rule by
+/// enumerating its valuations ([`measure`]).
+struct Rescan<'a>(EvalContext<'a>);
+
+impl Measurer for Rescan<'_> {
+    type Conj = ();
+
+    fn base(&self, _ci: usize, base: &Rule) -> Option<(Measures, ())> {
+        Some((measure(base, &self.0), ()))
+    }
+
+    fn extend(&self, _ci: usize, _x: &(), _pi: usize, rule: &Rule) -> Option<(Measures, ())> {
+        Some((measure(rule, &self.0), ()))
     }
 }
 

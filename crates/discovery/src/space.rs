@@ -167,12 +167,6 @@ impl PredicateSpace {
         out
     }
 
-    /// Number of precondition candidates (`preconditions().len()` without
-    /// cloning) — an upper bound on the cache's `Precondition` entries.
-    pub fn n_preconditions(&self) -> usize {
-        self.unary.len() + self.binary.len()
-    }
-
     /// Total size of the space.
     pub fn len(&self) -> usize {
         self.unary.len() + self.binary.len() + self.consequences.len()

@@ -848,19 +848,6 @@ pub fn find_violations(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
     out
 }
 
-/// All satisfying valuations (X ∧ p0) — used by support computation and the
-/// chase's fix deduction.
-pub fn find_satisfying(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    enumerate_valuations(rule, ctx, |h| {
-        if distinct_ok(rule, h) && ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-            out.push(h.clone());
-        }
-        true
-    });
-    out
-}
-
 /// Skip degenerate valuations that bind two *distinct variables over the
 /// same relation* to the *same tuple* — those are vacuous for every rule in
 /// the paper (φ over (t, s) compares a tuple with itself).
@@ -883,6 +870,19 @@ mod tests {
     use rock_data::{AttrId, AttrType, DatabaseSchema, RelId, RelationSchema};
     use rock_ml::pair::NgramPairModel;
     use std::sync::Arc;
+
+    /// All satisfying valuations (X ∧ p0).
+    fn find_satisfying(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
+        let mut out = Vec::new();
+        enumerate_valuations(rule, ctx, |h| {
+            if distinct_ok(rule, h) && ctx.eval_predicate(rule, h, &rule.consequence) == Some(true)
+            {
+                out.push(h.clone());
+            }
+            true
+        });
+        out
+    }
 
     fn trans_db() -> Database {
         let schema = DatabaseSchema::new(vec![RelationSchema::of(

@@ -23,8 +23,9 @@ pub struct Task {
     pub polynomial_target: Option<(RelId, AttrId)>,
 }
 
-/// Declared applicability of a registered ML model (name-based; the
-/// harness converts to `rock_discovery::space::MlSignature`).
+/// Declared applicability of a registered ML model (name-based;
+/// `rock_core::ml_signatures` converts it to
+/// `rock_discovery::space::MlSignature`).
 #[derive(Debug, Clone)]
 pub struct MlHint {
     pub model: String,

@@ -20,6 +20,7 @@ use common::Gen as Rng;
 
 use rock::chase::reference::{self, ReferenceResult};
 use rock::chase::{ChaseConfig, ChaseEngine, ChaseResult, GateMode};
+use rock::core::ml_signatures;
 use rock::crystal::{ClusterConfig, FaultPlan};
 use rock::data::{
     AttrId, AttrType, Database, DatabaseSchema, Delta, Eid, GlobalTid, RelId, RelationSchema,
@@ -27,7 +28,7 @@ use rock::data::{
 };
 use rock::detect::blocking::precompute_ml_indexed;
 use rock::discovery::levelwise::{Discoverer, DiscoveryConfig, DiscoveryReport};
-use rock::discovery::space::{MlSignature, PredicateSpace, SpaceConfig};
+use rock::discovery::space::{PredicateSpace, SpaceConfig};
 use rock::ml::ModelRegistry;
 use rock::rees::{parse_rules, RuleSet};
 use rock::workloads::workload::{GenConfig, Workload};
@@ -507,24 +508,7 @@ fn logistics_rows(rows: usize) -> Workload {
 /// Mine relation 0 with the workload's ML hints in the predicate space,
 /// through production and through the scan reference.
 fn mine_both(w: &Workload, cfg: DiscoveryConfig) -> (DiscoveryReport, DiscoveryReport) {
-    let schema = w.dirty.schema();
-    let sigs: Vec<MlSignature> = w
-        .ml_hints
-        .iter()
-        .filter_map(|h| {
-            let rel = schema.rel_id(&h.rel)?;
-            let attrs = h
-                .attrs
-                .iter()
-                .filter_map(|a| schema.relation(rel).attr_id(a))
-                .collect();
-            Some(MlSignature {
-                model: h.model.clone(),
-                rel,
-                attrs,
-            })
-        })
-        .collect();
+    let sigs = ml_signatures(w);
     let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig::default());
     let miner = Discoverer::new(&w.registry, cfg);
     let cached = miner.mine_relation(&w.dirty, RelId(0), &space);
@@ -606,4 +590,59 @@ fn cache_budget_never_changes_mined_rules() {
         stats.spills + stats.evictions > 0,
         "budget pressure observed"
     );
+}
+
+/// A quarantined candidate unit is dropped like a support-pruned one, and
+/// dropped the same way whichever measurer the search runs with. A poisoned
+/// unit index fails in every level batch that reaches it; with no retries
+/// each such candidate is quarantined on its first attempt.
+#[test]
+fn poisoned_candidate_is_dropped_by_both_miners() {
+    let w = logistics_rows(48);
+    for k in [0u32, 7] {
+        let (cached, scan) = mine_both(
+            &w,
+            DiscoveryConfig {
+                cluster: ClusterConfig::default()
+                    .with_fault_plan(FaultPlan::seeded(11).with_poison(vec![k]))
+                    .with_max_retries(0),
+                ..mining_config()
+            },
+        );
+        assert!(!cached.unit_failures.is_empty(), "poison {k} hit no unit");
+        assert_eq!(cached.unit_failures, scan.unit_failures, "poison {k}");
+        assert!(cached.unit_failures.iter().all(|f| f.attempts == 1));
+        assert_eq!(
+            cached.fault_stats.quarantined,
+            cached.unit_failures.len() as u64
+        );
+    }
+}
+
+/// First-attempt-only chaos (panics, transient errors, stragglers) is
+/// recovered by retries: the miner mines the fault-free rule set.
+#[test]
+fn chaos_faults_never_change_mined_rules() {
+    let w = logistics_rows(48);
+    let sigs = ml_signatures(&w);
+    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig::default());
+    let mine = |cfg: DiscoveryConfig| {
+        Discoverer::new(&w.registry, cfg).mine_relation(&w.dirty, RelId(0), &space)
+    };
+    let clean = mine(mining_config());
+    for seed in [3u64, 29] {
+        let faulted = mine(DiscoveryConfig {
+            workers: 2,
+            cluster: ClusterConfig::default().with_fault_plan(FaultPlan::chaos(seed)),
+            ..mining_config()
+        });
+        assert!(
+            faulted.fault_stats.retries > 0,
+            "seed {seed}: no fault fired"
+        );
+        assert!(faulted.unit_failures.is_empty(), "seed {seed}");
+        assert_eq!(faulted.rules.rules, clean.rules.rules, "seed {seed}");
+        assert_eq!(faulted.candidates_evaluated, clean.candidates_evaluated);
+        assert_eq!(faulted.pruned, clean.pruned);
+    }
 }

@@ -126,7 +126,9 @@ fn incremental_correction_handles_new_dirty_rows() {
         values,
     }]);
     let sys = RockSystem::new(RockConfig::default());
-    let out = sys.correct_incremental(&w, &task, &delta);
+    let out = sys
+        .correct_incremental(&w, &task, &delta)
+        .expect("a well-formed insert");
     // the inserted row's region got reconciled with its city group
     let new_tid = rock::data::TupleId(w.dirty.relation(RelId(0)).capacity() as u32);
     let fixed = out.repaired.cell(RelId(0), new_tid, AttrId(4)).unwrap();
