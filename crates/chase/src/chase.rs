@@ -29,11 +29,9 @@ use crate::conflict::ConflictPolicy;
 use crate::delta::{DeltaSet, RoundStats};
 use crate::evaluate::{evaluate, Frontier};
 use crate::fixes::FixStore;
-use crate::wal::{DurabilityConfig, DurabilityCtx, WalHealth, WalSummary};
+use crate::wal::{DurabilityConfig, DurabilityCtx, WalSummary};
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
-use rock_data::{
-    AttrId, CellRef, Database, Delta, FxHashSet, GlobalTid, RelId, TupleId, Update, Value,
-};
+use rock_data::{AttrId, CellRef, Database, Delta, FxHashSet, GlobalTid, RelId, Value};
 use rock_kg::Graph;
 use rock_ml::{MlBlockIndex, ModelRegistry};
 use rock_rees::{Rule, RuleGraph, RuleSet};
@@ -159,13 +157,6 @@ impl ChaseResult {
             .map(|durs| rock_crystal::scheduler::makespan_lpt(durs, workers))
             .sum()
     }
-
-    /// Typed durability health of the run (`None` when durability was not
-    /// configured). `Degraded` means the log is incomplete — the repairs
-    /// themselves are still byte-identical to the in-memory oracle.
-    pub fn wal_health(&self) -> Option<&WalHealth> {
-        self.wal.as_ref().map(|w| &w.health)
-    }
 }
 
 /// The chase engine. Borrows the rule set, model registry and optional
@@ -231,7 +222,7 @@ impl<'a> ChaseEngine<'a> {
     ) -> Result<ChaseResult, rock_data::DataError> {
         let mut work = db.clone();
         let inserted = work.apply(delta)?;
-        let seed = seed_from_delta(&work, delta, &inserted);
+        let seed = DeltaSet::touched(&work, &delta.touched(&inserted));
         let (ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());
         Ok(self.run_loop(ls, graph, self.begin_durable()))
     }
@@ -450,32 +441,11 @@ fn rule_reads(rule: &Rule) -> FxHashSet<(RelId, AttrId)> {
     reads
 }
 
-/// The round-1 delta of an incremental run: the tuples ΔD touched, sized
-/// to the post-apply database. `inserted` is `Database::apply`'s return
-/// (inserted ids in update order).
-pub(crate) fn seed_from_delta(work: &Database, delta: &Delta, inserted: &[TupleId]) -> DeltaSet {
-    let mut seed = DeltaSet::empty(work);
-    let mut ins = inserted.iter();
-    for u in &delta.updates {
-        match u {
-            Update::Insert { rel, .. } => {
-                if let Some(tid) = ins.next() {
-                    seed.mark(*rel, *tid);
-                }
-            }
-            Update::Delete { rel, tid } | Update::SetCell { rel, tid, .. } => {
-                seed.mark(*rel, *tid);
-            }
-        }
-    }
-    seed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixes::EntityKey;
-    use rock_data::{AttrType, DatabaseSchema, Eid, RelationSchema};
+    use rock_data::{AttrType, DatabaseSchema, Eid, RelationSchema, TupleId};
     use rock_rees::parse_rules;
 
     fn trans_schema() -> DatabaseSchema {

@@ -13,7 +13,7 @@
 //! one tuple variable binds a delta tuple; untouched valuations are covered
 //! by the per-rule carry (see `evaluate.rs`).
 
-use rock_data::{Bitset, Database, RelId, TupleId};
+use rock_data::{Bitset, Database, FxHashMap, RelId, TupleId};
 
 /// Per-relation sets of touched tuple slots.
 ///
@@ -41,6 +41,18 @@ impl DeltaSet {
             rels[i] = Bitset::new(rel.capacity());
         }
         DeltaSet { rels }
+    }
+
+    /// The tuples a ΔD touched ([`rock_data::Delta::touched`]), sized to
+    /// the post-apply `db`: an incremental run's round-1 delta.
+    pub fn touched(db: &Database, touched: &FxHashMap<RelId, Vec<TupleId>>) -> DeltaSet {
+        let mut seed = DeltaSet::empty(db);
+        for (rel, tids) in touched {
+            for tid in tids {
+                seed.mark(*rel, *tid);
+            }
+        }
+        seed
     }
 
     /// Mark one tuple as touched. Out-of-range ids are ignored (they cannot

@@ -5,9 +5,10 @@
 //! this module only decides what state it is entered with and what is
 //! written at each round boundary.
 
-use crate::chase::{seed_from_delta, ChaseEngine, ChaseResult, LoopState};
+use crate::chase::{ChaseEngine, ChaseResult, LoopState};
 use crate::checkpoint::{self, ChaseCheckpoint, CHECKPOINT_VERSION};
 use crate::commit::Committed;
+use crate::delta::DeltaSet;
 use crate::evaluate::Frontier;
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityCtx, RoundFix, WalError};
@@ -115,7 +116,7 @@ impl ChaseEngine<'_> {
         if crate::wal::list_segments(&cfg.vfs, &cfg.dir)?.is_empty() {
             return self
                 .run_incremental(db, trusted, delta)
-                .map_err(|e| WalError::Codec(e.to_string()));
+                .map_err(WalError::Delta);
         }
         // Bring the existing log current: a crashed batch finishes its
         // remaining rounds durably; a completed one just re-materializes.
@@ -124,10 +125,8 @@ impl ChaseEngine<'_> {
         // Re-locate for the durable position/state the new batch chains to.
         let rp = checkpoint::locate(&cfg, self.fingerprint(), None)?;
         let round_base = rp.checkpoint.round;
-        let inserted = work
-            .apply(delta)
-            .map_err(|e| WalError::Codec(e.to_string()))?;
-        let seed = seed_from_delta(&work, delta, &inserted);
+        let inserted = work.apply(delta).map_err(WalError::Delta)?;
+        let seed = DeltaSet::touched(&work, &delta.touched(&inserted));
         // Fresh fix store per batch, like the in-memory fold; Strict mode
         // re-seeds Γ= from the trusted tuples of the *current* database.
         let (mut ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());

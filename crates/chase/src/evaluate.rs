@@ -1,44 +1,33 @@
 //! The production evaluation phase: semi-naive delta rounds over Crystal
 //! work units (paper §4.1 incremental evaluation, DESIGN.md "Semi-naive
-//! delta rounds").
+//! delta chase").
 //!
-//! A rule's first run is a full scan, partitioned on its first variable.
-//! Every later run — and every run of an incremental chase — is a *delta
-//! round*: the pass for tuple variable `v` pins `v` to the tuples touched
-//! since the rule last ran ([`Frontier::pending`]) and keeps every earlier
-//! variable off them, so each touched valuation is enumerated exactly once;
-//! valuations binding no touched tuple re-emit what they emitted then from
-//! the per-rule carry. A valuation whose tuples, oracles and gate inputs
-//! are all unchanged emits exactly what it emitted before, so the round's
-//! proposal set equals a full re-scan's (`crate::reference` is that
-//! re-scan; `tests/engine_equivalence.rs` holds the two together). Under
-//! [`GateMode::Resolved`] the enumerator skips a valuation whose `t.A = s.B`
-//! consequence already holds inside the join ([`Satisfied::Skip`]) — it
-//! would emit nothing; Strict visits it, because there a satisfied
-//! consequence is still recorded in U.
+//! The units come from [`ScanPlan`], the scan plan detection uses too. A
+//! rule's first run is a full scan. Every later run — and every run of an
+//! incremental chase — is a plan delta pass over the tuples touched since
+//! the rule last ran ([`Frontier::pending`]), so each touched valuation is
+//! enumerated exactly once; valuations binding no touched tuple re-emit
+//! what they emitted then from the per-rule carry. This module keeps what
+//! only the chase has: the frontier, the carry, and the narrowing of ML
+//! pair variables to block-mates. A valuation whose tuples, oracles and
+//! gate inputs are all unchanged emits exactly what it emitted before, so
+//! the round's proposal set equals a full re-scan's (`crate::reference` is
+//! that re-scan; `tests/engine_equivalence.rs` holds the two together).
+//! Under [`GateMode::Resolved`] the enumerator skips a valuation whose
+//! `t.A = s.B` consequence already holds inside the join
+//! ([`Satisfied::Skip`]) — it would emit nothing; Strict visits it, because
+//! there a satisfied consequence is still recorded in U.
 
 use crate::chase::{ChaseEngine, GateMode};
 use crate::commit::{Committed, Support};
 use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
-use rock_crystal::work::{partition_range, Partition};
 use rock_crystal::{Cluster, FaultStats, UnitFailure, WorkUnit};
 use rock_data::{Database, FxHashMap, FxHashSet, TupleId};
-use rock_ml::{MlBlockIndex, ModelRegistry, PairSignature};
-use rock_rees::eval::{
-    enumerate_valuations_restricted, enumerate_valuations_with_candidates, EvalContext, Satisfied,
-    Valuation,
-};
-use rock_rees::{Predicate, Rule};
-
-/// Work-unit payload tag (see [`WorkUnit::payload`]): scan the partition's
-/// slot range of variable 0 in full.
-const PAYLOAD_FULL: u64 = 0;
-/// `PAYLOAD_PINNED_BASE + v`: pin tuple variable `v` to a chunk of the
-/// rule's pending-delta ones-list; the partition's `[start, end)` indexes
-/// into that shared list.
-const PAYLOAD_PINNED_BASE: u64 = 1;
+use rock_ml::{ModelRegistry, PairSignature};
+use rock_rees::eval::{EvalContext, Satisfied, Valuation};
+use rock_rees::{Predicate, Rule, ScanPlan};
 
 /// Per-rule semi-naive state carried across rounds (and checkpoints).
 pub(crate) struct Frontier {
@@ -108,76 +97,23 @@ pub(crate) fn evaluate(
     capture: bool,
     stat: &mut RoundStats,
 ) -> Evaluation {
-    // Full scans partition var0's slot range; pinned delta units partition
-    // the rule's pending ones-list for one variable (symmetric over
-    // variables, so every delta-touching valuation is reached).
-    let mut units = Vec::new();
-    let mut pinned_lists: FxHashMap<(usize, usize), Vec<TupleId>> = FxHashMap::default();
-    // ΔR ⋈ S ∪ R_old ⋈ ΔS: a pass pinning `v` binds every earlier variable
-    // `w` to R_old — its live tuples minus the pending ones — so each
-    // delta-touching valuation is enumerated once, by the pass that pins
-    // its first pending variable. Built once per (rule, w) and shared by
-    // every unit of the round.
-    let mut old_lists: FxHashMap<(usize, usize), Vec<TupleId>> = FxHashMap::default();
-    let parts = engine.config.partitions_per_rule;
+    let mut plan = ScanPlan::new(engine.rules, &st.db, engine.config.partitions_per_rule);
     for &ri in active {
-        let rule = &engine.rules.rules[ri];
         if frontier.full_scan(ri) {
-            let rel0 = rule.rel_of(0);
-            let rows = st.db.relation(rel0).capacity() as u32;
-            let mut ranges = partition_range(rel0.0, rows, parts);
-            if rows == 0 {
-                ranges.push(Partition::new(rel0.0, 0, 0));
-            }
-            units.extend(
-                ranges
-                    .into_iter()
-                    .map(|p| WorkUnit::new(ri as u32, vec![p]).with_payload(PAYLOAD_FULL)),
-            );
+            plan.full(ri);
             continue;
         }
         let pend = &frontier.pending[ri];
         stat.delta_tuples += pend.count();
-        let mut pinned: Vec<usize> = Vec::new();
-        for v in 0..rule.tuple_vars.len() {
-            let rel = rule.rel_of(v);
-            let ones = pend.ones_vec(rel);
-            if ones.is_empty() {
-                continue;
-            }
-            let payload = PAYLOAD_PINNED_BASE + v as u64;
-            units.extend(
-                partition_range(rel.0, ones.len() as u32, parts)
-                    .into_iter()
-                    .map(|p| WorkUnit::new(ri as u32, vec![p]).with_payload(payload)),
-            );
-            pinned_lists.insert((ri, v), ones);
-            pinned.push(v);
-        }
-        // a variable without pending tuples is R_old already, and no pass
-        // comes after the last pinned one
-        if let Some((_, earlier)) = pinned.split_last() {
-            for &w in earlier {
-                let rel = rule.rel_of(w);
-                let old = st.db.relation(rel).tids();
-                old_lists.insert((ri, w), old.filter(|t| !pend.contains(rel, *t)).collect());
-            }
-        }
+        plan.delta(ri, |rel| pend.ones_vec(rel));
     }
 
+    let units = plan.units();
     let unit_rules: Vec<usize> = units.iter().map(|u| u.rule as usize).collect();
-    let frontier_ref = &*frontier;
+    let cumulative = &frontier.cumulative;
     let outcome = with_context(engine, st, true, |ctx| {
         cluster.execute(units, |unit| {
-            Ok(run_unit(
-                engine,
-                ctx,
-                &st.fixes,
-                frontier_ref,
-                &pinned_lists,
-                &old_lists,
-                unit,
-            ))
+            Ok(run_unit(engine, ctx, &st.fixes, cumulative, &plan, unit))
         })
     });
 
@@ -243,63 +179,28 @@ fn run_unit(
     engine: &ChaseEngine<'_>,
     ctx: &EvalContext<'_>,
     fixes: &FixStore,
-    frontier: &Frontier,
-    pinned_lists: &FxHashMap<(usize, usize), Vec<TupleId>>,
-    old_lists: &FxHashMap<(usize, usize), Vec<TupleId>>,
+    cumulative: &DeltaSet,
+    plan: &ScanPlan<'_>,
     unit: &WorkUnit,
 ) -> (Vec<Emission>, u64) {
-    let ri = unit.rule as usize;
-    let rule = &engine.rules.rules[ri];
+    let rule = &engine.rules.rules[unit.rule as usize];
     let gate = engine.config.gate;
-    let (start, end) = (unit.partitions[0].start, unit.partitions[0].end);
     // A satisfied consequence emits nothing under Resolved, so the join
     // skips it; Strict records it in U and must visit it.
-    let satisfied = || match gate {
+    let satisfied = match gate {
         GateMode::Strict => Satisfied::Visit,
         GateMode::Resolved => Satisfied::Skip,
     };
+    let narrow = |v: usize, chunk: &[TupleId], mates: &mut FxHashMap<usize, Vec<TupleId>>| {
+        prune_with_blocking(engine, rule, v, chunk, cumulative, ctx.db, mates);
+    };
     let mut out: Vec<Emission> = Vec::new();
     let mut count = 0u64;
-    let mut visit = |h: &Valuation| {
+    plan.run(ctx, unit, satisfied, narrow, |h: &Valuation| {
         count += 1;
         visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out);
         true
-    };
-    if unit.payload == PAYLOAD_FULL {
-        let restrict = Some((0, start..end));
-        enumerate_valuations_restricted(rule, ctx, restrict, satisfied(), &mut visit);
-        return (out, count);
-    }
-    let v = (unit.payload - PAYLOAD_PINNED_BASE) as usize;
-    let chunk = &pinned_lists[&(ri, v)][start as usize..end as usize];
-    let pend = &frontier.pending[ri];
-    let mut mates: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
-    prune_with_blocking(
-        rule,
-        v,
-        chunk,
-        engine.blocking,
-        engine.registry,
-        &frontier.cumulative,
-        ctx.db,
-        &mut mates,
-    );
-    // variables before `v` bind R_old only (see `evaluate`)
-    for (&w, list) in mates.iter_mut().filter(|(&w, _)| w < v) {
-        let rel = rule.rel_of(w);
-        list.retain(|t| !pend.contains(rel, *t));
-    }
-    let mut overrides: FxHashMap<usize, &[TupleId]> = mates
-        .iter()
-        .map(|(&w, list)| (w, list.as_slice()))
-        .collect();
-    overrides.insert(v, chunk);
-    for w in 0..v {
-        if let Some(old) = old_lists.get(&(ri, w)) {
-            overrides.entry(w).or_insert(old.as_slice());
-        }
-    }
-    enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied(), &mut visit);
+    });
     (out, count)
 }
 
@@ -314,18 +215,16 @@ fn run_unit(
 /// filter — the full scan would evaluate it to `false` anyway. Pruning is
 /// skipped (full fallback for that variable) when the index or block filter
 /// is missing or any pinned tuple's projection changed.
-#[allow(clippy::too_many_arguments)]
 fn prune_with_blocking(
+    engine: &ChaseEngine<'_>,
     rule: &Rule,
     pinned: usize,
     chunk: &[TupleId],
-    blocking: Option<&MlBlockIndex>,
-    registry: &ModelRegistry,
     dirty: &DeltaSet,
     db: &Database,
     overrides: &mut FxHashMap<usize, Vec<TupleId>>,
 ) {
-    let Some(index) = blocking else {
+    let (Some(index), registry) = (engine.blocking, engine.registry) else {
         return;
     };
     for p in &rule.precondition {

@@ -49,7 +49,7 @@
 
 use crate::fixes::EntityKey;
 use rock_crystal::{crc32, ClusterConfig, FaultVfs};
-use rock_data::{json, AttrId, CellRef, FxHashMap, GlobalTid, RelId, TupleId, Value};
+use rock_data::{json, AttrId, CellRef, DataError, FxHashMap, GlobalTid, RelId, TupleId, Value};
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -97,6 +97,9 @@ pub enum WalError {
     NoDurableRound,
     /// The engine has no durability configured.
     NotConfigured,
+    /// The ΔD batch of a durable session does not apply to its database
+    /// (a wrong-arity insert).
+    Delta(DataError),
 }
 
 impl std::fmt::Display for WalError {
@@ -107,6 +110,7 @@ impl std::fmt::Display for WalError {
             WalError::Mismatch(m) => write!(f, "wal mismatch: {m}"),
             WalError::NoDurableRound => write!(f, "no durably committed round to resume from"),
             WalError::NotConfigured => write!(f, "chase has no durability configured"),
+            WalError::Delta(e) => write!(f, "malformed delta: {e}"),
         }
     }
 }

@@ -785,4 +785,72 @@ mod tests {
             })
         );
     }
+
+    /// A durable incremental session repairs like the in-memory one, and a
+    /// ΔD that does not apply is a typed delta error, both on a fresh
+    /// session and on one that already holds a batch.
+    #[test]
+    fn durable_incremental_correction_matches_in_memory() {
+        use rock_data::{AttrId, Delta, Eid, RelId, TupleId, Update, Value};
+        let w = small();
+        let task = w.task("RClean").unwrap().clone();
+        let rel = RelId(0);
+        let arity = w.dirty.relation(rel).schema.arity();
+        let cell = |tid: u32, a: usize| w.dirty.cell(rel, TupleId(tid), AttrId(a as u16)).cloned();
+        let delta = Delta::new(vec![
+            Update::Insert {
+                rel,
+                eid: Eid(999_999),
+                values: (0..arity).map(|a| cell(0, a).unwrap()).collect(),
+            },
+            Update::SetCell {
+                rel,
+                tid: TupleId(1),
+                attr: AttrId(1),
+                value: cell(2, 1).unwrap(),
+            },
+        ]);
+        let dir = |tag: &str| {
+            std::env::temp_dir().join(format!("rock-core-durable-{tag}-{}", std::process::id()))
+        };
+        let durable = |tag: &str| {
+            let _ = std::fs::remove_dir_all(dir(tag));
+            RockSystem::new(RockConfig {
+                chase: ChaseConfig {
+                    durability: Some(rock_chase::DurabilityConfig::new(dir(tag))),
+                    ..ChaseConfig::default()
+                },
+                ..RockConfig::default()
+            })
+        };
+        let plain = RockSystem::new(RockConfig::default())
+            .correct_incremental(&w, &task, &delta)
+            .unwrap();
+        let session = durable("ok");
+        let logged = session
+            .correct_incremental_durable(&w, &task, &delta)
+            .unwrap();
+        assert_eq!(logged.repaired, plain.repaired);
+        assert_eq!(logged.changes, plain.changes);
+        assert!(logged.wal.is_some());
+
+        let bad = Delta::new(vec![Update::Insert {
+            rel,
+            eid: Eid(999_998),
+            values: vec![Value::str("x")],
+        }]);
+        for sys in [session, durable("bad")] {
+            let err = sys.correct_incremental_durable(&w, &task, &bad).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(WalError::Delta(DataError::ArityMismatch { got: 1, .. }))
+                ),
+                "{err:?}"
+            );
+        }
+        for tag in ["ok", "bad"] {
+            let _ = std::fs::remove_dir_all(dir(tag));
+        }
+    }
 }

@@ -155,13 +155,6 @@ impl FaultPlan {
         self
     }
 
-    /// Let probabilistic faults fire on retries too (off the recoverable
-    /// path; used to stress quarantine).
-    pub fn every_attempt(mut self) -> Self {
-        self.first_attempt_only = false;
-        self
-    }
-
     /// True if the plan can inject anything at all.
     pub fn is_active(&self) -> bool {
         self.panic_prob > 0.0

@@ -84,11 +84,6 @@ impl SchedulerStats {
     pub fn modeled_makespan(&self) -> f64 {
         makespan_lpt(&self.unit_seconds, self.workers)
     }
-
-    /// Total busy time across workers (the work itself).
-    pub fn total_busy(&self) -> f64 {
-        self.busy_seconds.iter().sum()
-    }
 }
 
 /// Greedy longest-processing-time makespan of `durations` on `bins` equal
@@ -126,15 +121,6 @@ impl<R> ExecuteOutcome<R> {
     /// True when every unit produced a result.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
-    }
-
-    /// All results when every unit succeeded, the failures otherwise.
-    pub fn into_complete(self) -> Result<Vec<R>, Vec<UnitFailure>> {
-        if self.failures.is_empty() {
-            Ok(self.results.into_iter().flatten().collect())
-        } else {
-            Err(self.failures)
-        }
     }
 }
 

@@ -606,14 +606,6 @@ impl VfsFile {
         self.file.seek(SeekFrom::Start(pos))?;
         Ok(())
     }
-
-    /// Position the cursor at the end, returning the offset (metadata-only).
-    pub fn seek_end(&mut self) -> io::Result<u64> {
-        if self.vfs.crashed() {
-            return Err(crash_error());
-        }
-        self.file.seek(SeekFrom::End(0))
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use crate::error::DataError;
 use crate::ids::{AttrId, Eid, RelId, TupleId};
 use crate::schema::RelationSchema;
 use crate::value::Value;
+use crate::FxHashMap;
 
 /// A single update.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,27 +61,29 @@ impl Delta {
         self.updates.push(u);
     }
 
-    /// Relations touched by this batch (deduplicated, sorted) — drives
-    /// incremental REE++ activation: a rule is activated only if one of its
-    /// relation atoms is among these (paper §4.1 workflow).
-    pub fn touched_relations(&self) -> Vec<RelId> {
-        let mut rels: Vec<RelId> = self.updates.iter().map(|u| u.rel()).collect();
-        rels.sort();
-        rels.dedup();
-        rels
-    }
-
-    /// Cells directly written by this batch (inserted tuples contribute all
-    /// their cells once ids are known, so callers combine this with the ids
-    /// returned by [`crate::Database::apply`]).
-    pub fn touched_cells(&self) -> Vec<(RelId, TupleId, AttrId)> {
-        self.updates
-            .iter()
-            .filter_map(|u| match u {
-                Update::SetCell { rel, tid, attr, .. } => Some((*rel, *tid, *attr)),
-                _ => None,
-            })
-            .collect()
+    /// The tuples this batch touches, per relation, ascending: inserted,
+    /// deleted and overwritten ones. `inserted` is what
+    /// [`crate::Database::apply`] returned for the batch (inserted ids in
+    /// update order). Incremental detection and the incremental chase both
+    /// start from this set.
+    pub fn touched(&self, inserted: &[TupleId]) -> FxHashMap<RelId, Vec<TupleId>> {
+        let mut out: FxHashMap<RelId, Vec<TupleId>> = FxHashMap::default();
+        let mut ins = inserted.iter();
+        for u in &self.updates {
+            let tid = match u {
+                Update::Insert { .. } => match ins.next() {
+                    Some(tid) => *tid,
+                    None => continue,
+                },
+                Update::Delete { tid, .. } | Update::SetCell { tid, .. } => *tid,
+            };
+            out.entry(u.rel()).or_default().push(tid);
+        }
+        for tids in out.values_mut() {
+            tids.sort_unstable();
+            tids.dedup();
+        }
+        out
     }
 }
 
@@ -112,40 +115,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn touched_relations_dedup_sorted() {
+    fn touched_lists_every_kind_of_update_sorted() {
         let d = Delta::new(vec![
-            Update::Delete {
-                rel: RelId(2),
-                tid: TupleId(0),
-            },
-            Update::Delete {
-                rel: RelId(0),
-                tid: TupleId(1),
-            },
-            Update::Delete {
-                rel: RelId(2),
-                tid: TupleId(3),
-            },
-        ]);
-        assert_eq!(d.touched_relations(), vec![RelId(0), RelId(2)]);
-    }
-
-    #[test]
-    fn touched_cells_only_setcell() {
-        let d = Delta::new(vec![
-            Update::Insert {
-                rel: RelId(0),
-                eid: Eid(0),
-                values: vec![],
-            },
             Update::SetCell {
                 rel: RelId(1),
                 tid: TupleId(4),
                 attr: AttrId(2),
                 value: Value::Null,
             },
+            Update::Insert {
+                rel: RelId(0),
+                eid: Eid(0),
+                values: vec![],
+            },
+            Update::Delete {
+                rel: RelId(1),
+                tid: TupleId(2),
+            },
+            Update::SetCell {
+                rel: RelId(1),
+                tid: TupleId(4),
+                attr: AttrId(0),
+                value: Value::Null,
+            },
         ]);
-        assert_eq!(d.touched_cells(), vec![(RelId(1), TupleId(4), AttrId(2))]);
+        let touched = d.touched(&[TupleId(7)]);
+        assert_eq!(touched.len(), 2);
+        assert_eq!(touched[&RelId(0)], vec![TupleId(7)]);
+        assert_eq!(touched[&RelId(1)], vec![TupleId(2), TupleId(4)]);
+        // an insert the database did not report binds nothing
+        assert!(!d.touched(&[]).contains_key(&RelId(0)));
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Batch and incremental violation detection.
+//! Batch and incremental violation detection. Both modes run the one scan
+//! plan of `rock_rees::scan` on the Crystal cluster: batch detection scans
+//! every rule in full, incremental detection runs the plan's delta passes
+//! over the tuples ΔD touched. Each unit's leaf records violations and the
+//! satisfied pairs the blame ratios need ([`Satisfied::Count`]).
 
-use rock_crystal::work::partition_range;
-use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure, WorkUnit};
+use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
 use rock_data::{CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
-use rock_rees::eval::{
-    distinct_ok, enumerate_valuations_restricted, enumerate_valuations_with_candidates,
-    EvalContext, Satisfied, TemporalOracle, TimestampOracle, Valuation,
-};
-use rock_rees::{Predicate, Rule, RuleSet};
+use rock_rees::eval::{distinct_ok, EvalContext, Satisfied, TimestampOracle, Valuation};
+use rock_rees::{Predicate, Rule, RuleSet, ScanPlan};
 use std::cell::RefCell;
 
 /// Classification of a detected error (what kind of consequence was
@@ -251,7 +251,7 @@ impl<'a> Detector<'a> {
         self
     }
 
-    /// Fault-injection / retry / speculation knobs for the batch path.
+    /// Fault-injection / retry / speculation knobs for the cluster.
     pub fn with_cluster(mut self, cluster: ClusterConfig) -> Self {
         self.cluster = cluster;
         self
@@ -267,11 +267,7 @@ impl<'a> Detector<'a> {
 
     /// Batch detection over the whole database.
     pub fn detect(&self, db: &Database) -> DetectReport {
-        let start = std::time::Instant::now();
-        let oracle = TimestampOracle { db };
-        let mut report = self.detect_inner(db, &oracle, None);
-        report.wall_seconds = start.elapsed().as_secs_f64();
-        report
+        self.detect_inner(db, None)
     }
 
     /// Incremental detection: only violations involving a tuple touched by
@@ -283,141 +279,95 @@ impl<'a> Detector<'a> {
         delta: &Delta,
         inserted: &[TupleId],
     ) -> DetectReport {
-        let start = std::time::Instant::now();
-        // touched tuples per relation, sorted
-        let mut touched: FxHashMap<RelId, Vec<TupleId>> = FxHashMap::default();
-        let mut ins = inserted.iter();
-        for u in &delta.updates {
-            match u {
-                rock_data::Update::Insert { rel, .. } => {
-                    if let Some(t) = ins.next() {
-                        touched.entry(*rel).or_default().push(*t);
-                    }
-                }
-                rock_data::Update::Delete { .. } => {}
-                rock_data::Update::SetCell { rel, tid, .. } => {
-                    touched.entry(*rel).or_default().push(*tid);
-                }
-            }
-        }
-        for ts in touched.values_mut() {
-            ts.sort_unstable();
-            ts.dedup();
-        }
-        let oracle = TimestampOracle { db };
-        let mut report = self.detect_inner(db, &oracle, Some(&touched));
-        report.wall_seconds = start.elapsed().as_secs_f64();
-        report
+        self.detect_inner(db, Some(&delta.touched(inserted)))
     }
 
+    /// One scan plan for both modes: every rule in full (batch), or the
+    /// delta passes over the `touched` tuples (incremental), as
+    /// rule × partition work units on the cluster.
     fn detect_inner(
         &self,
         db: &Database,
-        oracle: &dyn TemporalOracle,
         touched: Option<&FxHashMap<RelId, Vec<TupleId>>>,
     ) -> DetectReport {
+        let start = std::time::Instant::now();
+        let oracle = TimestampOracle { db };
         let mut ctx = EvalContext::new(db, self.registry)
-            .with_temporal(oracle)
+            .with_temporal(&oracle)
             .with_columnar(self.columnar);
         if let Some(g) = self.graph {
             ctx = ctx.with_graph(g);
         }
-        let mut report = DetectReport::default();
-        let mut satisfied: FxHashMap<(usize, CellRef), u32> = FxHashMap::default();
-
-        match touched {
-            None => {
-                // batch: rule × partition work units on the cluster
-                let cluster = Cluster::with_config(self.workers, self.cluster.clone());
-                let mut units = Vec::new();
-                for (ri, rule) in self.rules.iter().enumerate() {
-                    let rel0 = rule.rel_of(0);
-                    let rows = db.relation(rel0).capacity() as u32;
-                    for p in partition_range(rel0.0, rows, self.partitions_per_rule) {
-                        units.push(WorkUnit::new(ri as u32, vec![p]));
-                    }
-                }
-                let rules = self.rules;
-                let outcome = cluster.execute(units, |unit| {
-                    let ri = unit.rule as usize;
-                    let rule = &rules.rules[ri];
-                    let range = unit.partitions[0].start..unit.partitions[0].end;
-                    let mut found = Vec::new();
-                    // satisfied pairs only feed the blame counts: the join
-                    // reports what it decides, the leaf the rest
-                    let sats = RefCell::new(FxHashMap::default());
-                    let mut count = |h: &Valuation| {
-                        if distinct_ok(rule, h) {
-                            record_satisfied(rule, ri, h, &mut sats.borrow_mut());
-                        }
-                    };
-                    let satisfied = Satisfied::Count(&mut count);
-                    enumerate_valuations_restricted(rule, &ctx, Some((0, range)), satisfied, |h| {
-                        if !distinct_ok(rule, h) {
-                            return true;
-                        }
-                        if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-                            record_satisfied(rule, ri, h, &mut sats.borrow_mut());
-                        } else {
-                            found.push(h.clone());
-                        }
-                        true
-                    });
-                    Ok((ri, found, sats.into_inner()))
-                });
-                report.unit_seconds = outcome.stats.unit_seconds;
-                report.fault_stats.merge(&outcome.stats.faults);
-                report.unit_failures.extend(outcome.failures);
-                for (ri, found, sats) in outcome.results.into_iter().flatten() {
-                    let rule = &self.rules.rules[ri];
-                    for h in &found {
-                        record(rule, ri, consequence_kind(rule), h, &mut report);
-                    }
-                    for (cell, n) in sats {
-                        *satisfied.entry(cell).or_insert(0) += n;
-                    }
-                }
+        let mut plan = ScanPlan::new(self.rules, db, self.partitions_per_rule);
+        for ri in 0..self.rules.len() {
+            match touched {
+                None => plan.full(ri),
+                Some(t) => plan.delta(ri, |rel| t.get(&rel).cloned().unwrap_or_default()),
             }
-            Some(touched) => {
-                // ΔR ⋈ S ∪ R_old ⋈ ΔS, as in the chase's delta rounds: the
-                // pass pinning variable `v` to the touched tuples binds every
-                // earlier variable to R_old, the live tuples outside the
-                // touched set, so each valuation binding a touched tuple is
-                // enumerated once, by the pass pinning its first touched
-                // variable.
-                let old: FxHashMap<RelId, Vec<TupleId>> = touched
-                    .iter()
-                    .map(|(&rel, ts)| {
-                        let live = db.relation(rel).tids();
-                        (rel, live.filter(|t| ts.binary_search(t).is_err()).collect())
-                    })
-                    .collect();
-                for (ri, rule) in self.rules.iter().enumerate() {
-                    let kind = consequence_kind(rule);
-                    let mut overrides: FxHashMap<usize, &[TupleId]> = FxHashMap::default();
-                    for v in 0..rule.tuple_vars.len() {
-                        let rel = rule.rel_of(v);
-                        let (Some(pinned), Some(rest)) = (touched.get(&rel), old.get(&rel)) else {
-                            continue;
-                        };
-                        overrides.insert(v, pinned);
-                        let visit = |h: &Valuation| {
-                            if !distinct_ok(rule, h) {
-                                return true;
-                            }
-                            if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-                                record_satisfied(rule, ri, h, &mut satisfied);
-                            } else {
-                                record(rule, ri, kind, h, &mut report);
-                            }
-                            true
-                        };
-                        let mode = Satisfied::Visit;
-                        enumerate_valuations_with_candidates(rule, &ctx, &overrides, mode, visit);
-                        // later passes bind `v` to R_old
-                        overrides.insert(v, rest);
-                    }
+        }
+        let cluster = Cluster::with_config(self.workers, self.cluster.clone());
+        let rules = self.rules;
+        let outcome = cluster.execute(plan.units(), |unit| {
+            let ri = unit.rule as usize;
+            let rule = &rules.rules[ri];
+            let mut found = Vec::new();
+            // satisfied pairs only feed the blame counts: the join reports
+            // what it decides, the leaf the rest
+            let sats = RefCell::new(FxHashMap::default());
+            let mut count = |h: &Valuation| {
+                if distinct_ok(rule, h) {
+                    record_satisfied(rule, ri, h, &mut sats.borrow_mut());
                 }
+            };
+            let satisfied = Satisfied::Count(&mut count);
+            plan.run(
+                &ctx,
+                unit,
+                satisfied,
+                |_, _, _| {},
+                |h| {
+                    if !distinct_ok(rule, h) {
+                        return true;
+                    }
+                    if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
+                        record_satisfied(rule, ri, h, &mut sats.borrow_mut());
+                    } else {
+                        found.push(h.clone());
+                    }
+                    true
+                },
+            );
+            Ok((ri, found, sats.into_inner()))
+        });
+        let mut report = DetectReport {
+            unit_seconds: outcome.stats.unit_seconds,
+            fault_stats: outcome.stats.faults,
+            unit_failures: outcome.failures,
+            ..DetectReport::default()
+        };
+        let mut satisfied: FxHashMap<(usize, CellRef), u32> = FxHashMap::default();
+        for (ri, found, sats) in outcome.results.into_iter().flatten() {
+            let rule = &self.rules.rules[ri];
+            let kind = consequence_kind(rule);
+            for valuation in found {
+                implicated_cells(rule, &valuation, &mut report.flagged_cells);
+                if let Predicate::EidCmp {
+                    lvar,
+                    rvar,
+                    eq: true,
+                } = &rule.consequence
+                {
+                    let pair = (valuation.tuples[*lvar], valuation.tuples[*rvar]);
+                    report.duplicate_pairs.push(pair);
+                }
+                report.violations.push(Violation {
+                    rule: ri,
+                    kind,
+                    valuation,
+                });
+            }
+            for (cell, n) in sats {
+                *satisfied.entry(cell).or_insert(0) += n;
             }
         }
         attribute_blame(
@@ -426,27 +376,9 @@ impl<'a> Detector<'a> {
             &satisfied,
             &mut report.flagged_cells,
         );
+        report.wall_seconds = start.elapsed().as_secs_f64();
         report
     }
-}
-
-fn record(rule: &Rule, ri: usize, kind: ErrorKind, h: &Valuation, report: &mut DetectReport) {
-    implicated_cells(rule, h, &mut report.flagged_cells);
-    if let Predicate::EidCmp {
-        lvar,
-        rvar,
-        eq: true,
-    } = &rule.consequence
-    {
-        report
-            .duplicate_pairs
-            .push((h.tuples[*lvar], h.tuples[*rvar]));
-    }
-    report.violations.push(Violation {
-        rule: ri,
-        kind,
-        valuation: h.clone(),
-    });
 }
 
 #[cfg(test)]

@@ -25,14 +25,6 @@ pub struct Vertex {
     pub kind: Arc<str>,
 }
 
-/// A directed labeled edge `(u, l, v)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Edge {
-    pub from: VertexId,
-    pub label: Arc<str>,
-    pub to: VertexId,
-}
-
 /// In-memory labeled graph with per-vertex adjacency grouped by edge label,
 /// so a label-path step is a hash lookup rather than a scan.
 #[derive(Debug, Clone, Default)]

@@ -370,44 +370,18 @@ pub fn enumerate_valuations<F>(rule: &Rule, ctx: &EvalContext<'_>, on_valuation:
 where
     F: FnMut(&Valuation) -> bool,
 {
-    enumerate_valuations_restricted(rule, ctx, None, Satisfied::Visit, on_valuation)
+    let all = FxHashMap::default();
+    enumerate_valuations_with_candidates(rule, ctx, &all, Satisfied::Visit, on_valuation)
 }
 
-/// Like [`enumerate_valuations`], but optionally restricting one variable's
-/// candidate tuples to a tid range `[start, end)` — the HyperCube-style
-/// work-unit partitioning of §5.3 slices on the first variable — and with
-/// the caller's choice of what happens to [`Satisfied`] valuations.
-pub fn enumerate_valuations_restricted<F>(
-    rule: &Rule,
-    ctx: &EvalContext<'_>,
-    restrict: Option<(usize, std::ops::Range<u32>)>,
-    satisfied: Satisfied<'_>,
-    on_valuation: F,
-) where
-    F: FnMut(&Valuation) -> bool,
-{
-    let nvars = rule.tuple_vars.len();
-    // unary candidate lists
-    let mut candidates: Vec<Vec<TupleId>> = Vec::with_capacity(nvars);
-    for v in 0..nvars {
-        let rel = ctx.db.relation(rule.rel_of(v));
-        let mut tids: Vec<TupleId> = rel.tids().collect();
-        if let Some((rv, range)) = &restrict {
-            if *rv == v {
-                tids.retain(|t| range.contains(&t.0));
-            }
-        }
-        apply_unary_prefilters(rule, ctx, v, &mut tids);
-        candidates.push(tids);
-    }
-    enumerate_from_candidates(rule, ctx, candidates, satisfied, on_valuation);
-}
-
-/// Like [`enumerate_valuations_restricted`], but with explicit per-variable
-/// candidate lists for any subset of the tuple variables — the semi-naive
-/// chase and incremental detection pin one variable to the delta set and
-/// keep earlier variables off it, and the chase (for ML pair rules) prunes
-/// the other to the pinned tuples' block-mates. Variables absent from `overrides` enumerate the full
+/// Like [`enumerate_valuations`], but with explicit per-variable candidate
+/// lists for any subset of the tuple variables, and with the caller's
+/// choice of what happens to [`Satisfied`] valuations. The scan plan
+/// (`crate::scan`) drives every work unit through here: a full-scan unit
+/// restricts variable 0 to a tid range, a delta pass pins one variable to
+/// the touched tuples and keeps earlier variables off them, and the chase
+/// (for ML pair rules) prunes the other variable to the pinned tuples'
+/// block-mates. Variables absent from `overrides` enumerate the full
 /// relation. Overridden lists are filtered to live tuples and re-run
 /// through the cheap unary prefilters, so callers may pass raw tid lists.
 pub fn enumerate_valuations_with_candidates<F>(
@@ -839,7 +813,8 @@ fn bind_vertices(rule: &Rule, ctx: &EvalContext<'_>, h: &mut Valuation) -> bool 
 /// Satisfied valuations are skipped inside the join ([`Satisfied::Skip`]).
 pub fn find_violations(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
     let mut out = Vec::new();
-    enumerate_valuations_restricted(rule, ctx, None, Satisfied::Skip, |h| {
+    let all = FxHashMap::default();
+    enumerate_valuations_with_candidates(rule, ctx, &all, Satisfied::Skip, |h| {
         if distinct_ok(rule, h) && ctx.eval_predicate(rule, h, &rule.consequence) != Some(true) {
             out.push(h.clone());
         }
@@ -1275,7 +1250,7 @@ mod tests {
             Mode::Skip => Satisfied::Skip,
             Mode::Count => Satisfied::Count(&mut count),
         };
-        enumerate_valuations_restricted(rule, ctx, None, satisfied, |h| {
+        enumerate_valuations_with_candidates(rule, ctx, &FxHashMap::default(), satisfied, |h| {
             seen.borrow_mut().push((false, h.clone()));
             true
         });

@@ -31,7 +31,9 @@
 //!
 //! The crate provides the AST ([`predicate`], [`rule`]), a text DSL with a
 //! parser and pretty-printer ([`parser`]), valuations and satisfaction
-//! semantics ([`eval`]), and support/confidence measures ([`measures`]).
+//! semantics ([`eval`]), the work-unit plan that drives the enumerator in
+//! detection and the chase ([`scan`]), and support/confidence measures
+//! ([`measures`]).
 
 // Rule evaluation sits on the chase's hot path and inside discovery's
 // measure loops; a panic there takes a whole correction run down, so
@@ -47,6 +49,7 @@ pub mod parser;
 pub mod predicate;
 pub mod rule;
 pub mod sat;
+pub mod scan;
 pub mod schedule;
 
 pub use diag::{max_severity, DiagCode, Diagnostic, RuleSpans, Severity, Span};
@@ -57,4 +60,5 @@ pub use parser::{parse_rule, parse_rules, ParseError};
 pub use predicate::{ModelRef, Predicate};
 pub use rule::{Rule, RuleSet};
 pub use sat::{co_satisfiable, CoSat};
+pub use scan::ScanPlan;
 pub use schedule::{ChaseSchedule, Oscillation};

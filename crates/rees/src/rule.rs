@@ -56,11 +56,6 @@ impl Rule {
         self.tuple_vars.iter().position(|(n, _)| n == name)
     }
 
-    /// Vertex variable id by name.
-    pub fn vertex_var(&self, name: &str) -> Option<VertexVarId> {
-        self.vertex_vars.iter().position(|n| n == name)
-    }
-
     /// Relation a tuple variable is bound to.
     pub fn rel_of(&self, var: VarId) -> RelId {
         self.tuple_vars[var].1

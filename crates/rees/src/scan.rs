@@ -1,0 +1,245 @@
+//! The scan plan: how a rule's valuations split into Crystal work units
+//! `T = (φ, D_T)` (paper §5.2), written once for detection and the chase,
+//! in batch and incremental mode alike.
+//!
+//! * A **full scan** is one unit per variable-0 tid range.
+//! * A **delta pass** is `ΔR ⋈ S ∪ R_old ⋈ ΔS`: the pass for tuple
+//!   variable `v` pins `v` to a chunk of the tuples a delta touched and
+//!   binds every earlier variable to `R_old`, the live tuples outside the
+//!   touched set. Each valuation binding a touched tuple is therefore
+//!   enumerated exactly once, by the pass pinning its first touched
+//!   variable. Each `R_old` list is built once per (rule, variable) and
+//!   borrowed by every unit.
+//!
+//! [`ScanPlan::run`] turns a unit back into an enumerator call; the caller
+//! chooses the [`Satisfied`] mode and the leaf, and may narrow the other
+//! variables of a pinned unit further (the chase's ML block-mates).
+
+use crate::eval::{enumerate_valuations_with_candidates, EvalContext, Satisfied, Valuation};
+use crate::rule::RuleSet;
+use rock_crystal::work::{partition_range, Partition, WorkUnit};
+use rock_data::{Database, FxHashMap, RelId, TupleId};
+
+/// Work units for a set of rules over one database snapshot.
+pub struct ScanPlan<'a> {
+    rules: &'a RuleSet,
+    db: &'a Database,
+    /// Target units per full scan and per delta pass.
+    parts: u32,
+    units: Vec<WorkUnit>,
+    /// Per unit (its payload is the index): the variable a delta pass pins
+    /// to the partition's slice of its touched list, `None` for a full-scan
+    /// unit, which restricts variable 0 to the partition's tid range.
+    pinned: Vec<Option<usize>>,
+    /// Touched tuples of each pinned (rule, variable), ascending.
+    touched: FxHashMap<(usize, usize), Vec<TupleId>>,
+    /// `R_old` of each (rule, variable) that a later pass of the rule binds.
+    old: FxHashMap<(usize, usize), Vec<TupleId>>,
+}
+
+impl<'a> ScanPlan<'a> {
+    pub fn new(rules: &'a RuleSet, db: &'a Database, parts: u32) -> Self {
+        ScanPlan {
+            rules,
+            db,
+            parts,
+            units: Vec::new(),
+            pinned: Vec::new(),
+            touched: FxHashMap::default(),
+            old: FxHashMap::default(),
+        }
+    }
+
+    fn push(&mut self, ri: usize, p: Partition, pinned: Option<usize>) {
+        let unit = WorkUnit::new(ri as u32, vec![p]).with_payload(self.pinned.len() as u64);
+        self.units.push(unit);
+        self.pinned.push(pinned);
+    }
+
+    /// Scan rule `ri` in full, partitioned on variable 0's tid slots. An
+    /// empty relation still gets one (empty) unit.
+    pub fn full(&mut self, ri: usize) {
+        let rel0 = self.rules.rules[ri].rel_of(0);
+        let rows = self.db.relation(rel0).capacity() as u32;
+        let mut ranges = partition_range(rel0.0, rows, self.parts);
+        if rows == 0 {
+            ranges.push(Partition::new(rel0.0, 0, 0));
+        }
+        for p in ranges {
+            self.push(ri, p, None);
+        }
+    }
+
+    /// Delta passes of rule `ri`: `touched(rel)` lists the tuples a delta
+    /// touched in `rel`, ascending. Every variable with touched tuples gets
+    /// one pass, in variable order, chunked into units.
+    pub fn delta(&mut self, ri: usize, touched: impl Fn(RelId) -> Vec<TupleId>) {
+        let rule = &self.rules.rules[ri];
+        let mut pinned: Vec<usize> = Vec::new();
+        for v in 0..rule.tuple_vars.len() {
+            let rel = rule.rel_of(v);
+            let list = touched(rel);
+            if list.is_empty() {
+                continue;
+            }
+            for p in partition_range(rel.0, list.len() as u32, self.parts) {
+                self.push(ri, p, Some(v));
+            }
+            self.touched.insert((ri, v), list);
+            pinned.push(v);
+        }
+        // a variable without touched tuples is R_old already, and no pass
+        // comes after the last pinned one
+        if let Some((_, earlier)) = pinned.split_last() {
+            for &w in earlier {
+                let live = self.db.relation(rule.rel_of(w)).tids();
+                let old = live.filter(outside(&self.touched[&(ri, w)])).collect();
+                self.old.insert((ri, w), old);
+            }
+        }
+    }
+
+    /// The plan's units, in the order they were added.
+    pub fn units(&self) -> Vec<WorkUnit> {
+        self.units.clone()
+    }
+
+    /// Enumerate one unit of this plan with the given [`Satisfied`] mode.
+    /// For a pinned unit, `narrow(v, chunk, extra)` may add ascending
+    /// candidate lists for other variables; those of variables before `v`
+    /// are kept off the touched tuples, like the plan's own `R_old` lists,
+    /// which they replace.
+    pub fn run<F>(
+        &self,
+        ctx: &EvalContext<'_>,
+        unit: &WorkUnit,
+        satisfied: Satisfied<'_>,
+        narrow: impl FnOnce(usize, &[TupleId], &mut FxHashMap<usize, Vec<TupleId>>),
+        visit: F,
+    ) where
+        F: FnMut(&Valuation) -> bool,
+    {
+        let ri = unit.rule as usize;
+        let rule = &self.rules.rules[ri];
+        let range = unit.partitions[0].start..unit.partitions[0].end;
+        let Some(v) = self.pinned[unit.payload as usize] else {
+            let slots: Vec<TupleId> = range.map(TupleId).collect();
+            let overrides = FxHashMap::from_iter([(0, slots.as_slice())]);
+            return enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied, visit);
+        };
+        let chunk = &self.touched[&(ri, v)][range.start as usize..range.end as usize];
+        let mut extra: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
+        narrow(v, chunk, &mut extra);
+        for (w, list) in extra.iter_mut().filter(|(&w, _)| w < v) {
+            if let Some(skip) = self.touched.get(&(ri, *w)) {
+                list.retain(outside(skip));
+            }
+        }
+        let mut overrides: FxHashMap<usize, &[TupleId]> = extra
+            .iter()
+            .map(|(&w, list)| (w, list.as_slice()))
+            .collect();
+        overrides.insert(v, chunk);
+        for w in 0..v {
+            if let Some(old) = self.old.get(&(ri, w)) {
+                overrides.entry(w).or_insert(old.as_slice());
+            }
+        }
+        enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied, visit);
+    }
+}
+
+/// A filter for an ascending tid sequence that keeps the tuples the
+/// ascending `skip` list does not hold, in one merge pass.
+fn outside(skip: &[TupleId]) -> impl FnMut(&TupleId) -> bool + '_ {
+    let mut skip = skip.iter().peekable();
+    move |t| {
+        while skip.next_if(|s| *s < t).is_some() {}
+        skip.peek() != Some(&t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_rules;
+    use rock_data::{AttrType, DatabaseSchema, GlobalTid, RelationSchema, Value};
+    use rock_ml::ModelRegistry;
+
+    fn tids(xs: &[u32]) -> Vec<TupleId> {
+        xs.iter().map(|&x| TupleId(x)).collect()
+    }
+
+    #[test]
+    fn outside_drops_exactly_the_skipped_tuples() {
+        let mut list = tids(&[0, 1, 2, 3, 5, 8, 9, 10]);
+        list.retain(outside(&tids(&[0, 3, 4, 9, 11])));
+        assert_eq!(list, tids(&[1, 2, 5, 8, 10]));
+    }
+
+    /// Full scans cover every valuation once; the delta passes cover
+    /// exactly the valuations binding a touched tuple, each once.
+    #[test]
+    fn delta_passes_enumerate_each_touched_valuation_once() {
+        let schema = DatabaseSchema::new(vec![
+            RelationSchema::of("T", &[("k", AttrType::Str)]),
+            RelationSchema::of("E", &[("k", AttrType::Str)]),
+        ]);
+        let mut db = Database::new(&schema);
+        for k in ["a", "a", "b", "a", "b", "a"] {
+            db.relation_mut(RelId(0))
+                .insert_row(vec![Value::str(k)])
+                .unwrap();
+        }
+        db.relation_mut(RelId(0)).delete(TupleId(4));
+        let rules = RuleSet::new(
+            parse_rules(
+                "rule r: T(t) && T(s) && t.k = s.k -> t.k = s.k\nrule e: E(t) -> t.k = 'x'",
+                &schema,
+            )
+            .unwrap(),
+        );
+        let reg = ModelRegistry::new();
+        let ctx = EvalContext::new(&db, &reg);
+        let collect = |plan: &ScanPlan<'_>| {
+            let mut seen: Vec<Vec<GlobalTid>> = Vec::new();
+            for unit in plan.units() {
+                plan.run(
+                    &ctx,
+                    &unit,
+                    Satisfied::Visit,
+                    |_, _, _| {},
+                    |h| {
+                        seen.push(h.tuples.clone());
+                        true
+                    },
+                );
+            }
+            seen.sort();
+            seen
+        };
+
+        let mut full = ScanPlan::new(&rules, &db, 4);
+        full.full(0);
+        full.full(1);
+        let units = full.units();
+        assert_eq!(units.len(), 5, "four ranges, and one empty unit for E");
+        assert!(units[4].partitions[0].is_empty());
+        let all = collect(&full);
+
+        let touched = tids(&[1, 4, 5]);
+        let mut delta = ScanPlan::new(&rules, &db, 2);
+        delta.delta(0, |rel| {
+            if rel == RelId(0) {
+                touched.clone()
+            } else {
+                Vec::new()
+            }
+        });
+        assert_eq!(delta.units().len(), 4, "two chunks per pinned variable");
+        let binds_touched = |h: &Vec<GlobalTid>| h.iter().any(|g| touched.contains(&g.tid));
+        let expected: Vec<_> = all.iter().filter(|h| binds_touched(h)).cloned().collect();
+        assert!(!expected.is_empty() && expected.len() < all.len());
+        assert_eq!(collect(&delta), expected);
+    }
+}

@@ -81,7 +81,9 @@ fn main() {
         }]),
     ];
 
+    let engine = ChaseEngine::new(&rules, &registry, ChaseConfig::default());
     for (i, delta) in batches.iter().enumerate() {
+        let before = db.clone();
         let inserted = db.apply(delta).unwrap();
         let report = detector.detect_incremental(&db, delta, &inserted);
         println!(
@@ -91,8 +93,7 @@ fn main() {
         );
         if report.count() > 0 {
             // incremental chase repairs in response to the same ΔD
-            let engine = ChaseEngine::new(&rules, &registry, ChaseConfig::default());
-            let res = engine.run(&db, &[]);
+            let res = engine.run_incremental(&before, &[], delta).unwrap();
             for (cell, old, new) in &res.changes {
                 println!(
                     "  repaired row {} {}: '{}' -> '{}'",

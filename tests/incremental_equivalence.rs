@@ -4,6 +4,7 @@
 mod common;
 
 use common::check;
+use rock::crystal::{ClusterConfig, FaultPlan};
 use rock::data::{
     AttrId, AttrType, Database, DatabaseSchema, Delta, Eid, RelId, RelationSchema, TupleId, Update,
     Value,
@@ -102,6 +103,8 @@ fn incremental_detection_equals_batch_on_touched() {
         let ops = g.vec(1..5, |g| {
             (g.range(0u8..3), g.range(0u8..8), g.range(0u8..4))
         });
+        let (fault_seed, panic_prob, transient_prob) =
+            (g.u64(), g.range(0.0f64..0.3), g.range(0.0f64..0.3));
         let schema = schema();
         let rules = rules(&schema);
         let reg = ModelRegistry::new();
@@ -135,7 +138,74 @@ fn incremental_detection_equals_batch_on_touched() {
         found.sort();
         assert_eq!(found, batch_touched);
         assert_eq!(incremental.count(), batch_touched.len());
+
+        // the same units on the cluster: more workers, and first-attempt
+        // faults the default retry budget absorbs, change nothing
+        let faults = FaultPlan::seeded(fault_seed)
+            .with_panics(panic_prob)
+            .with_transients(transient_prob);
+        rock::crystal::fault::silence_injected_panics();
+        for (workers, cluster) in [
+            (1, ClusterConfig::default()),
+            (3, ClusterConfig::default()),
+            (3, ClusterConfig::default().with_fault_plan(faults)),
+        ] {
+            let rep = Detector::new(&rules, &reg)
+                .with_workers(workers)
+                .with_cluster(cluster)
+                .detect_incremental(&db, &delta, &inserted);
+            assert!(rep.unit_failures.is_empty(), "{:?}", rep.unit_failures);
+            let mut on_cluster: Vec<_> = rep.violations.iter().map(key).collect();
+            on_cluster.sort();
+            assert_eq!(on_cluster, found, "{workers} workers");
+            assert_eq!(rep.flagged_cells, incremental.flagged_cells);
+        }
     });
+}
+
+/// Incremental detection runs on the cluster it is given: a unit that
+/// panics on every attempt is quarantined, reported, and contributes no
+/// violations, while the rest still find theirs.
+#[test]
+fn poisoned_incremental_unit_is_reported() {
+    let schema = schema();
+    let rules = rules(&schema);
+    let reg = ModelRegistry::new();
+    let mut db = build_db(&[(0, 0, Some(0)), (0, 1, Some(0)), (1, 1, None)]);
+    let delta = Delta::new(vec![
+        Update::Insert {
+            rel: RelId(0),
+            eid: Eid(99),
+            values: vec![Value::str("k0"), Value::str("v9"), Value::Null],
+        },
+        Update::SetCell {
+            rel: RelId(0),
+            tid: TupleId(0),
+            attr: AttrId(1),
+            value: Value::str("v2"),
+        },
+    ]);
+    let inserted = db.apply(&delta).unwrap();
+    let key = |v: &Violation| (v.rule, v.valuation.tuples.clone());
+    let clean = Detector::new(&rules, &reg).detect_incremental(&db, &delta, &inserted);
+    let all: FxHashSet<_> = clean.violations.iter().map(key).collect();
+
+    rock::crystal::fault::silence_injected_panics();
+    let poisoned = ClusterConfig::default()
+        .with_fault_plan(FaultPlan::seeded(7).with_poison(vec![0]))
+        .with_max_retries(0);
+    let rep = Detector::new(&rules, &reg)
+        .with_cluster(poisoned)
+        .detect_incremental(&db, &delta, &inserted);
+    assert!(
+        !rep.unit_failures.is_empty(),
+        "the poisoned unit is reported"
+    );
+    assert!(rep.violations.iter().all(|v| all.contains(&key(v))));
+    // unit 0 pins fd1's `t` to the rewritten tuple 0, which disagrees
+    // with both other k0 rows
+    assert!(rep.count() < clean.count(), "unit 0 found violations");
+    assert!(rep.count() > 0, "the other units still ran");
 }
 
 /// Applying an empty delta detects nothing incrementally.
