@@ -133,15 +133,15 @@ fn main() {
                 }
             ),
             Some((pos, round, name, crc)) => {
-                let chain = rock_chase::checkpoint_chain(&vfs, dir, &name, crc);
+                let chain = rock_chase::checkpoint_chain(&vfs, dir, &name, crc, |_| true);
                 println!("checkpoint chain (newest first, ends at round {round}):");
                 let mut chain_names = Vec::new();
                 for e in &chain {
                     println!(
                         "  {}  {}  round={}  bytes={}  crc={}",
                         e.name,
-                        if e.full { "FULL " } else { "delta" },
-                        e.round,
+                        if e.is_full() { "FULL " } else { "delta" },
+                        e.round(),
                         e.bytes,
                         if e.crc_ok { "ok" } else { "MISMATCH" }
                     );

@@ -23,12 +23,15 @@
 //! byte-identity contract covers, nothing timing-dependent);
 //! `--provenance auto|rel:tid:attr` print the provenance chain of a
 //! repaired cell (auto = first repaired cell, sorted order).
-//! `ROCK_CRASH_AT_ROUND=<n>` plants the crash drill in fresh runs.
+//! `ROCK_CRASH_AT_ROUND=<n>` plants the crash drill: the run stops after
+//! round n and `abort()`s.
 //!
 //! Exit codes: 0 ok, 2 usage error, 3 resume/WAL error (and the planned
 //! crash dies by `abort()`, so the shell sees a signal, not an exit code).
 
-use rock_chase::{ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, ProvenanceGraph};
+use rock_chase::{
+    ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, ProvenanceGraph, WalHealth,
+};
 use rock_data::{
     json,
     json::{Json, ToJson},
@@ -128,16 +131,19 @@ fn main() {
     let task = w.task("RClean").expect("RClean task").clone();
     let rules = rock_core::variant::sorted_rules(&w.rules_for(&task));
 
-    let crash_at_round = std::env::var("ROCK_CRASH_AT_ROUND")
+    // The crash drill: stop after round N, which is then durable, and die
+    // hard the way a kill -9 would. `max_rounds` is not part of the
+    // fingerprint, so the directory left behind is the one an
+    // uninterrupted run has after round N.
+    let planned_crash = std::env::var("ROCK_CRASH_AT_ROUND")
         .ok()
-        .and_then(|s| s.parse::<usize>().ok());
-    let durability = DurabilityConfig {
-        crash_at_round,
-        ..DurabilityConfig::new(&args.dir)
-    };
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&n| n > 0);
+    let defaults = ChaseConfig::default();
     let cfg = ChaseConfig {
-        durability: Some(durability),
-        ..ChaseConfig::default()
+        max_rounds: planned_crash.unwrap_or(defaults.max_rounds),
+        durability: Some(DurabilityConfig::new(&args.dir)),
+        ..defaults
     };
     let engine = ChaseEngine::new(&rules, &w.registry, cfg);
     let engine = match &w.graph {
@@ -159,9 +165,12 @@ fn main() {
             std::process::exit(3);
         }
     };
+    if planned_crash == Some(res.rounds) {
+        std::process::abort();
+    }
     if let Some(s) = &res.wal {
-        if let Some(err) = &s.error {
-            eprintln!("durability degraded: {err}");
+        if let WalHealth::Degraded { reason } = &s.health {
+            eprintln!("durability degraded: {reason}");
             std::process::exit(3);
         }
         eprintln!(
@@ -170,7 +179,7 @@ fn main() {
             res.rounds,
             res.changes.len(),
             s.records,
-            s.checkpoints,
+            s.full_checkpoints + s.delta_checkpoints,
             s.full_checkpoints,
             s.delta_checkpoints,
             s.segments_rotated,

@@ -32,5 +32,5 @@ pub use runners::{modeled_seconds, COST_UNIT_SECONDS};
 /// truncated results file where a complete one stood, and a completed
 /// write survives power loss (see `rock_crystal::storage`).
 pub fn write_atomic(path: &std::path::Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
-    rock_crystal::write_atomic_durable(path, contents.as_ref())
+    rock_crystal::FaultVfs::clean().write_atomic_durable(path, contents.as_ref(), true)
 }

@@ -1128,7 +1128,9 @@ pub fn metrics_f1(m: &Metrics) -> f64 {
 /// answers a provenance query ("why is this cell 42?") with its rule,
 /// valuation, and parent fixes.
 pub fn durability() -> (Table, Json) {
-    use rock_chase::{wal_bytes, ChaseConfig, ChaseEngine, DurabilityConfig, ProvenanceGraph};
+    use rock_chase::{
+        wal_bytes, ChaseConfig, ChaseEngine, DurabilityConfig, ProvenanceGraph, WalHealth,
+    };
 
     let w = logistics();
     let task = w.task("RClean").expect("RClean task").clone();
@@ -1159,9 +1161,9 @@ pub fn durability() -> (Table, Json) {
     let wall_durable = t1.elapsed().as_secs_f64();
     let wal = durable.wal.clone().expect("durability was configured");
     assert!(
-        wal.error.is_none(),
+        !matches!(wal.health, WalHealth::Degraded { .. }),
         "durability degraded during the run: {:?}",
-        wal.error
+        wal.health
     );
     assert_eq!(
         oracle_db, durable.db,
@@ -1236,7 +1238,8 @@ pub fn durability() -> (Table, Json) {
     );
     table.row(vec!["rounds".into(), format!("{}", durable.rounds)]);
     table.row(vec!["WAL records".into(), format!("{}", wal.records)]);
-    table.row(vec!["checkpoints".into(), format!("{}", wal.checkpoints)]);
+    let checkpoints = wal.full_checkpoints + wal.delta_checkpoints;
+    table.row(vec!["checkpoints".into(), format!("{checkpoints}")]);
     table.row(vec![
         "resume points verified".into(),
         format!("{resume_points}"),
@@ -1254,7 +1257,7 @@ pub fn durability() -> (Table, Json) {
         "panel": "durability",
         "rounds": durable.rounds,
         "wal_records": wal.records,
-        "checkpoints": wal.checkpoints,
+        "checkpoints": checkpoints,
         "resume_points": resume_points,
         "provenance_nodes": prov.len(),
         "cells_queried": cells_queried,
@@ -1460,7 +1463,7 @@ pub fn crashsim() -> (Table, Json) {
         checkpoint_chain, list_segments, locate, ChaseConfig, ChaseEngine, DurabilityConfig,
         WalHealth,
     };
-    use rock_crystal::{FaultVfs, IoOpKind, StorageFaultPlan};
+    use rock_crystal::{ClusterConfig, FaultVfs, IoOpKind, StorageFaultPlan};
 
     let seed: u64 = std::env::var("ROCK_CRASHSIM_SEED")
         .ok()
@@ -1526,8 +1529,7 @@ pub fn crashsim() -> (Table, Json) {
     assert_eq!(
         wal.health,
         WalHealth::Healthy,
-        "the recording vfs injects nothing: {:?}",
-        wal.error
+        "the recording vfs injects nothing"
     );
     assert!(
         durable.rounds >= 3,
@@ -1559,10 +1561,14 @@ pub fn crashsim() -> (Table, Json) {
         None,
     )
     .expect("locate the last durable round");
-    let chain = checkpoint_chain(&clean, &rec_dir, &rp.name, rp.crc);
+    let chain = checkpoint_chain(&clean, &rec_dir, &rp.name, rp.crc, |_| true);
     assert!(
         chain.iter().all(|e| e.crc_ok),
-        "every live chain link must pass its CRC: {chain:?}"
+        "every live chain link must pass its CRC: {:?}",
+        chain
+            .iter()
+            .map(|e| (&e.name, e.crc_ok))
+            .collect::<Vec<_>>()
     );
     let chain_bytes: u64 = rp
         .chain
@@ -1706,7 +1712,7 @@ pub fn crashsim() -> (Table, Json) {
         "persistent fsync failure must yield WalHealth::Degraded, got {health_d:?}"
     );
     let dir_t = base.join("transient");
-    let mut cfg_t = dcfg(
+    let cfg_t = dcfg(
         &dir_t,
         FaultVfs::with_plan(
             StorageFaultPlan::seeded(seed)
@@ -1715,8 +1721,9 @@ pub fn crashsim() -> (Table, Json) {
                 .with_transient_fraction(1.0),
         ),
     );
-    cfg_t.max_io_retries = 8;
-    let res_t = mk(Some(cfg_t)).run(&w.dirty, &w.trusted);
+    let mut engine_t = mk(Some(cfg_t));
+    engine_t.config.cluster = ClusterConfig::default().with_max_retries(8);
+    let res_t = engine_t.run(&w.dirty, &w.trusted);
     assert_eq!(
         oracle_db, res_t.db,
         "transient faults must not change repairs"

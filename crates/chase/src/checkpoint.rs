@@ -46,7 +46,7 @@
 use crate::chase::Proposal;
 use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixSnapshot;
-use crate::wal::{self, DurabilityConfig, WalError, WalPos, WalRecord, WalWriter};
+use crate::wal::{self, DurabilityConfig, WalError, WalPos, WalRecord};
 use rock_crystal::{crc32, FaultVfs};
 use rock_data::{
     json::{self, Json, ToJson},
@@ -192,16 +192,6 @@ impl CheckpointDoc {
     }
 }
 
-/// The last checkpoint the durability context wrote: the delta base, its
-/// file identity, and the live chain (full first) that compaction must
-/// keep.
-pub(crate) struct PrevCheckpoint {
-    pub(crate) state: ChaseCheckpoint,
-    pub(crate) name: String,
-    pub(crate) crc: u32,
-    pub(crate) chain: Vec<String>,
-}
-
 /// A checkpoint encoded for writing.
 pub(crate) struct EncodedCheckpoint {
     pub(crate) name: String,
@@ -225,7 +215,7 @@ fn periodic_full(round: u64, round_base: u64, full_every: usize) -> bool {
 /// available base. Falls back to a full whenever a delta is unsafe (no
 /// base, batch boundary, shape change).
 pub(crate) fn encode_doc(
-    prev: Option<&PrevCheckpoint>,
+    prev: Option<&ResumePoint>,
     ck: ChaseCheckpoint,
     full_every: usize,
 ) -> EncodedCheckpoint {
@@ -291,8 +281,8 @@ fn diff_db(
 /// Compute the delta of `ck` against `p`. `None` forces a full checkpoint
 /// (batch boundary, engine change, non-monotonic accumulators, shape
 /// change).
-fn diff_checkpoint(p: &PrevCheckpoint, ck: &ChaseCheckpoint) -> Option<CheckpointDelta> {
-    let b = &p.state;
+fn diff_checkpoint(p: &ResumePoint, ck: &ChaseCheckpoint) -> Option<CheckpointDelta> {
+    let b = &p.checkpoint;
     if b.fingerprint != ck.fingerprint
         || b.batch != ck.batch
         || ck.round <= b.round
@@ -448,14 +438,18 @@ pub(crate) fn apply_delta(
     Ok(st)
 }
 
-/// Everything `ChaseEngine::resume` needs: the recovered (materialized)
-/// state, where to truncate the WAL, the chosen checkpoint's file
-/// identity, and the chain of files it depends on.
+/// A durably committed round: its recovered (materialized) state, where
+/// its `RoundCommit` marker ends, its checkpoint's file identity, and the
+/// chain of files that checkpoint depends on. [`locate`] returns the one
+/// `ChaseEngine::resume` restarts from; the durability context keeps the
+/// last one it wrote as the next delta's base and as the live chain
+/// compaction must keep.
+#[derive(Debug)]
 pub struct ResumePoint {
     pub checkpoint: ChaseCheckpoint,
-    /// Position one past the chosen `RoundCommit` frame.
+    /// Position one past the `RoundCommit` frame.
     pub pos: WalPos,
-    /// File name of the chosen checkpoint document.
+    /// File name of the checkpoint document.
     pub name: String,
     /// CRC-32 of that document (= the marker's `state_crc`).
     pub crc: u32,
@@ -463,21 +457,88 @@ pub struct ResumePoint {
     pub chain: Vec<String>,
 }
 
-impl ResumePoint {
-    pub(crate) fn prev(&self) -> PrevCheckpoint {
-        PrevCheckpoint {
-            state: self.checkpoint.clone(),
-            name: self.name.clone(),
-            crc: self.crc,
-            chain: self.chain.clone(),
+/// One link of a checkpoint chain.
+#[derive(Debug)]
+pub struct ChainLink {
+    pub name: String,
+    /// File size.
+    pub bytes: u64,
+    /// The file's CRC-32 matches the one its successor (or its marker)
+    /// names.
+    pub crc_ok: bool,
+    /// The decoded document; `None` when the bytes do not decode.
+    pub doc: Option<CheckpointDoc>,
+}
+
+impl ChainLink {
+    /// Round the document checkpoints (0 when it does not decode).
+    pub fn round(&self) -> u64 {
+        match &self.doc {
+            Some(CheckpointDoc::Full(ck)) => ck.round,
+            Some(CheckpointDoc::Delta(d)) => d.round,
+            None => 0,
         }
+    }
+
+    pub fn is_full(&self) -> bool {
+        matches!(self.doc, Some(CheckpointDoc::Full(_)))
+    }
+
+    /// Decodes, passes its CRC, and belongs to this format version and to
+    /// the engine with `fingerprint`.
+    fn sound(&self, fingerprint: u64) -> bool {
+        let identity = match &self.doc {
+            Some(CheckpointDoc::Full(ck)) => (ck.version, ck.fingerprint),
+            Some(CheckpointDoc::Delta(d)) => (d.version, d.fingerprint),
+            None => return false,
+        };
+        self.crc_ok && identity == (CHECKPOINT_VERSION, fingerprint)
     }
 }
 
-/// Load and verify a checkpoint chain ending at `name`/`crc`, walking
-/// `base_name` links back to a full and re-applying the deltas oldest
-/// first. Any read error, CRC mismatch, parse failure, or fingerprint /
-/// version divergence anywhere in the chain fails the whole chain.
+/// Walk the checkpoint chain ending at `name`/`crc` along its `base_name`
+/// links, newest first. The walk ends at a full document, at an
+/// unreadable or undecodable file, after a link `follow` refuses, or at
+/// the length cap. Recovery follows only sound links ([`locate`]); the
+/// `debug_panel wal` inspector and the crashsim panel follow every link
+/// (`|_| true`).
+pub fn checkpoint_chain(
+    vfs: &FaultVfs,
+    dir: &Path,
+    name: &str,
+    crc: u32,
+    follow: impl Fn(&ChainLink) -> bool,
+) -> Vec<ChainLink> {
+    let mut links = Vec::new();
+    let (mut name, mut crc) = (name.to_string(), crc);
+    while links.len() <= MAX_CHAIN {
+        let Ok(bytes) = vfs.read(&dir.join(&name)) else {
+            break;
+        };
+        let link = ChainLink {
+            name,
+            bytes: bytes.len() as u64,
+            crc_ok: crc32(&bytes) == crc,
+            doc: CheckpointDoc::from_bytes(&bytes).ok(),
+        };
+        let base = match &link.doc {
+            Some(CheckpointDoc::Delta(d)) if follow(&link) => {
+                Some((d.base_name.clone(), d.base_crc))
+            }
+            _ => None,
+        };
+        links.push(link);
+        match base {
+            Some(next) => (name, crc) = next,
+            None => break,
+        }
+    }
+    links
+}
+
+/// Load and verify the checkpoint chain ending at `name`/`crc`: every
+/// link must be sound and the oldest a full document; the deltas are then
+/// re-applied oldest first. Returns the state and the chain, full first.
 fn load_chain(
     vfs: &FaultVfs,
     dir: &Path,
@@ -485,50 +546,32 @@ fn load_chain(
     crc: u32,
     fingerprint: u64,
 ) -> Result<(ChaseCheckpoint, Vec<String>), WalError> {
-    let mut deltas: Vec<CheckpointDelta> = Vec::new();
-    let mut chain_rev: Vec<String> = Vec::new();
-    let mut cur_name = name.to_string();
-    let mut cur_crc = crc;
-    let full = loop {
-        if chain_rev.len() > MAX_CHAIN {
-            return Err(WalError::Codec("checkpoint chain too long".into()));
-        }
-        let bytes = vfs.read(&dir.join(&cur_name))?;
-        if crc32(&bytes) != cur_crc {
-            return Err(WalError::Mismatch(format!(
-                "checkpoint {cur_name} fails its CRC"
-            )));
-        }
-        chain_rev.push(cur_name.clone());
-        match CheckpointDoc::from_bytes(&bytes)? {
-            CheckpointDoc::Full(ck) => {
-                if ck.version != CHECKPOINT_VERSION || ck.fingerprint != fingerprint {
-                    return Err(WalError::Mismatch(format!(
-                        "checkpoint {cur_name} has version {} / fingerprint {:#x}",
-                        ck.version, ck.fingerprint
-                    )));
-                }
-                break ck;
-            }
-            CheckpointDoc::Delta(d) => {
-                if d.version != CHECKPOINT_VERSION || d.fingerprint != fingerprint {
-                    return Err(WalError::Mismatch(format!(
-                        "checkpoint {cur_name} has version {} / fingerprint {:#x}",
-                        d.version, d.fingerprint
-                    )));
-                }
-                cur_name = d.base_name.clone();
-                cur_crc = d.base_crc;
-                deltas.push(d);
-            }
-        }
-    };
-    let mut state = full;
-    for d in deltas.iter().rev() {
-        state = apply_delta(&state, d)?;
+    let sound = |link: &ChainLink| link.sound(fingerprint);
+    let mut links = checkpoint_chain(vfs, dir, name, crc, sound);
+    if let Some(bad) = links.iter().find(|link| !sound(link)) {
+        return Err(WalError::Mismatch(format!(
+            "checkpoint {} fails its CRC, does not decode or belongs to another engine",
+            bad.name
+        )));
     }
-    chain_rev.reverse();
-    Ok((state, chain_rev))
+    let Some(ChainLink {
+        name: full_name,
+        doc: Some(CheckpointDoc::Full(mut state)),
+        ..
+    }) = links.pop()
+    else {
+        return Err(WalError::Mismatch(format!(
+            "checkpoint chain of {name} does not reach a full checkpoint"
+        )));
+    };
+    let mut chain = vec![full_name];
+    for link in links.into_iter().rev() {
+        if let Some(CheckpointDoc::Delta(d)) = &link.doc {
+            state = apply_delta(&state, d)?;
+        }
+        chain.push(link.name);
+    }
+    Ok((state, chain))
 }
 
 /// Locate the last durable round in `cfg.dir` (or the specific round
@@ -566,91 +609,20 @@ pub fn locate(
         }
     }
     while let Some((round, pos, name, state_crc)) = commits.pop() {
-        let Ok((state, chain)) = load_chain(&cfg.vfs, &cfg.dir, &name, state_crc, fingerprint)
-        else {
-            continue;
-        };
-        if state.round != round {
-            continue;
+        match load_chain(&cfg.vfs, &cfg.dir, &name, state_crc, fingerprint) {
+            Ok((checkpoint, chain)) if checkpoint.round == round => {
+                return Ok(ResumePoint {
+                    checkpoint,
+                    pos,
+                    name,
+                    crc: state_crc,
+                    chain,
+                })
+            }
+            _ => continue,
         }
-        return Ok(ResumePoint {
-            checkpoint: state,
-            pos,
-            name,
-            crc: state_crc,
-            chain,
-        });
     }
     Err(WalError::NoDurableRound)
-}
-
-/// One link of a checkpoint chain, for the `debug_panel wal` inspector.
-#[derive(Debug, Clone)]
-pub struct ChainEntry {
-    pub name: String,
-    pub round: u64,
-    pub full: bool,
-    pub bytes: u64,
-    pub crc_ok: bool,
-}
-
-/// Walk the chain ending at `name`/`crc` tolerantly (for display): stops
-/// at the first unreadable or unparsable link instead of failing. Entries
-/// come back newest first.
-pub fn checkpoint_chain(vfs: &FaultVfs, dir: &Path, name: &str, crc: u32) -> Vec<ChainEntry> {
-    let mut out = Vec::new();
-    let mut cur_name = name.to_string();
-    let mut cur_crc = crc;
-    while out.len() <= MAX_CHAIN {
-        let Ok(bytes) = vfs.read(&dir.join(&cur_name)) else {
-            break;
-        };
-        let crc_ok = crc32(&bytes) == cur_crc;
-        let Ok(doc) = CheckpointDoc::from_bytes(&bytes) else {
-            out.push(ChainEntry {
-                name: cur_name,
-                round: 0,
-                full: false,
-                bytes: bytes.len() as u64,
-                crc_ok,
-            });
-            break;
-        };
-        match doc {
-            CheckpointDoc::Full(ck) => {
-                out.push(ChainEntry {
-                    name: cur_name,
-                    round: ck.round,
-                    full: true,
-                    bytes: bytes.len() as u64,
-                    crc_ok,
-                });
-                break;
-            }
-            CheckpointDoc::Delta(d) => {
-                out.push(ChainEntry {
-                    name: cur_name,
-                    round: d.round,
-                    full: false,
-                    bytes: bytes.len() as u64,
-                    crc_ok,
-                });
-                cur_name = d.base_name;
-                cur_crc = d.base_crc;
-            }
-        }
-    }
-    out
-}
-
-/// Open the WAL for appending at a resume point (truncating the crashed
-/// suffix and deleting younger segments).
-pub(crate) fn reopen_writer(
-    cfg: &DurabilityConfig,
-    pos: WalPos,
-    fingerprint: u64,
-) -> Result<WalWriter, WalError> {
-    WalWriter::open_at(cfg, pos, fingerprint)
 }
 
 #[cfg(test)]
@@ -727,8 +699,9 @@ mod tests {
             Value::Int(2),
             Value::Int(99),
         ));
-        let prev = PrevCheckpoint {
-            state: base.clone(),
+        let prev = ResumePoint {
+            checkpoint: base.clone(),
+            pos: WalPos { seg: 1, off: 0 },
             name: ChaseCheckpoint::file_name(1),
             crc: 7,
             chain: vec![ChaseCheckpoint::file_name(1)],
@@ -744,8 +717,9 @@ mod tests {
     fn shape_changes_force_a_full() {
         let base = ck_at(1, &[1, 2, 3]);
         let next = ck_at(2, &[1, 2, 3, 4]); // extra tuple: capacity changed
-        let prev = PrevCheckpoint {
-            state: base,
+        let prev = ResumePoint {
+            checkpoint: base,
+            pos: WalPos { seg: 1, off: 0 },
             name: ChaseCheckpoint::file_name(1),
             crc: 7,
             chain: vec![],
@@ -813,8 +787,9 @@ mod tests {
         )])];
         next.pending[0].mark(RelId(0), TupleId(2));
         next.last_fix = vec![(cell.tuple(), u64::MAX)];
-        let prev = PrevCheckpoint {
-            state: base.clone(),
+        let prev = ResumePoint {
+            checkpoint: base.clone(),
+            pos: WalPos { seg: 1, off: 0 },
             name: ChaseCheckpoint::file_name(1),
             crc: 7,
             chain: vec![ChaseCheckpoint::file_name(1)],

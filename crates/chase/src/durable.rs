@@ -21,7 +21,7 @@ impl ChaseEngine<'_> {
         self.config
             .durability
             .clone()
-            .map(|cfg| DurabilityCtx::begin(cfg, self.fingerprint()))
+            .map(|cfg| DurabilityCtx::begin(cfg, &self.config.cluster, self.fingerprint()))
     }
 
     /// Resume a crashed durable run from its last durable round. The
@@ -47,9 +47,8 @@ impl ChaseEngine<'_> {
             .clone()
             .ok_or(WalError::NotConfigured)?;
         let rp = checkpoint::locate(&cfg, self.fingerprint(), at)?;
-        let writer = checkpoint::reopen_writer(&cfg, rp.pos, self.fingerprint())?;
-        let prev = rp.prev();
-        let ck = rp.checkpoint;
+        let ck = rp.checkpoint.clone();
+        self.check_fits(&ck)?;
         let mut fixes = FixStore::from_snapshot(&ck.fixes);
         for t in trusted {
             fixes.trust_tuple(*t);
@@ -78,8 +77,39 @@ impl ChaseEngine<'_> {
             round_base: ck.round_base as usize,
             done: ck.done,
         };
-        let dur = DurabilityCtx::attach(cfg, writer, prev, ck.round);
+        let dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), rp)?;
         Ok(self.run_loop(ls, graph, Some(dur)))
+    }
+
+    /// A checkpoint that decodes and matches the fingerprint can still
+    /// disagree with the engine about its shape (a hand-edited file with
+    /// a re-pointed marker CRC). Refuse it before the round loop indexes
+    /// by rule or relation.
+    fn check_fits(&self, ck: &ChaseCheckpoint) -> Result<(), WalError> {
+        let nrules = self.rules.len();
+        let misfit = if let Some(i) = ck.active.iter().find(|&&i| i >= nrules) {
+            format!("activates rule {i} of {nrules}")
+        } else if ck.pending.len() != nrules || ck.carry.len() != nrules {
+            format!(
+                "holds {} pending and {} carry slots for {nrules} rules",
+                ck.pending.len(),
+                ck.carry.len()
+            )
+        } else if let Some((_, rel)) = self
+            .rules
+            .rules
+            .iter()
+            .flat_map(|r| &r.tuple_vars)
+            .find(|(_, rel)| rel.index() >= ck.db.len())
+        {
+            format!("lacks relation {rel} a rule binds")
+        } else {
+            return Ok(());
+        };
+        Err(WalError::Mismatch(format!(
+            "checkpoint of round {} {misfit}",
+            ck.round
+        )))
     }
 
     /// One ΔD batch of a **durable incremental session**: semantically the
@@ -133,9 +163,7 @@ impl ChaseEngine<'_> {
         ls.batch = rp.checkpoint.batch.max(1) + 1;
         ls.rounds = round_base as usize;
         ls.round_base = round_base as usize;
-        let writer = checkpoint::reopen_writer(&cfg, rp.pos, self.fingerprint())?;
-        let prev = rp.prev();
-        let mut dur = DurabilityCtx::attach(cfg, writer, prev, round_base);
+        let mut dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), rp)?;
         dur.begin_batch(ls.batch, round_base);
         // Batch-opening checkpoint: the post-ΔD state becomes durable
         // *before* the first round runs, so a crash anywhere in this batch
@@ -143,7 +171,7 @@ impl ChaseEngine<'_> {
         // and a batch that activates nothing still advances the session.
         // It re-uses the previous batch's final round number; being a
         // batch boundary it is always encoded as a full document.
-        dur.commit_round(round_base, &[], Some(self.make_checkpoint(&ls)));
+        dur.commit_round(round_base, &[], self.make_checkpoint(&ls));
         Ok(self.run_loop(ls, graph, Some(dur)))
     }
 
@@ -178,29 +206,18 @@ impl ChaseEngine<'_> {
         }
     }
 
-    /// Round-boundary durability hook: append the round's fix records to
-    /// the WAL, write a checkpoint when due (every `snapshot_every` rounds
-    /// and always on the final round), fsync the boundary, then honour the
-    /// planned-crash drill. A no-op without durability or after the
-    /// context poisoned itself on an earlier IO error.
+    /// Round-boundary durability hook: append the round's fix records and
+    /// its checkpoint to the WAL and fsync the boundary. A no-op without
+    /// durability or after the context poisoned itself on an earlier IO
+    /// error.
     pub(crate) fn commit_round_durable(
         &self,
         ls: &LoopState,
         dur: &mut Option<DurabilityCtx>,
         round_fixes: &[RoundFix],
     ) {
-        let Some(d) = dur.as_mut() else { return };
-        let due = ls.done
-            || ls.active.is_empty()
-            || ls.rounds - ls.round_base >= self.config.max_rounds
-            || d.cfg.snapshot_every <= 1
-            || ls.rounds % d.cfg.snapshot_every == 0;
-        let checkpoint = due.then(|| self.make_checkpoint(ls));
-        d.commit_round(ls.rounds as u64, round_fixes, checkpoint);
-        if d.cfg.crash_at_round == Some(ls.rounds) {
-            // planned crash drill (the CI kill-and-resume job): die hard
-            // *after* the round became durable, like a kill -9 would
-            std::process::abort();
+        if let Some(d) = dur.as_mut() {
+            d.commit_round(ls.rounds as u64, round_fixes, self.make_checkpoint(ls));
         }
     }
 }

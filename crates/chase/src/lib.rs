@@ -40,8 +40,9 @@
 //! cell can answer "why?" ([`ProvenanceGraph::why`]). Segments fully
 //! covered by the latest full checkpoint are compacted away when
 //! [`DurabilityConfig::with_compaction`] is on; transient I/O errors are
-//! retried with capped backoff and the outcome is surfaced as a typed
-//! [`WalHealth`] in [`ChaseResult`].
+//! retried under [`ChaseConfig::cluster`], the retry policy the chase's
+//! work units use, and the outcome is surfaced as a typed [`WalHealth`]
+//! in [`ChaseResult`].
 
 // The chase commits fixes round-atomically; a panic mid-commit would leave
 // a torn fix store, so non-test code must surface errors as values (same
@@ -65,7 +66,7 @@ pub mod wal;
 
 pub use chase::{ChaseConfig, ChaseEngine, ChaseResult, GateMode, Proposal};
 pub use checkpoint::{
-    checkpoint_chain, locate, ChainEntry, ChaseCheckpoint, CheckpointDelta, CheckpointDoc,
+    checkpoint_chain, locate, ChainLink, ChaseCheckpoint, CheckpointDelta, CheckpointDoc,
     ResumePoint, CHECKPOINT_VERSION,
 };
 pub use conflict::ConflictPolicy;
@@ -78,6 +79,7 @@ pub use provenance::{
 pub use quality::QualityReport;
 pub use reference::ReferenceResult;
 pub use wal::{
-    list_segments, read_wal, read_wal_dir, segment_file_name, wal_bytes, DurabilityConfig, FixKind,
-    FixRecord, SegmentInfo, WalDirScan, WalError, WalHealth, WalPos, WalRecord, WalSummary,
+    decode_wal, list_segments, read_wal_dir, segment_file_name, wal_bytes, DurabilityConfig,
+    FixKind, FixRecord, SegmentInfo, WalDirScan, WalError, WalHealth, WalPos, WalRecord,
+    WalSummary,
 };

@@ -1,5 +1,5 @@
-//! Fix provenance: "why is this cell 42?" (ROADMAP item 4; the repair-
-//! lineage framing follows HoloClean — see PAPERS.md).
+//! Fix provenance: "why is this cell 42?" (the repair-lineage framing
+//! follows HoloClean — see PAPERS.md).
 //!
 //! The WAL already records everything a lineage query needs: each
 //! [`FixRecord`] carries its rule id, the valuation's bound tuples, and
@@ -11,7 +11,9 @@
 use crate::chase::{ChaseConfig, ChaseEngine};
 use crate::wal::{self, DurabilityConfig, FixRecord, WalError, WalRecord};
 use rock_crystal::sync::{AtomicU64, Ordering};
-use rock_data::{AttrId, CellRef, DataError, Database, DatabaseSchema, FxHashMap, RelId, Value};
+use rock_data::{
+    AttrId, CellRef, DataError, Database, DatabaseSchema, FxHashMap, FxHashSet, RelId, Value,
+};
 use rock_ml::ModelRegistry;
 use rock_rees::RuleSet;
 use std::fmt;
@@ -107,19 +109,18 @@ impl ProvenanceGraph {
     /// of its provenance parents, ascending id.
     fn chain_of(&self, id: u64) -> Option<ProvenanceChain> {
         let fix = self.node(id)?.clone();
-        let mut seen: Vec<u64> = Vec::new();
+        let mut seen: FxHashSet<u64> = FxHashSet::default();
         let mut stack: Vec<u64> = fix.parents.clone();
         while let Some(id) = stack.pop() {
-            if seen.contains(&id) {
-                continue;
-            }
-            seen.push(id);
-            if let Some(n) = self.node(id) {
-                stack.extend(n.parents.iter().copied());
+            if seen.insert(id) {
+                if let Some(n) = self.node(id) {
+                    stack.extend(n.parents.iter().copied());
+                }
             }
         }
-        seen.sort_unstable();
-        let ancestors = seen
+        let mut ids: Vec<u64> = seen.into_iter().collect();
+        ids.sort_unstable();
+        let ancestors = ids
             .into_iter()
             .filter_map(|id| self.node(id).cloned())
             .collect();

@@ -1,4 +1,4 @@
-//! Segmented write-ahead log for the durable chase (ROADMAP item 4).
+//! Segmented write-ahead log for the durable chase.
 //!
 //! The log is a sequence of segment files `wal.000001`, `wal.000002`, …
 //! inside the durability directory. Every segment starts with the magic and
@@ -35,11 +35,11 @@
 //! most two segments.
 //!
 //! **I/O faults.** All I/O goes through the config's
-//! [`rock_crystal::FaultVfs`]. Transient errors are retried with the capped
-//! exponential backoff Crystal's compute retries use
-//! ([`rock_crystal::ClusterConfig::backoff_for`]); once retries are
-//! exhausted the context *poisons*: durability degrades to in-memory, the
-//! chase keeps repairing, and the failure surfaces as
+//! [`rock_crystal::FaultVfs`]. Transient errors are retried under the
+//! chase's one retry policy, the [`rock_crystal::ClusterConfig`] its work
+//! units retry under (`max_retries`, capped exponential `backoff_for`);
+//! once retries are exhausted the context *poisons*: durability degrades
+//! to in-memory, the chase keeps repairing, and the failure surfaces as
 //! [`WalHealth::Degraded`] on the run's [`WalSummary`].
 //!
 //! Each [`FixRecord`] doubles as a **provenance node**: it carries the
@@ -47,13 +47,11 @@
 //! those tuples last received (`parents`). `crate::provenance` replays
 //! the log into a queryable "why is this cell 42?" graph.
 
+use crate::checkpoint::{encode_doc, ChaseCheckpoint, ResumePoint};
 use crate::fixes::EntityKey;
-use rock_crystal::{crc32, ClusterConfig, FaultVfs};
+use rock_crystal::{crc32, ClusterConfig, FaultVfs, VfsFile};
 use rock_data::{json, AttrId, CellRef, DataError, FxHashMap, GlobalTid, RelId, TupleId, Value};
-use std::fs::File;
-use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// File magic: identifies the format and its version.
 pub const WAL_MAGIC: &[u8; 8] = b"ROCKWAL1";
@@ -82,7 +80,7 @@ pub struct WalPos {
 
 /// Errors surfaced by the durability layer. The chase itself never fails
 /// on these — a mid-run WAL error degrades durability to off and is
-/// reported in [`WalSummary::error`] — but [`crate::ChaseEngine::resume`]
+/// reported as [`WalHealth::Degraded`] — but [`crate::ChaseEngine::resume`]
 /// is fallible by nature.
 #[derive(Debug)]
 pub enum WalError {
@@ -90,7 +88,8 @@ pub enum WalError {
     /// A frame or checkpoint failed to encode/decode.
     Codec(String),
     /// The log or checkpoint contradicts itself or the engine (bad magic,
-    /// fingerprint mismatch, missing checkpoint file).
+    /// fingerprint mismatch, missing checkpoint file, a checkpoint whose
+    /// state does not fit the rules).
     Mismatch(String),
     /// No round has been durably committed yet, so there is nothing to
     /// resume from.
@@ -123,22 +122,17 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// Durability knobs, threaded through `ChaseConfig::durability`.
+/// Durability knobs, threaded through `ChaseConfig::durability`. I/O
+/// retries follow the chase's `ChaseConfig::cluster` policy
+/// ([`ClusterConfig::max_retries`], [`ClusterConfig::backoff_for`]), the
+/// one Crystal's work units retry under.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding `wal.NNNNNN` segments and `checkpoint-*` files.
     pub dir: PathBuf,
-    /// Checkpoint every N round boundaries (1 = every round). Rounds
-    /// without a checkpoint still log their fixes; resume falls back to
-    /// the last checkpointed round and deterministically re-runs the gap.
-    pub snapshot_every: usize,
     /// fsync the WAL at each round boundary and fsync checkpoint writes.
     /// `false` trades power-loss durability for speed (tests, panels).
     pub sync: bool,
-    /// Crash drill: abort the process right *after* round N's commit is
-    /// durable. Wired from `ROCK_CRASH_AT_ROUND` by the harness binaries;
-    /// never set in production configs.
-    pub crash_at_round: Option<usize>,
     /// Rotate to a new WAL segment at the first round boundary where the
     /// live segment holds at least this many bytes (soft budget: a round's
     /// frames never straddle segments).
@@ -151,12 +145,6 @@ pub struct DurabilityConfig {
     /// (1 = every checkpoint is full). Deltas diff cells/carries/activation
     /// against the previous snapshot and chain CRCs back to their full.
     pub full_every: usize,
-    /// Transient I/O errors on append/sync/checkpoint writes are retried
-    /// this many times before durability poisons to in-memory.
-    pub max_io_retries: u32,
-    /// Base of the capped exponential retry backoff (same shape as
-    /// [`rock_crystal::ClusterConfig::backoff_for`]).
-    pub io_backoff: Duration,
     /// Filesystem shim all WAL/checkpoint I/O routes through. The clean
     /// default injects nothing; the crash-consistency harness swaps in a
     /// seeded fault plan.
@@ -165,18 +153,12 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        // Reuse Crystal's compute-retry constants for the I/O retry ladder.
-        let retry = ClusterConfig::default();
         DurabilityConfig {
             dir: dir.into(),
-            snapshot_every: 1,
             sync: true,
-            crash_at_round: None,
             segment_bytes: 8 * 1024 * 1024,
             compact: false,
             full_every: 1,
-            max_io_retries: retry.max_retries,
-            io_backoff: retry.retry_backoff,
             vfs: FaultVfs::clean(),
         }
     }
@@ -202,33 +184,26 @@ impl DurabilityConfig {
     }
 }
 
-/// Capped exponential backoff before I/O retry `attempt` (0-based): the
-/// formula Crystal's unit retries use, on the durability layer's base.
-fn io_backoff(base: Duration, attempt: u32) -> Duration {
-    ClusterConfig {
-        retry_backoff: base,
-        ..ClusterConfig::default()
-    }
-    .backoff_for(attempt)
-}
-
-/// Run `op`, retrying a failure up to `max_retries` times with
-/// [`io_backoff`] naps in between; every retry is counted into `retries`.
-/// `op` must be idempotent.
+/// Run `op`, retrying a failure up to `policy.max_retries` times with the
+/// policy's capped backoff in between; every retry is counted into
+/// `retries`. `op` must be idempotent. It reports each failure with
+/// whether it left the files as they were: one that did not ends the
+/// retries.
 fn retry_io<T>(
-    max_retries: u32,
-    base: Duration,
+    policy: &ClusterConfig,
     retries: &mut u64,
-    mut op: impl FnMut() -> std::io::Result<T>,
+    mut op: impl FnMut() -> Result<T, (std::io::Error, bool)>,
 ) -> Result<T, WalError> {
     let mut attempt = 0u32;
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e) if attempt >= max_retries => return Err(WalError::Io(e)),
+            Err((e, retryable)) if !retryable || attempt >= policy.max_retries => {
+                return Err(WalError::Io(e))
+            }
             Err(_) => {
                 *retries += 1;
-                std::thread::sleep(io_backoff(base, attempt));
+                std::thread::sleep(policy.backoff_for(attempt));
                 attempt += 1;
             }
         }
@@ -246,7 +221,8 @@ pub enum WalHealth {
     Recovered { io_retries: u64 },
     /// An I/O error exhausted its retries: durability degraded to
     /// in-memory from that point on. Repairs are still byte-identical to
-    /// the in-memory oracle — only the log is incomplete.
+    /// the in-memory oracle — only the log is incomplete. `reason` is the
+    /// first durability failure.
     Degraded { reason: String },
 }
 
@@ -451,13 +427,6 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
     })
 }
 
-/// Read and scan a single WAL segment file.
-pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    decode_wal(&bytes)
-}
-
 /// WAL segments present in `dir`, sorted by sequence number. An absent
 /// directory reads as "no segments".
 pub fn list_segments(vfs: &FaultVfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
@@ -530,39 +499,19 @@ pub fn read_wal_dir_vfs(vfs: &FaultVfs, dir: &Path) -> Result<WalDirScan, WalErr
                 break;
             }
         };
-        // Every segment must open with a Begin header matching the first
-        // segment's fingerprint; anything else is rotation debris.
-        let header_fp = match scan.records.first() {
-            Some((_, WalRecord::Begin { fingerprint })) => *fingerprint,
-            _ if i == 0 => {
-                // first segment with no header at all: surface as-is so
-                // locate reports the mismatch
-                segments.push(SegmentInfo {
-                    seq: *seq,
-                    bytes: bytes.len() as u64,
-                    valid_len: scan.valid_len,
-                    records: scan.records.len(),
-                    corrupt_tail: scan.corrupt_tail,
-                });
-                for (off, rec) in scan.records {
-                    records.push((WalPos { seg: *seq, off }, rec));
-                }
-                corrupt_tail |= scan.corrupt_tail;
-                break;
-            }
-            _ => {
-                corrupt_tail = true;
-                break;
-            }
+        // Every later segment must open with a Begin header matching the
+        // first segment's; anything else is rotation debris. A first
+        // segment without one is kept as it is, so `locate` reports the
+        // mismatch, and ends the log.
+        let header = match scan.records.first() {
+            Some((_, WalRecord::Begin { fingerprint })) => Some(*fingerprint),
+            _ => None,
         };
-        match fingerprint {
-            None => fingerprint = Some(header_fp),
-            Some(fp) if fp != header_fp => {
-                corrupt_tail = true;
-                break;
-            }
-            Some(_) => {}
+        if i > 0 && header != fingerprint {
+            corrupt_tail = true;
+            break;
         }
+        fingerprint = header;
         segments.push(SegmentInfo {
             seq: *seq,
             bytes: bytes.len() as u64,
@@ -570,15 +519,14 @@ pub fn read_wal_dir_vfs(vfs: &FaultVfs, dir: &Path) -> Result<WalDirScan, WalErr
             records: scan.records.len(),
             corrupt_tail: scan.corrupt_tail,
         });
-        let seg_corrupt = scan.corrupt_tail;
-        for (j, (off, rec)) in scan.records.into_iter().enumerate() {
-            if i > 0 && j == 0 {
-                continue; // elide the duplicated segment header
-            }
-            records.push((WalPos { seg: *seq, off }, rec));
-        }
-        if seg_corrupt {
-            corrupt_tail = true;
+        corrupt_tail |= scan.corrupt_tail;
+        // later segments' headers repeat the first one's: elide them
+        let elide = usize::from(i > 0);
+        records.extend(
+            (scan.records.into_iter().skip(elide))
+                .map(|(off, rec)| (WalPos { seg: *seq, off }, rec)),
+        );
+        if corrupt_tail || header.is_none() {
             break;
         }
     }
@@ -607,7 +555,9 @@ pub fn wal_bytes(dir: &Path) -> Result<Vec<u8>, WalError> {
     Ok(out)
 }
 
-/// Append-only segmented WAL writer with capped-backoff I/O retries.
+/// Append-only segmented WAL writer: every WAL and checkpoint write of a
+/// run goes through it, with the chase's retry policy, and its counters
+/// are the run's.
 #[derive(Debug)]
 pub struct WalWriter {
     vfs: FaultVfs,
@@ -615,10 +565,9 @@ pub struct WalWriter {
     sync: bool,
     segment_bytes: u64,
     fingerprint: u64,
-    max_retries: u32,
-    backoff: Duration,
+    retry: ClusterConfig,
     seq: u64,
-    file: rock_crystal::VfsFile,
+    file: VfsFile,
     offset: u64,
     /// Records appended this run (headers included).
     pub(crate) appended: u64,
@@ -644,7 +593,7 @@ fn start_segment(
     seq: u64,
     header: &[u8],
     sync: bool,
-) -> std::io::Result<rock_crystal::VfsFile> {
+) -> std::io::Result<VfsFile> {
     let mut file = vfs.create(&dir.join(segment_file_name(seq)))?;
     file.write_all(header)?;
     if sync {
@@ -657,31 +606,23 @@ fn start_segment(
 impl WalWriter {
     /// Start a fresh log: remove any existing segments, create
     /// `wal.000001`, and write its magic + `Begin` header durably.
-    pub(crate) fn create(cfg: &DurabilityConfig, fingerprint: u64) -> Result<Self, WalError> {
-        let vfs = cfg.vfs.clone();
-        for (_, path) in list_segments(&vfs, &cfg.dir)? {
-            vfs.remove_file(&path)?;
+    pub(crate) fn create(
+        cfg: &DurabilityConfig,
+        retry: &ClusterConfig,
+        fingerprint: u64,
+    ) -> Result<Self, WalError> {
+        for (_, path) in list_segments(&cfg.vfs, &cfg.dir)? {
+            cfg.vfs.remove_file(&path)?;
         }
         let header = segment_header(fingerprint)?;
         let mut io_retries = 0;
-        let file = retry_io(cfg.max_io_retries, cfg.io_backoff, &mut io_retries, || {
-            start_segment(&vfs, &cfg.dir, 1, &header, cfg.sync)
+        let file = retry_io(retry, &mut io_retries, || {
+            start_segment(&cfg.vfs, &cfg.dir, 1, &header, cfg.sync).map_err(|e| (e, true))
         })?;
-        Ok(WalWriter {
-            vfs,
-            dir: cfg.dir.clone(),
-            sync: cfg.sync,
-            segment_bytes: cfg.segment_bytes,
-            fingerprint,
-            max_retries: cfg.max_io_retries,
-            backoff: cfg.io_backoff,
-            seq: 1,
-            file,
-            offset: header.len() as u64,
-            appended: 1,
-            io_retries,
-            segments_rotated: 0,
-        })
+        let mut w = WalWriter::at(cfg, retry, fingerprint, 1, file, header.len() as u64);
+        w.appended = 1;
+        w.io_retries = io_retries;
+        Ok(w)
     }
 
     /// Open the log for appending at `pos`, discarding any crashed or
@@ -691,68 +632,72 @@ impl WalWriter {
     /// idempotent).
     pub(crate) fn open_at(
         cfg: &DurabilityConfig,
+        retry: &ClusterConfig,
         pos: WalPos,
         fingerprint: u64,
     ) -> Result<Self, WalError> {
-        let vfs = cfg.vfs.clone();
-        for (seq, path) in list_segments(&vfs, &cfg.dir)? {
+        for (seq, path) in list_segments(&cfg.vfs, &cfg.dir)? {
             if seq > pos.seg {
-                vfs.remove_file(&path)?;
+                cfg.vfs.remove_file(&path)?;
             }
         }
-        let path = cfg.dir.join(segment_file_name(pos.seg));
-        let mut file = vfs.open_rw(&path)?;
+        let mut file = cfg.vfs.open_rw(&cfg.dir.join(segment_file_name(pos.seg)))?;
         file.set_len(pos.off)?;
         file.seek_to(pos.off)?;
         if cfg.sync {
             file.sync_all()?;
-            vfs.fsync_dir(&cfg.dir)?;
+            cfg.vfs.fsync_dir(&cfg.dir)?;
         }
-        Ok(WalWriter {
-            vfs,
+        Ok(WalWriter::at(
+            cfg,
+            retry,
+            fingerprint,
+            pos.seg,
+            file,
+            pos.off,
+        ))
+    }
+
+    fn at(
+        cfg: &DurabilityConfig,
+        retry: &ClusterConfig,
+        fingerprint: u64,
+        seq: u64,
+        file: VfsFile,
+        offset: u64,
+    ) -> Self {
+        WalWriter {
+            vfs: cfg.vfs.clone(),
             dir: cfg.dir.clone(),
             sync: cfg.sync,
             segment_bytes: cfg.segment_bytes,
             fingerprint,
-            max_retries: cfg.max_io_retries,
-            backoff: cfg.io_backoff,
-            seq: pos.seg,
+            retry: retry.clone(),
+            seq,
             file,
-            offset: pos.off,
+            offset,
             appended: 0,
             io_retries: 0,
             segments_rotated: 0,
-        })
+        }
     }
 
     /// Append one frame, retrying transient write errors after truncating
     /// the partial frame back off the tail (keeps the file frame-aligned
-    /// even when a torn write persisted a prefix).
+    /// even when a torn write persisted a prefix). A tail that cannot be
+    /// truncated back ends the retries.
     pub(crate) fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
         let frame = encode_frame(rec)?;
-        let mut attempt = 0u32;
-        loop {
-            match self.file.write_all(&frame) {
-                Ok(()) => {
-                    self.offset += frame.len() as u64;
-                    self.appended += 1;
-                    return Ok(());
-                }
-                Err(e) => {
-                    let repaired = self
-                        .file
-                        .set_len(self.offset)
-                        .and_then(|()| self.file.seek_to(self.offset))
-                        .is_ok();
-                    if !repaired || attempt >= self.max_retries {
-                        return Err(WalError::Io(e));
-                    }
-                    self.io_retries += 1;
-                    std::thread::sleep(io_backoff(self.backoff, attempt));
-                    attempt += 1;
-                }
-            }
-        }
+        let (file, offset) = (&mut self.file, self.offset);
+        retry_io(&self.retry, &mut self.io_retries, || {
+            file.write_all(&frame).map_err(|e| {
+                let repaired = file.set_len(offset).and_then(|()| file.seek_to(offset));
+                (e, repaired.is_ok())
+            })
+        })?;
+        self.offset += frame.len() as u64;
+        self.appended += 1;
+        Ok(())
     }
 
     /// Fsync the live segment (no-op when the config is async), retrying
@@ -761,8 +706,9 @@ impl WalWriter {
         if !self.sync {
             return Ok(());
         }
-        retry_io(self.max_retries, self.backoff, &mut self.io_retries, || {
-            self.file.sync_all()
+        let file = &mut self.file;
+        retry_io(&self.retry, &mut self.io_retries, || {
+            file.sync_all().map_err(|e| (e, true))
         })
     }
 
@@ -777,8 +723,9 @@ impl WalWriter {
         }
         let next_seq = self.seq + 1;
         let header = segment_header(self.fingerprint)?;
-        self.file = retry_io(self.max_retries, self.backoff, &mut self.io_retries, || {
-            start_segment(&self.vfs, &self.dir, next_seq, &header, self.sync)
+        let (vfs, dir, sync) = (&self.vfs, &self.dir, self.sync);
+        self.file = retry_io(&self.retry, &mut self.io_retries, || {
+            start_segment(vfs, dir, next_seq, &header, sync).map_err(|e| (e, true))
         })?;
         self.seq = next_seq;
         self.offset = header.len() as u64;
@@ -787,9 +734,30 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Delete every segment older than the live one (compaction after a
-    /// full checkpoint). Returns how many were retired.
-    pub(crate) fn retire_old_segments(&mut self) -> Result<u64, WalError> {
+    /// Write one checkpoint document next to the log, atomically and (when
+    /// the config syncs) durably. A failed attempt may leave `<name>.tmp`
+    /// behind; the retry recreates it from scratch and the open-time GC
+    /// reaps terminal strays.
+    pub(crate) fn write_checkpoint(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+        let path = self.dir.join(name);
+        let (vfs, sync) = (&self.vfs, self.sync);
+        retry_io(&self.retry, &mut self.io_retries, || {
+            if sync {
+                vfs.write_atomic_durable(&path, bytes, true)
+            } else {
+                vfs.write_file(&path, bytes)
+            }
+            .map_err(|e| (e, true))
+        })
+    }
+
+    /// Compaction after a durable full checkpoint: delete the checkpoint
+    /// files it made obsolete, then every segment older than the live one.
+    /// Returns how many segments were retired.
+    pub(crate) fn compact(&mut self, obsolete: &[String]) -> Result<u64, WalError> {
+        for name in obsolete {
+            self.vfs.remove_file(&self.dir.join(name))?;
+        }
         let mut retired = 0;
         for (seq, path) in list_segments(&self.vfs, &self.dir)? {
             if seq < self.seq {
@@ -806,11 +774,9 @@ impl WalWriter {
 pub struct WalSummary {
     /// Records appended this run (excluding replayed history).
     pub records: u64,
-    /// Checkpoint documents written this run (full + delta).
-    pub checkpoints: u64,
-    /// Full checkpoints among them.
+    /// Full checkpoint documents written this run.
     pub full_checkpoints: u64,
-    /// Delta checkpoints among them.
+    /// Delta checkpoint documents written this run.
     pub delta_checkpoints: u64,
     /// Round the run resumed from (None for a fresh run).
     pub resumed_from: Option<u64>,
@@ -827,9 +793,6 @@ pub struct WalSummary {
     pub temp_files_removed: u64,
     /// Typed durability health (see [`WalHealth`]).
     pub health: WalHealth,
-    /// First durability failure, if any. Fixes stay correct — the run
-    /// merely degraded to non-durable from that point on.
-    pub error: Option<String>,
 }
 
 /// A committed fix captured by the chase's commit phases before it is
@@ -838,29 +801,26 @@ pub(crate) type RoundFix = (FixKind, u32, Vec<GlobalTid>);
 
 /// Live durability state carried through `run_loop`. Infallible from the
 /// caller's view: the first unrecoverable error poisons the context (later
-/// calls no-op) and surfaces in [`WalSummary::error`] — a failing disk must
-/// degrade durability, never the fixes.
+/// calls no-op) and surfaces as [`WalHealth::Degraded`] — a failing disk
+/// must degrade durability, never the fixes.
 pub(crate) struct DurabilityCtx {
-    pub(crate) cfg: DurabilityConfig,
+    cfg: DurabilityConfig,
+    /// `None` only when the log could not be opened (`error` says why).
     writer: Option<WalWriter>,
     next_fix_id: u64,
     /// Last fix id that touched each tuple (provenance parent lookup).
     last_fix: FxHashMap<GlobalTid, u64>,
-    pub(crate) resumed_from: Option<u64>,
+    resumed_from: Option<u64>,
     /// ΔD batch this context logs for (1 unless attached by a session).
     batch: u64,
-    /// Last written checkpoint (delta base + live chain).
-    prev: Option<crate::checkpoint::PrevCheckpoint>,
-    records: u64,
-    checkpoints: u64,
+    /// The last round this context committed (delta base + live chain).
+    prev: Option<ResumePoint>,
     full_checkpoints: u64,
     delta_checkpoints: u64,
-    wal_io_retries: u64,
-    ckpt_io_retries: u64,
-    segments_rotated: u64,
     segments_compacted: u64,
     temp_files_removed: u64,
-    pub(crate) error: Option<String>,
+    /// The first unrecoverable error; once set, nothing more is logged.
+    error: Option<String>,
 }
 
 /// Best-effort GC of stale `*.tmp` checkpoint files (a crash between the
@@ -881,73 +841,64 @@ fn gc_temp_files(vfs: &FaultVfs, dir: &Path) -> u64 {
 
 impl DurabilityCtx {
     /// Start a fresh log for a new run.
-    pub(crate) fn begin(cfg: DurabilityConfig, fingerprint: u64) -> Self {
-        let mut ctx = DurabilityCtx {
-            cfg,
-            writer: None,
-            next_fix_id: 0,
-            last_fix: FxHashMap::default(),
-            resumed_from: None,
-            batch: 1,
-            prev: None,
-            records: 0,
-            checkpoints: 0,
-            full_checkpoints: 0,
-            delta_checkpoints: 0,
-            wal_io_retries: 0,
-            ckpt_io_retries: 0,
-            segments_rotated: 0,
-            segments_compacted: 0,
-            temp_files_removed: 0,
-            error: None,
-        };
-        let res = (|| -> Result<WalWriter, WalError> {
-            ctx.cfg.vfs.create_dir_all(&ctx.cfg.dir)?;
-            ctx.temp_files_removed = gc_temp_files(&ctx.cfg.vfs, &ctx.cfg.dir);
-            WalWriter::create(&ctx.cfg, fingerprint)
-        })();
-        match res {
-            Ok(w) => {
-                ctx.records = w.appended;
-                ctx.wal_io_retries = w.io_retries;
-                ctx.writer = Some(w);
-            }
-            Err(e) => ctx.error = Some(e.to_string()),
-        }
-        ctx
+    pub(crate) fn begin(cfg: DurabilityConfig, retry: &ClusterConfig, fingerprint: u64) -> Self {
+        let mut temp_files_removed = 0;
+        let writer = cfg
+            .vfs
+            .create_dir_all(&cfg.dir)
+            .map_err(WalError::from)
+            .and_then(|()| {
+                temp_files_removed = gc_temp_files(&cfg.vfs, &cfg.dir);
+                WalWriter::create(&cfg, retry, fingerprint)
+            });
+        DurabilityCtx::new(cfg, writer, None, temp_files_removed)
     }
 
-    /// Attach to a recovered log (see `crate::checkpoint::locate`): the
-    /// writer is positioned at the resumed round's commit boundary and
-    /// `prev` carries the resumed checkpoint as the next delta base. The
-    /// provenance id state comes from the checkpoint itself.
+    /// Attach to a recovered log (see `crate::checkpoint::locate`): the WAL
+    /// is truncated to `rp.pos`, the resumed round's commit boundary, and
+    /// `rp` becomes the next delta base. The provenance id state comes from
+    /// the checkpoint itself.
     pub(crate) fn attach(
         cfg: DurabilityConfig,
-        writer: WalWriter,
-        prev: crate::checkpoint::PrevCheckpoint,
-        resumed_from: u64,
-    ) -> Self {
+        retry: &ClusterConfig,
+        fingerprint: u64,
+        rp: ResumePoint,
+    ) -> Result<Self, WalError> {
+        let writer = WalWriter::open_at(&cfg, retry, rp.pos, fingerprint)?;
         let temp_files_removed = gc_temp_files(&cfg.vfs, &cfg.dir);
-        let next_fix_id = prev.state.next_fix_id;
-        let last_fix: FxHashMap<GlobalTid, u64> = prev.state.last_fix.iter().copied().collect();
-        DurabilityCtx {
+        Ok(DurabilityCtx::new(
             cfg,
-            writer: Some(writer),
-            next_fix_id,
-            last_fix,
-            resumed_from: Some(resumed_from),
-            batch: prev.state.batch.max(1),
-            prev: Some(prev),
-            records: 0,
-            checkpoints: 0,
+            Ok(writer),
+            Some(rp),
+            temp_files_removed,
+        ))
+    }
+
+    fn new(
+        cfg: DurabilityConfig,
+        writer: Result<WalWriter, WalError>,
+        prev: Option<ResumePoint>,
+        temp_files_removed: u64,
+    ) -> Self {
+        let (writer, error) = match writer {
+            Ok(w) => (Some(w), None),
+            Err(e) => (None, Some(e.to_string())),
+        };
+        let state = prev.as_ref().map(|p| &p.checkpoint);
+        DurabilityCtx {
+            next_fix_id: state.map_or(0, |s| s.next_fix_id),
+            last_fix: state
+                .map_or_else(FxHashMap::default, |s| s.last_fix.iter().copied().collect()),
+            resumed_from: state.map(|s| s.round),
+            batch: state.map_or(1, |s| s.batch.max(1)),
+            cfg,
+            writer,
+            prev,
             full_checkpoints: 0,
             delta_checkpoints: 0,
-            wal_io_retries: 0,
-            ckpt_io_retries: 0,
-            segments_rotated: 0,
             segments_compacted: 0,
             temp_files_removed,
-            error: None,
+            error,
         }
     }
 
@@ -957,70 +908,48 @@ impl DurabilityCtx {
     pub(crate) fn begin_batch(&mut self, batch: u64, round_base: u64) {
         self.batch = batch;
         self.resumed_from = None;
-        if self.error.is_some() {
-            return;
-        }
-        let res = (|| -> Result<(), WalError> {
-            let Some(writer) = self.writer.as_mut() else {
+        self.step(|ctx| {
+            let Some(writer) = ctx.writer.as_mut() else {
                 return Ok(());
             };
             writer.maybe_rotate()?;
             writer.append(&WalRecord::BatchBegin { batch, round_base })?;
-            writer.sync()?;
-            Ok(())
-        })();
-        self.capture_writer_counters();
-        if let Err(e) = res {
-            self.poison(e);
-        }
-    }
-
-    fn capture_writer_counters(&mut self) {
-        if let Some(w) = self.writer.as_ref() {
-            self.records = w.appended;
-            self.wal_io_retries = w.io_retries;
-            self.segments_rotated = w.segments_rotated;
-        }
-    }
-
-    fn poison(&mut self, e: WalError) {
-        self.error = Some(e.to_string());
-        self.writer = None;
+            writer.sync()
+        });
     }
 
     /// Log one committed round: `RoundBegin`, each fix (with provenance
-    /// parents), the checkpoint document (when given), and the
-    /// `RoundCommit` marker — then one fsync covering the whole boundary,
-    /// then compaction when a full checkpoint just made history dead.
+    /// parents), the round's checkpoint document, and the `RoundCommit`
+    /// marker — then one fsync covering the whole boundary, then
+    /// compaction when a full checkpoint just made history dead.
     pub(crate) fn commit_round(
         &mut self,
         round: u64,
         fixes: &[RoundFix],
-        checkpoint: Option<crate::checkpoint::ChaseCheckpoint>,
+        checkpoint: ChaseCheckpoint,
     ) {
-        if self.error.is_some() {
-            return;
-        }
-        let Some(mut writer) = self.writer.take() else {
-            return;
-        };
-        let res = self.commit_round_inner(&mut writer, round, fixes, checkpoint);
-        self.records = writer.appended;
-        self.wal_io_retries = writer.io_retries;
-        self.segments_rotated = writer.segments_rotated;
-        match res {
-            Ok(()) => self.writer = Some(writer),
-            Err(e) => self.poison(e),
+        self.step(|ctx| ctx.log_round(round, fixes, checkpoint));
+    }
+
+    /// Run one logging step unless an earlier one failed; a failure
+    /// poisons the context.
+    fn step(&mut self, f: impl FnOnce(&mut Self) -> Result<(), WalError>) {
+        if self.error.is_none() {
+            if let Err(e) = f(self) {
+                self.error = Some(e.to_string());
+            }
         }
     }
 
-    fn commit_round_inner(
+    fn log_round(
         &mut self,
-        writer: &mut WalWriter,
         round: u64,
         fixes: &[RoundFix],
-        checkpoint: Option<crate::checkpoint::ChaseCheckpoint>,
+        checkpoint: ChaseCheckpoint,
     ) -> Result<(), WalError> {
+        let Some(writer) = self.writer.as_mut() else {
+            return Ok(());
+        };
         writer.maybe_rotate()?;
         writer.append(&WalRecord::RoundBegin { round })?;
         for (kind, rule, valuation) in fixes {
@@ -1051,111 +980,78 @@ impl DurabilityCtx {
             }
             writer.append(&WalRecord::Fix(rec))?;
         }
-        let mut compact_after: Option<Vec<String>> = None;
-        let (name, state_crc) = match checkpoint {
-            Some(mut ck) => {
-                // The document is self-contained for resume: it carries the
-                // provenance id state as of this marker.
-                ck.next_fix_id = self.next_fix_id;
-                let mut lf: Vec<(GlobalTid, u64)> =
-                    self.last_fix.iter().map(|(t, id)| (*t, *id)).collect();
-                lf.sort_unstable();
-                ck.last_fix = lf;
-                let enc =
-                    crate::checkpoint::encode_doc(self.prev.as_ref(), ck, self.cfg.full_every);
-                let crc = crc32(&enc.bytes);
-                self.write_checkpoint_file(&enc.name, &enc.bytes)?;
-                self.checkpoints += 1;
-                if enc.is_full {
-                    self.full_checkpoints += 1;
-                } else {
-                    self.delta_checkpoints += 1;
-                }
-                let old_chain = self.prev.take().map(|p| p.chain).unwrap_or_default();
-                let chain = if enc.is_full {
-                    if self.cfg.compact {
-                        let obsolete: Vec<String> = old_chain
-                            .iter()
-                            .filter(|f| **f != enc.name)
-                            .cloned()
-                            .collect();
-                        compact_after = Some(obsolete);
-                    }
-                    vec![enc.name.clone()]
-                } else {
-                    let mut c = old_chain;
-                    c.push(enc.name.clone());
-                    c
-                };
-                self.prev = Some(crate::checkpoint::PrevCheckpoint {
-                    state: enc.state,
-                    name: enc.name.clone(),
-                    crc,
-                    chain,
-                });
-                (Some(enc.name), crc)
+        // The document is self-contained for resume: it carries the
+        // provenance id state as of this marker.
+        let mut ck = checkpoint;
+        ck.next_fix_id = self.next_fix_id;
+        let mut lf: Vec<(GlobalTid, u64)> = self.last_fix.iter().map(|(t, id)| (*t, *id)).collect();
+        lf.sort_unstable();
+        ck.last_fix = lf;
+        let enc = encode_doc(self.prev.as_ref(), ck, self.cfg.full_every);
+        let state_crc = crc32(&enc.bytes);
+        writer.write_checkpoint(&enc.name, &enc.bytes)?;
+        let old_chain = self.prev.take().map(|p| p.chain).unwrap_or_default();
+        let mut obsolete = None;
+        let chain = if enc.is_full {
+            self.full_checkpoints += 1;
+            if self.cfg.compact {
+                obsolete = Some(
+                    old_chain
+                        .into_iter()
+                        .filter(|f| *f != enc.name)
+                        .collect::<Vec<_>>(),
+                );
             }
-            None => (None, 0),
+            vec![enc.name.clone()]
+        } else {
+            self.delta_checkpoints += 1;
+            let mut c = old_chain;
+            c.push(enc.name.clone());
+            c
         };
         writer.append(&WalRecord::RoundCommit {
             round,
-            checkpoint: name,
+            checkpoint: Some(enc.name.clone()),
             state_crc,
         })?;
+        self.prev = Some(ResumePoint {
+            checkpoint: enc.state,
+            pos: WalPos {
+                seg: writer.seq,
+                off: writer.offset,
+            },
+            name: enc.name,
+            crc: state_crc,
+            chain,
+        });
         writer.sync()?;
         // Only after the marker is durable may covered history be retired.
-        if let Some(obsolete) = compact_after {
-            for f in &obsolete {
-                self.cfg.vfs.remove_file(&self.cfg.dir.join(f))?;
-            }
-            self.segments_compacted += writer.retire_old_segments()?;
+        if let Some(obsolete) = obsolete {
+            self.segments_compacted += writer.compact(&obsolete)?;
         }
         Ok(())
     }
 
-    /// Write one checkpoint document, retrying transient failures with the
-    /// capped backoff. A failed atomic write may leave `<name>.tmp` behind;
-    /// the retry recreates it from scratch and the open-time GC reaps
-    /// terminal strays.
-    fn write_checkpoint_file(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
-        let path = self.cfg.dir.join(name);
-        let cfg = &self.cfg;
-        retry_io(
-            cfg.max_io_retries,
-            cfg.io_backoff,
-            &mut self.ckpt_io_retries,
-            || {
-                if cfg.sync {
-                    cfg.vfs.write_atomic_durable(&path, bytes, true)
-                } else {
-                    cfg.vfs.write_file(&path, bytes)
-                }
-            },
-        )
-    }
-
     pub(crate) fn into_summary(self) -> WalSummary {
-        let io_retries = self.wal_io_retries + self.ckpt_io_retries;
-        let health = match &self.error {
-            Some(reason) => WalHealth::Degraded {
-                reason: reason.clone(),
-            },
+        let (records, io_retries, segments_rotated) = self.writer.as_ref().map_or((0, 0, 0), |w| {
+            (w.appended, w.io_retries, w.segments_rotated)
+        });
+        let health = match self.error {
+            Some(reason) => WalHealth::Degraded { reason },
             None if io_retries > 0 => WalHealth::Recovered { io_retries },
             None => WalHealth::Healthy,
         };
         WalSummary {
-            records: self.records,
-            checkpoints: self.checkpoints,
+            records,
             full_checkpoints: self.full_checkpoints,
             delta_checkpoints: self.delta_checkpoints,
             resumed_from: self.resumed_from,
             batch: self.batch,
             io_retries,
-            segments_rotated: self.segments_rotated,
+            segments_rotated,
             segments_compacted: self.segments_compacted,
             temp_files_removed: self.temp_files_removed,
             health,
-            error: self.error,
         }
     }
 }
@@ -1213,11 +1109,11 @@ mod tests {
     #[test]
     fn append_then_scan_round_trips() {
         let d = dir("roundtrip");
-        let mut w = WalWriter::create(&cfg(&d), 42).unwrap();
+        let mut w = WalWriter::create(&cfg(&d), &ClusterConfig::default(), 42).unwrap();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         drop(w);
-        let scan = read_wal(&seg1(&d)).unwrap();
+        let scan = decode_wal(&std::fs::read(seg1(&d)).unwrap()).unwrap();
         assert!(!scan.corrupt_tail);
         let got: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
         assert_eq!(
@@ -1230,16 +1126,16 @@ mod tests {
     #[test]
     fn truncated_tail_is_ignored() {
         let d = dir("trunc");
-        let mut w = WalWriter::create(&cfg(&d), 42).unwrap();
+        let mut w = WalWriter::create(&cfg(&d), &ClusterConfig::default(), 42).unwrap();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         drop(w);
         let path = seg1(&d);
         let full = std::fs::read(&path).unwrap();
         // chop mid-way through the last frame
-        let second_end = read_wal(&path).unwrap().records[1].0 as usize;
+        let second_end = decode_wal(&std::fs::read(&path).unwrap()).unwrap().records[1].0 as usize;
         std::fs::write(&path, &full[..second_end + 5]).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let scan = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
         assert!(scan.corrupt_tail);
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.valid_len as usize, second_end);
@@ -1249,18 +1145,18 @@ mod tests {
     #[test]
     fn bit_flip_is_detected_by_crc() {
         let d = dir("flip");
-        let mut w = WalWriter::create(&cfg(&d), 42).unwrap();
+        let mut w = WalWriter::create(&cfg(&d), &ClusterConfig::default(), 42).unwrap();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         drop(w);
         let path = seg1(&d);
         let mut bytes = std::fs::read(&path).unwrap();
-        let second_end = read_wal(&path).unwrap().records[1].0 as usize;
+        let second_end = decode_wal(&std::fs::read(&path).unwrap()).unwrap().records[1].0 as usize;
         // flip one payload bit in the last frame
         let i = second_end + 12;
         bytes[i] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let scan = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
         assert!(scan.corrupt_tail);
         assert_eq!(scan.records.len(), 2);
         std::fs::remove_dir_all(&d).unwrap();
@@ -1271,7 +1167,10 @@ mod tests {
         let d = dir("magic");
         let path = seg1(&d);
         std::fs::write(&path, b"NOTAWAL0rest").unwrap();
-        assert!(matches!(read_wal(&path), Err(WalError::Mismatch(_))));
+        assert!(matches!(
+            decode_wal(&std::fs::read(&path).unwrap()),
+            Err(WalError::Mismatch(_))
+        ));
         assert!(matches!(read_wal_dir(&d), Err(WalError::Mismatch(_))));
         std::fs::remove_dir_all(&d).unwrap();
     }
@@ -1280,7 +1179,7 @@ mod tests {
     fn open_at_truncates_the_tail() {
         let d = dir("openat");
         let c = cfg(&d);
-        let mut w = WalWriter::create(&c, 42).unwrap();
+        let mut w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
         w.append(&rec(0)).unwrap();
         let pos = WalPos {
             seg: w.seq,
@@ -1288,10 +1187,10 @@ mod tests {
         };
         w.append(&rec(1)).unwrap();
         drop(w);
-        let mut w = WalWriter::open_at(&c, pos, 42).unwrap();
+        let mut w = WalWriter::open_at(&c, &ClusterConfig::default(), pos, 42).unwrap();
         w.append(&rec(9)).unwrap();
         drop(w);
-        let got: Vec<WalRecord> = read_wal(&seg1(&d))
+        let got: Vec<WalRecord> = decode_wal(&std::fs::read(seg1(&d)).unwrap())
             .unwrap()
             .records
             .into_iter()
@@ -1311,7 +1210,7 @@ mod tests {
             segment_bytes: 1, // rotate at every opportunity
             ..cfg(&d)
         };
-        let mut w = WalWriter::create(&c, 42).unwrap();
+        let mut w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
         for i in 0..3 {
             w.maybe_rotate().unwrap();
             w.append(&rec(i)).unwrap();
@@ -1341,7 +1240,7 @@ mod tests {
             segment_bytes: 1,
             ..cfg(&d)
         };
-        let mut w = WalWriter::create(&c, 42).unwrap();
+        let mut w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
         for i in 0..3 {
             w.maybe_rotate().unwrap();
             w.append(&rec(i)).unwrap();
@@ -1366,21 +1265,50 @@ mod tests {
                 .with_torn_writes(0.3)
                 .with_transient_fraction(1.0),
         );
-        let c = DurabilityConfig {
-            max_io_retries: 8,
-            ..cfg(&d)
-        }
-        .with_vfs(vfs);
-        let mut w = WalWriter::create(&c, 42).unwrap();
+        let c = cfg(&d).with_vfs(vfs);
+        let retry = ClusterConfig::default().with_max_retries(8);
+        let mut w = WalWriter::create(&c, &retry, 42).unwrap();
         for i in 0..32 {
             w.append(&rec(i)).unwrap();
         }
         assert!(w.io_retries > 0, "some writes must have been retried");
         drop(w);
         // retries truncated every partial frame: the log is fully valid
-        let scan = read_wal(&seg1(&d)).unwrap();
+        let scan = decode_wal(&std::fs::read(seg1(&d)).unwrap()).unwrap();
         assert!(!scan.corrupt_tail);
         assert_eq!(scan.records.len(), 33);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A torn append whose truncate-back fails leaves a tail the writer
+    /// cannot make frame-aligned again: the append fails at once instead of
+    /// writing a second frame after the torn prefix.
+    #[test]
+    fn torn_append_with_a_failed_repair_is_not_retried() {
+        let d = dir("norepair");
+        let c = cfg(&d);
+        let w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
+        let pos = WalPos {
+            seg: w.seq,
+            off: w.offset,
+        };
+        drop(w);
+        // Reopening takes op 0 (Open) and op 1 (SetLen); the append's write
+        // is op 2 and tears (transiently), and the SetLen repairing it is
+        // op 3, where the disk dies.
+        let plan = StorageFaultPlan::seeded(3)
+            .with_torn_writes(1.0)
+            .with_transient_fraction(1.0)
+            .with_crash_at_op(3);
+        let c = c.with_vfs(FaultVfs::with_plan(plan));
+        let retry = ClusterConfig::default().with_max_retries(8);
+        let mut w = WalWriter::open_at(&c, &retry, pos, 42).unwrap();
+        assert!(matches!(w.append(&rec(0)), Err(WalError::Io(_))));
+        assert_eq!(w.io_retries, 0, "an unrepaired tail must not be retried");
+        assert_eq!(w.appended, 0);
+        let stats = c.vfs.stats();
+        assert_eq!((stats.torn_writes, stats.ops), (1, 4));
+        assert!(stats.crashed);
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -1389,9 +1317,9 @@ mod tests {
         let d = dir("degrade");
         let vfs = FaultVfs::with_plan(StorageFaultPlan::seeded(5).with_sync_errors(1.0));
         let c = DurabilityConfig::new(&d).with_vfs(vfs); // sync: true
-        let mut ctx = DurabilityCtx::begin(c, 42);
+        let mut ctx = DurabilityCtx::begin(c, &ClusterConfig::default(), 42);
         assert!(ctx.error.is_some(), "header sync must fail persistently");
-        ctx.commit_round(1, &[], None); // no-op on a poisoned context
+        ctx.begin_batch(2, 1); // no-op on a poisoned context
         let s = ctx.into_summary();
         assert!(matches!(s.health, WalHealth::Degraded { .. }));
         std::fs::remove_dir_all(&d).unwrap();
@@ -1403,7 +1331,7 @@ mod tests {
         std::fs::write(d.join("checkpoint-000002.json.tmp"), b"stray").unwrap();
         std::fs::write(d.join("checkpoint-000003.json.tmp"), b"stray").unwrap();
         std::fs::write(d.join("checkpoint-000001.json"), b"keep").unwrap();
-        let ctx = DurabilityCtx::begin(cfg(&d), 42);
+        let ctx = DurabilityCtx::begin(cfg(&d), &ClusterConfig::default(), 42);
         assert!(ctx.error.is_none());
         assert_eq!(ctx.temp_files_removed, 2);
         assert!(d.join("checkpoint-000001.json").exists());

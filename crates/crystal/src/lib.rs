@@ -59,8 +59,7 @@ pub use fault::{
 pub use model::{Exploration, Explorer, ModelInstance, ModelViolation, Step, ViolationKind};
 pub use scheduler::{Cluster, ExecuteOutcome, SchedulerStats};
 pub use storage::{
-    fsync_dir, tmp_path, write_atomic_durable, FaultVfs, IoOpKind, StorageFaultPlan,
-    StorageFaultStats, TraceOp, VfsFile,
+    fsync_dir, tmp_path, FaultVfs, IoOpKind, StorageFaultPlan, StorageFaultStats, TraceOp, VfsFile,
 };
 pub use sync::{LockRank, RankedMutex, RankedRwLock};
 pub use work::WorkUnit;

@@ -2,12 +2,12 @@
 //!
 //! Two layers live here:
 //!
-//! * Free functions ([`fsync_dir`], [`write_atomic_durable`]) — the plain
-//!   crash-safe building blocks introduced with the WAL (PR 5). `rename(2)`
-//!   within a directory is atomic on POSIX, but atomicity alone is not
-//!   durability: the temp file is fsynced before the rename and the parent
-//!   directory after it, so a completed call survives power loss with either
-//!   the old or the new complete contents — never a torn file.
+//! * [`fsync_dir`] and [`tmp_path`] — the plain building blocks of the
+//!   crash-safe [`FaultVfs::write_atomic_durable`]. `rename(2)` within a
+//!   directory is atomic on POSIX, but atomicity alone is not durability:
+//!   the temp file is fsynced before the rename and the parent directory
+//!   after it, so a completed call survives power loss with either the old
+//!   or the new complete contents — never a torn file.
 //! * [`FaultVfs`] — a seeded virtual-filesystem shim that every I/O operation
 //!   of `rock_chase::wal` and `rock_chase::checkpoint` routes through. It
 //!   mirrors the compute-side fault injector in [`crate::fault`]: every fault
@@ -57,25 +57,6 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(not(unix))]
     {
         let _ = dir;
-    }
-    Ok(())
-}
-
-/// Write `contents` to `path` atomically *and* durably: write a sibling
-/// `<name>.tmp`, fsync it, rename it over the target, then fsync the
-/// parent directory so the rename itself is on stable storage.
-pub fn write_atomic_durable(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(contents)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fsync_dir(parent)?;
-        }
     }
     Ok(())
 }
@@ -623,9 +604,10 @@ mod tests {
     fn writes_and_replaces() {
         let d = dir("atomic");
         let path = d.join("out.json");
-        write_atomic_durable(&path, b"first").unwrap();
+        let vfs = FaultVfs::clean();
+        vfs.write_atomic_durable(&path, b"first", true).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        write_atomic_durable(&path, b"second").unwrap();
+        vfs.write_atomic_durable(&path, b"second", true).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         // no temp file left behind
         assert!(!d.join("out.json.tmp").exists());

@@ -112,7 +112,6 @@ pub struct ModelRegistry {
     models: RankedRwLock<Vec<(String, Model)>>,
     by_name: RankedRwLock<FxHashMap<String, ModelId>>,
     memo_bool: Vec<RankedMutex<FxHashMap<(ModelId, u64, u64), bool>>>,
-    memo_score: Vec<RankedMutex<FxHashMap<(ModelId, u64, u64), f64>>>,
     /// Blocking filters (§5.3 filter-and-verify): when a model has a
     /// filter, pairs outside it short-circuit to `false` without inference
     /// — LSH guarantees matches are in the filter with high probability.
@@ -155,9 +154,6 @@ impl ModelRegistry {
             models: RankedRwLock::new(LockRank::RegistryModels, Vec::new()),
             by_name: RankedRwLock::new(LockRank::RegistryNames, FxHashMap::default()),
             memo_bool: (0..MEMO_SHARDS)
-                .map(|_| RankedMutex::new(LockRank::RegistryMemo, FxHashMap::default()))
-                .collect(),
-            memo_score: (0..MEMO_SHARDS)
                 .map(|_| RankedMutex::new(LockRank::RegistryMemo, FxHashMap::default()))
                 .collect(),
             block_filters: RankedRwLock::new(LockRank::RegistryFilters, FxHashMap::default()),
@@ -283,25 +279,6 @@ impl ModelRegistry {
         v
     }
 
-    /// Pair score, memoized.
-    pub fn score_pair(&self, id: ModelId, a: &[Value], b: &[Value]) -> f64 {
-        let key = (id, hash_values(a), hash_values(b));
-        let shard = memo_shard(key.1, key.2);
-        if let Some(&v) = self.lock_shard(&self.memo_score, shard).get(&key) {
-            self.meter.hit();
-            return v;
-        }
-        let models = self.models.read();
-        let Some((_, Model::Pair(m))) = models.get(id.0 as usize) else {
-            panic!("model {id:?} is not a pair classifier");
-        };
-        self.meter.add(m.cost());
-        let v = m.score(a, b);
-        drop(models);
-        self.lock_shard(&self.memo_score, shard).insert(key, v);
-        v
-    }
-
     /// Access the pair classifier itself (for blocking).
     pub fn pair(&self, id: ModelId) -> Option<Arc<dyn PairClassifier>> {
         match self.models.read().get(id.0 as usize) {
@@ -380,9 +357,6 @@ impl ModelRegistry {
     /// Drop all memoized results (tests / repeated experiments).
     pub fn clear_memo(&self) {
         for s in &self.memo_bool {
-            s.lock().clear();
-        }
-        for s in &self.memo_score {
             s.lock().clear();
         }
     }

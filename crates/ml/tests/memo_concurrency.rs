@@ -71,7 +71,6 @@ fn memo_hit_and_miss_paths_agree_under_contention() {
                             expect,
                             "hit/miss paths disagree for {a:?} / {b:?}"
                         );
-                        assert_eq!(reg.score_pair(id, a, b), raw_score(a, b));
                     }
                 }
             });
@@ -94,7 +93,6 @@ fn memo_hit_and_miss_paths_agree_under_contention() {
             scope.spawn(move || {
                 for (a, b) in pairs.iter() {
                     assert_eq!(reg.predict_pair(id, a, b), raw_score(a, b) >= 0.5);
-                    assert_eq!(reg.score_pair(id, a, b), raw_score(a, b));
                 }
             });
         }

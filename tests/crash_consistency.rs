@@ -17,7 +17,7 @@ use rock::chase::{
     list_segments, locate, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig,
     WalHealth,
 };
-use rock::crystal::{FaultVfs, IoOpKind, StorageFaultPlan};
+use rock::crystal::{ClusterConfig, FaultVfs, IoOpKind, StorageFaultPlan};
 use rock::data::json;
 use rock::data::json::ToJson;
 use rock::data::{
@@ -284,7 +284,11 @@ fn segment_rotation_is_transparent_and_replay_idempotent() {
     let first = durable.run(&db, &trusted);
     assert_eq!(canon(&first), want);
     let s = first.wal.as_ref().unwrap();
-    assert!(s.error.is_none(), "rotation run degraded: {:?}", s.error);
+    assert!(
+        !matches!(s.health, WalHealth::Degraded { .. }),
+        "rotation run degraded: {:?}",
+        s.health
+    );
     assert!(
         s.segments_rotated >= 1,
         "256-byte budget must rotate at least once"
@@ -330,7 +334,11 @@ fn compaction_bounds_disk_and_preserves_resume() {
     let first = durable.run(&db, &trusted);
     assert_eq!(canon(&first), want);
     let s = first.wal.as_ref().unwrap();
-    assert!(s.error.is_none(), "compaction run degraded: {:?}", s.error);
+    assert!(
+        !matches!(s.health, WalHealth::Degraded { .. }),
+        "compaction run degraded: {:?}",
+        s.health
+    );
     assert!(
         s.segments_compacted >= 1,
         "full-every-round + tiny segments must retire something"
@@ -381,7 +389,7 @@ fn incremental_checkpoints_resume_at_every_round() {
     let first = durable.run(&db, &trusted);
     assert_eq!(canon(&first), want);
     let s = first.wal.as_ref().unwrap();
-    assert!(s.error.is_none());
+    assert!(!matches!(s.health, WalHealth::Degraded { .. }));
     assert!(s.full_checkpoints >= 1, "chain needs a full to anchor");
     assert!(
         first.rounds < 3 || s.delta_checkpoints >= 1,
@@ -422,9 +430,9 @@ fn transient_io_errors_retry_to_recovered() {
         .with_sync_errors(0.3)
         .with_torn_writes(0.2)
         .with_transient_fraction(1.0);
-    let mut cfg = DurabilityConfig::new(&dir).with_vfs(FaultVfs::with_plan(plan));
-    cfg.max_io_retries = 8;
-    let durable = engine(&rs, &reg, Some(cfg));
+    let cfg = DurabilityConfig::new(&dir).with_vfs(FaultVfs::with_plan(plan));
+    let mut durable = engine(&rs, &reg, Some(cfg));
+    durable.config.cluster = ClusterConfig::default().with_max_retries(8);
     let res = durable.run(&db, &trusted);
     assert_eq!(canon(&res), want, "transient faults corrupted repairs");
     let s = res.wal.as_ref().unwrap();
@@ -463,7 +471,7 @@ fn persistent_fsync_failure_degrades_without_corrupting_fixes() {
         "persistent fsync failure must degrade, got {:?}",
         s.health
     );
-    assert!(s.error.is_some());
+    assert!(matches!(&s.health, WalHealth::Degraded { reason } if !reason.is_empty()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -482,7 +490,7 @@ fn stale_checkpoint_temp_files_are_garbage_collected() {
     let durable = engine(&rs, &reg, Some(DurabilityConfig::new(&dir)));
     let res = durable.run(&db, &trusted);
     let s = res.wal.as_ref().unwrap();
-    assert!(s.error.is_none());
+    assert!(!matches!(s.health, WalHealth::Degraded { .. }));
     assert!(
         s.temp_files_removed >= 1,
         "stale temp file not counted as removed"

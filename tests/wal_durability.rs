@@ -12,8 +12,9 @@ mod common;
 use common::check;
 use rock::chase::wal::{encode_frame, WAL_MAGIC};
 use rock::chase::{
-    read_wal, read_wal_dir, segment_file_name, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult,
-    DurabilityConfig, ProvenanceGraph, RoundStats, WalRecord, CHECKPOINT_VERSION,
+    decode_wal, read_wal_dir, segment_file_name, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult,
+    DurabilityConfig, ProvenanceGraph, RoundStats, WalError, WalHealth, WalRecord,
+    CHECKPOINT_VERSION,
 };
 use rock::data::json;
 use rock::data::json::{FromJson, Json, ToJson};
@@ -22,7 +23,7 @@ use rock::data::{
 };
 use rock::ml::ModelRegistry;
 use rock::rees::{parse_rules, RuleSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::new(vec![RelationSchema::of(
@@ -140,7 +141,11 @@ fn assert_no_wal_error(res: &ChaseResult) {
         .wal
         .as_ref()
         .expect("durable run must carry a WalSummary");
-    assert!(s.error.is_none(), "durability degraded: {:?}", s.error);
+    assert!(
+        !matches!(s.health, WalHealth::Degraded { .. }),
+        "durability degraded: {:?}",
+        s.health
+    );
 }
 
 #[test]
@@ -212,7 +217,7 @@ fn corrupted_tail_falls_back_to_last_intact_round() {
     // segment, so the tail-damage surgery targets that first segment file.
     let path = dir.join(segment_file_name(1));
     let intact = std::fs::read(&path).unwrap();
-    let scan = read_wal(&path).unwrap();
+    let scan = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
     assert!(!scan.corrupt_tail);
     assert!(scan.records.len() >= 4);
     let n_intact = scan.records.len();
@@ -223,7 +228,7 @@ fn corrupted_tail_falls_back_to_last_intact_round() {
     // from the previous round marker.
     let last_start = scan.records[n_intact - 2].0 as usize;
     std::fs::write(&path, &intact[..last_start + 3]).unwrap();
-    let scan = read_wal(&path).unwrap();
+    let scan = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
     assert!(scan.corrupt_tail, "truncated tail must be flagged");
     assert_eq!(scan.records.len(), n_intact - 1);
     let resumed = durable
@@ -236,7 +241,7 @@ fn corrupted_tail_falls_back_to_last_intact_round() {
     let mut flipped = intact.clone();
     flipped[last_start + 10] ^= 0x40;
     std::fs::write(&path, &flipped).unwrap();
-    let scan = read_wal(&path).unwrap();
+    let scan = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
     assert!(scan.corrupt_tail, "bit-flipped tail must be flagged");
     let resumed = durable
         .resume(&trusted)
@@ -295,31 +300,6 @@ fn provenance_answers_why_for_every_repaired_cell() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn snapshot_every_coarser_than_one_still_resumes() {
-    let schema = schema();
-    let rs = rules(&schema);
-    let reg = ModelRegistry::new();
-    let db = build_db(&default_rows());
-    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
-
-    let oracle = engine(&rs, &reg, None).run(&db, &trusted);
-    let want = canon(&oracle);
-
-    let dir = fresh_dir("coarse");
-    let cfg = DurabilityConfig {
-        snapshot_every: 2,
-        ..DurabilityConfig::new(&dir)
-    };
-    let durable = engine(&rs, &reg, Some(cfg));
-    let first = durable.run(&db, &trusted);
-    assert_no_wal_error(&first);
-    assert_eq!(canon(&first), want);
-    let resumed = durable.resume(&trusted).unwrap();
-    assert_eq!(canon(&resumed), want, "coarse-checkpoint resume diverged");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -471,6 +451,44 @@ fn round_stats_with_retired_fields_still_decode() {
     assert_eq!(retired_round_stats_fields().len(), 2);
 }
 
+/// Rewrite every checkpoint of the durable run in `dir` with `edit` (given
+/// the file name and the document's fields) and re-point each commit
+/// marker's CRC at the new bytes, so recovery accepts the edited files.
+fn rewrite_checkpoints(dir: &Path, mut edit: impl FnMut(&str, &mut Vec<(String, Json)>)) {
+    let path = dir.join(segment_file_name(1));
+    let mut wal = WAL_MAGIC.to_vec();
+    for (_, rec) in decode_wal(&std::fs::read(&path).unwrap()).unwrap().records {
+        let rec = match rec {
+            WalRecord::RoundCommit {
+                round,
+                checkpoint: Some(name),
+                ..
+            } => {
+                let file = dir.join(&name);
+                let mut doc = Json::parse(&std::fs::read_to_string(&file).unwrap()).unwrap();
+                let Json::Obj(tagged) = &mut doc else {
+                    panic!("{name}: a tagged document");
+                };
+                let Some((tag, Json::Obj(ck))) = tagged.first_mut() else {
+                    panic!("{name}: a tagged document");
+                };
+                assert_eq!(tag, "Full", "{name}: every checkpoint is full by default");
+                edit(&name, ck);
+                let bytes = json::to_vec(&doc);
+                std::fs::write(&file, &bytes).unwrap();
+                WalRecord::RoundCommit {
+                    round,
+                    checkpoint: Some(name),
+                    state_crc: rock::crystal::crc32(&bytes),
+                }
+            }
+            other => other,
+        };
+        wal.extend(encode_frame(&rec).unwrap());
+    }
+    std::fs::write(&path, &wal).unwrap();
+}
+
 /// Every checkpoint of a durable run is rewritten the way the older
 /// encoder wrote it (each round's stats carrying the retired fields) and
 /// its commit marker re-pointed at the new bytes; resuming from each round
@@ -493,48 +511,18 @@ fn resume_from_checkpoints_with_retired_round_stats_fields() {
     assert!(first.rounds >= 2, "workload too shallow to exercise resume");
 
     let retired = retired_round_stats_fields();
-    let path = dir.join(segment_file_name(1));
-    let mut wal = WAL_MAGIC.to_vec();
-    for (_, rec) in read_wal(&path).unwrap().records {
-        let rec = match rec {
-            WalRecord::RoundCommit {
-                round,
-                checkpoint: Some(name),
-                ..
-            } => {
-                let file = dir.join(&name);
-                let mut doc = Json::parse(&std::fs::read_to_string(&file).unwrap()).unwrap();
-                let Json::Obj(tagged) = &mut doc else {
-                    panic!("{name}: a tagged document");
-                };
-                let Some((tag, Json::Obj(ck))) = tagged.first_mut() else {
-                    panic!("{name}: a tagged document");
-                };
-                assert_eq!(tag, "Full", "{name}: every checkpoint is full by default");
-                let Some((_, Json::Arr(stats))) = ck.iter_mut().find(|(k, _)| k == "round_stats")
-                else {
-                    panic!("{name}: round_stats");
-                };
-                assert!(!stats.is_empty());
-                for s in stats {
-                    let Json::Obj(fields) = s else {
-                        panic!("{name}: RoundStats encodes as an object");
-                    };
-                    fields.extend(retired.iter().cloned());
-                }
-                let bytes = json::to_vec(&doc);
-                std::fs::write(&file, &bytes).unwrap();
-                WalRecord::RoundCommit {
-                    round,
-                    checkpoint: Some(name),
-                    state_crc: rock::crystal::crc32(&bytes),
-                }
-            }
-            other => other,
+    rewrite_checkpoints(&dir, |name, ck| {
+        let Some((_, Json::Arr(stats))) = ck.iter_mut().find(|(k, _)| k == "round_stats") else {
+            panic!("{name}: round_stats");
         };
-        wal.extend(encode_frame(&rec).unwrap());
-    }
-    std::fs::write(&path, &wal).unwrap();
+        assert!(!stats.is_empty());
+        for s in stats {
+            let Json::Obj(fields) = s else {
+                panic!("{name}: RoundStats encodes as an object");
+            };
+            fields.extend(retired.iter().cloned());
+        }
+    });
 
     // Descending, so that no resume rewrites a checkpoint a later one
     // reads: resuming at round r re-writes only rounds after r.
@@ -547,4 +535,47 @@ fn resume_from_checkpoints_with_retired_round_stats_fields() {
         assert_eq!(canon(&resumed), want, "resume from round {r} diverged");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint that decodes, passes its CRC and carries the engine's
+/// fingerprint can still disagree with the rules about its shape: an
+/// activated rule past the end of the rule set, or per-rule pending and
+/// carry slots for a different number of rules. Resume refuses it with a
+/// typed error before the round loop indexes by rule.
+#[test]
+fn resume_refuses_a_checkpoint_that_does_not_fit_the_rules() {
+    let schema = schema();
+    let rs = rules(&schema);
+    let reg = ModelRegistry::new();
+    let db = build_db(&default_rows());
+    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
+
+    let edits = [
+        ("active", Json::Arr(vec![Json::Int(99)])),
+        ("carry", Json::Arr(Vec::new())),
+        ("pending", Json::Arr(Vec::new())),
+    ];
+    for (field, value) in edits {
+        let dir = fresh_dir(&format!("misfit-{field}"));
+        let durable = engine(&rs, &reg, Some(DurabilityConfig::new(&dir)));
+        let first = durable.run(&db, &trusted);
+        assert_no_wal_error(&first);
+        assert!(first.rounds >= 2, "workload too shallow to exercise resume");
+        rewrite_checkpoints(&dir, |name, ck| {
+            let Some((_, slot)) = ck.iter_mut().find(|(k, _)| k == field) else {
+                panic!("{name}: {field}");
+            };
+            *slot = value.clone();
+        });
+        for r in 1..=first.rounds as u64 {
+            match durable.resume_at(&trusted, r) {
+                Err(WalError::Mismatch(_)) => {}
+                other => panic!(
+                    "{field} edited, resume at round {r}: {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
