@@ -43,8 +43,8 @@
 //!    document itself, so resume needs no WAL replay and compaction may
 //!    drop segments older than the latest full.
 
-use crate::chase::Proposal;
 use crate::delta::{DeltaSet, RoundStats};
+use crate::evaluate::Carry;
 use crate::fixes::FixSnapshot;
 use crate::wal::{self, DurabilityConfig, WalError, WalPos, WalRecord};
 use rock_crystal::{crc32, FaultVfs};
@@ -58,7 +58,9 @@ use std::path::Path;
 /// v2: self-contained provenance id state, session batches, delta docs.
 /// v3: the in-tree JSON codec (`rock_data::json`): exact 64-bit integers,
 /// tagged dates and non-finite floats, no optional fields.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// v4: per-rule carries are tagged [`Carry`]s; FD-shaped rules carry
+/// equate groups per join run.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Hard cap on delta-chain length: a longer chain means a corrupt or
 /// cyclic `base_name` graph, not a real configuration.
@@ -89,8 +91,8 @@ pub struct ChaseCheckpoint {
     pub seeded: bool,
     /// Per-rule deltas accumulated since each rule last ran.
     pub pending: Vec<DeltaSet>,
-    /// Per-rule carried emissions (valuation tuples + proposal).
-    pub carry: Vec<Option<Vec<(Vec<GlobalTid>, Proposal)>>>,
+    /// Per-rule carried emissions.
+    pub carry: Vec<Option<Carry>>,
     /// Union of every committed delta since the batch started.
     pub cumulative: DeltaSet,
     pub changes: Vec<(CellRef, Value, Value)>,
@@ -154,7 +156,7 @@ pub struct CheckpointDelta {
     /// Per-rule pending slots that differ from the base.
     pub pending: Vec<(usize, DeltaSet)>,
     /// Per-rule carry slots that differ from the base.
-    pub carry: Vec<(usize, Option<Vec<(Vec<GlobalTid>, Proposal)>>)>,
+    pub carry: Vec<(usize, Option<Carry>)>,
     pub cumulative: DeltaSet,
     /// `changes` is append-only within a batch: the base's length plus the
     /// new suffix reconstructs it.
@@ -628,6 +630,7 @@ pub fn locate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chase::Proposal;
     use rock_data::rng::StdRng;
     use rock_data::{AttrType, Attribute, DatabaseSchema, RelationSchema};
 
@@ -777,14 +780,14 @@ mod tests {
             .set_cell(cell.tid, cell.attr, Value::Float(f64::NAN));
         next.changes
             .push((cell, Value::Int(2), Value::str("a \"quoted\" \u{1} é")));
-        next.carry = vec![Some(vec![(
+        next.carry = vec![Some(Carry::Pairs(vec![(
             vec![cell.tuple()],
             Proposal::SetCell {
                 cell,
                 value: Value::Date(-3),
                 rule: 0,
             },
-        )])];
+        )]))];
         next.pending[0].mark(RelId(0), TupleId(2));
         next.last_fix = vec![(cell.tuple(), u64::MAX)];
         let prev = ResumePoint {

@@ -6,8 +6,8 @@
 //! * **A** distinctness (`t.eid != s.eid`),
 //! * **B** entity merges, with the value conflicts a merge surfaces resolved
 //!   and the united class's validated values materialized,
-//! * **C** value fixes: cells connected by `EquateCells` form clusters, one
-//!   resolution per cluster ([`ConflictPolicy`]),
+//! * **C** value fixes: cells connected by `EquateCells` and `EquateGroup`
+//!   form clusters, one resolution per cluster ([`ConflictPolicy`]),
 //! * **D** temporal orders.
 //!
 //! The module also owns the two other steps every chase shares: seeding Γ
@@ -425,8 +425,10 @@ impl Round<'_, '_> {
         }
     }
 
-    /// Phase C: value fixes. Cells connected by EquateCells form *clusters*
-    /// (union–find over CellRef): the FD-repair semantics equate all
+    /// Phase C: value fixes. Cells connected by EquateCells and EquateGroup
+    /// form *clusters* (union–find over CellRef; a group is the union of
+    /// its pairs, so the clusters do not depend on which of the two an
+    /// FD-shaped rule proposed): the FD-repair semantics equate all
     /// connected cells, then one resolution picks the cluster's value
     /// (majority over the cluster's raw cells, Mc, ground truth — see
     /// ConflictPolicy). SetCell proposals pin an explicit candidate onto
@@ -454,6 +456,12 @@ impl Round<'_, '_> {
                 Proposal::EquateCells { a, b, rule } => {
                     clusters.union(*a, *b);
                     attribute(&[*a, *b], *rule, p);
+                }
+                Proposal::EquateGroup { cells, rule } => {
+                    for c in cells.iter().skip(1) {
+                        clusters.union(cells[0], *c);
+                    }
+                    attribute(cells, *rule, p);
                 }
                 _ => {}
             }

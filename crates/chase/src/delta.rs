@@ -109,6 +109,14 @@ impl DeltaSet {
         self.count() == 0
     }
 
+    /// The marked slots of one relation (empty for an unknown relation).
+    pub fn bits(&self, rel: RelId) -> Bitset {
+        self.rels
+            .get(rel.0 as usize)
+            .cloned()
+            .unwrap_or_else(|| Bitset::new(0))
+    }
+
     /// Marked tuple ids of one relation, ascending.
     pub fn ones_vec(&self, rel: RelId) -> Vec<TupleId> {
         self.rels

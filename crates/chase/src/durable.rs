@@ -9,7 +9,7 @@ use crate::chase::{ChaseEngine, ChaseResult, LoopState};
 use crate::checkpoint::{self, ChaseCheckpoint, CHECKPOINT_VERSION};
 use crate::commit::Committed;
 use crate::delta::DeltaSet;
-use crate::evaluate::Frontier;
+use crate::evaluate::{per_run, Carry, Frontier};
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityCtx, RoundFix, WalError};
 use rock_data::{Database, Delta, GlobalTid};
@@ -95,6 +95,12 @@ impl ChaseEngine<'_> {
                 ck.pending.len(),
                 ck.carry.len()
             )
+        } else if let Some(i) = (0..nrules).find(|&i| match &ck.carry[i] {
+            Some(Carry::Pairs(_)) => per_run(self, i),
+            Some(Carry::Runs(_)) => !per_run(self, i),
+            None => false,
+        }) {
+            format!("carries rule {i}'s emissions in the other evaluation's shape")
         } else if let Some((_, rel)) = self
             .rules
             .rules

@@ -17,6 +17,16 @@
 //! `t.A = s.B` consequence already holds inside the join
 //! ([`Satisfied::Skip`]) — it would emit nothing; Strict visits it, because
 //! there a satisfied consequence is still recorded in U.
+//!
+//! Under Resolved, an FD-shaped rule ([`FdShape`]) runs per join run
+//! instead (`rock_rees::runs`): each run emits one [`Proposal::EquateGroup`]
+//! per connected component of its violating pairs, supported by the union
+//! of their tuples, and its carry is kept per run ([`Carry::Runs`]). A
+//! delta round re-histograms the runs that hold a pending tuple now or
+//! held one when their carried groups were emitted, and carries every
+//! other run's groups verbatim. An incremental chase restricts each run to
+//! the pairs binding a tuple of its cumulative delta — the valuations the
+//! pairwise delta rounds would ever have enumerated.
 
 use crate::chase::{ChaseEngine, GateMode};
 use crate::commit::{Committed, Support};
@@ -24,10 +34,35 @@ use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
 use rock_crystal::{Cluster, FaultStats, UnitFailure, WorkUnit};
-use rock_data::{Database, FxHashMap, FxHashSet, TupleId};
+use rock_data::{CellRef, Database, FxHashMap, FxHashSet, GlobalTid, TupleId};
 use rock_ml::{ModelRegistry, PairSignature};
 use rock_rees::eval::{EvalContext, Satisfied, Valuation};
-use rock_rees::{Predicate, Rule, ScanPlan};
+use rock_rees::{FdRuns, FdShape, Predicate, Rule, Run, RunKey, ScanPlan};
+
+/// A rule's emissions from its last completed round, as the next round
+/// carries them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Carry {
+    /// Per valuation: the tuples it bound and its proposal.
+    Pairs(Vec<Emission>),
+    /// Per join run of an FD-shaped rule, ascending by key: its equate
+    /// groups, each with the union of its pairs' tuples.
+    Runs(Vec<(RunKey, Vec<Emission>)>),
+}
+
+rock_data::json_codec!(tagged Carry {
+    Pairs(pairs),
+    Runs(runs),
+});
+
+impl Carry {
+    fn emissions(&self) -> Box<dyn Iterator<Item = &Emission> + '_> {
+        match self {
+            Carry::Pairs(e) => Box::new(e.iter()),
+            Carry::Runs(runs) => Box::new(runs.iter().flat_map(|(_, groups)| groups)),
+        }
+    }
+}
 
 /// Per-rule semi-naive state carried across rounds (and checkpoints).
 pub(crate) struct Frontier {
@@ -36,9 +71,9 @@ pub(crate) struct Frontier {
     pub seeded: bool,
     /// Per-rule delta accumulated since the rule last completed a round.
     pub pending: Vec<DeltaSet>,
-    /// Emissions of each rule's last completed round, keyed by the
-    /// valuation's bound tuples; `None` until the rule has run.
-    pub carry: Vec<Option<Vec<Emission>>>,
+    /// Emissions of each rule's last completed round; `None` until the
+    /// rule has run.
+    pub carry: Vec<Option<Carry>>,
     /// Union of every delta since chase start. Blocking-pruned pinned
     /// enumeration unions this into the non-pinned candidates: block-mate
     /// lists are build-time state, so tuples rewritten after the index was
@@ -99,6 +134,23 @@ pub(crate) fn evaluate(
 ) -> Evaluation {
     let mut plan = ScanPlan::new(engine.rules, &st.db, engine.config.partitions_per_rule);
     for &ri in active {
+        let fd = per_run(engine, ri)
+            .then(|| FdRuns::new(&engine.rules.rules[ri], &st.db))
+            .flatten();
+        if let Some(mut fd) = fd {
+            if frontier.seeded {
+                fd.restrict(|rel| frontier.cumulative.bits(rel));
+            }
+            let keys = if frontier.full_scan(ri) {
+                fd.all_keys()
+            } else {
+                let pend = &frontier.pending[ri];
+                stat.delta_tuples += pend.count();
+                affected_runs(&fd, pend, frontier.carry[ri].as_ref())
+            };
+            plan.runs(ri, fd, keys);
+            continue;
+        }
         if frontier.full_scan(ri) {
             plan.full(ri);
             continue;
@@ -118,11 +170,13 @@ pub(crate) fn evaluate(
     });
 
     let failed: FxHashSet<usize> = outcome.failures.iter().map(|f| f.rule as usize).collect();
-    let mut per_rule: FxHashMap<usize, Vec<Emission>> = FxHashMap::default();
+    let mut per_rule: FxHashMap<usize, UnitOut> = FxHashMap::default();
     for (ri, res) in unit_rules.iter().zip(outcome.results) {
-        let Some((ems, cnt)) = res else { continue };
-        stat.valuations += cnt;
-        per_rule.entry(*ri).or_default().extend(ems);
+        let Some(out) = res else { continue };
+        stat.valuations += out.valuations;
+        let acc = per_rule.entry(*ri).or_default();
+        acc.pairs.extend(out.pairs);
+        acc.runs.extend(out.runs);
     }
     let mut support = capture.then(Support::default);
     let mut proposals: Vec<Proposal> = Vec::new();
@@ -131,31 +185,47 @@ pub(crate) fn evaluate(
             // partial emissions could miss valuations: nothing commits
             continue;
         }
-        let mut emissions = per_rule.remove(&ri).unwrap_or_default();
-        if let Some(prev) = &frontier.carry[ri] {
-            let pend = &frontier.pending[ri];
-            // untouched valuations re-emit verbatim; touched ones were
-            // re-derived (or retracted) by the delta enumeration
-            let untouched = prev
-                .iter()
-                .filter(|(tids, _)| !tids.iter().any(|gt| pend.contains(gt.rel, gt.tid)));
-            let before = emissions.len();
-            emissions.extend(untouched.cloned());
-            stat.carried += emissions.len() - before;
-        }
-        emissions.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.key().cmp(&b.1.key())));
-        emissions.dedup();
-        for (tids, p) in &emissions {
+        let out = per_rule.remove(&ri).unwrap_or_default();
+        let carry = if per_run(engine, ri) {
+            let mut runs: Vec<(RunKey, Vec<Emission>)> = Vec::new();
+            if let Some(Carry::Runs(prev)) = frontier.carry[ri].take() {
+                // runs nothing touched re-emit their groups verbatim; every
+                // recomputed run is in `out`, with its groups or none
+                let recomputed: FxHashSet<&RunKey> = out.runs.iter().map(|(k, _)| k).collect();
+                runs.extend(prev.into_iter().filter(|(k, _)| !recomputed.contains(k)));
+                stat.carried += runs.iter().map(|(_, g)| g.len()).sum::<usize>();
+            }
+            runs.extend(out.runs.into_iter().filter(|(_, g)| !g.is_empty()));
+            runs.sort_by(|a, b| a.0.cmp(&b.0));
+            Carry::Runs(runs)
+        } else {
+            let mut emissions = out.pairs;
+            if let Some(Carry::Pairs(prev)) = frontier.carry[ri].take() {
+                let pend = &frontier.pending[ri];
+                // untouched valuations re-emit verbatim; touched ones were
+                // re-derived (or retracted) by the delta enumeration
+                let untouched = prev
+                    .into_iter()
+                    .filter(|(tids, _)| !tids.iter().any(|gt| pend.contains(gt.rel, gt.tid)));
+                let before = emissions.len();
+                emissions.extend(untouched);
+                stat.carried += emissions.len() - before;
+            }
+            sort_emissions(&mut emissions);
+            emissions.dedup();
+            Carry::Pairs(emissions)
+        };
+        for (tids, p) in carry.emissions() {
             if let Some(support) = &mut support {
                 support.entry(p.key()).or_default().extend(tids);
             }
             proposals.push(p.clone());
         }
-        frontier.carry[ri] = Some(emissions);
+        frontier.carry[ri] = Some(carry);
         // the rule consumed its pending delta
         frontier.pending[ri].clear();
     }
-    proposals.sort_by_key(|p| p.key());
+    proposals.sort_by_cached_key(Proposal::key);
     proposals.dedup();
     if let Some(support) = &mut support {
         for v in support.values_mut() {
@@ -174,7 +244,62 @@ pub(crate) fn evaluate(
     }
 }
 
-/// Evaluate one work unit: its emissions and the valuations it enumerated.
+/// Sort by the bound tuples, then by [`Proposal::key`]: a valuation that
+/// emits several proposals breaks the tie on their keys, each built once.
+fn sort_emissions(emissions: &mut [Emission]) {
+    emissions.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut start = 0;
+    while start < emissions.len() {
+        let tied = emissions[start..]
+            .iter()
+            .take_while(|e| e.0 == emissions[start].0)
+            .count();
+        if tied > 1 {
+            emissions[start..start + tied].sort_by_cached_key(|e| e.1.key());
+        }
+        start += tied;
+    }
+}
+
+/// Whether rule `ri` evaluates per join run: an FD-shaped rule under the
+/// Resolved gate. Strict keeps the pairwise path, which records satisfied
+/// consequences and checks validated cells per valuation.
+pub(crate) fn per_run(engine: &ChaseEngine<'_>, ri: usize) -> bool {
+    engine.config.gate == GateMode::Resolved && FdShape::of(&engine.rules.rules[ri]).is_some()
+}
+
+/// The runs a delta round of an FD-shaped rule re-histograms: every run
+/// holding a pending tuple now, and every run whose carried groups held
+/// one when they were emitted (the tuple may have left the run since, or
+/// flipped a filter, or nulled its cell).
+fn affected_runs(fd: &FdRuns<'_>, pend: &DeltaSet, carry: Option<&Carry>) -> Vec<RunKey> {
+    let mut keys = fd.marked_keys(|rel| pend.bits(rel));
+    if let Some(Carry::Runs(runs)) = carry {
+        let mut seen: FxHashSet<RunKey> = keys.iter().cloned().collect();
+        for (key, groups) in runs {
+            let held = groups
+                .iter()
+                .any(|(tids, _)| tids.iter().any(|g| pend.contains(g.rel, g.tid)));
+            if held && seen.insert(key.clone()) {
+                keys.push(key.clone());
+            }
+        }
+    }
+    keys
+}
+
+/// One work unit's output.
+#[derive(Default)]
+struct UnitOut {
+    /// Emissions of a pair unit.
+    pairs: Vec<Emission>,
+    /// Equate groups of each run of a run unit.
+    runs: Vec<(RunKey, Vec<Emission>)>,
+    /// Valuations enumerated (a run counts its violating pairs).
+    valuations: u64,
+}
+
+/// Evaluate one work unit.
 fn run_unit(
     engine: &ChaseEngine<'_>,
     ctx: &EvalContext<'_>,
@@ -182,7 +307,21 @@ fn run_unit(
     cumulative: &DeltaSet,
     plan: &ScanPlan<'_>,
     unit: &WorkUnit,
-) -> (Vec<Emission>, u64) {
+) -> UnitOut {
+    let mut out = UnitOut::default();
+    if let Some((fd, keys)) = plan.runs_of(unit) {
+        for key in keys {
+            let run = fd.run(key);
+            let violations = run.violations();
+            out.valuations += violations;
+            let groups = match violations {
+                0 => Vec::new(),
+                _ => equate_groups(&fd.shape, unit.rule, &run),
+            };
+            out.runs.push((key.clone(), groups));
+        }
+        return out;
+    }
     let rule = &engine.rules.rules[unit.rule as usize];
     let gate = engine.config.gate;
     // A satisfied consequence emits nothing under Resolved, so the join
@@ -194,14 +333,30 @@ fn run_unit(
     let narrow = |v: usize, chunk: &[TupleId], mates: &mut FxHashMap<usize, Vec<TupleId>>| {
         prune_with_blocking(engine, rule, v, chunk, cumulative, ctx.db, mates);
     };
-    let mut out: Vec<Emission> = Vec::new();
-    let mut count = 0u64;
     plan.run(ctx, unit, satisfied, narrow, |h: &Valuation| {
-        count += 1;
-        visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out);
+        out.valuations += 1;
+        visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out.pairs);
         true
     });
-    (out, count)
+    out
+}
+
+/// One `EquateGroup` per connected component of a run's violating pairs,
+/// supported by the union of the pairs' tuples.
+fn equate_groups(shape: &FdShape, rule: u32, run: &Run) -> Vec<Emission> {
+    let tid = |(side, i): (usize, u32)| run.sides[side][i as usize].tid;
+    run.components(shape.shared_cells())
+        .into_iter()
+        .map(|comp| {
+            let mut cells: Vec<CellRef> = comp.iter().map(|&n| shape.cell(n.0, tid(n))).collect();
+            cells.sort_unstable();
+            cells.dedup();
+            let mut tids: Vec<GlobalTid> = comp.iter().map(|&n| shape.tuple(n.0, tid(n))).collect();
+            tids.sort_unstable();
+            tids.dedup();
+            (tids, Proposal::EquateGroup { cells, rule })
+        })
+        .collect()
 }
 
 /// Blocking-pruned pair enumeration: for each tuple variable paired with
@@ -332,7 +487,7 @@ mod tests {
         };
 
         let (first, _) = round(&clean, &mut frontier);
-        assert_eq!(first.proposals.len(), 4, "both orientations per key group");
+        assert_eq!(first.proposals.len(), 2, "one equate group per key group");
         assert!(frontier.pending[0].is_empty());
 
         // some commit touches the k1 group only, then the rule's round is voided
@@ -355,6 +510,6 @@ mod tests {
         // the retry re-derives the k1 group and carries the untouched k0 one
         let (retry, stat) = round(&clean, &mut frontier);
         assert_eq!(retry.proposals, first.proposals);
-        assert_eq!(stat.carried, 2);
+        assert_eq!(stat.carried, 1, "the k0 run's group");
     }
 }

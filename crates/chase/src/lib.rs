@@ -71,6 +71,7 @@ pub use checkpoint::{
 };
 pub use conflict::ConflictPolicy;
 pub use delta::{DeltaSet, RoundStats};
+pub use evaluate::Carry;
 pub use fixes::{EntityKey, FixSnapshot, FixStore};
 pub use order::PartialOrderStore;
 pub use provenance::{

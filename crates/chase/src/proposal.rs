@@ -12,6 +12,7 @@ use crate::fixes::{ChaseOrderOracle, EntityKey, FixStore};
 use rock_data::{AttrId, CellRef, GlobalTid, RelId, TupleId, Value};
 use rock_rees::eval::{distinct_ok, EntityOracle, EvalContext, Valuation};
 use rock_rees::{Predicate, Rule};
+use std::fmt::Write;
 
 /// One emitted proposal together with the tuples its valuation bound.
 pub(crate) type Emission = (Vec<GlobalTid>, Proposal);
@@ -27,6 +28,11 @@ pub enum Proposal {
     },
     /// Validate `a[A] = b[B]` without knowing which side is correct.
     EquateCells { a: CellRef, b: CellRef, rule: u32 },
+    /// Validate that all `cells` (ascending, at least two) hold one value:
+    /// one connected component of an FD-shaped rule's violating pairs in a
+    /// join run, proposed once instead of pair by pair. Phase C unions
+    /// exactly the cells its pairs' `EquateCells` would have.
+    EquateGroup { cells: Vec<CellRef>, rule: u32 },
     /// Validate `t.eid = s.eid`.
     Merge {
         a: GlobalTid,
@@ -53,6 +59,7 @@ pub enum Proposal {
 rock_data::json_codec!(tagged Proposal {
     SetCell { cell, value, rule },
     EquateCells { a, b, rule },
+    EquateGroup { cells, rule },
     Merge { a, b, rule },
     Distinct { a, b, rule },
     Order { rel, attr, t1, t2, strict, rule },
@@ -77,6 +84,17 @@ impl Proposal {
                 (2, cell_key(cell), 0, format!("{rule}/{value:?}"))
             }
             Proposal::EquateCells { a, b, rule } => (2, cell_key(a), cell_key(b), rule.to_string()),
+            // two groups of one rule may share their first cells (a cell
+            // joins one run as a left member and another as a right one),
+            // so the whole group is the tie-breaker
+            Proposal::EquateGroup { cells, rule } => {
+                let mut tail = format!("{rule}/group");
+                for c in cells {
+                    let _ = write!(tail, "/{}", cell_key(c));
+                }
+                let second = cells.get(1).map_or(0, cell_key);
+                (2, cells.first().map_or(0, cell_key), second, tail)
+            }
             Proposal::Order {
                 rel,
                 attr,

@@ -1,16 +1,26 @@
 //! Batch and incremental violation detection. Both modes run the one scan
 //! plan of `rock_rees::scan` on the Crystal cluster: batch detection scans
 //! every rule in full, incremental detection runs the plan's delta passes
-//! over the tuples ΔD touched. Each unit's leaf records violations and the
-//! satisfied pairs the blame ratios need ([`Satisfied::Count`]).
+//! over the tuples ΔD touched. Each pair unit visits every valuation
+//! ([`Satisfied::Visit`]); its leaf records violations and the satisfied
+//! pairs the blame ratios need.
+//!
+//! FD-shaped rules ([`FdShape`]) are evaluated per join run instead
+//! (`rock_rees::runs`): a run unit groups each run's members by
+//! consequence value, and the violation count, the blame counts and the
+//! flagged cells all follow from those groups in O(k) per run. The report
+//! keeps one [`RunViolations`] per violating run, not one valuation per
+//! violating pair.
 
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
-use rock_data::{CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId};
+use rock_data::{
+    Bitset, CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId,
+};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
 use rock_rees::eval::{distinct_ok, EvalContext, Satisfied, TimestampOracle, Valuation};
-use rock_rees::{Predicate, Rule, RuleSet, ScanPlan};
-use std::cell::RefCell;
+use rock_rees::runs::Member;
+use rock_rees::{FdRuns, FdShape, Predicate, Rule, RuleSet, Run, RunKey, ScanPlan};
 
 /// Classification of a detected error (what kind of consequence was
 /// violated) — ER/CR/TD/MI, matching the paper's four tasks.
@@ -56,10 +66,42 @@ pub struct Violation {
     pub valuation: Valuation,
 }
 
+/// The violations of one FD-shaped rule inside one join run, kept as the
+/// run's value groups rather than as pairs.
+#[derive(Debug, Clone)]
+pub struct RunViolations {
+    pub rule: usize,
+    pub kind: ErrorKind,
+    pub shape: FdShape,
+    pub run: Run,
+    /// Violating pairs in the run.
+    pub count: u64,
+}
+
+impl RunViolations {
+    /// The run's violations as pairwise [`Violation`]s.
+    pub fn expand(&self) -> impl Iterator<Item = Violation> + '_ {
+        self.run.pairs().into_iter().map(move |(l, r)| {
+            let mut tuples = vec![GlobalTid::new(RelId(0), TupleId(0)); 2];
+            tuples[self.shape.vars[0]] = self.shape.tuple(0, l);
+            tuples[self.shape.vars[1]] = self.shape.tuple(1, r);
+            Violation {
+                rule: self.rule,
+                kind: self.kind,
+                valuation: Valuation::new(tuples, 0),
+            }
+        })
+    }
+}
+
 /// Detection output.
 #[derive(Debug, Default)]
 pub struct DetectReport {
+    /// Violations of the rules evaluated pair by pair.
     pub violations: Vec<Violation>,
+    /// Violations of the FD-shaped rules, one record per join run with a
+    /// violation.
+    pub runs: Vec<RunViolations>,
     /// Cells implicated by violated consequences (the unit the accuracy
     /// evaluation scores; §6 Exp-2 checks per-value correctness).
     pub flagged_cells: FxHashSet<CellRef>,
@@ -79,7 +121,7 @@ pub struct DetectReport {
 
 impl DetectReport {
     pub fn count(&self) -> usize {
-        self.violations.len()
+        self.violations.len() + self.runs.iter().map(|r| r.count as usize).sum::<usize>()
     }
 
     /// Violations per rule index.
@@ -88,7 +130,18 @@ impl DetectReport {
         for v in &self.violations {
             *m.entry(v.rule).or_insert(0) += 1;
         }
+        for r in &self.runs {
+            *m.entry(r.rule).or_insert(0) += r.count as usize;
+        }
         m
+    }
+
+    /// Every violation as a pairwise [`Violation`], the FD runs expanded
+    /// after the pairwise ones — for tests that compare against pair
+    /// enumeration; quadratic in a run's size.
+    pub fn pairs(&self) -> Vec<Violation> {
+        let runs = self.runs.iter().flat_map(RunViolations::expand);
+        self.violations.iter().cloned().chain(runs).collect()
     }
 
     /// Modeled parallel seconds over `workers` nodes.
@@ -140,15 +193,19 @@ fn implicated_cells(rule: &Rule, h: &Valuation, out: &mut FxHashSet<CellRef>) {
 /// ones. For each violation, the side(s) with the strictly-larger ratio
 /// get flagged (both on ties). This is the detection-side analog of the
 /// chase's majority-based conflict resolution.
+///
+/// `viol` arrives holding the FD runs' violation counts; a run's flags
+/// come from its value groups ([`Run::flags`]), which answer the same
+/// comparison against each member's smallest violating-partner ratio.
 fn attribute_blame(
     rules: &RuleSet,
-    violations: &[Violation],
+    report: &DetectReport,
+    mut viol: FxHashMap<(usize, CellRef), u32>,
     satisfied: &FxHashMap<(usize, CellRef), u32>,
     out: &mut FxHashSet<CellRef>,
 ) {
-    let mut viol: FxHashMap<(usize, CellRef), u32> = FxHashMap::default();
     let mut pairs: Vec<(usize, CellRef, CellRef)> = Vec::new();
-    for v in violations {
+    for v in &report.violations {
         let rule = &rules.rules[v.rule];
         if let Predicate::Attr {
             lvar,
@@ -186,6 +243,48 @@ fn attribute_blame(
             out.insert(rc);
         }
     }
+    for rv in &report.runs {
+        let cell = |side: usize, m: &Member| rv.shape.cell(side, m.tid);
+        let flags = rv.run.flags(|side, m| ratio(rv.rule, cell(side, m)));
+        for (side, flags) in flags.iter().enumerate() {
+            for (m, _) in rv.run.sides[side].iter().zip(flags).filter(|(_, f)| **f) {
+                out.insert(cell(side, m));
+            }
+        }
+    }
+}
+
+/// Fold one run's blame counts into `viol` / `satisfied` and flag the
+/// `null(·)` cells of its violating members; the run's violation count.
+fn tally_run(
+    rule: &Rule,
+    ri: usize,
+    shape: &FdShape,
+    run: &Run,
+    viol: &mut FxHashMap<(usize, CellRef), u32>,
+    satisfied: &mut FxHashMap<(usize, CellRef), u32>,
+    flagged: &mut FxHashSet<CellRef>,
+) -> u64 {
+    let counts = run.partner_counts();
+    for (side, counts) in counts.iter().enumerate() {
+        for (m, &(v, s)) in run.sides[side].iter().zip(counts) {
+            let cell = shape.cell(side, m.tid);
+            if v > 0 {
+                *viol.entry((ri, cell)).or_insert(0) += v;
+                for p in &rule.precondition {
+                    if let Predicate::IsNull { var, attr } = p {
+                        if *var == shape.vars[side] {
+                            flagged.insert(CellRef::new(shape.rels[side], m.tid, *attr));
+                        }
+                    }
+                }
+            }
+            if s > 0 {
+                *satisfied.entry((ri, cell)).or_insert(0) += s;
+            }
+        }
+    }
+    counts[0].iter().map(|&(v, _)| v as u64).sum()
 }
 
 /// Record a *satisfied* Attr-consequence pair for the blame ratios.
@@ -212,6 +311,33 @@ fn record_satisfied(
             .entry((ri, CellRef::new(r.rel, r.tid, *rattr)))
             .or_insert(0) += 1;
     }
+}
+
+/// What one detection unit found.
+enum Found {
+    /// Violating valuations and satisfied-pair blame counts.
+    Pairs(Vec<Valuation>, FxHashMap<(usize, CellRef), u32>),
+    /// The unit's join runs.
+    Runs(Vec<Run>),
+}
+
+/// Incremental detection of an FD-shaped rule: the runs holding a touched
+/// tuple, restricted to the pairs that bind one.
+fn touched_runs<'a>(
+    db: &Database,
+    mut fd: FdRuns<'a>,
+    touched: &FxHashMap<RelId, Vec<TupleId>>,
+) -> (FdRuns<'a>, Vec<RunKey>) {
+    let marks = |rel: RelId| {
+        let mut bits = Bitset::new(db.relation(rel).capacity());
+        for t in touched.get(&rel).into_iter().flatten() {
+            bits.set(t.index());
+        }
+        bits
+    };
+    fd.restrict(marks);
+    let keys = fd.marked_keys(marks);
+    (fd, keys)
 }
 
 /// The detector.
@@ -300,44 +426,54 @@ impl<'a> Detector<'a> {
         }
         let mut plan = ScanPlan::new(self.rules, db, self.partitions_per_rule);
         for ri in 0..self.rules.len() {
-            match touched {
-                None => plan.full(ri),
-                Some(t) => plan.delta(ri, |rel| t.get(&rel).cloned().unwrap_or_default()),
+            let fd = if self.columnar {
+                FdRuns::new(&self.rules.rules[ri], db)
+            } else {
+                None
+            };
+            match (touched, fd) {
+                (None, Some(fd)) => {
+                    let keys = fd.all_keys();
+                    plan.runs(ri, fd, keys);
+                }
+                (Some(t), Some(fd)) => {
+                    let (fd, keys) = touched_runs(db, fd, t);
+                    plan.runs(ri, fd, keys);
+                }
+                (None, None) => plan.full(ri),
+                (Some(t), None) => plan.delta(ri, |rel| t.get(&rel).cloned().unwrap_or_default()),
             }
         }
         let cluster = Cluster::with_config(self.workers, self.cluster.clone());
         let rules = self.rules;
         let outcome = cluster.execute(plan.units(), |unit| {
             let ri = unit.rule as usize;
+            if let Some((fd, keys)) = plan.runs_of(unit) {
+                let runs = keys.iter().map(|k| fd.run(k)).collect();
+                return Ok((ri, Found::Runs(runs)));
+            }
             let rule = &rules.rules[ri];
             let mut found = Vec::new();
-            // satisfied pairs only feed the blame counts: the join reports
-            // what it decides, the leaf the rest
-            let sats = RefCell::new(FxHashMap::default());
-            let mut count = |h: &Valuation| {
-                if distinct_ok(rule, h) {
-                    record_satisfied(rule, ri, h, &mut sats.borrow_mut());
-                }
-            };
-            let satisfied = Satisfied::Count(&mut count);
+            // satisfied pairs only feed the blame counts
+            let mut sats = FxHashMap::default();
             plan.run(
                 &ctx,
                 unit,
-                satisfied,
+                Satisfied::Visit,
                 |_, _, _| {},
                 |h| {
                     if !distinct_ok(rule, h) {
                         return true;
                     }
                     if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-                        record_satisfied(rule, ri, h, &mut sats.borrow_mut());
+                        record_satisfied(rule, ri, h, &mut sats);
                     } else {
                         found.push(h.clone());
                     }
                     true
                 },
             );
-            Ok((ri, found, sats.into_inner()))
+            Ok((ri, Found::Pairs(found, sats)))
         });
         let mut report = DetectReport {
             unit_seconds: outcome.stats.unit_seconds,
@@ -346,9 +482,33 @@ impl<'a> Detector<'a> {
             ..DetectReport::default()
         };
         let mut satisfied: FxHashMap<(usize, CellRef), u32> = FxHashMap::default();
-        for (ri, found, sats) in outcome.results.into_iter().flatten() {
+        let mut viol: FxHashMap<(usize, CellRef), u32> = FxHashMap::default();
+        for (ri, found) in outcome.results.into_iter().flatten() {
             let rule = &self.rules.rules[ri];
             let kind = consequence_kind(rule);
+            let (found, sats) = match found {
+                Found::Pairs(found, sats) => (found, sats),
+                Found::Runs(runs) => {
+                    let Some(shape) = FdShape::of(rule) else {
+                        continue;
+                    };
+                    for run in runs {
+                        let flagged = &mut report.flagged_cells;
+                        let count =
+                            tally_run(rule, ri, &shape, &run, &mut viol, &mut satisfied, flagged);
+                        if count > 0 {
+                            report.runs.push(RunViolations {
+                                rule: ri,
+                                kind,
+                                shape: shape.clone(),
+                                run,
+                                count,
+                            });
+                        }
+                    }
+                    continue;
+                }
+            };
             for valuation in found {
                 implicated_cells(rule, &valuation, &mut report.flagged_cells);
                 if let Predicate::EidCmp {
@@ -370,12 +530,9 @@ impl<'a> Detector<'a> {
                 *satisfied.entry(cell).or_insert(0) += n;
             }
         }
-        attribute_blame(
-            self.rules,
-            &report.violations,
-            &satisfied,
-            &mut report.flagged_cells,
-        );
+        let mut flagged = std::mem::take(&mut report.flagged_cells);
+        attribute_blame(self.rules, &report, viol, &satisfied, &mut flagged);
+        report.flagged_cells = flagged;
         report.wall_seconds = start.elapsed().as_secs_f64();
         report
     }
@@ -541,13 +698,13 @@ mod tests {
         let inc = det.detect_incremental(&db, &delta, &inserted);
         // every incremental violation involves a touched tuple
         let touched: FxHashSet<TupleId> = [TupleId(2), inserted[0]].into_iter().collect();
-        for v in &inc.violations {
+        for v in &inc.pairs() {
             assert!(v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)));
         }
         // and the incremental set equals the batch set restricted to touched
         let batch = det.detect(&db);
         let batch_touched = batch
-            .violations
+            .pairs()
             .iter()
             .filter(|v| v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)))
             .count();

@@ -347,19 +347,14 @@ impl<'a> EvalContext<'a> {
 /// per-candidate work that saves nothing. A scalar context
 /// ([`EvalContext::with_columnar`]`(false)`) always visits, so the
 /// reference paths stay independent of this shortcut.
-pub enum Satisfied<'f> {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Satisfied {
     /// Verify every valuation at the leaf and call back with it.
     Visit,
     /// Drop a hit whose consequence holds, with its whole subtree: the
     /// consequence reads only those two variables, so every completion
     /// satisfies it too.
     Skip,
-    /// Report a hit whose consequence holds to the closure, without leaf
-    /// verification, when the joins alone decide the precondition: no
-    /// vertex variables, every predicate a unary prefilter or a
-    /// two-variable `=`, and the checked variable bound last. Otherwise
-    /// behaves like `Visit`.
-    Count(&'f mut dyn FnMut(&Valuation)),
 }
 
 /// Enumerate valuations of `rule` over the database, with cheap predicates
@@ -388,7 +383,7 @@ pub fn enumerate_valuations_with_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     overrides: &FxHashMap<usize, &[TupleId]>,
-    satisfied: Satisfied<'_>,
+    satisfied: Satisfied,
     on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -454,7 +449,7 @@ fn apply_unary_prefilters(rule: &Rule, ctx: &EvalContext<'_>, v: usize, tids: &m
 
 /// Kernel-answerable unary predicates: `t.A ⊕ c`, `t.A ⊕ t.B`, `null(t.A)`.
 /// Returns `None` for anything else (the caller falls back to scalar eval).
-fn columnar_prefilter_mask(
+pub(crate) fn columnar_prefilter_mask(
     cols: &rock_data::ColumnSet,
     p: &Predicate,
 ) -> Option<rock_data::Bitset> {
@@ -494,7 +489,10 @@ struct ConsequenceCheck {
 
 impl ConsequenceCheck {
     /// `None` when `satisfied` has nothing to decide in `rule`'s joins.
-    fn new(rule: &Rule, order: &[usize], satisfied: &Satisfied<'_>) -> Option<ConsequenceCheck> {
+    fn new(rule: &Rule, order: &[usize], satisfied: Satisfied) -> Option<ConsequenceCheck> {
+        if satisfied == Satisfied::Visit {
+            return None;
+        }
         let Predicate::Attr {
             lvar,
             lattr,
@@ -515,28 +513,7 @@ impl ConsequenceCheck {
         } else {
             (rd, *rattr, *lvar, *lattr)
         };
-        let join_decided = |p: &Predicate| match p {
-            Predicate::Attr {
-                lvar,
-                op: crate::op::CmpOp::Eq,
-                rvar,
-                ..
-            } if lvar != rvar => true,
-            // what `apply_unary_prefilters` answers
-            _ => p.tuple_vars().len() == 1 && !p.is_ml() && p.vertex_vars().is_empty(),
-        };
-        let decides = match satisfied {
-            Satisfied::Visit => false,
-            Satisfied::Skip => true,
-            // no leaf verification: sound only when the joins alone decide
-            // the precondition once the checked variable is bound
-            Satisfied::Count(_) => {
-                depth + 1 == order.len()
-                    && rule.vertex_vars.is_empty()
-                    && rule.precondition.iter().all(join_decided)
-            }
-        };
-        decides.then_some(ConsequenceCheck {
+        Some(ConsequenceCheck {
             depth,
             attr,
             other,
@@ -553,7 +530,7 @@ fn enumerate_from_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     candidates: Vec<Vec<TupleId>>,
-    mut satisfied: Satisfied<'_>,
+    satisfied: Satisfied,
     mut on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -615,7 +592,7 @@ fn enumerate_from_candidates<F>(
         candidates: joined,
         // the scalar reference path decides nothing in the join
         consequence: if ctx.columnar {
-            ConsequenceCheck::new(rule, &order, &satisfied)
+            ConsequenceCheck::new(rule, &order, satisfied)
         } else {
             None
         },
@@ -641,7 +618,6 @@ fn enumerate_from_candidates<F>(
         &ordered_preds,
         &mut h,
         &mut bound,
-        &mut satisfied,
         &mut on_valuation,
     );
 }
@@ -663,7 +639,6 @@ fn bind_next<F>(
     ordered_preds: &[&Predicate],
     h: &mut Valuation,
     bound: &mut [bool],
-    satisfied: &mut Satisfied<'_>,
     on_valuation: &mut F,
 ) -> bool
 where
@@ -738,9 +713,6 @@ where
         h.tuples[v] = GlobalTid::new(rule.rel_of(v), tid);
         if let Some((rel, attr, val)) = decide {
             if rel.get(tid).is_some_and(|t| t.get(attr).sql_eq(val)) {
-                if let Satisfied::Count(count) = satisfied {
-                    count(h);
-                }
                 continue;
             }
         }
@@ -755,7 +727,6 @@ where
             ordered_preds,
             h,
             bound,
-            satisfied,
             on_valuation,
         );
         bound[v] = false;
@@ -1233,49 +1204,30 @@ mod tests {
         }
     }
 
-    #[derive(Clone, Copy)]
-    enum Mode {
-        Visit,
-        Skip,
-        Count,
-    }
-
-    /// Every valuation one mode reports, in call order, marked `true` when
-    /// `Count` reported it from the join rather than the leaf.
-    fn mode_run(rule: &Rule, ctx: &EvalContext<'_>, mode: Mode) -> Vec<(bool, Valuation)> {
-        let seen = std::cell::RefCell::new(Vec::new());
-        let mut count = |h: &Valuation| seen.borrow_mut().push((true, h.clone()));
-        let satisfied = match mode {
-            Mode::Visit => Satisfied::Visit,
-            Mode::Skip => Satisfied::Skip,
-            Mode::Count => Satisfied::Count(&mut count),
-        };
+    /// Every valuation one mode visits, in call order.
+    fn mode_run(rule: &Rule, ctx: &EvalContext<'_>, satisfied: Satisfied) -> Vec<Valuation> {
+        let mut seen = Vec::new();
         enumerate_valuations_with_candidates(rule, ctx, &FxHashMap::default(), satisfied, |h| {
-            seen.borrow_mut().push((false, h.clone()));
+            seen.push(h.clone());
             true
         });
-        seen.into_inner()
+        seen
     }
 
-    /// Runs `Skip` and `Count` against `Visit`; returns how many of
-    /// `Visit`'s valuations satisfy p0, how many `Skip` dropped and how
-    /// many `Count` reported from the join. Always checked: `Skip` drops
-    /// only satisfied valuations and keeps `Visit`'s order; `Count`'s
-    /// reports and visits together are `Visit`'s sequence; every counted
-    /// valuation satisfies X and p0. With `skips_all`, `Skip` must be
-    /// exactly `Visit` minus its satisfied valuations.
+    /// Runs `Skip` against `Visit`; returns how many of `Visit`'s
+    /// valuations satisfy p0 and how many `Skip` dropped. Always checked:
+    /// `Skip` drops only satisfied valuations and keeps `Visit`'s order.
+    /// With `skips_all`, `Skip` must be exactly `Visit` minus its satisfied
+    /// valuations.
     fn compare_modes(
         rule: &Rule,
         ctx: &EvalContext<'_>,
         skips_all: bool,
         label: &str,
-    ) -> (usize, usize, usize) {
+    ) -> (usize, usize) {
         let holds = |h: &Valuation| ctx.eval_predicate(rule, h, &rule.consequence) == Some(true);
-        let strip = |run: Vec<(bool, Valuation)>| -> Vec<Valuation> {
-            run.into_iter().map(|(_, h)| h).collect()
-        };
-        let visit = strip(mode_run(rule, ctx, Mode::Visit));
-        let skip = strip(mode_run(rule, ctx, Mode::Skip));
+        let visit = mode_run(rule, ctx, Satisfied::Visit);
+        let skip = mode_run(rule, ctx, Satisfied::Skip);
         let unsatisfied: Vec<Valuation> = visit.iter().filter(|h| !holds(h)).cloned().collect();
         if skips_all {
             assert_eq!(skip, unsatisfied, "{label}: Skip is Visit minus satisfied");
@@ -1293,22 +1245,7 @@ mod tests {
                 "{label}: Skip is a subsequence of Visit"
             );
         }
-        let count = mode_run(rule, ctx, Mode::Count);
-        for (counted, h) in &count {
-            if *counted {
-                assert!(
-                    ctx.satisfies_precondition(rule, h) && holds(h),
-                    "{label}: counted {h:?} must satisfy X and p0"
-                );
-            }
-        }
-        let counted = count.iter().filter(|(c, _)| *c).count();
-        assert_eq!(strip(count), visit, "{label}: Count hits ∪ visits = Visit");
-        (
-            visit.len() - unsatisfied.len(),
-            visit.len() - skip.len(),
-            counted,
-        )
+        (visit.len() - unsatisfied.len(), visit.len() - skip.len())
     }
 
     fn mode_registry() -> ModelRegistry {
@@ -1321,10 +1258,9 @@ mod tests {
     /// and fallback `"n/a"` cells in an Int column (`amount`), `Int(1)` vs
     /// `Float(1.0)` in one column (`fee`) and across columns (`total` vs
     /// `fee`), unary prefilters next to the joins, and a cross-relation
-    /// consequence. `Skip` drops exactly the satisfied valuations and
-    /// `Count` reports every one of them from the join.
+    /// consequence. `Skip` drops exactly the satisfied valuations.
     #[test]
-    fn skip_and_count_decide_satisfied_valuations_in_the_join() {
+    fn skip_decides_satisfied_valuations_in_the_join() {
         let rules = [
             "rule cic_area: Company(t) && Branch(b) && t.city = b.city -> t.area_code = b.area_code",
             "rule tpa_amount: Payment(t) && Payment(s) && t.aid = s.aid -> t.amount = s.amount",
@@ -1333,28 +1269,27 @@ mod tests {
         ];
         let reg = mode_registry();
         for text in rules {
-            let mut counted = 0;
+            let mut decided = 0;
             for seed in 0..8 {
                 let db = seeded_join_db(seed);
                 let mut rule = crate::parse_rule(text, &db.schema()).unwrap();
                 rule.resolve(&reg).unwrap();
                 let ctx = EvalContext::new(&db, &reg);
                 let label = format!("seed {seed}: {text}");
-                let (sat, skipped, c) = compare_modes(&rule, &ctx, true, &label);
-                assert_eq!((skipped, c), (sat, sat), "{label}");
-                counted += c;
+                let (sat, skipped) = compare_modes(&rule, &ctx, true, &label);
+                assert_eq!(skipped, sat, "{label}");
+                decided += skipped;
             }
-            assert!(counted > 0, "{text}: the join decided nothing");
+            assert!(decided > 0, "{text}: the join decided nothing");
         }
     }
 
-    /// Where the joins alone cannot decide the precondition, `Count`
-    /// visits everything while `Skip` still prunes narrowed lists: a
-    /// 3-variable rule whose consequence variables bind before the last
-    /// one, and `!=`, `EidCmp` and ML preconditions. A list no join
-    /// narrowed is never checked, by either mode.
+    /// `Skip` prunes narrowed lists even where the joins alone cannot
+    /// decide the precondition: a 3-variable rule whose consequence
+    /// variables bind before the last one, and `!=`, `EidCmp` and ML
+    /// preconditions. A list no join narrowed is never checked.
     #[test]
-    fn count_falls_back_and_unnarrowed_lists_are_never_checked() {
+    fn skip_prunes_narrowed_lists_only() {
         let pruned = [
             "rule three: Company(t) && Branch(b) && Company(u) && t.city = b.city && t.area_code = u.area_code -> t.area_code = b.area_code",
             "rule neq: Payment(t) && Payment(s) && t.aid = s.aid && t.total != s.total -> t.amount = s.amount",
@@ -1372,8 +1307,7 @@ mod tests {
                 rule.resolve(&reg).unwrap();
                 let ctx = EvalContext::new(&db, &reg);
                 let label = format!("seed {seed}: {text}");
-                let (sat, s, c) = compare_modes(&rule, &ctx, text != unnarrowed, &label);
-                assert_eq!(c, 0, "{label}: Count must fall back to Visit");
+                let (sat, s) = compare_modes(&rule, &ctx, text != unnarrowed, &label);
                 satisfied += sat;
                 skipped += s;
             }
@@ -1397,12 +1331,11 @@ mod tests {
         )
         .unwrap();
         let ctx = EvalContext::new(&db, &reg).with_columnar(false);
-        let visit = mode_run(&rule, &ctx, Mode::Visit);
+        let visit = mode_run(&rule, &ctx, Satisfied::Visit);
         assert!(visit
             .iter()
-            .any(|(_, h)| ctx.eval_predicate(&rule, h, &rule.consequence) == Some(true)));
-        assert_eq!(mode_run(&rule, &ctx, Mode::Skip), visit);
-        assert_eq!(mode_run(&rule, &ctx, Mode::Count), visit);
+            .any(|h| ctx.eval_predicate(&rule, h, &rule.consequence) == Some(true)));
+        assert_eq!(mode_run(&rule, &ctx, Satisfied::Skip), visit);
     }
 
     #[test]

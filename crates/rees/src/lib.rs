@@ -32,7 +32,8 @@
 //! The crate provides the AST ([`predicate`], [`rule`]), a text DSL with a
 //! parser and pretty-printer ([`parser`]), valuations and satisfaction
 //! semantics ([`eval`]), the work-unit plan that drives the enumerator in
-//! detection and the chase ([`scan`]), and support/confidence measures
+//! detection and the chase ([`scan`]), the per-join-run evaluation of
+//! FD-shaped rules ([`runs`]), and support/confidence measures
 //! ([`measures`]).
 
 // Rule evaluation sits on the chase's hot path and inside discovery's
@@ -48,6 +49,7 @@ pub mod op;
 pub mod parser;
 pub mod predicate;
 pub mod rule;
+pub mod runs;
 pub mod sat;
 pub mod scan;
 pub mod schedule;
@@ -59,6 +61,7 @@ pub use op::CmpOp;
 pub use parser::{parse_rule, parse_rules, ParseError};
 pub use predicate::{ModelRef, Predicate};
 pub use rule::{Rule, RuleSet};
+pub use runs::{FdRuns, FdShape, Run, RunKey};
 pub use sat::{co_satisfiable, CoSat};
 pub use scan::ScanPlan;
 pub use schedule::{ChaseSchedule, Oscillation};

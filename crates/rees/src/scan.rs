@@ -11,12 +11,18 @@
 //!   variable. Each `R_old` list is built once per (rule, variable) and
 //!   borrowed by every unit.
 //!
-//! [`ScanPlan::run`] turns a unit back into an enumerator call; the caller
-//! chooses the [`Satisfied`] mode and the leaf, and may narrow the other
-//! variables of a pinned unit further (the chase's ML block-mates).
+//! * A **run pass** ([`ScanPlan::runs`]) covers an FD-shaped rule's join
+//!   runs (`crate::runs`) instead of its pairs: each unit owns a chunk of
+//!   the run keys, so a run is never split between units.
+//!
+//! [`ScanPlan::run`] turns a pair unit back into an enumerator call; the
+//! caller chooses the [`Satisfied`] mode and the leaf, and may narrow the
+//! other variables of a pinned unit further (the chase's ML block-mates).
+//! [`ScanPlan::runs_of`] hands a run unit's keys to the caller instead.
 
 use crate::eval::{enumerate_valuations_with_candidates, EvalContext, Satisfied, Valuation};
 use crate::rule::RuleSet;
+use crate::runs::{FdRuns, RunKey};
 use rock_crystal::work::{partition_range, Partition, WorkUnit};
 use rock_data::{Database, FxHashMap, RelId, TupleId};
 
@@ -27,14 +33,25 @@ pub struct ScanPlan<'a> {
     /// Target units per full scan and per delta pass.
     parts: u32,
     units: Vec<WorkUnit>,
-    /// Per unit (its payload is the index): the variable a delta pass pins
-    /// to the partition's slice of its touched list, `None` for a full-scan
-    /// unit, which restricts variable 0 to the partition's tid range.
-    pinned: Vec<Option<usize>>,
+    /// Per unit (its payload is the index): what its partition ranges over.
+    passes: Vec<Pass>,
     /// Touched tuples of each pinned (rule, variable), ascending.
     touched: FxHashMap<(usize, usize), Vec<TupleId>>,
     /// `R_old` of each (rule, variable) that a later pass of the rule binds.
     old: FxHashMap<(usize, usize), Vec<TupleId>>,
+    /// Each run-pass rule's prepared runs and keys.
+    runs: FxHashMap<usize, (FdRuns<'a>, Vec<RunKey>)>,
+}
+
+/// What a unit's partition ranges over.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// Variable 0's tid slots.
+    Full,
+    /// The given variable's touched list.
+    Pinned(usize),
+    /// The rule's run keys.
+    Runs,
 }
 
 impl<'a> ScanPlan<'a> {
@@ -44,16 +61,17 @@ impl<'a> ScanPlan<'a> {
             db,
             parts,
             units: Vec::new(),
-            pinned: Vec::new(),
+            passes: Vec::new(),
             touched: FxHashMap::default(),
             old: FxHashMap::default(),
+            runs: FxHashMap::default(),
         }
     }
 
-    fn push(&mut self, ri: usize, p: Partition, pinned: Option<usize>) {
-        let unit = WorkUnit::new(ri as u32, vec![p]).with_payload(self.pinned.len() as u64);
+    fn push(&mut self, ri: usize, p: Partition, pass: Pass) {
+        let unit = WorkUnit::new(ri as u32, vec![p]).with_payload(self.passes.len() as u64);
         self.units.push(unit);
-        self.pinned.push(pinned);
+        self.passes.push(pass);
     }
 
     /// Scan rule `ri` in full, partitioned on variable 0's tid slots. An
@@ -66,7 +84,7 @@ impl<'a> ScanPlan<'a> {
             ranges.push(Partition::new(rel0.0, 0, 0));
         }
         for p in ranges {
-            self.push(ri, p, None);
+            self.push(ri, p, Pass::Full);
         }
     }
 
@@ -83,7 +101,7 @@ impl<'a> ScanPlan<'a> {
                 continue;
             }
             for p in partition_range(rel.0, list.len() as u32, self.parts) {
-                self.push(ri, p, Some(v));
+                self.push(ri, p, Pass::Pinned(v));
             }
             self.touched.insert((ri, v), list);
             pinned.push(v);
@@ -99,12 +117,34 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
+    /// A run pass of rule `ri` over the runs `keys` of `fd`, chunked into
+    /// units. No keys, no units.
+    pub fn runs(&mut self, ri: usize, fd: FdRuns<'a>, keys: Vec<RunKey>) {
+        let rel0 = self.rules.rules[ri].rel_of(0);
+        for p in partition_range(rel0.0, keys.len() as u32, self.parts) {
+            self.push(ri, p, Pass::Runs);
+        }
+        self.runs.insert(ri, (fd, keys));
+    }
+
+    /// A run-pass unit's prepared runs and its chunk of keys; `None` for a
+    /// pair unit.
+    pub fn runs_of(&self, unit: &WorkUnit) -> Option<(&FdRuns<'a>, &[RunKey])> {
+        let Pass::Runs = self.passes[unit.payload as usize] else {
+            return None;
+        };
+        let (fd, keys) = self.runs.get(&(unit.rule as usize))?;
+        let p = &unit.partitions[0];
+        Some((fd, &keys[p.start as usize..p.end as usize]))
+    }
+
     /// The plan's units, in the order they were added.
     pub fn units(&self) -> Vec<WorkUnit> {
         self.units.clone()
     }
 
-    /// Enumerate one unit of this plan with the given [`Satisfied`] mode.
+    /// Enumerate one pair unit of this plan with the given [`Satisfied`]
+    /// mode (a run unit enumerates nothing).
     /// For a pinned unit, `narrow(v, chunk, extra)` may add ascending
     /// candidate lists for other variables; those of variables before `v`
     /// are kept off the touched tuples, like the plan's own `R_old` lists,
@@ -113,7 +153,7 @@ impl<'a> ScanPlan<'a> {
         &self,
         ctx: &EvalContext<'_>,
         unit: &WorkUnit,
-        satisfied: Satisfied<'_>,
+        satisfied: Satisfied,
         narrow: impl FnOnce(usize, &[TupleId], &mut FxHashMap<usize, Vec<TupleId>>),
         visit: F,
     ) where
@@ -122,10 +162,16 @@ impl<'a> ScanPlan<'a> {
         let ri = unit.rule as usize;
         let rule = &self.rules.rules[ri];
         let range = unit.partitions[0].start..unit.partitions[0].end;
-        let Some(v) = self.pinned[unit.payload as usize] else {
-            let slots: Vec<TupleId> = range.map(TupleId).collect();
-            let overrides = FxHashMap::from_iter([(0, slots.as_slice())]);
-            return enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied, visit);
+        let v = match self.passes[unit.payload as usize] {
+            Pass::Pinned(v) => v,
+            Pass::Runs => return,
+            Pass::Full => {
+                let slots: Vec<TupleId> = range.map(TupleId).collect();
+                let overrides = FxHashMap::from_iter([(0, slots.as_slice())]);
+                return enumerate_valuations_with_candidates(
+                    rule, ctx, &overrides, satisfied, visit,
+                );
+            }
         };
         let chunk = &self.touched[&(ri, v)][range.start as usize..range.end as usize];
         let mut extra: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();

@@ -2,8 +2,8 @@
 //! `Detector::with_columnar(false)` the detector answers unary prefilters by
 //! per-tuple evaluation instead of the vectorized column kernels
 //! (`rock_data::ColumnSet`) and builds equality-join indexes per call from
-//! the rows instead of probing the snapshot's cached ones, and it visits
-//! every satisfied valuation instead of counting it inside the join; it
+//! the rows instead of probing the snapshot's cached ones, and it
+//! enumerates FD-shaped rules pair by pair instead of per join run; it
 //! must report exactly the same violations and flag the same cells. The chase
 //! side of the same comparison lives in `tests/engine_equivalence.rs` (the
 //! reference chase evaluates scalar). Also here: the column-plane
@@ -20,7 +20,7 @@ use rock::data::{
 use rock::detect::blocking::precompute_ml;
 use rock::ml::ModelRegistry;
 use rock::rees::eval::Valuation;
-use rock::rees::{parse_rules, RuleSet};
+use rock::rees::{parse_rules, FdShape, RuleSet};
 use rock::workloads::workload::GenConfig;
 
 fn schema() -> DatabaseSchema {
@@ -83,31 +83,48 @@ fn build_db(rows: &[(u8, u8, u8, Option<u8>)]) -> Database {
     db
 }
 
-/// What a detection reports: the violations (rule and valuation) in report
-/// order, the duplicate pairs in report order, and the flagged cells.
+/// What a detection reports: the violations of the rules enumerated pair
+/// by pair, as rule and valuation in report order; the FD-shaped rules'
+/// violations as rule and bound tuples in canonical order (the columnar
+/// detector evaluates them per join run, and a run has no enumeration
+/// order); the report's count; the duplicate pairs in report order; and
+/// the flagged cells.
 type Detection = (
     Vec<(usize, Valuation)>,
+    Vec<(usize, Vec<GlobalTid>)>,
+    usize,
     Vec<(GlobalTid, GlobalTid)>,
     Vec<CellRef>,
 );
 
 fn detection(detector: rock::detect::Detector<'_>, db: &Database) -> Detection {
+    let rules = detector.rules;
     let report = detector.detect(db);
-    let mut cells: Vec<_> = report.flagged_cells.into_iter().collect();
-    cells.sort_unstable();
-    let violations = report
-        .violations
+    let (fd, pairwise): (Vec<_>, Vec<_>) = report
+        .pairs()
+        .into_iter()
+        .partition(|v| FdShape::of(&rules.rules[v.rule]).is_some());
+    let pairwise = pairwise
         .into_iter()
         .map(|v| (v.rule, v.valuation))
         .collect();
-    (violations, report.duplicate_pairs, cells)
+    let mut fd: Vec<_> = fd
+        .into_iter()
+        .map(|v| (v.rule, v.valuation.tuples))
+        .collect();
+    fd.sort_unstable();
+    let count = report.count();
+    let mut cells: Vec<_> = report.flagged_cells.into_iter().collect();
+    cells.sort_unstable();
+    (pairwise, fd, count, report.duplicate_pairs, cells)
 }
 
 /// Detection equivalence: the columnar detector — kernel prefilters,
-/// cached join indexes, satisfied pairs counted inside the join — must
-/// report exactly the scalar detector's violations, in the same order,
-/// the same duplicate pairs and the same flagged cells. Random instances
-/// of the small rule set, then each workload's curated rules at 300 rows.
+/// cached join indexes, FD-shaped rules evaluated per join run — must
+/// report exactly the scalar detector's violations, those of the rules
+/// it enumerates pair by pair in the same order, the same duplicate pairs
+/// and the same flagged cells. Random instances of the small rule set,
+/// then each workload's curated rules at 300 rows.
 #[test]
 fn columnar_detection_flags_identical_cells() {
     check(64, |g| {
@@ -154,7 +171,8 @@ fn columnar_detection_flags_identical_cells() {
             detection(detector, &w.dirty)
         };
         let (scalar, columnar) = (detect(false), detect(true));
-        assert!(!scalar.0.is_empty(), "{}: no violations", w.name);
+        assert!(!scalar.0.is_empty(), "{}: no pairwise violations", w.name);
+        assert!(!scalar.1.is_empty(), "{}: no FD violations", w.name);
         assert!(scalar == columnar, "{}: detections diverged", w.name);
     }
 }

@@ -128,13 +128,13 @@ fn incremental_detection_equals_batch_on_touched() {
         let key = |v: &Violation| (v.rule, v.valuation.tuples.clone());
         let batch = detector.detect(&db);
         let mut batch_touched: Vec<_> = batch
-            .violations
+            .pairs()
             .iter()
             .filter(|v| v.valuation.tuples.iter().any(|g| touched.contains(&g.tid)))
             .map(key)
             .collect();
         batch_touched.sort();
-        let mut found: Vec<_> = incremental.violations.iter().map(key).collect();
+        let mut found: Vec<_> = incremental.pairs().iter().map(key).collect();
         found.sort();
         assert_eq!(found, batch_touched);
         assert_eq!(incremental.count(), batch_touched.len());
@@ -155,7 +155,7 @@ fn incremental_detection_equals_batch_on_touched() {
                 .with_cluster(cluster)
                 .detect_incremental(&db, &delta, &inserted);
             assert!(rep.unit_failures.is_empty(), "{:?}", rep.unit_failures);
-            let mut on_cluster: Vec<_> = rep.violations.iter().map(key).collect();
+            let mut on_cluster: Vec<_> = rep.pairs().iter().map(key).collect();
             on_cluster.sort();
             assert_eq!(on_cluster, found, "{workers} workers");
             assert_eq!(rep.flagged_cells, incremental.flagged_cells);
@@ -188,7 +188,7 @@ fn poisoned_incremental_unit_is_reported() {
     let inserted = db.apply(&delta).unwrap();
     let key = |v: &Violation| (v.rule, v.valuation.tuples.clone());
     let clean = Detector::new(&rules, &reg).detect_incremental(&db, &delta, &inserted);
-    let all: FxHashSet<_> = clean.violations.iter().map(key).collect();
+    let all: FxHashSet<_> = clean.pairs().iter().map(key).collect();
 
     rock::crystal::fault::silence_injected_panics();
     let poisoned = ClusterConfig::default()
@@ -201,9 +201,10 @@ fn poisoned_incremental_unit_is_reported() {
         !rep.unit_failures.is_empty(),
         "the poisoned unit is reported"
     );
-    assert!(rep.violations.iter().all(|v| all.contains(&key(v))));
-    // unit 0 pins fd1's `t` to the rewritten tuple 0, which disagrees
-    // with both other k0 rows
+    assert!(rep.pairs().iter().all(|v| all.contains(&key(v))));
+    // unit 0 is fd1's run unit: it covers the k0 run, which holds the
+    // rewritten tuple 0 and the inserted row, both disagreeing with the
+    // other k0 rows
     assert!(rep.count() < clean.count(), "unit 0 found violations");
     assert!(rep.count() > 0, "the other units still ran");
 }
@@ -246,6 +247,7 @@ fn insert_conflicts_counted_exactly() {
     let rep = Detector::new(&rules, &reg).detect_incremental(&db, &delta, &inserted);
     // fd1: new row (k0, v9) conflicts with both (k0, v0) rows, both
     // directions = 4 violations
-    let fd1 = rep.violations.iter().filter(|v| v.rule == 0).count();
+    let fd1 = rep.pairs().iter().filter(|v| v.rule == 0).count();
+    assert_eq!(rep.per_rule()[&0], fd1);
     assert_eq!(fd1, 4);
 }

@@ -432,10 +432,11 @@ fn retired_round_stats_fields() -> Vec<(String, Json)> {
 }
 
 /// The codec ignores keys it does not know, so an old checkpoint's round
-/// stats decode into the new struct without a version bump.
+/// stats decode into the new struct without a version bump (version 4
+/// changed the carry's encoding, not the round stats').
 #[test]
 fn round_stats_with_retired_fields_still_decode() {
-    assert_eq!(CHECKPOINT_VERSION, 3);
+    assert_eq!(CHECKPOINT_VERSION, 4);
     let stats: RoundStats = json::from_slice(OLD_ROUND_STATS.as_bytes()).unwrap();
     assert_eq!(
         stats,
@@ -577,5 +578,96 @@ fn resume_refuses_a_checkpoint_that_does_not_fit_the_rules() {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A version-3 checkpoint — its per-rule carries untagged lists of
+/// per-valuation emissions — is unsound to this engine, like one with a
+/// bad CRC: resume skips it and falls back to the newest version-4 round,
+/// without panicking, and still ends byte-identical to an uninterrupted
+/// run. With no version-4 checkpoint left there is no durable round.
+#[test]
+fn resume_skips_version_3_checkpoints() {
+    let schema = schema();
+    let rs = rules(&schema);
+    let reg = ModelRegistry::new();
+    let db = build_db(&default_rows());
+    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
+    let want = canon(&engine(&rs, &reg, None).run(&db, &trusted));
+
+    let dir = fresh_dir("version-3");
+    let durable = engine(&rs, &reg, Some(DurabilityConfig::new(&dir)));
+    let first = durable.run(&db, &trusted);
+    assert_no_wal_error(&first);
+    let newest = first.rounds as u64;
+    assert!(newest >= 2, "workload too shallow to exercise resume");
+    let mut carried_runs = false;
+    let mut as_version_3 = |from: u64| {
+        rewrite_checkpoints(&dir, |name, ck| {
+            let round = ck.iter().find_map(|(k, v)| match v {
+                Json::Int(r) if k == "round" => Some(*r),
+                _ => None,
+            });
+            if round.unwrap_or(0) < i128::from(from) {
+                return;
+            }
+            for (k, v) in ck.iter_mut() {
+                match k.as_str() {
+                    "version" => *v = Json::Int(3),
+                    "carry" => {
+                        let Json::Arr(slots) = v else {
+                            panic!("{name}: carry slots");
+                        };
+                        for slot in slots {
+                            if let Json::Obj(tagged) = slot {
+                                let (tag, payload) = tagged.remove(0);
+                                carried_runs |= tag == "Runs";
+                                *slot = v3_carry(&tag, payload);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        });
+    };
+    as_version_3(newest);
+    let resumed = durable
+        .resume(&trusted)
+        .expect("resume falls back past the version-3 checkpoint");
+    assert_no_wal_error(&resumed);
+    assert_eq!(resumed.wal.as_ref().unwrap().resumed_from, Some(newest - 1));
+    assert_eq!(canon(&resumed), want, "fallback resume diverged");
+
+    as_version_3(1);
+    assert!(carried_runs, "the FD rules carried equate groups per run");
+    match durable.resume(&trusted) {
+        Err(WalError::NoDurableRound) => {}
+        other => panic!("every checkpoint is version 3: {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-4 carry slot in the version-3 encoding: the bare list of
+/// `[tuples, proposal]` emissions (a run carry's groups, flattened).
+fn v3_carry(tag: &str, payload: Json) -> Json {
+    let Json::Arr(items) = payload else {
+        panic!("{tag}: a list");
+    };
+    match tag {
+        "Pairs" => Json::Arr(items),
+        "Runs" => Json::Arr(
+            items
+                .into_iter()
+                .flat_map(|run| match run {
+                    Json::Arr(mut kv) if kv.len() == 2 => match kv.pop() {
+                        Some(Json::Arr(groups)) => groups,
+                        _ => panic!("a run's groups"),
+                    },
+                    _ => panic!("a [key, groups] run"),
+                })
+                .collect(),
+        ),
+        _ => panic!("unknown carry tag {tag}"),
     }
 }
