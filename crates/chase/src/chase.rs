@@ -165,10 +165,6 @@ pub struct ChaseEngine<'a> {
     pub rules: &'a RuleSet,
     pub registry: &'a ModelRegistry,
     pub graph: Option<&'a Graph>,
-    /// Tuple-level blocking index from `precompute_ml_indexed`: pinned
-    /// delta enumeration restricts an ML predicate's non-pinned variable to
-    /// the pinned tuples' block-mates (plus the cumulative dirty set).
-    pub blocking: Option<&'a MlBlockIndex>,
     pub config: ChaseConfig,
 }
 
@@ -178,7 +174,6 @@ impl<'a> ChaseEngine<'a> {
             rules,
             registry,
             graph: None,
-            blocking: None,
             config,
         }
     }
@@ -188,8 +183,10 @@ impl<'a> ChaseEngine<'a> {
         self
     }
 
-    pub fn with_blocking(mut self, idx: &'a MlBlockIndex) -> Self {
-        self.blocking = Some(idx);
+    /// Kept for source compatibility; a no-op. ML pair predicates are
+    /// joined on the registry's block filters (`rock_rees::eval`), so the
+    /// chase takes no block index.
+    pub fn with_blocking(self, _idx: &MlBlockIndex) -> Self {
         self
     }
 

@@ -8,8 +8,7 @@
 //! the rule last ran ([`Frontier::pending`]), so each touched valuation is
 //! enumerated exactly once; valuations binding no touched tuple re-emit
 //! what they emitted then from the per-rule carry. This module keeps what
-//! only the chase has: the frontier, the carry, and the narrowing of ML
-//! pair variables to block-mates. A valuation whose tuples, oracles and
+//! only the chase has: the frontier and the carry. A valuation whose tuples, oracles and
 //! gate inputs are all unchanged emits exactly what it emitted before, so
 //! the round's proposal set equals a full re-scan's (`crate::reference` is
 //! that re-scan; `tests/engine_equivalence.rs` holds the two together).
@@ -34,10 +33,9 @@ use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
 use rock_crystal::{Cluster, FaultStats, UnitFailure, WorkUnit};
-use rock_data::{CellRef, Database, FxHashMap, FxHashSet, GlobalTid, TupleId};
-use rock_ml::{ModelRegistry, PairSignature};
+use rock_data::{CellRef, Database, FxHashMap, FxHashSet, GlobalTid};
 use rock_rees::eval::{EvalContext, Satisfied, Valuation};
-use rock_rees::{FdRuns, FdShape, Predicate, Rule, Run, RunKey, ScanPlan};
+use rock_rees::{FdRuns, FdShape, Run, RunKey, ScanPlan};
 
 /// A rule's emissions from its last completed round, as the next round
 /// carries them.
@@ -74,10 +72,9 @@ pub(crate) struct Frontier {
     /// Emissions of each rule's last completed round; `None` until the
     /// rule has run.
     pub carry: Vec<Option<Carry>>,
-    /// Union of every delta since chase start. Blocking-pruned pinned
-    /// enumeration unions this into the non-pinned candidates: block-mate
-    /// lists are build-time state, so tuples rewritten after the index was
-    /// built must always stay candidates.
+    /// Union of every delta since chase start. An incremental chase
+    /// restricts FD-shaped rules' join runs to the pairs binding one of
+    /// these tuples.
     pub cumulative: DeltaSet,
 }
 
@@ -162,10 +159,9 @@ pub(crate) fn evaluate(
 
     let units = plan.units();
     let unit_rules: Vec<usize> = units.iter().map(|u| u.rule as usize).collect();
-    let cumulative = &frontier.cumulative;
     let outcome = with_context(engine, st, true, |ctx| {
         cluster.execute(units, |unit| {
-            Ok(run_unit(engine, ctx, &st.fixes, cumulative, &plan, unit))
+            Ok(run_unit(engine, ctx, &st.fixes, &plan, unit))
         })
     });
 
@@ -304,7 +300,6 @@ fn run_unit(
     engine: &ChaseEngine<'_>,
     ctx: &EvalContext<'_>,
     fixes: &FixStore,
-    cumulative: &DeltaSet,
     plan: &ScanPlan<'_>,
     unit: &WorkUnit,
 ) -> UnitOut {
@@ -330,10 +325,7 @@ fn run_unit(
         GateMode::Strict => Satisfied::Visit,
         GateMode::Resolved => Satisfied::Skip,
     };
-    let narrow = |v: usize, chunk: &[TupleId], mates: &mut FxHashMap<usize, Vec<TupleId>>| {
-        prune_with_blocking(engine, rule, v, chunk, cumulative, ctx.db, mates);
-    };
-    plan.run(ctx, unit, satisfied, narrow, |h: &Valuation| {
+    plan.run(ctx, unit, satisfied, |h: &Valuation| {
         out.valuations += 1;
         visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out.pairs);
         true
@@ -359,98 +351,13 @@ fn equate_groups(shape: &FdShape, rule: u32, run: &Run) -> Vec<Emission> {
         .collect()
 }
 
-/// Blocking-pruned pair enumeration: for each tuple variable paired with
-/// the pinned variable by an ML predicate, restrict its candidates to the
-/// pinned chunk's block-mates plus the cumulative dirty set.
-///
-/// Soundness: a pair excluded here has both projections unchanged since the
-/// index build (the pinned side is checked against its build-time key
-/// below; the other side would be in `dirty` otherwise), was no LSH
-/// candidate at build time, and is therefore excluded by the model's block
-/// filter — the full scan would evaluate it to `false` anyway. Pruning is
-/// skipped (full fallback for that variable) when the index or block filter
-/// is missing or any pinned tuple's projection changed.
-fn prune_with_blocking(
-    engine: &ChaseEngine<'_>,
-    rule: &Rule,
-    pinned: usize,
-    chunk: &[TupleId],
-    dirty: &DeltaSet,
-    db: &Database,
-    overrides: &mut FxHashMap<usize, Vec<TupleId>>,
-) {
-    let (Some(index), registry) = (engine.blocking, engine.registry) else {
-        return;
-    };
-    for p in &rule.precondition {
-        let Predicate::Ml {
-            model,
-            lvar,
-            lattrs,
-            rvar,
-            rattrs,
-        } = p
-        else {
-            continue;
-        };
-        if lvar == rvar {
-            continue;
-        }
-        let (other, pinned_left) = if *lvar == pinned {
-            (*rvar, true)
-        } else if *rvar == pinned {
-            (*lvar, false)
-        } else {
-            continue;
-        };
-        if overrides.contains_key(&other) {
-            continue; // first applicable predicate wins
-        }
-        let id = model.resolved();
-        if !registry.has_block_filter(id) {
-            continue;
-        }
-        let sig = PairSignature {
-            model: id,
-            lrel: rule.rel_of(*lvar),
-            lattrs: lattrs.clone(),
-            rrel: rule.rel_of(*rvar),
-            rattrs: rattrs.clone(),
-        };
-        let Some(pair_idx) = index.get(&sig) else {
-            continue;
-        };
-        // every pinned tuple must still project to its build-time key,
-        // otherwise its mate list is stale and pruning would be unsound
-        let attrs = if pinned_left { lattrs } else { rattrs };
-        let rel = db.relation(rule.rel_of(pinned));
-        let fresh = chunk.iter().all(|tid| match rel.get(*tid) {
-            Some(t) => {
-                pair_idx.build_key(*tid, pinned_left)
-                    == Some(ModelRegistry::pair_key(&t.project(attrs)))
-            }
-            None => true, // dead tuples bind nothing
-        });
-        if !fresh {
-            continue;
-        }
-        let mut cands: Vec<TupleId> = Vec::new();
-        for tid in chunk {
-            cands.extend_from_slice(pair_idx.mates(*tid, pinned_left));
-        }
-        cands.extend(dirty.ones_vec(rule.rel_of(other)));
-        cands.sort_unstable();
-        cands.dedup();
-        overrides.insert(other, cands);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chase::{ChaseConfig, GateMode};
     use rock_crystal::{ClusterConfig, FaultPlan};
-    use rock_data::{AttrType, DatabaseSchema, RelId, RelationSchema, Value};
+    use rock_data::{AttrType, DatabaseSchema, RelId, RelationSchema, TupleId, Value};
+    use rock_ml::ModelRegistry;
     use rock_rees::{parse_rules, RuleSet};
 
     /// A voided round is an inactive round: the quarantined rule commits

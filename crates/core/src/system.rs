@@ -8,13 +8,12 @@ use rock_chase::{
 };
 use rock_crystal::{FaultStats, UnitFailure};
 use rock_data::{DataError, Database};
-use rock_detect::blocking::{precompute_ml, precompute_ml_indexed, BlockingStats};
+use rock_detect::blocking::{precompute_ml, BlockingStats};
 use rock_detect::{DetectReport, Detector};
 use rock_discovery::levelwise::{Discoverer, DiscoveryConfig};
 use rock_discovery::sampling::mine_with_sampling;
 use rock_discovery::space::{MlSignature, PredicateSpace, SpaceConfig};
 use rock_discovery::topk::{diversified_top_k, score_rules, PreferenceModel};
-use rock_ml::MlBlockIndex;
 use rock_rees::eval::enumerate_valuations;
 use rock_rees::EvalContext;
 use rock_rees::RuleSet;
@@ -304,21 +303,14 @@ impl RockSystem {
     pub fn correct(&self, w: &Workload, task: &Task) -> CorrectionOutcome {
         let start = Instant::now();
         let rules = self.task_rules(w, task);
-        // Blocking installs the models' block filters and warms the memo
-        // for every variant; the tuple-level index it returns doubles as
-        // the unified chase's pair-enumeration pruner.
-        let block_index: Option<MlBlockIndex> = self
-            .config
-            .variant
-            .uses_ml()
-            .then(|| precompute_ml_indexed(&w.dirty, &rules, &w.registry).1);
+        // Blocking installs the models' block filters for every variant:
+        // they answer the ML predicates and the enumerator joins on them.
+        if self.config.variant.uses_ml() {
+            precompute_ml(&w.dirty, &rules, &w.registry);
+        }
         let mut out = match self.config.variant {
             Variant::Rock | Variant::RockNoMl => {
                 let engine = self.engine(w, &rules, self.config.chase_config(w));
-                let engine = match &block_index {
-                    Some(idx) => engine.with_blocking(idx),
-                    None => engine,
-                };
                 CorrectionOutcome::from_chase(engine.run(&w.dirty, &w.trusted))
             }
             Variant::RockSeq => self.run_sequential(w, &rules, true),

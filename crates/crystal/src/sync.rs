@@ -100,6 +100,9 @@ pub enum LockRank {
     DiscoveryCache = 120,
     /// `data::ColumnCache.snapshot` — versioned columnar snapshot slot.
     ColumnSnapshot = 130,
+    /// `data::ColumnSet` projection-key cache of one snapshot (leaf: keys
+    /// are built outside the lock).
+    ColumnKeys = 132,
     /// `scheduler` task queues (per-worker and the shared re-queue); one
     /// rank for all: every queue operation locks and unlocks by itself.
     SchedQueue = 135,
@@ -392,6 +395,7 @@ mod tests {
             LockRank::RegistryMemo,
             LockRank::DiscoveryCache,
             LockRank::ColumnSnapshot,
+            LockRank::ColumnKeys,
             LockRank::SchedQueue,
             LockRank::SchedResultSlot,
             LockRank::SchedFailures,
@@ -400,7 +404,7 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[0] < w[1], "{:?} !< {:?}", w[0], w[1]);
         }
-        assert_eq!(all.len(), 10);
+        assert_eq!(all.len(), 11);
     }
 
     #[test]

@@ -39,13 +39,16 @@
 //! snapshot; a rebuild re-encodes them down to the live value set.
 //!
 //! Each snapshot also carries the equality-join index of every attribute
-//! ([`ColumnSet::join_index`]), built on first probe and shared by every
-//! reader of the snapshot. It lives and dies with the snapshot: a
-//! structural mutation starts a new snapshot with no index built, and an
-//! in-place cell write drops only the written attribute's index.
+//! ([`ColumnSet::join_index`]) and the [`pair_key`] of every projection an
+//! ML pair predicate reads ([`ColumnSet::projection_keys`]), each built on
+//! first probe and shared by every reader of the snapshot. They live and
+//! die with the snapshot: a structural mutation starts a new snapshot with
+//! nothing built, and an in-place cell write drops only what reads the
+//! written attribute.
 
 use crate::bitset::Bitset;
 use crate::ids::{AttrId, TupleId};
+use crate::key::pair_key;
 use crate::relation::Relation;
 use crate::schema::AttrType;
 use crate::value::{cmp_int_float, Value};
@@ -59,6 +62,27 @@ use std::cmp::Ordering;
 /// The hash side of an equality join over one attribute: each non-null
 /// value maps to the live tuples holding it, in ascending id order.
 pub type JoinIndex = FxHashMap<Value, Vec<TupleId>>;
+
+/// The [`pair_key`] of every live tuple's projection on one attribute
+/// list, and the live tuples of each key in ascending id order.
+#[derive(Debug, Default)]
+pub struct ProjectionKeys {
+    /// Key of each slot's projection; 0 at tombstoned slots.
+    keys: Vec<u64>,
+    tids: FxHashMap<u64, Vec<TupleId>>,
+}
+
+impl ProjectionKeys {
+    /// Key of the live tuple `tid`'s projection.
+    pub fn key(&self, tid: TupleId) -> u64 {
+        self.keys[tid.index()]
+    }
+
+    /// The live tuples whose projection has `key`, ascending.
+    pub fn tids(&self, key: u64) -> &[TupleId] {
+        self.tids.get(&key).map(Vec::as_slice).unwrap_or(&[])
+    }
+}
 
 /// A comparison operator with the storage layer's SQL-null semantics:
 /// any comparison involving `Null` is false (even `≠`). This is the single
@@ -272,13 +296,16 @@ fn fill2(a: &Column, b: &Column, out: &mut Bitset, pred: impl Fn(usize) -> bool)
 /// per attribute, all indexed by slot (= `TupleId`, which stays stable
 /// across deletions — tombstoned slots simply have their live bit clear
 /// and all cells marked null).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ColumnSet {
     slots: usize,
     live: Bitset,
     columns: Vec<Column>,
     /// One lazily built [`JoinIndex`] per attribute; must match `columns`.
     join_indexes: Vec<OnceLock<JoinIndex>>,
+    /// Lazily built [`ProjectionKeys`] per attribute list; must match
+    /// `columns`.
+    projections: RankedRwLock<FxHashMap<Vec<AttrId>, Arc<ProjectionKeys>>>,
 }
 
 impl ColumnSet {
@@ -314,6 +341,7 @@ impl ColumnSet {
             live,
             join_indexes: columns.iter().map(|_| OnceLock::new()).collect(),
             columns,
+            projections: RankedRwLock::new(LockRank::ColumnKeys, FxHashMap::default()),
         }
     }
 
@@ -359,10 +387,45 @@ impl ColumnSet {
         })
     }
 
+    /// The [`pair_key`] of every live tuple's projection on `attrs`,
+    /// built from the columns on the first call for `attrs` and shared by
+    /// every later caller of this snapshot.
+    pub fn projection_keys(&self, attrs: &[AttrId]) -> Arc<ProjectionKeys> {
+        if let Some(keys) = self.projections.read().get(attrs) {
+            return Arc::clone(keys);
+        }
+        let mut built = ProjectionKeys {
+            keys: vec![0; self.slots],
+            tids: FxHashMap::default(),
+        };
+        let mut vals: Vec<Value> = Vec::with_capacity(attrs.len());
+        for slot in self.live.ones() {
+            vals.clear();
+            vals.extend(attrs.iter().map(|a| self.value_at(*a, slot)));
+            let key = pair_key(&vals);
+            built.keys[slot] = key;
+            built
+                .tids
+                .entry(key)
+                .or_default()
+                .push(TupleId(slot as u32));
+        }
+        // racing builders build equal keys; the first insert wins
+        let mut cache = self.projections.write();
+        Arc::clone(
+            cache
+                .entry(attrs.to_vec())
+                .or_insert_with(|| Arc::new(built)),
+        )
+    }
+
     fn set_cell(&mut self, slot: usize, attr: AttrId, v: &Value) {
         self.columns[attr.index()].set_value(slot, v);
-        // only the written attribute's index goes stale
+        // only what reads the written attribute goes stale
         self.join_indexes[attr.index()].take();
+        self.projections
+            .get_mut()
+            .retain(|attrs, _| !attrs.contains(&attr));
     }
 
     /// Vectorized `t.A ⊕ const`: one bit per slot, set iff the scalar

@@ -28,6 +28,7 @@ pub mod database;
 pub mod dict;
 pub mod error;
 pub mod ids;
+pub mod key;
 pub mod relation;
 pub mod schema;
 pub mod stats;
@@ -40,11 +41,14 @@ pub use rock_crystal::hash::{FxHashMap, FxHashSet};
 pub use rock_crystal::{json, json_codec, rng};
 
 pub use bitset::Bitset;
-pub use column::{row_heap_bytes, Column, ColumnData, ColumnSet, JoinIndex, PredOp};
+pub use column::{
+    row_heap_bytes, Column, ColumnData, ColumnSet, JoinIndex, PredOp, ProjectionKeys,
+};
 pub use database::Database;
 pub use dict::Dictionary;
 pub use error::DataError;
 pub use ids::{AttrId, CellRef, Eid, GlobalTid, RelId, TupleId};
+pub use key::pair_key;
 pub use relation::Relation;
 pub use schema::{AttrType, Attribute, DatabaseSchema, RelationSchema};
 pub use stats::{ColumnStats, TableStats};

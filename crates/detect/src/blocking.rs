@@ -7,15 +7,22 @@
 //!
 //! For every ML predicate of every rule, this module builds a MinHash LSH
 //! index over the left side's blocking text, queries it with the right
-//! side, runs the model only on candidate pairs, and memoizes everything —
-//! candidates with the model's real output, non-candidates with `false`.
-//! Rule evaluation afterwards never pays inference cost: every
-//! `predict_pair` call hits the memo.
+//! side, runs the model only on candidate pairs, and installs their
+//! verdicts as the model's [`BlockFilter`], which answers `false` for
+//! every other pair. Rule evaluation afterwards never pays inference cost:
+//! the filter answers every `predict_pair` call, and the enumerator joins
+//! on its accepted pairs.
+//!
+//! The pass works on distinct projections: tuples with equal projections
+//! share a key, a blocking text and a verdict, so each distinct key is
+//! featurized and LSH-indexed once and each distinct candidate key pair is
+//! scored once. Tuples only expand the counts: [`BlockingStats`] stays
+//! tuple-level.
 
-use rock_data::{AttrId, Database, FxHashMap, FxHashSet, Relation, TupleId};
+use rock_data::{AttrId, Database, FxHashMap, FxHashSet, Relation};
 use rock_ml::pair::PreparedSide;
 use rock_ml::{
-    MinHashLsh, MlBlockIndex, ModelId, ModelRegistry, PairBlockIndex, PairClassifier, PairSignature,
+    BlockFilter, MinHashLsh, MlBlockIndex, ModelId, ModelRegistry, PairClassifier, PairSignature,
 };
 use rock_rees::{Predicate, RuleSet};
 
@@ -24,11 +31,11 @@ use rock_rees::{Predicate, RuleSet};
 pub struct BlockingStats {
     /// ML predicates processed.
     pub predicates: usize,
-    /// Total possible pairs across predicates.
+    /// Total possible tuple pairs across predicates.
     pub total_pairs: u64,
-    /// Pairs that survived blocking (model actually ran on these).
+    /// Tuple pairs that survived blocking (the model scored their values).
     pub candidate_pairs: u64,
-    /// Of those, pairs the model accepted.
+    /// Of those, tuple pairs the model accepted.
     pub matches: u64,
 }
 
@@ -43,56 +50,15 @@ impl BlockingStats {
     }
 }
 
-/// Pre-compute all binary ML predicates of `rules` over `db`.
+/// Pre-compute all binary ML predicates of `rules` over `db` and install
+/// each pair model's [`BlockFilter`] in `registry`.
 pub fn precompute_ml(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -> BlockingStats {
-    precompute_ml_indexed(db, rules, registry).0
-}
-
-/// One tuple's projection, with everything the pass derives from it alone.
-struct Side {
-    tid: TupleId,
-    /// Memo and filter key of the projection.
-    key: u64,
-    /// LSH band keys of the model's blocking text.
-    bands: Vec<u64>,
-    prepared: PreparedSide,
-}
-
-/// Project every live tuple of `rel` on `attrs` and derive, once per tuple,
-/// what would otherwise be recomputed for each candidate pair it is in.
-fn prepare_sides(
-    rel: &Relation,
-    attrs: &[AttrId],
-    classifier: &dyn PairClassifier,
-    lsh: &MinHashLsh,
-) -> Vec<Side> {
-    rel.iter()
-        .map(|t| {
-            let vals = t.project(attrs);
-            Side {
-                tid: t.tid,
-                key: ModelRegistry::pair_key(&vals),
-                bands: lsh.band_keys(&classifier.blocking_text(&vals)),
-                prepared: classifier.prepare(&vals),
-            }
-        })
-        .collect()
-}
-
-/// Like [`precompute_ml`], additionally returning the tuple-level
-/// [`MlBlockIndex`] built in the same pass — the semi-naive chase consumes
-/// it to enumerate block-mates of delta tuples instead of whole relations.
-pub fn precompute_ml_indexed(
-    db: &Database,
-    rules: &RuleSet,
-    registry: &ModelRegistry,
-) -> (BlockingStats, MlBlockIndex) {
     let mut stats = BlockingStats::default();
-    let mut index = MlBlockIndex::new();
+    let mut seen: FxHashSet<PairSignature> = FxHashSet::default();
     // A model's block filter is the union over every signature that uses
     // the model: installed per signature, a later one would turn all pairs
     // of an earlier one into non-candidates.
-    let mut filters: FxHashMap<ModelId, FxHashSet<(u64, u64)>> = FxHashMap::default();
+    let mut filters: FxHashMap<ModelId, BlockFilter> = FxHashMap::default();
     for rule in rules.iter() {
         for p in rule.all_predicates() {
             let Predicate::Ml {
@@ -113,13 +79,13 @@ pub fn precompute_ml_indexed(
                 rrel: rule.rel_of(*rvar),
                 rattrs: rattrs.clone(),
             };
-            if index.get(&sig).is_some() {
-                continue;
-            }
             let id = sig.model;
             let Some(classifier) = registry.pair(id) else {
                 continue;
             };
+            if !seen.insert(sig.clone()) {
+                continue;
+            }
             stats.predicates += 1;
 
             // Both sides are featurized here and dropped with this
@@ -131,46 +97,91 @@ pub fn precompute_ml_indexed(
                 .then(|| prepare_sides(db.relation(sig.rrel), rattrs, classifier.as_ref(), &lsh));
             let right = other.as_ref().unwrap_or(&left);
 
-            let mut pair_idx = PairBlockIndex::default();
             // index the left side, by position in `left`
+            let left_tuples: u64 = left.iter().map(|l| l.tuples).sum();
             for (i, l) in left.iter().enumerate() {
                 lsh.insert_keys(i as u32, &l.bands);
-                pair_idx.left_key.insert(l.tid, l.key);
             }
-            // query with the right side: run the model only on LSH
-            // candidates; everything else is excluded via a block filter
-            // (O(candidates) instead of O(n²) memo entries).
+            // query with the right side: score only LSH candidates, once
+            // per key pair; the filter answers `false` for the rest
+            // (O(candidates) instead of O(n²) entries).
             let filter = filters.entry(id).or_default();
             for s in right {
-                stats.total_pairs += left.len() as u64;
-                pair_idx.right_key.insert(s.tid, s.key);
-                // ascending positions, hence ascending tuple ids
-                let mut rmates: Vec<TupleId> = Vec::new();
+                stats.total_pairs += left_tuples * s.tuples;
                 for cand in lsh.candidates_of(&s.bands) {
                     let l = &left[cand as usize];
-                    rmates.push(l.tid);
-                    stats.candidate_pairs += 1;
-                    let out = classifier.score_prepared(&l.prepared, &s.prepared)
-                        >= classifier.threshold();
-                    registry.meter.add(classifier.cost());
+                    let pairs = l.tuples * s.tuples;
+                    stats.candidate_pairs += pairs;
+                    // another signature of the model may have scored the
+                    // same values already
+                    let out = filter.verdict(l.key, s.key).unwrap_or_else(|| {
+                        registry.meter.add(classifier.cost());
+                        let out = classifier.score_prepared(&l.prepared, &s.prepared)
+                            >= classifier.threshold();
+                        filter.insert(l.key, s.key, out);
+                        out
+                    });
                     if out {
-                        stats.matches += 1;
+                        stats.matches += pairs;
                     }
-                    filter.insert((l.key, s.key));
-                    registry.memoize_pair(id, l.key, s.key, out);
                 }
-                for l in &rmates {
-                    pair_idx.left_mates.entry(*l).or_default().push(s.tid);
-                }
-                pair_idx.right_mates.insert(s.tid, rmates);
             }
-            index.insert(sig, pair_idx);
         }
     }
     for (id, filter) in filters {
         registry.set_block_filter(id, filter);
     }
-    (stats, index)
+    stats
+}
+
+/// One distinct projection of a relation, with everything the pass
+/// derives from its values alone.
+struct Side {
+    /// Filter key of the projection.
+    key: u64,
+    /// Live tuples that project to it.
+    tuples: u64,
+    /// LSH band keys of the model's blocking text.
+    bands: Vec<u64>,
+    prepared: PreparedSide,
+}
+
+/// The distinct projections of `rel`'s live tuples on `attrs`, in the
+/// order of their first tuple.
+fn prepare_sides(
+    rel: &Relation,
+    attrs: &[AttrId],
+    classifier: &dyn PairClassifier,
+    lsh: &MinHashLsh,
+) -> Vec<Side> {
+    let keys = rel.columns().projection_keys(attrs);
+    rel.iter()
+        .filter_map(|t| {
+            let key = keys.key(t.tid);
+            let group = keys.tids(key);
+            // the key's first tuple stands for all of them
+            (group.first() == Some(&t.tid)).then(|| {
+                let vals = t.project(attrs);
+                Side {
+                    key,
+                    tuples: group.len() as u64,
+                    bands: lsh.band_keys(&classifier.blocking_text(&vals)),
+                    prepared: classifier.prepare(&vals),
+                }
+            })
+        })
+        .collect()
+}
+
+/// [`precompute_ml`], kept for source compatibility: the chase no longer
+/// takes a tuple-level block index, so the [`MlBlockIndex`] carries
+/// nothing.
+pub fn precompute_ml_indexed(
+    db: &Database,
+    rules: &RuleSet,
+    registry: &ModelRegistry,
+) -> (BlockingStats, MlBlockIndex) {
+    (precompute_ml(db, rules, registry), MlBlockIndex)
 }
 
 #[cfg(test)]
@@ -252,38 +263,66 @@ mod tests {
     }
 
     #[test]
-    fn indexed_precompute_builds_symmetric_mates() {
+    fn filter_holds_each_distinct_key_pair_once() {
         let db = db();
         let reg = ModelRegistry::new();
-        reg.register_pair("MER", Arc::new(NgramPairModel::with_threshold(0.8)));
+        let id = reg.register_pair("MER", Arc::new(NgramPairModel::with_threshold(0.8)));
         let mut rs = rules(&db);
         rs.resolve(&reg).unwrap();
-        let (stats, index) = precompute_ml_indexed(&db, &rs, &reg);
-        assert_eq!(index.len(), stats.predicates);
-        let sig = PairSignature {
-            model: reg.id("MER").unwrap(),
-            lrel: RelId(0),
-            lattrs: vec![rock_data::AttrId(1)],
-            rrel: RelId(0),
-            rattrs: vec![rock_data::AttrId(1)],
-        };
-        let idx = index.get(&sig).expect("signature indexed");
-        // build-time keys recorded for every live tuple on both sides
-        assert_eq!(idx.left_key.len(), db.relation(RelId(0)).len());
-        assert_eq!(idx.right_key.len(), db.relation(RelId(0)).len());
-        // mates are symmetric: l in right_mates[r] <=> r in left_mates[l]
-        let mut pairs = 0u64;
-        for (r, ls) in &idx.right_mates {
-            for l in ls {
-                pairs += 1;
-                assert!(idx.mates(*l, true).contains(r), "asymmetric ({l:?},{r:?})");
+        let stats = precompute_ml(&db, &rs, &reg);
+        let filter = reg.block_filter(id).expect("filter installed");
+        // every com value is distinct: key pairs are tuple pairs
+        assert_eq!(filter.iter().count() as u64, stats.candidate_pairs);
+        assert_eq!(reg.meter.inferences(), stats.candidate_pairs);
+        let accepted = filter.iter().filter(|(_, v)| *v).count() as u64;
+        assert_eq!(accepted, stats.matches);
+        // the partner lists index exactly the accepted pairs, both ways
+        for ((l, r), v) in filter.iter() {
+            assert_eq!(filter.partners(l, true).contains(&r), v);
+            assert_eq!(filter.partners(r, false).contains(&l), v);
+        }
+        // every tuple accepts itself (identical text)
+        let keys = db
+            .relation(RelId(0))
+            .columns()
+            .projection_keys(&[AttrId(1)]);
+        for t in db.relation(RelId(0)).iter() {
+            let k = keys.key(t.tid);
+            assert!(filter.accepts(k, k), "{:?}", t.tid);
+        }
+    }
+
+    #[test]
+    fn duplicated_tuples_scale_the_counts_not_the_inferences() {
+        let once = db();
+        let mut thrice = db();
+        let rows: Vec<Vec<Value>> = once
+            .relation(RelId(0))
+            .iter()
+            .map(|t| t.values.clone())
+            .collect();
+        for _ in 0..2 {
+            for row in &rows {
+                thrice
+                    .relation_mut(RelId(0))
+                    .insert_row(row.clone())
+                    .unwrap();
             }
         }
-        assert_eq!(pairs, stats.candidate_pairs);
-        // every tuple is at least its own block-mate (identical text)
-        for t in db.relation(RelId(0)).iter() {
-            assert!(idx.mates(t.tid, false).contains(&t.tid));
-        }
+        let run = |db: &Database| {
+            let reg = ModelRegistry::new();
+            reg.register_pair("MER", Arc::new(NgramPairModel::with_threshold(0.8)));
+            let mut rs = rules(db);
+            rs.resolve(&reg).unwrap();
+            let stats = precompute_ml(db, &rs, &reg);
+            (stats, reg.meter.inferences())
+        };
+        let (a, a_inferences) = run(&once);
+        let (b, b_inferences) = run(&thrice);
+        assert_eq!(b.total_pairs, 9 * a.total_pairs);
+        assert_eq!(b.candidate_pairs, 9 * a.candidate_pairs);
+        assert_eq!(b.matches, 9 * a.matches);
+        assert_eq!(b_inferences, a_inferences, "one inference per key pair");
     }
 
     #[test]
@@ -300,11 +339,12 @@ mod tests {
             .unwrap(),
         );
         rs.resolve(&reg).unwrap();
-        let (stats, index) = precompute_ml_indexed(&db, &rs, &reg);
+        let stats = precompute_ml(&db, &rs, &reg);
         assert_eq!(stats.predicates, 2);
-        assert_eq!(index.len(), 2);
         let inferences = reg.meter.inferences();
-        assert_eq!(inferences, stats.candidate_pairs);
+        // one inference per distinct key pair of either signature
+        let filter = reg.block_filter(id).expect("filter installed");
+        assert_eq!(inferences, filter.iter().count() as u64);
         // Every tuple is its own block-mate under either signature, and the
         // model accepts identical text: a filter holding only the second
         // signature's pairs would answer `false` for the first's.

@@ -456,23 +456,17 @@ impl<'a> Detector<'a> {
             let mut found = Vec::new();
             // satisfied pairs only feed the blame counts
             let mut sats = FxHashMap::default();
-            plan.run(
-                &ctx,
-                unit,
-                Satisfied::Visit,
-                |_, _, _| {},
-                |h| {
-                    if !distinct_ok(rule, h) {
-                        return true;
-                    }
-                    if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
-                        record_satisfied(rule, ri, h, &mut sats);
-                    } else {
-                        found.push(h.clone());
-                    }
-                    true
-                },
-            );
+            plan.run(&ctx, unit, Satisfied::Visit, |h| {
+                if !distinct_ok(rule, h) {
+                    return true;
+                }
+                if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
+                    record_satisfied(rule, ri, h, &mut sats);
+                } else {
+                    found.push(h.clone());
+                }
+                true
+            });
             Ok((ri, Found::Pairs(found, sats)))
         });
         let mut report = DetectReport {

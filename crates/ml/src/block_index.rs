@@ -1,25 +1,17 @@
-//! Reusable LSH blocking index for ML pair predicates (§5.3/§5.4
-//! filter-and-verify, re-used by the semi-naive chase).
+//! Block filters for ML pair predicates (§5.3/§5.4 filter-and-verify).
 //!
-//! The detection-time blocking pass (`rock_detect`'s `precompute_ml`)
-//! already computes, for every ML pair-predicate signature, which tuple
-//! pairs are LSH block-mates — everything else is memoized `false`. This
-//! module captures that information in a *tuple-level* index so the chase
-//! can turn "enumerate all partners of a delta tuple" into "enumerate its
-//! block-mates": for a pinned tuple `d`, any tuple `s` with `M(d, s)` true
-//! must share an LSH bucket with `d` (up to the usual LSH recall caveat the
-//! block filter already accepts), so the non-pinned variable only scans
-//! `mates(d)` instead of the whole relation.
-//!
-//! **Staleness contract.** Block-mate lists are computed from *build-time*
-//! attribute values. The index therefore stores each tuple's build-time
-//! [`ModelRegistry::pair_key`](crate::ModelRegistry::pair_key) so consumers
-//! can detect that a tuple's projection changed since the build and fall
-//! back to a full scan (the chase additionally unions in its cumulative
-//! dirty set; see DESIGN.md).
+//! The blocking pass (`rock_detect`'s `precompute_ml`) scores a model on
+//! the LSH candidates of every signature that uses it and installs the
+//! verdicts as one [`BlockFilter`] per model, keyed by the two sides'
+//! [`pair_key`](rock_data::pair_key)s. The filter answers `predict_pair`
+//! for every pair: a scored pair gets its verdict, any other pair `false`.
+//! Its accepted pairs, indexed by either side's key, are what the
+//! enumerator joins an ML predicate on (`rock_rees::eval`): once one side
+//! is bound, the other side's candidates are the tuples whose current key
+//! is accepted with the bound key.
 
 use crate::registry::ModelId;
-use rock_data::{AttrId, FxHashMap, RelId, TupleId};
+use rock_data::{AttrId, FxHashMap, RelId};
 
 /// Identifies one ML pair-predicate signature: the model plus the two
 /// (relation, projection) sides it compares.
@@ -32,103 +24,79 @@ pub struct PairSignature {
     pub rattrs: Vec<AttrId>,
 }
 
-/// Tuple-level blocking index for one signature.
-#[derive(Debug, Default, Clone)]
-pub struct PairBlockIndex {
-    /// Build-time `pair_key` of every left-relation tuple's projection.
-    pub left_key: FxHashMap<TupleId, u64>,
-    /// Build-time `pair_key` of every right-relation tuple's projection.
-    pub right_key: FxHashMap<TupleId, u64>,
-    /// Right-relation block-mates of each left tuple.
-    pub left_mates: FxHashMap<TupleId, Vec<TupleId>>,
-    /// Left-relation block-mates of each right tuple.
-    pub right_mates: FxHashMap<TupleId, Vec<TupleId>>,
-}
-
-impl PairBlockIndex {
-    /// Block-mates of `tid` when it binds the left (`left = true`) or
-    /// right variable of the predicate. Empty slice when the tuple shares
-    /// no bucket with anything.
-    pub fn mates(&self, tid: TupleId, left: bool) -> &[TupleId] {
-        let m = if left {
-            &self.left_mates
-        } else {
-            &self.right_mates
-        };
-        m.get(&tid).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// The build-time projection key of `tid` on the given side, if the
-    /// tuple existed at build time.
-    pub fn build_key(&self, tid: TupleId, left: bool) -> Option<u64> {
-        let k = if left {
-            &self.left_key
-        } else {
-            &self.right_key
-        };
-        k.get(&tid).copied()
-    }
-}
-
-/// All per-signature blocking indexes built in one precomputation pass.
+/// One model's blocking verdicts, keyed by `(left key, right key)`.
 #[derive(Debug, Default)]
-pub struct MlBlockIndex {
-    entries: FxHashMap<PairSignature, PairBlockIndex>,
+pub struct BlockFilter {
+    /// The model's verdict on every scored (candidate) key pair.
+    verdicts: FxHashMap<(u64, u64), bool>,
+    /// Accepted right keys of each left key, in insertion order.
+    by_left: FxHashMap<u64, Vec<u64>>,
+    /// Accepted left keys of each right key, in insertion order.
+    by_right: FxHashMap<u64, Vec<u64>>,
 }
 
-impl MlBlockIndex {
-    pub fn new() -> Self {
-        Self::default()
+impl BlockFilter {
+    /// Record the model's verdict on a candidate key pair. The first
+    /// verdict of a pair stands: a model scores equal keys equally.
+    pub fn insert(&mut self, left: u64, right: u64, accepted: bool) {
+        if self.verdicts.contains_key(&(left, right)) {
+            return;
+        }
+        self.verdicts.insert((left, right), accepted);
+        if accepted {
+            self.by_left.entry(left).or_default().push(right);
+            self.by_right.entry(right).or_default().push(left);
+        }
     }
 
-    pub fn insert(&mut self, sig: PairSignature, idx: PairBlockIndex) {
-        self.entries.insert(sig, idx);
+    /// The verdict on a key pair: `None` when blocking did not score it,
+    /// which the registry answers `false`.
+    pub fn verdict(&self, left: u64, right: u64) -> Option<bool> {
+        self.verdicts.get(&(left, right)).copied()
     }
 
-    pub fn get(&self, sig: &PairSignature) -> Option<&PairBlockIndex> {
-        self.entries.get(sig)
+    /// Whether the model accepted the key pair.
+    pub fn accepts(&self, left: u64, right: u64) -> bool {
+        self.verdict(left, right) == Some(true)
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// The distinct keys accepted with `key` when it is the left side
+    /// (`left = true`) or the right side of the pair.
+    pub fn partners(&self, key: u64, left: bool) -> &[u64] {
+        let by = if left { &self.by_left } else { &self.by_right };
+        by.get(&key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Scored key pairs and their verdicts, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = ((u64, u64), bool)> + '_ {
+        self.verdicts.iter().map(|(&k, &v)| (k, v))
     }
 }
+
+/// Kept so that callers of `precompute_ml_indexed` and
+/// `ChaseEngine::with_blocking` still compile; it carries nothing. The
+/// chase reads the registry's [`BlockFilter`]s through the enumerator's ML
+/// join instead of a tuple-level block-mate index.
+#[derive(Debug, Default)]
+pub struct MlBlockIndex;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sig() -> PairSignature {
-        PairSignature {
-            model: ModelId(0),
-            lrel: RelId(0),
-            lattrs: vec![AttrId(1)],
-            rrel: RelId(0),
-            rattrs: vec![AttrId(1)],
-        }
-    }
-
     #[test]
-    fn mates_and_keys_round_trip() {
-        let mut idx = PairBlockIndex::default();
-        idx.left_key.insert(TupleId(0), 11);
-        idx.right_key.insert(TupleId(1), 22);
-        idx.left_mates.insert(TupleId(0), vec![TupleId(1)]);
-        idx.right_mates.insert(TupleId(1), vec![TupleId(0)]);
-        assert_eq!(idx.mates(TupleId(0), true), &[TupleId(1)]);
-        assert_eq!(idx.mates(TupleId(1), false), &[TupleId(0)]);
-        assert_eq!(idx.mates(TupleId(9), true), &[] as &[TupleId]);
-        assert_eq!(idx.build_key(TupleId(0), true), Some(11));
-        assert_eq!(idx.build_key(TupleId(0), false), None);
-
-        let mut all = MlBlockIndex::new();
-        assert!(all.is_empty());
-        all.insert(sig(), idx);
-        assert_eq!(all.len(), 1);
-        assert!(all.get(&sig()).is_some());
+    fn filter_indexes_accepted_pairs_both_ways_once() {
+        let mut f = BlockFilter::default();
+        f.insert(1, 2, true);
+        f.insert(1, 3, false);
+        f.insert(4, 2, true);
+        f.insert(1, 2, true); // a second signature scoring the same pair
+        assert_eq!(f.iter().count(), 3);
+        assert_eq!(f.verdict(1, 3), Some(false));
+        assert_eq!(f.verdict(3, 1), None);
+        assert!(f.accepts(1, 2) && !f.accepts(2, 1) && !f.accepts(1, 3));
+        assert_eq!(f.partners(1, true), &[2]);
+        assert_eq!(f.partners(2, false), &[1, 4]);
+        assert_eq!(f.partners(2, true), &[] as &[u64]);
     }
 }

@@ -11,43 +11,7 @@
 use crate::text::{char_ngrams, tokenize, TextProfile};
 use rock_data::Value;
 
-/// FNV-1a 64-bit hash — stable across platforms/runs (we must not use
-/// `DefaultHasher`, whose seed varies and would break reproducibility).
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.update(bytes);
-    h.0
-}
-
-/// FNV-1a fed piecewise. As a [`std::fmt::Write`] sink it hashes formatted
-/// output without collecting it; the result equals [`fnv1a`] of the
-/// concatenated bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(pub u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    #[inline]
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
-}
+pub use rock_data::key::{fnv1a, Fnv1a};
 
 /// Dense embedding of dimension `dim` via the hashing trick with sign hashing
 /// (Weinberger et al.): each feature adds ±1 at a hashed coordinate.

@@ -8,22 +8,24 @@
 //! Two cross-cutting concerns live here:
 //! * **Memoization / pre-computation** (§5.4 "ML predication": "Rock
 //!   pre-computes the results in advance once the ML predicates are
-//!   ready") — inference results are cached keyed by input hashes, so the
-//!   chase never pays for the same inference twice.
+//!   ready") — a pair model's block filter holds the verdicts blocking
+//!   computed ([`BlockFilter`]); any other inference result is cached
+//!   keyed by input hashes, so the chase never pays for the same
+//!   inference twice.
 //! * **Cost metering** — every inference adds the model's declared cost to
 //!   a [`CostMeter`]. The benchmark harness reads it to reproduce the
 //!   paper's *relative* runtime shapes (e.g. a T5-class model is ~10⁴×
 //!   a similarity kernel) without actually running transformer inference.
 
+use crate::block_index::BlockFilter;
 use crate::correlation::{CorrelationModel, ValuePredictor};
-use crate::features::Fnv1a;
 use crate::her::HerModel;
 use crate::pair::PairClassifier;
 use crate::rank::RankModel;
 use rock_crystal::sync::{
     Arc, AtomicU64, LockRank, Ordering, RankedMutex, RankedMutexGuard, RankedRwLock,
 };
-use rock_data::{FxHashMap, Value};
+use rock_data::{pair_key, FxHashMap, Value};
 
 /// Identifier of a registered model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,11 +114,12 @@ pub struct ModelRegistry {
     models: RankedRwLock<Vec<(String, Model)>>,
     by_name: RankedRwLock<FxHashMap<String, ModelId>>,
     memo_bool: Vec<RankedMutex<FxHashMap<(ModelId, u64, u64), bool>>>,
-    /// Blocking filters (§5.3 filter-and-verify): when a model has a
-    /// filter, pairs outside it short-circuit to `false` without inference
-    /// — LSH guarantees matches are in the filter with high probability.
-    /// Read-mostly after precomputation, hence the `RwLock`.
-    block_filters: RankedRwLock<FxHashMap<ModelId, rock_data::FxHashSet<(u64, u64)>>>,
+    /// Blocking filters (§5.3 filter-and-verify): a model with a filter
+    /// answers every pair from it — a scored pair with the model's verdict,
+    /// any other pair `false` — without inference. LSH guarantees matches
+    /// are scored with high probability. Installed whole and read-mostly
+    /// after precomputation, hence the `RwLock` over shared entries.
+    block_filters: RankedRwLock<FxHashMap<ModelId, Arc<BlockFilter>>>,
     pub meter: CostMeter,
 }
 
@@ -133,19 +136,6 @@ impl std::fmt::Debug for ModelRegistry {
             .field("cost", &self.meter.cost())
             .finish()
     }
-}
-
-/// FNV-1a of the values' `Debug` renderings, each followed by `\u{1}`. The
-/// bytes are hashed as they are formatted, never collected: this runs twice
-/// per `predict_pair`, memo hit or not.
-fn hash_values(vs: &[Value]) -> u64 {
-    use std::fmt::Write;
-    let mut h = Fnv1a::default();
-    for v in vs {
-        // the writer never fails
-        let _ = write!(h, "{v:?}\u{1}");
-    }
-    h.0
 }
 
 impl ModelRegistry {
@@ -176,16 +166,10 @@ impl ModelRegistry {
         }
     }
 
-    /// Hash key of a value vector — the blocking layer builds its filter
-    /// sets from these.
-    pub fn pair_key(vs: &[Value]) -> u64 {
-        hash_values(vs)
-    }
-
-    /// Install a blocking filter for a pair model: `predict_pair` returns
-    /// `false` without inference for pairs outside `candidates`.
-    pub fn set_block_filter(&self, id: ModelId, candidates: rock_data::FxHashSet<(u64, u64)>) {
-        self.block_filters.write().insert(id, candidates);
+    /// Install a pair model's block filter: `predict_pair` answers every
+    /// pair from it, without inference.
+    pub fn set_block_filter(&self, id: ModelId, filter: BlockFilter) {
+        self.block_filters.write().insert(id, Arc::new(filter));
     }
 
     /// Remove a model's blocking filter.
@@ -193,11 +177,9 @@ impl ModelRegistry {
         self.block_filters.write().remove(&id);
     }
 
-    /// Whether a blocking filter is installed for this model — the
-    /// semi-naive chase only trusts block-mate pruning when the full
-    /// filter-and-verify pass ran.
-    pub fn has_block_filter(&self, id: ModelId) -> bool {
-        self.block_filters.read().contains_key(&id)
+    /// The model's installed block filter, if any.
+    pub fn block_filter(&self, id: ModelId) -> Option<Arc<BlockFilter>> {
+        self.block_filters.read().get(&id).cloned()
     }
 
     fn register(&self, name: &str, model: Model) -> ModelId {
@@ -250,18 +232,13 @@ impl ModelRegistry {
         self.len() == 0
     }
 
-    /// Boolean pair inference `M(a, b)`, memoized, block-filtered and
-    /// cost-metered.
+    /// Boolean pair inference `M(a, b)`: answered by the model's block
+    /// filter when it has one, memoized and cost-metered otherwise.
     pub fn predict_pair(&self, id: ModelId, a: &[Value], b: &[Value]) -> bool {
-        let key = (id, hash_values(a), hash_values(b));
-        {
-            let filters = self.block_filters.read();
-            if let Some(f) = filters.get(&id) {
-                if !f.contains(&(key.1, key.2)) {
-                    self.meter.hit();
-                    return false;
-                }
-            }
+        let key = (id, pair_key(a), pair_key(b));
+        if let Some(f) = self.block_filters.read().get(&id) {
+            self.meter.hit();
+            return f.verdict(key.1, key.2).unwrap_or(false);
         }
         let shard = memo_shard(key.1, key.2);
         if let Some(&v) = self.lock_shard(&self.memo_bool, shard).get(&key) {
@@ -340,20 +317,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Seed the memo with a known result without running inference — the
-    /// pre-computation path of §5.4 ("Rock pre-computes the results in
-    /// advance once the ML predicates are ready"): the blocking layer
-    /// memoizes the model's output for every candidate pair (the block
-    /// filter answers for the rest).
-    ///
-    /// The sides are given as their [`pair_key`](Self::pair_key)s, which
-    /// the blocking layer computes once per tuple.
-    pub fn memoize_pair(&self, id: ModelId, a_key: u64, b_key: u64, result: bool) {
-        let shard = memo_shard(a_key, b_key);
-        self.lock_shard(&self.memo_bool, shard)
-            .insert((id, a_key, b_key), result);
-    }
-
     /// Drop all memoized results (tests / repeated experiments).
     pub fn clear_memo(&self) {
         for s in &self.memo_bool {
@@ -410,61 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_key_hashes_the_debug_bytes_of_every_variant() {
-        // the key as it was computed before it streamed: format, then hash
-        let formatted = |vs: &[Value]| {
-            let mut buf = String::new();
-            for v in vs {
-                buf.push_str(&format!("{v:?}\u{1}"));
-            }
-            crate::features::fnv1a(buf.as_bytes())
-        };
-        let each = [
-            Value::Null,
-            Value::Int(0),
-            Value::Int(i64::MIN),
-            Value::Float(-0.0),
-            Value::Float(1.5e300),
-            Value::Float(f64::NAN),
-            Value::str(""),
-            Value::str("plain"),
-            Value::str("quote \" slash \\ tab \t nl \n \u{1} é 北 😀 \u{301}"),
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Date(-1),
-            Value::Date(19_000),
-        ];
-        for v in &each {
-            let vs = std::slice::from_ref(v);
-            assert_eq!(ModelRegistry::pair_key(vs), formatted(vs), "{v:?}");
-        }
-        assert_eq!(ModelRegistry::pair_key(&each), formatted(&each));
-        assert_eq!(ModelRegistry::pair_key(&[]), formatted(&[]));
-        // the separator keeps ("ab", "c") apart from ("a", "bc")
-        assert_ne!(
-            ModelRegistry::pair_key(&[Value::str("ab"), Value::str("c")]),
-            ModelRegistry::pair_key(&[Value::str("a"), Value::str("bc")])
-        );
-    }
-
-    #[test]
-    fn memoize_pair_by_key_is_found_by_predict_pair() {
-        let reg = ModelRegistry::new();
-        let id = reg.register_pair("M", Arc::new(ExactMatchModel));
-        let (a, b) = ([Value::Int(1)], [Value::Int(2)]);
-        // seed the opposite of what the model would say
-        reg.memoize_pair(
-            id,
-            ModelRegistry::pair_key(&a),
-            ModelRegistry::pair_key(&b),
-            true,
-        );
-        assert!(reg.predict_pair(id, &a, &b));
-        assert_eq!(reg.meter.inferences(), 0);
-        assert_eq!(reg.meter.memo_hits(), 1);
-    }
-
-    #[test]
     fn meter_reset() {
         let m = CostMeter::default();
         m.add(1.5);
@@ -476,31 +384,26 @@ mod tests {
     }
 
     #[test]
-    fn block_filter_short_circuits() {
+    fn block_filter_answers_every_pair() {
         let reg = ModelRegistry::new();
         let id = reg.register_pair("M", Arc::new(ExactMatchModel));
-        let a = [Value::Int(1)];
-        let b = [Value::Int(1)];
-        let c = [Value::Int(2)];
-        // filter admits only (a, b)
-        let mut filter = rock_data::FxHashSet::default();
-        filter.insert((ModelRegistry::pair_key(&a), ModelRegistry::pair_key(&b)));
+        let (a, b, c) = ([Value::Int(1)], [Value::Int(1)], [Value::Int(2)]);
+        // the filter scored (a, b) and, opposite to the model, (c, c)
+        let mut filter = BlockFilter::default();
+        filter.insert(pair_key(&a), pair_key(&b), true);
+        filter.insert(pair_key(&c), pair_key(&c), false);
         reg.set_block_filter(id, filter);
-        assert!(
-            reg.predict_pair(id, &a, &b),
-            "candidate pair runs the model"
-        );
-        assert!(
-            !reg.predict_pair(id, &a, &c),
-            "non-candidate short-circuits to false"
-        );
-        // only one real inference happened; the blocked pair was a hit
-        assert_eq!(reg.meter.inferences(), 1);
-        assert_eq!(reg.meter.memo_hits(), 1);
-        // removing the filter lets the blocked pair run for real
+        assert!(reg.block_filter(id).is_some());
+        assert!(reg.predict_pair(id, &a, &b), "scored: the verdict");
+        assert!(!reg.predict_pair(id, &c, &c), "scored: the verdict");
+        assert!(!reg.predict_pair(id, &a, &c), "not scored: false");
+        assert_eq!(reg.meter.inferences(), 0);
+        assert_eq!(reg.meter.memo_hits(), 3);
+        // removing the filter lets the pairs run for real
         reg.clear_block_filter(id);
-        assert!(!reg.predict_pair(id, &a, &c));
-        assert_eq!(reg.meter.inferences(), 2);
+        assert!(reg.block_filter(id).is_none());
+        assert!(reg.predict_pair(id, &c, &c));
+        assert_eq!(reg.meter.inferences(), 1);
     }
 
     #[test]
@@ -525,17 +428,6 @@ mod tests {
         assert_eq!(reg.meter.memo_hits(), 64);
         // single-threaded access never contends
         assert_eq!(reg.meter.contentions(), 0);
-    }
-
-    #[test]
-    fn has_block_filter_tracks_install_and_clear() {
-        let reg = ModelRegistry::new();
-        let id = reg.register_pair("M", Arc::new(ExactMatchModel));
-        assert!(!reg.has_block_filter(id));
-        reg.set_block_filter(id, rock_data::FxHashSet::default());
-        assert!(reg.has_block_filter(id));
-        reg.clear_block_filter(id);
-        assert!(!reg.has_block_filter(id));
     }
 
     #[test]

@@ -11,10 +11,11 @@
 use crate::predicate::Predicate;
 use crate::rule::Rule;
 use rock_data::{
-    AttrId, Bitset, ColumnSet, Database, FxHashMap, GlobalTid, JoinIndex, TupleId, Value,
+    AttrId, Bitset, ColumnSet, Database, FxHashMap, GlobalTid, JoinIndex, ProjectionKeys, TupleId,
+    Value,
 };
 use rock_kg::{Graph, VertexId};
-use rock_ml::ModelRegistry;
+use rock_ml::{BlockFilter, ModelRegistry};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -50,8 +51,9 @@ pub struct EvalContext<'a> {
     /// `[EID]=` classes). Raw eid comparison when absent.
     pub entities: Option<&'a dyn EntityOracle>,
     /// Route unary constant/two-attribute prefilters through the columnar
-    /// kernels ([`rock_data::ColumnSet::eval_const_op`]) and equality joins
-    /// through the snapshot's cached [`rock_data::ColumnSet::join_index`].
+    /// kernels ([`rock_data::ColumnSet::eval_const_op`]), equality joins
+    /// through the snapshot's cached [`rock_data::ColumnSet::join_index`],
+    /// and join ML pair predicates on their block filters' accepted pairs.
     /// Always on in production; see [`EvalContext::with_columnar`].
     pub columnar: bool,
 }
@@ -140,10 +142,11 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Reference hook, not a user option: `false` answers every prefilter
-    /// by scalar per-tuple evaluation and builds each join index per call
-    /// from the rows ([`rock_data::Relation::index_on`]) — what the
-    /// reference chase and the columnar ≡ scalar tests compare the kernels
-    /// and the cached indexes against.
+    /// by scalar per-tuple evaluation, builds each join index per call
+    /// from the rows ([`rock_data::Relation::index_on`]) and decides ML
+    /// predicates at the leaf only — what the reference chase and the
+    /// columnar ≡ scalar tests compare the kernels, the cached indexes and
+    /// the ML join against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self
@@ -373,12 +376,11 @@ where
 /// lists for any subset of the tuple variables, and with the caller's
 /// choice of what happens to [`Satisfied`] valuations. The scan plan
 /// (`crate::scan`) drives every work unit through here: a full-scan unit
-/// restricts variable 0 to a tid range, a delta pass pins one variable to
-/// the touched tuples and keeps earlier variables off them, and the chase
-/// (for ML pair rules) prunes the other variable to the pinned tuples'
-/// block-mates. Variables absent from `overrides` enumerate the full
-/// relation. Overridden lists are filtered to live tuples and re-run
-/// through the cheap unary prefilters, so callers may pass raw tid lists.
+/// restricts variable 0 to a tid range, and a delta pass pins one variable
+/// to the touched tuples and keeps earlier variables off them. Variables
+/// absent from `overrides` enumerate the full relation. Overridden lists
+/// are filtered to live tuples and re-run through the cheap unary
+/// prefilters, so callers may pass raw tid lists.
 pub fn enumerate_valuations_with_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
@@ -467,14 +469,68 @@ pub(crate) fn columnar_prefilter_mask(
 }
 
 /// The equality predicates between two variables, with the hash side of
-/// each joined `(variable, attribute)` and each joined variable's
-/// candidates as a bitset. An index spans every live tuple of the
-/// relation; probes keep only the hits that are candidates.
+/// each joined `(variable, attribute)`, the ML joins, and each joined
+/// variable's candidates as a bitset. An index spans every live tuple of
+/// the relation; probes keep only the hits that are candidates.
 struct Joins<'s> {
     preds: Vec<(usize, AttrId, usize, AttrId)>,
     indexes: FxHashMap<(usize, AttrId), Cow<'s, JoinIndex>>,
+    ml: Vec<MlJoin>,
     candidates: FxHashMap<usize, Bitset>,
     consequence: Option<ConsequenceCheck>,
+}
+
+/// An ML pair predicate `M(t[Ā], s[B̄])` over two variables whose model
+/// has a block filter, joined on the filter's accepted key pairs. Every
+/// pair the filter does not accept is answered `false` by
+/// `predict_pair`, so once one side is bound, the other side's
+/// candidates narrow to the tuples whose current key is accepted with the
+/// bound key. The leaf still evaluates the predicate.
+struct MlJoin {
+    /// The left and the right variable.
+    vars: [usize; 2],
+    /// Each side's projection keys, over the snapshot the joins read.
+    keys: [Arc<ProjectionKeys>; 2],
+    filter: Arc<BlockFilter>,
+}
+
+impl MlJoin {
+    /// The ML joins of `rule`: none on the scalar reference path.
+    fn of(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<MlJoin> {
+        if !ctx.columnar {
+            return Vec::new();
+        }
+        rule.precondition
+            .iter()
+            .filter_map(|p| {
+                let Predicate::Ml {
+                    model,
+                    lvar,
+                    lattrs,
+                    rvar,
+                    rattrs,
+                } = p
+                else {
+                    return None;
+                };
+                if lvar == rvar {
+                    return None;
+                }
+                let filter = ctx.models.block_filter(model.id?)?;
+                let keys = |v: usize, attrs: &[AttrId]| {
+                    ctx.db
+                        .relation(rule.rel_of(v))
+                        .columns()
+                        .projection_keys(attrs)
+                };
+                Some(MlJoin {
+                    vars: [*lvar, *rvar],
+                    keys: [keys(*lvar, lattrs), keys(*rvar, rattrs)],
+                    filter,
+                })
+            })
+            .collect()
+    }
 }
 
 /// A `t.A = s.B` consequence decided in the join at `depth`, where the
@@ -523,9 +579,9 @@ impl ConsequenceCheck {
 }
 
 /// The shared enumeration core: greedy variable ordering, hash-join
-/// narrowing on equality predicates, the [`Satisfied`] consequence check
-/// inside the join, and recursive binding with full verification at the
-/// leaves.
+/// narrowing on equality predicates and on ML predicates with a block
+/// filter, the [`Satisfied`] consequence check inside the join, and
+/// recursive binding with full verification at the leaves.
 fn enumerate_from_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
@@ -556,12 +612,15 @@ fn enumerate_from_candidates<F>(
         })
         .collect();
 
+    let ml = MlJoin::of(rule, ctx);
+
     // The hash sides: the snapshot's cached indexes in production, built
     // at most once per snapshot and shared by every caller; a per-call
     // build from the rows on the scalar reference path.
     let mut snapshots: Vec<Option<Arc<ColumnSet>>> = vec![None; nvars];
     let mut joined: FxHashMap<usize, Bitset> = FxHashMap::default();
-    for v in preds.iter().flat_map(|&(lv, _, rv, _)| [lv, rv]) {
+    let joined_vars = preds.iter().flat_map(|&(lv, _, rv, _)| [lv, rv]);
+    for v in joined_vars.chain(ml.iter().flat_map(|j| j.vars)) {
         joined.entry(v).or_insert_with(|| {
             let rel = ctx.db.relation(rule.rel_of(v));
             if ctx.columnar {
@@ -589,6 +648,7 @@ fn enumerate_from_candidates<F>(
     let joins = Joins {
         preds,
         indexes,
+        ml,
         candidates: joined,
         // the scalar reference path decides nothing in the join
         consequence: if ctx.columnar {
@@ -697,12 +757,47 @@ where
             Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
         }
     }
-    // The consequence, decided on each narrowed hit before its subtree is
-    // built: the bound side's cell, borrowed once for the whole list.
+    let eq_narrowed = narrowed.is_some();
+    for j in &joins.ml {
+        // `side` is v's side of the pair, `1 - side` the bound one
+        let side = match j.vars {
+            [l, r] if l == v && bound[r] => 0,
+            [l, r] if r == v && bound[l] => 1,
+            _ => continue,
+        };
+        let bound_key = j.keys[1 - side].key(h.tuples[j.vars[1 - side]].tid);
+        let keys = &j.keys[side];
+        let accepts = |t: &TupleId| match side {
+            0 => j.filter.accepts(keys.key(*t), bound_key),
+            _ => j.filter.accepts(bound_key, keys.key(*t)),
+        };
+        match &mut narrowed {
+            // an equality join bounded the list: probe each hit's pair
+            Some(cur) => cur.retain(accepts),
+            // the accepted partner keys' tuples; partner keys are
+            // distinct, so their tuple lists are disjoint
+            None => {
+                let cands = &joins.candidates[&v];
+                let mut hits: Vec<TupleId> = j
+                    .filter
+                    .partners(bound_key, side == 1)
+                    .iter()
+                    .flat_map(|k| keys.tids(*k))
+                    .copied()
+                    .filter(|t| cands.get(t.index()))
+                    .collect();
+                hits.sort_unstable();
+                narrowed = Some(hits);
+            }
+        }
+    }
+    // The consequence, decided on each hit an equality join narrowed to
+    // before its subtree is built: the bound side's cell, borrowed once
+    // for the whole list.
     let decide = joins
         .consequence
         .as_ref()
-        .filter(|c| c.depth == depth && narrowed.is_some())
+        .filter(|c| c.depth == depth && eq_narrowed)
         .and_then(|c| {
             let gt = h.tuples[c.other];
             let val = ctx.db.relation(gt.rel).get(gt.tid)?.get(c.other_attr);

@@ -16,8 +16,7 @@
 //!   the run keys, so a run is never split between units.
 //!
 //! [`ScanPlan::run`] turns a pair unit back into an enumerator call; the
-//! caller chooses the [`Satisfied`] mode and the leaf, and may narrow the
-//! other variables of a pinned unit further (the chase's ML block-mates).
+//! caller chooses the [`Satisfied`] mode and the leaf.
 //! [`ScanPlan::runs_of`] hands a run unit's keys to the caller instead.
 
 use crate::eval::{enumerate_valuations_with_candidates, EvalContext, Satisfied, Valuation};
@@ -145,18 +144,8 @@ impl<'a> ScanPlan<'a> {
 
     /// Enumerate one pair unit of this plan with the given [`Satisfied`]
     /// mode (a run unit enumerates nothing).
-    /// For a pinned unit, `narrow(v, chunk, extra)` may add ascending
-    /// candidate lists for other variables; those of variables before `v`
-    /// are kept off the touched tuples, like the plan's own `R_old` lists,
-    /// which they replace.
-    pub fn run<F>(
-        &self,
-        ctx: &EvalContext<'_>,
-        unit: &WorkUnit,
-        satisfied: Satisfied,
-        narrow: impl FnOnce(usize, &[TupleId], &mut FxHashMap<usize, Vec<TupleId>>),
-        visit: F,
-    ) where
+    pub fn run<F>(&self, ctx: &EvalContext<'_>, unit: &WorkUnit, satisfied: Satisfied, visit: F)
+    where
         F: FnMut(&Valuation) -> bool,
     {
         let ri = unit.rule as usize;
@@ -174,21 +163,10 @@ impl<'a> ScanPlan<'a> {
             }
         };
         let chunk = &self.touched[&(ri, v)][range.start as usize..range.end as usize];
-        let mut extra: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
-        narrow(v, chunk, &mut extra);
-        for (w, list) in extra.iter_mut().filter(|(&w, _)| w < v) {
-            if let Some(skip) = self.touched.get(&(ri, *w)) {
-                list.retain(outside(skip));
-            }
-        }
-        let mut overrides: FxHashMap<usize, &[TupleId]> = extra
-            .iter()
-            .map(|(&w, list)| (w, list.as_slice()))
-            .collect();
-        overrides.insert(v, chunk);
+        let mut overrides = FxHashMap::from_iter([(v, chunk)]);
         for w in 0..v {
             if let Some(old) = self.old.get(&(ri, w)) {
-                overrides.entry(w).or_insert(old.as_slice());
+                overrides.insert(w, old.as_slice());
             }
         }
         enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied, visit);
@@ -250,16 +228,10 @@ mod tests {
         let collect = |plan: &ScanPlan<'_>| {
             let mut seen: Vec<Vec<GlobalTid>> = Vec::new();
             for unit in plan.units() {
-                plan.run(
-                    &ctx,
-                    &unit,
-                    Satisfied::Visit,
-                    |_, _, _| {},
-                    |h| {
-                        seen.push(h.tuples.clone());
-                        true
-                    },
-                );
+                plan.run(&ctx, &unit, Satisfied::Visit, |h| {
+                    seen.push(h.tuples.clone());
+                    true
+                });
             }
             seen.sort();
             seen

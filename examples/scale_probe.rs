@@ -1,0 +1,119 @@
+//! Detection and correction at growing sizes (seed 42), for two workloads:
+//!
+//! * **Logistics** at 3k, 6k and 12k rows, without ML. Three of its rules
+//!   are FD-shaped (`rr_fd`, `rs_street`, `sn_fd`), so their valuations
+//!   grow quadratically with the rows while their join runs grow linearly;
+//!   the engine evaluates them per run.
+//! * **Sales** at 1k, 2k and 4k rows, with ML (the `Rock` variant). Blocking
+//!   installs each pair model's block filter, and the enumerator joins
+//!   `ccn_er_ml` and `er_item` on its accepted pairs; the `ml_calls` column
+//!   counts the `predict_pair` calls of detection plus the chase.
+//!
+//! Each line prints detection and correction seconds, violations, chase
+//! proposals and changed cells. At the smallest size of each workload the
+//! production chase is also checked against the pairwise reference chase
+//! (`rock::chase::reference`): the program exits non-zero if the changes,
+//! conflicts or steps differ.
+//!
+//! ```text
+//! cargo run --release --example scale_probe
+//! ```
+
+use rock::chase::{reference, ChaseEngine};
+use rock::core::variant::{effective_rules, sorted_rules};
+use rock::core::{RockConfig, Variant};
+use rock::detect::blocking::precompute_ml;
+use rock::detect::Detector;
+use rock::workloads::workload::{GenConfig, Workload};
+use std::process::ExitCode;
+use std::time::Instant;
+
+/// One workload at one size; returns whether the production chase matched
+/// the reference chase (`true` when the reference was not run).
+fn probe(w: &Workload, variant: Variant, rows: usize, check: bool) -> bool {
+    let config = RockConfig::default();
+    let task = w.tasks.last().expect("the whole-database task");
+    let rules = sorted_rules(&effective_rules(variant, &w.rules_for(task)));
+    w.registry.meter.reset();
+
+    let start = Instant::now();
+    if variant.uses_ml() {
+        precompute_ml(&w.dirty, &rules, &w.registry);
+    }
+    let detector = Detector::new(&rules, &w.registry);
+    let detector = match &w.graph {
+        Some(g) => detector.with_graph(g),
+        None => detector,
+    };
+    let report = detector.detect(&w.dirty);
+    let detect_s = start.elapsed().as_secs_f64();
+
+    let engine = ChaseEngine::new(&rules, &w.registry, config.chase_config(w));
+    let engine = match &w.graph {
+        Some(g) => engine.with_graph(g),
+        None => engine,
+    };
+    let start = Instant::now();
+    if variant.uses_ml() {
+        precompute_ml(&w.dirty, &rules, &w.registry);
+    }
+    let res = engine.run(&w.dirty, &w.trusted);
+    let correct_s = start.elapsed().as_secs_f64();
+    let proposals: usize = res.round_stats.iter().map(|r| r.proposals).sum();
+    println!(
+        "{:<9} {rows:>6} {detect_s:>9.3} {correct_s:>10.3} {:>11} {proposals:>10} {:>8} {:>9}",
+        w.name,
+        report.count(),
+        res.changes.len(),
+        w.registry.meter.memo_hits()
+    );
+    if !check {
+        return true;
+    }
+    let naive = reference::run(&engine, &w.dirty, &w.trusted);
+    let same = res.changes == naive.changes
+        && res.conflicts == naive.conflicts
+        && res.steps == naive.steps;
+    println!(
+        "          reference chase: {} changes, {} conflicts, {} steps — {}",
+        naive.changes.len(),
+        naive.conflicts,
+        naive.steps,
+        if same { "identical" } else { "DIFFERENT" }
+    );
+    same
+}
+
+fn main() -> ExitCode {
+    println!(
+        "{:<9} {:>6} {:>9} {:>10} {:>11} {:>10} {:>8} {:>9}",
+        "workload",
+        "rows",
+        "detect_s",
+        "correct_s",
+        "violations",
+        "proposals",
+        "changes",
+        "ml_calls"
+    );
+    let gen = |rows| GenConfig {
+        rows,
+        error_rate: 0.08,
+        seed: 42,
+        trusted_per_rel: 40,
+    };
+    let mut ok = true;
+    for rows in [3_000, 6_000, 12_000] {
+        let w = rock::workloads::logistics::generate(&gen(rows));
+        ok &= probe(&w, Variant::RockNoMl, rows, rows == 3_000);
+    }
+    for rows in [1_000, 2_000, 4_000] {
+        let w = rock::workloads::sales::generate(&gen(rows));
+        ok &= probe(&w, Variant::Rock, rows, rows == 1_000);
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}

@@ -2,7 +2,7 @@
 //!
 //! * **Chase** — `ChaseEngine::run` / `run_incremental` (semi-naive delta
 //!   rounds over Crystal work units, lazy activation filtered by the rule
-//!   graph, columnar prefilters, optional ML block index) must
+//!   graph, columnar prefilters, the ML join on installed block filters) must
 //!   commit exactly what `rock::chase::reference` commits: a naive chase
 //!   that re-enumerates every valuation of every classically activated rule
 //!   each round, single-threaded, with scalar predicate evaluation. The two
@@ -26,7 +26,7 @@ use rock::data::{
     AttrId, AttrType, Database, DatabaseSchema, Delta, Eid, GlobalTid, RelId, RelationSchema,
     TupleId, Update, Value,
 };
-use rock::detect::blocking::precompute_ml_indexed;
+use rock::detect::blocking::precompute_ml;
 use rock::discovery::levelwise::{Discoverer, DiscoveryConfig, DiscoveryReport};
 use rock::discovery::space::{PredicateSpace, SpaceConfig};
 use rock::ml::ModelRegistry;
@@ -400,24 +400,23 @@ fn workload_engine<'a>(w: &'a Workload, gate: GateMode, workers: usize) -> Chase
 }
 
 /// The curated workloads — ML predicates, KG extraction, temporal rules,
-/// multiple relations — batch, both gates, one and four workers, with and
-/// without the ML block index pruning pinned pair enumeration.
+/// multiple relations — batch, both gates, one and four workers, without
+/// and with the models' block filters installed (with them, production
+/// joins ML predicates on the accepted pairs; the reference still decides
+/// every valuation at the leaf).
 #[test]
 fn workloads_production_equals_reference() {
     for (name, w) in workloads(150) {
-        let index = precompute_ml_indexed(&w.dirty, &w.rules, &w.registry).1;
-        for gate in [GateMode::Resolved, GateMode::Strict] {
-            let naive = reference::run(&workload_engine(&w, gate, 1), &w.dirty, &w.trusted);
-            for workers in [1, 4] {
-                for blocking in [false, true] {
-                    let case = format!("{name} {gate:?} workers {workers} blocking {blocking}");
-                    let engine = workload_engine(&w, gate, workers);
-                    let engine = if blocking {
-                        engine.with_blocking(&index)
-                    } else {
-                        engine
-                    };
-                    let prod = engine.run(&w.dirty, &w.trusted);
+        // a fresh registry has no filters; the second pass installs them
+        for filters in [false, true] {
+            if filters {
+                precompute_ml(&w.dirty, &w.rules, &w.registry);
+            }
+            for gate in [GateMode::Resolved, GateMode::Strict] {
+                let naive = reference::run(&workload_engine(&w, gate, 1), &w.dirty, &w.trusted);
+                for workers in [1, 4] {
+                    let case = format!("{name} {gate:?} workers {workers} filters {filters}");
+                    let prod = workload_engine(&w, gate, workers).run(&w.dirty, &w.trusted);
                     assert_equiv(&prod, &naive, &case);
                 }
             }
@@ -445,13 +444,13 @@ fn defective_rules_are_pruned_not_run() {
 }
 
 /// Random ΔDs over the curated workloads through `run_incremental`, with
-/// the block index attached (the pinned passes are where it prunes). New
+/// the block filters installed (the pinned passes join on them). New
 /// values are drawn from the same column, so they are well-typed and often
 /// collide with existing keys.
 #[test]
 fn workloads_incremental_production_equals_reference() {
     for (name, w) in workloads(120) {
-        let index = precompute_ml_indexed(&w.dirty, &w.rules, &w.registry).1;
+        precompute_ml(&w.dirty, &w.rules, &w.registry);
         for seed in 0..4u64 {
             let mut rng = Rng::new(seed ^ 0xfeed);
             let mut updates = Vec::new();
@@ -476,7 +475,7 @@ fn workloads_incremental_production_equals_reference() {
             let delta = Delta::new(updates);
             for workers in [1, 4] {
                 let case = format!("{name} seed {seed} workers {workers}");
-                let engine = workload_engine(&w, GateMode::Resolved, workers).with_blocking(&index);
+                let engine = workload_engine(&w, GateMode::Resolved, workers);
                 let prod = engine
                     .run_incremental(&w.dirty, &w.trusted, &delta)
                     .unwrap();
