@@ -87,7 +87,7 @@ impl<'a> EsMiner<'a> {
             }
             let mut bits: Evidence = 0;
             for (i, p) in all.iter().enumerate() {
-                if ctx.eval_predicate(&probe, h, p) == Some(true) {
+                if ctx.eval_predicate(h, p) == Some(true) {
                     bits |= 1 << i;
                 }
             }

@@ -26,15 +26,15 @@
 
 use crate::commit::{Committed, Committer, RoundCommit};
 use crate::conflict::ConflictPolicy;
-use crate::delta::{DeltaSet, RoundStats};
-use crate::evaluate::{evaluate, Frontier};
+use crate::evaluate::{evaluate, Frontier, RoundStats};
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityConfig, DurabilityCtx, WalSummary};
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
-use rock_data::{AttrId, CellRef, Database, Delta, FxHashSet, GlobalTid, RelId, Value};
+use rock_data::{AttrId, CellRef, Database, Delta, DeltaSet, FxHashSet, GlobalTid, RelId, Value};
 use rock_kg::Graph;
 use rock_ml::{MlBlockIndex, ModelRegistry};
-use rock_rees::{Rule, RuleGraph, RuleSet};
+use rock_rees::graph::value_reads;
+use rock_rees::{RuleGraph, RuleSet};
 
 pub use crate::proposal::Proposal;
 
@@ -219,7 +219,7 @@ impl<'a> ChaseEngine<'a> {
     ) -> Result<ChaseResult, rock_data::DataError> {
         let mut work = db.clone();
         let inserted = work.apply(delta)?;
-        let seed = DeltaSet::touched(&work, &delta.touched(&inserted));
+        let seed = delta.touched(&work, &inserted);
         let (ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());
         Ok(self.run_loop(ls, graph, self.begin_durable()))
     }
@@ -293,8 +293,7 @@ impl<'a> ChaseEngine<'a> {
             self.config.gate,
             &ls.st.db,
         );
-        let reads: Vec<FxHashSet<(RelId, AttrId)>> =
-            self.rules.rules.iter().map(rule_reads).collect();
+        let reads: Vec<Vec<(RelId, AttrId)>> = self.rules.rules.iter().map(value_reads).collect();
         // One Cluster for all rounds: membership (a crashed node) persists
         // across rounds, so later rounds place work on survivors only.
         let cluster = Cluster::with_config(self.config.workers, self.config.cluster.clone());
@@ -377,7 +376,7 @@ impl<'a> ChaseEngine<'a> {
         &self,
         ls: &mut LoopState,
         g: &RuleGraph,
-        reads: &[FxHashSet<(RelId, AttrId)>],
+        reads: &[Vec<(RelId, AttrId)>],
         committed: Option<&RoundCommit>,
         failed: FxHashSet<usize>,
     ) {
@@ -422,20 +421,6 @@ fn initial_activation(rules: &RuleSet, seed: Option<&DeltaSet>) -> Vec<usize> {
             })
         })
         .collect()
-}
-
-/// `(relation, attribute)` cells a rule's precondition reads.
-fn rule_reads(rule: &Rule) -> FxHashSet<(RelId, AttrId)> {
-    let mut reads = FxHashSet::default();
-    for p in &rule.precondition {
-        for v in p.tuple_vars() {
-            let rel = rule.rel_of(v);
-            for a in p.reads_of(v) {
-                reads.insert((rel, a));
-            }
-        }
-    }
-    reads
 }
 
 #[cfg(test)]

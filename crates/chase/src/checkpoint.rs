@@ -43,14 +43,14 @@
 //!    document itself, so resume needs no WAL replay and compaction may
 //!    drop segments older than the latest full.
 
-use crate::delta::{DeltaSet, RoundStats};
 use crate::evaluate::Carry;
+use crate::evaluate::RoundStats;
 use crate::fixes::FixSnapshot;
 use crate::wal::{self, DurabilityConfig, WalError, WalPos, WalRecord};
 use rock_crystal::{crc32, FaultVfs};
 use rock_data::{
     json::{self, Json, ToJson},
-    AttrId, CellRef, Database, Eid, GlobalTid, RelId, TupleId, Value,
+    AttrId, CellRef, Database, DeltaSet, Eid, GlobalTid, RelId, TupleId, Value,
 };
 use std::path::Path;
 

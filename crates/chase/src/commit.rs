@@ -15,13 +15,12 @@
 
 use crate::chase::GateMode;
 use crate::conflict::ConflictPolicy;
-use crate::delta::DeltaSet;
 use crate::fixes::{EntityKey, FixStore, MergeOutcome};
 use crate::order::OrderInsert;
 use crate::proposal::{Proposal, ProposalKey};
 use crate::wal::{FixKind, RoundFix};
 use rock_data::{
-    AttrId, CellRef, Database, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId, Value,
+    AttrId, CellRef, Database, DeltaSet, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId, Value,
 };
 use rock_ml::ModelRegistry;
 

@@ -8,7 +8,6 @@
 use crate::chase::{ChaseEngine, ChaseResult, LoopState};
 use crate::checkpoint::{self, ChaseCheckpoint, CHECKPOINT_VERSION};
 use crate::commit::Committed;
-use crate::delta::DeltaSet;
 use crate::evaluate::{per_run, Carry, Frontier};
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityCtx, RoundFix, WalError};
@@ -162,7 +161,7 @@ impl ChaseEngine<'_> {
         let rp = checkpoint::locate(&cfg, self.fingerprint(), None)?;
         let round_base = rp.checkpoint.round;
         let inserted = work.apply(delta).map_err(WalError::Delta)?;
-        let seed = DeltaSet::touched(&work, &delta.touched(&inserted));
+        let seed = delta.touched(&work, &inserted);
         // Fresh fix store per batch, like the in-memory fold; Strict mode
         // re-seeds Γ= from the trusted tuples of the *current* database.
         let (mut ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());

@@ -8,14 +8,14 @@
 //! the rule last ran ([`Frontier::pending`]), so each touched valuation is
 //! enumerated exactly once; valuations binding no touched tuple re-emit
 //! what they emitted then from the per-rule carry. This module keeps what
-//! only the chase has: the frontier and the carry. A valuation whose tuples, oracles and
-//! gate inputs are all unchanged emits exactly what it emitted before, so
-//! the round's proposal set equals a full re-scan's (`crate::reference` is
-//! that re-scan; `tests/engine_equivalence.rs` holds the two together).
-//! Under [`GateMode::Resolved`] the enumerator skips a valuation whose
-//! `t.A = s.B` consequence already holds inside the join
-//! ([`Satisfied::Skip`]) — it would emit nothing; Strict visits it, because
-//! there a satisfied consequence is still recorded in U.
+//! only the chase has: the frontier and the carry. A valuation whose
+//! tuples, oracles and gate inputs are all unchanged emits exactly what it
+//! emitted before, so the round's proposal set equals a full re-scan's
+//! (`crate::reference` is that re-scan; `tests/engine_equivalence.rs`
+//! holds the two together). Every enumerated valuation reaches the one
+//! leaf, `visit_valuation`: under [`GateMode::Resolved`] it drops a
+//! valuation whose consequence already holds, and Strict records that
+//! consequence in U.
 //!
 //! Under Resolved, an FD-shaped rule ([`FdShape`]) runs per join run
 //! instead (`rock_rees::runs`): each run emits one [`Proposal::EquateGroup`]
@@ -29,13 +29,36 @@
 
 use crate::chase::{ChaseEngine, GateMode};
 use crate::commit::{Committed, Support};
-use crate::delta::{DeltaSet, RoundStats};
 use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
 use rock_crystal::{Cluster, FaultStats, UnitFailure, WorkUnit};
-use rock_data::{CellRef, Database, FxHashMap, FxHashSet, GlobalTid};
-use rock_rees::eval::{EvalContext, Satisfied, Valuation};
+use rock_data::{CellRef, Database, DeltaSet, FxHashMap, FxHashSet, GlobalTid};
+use rock_rees::eval::{EvalContext, Valuation};
 use rock_rees::{FdRuns, FdShape, Run, RunKey, ScanPlan};
+
+/// Per-round evaluation observability (surfaced by `debug_panel` and the
+/// `chase-delta` figure panel).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoundStats {
+    /// Rules evaluated this round.
+    pub active_rules: usize,
+    /// Sum over delta-mode rules of their pending delta sizes (0 in
+    /// full-scan rounds).
+    pub delta_tuples: u64,
+    /// Valuations that reached the leaf (callbacks) across all work units;
+    /// a run unit counts its run's violating pairs.
+    pub valuations: u64,
+    /// Proposals after global dedup.
+    pub proposals: usize,
+    /// Carried emissions re-used without re-enumeration.
+    pub carried: usize,
+    /// Rules the rule graph removed from this round's classic activation.
+    pub rules_pruned: usize,
+}
+
+rock_data::json_codec!(struct RoundStats {
+    active_rules, delta_tuples, valuations, proposals, carried, rules_pruned,
+});
 
 /// A rule's emissions from its last completed round, as the next round
 /// carries them.
@@ -136,7 +159,7 @@ pub(crate) fn evaluate(
             .flatten();
         if let Some(mut fd) = fd {
             if frontier.seeded {
-                fd.restrict(|rel| frontier.cumulative.bits(rel));
+                fd.restrict(&frontier.cumulative);
             }
             let keys = if frontier.full_scan(ri) {
                 fd.all_keys()
@@ -154,7 +177,7 @@ pub(crate) fn evaluate(
         }
         let pend = &frontier.pending[ri];
         stat.delta_tuples += pend.count();
-        plan.delta(ri, |rel| pend.ones_vec(rel));
+        plan.delta(ri, pend);
     }
 
     let units = plan.units();
@@ -269,7 +292,7 @@ pub(crate) fn per_run(engine: &ChaseEngine<'_>, ri: usize) -> bool {
 /// one when they were emitted (the tuple may have left the run since, or
 /// flipped a filter, or nulled its cell).
 fn affected_runs(fd: &FdRuns<'_>, pend: &DeltaSet, carry: Option<&Carry>) -> Vec<RunKey> {
-    let mut keys = fd.marked_keys(|rel| pend.bits(rel));
+    let mut keys = fd.marked_keys(pend);
     if let Some(Carry::Runs(runs)) = carry {
         let mut seen: FxHashSet<RunKey> = keys.iter().cloned().collect();
         for (key, groups) in runs {
@@ -319,13 +342,7 @@ fn run_unit(
     }
     let rule = &engine.rules.rules[unit.rule as usize];
     let gate = engine.config.gate;
-    // A satisfied consequence emits nothing under Resolved, so the join
-    // skips it; Strict records it in U and must visit it.
-    let satisfied = match gate {
-        GateMode::Strict => Satisfied::Visit,
-        GateMode::Resolved => Satisfied::Skip,
-    };
-    plan.run(ctx, unit, satisfied, |h: &Valuation| {
+    plan.run(ctx, unit, |h: &Valuation| {
         out.valuations += 1;
         visit_valuation(rule, unit.rule, h, ctx, gate, fixes, &mut out.pairs);
         true

@@ -53,7 +53,6 @@ pub mod chase;
 pub mod checkpoint;
 mod commit;
 pub mod conflict;
-pub mod delta;
 mod durable;
 mod evaluate;
 pub mod fixes;
@@ -70,8 +69,7 @@ pub use checkpoint::{
     ResumePoint, CHECKPOINT_VERSION,
 };
 pub use conflict::ConflictPolicy;
-pub use delta::{DeltaSet, RoundStats};
-pub use evaluate::Carry;
+pub use evaluate::{Carry, RoundStats};
 pub use fixes::{EntityKey, FixSnapshot, FixStore};
 pub use order::PartialOrderStore;
 pub use provenance::{

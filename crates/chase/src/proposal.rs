@@ -170,7 +170,7 @@ pub(crate) fn visit_valuation(
     // where the fix is still recorded in U: satisfied consequences are
     // validated facts, and accumulation of ground truth (§4.1) depends on
     // them.
-    if gate != GateMode::Strict && ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
+    if gate != GateMode::Strict && ctx.eval_predicate(h, &rule.consequence) == Some(true) {
         return;
     }
     if let Some(p) = propose(rule, ri, h, ctx) {

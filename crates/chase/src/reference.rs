@@ -21,10 +21,12 @@
 
 use crate::chase::{ChaseEngine, GateMode};
 use crate::commit::{Committed, Committer};
-use crate::delta::{DeltaSet, RoundStats};
+use crate::evaluate::RoundStats;
 use crate::fixes::FixStore;
 use crate::proposal::{visit_valuation, with_context, Emission, Proposal};
-use rock_data::{AttrId, CellRef, Database, Delta, FxHashSet, GlobalTid, RelId, Update, Value};
+use rock_data::{
+    AttrId, CellRef, Database, Delta, DeltaSet, FxHashSet, GlobalTid, RelId, Update, Value,
+};
 use rock_rees::eval::enumerate_valuations;
 
 /// What the reference chase computed — the fields production is compared on.

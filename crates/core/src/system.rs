@@ -8,7 +8,7 @@ use rock_chase::{
 };
 use rock_crystal::{FaultStats, UnitFailure};
 use rock_data::{DataError, Database};
-use rock_detect::blocking::{precompute_ml, BlockingStats};
+use rock_detect::blocking::{clear_block_filters, precompute_ml, BlockingStats};
 use rock_detect::{DetectReport, Detector};
 use rock_discovery::levelwise::{Discoverer, DiscoveryConfig};
 use rock_discovery::sampling::mine_with_sampling;
@@ -278,6 +278,9 @@ impl RockSystem {
             detector = detector.with_graph(g);
         }
         let mut report = detector.detect(&w.dirty);
+        if blocking.is_some() {
+            clear_block_filters(&rules, &w.registry);
+        }
         // polynomial detection for arithmetic tasks
         if self.config.variant.uses_ml() {
             if let Some((rel, attr)) = task.polynomial_target {
@@ -304,7 +307,8 @@ impl RockSystem {
         let start = Instant::now();
         let rules = self.task_rules(w, task);
         // Blocking installs the models' block filters for every variant:
-        // they answer the ML predicates and the enumerator joins on them.
+        // they answer the ML predicates and the enumerator joins on them,
+        // until this pass removes them.
         if self.config.variant.uses_ml() {
             precompute_ml(&w.dirty, &rules, &w.registry);
         }
@@ -316,6 +320,9 @@ impl RockSystem {
             Variant::RockSeq => self.run_sequential(w, &rules, true),
             Variant::RockNoC => self.run_sequential(w, &rules, false),
         };
+        if self.config.variant.uses_ml() {
+            clear_block_filters(&rules, &w.registry);
+        }
         if self.config.variant.uses_ml() {
             if let Some((rel, attr)) = task.polynomial_target {
                 if let Some(pipe) = PolyPipeline::fit(

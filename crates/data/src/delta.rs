@@ -1,30 +1,29 @@
-//! Tuple-level delta tracking for the semi-naive chase (§4.1 incremental
-//! evaluation, DESIGN.md "Semi-naive delta rounds").
+//! The tuples a change touched (§4.1 incremental evaluation), one set for
+//! incremental detection, the scan plan's delta passes and the chase.
 //!
 //! A [`DeltaSet`] is one bitset per relation over *tuple slots*
-//! ([`rock_data::Relation::capacity`], so tombstones keep their index) and
-//! records which tuples were touched by a chase round's commit: cells
-//! written, entity classes merged, classes that received a validated value,
-//! or — coarsely — the whole relation when a temporal order was extended
-//! (order edges act transitively, so tuple-level tracking of their
-//! consequences would be unsound).
-//!
-//! Round ≥ 2 of the chase then only enumerates valuations where at least
-//! one tuple variable binds a delta tuple; untouched valuations are covered
-//! by the per-rule carry (see `evaluate.rs`).
+//! ([`crate::Relation::capacity`], so tombstones keep their index). A ΔD
+//! fills one from its inserted, deleted and overwritten tuples
+//! ([`crate::Delta::touched`]); a chase round's commit fills one from the
+//! cells it wrote, the entity classes it merged, the classes that received
+//! a validated value, or — coarsely — the whole relation when a temporal
+//! order was extended (order edges act transitively, so tuple-level
+//! tracking of their consequences would be unsound).
 
-use rock_data::{Bitset, Database, FxHashMap, RelId, TupleId};
+use crate::bitset::Bitset;
+use crate::database::Database;
+use crate::ids::{RelId, TupleId};
 
 /// Per-relation sets of touched tuple slots.
 ///
-/// Has a JSON codec so round-boundary checkpoints (`crate::checkpoint`)
-/// can persist the per-rule pending deltas and the cumulative dirty set.
+/// Has a JSON codec so the chase's round-boundary checkpoints can persist
+/// its per-rule pending deltas and the cumulative dirty set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSet {
     rels: Vec<Bitset>,
 }
 
-rock_data::json_codec!(struct DeltaSet { rels });
+rock_crystal::json_codec!(struct DeltaSet { rels });
 
 impl DeltaSet {
     /// All-empty delta sized to `db`'s relation capacities. Capacities are
@@ -41,18 +40,6 @@ impl DeltaSet {
             rels[i] = Bitset::new(rel.capacity());
         }
         DeltaSet { rels }
-    }
-
-    /// The tuples a ΔD touched ([`rock_data::Delta::touched`]), sized to
-    /// the post-apply `db`: an incremental run's round-1 delta.
-    pub fn touched(db: &Database, touched: &FxHashMap<RelId, Vec<TupleId>>) -> DeltaSet {
-        let mut seed = DeltaSet::empty(db);
-        for (rel, tids) in touched {
-            for tid in tids {
-                seed.mark(*rel, *tid);
-            }
-        }
-        seed
     }
 
     /// Mark one tuple as touched. Out-of-range ids are ignored (they cannot
@@ -117,44 +104,20 @@ impl DeltaSet {
             .unwrap_or_else(|| Bitset::new(0))
     }
 
-    /// Marked tuple ids of one relation, ascending.
-    pub fn ones_vec(&self, rel: RelId) -> Vec<TupleId> {
+    /// The marked tuples of one relation, ascending (none for an unknown
+    /// relation).
+    pub fn tids(&self, rel: RelId) -> impl Iterator<Item = TupleId> + '_ {
         self.rels
             .get(rel.0 as usize)
-            .map(|b| b.ones().map(|i| TupleId(i as u32)).collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|b| b.ones().map(|i| TupleId(i as u32)))
     }
 }
-
-/// Per-round evaluation observability (surfaced by `debug_panel` and the
-/// `chase-delta` figure panel).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RoundStats {
-    /// Rules evaluated this round.
-    pub active_rules: usize,
-    /// Sum over delta-mode rules of their pending delta sizes (0 in
-    /// full-scan rounds).
-    pub delta_tuples: u64,
-    /// Valuations that reached the leaf (callbacks) across all work units;
-    /// those whose consequence the join already found satisfied are
-    /// skipped before the leaf and not counted.
-    pub valuations: u64,
-    /// Proposals after global dedup.
-    pub proposals: usize,
-    /// Carried emissions re-used without re-enumeration.
-    pub carried: usize,
-    /// Rules the rule graph removed from this round's classic activation.
-    pub rules_pruned: usize,
-}
-
-rock_data::json_codec!(struct RoundStats {
-    active_rules, delta_tuples, valuations, proposals, carried, rules_pruned,
-});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rock_data::{AttrType, DatabaseSchema, Eid, RelationSchema, Value};
+    use crate::{AttrType, DatabaseSchema, Eid, RelationSchema, Value};
 
     fn db() -> Database {
         let schema = DatabaseSchema::new(vec![
@@ -190,7 +153,9 @@ mod tests {
         assert!(!d.contains(RelId(7), TupleId(0)));
         assert_eq!(d.count(), 3);
         assert_eq!(d.rel_count(RelId(0)), 2);
-        assert_eq!(d.ones_vec(RelId(0)), vec![TupleId(1), TupleId(3)]);
+        let tids = |d: &DeltaSet, rel| d.tids(rel).collect::<Vec<_>>();
+        assert_eq!(tids(&d, RelId(0)), vec![TupleId(1), TupleId(3)]);
+        assert_eq!(tids(&d, RelId(7)), Vec::<TupleId>::new());
 
         let mut e = DeltaSet::empty(&db);
         e.mark(RelId(0), TupleId(0));
@@ -199,7 +164,7 @@ mod tests {
 
         e.clear();
         assert!(e.is_empty());
-        assert_eq!(e.ones_vec(RelId(0)), Vec::<TupleId>::new());
+        assert_eq!(tids(&e, RelId(0)), Vec::<TupleId>::new());
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod bitset;
 pub mod column;
 pub mod csvio;
 pub mod database;
+pub mod delta;
 pub mod dict;
 pub mod error;
 pub mod ids;
@@ -45,6 +46,7 @@ pub use column::{
     row_heap_bytes, Column, ColumnData, ColumnSet, JoinIndex, PredOp, ProjectionKeys,
 };
 pub use database::Database;
+pub use delta::DeltaSet;
 pub use dict::Dictionary;
 pub use error::DataError;
 pub use ids::{AttrId, CellRef, Eid, GlobalTid, RelId, TupleId};

@@ -1,11 +1,12 @@
 //! Update batches ΔD for the incremental modes (paper §3: "Rock also
 //! incrementally detects errors in response to updates ΔD to D").
 
+use crate::database::Database;
+use crate::delta::DeltaSet;
 use crate::error::DataError;
 use crate::ids::{AttrId, Eid, RelId, TupleId};
 use crate::schema::RelationSchema;
 use crate::value::Value;
-use crate::FxHashMap;
 
 /// A single update.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,13 +62,13 @@ impl Delta {
         self.updates.push(u);
     }
 
-    /// The tuples this batch touches, per relation, ascending: inserted,
-    /// deleted and overwritten ones. `inserted` is what
-    /// [`crate::Database::apply`] returned for the batch (inserted ids in
-    /// update order). Incremental detection and the incremental chase both
-    /// start from this set.
-    pub fn touched(&self, inserted: &[TupleId]) -> FxHashMap<RelId, Vec<TupleId>> {
-        let mut out: FxHashMap<RelId, Vec<TupleId>> = FxHashMap::default();
+    /// The tuples this batch touches: inserted, deleted and overwritten
+    /// ones, sized to `db`, the database after the batch was applied.
+    /// `inserted` is what [`crate::Database::apply`] returned for the batch
+    /// (inserted ids in update order). Incremental detection and the
+    /// incremental chase both start from this set.
+    pub fn touched(&self, db: &Database, inserted: &[TupleId]) -> DeltaSet {
+        let mut out = DeltaSet::empty(db);
         let mut ins = inserted.iter();
         for u in &self.updates {
             let tid = match u {
@@ -77,11 +78,7 @@ impl Delta {
                 },
                 Update::Delete { tid, .. } | Update::SetCell { tid, .. } => *tid,
             };
-            out.entry(u.rel()).or_default().push(tid);
-        }
-        for tids in out.values_mut() {
-            tids.sort_unstable();
-            tids.dedup();
+            out.mark(u.rel(), tid);
         }
         out
     }
@@ -139,12 +136,24 @@ mod tests {
                 value: Value::Null,
             },
         ]);
-        let touched = d.touched(&[TupleId(7)]);
-        assert_eq!(touched.len(), 2);
-        assert_eq!(touched[&RelId(0)], vec![TupleId(7)]);
-        assert_eq!(touched[&RelId(1)], vec![TupleId(2), TupleId(4)]);
+        // the database after the batch: 8 slots in R0, 5 in R1
+        let schema = crate::DatabaseSchema::new(vec![
+            RelationSchema::of("R0", &[]),
+            RelationSchema::of("R1", &[]),
+        ]);
+        let mut db = Database::new(&schema);
+        for (rel, n) in [(RelId(0), 8), (RelId(1), 5)] {
+            for _ in 0..n {
+                db.relation_mut(rel).insert_row(vec![]).unwrap();
+            }
+        }
+        let touched = d.touched(&db, &[TupleId(7)]);
+        let tids = |t: &DeltaSet, rel| t.tids(rel).collect::<Vec<_>>();
+        assert_eq!(touched.count(), 3);
+        assert_eq!(tids(&touched, RelId(0)), vec![TupleId(7)]);
+        assert_eq!(tids(&touched, RelId(1)), vec![TupleId(2), TupleId(4)]);
         // an insert the database did not report binds nothing
-        assert!(!d.touched(&[]).contains_key(&RelId(0)));
+        assert_eq!(d.touched(&db, &[]).rel_count(RelId(0)), 0);
     }
 
     #[test]

@@ -134,6 +134,19 @@ pub fn precompute_ml(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -
     stats
 }
 
+/// Remove the block filters [`precompute_ml`] installed for `rules`: a
+/// filter answers `false` for every pair its pass did not score, so it must
+/// not outlive the database and rules it was built for.
+pub fn clear_block_filters(rules: &RuleSet, registry: &ModelRegistry) {
+    for rule in rules.iter() {
+        for p in rule.all_predicates() {
+            if let Predicate::Ml { model, .. } = p {
+                registry.clear_block_filter(model.resolved());
+            }
+        }
+    }
+}
+
 /// One distinct projection of a relation, with everything the pass
 /// derives from its values alone.
 struct Side {

@@ -1,9 +1,9 @@
 //! Batch and incremental violation detection. Both modes run the one scan
 //! plan of `rock_rees::scan` on the Crystal cluster: batch detection scans
 //! every rule in full, incremental detection runs the plan's delta passes
-//! over the tuples ΔD touched. Each pair unit visits every valuation
-//! ([`Satisfied::Visit`]); its leaf records violations and the satisfied
-//! pairs the blame ratios need.
+//! over the tuples ΔD touched (a [`DeltaSet`]). A pair unit's leaf checks
+//! each valuation's consequence: it records the violations, and the
+//! satisfied pairs the blame ratios need.
 //!
 //! FD-shaped rules ([`FdShape`]) are evaluated per join run instead
 //! (`rock_rees::runs`): a run unit groups each run's members by
@@ -14,13 +14,13 @@
 
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
 use rock_data::{
-    Bitset, CellRef, Database, Delta, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId,
+    CellRef, Database, Delta, DeltaSet, FxHashMap, FxHashSet, GlobalTid, RelId, TupleId,
 };
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
-use rock_rees::eval::{distinct_ok, EvalContext, Satisfied, TimestampOracle, Valuation};
+use rock_rees::eval::{distinct_ok, EvalContext, TimestampOracle, Valuation};
 use rock_rees::runs::Member;
-use rock_rees::{FdRuns, FdShape, Predicate, Rule, RuleSet, Run, RunKey, ScanPlan};
+use rock_rees::{FdRuns, FdShape, Predicate, Rule, RuleSet, Run, ScanPlan};
 
 /// Classification of a detected error (what kind of consequence was
 /// violated) — ER/CR/TD/MI, matching the paper's four tasks.
@@ -321,25 +321,6 @@ enum Found {
     Runs(Vec<Run>),
 }
 
-/// Incremental detection of an FD-shaped rule: the runs holding a touched
-/// tuple, restricted to the pairs that bind one.
-fn touched_runs<'a>(
-    db: &Database,
-    mut fd: FdRuns<'a>,
-    touched: &FxHashMap<RelId, Vec<TupleId>>,
-) -> (FdRuns<'a>, Vec<RunKey>) {
-    let marks = |rel: RelId| {
-        let mut bits = Bitset::new(db.relation(rel).capacity());
-        for t in touched.get(&rel).into_iter().flatten() {
-            bits.set(t.index());
-        }
-        bits
-    };
-    fd.restrict(marks);
-    let keys = fd.marked_keys(marks);
-    (fd, keys)
-}
-
 /// The detector.
 pub struct Detector<'a> {
     pub rules: &'a RuleSet,
@@ -405,17 +386,13 @@ impl<'a> Detector<'a> {
         delta: &Delta,
         inserted: &[TupleId],
     ) -> DetectReport {
-        self.detect_inner(db, Some(&delta.touched(inserted)))
+        self.detect_inner(db, Some(&delta.touched(db, inserted)))
     }
 
     /// One scan plan for both modes: every rule in full (batch), or the
     /// delta passes over the `touched` tuples (incremental), as
     /// rule × partition work units on the cluster.
-    fn detect_inner(
-        &self,
-        db: &Database,
-        touched: Option<&FxHashMap<RelId, Vec<TupleId>>>,
-    ) -> DetectReport {
+    fn detect_inner(&self, db: &Database, touched: Option<&DeltaSet>) -> DetectReport {
         let start = std::time::Instant::now();
         let oracle = TimestampOracle { db };
         let mut ctx = EvalContext::new(db, self.registry)
@@ -436,12 +413,15 @@ impl<'a> Detector<'a> {
                     let keys = fd.all_keys();
                     plan.runs(ri, fd, keys);
                 }
-                (Some(t), Some(fd)) => {
-                    let (fd, keys) = touched_runs(db, fd, t);
+                // the runs holding a touched tuple, restricted to the pairs
+                // that bind one
+                (Some(t), Some(mut fd)) => {
+                    fd.restrict(t);
+                    let keys = fd.marked_keys(t);
                     plan.runs(ri, fd, keys);
                 }
                 (None, None) => plan.full(ri),
-                (Some(t), None) => plan.delta(ri, |rel| t.get(&rel).cloned().unwrap_or_default()),
+                (Some(t), None) => plan.delta(ri, t),
             }
         }
         let cluster = Cluster::with_config(self.workers, self.cluster.clone());
@@ -456,11 +436,11 @@ impl<'a> Detector<'a> {
             let mut found = Vec::new();
             // satisfied pairs only feed the blame counts
             let mut sats = FxHashMap::default();
-            plan.run(&ctx, unit, Satisfied::Visit, |h| {
+            plan.run(&ctx, unit, |h| {
                 if !distinct_ok(rule, h) {
                     return true;
                 }
-                if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
+                if ctx.eval_predicate(h, &rule.consequence) == Some(true) {
                     record_satisfied(rule, ri, h, &mut sats);
                 } else {
                     found.push(h.clone());

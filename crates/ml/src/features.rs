@@ -11,7 +11,7 @@
 use crate::text::{char_ngrams, tokenize, TextProfile};
 use rock_data::Value;
 
-pub use rock_data::key::{fnv1a, Fnv1a};
+use rock_data::key::fnv1a;
 
 /// Dense embedding of dimension `dim` via the hashing trick with sign hashing
 /// (Weinberger et al.): each feature adds ±1 at a hashed coordinate.

@@ -9,8 +9,8 @@
 //! if any band collides. Rule evaluation then only runs the (expensive) ML
 //! predicate on candidate pairs — the filter-and-verify paradigm of §5.4.
 
-use crate::features::fnv1a;
 use crate::text::{char_ngrams, tokenize};
+use rock_data::key::fnv1a;
 use rock_data::FxHashMap;
 
 /// MinHash-with-banding index.

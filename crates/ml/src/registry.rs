@@ -233,13 +233,19 @@ impl ModelRegistry {
     }
 
     /// Boolean pair inference `M(a, b)`: answered by the model's block
-    /// filter when it has one, memoized and cost-metered otherwise.
+    /// filter when it has one, by [`Self::infer_pair`] otherwise.
     pub fn predict_pair(&self, id: ModelId, a: &[Value], b: &[Value]) -> bool {
-        let key = (id, pair_key(a), pair_key(b));
         if let Some(f) = self.block_filters.read().get(&id) {
             self.meter.hit();
-            return f.verdict(key.1, key.2).unwrap_or(false);
+            return f.verdict(pair_key(a), pair_key(b)).unwrap_or(false);
         }
+        self.infer_pair(id, a, b)
+    }
+
+    /// `M(a, b)` from the model itself, whatever block filter is installed:
+    /// memoized and cost-metered.
+    pub fn infer_pair(&self, id: ModelId, a: &[Value], b: &[Value]) -> bool {
+        let key = (id, pair_key(a), pair_key(b));
         let shard = memo_shard(key.1, key.2);
         if let Some(&v) = self.lock_shard(&self.memo_bool, shard).get(&key) {
             self.meter.hit();

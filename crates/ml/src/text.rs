@@ -13,7 +13,7 @@
 //! `&str` functions below are the same code with both profiles built on the
 //! spot.
 
-use crate::features::fnv1a;
+use rock_data::key::fnv1a;
 
 /// Lowercase alphanumeric word tokens.
 pub fn tokenize(s: &str) -> Vec<String> {

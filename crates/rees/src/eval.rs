@@ -56,6 +56,9 @@ pub struct EvalContext<'a> {
     /// and join ML pair predicates on their block filters' accepted pairs.
     /// Always on in production; see [`EvalContext::with_columnar`].
     pub columnar: bool,
+    /// Whether ML pair predicates read their models' block filters: off
+    /// for rule measures only (see [`EvalContext::without_block_filters`]).
+    block_filters: bool,
 }
 
 /// Oracle for validated temporal orders (implemented by the chase's fix
@@ -123,6 +126,20 @@ impl<'a> EvalContext<'a> {
             temporal: None,
             entities: None,
             columnar: true,
+            block_filters: true,
+        }
+    }
+
+    /// This context with ML pair predicates decided by their models,
+    /// whatever block filter is installed. Rule measures read it: a filter
+    /// answers `false` for every pair its blocking pass did not score, so
+    /// it is sound only for the database and rules that pass ran over,
+    /// and a rule's support and confidence must not depend on which
+    /// blocking pass ran last.
+    pub(crate) fn without_block_filters(&self) -> EvalContext<'a> {
+        EvalContext {
+            block_filters: false,
+            ..*self
         }
     }
 
@@ -152,19 +169,12 @@ impl<'a> EvalContext<'a> {
         self
     }
 
-    fn tuple_values(
-        &self,
-        rule: &Rule,
-        h: &Valuation,
-        var: usize,
-        attrs: &[rock_data::AttrId],
-    ) -> Vec<Value> {
+    fn tuple_values(&self, h: &Valuation, var: usize, attrs: &[rock_data::AttrId]) -> Vec<Value> {
         let gt = h.tuples[var];
         let rel = self.db.relation(gt.rel);
         let t = rel
             .get(gt.tid)
             .unwrap_or_else(|| panic!("valuation references dead tuple {:?}", gt));
-        let _ = rule;
         t.project(attrs)
     }
 
@@ -181,7 +191,7 @@ impl<'a> EvalContext<'a> {
     /// `h ⊨ p`. `None` when the predicate cannot be decided (e.g. a vertex
     /// variable is unbound or no graph is attached) — treated as *not
     /// satisfied* by callers, per the ground-truth-gated chase semantics.
-    pub fn eval_predicate(&self, rule: &Rule, h: &Valuation, p: &Predicate) -> Option<bool> {
+    pub fn eval_predicate(&self, h: &Valuation, p: &Predicate) -> Option<bool> {
         use Predicate::*;
         Some(match p {
             Const {
@@ -204,9 +214,13 @@ impl<'a> EvalContext<'a> {
                 rvar,
                 rattrs,
             } => {
-                let a = self.tuple_values(rule, h, *lvar, lattrs);
-                let b = self.tuple_values(rule, h, *rvar, rattrs);
-                self.models.predict_pair(model.resolved(), &a, &b)
+                let a = self.tuple_values(h, *lvar, lattrs);
+                let b = self.tuple_values(h, *rvar, rattrs);
+                if self.block_filters {
+                    self.models.predict_pair(model.resolved(), &a, &b)
+                } else {
+                    self.models.infer_pair(model.resolved(), &a, &b)
+                }
             }
             Temporal {
                 lvar,
@@ -231,8 +245,8 @@ impl<'a> EvalContext<'a> {
                         .map(rock_data::AttrId::from)
                         .collect()
                 };
-                let a = self.tuple_values(rule, h, *lvar, &all);
-                let b = self.tuple_values(rule, h, *rvar, &all);
+                let a = self.tuple_values(h, *lvar, &all);
+                let b = self.tuple_values(h, *rvar, &all);
                 let conf = self.models.rank_confidence(model.resolved(), &a, &b);
                 let _ = attr;
                 // Margins keep ties (σ(0) = 0.5, e.g. identical tuples)
@@ -278,7 +292,7 @@ impl<'a> EvalContext<'a> {
                 value,
                 delta,
             } => {
-                let ev = self.tuple_values(rule, h, *var, evidence);
+                let ev = self.tuple_values(h, *var, evidence);
                 let _ = target;
                 self.models
                     .correlation_strength(model.resolved(), &ev, value)
@@ -291,7 +305,7 @@ impl<'a> EvalContext<'a> {
                 target,
                 delta,
             } => {
-                let ev = self.tuple_values(rule, h, *var, evidence);
+                let ev = self.tuple_values(h, *var, evidence);
                 let cur = self.cell(h, *var, *target);
                 if cur.is_null() {
                     return Some(false);
@@ -306,7 +320,7 @@ impl<'a> EvalContext<'a> {
                 evidence,
                 target,
             } => {
-                let ev = self.tuple_values(rule, h, *var, evidence);
+                let ev = self.tuple_values(h, *var, evidence);
                 match self.models.predict_value(model.resolved(), &ev) {
                     Some(pred) => self.cell(h, *var, *target).sql_eq(&pred),
                     None => false,
@@ -335,29 +349,8 @@ impl<'a> EvalContext<'a> {
     pub fn satisfies_precondition(&self, rule: &Rule, h: &Valuation) -> bool {
         rule.precondition
             .iter()
-            .all(|p| self.eval_predicate(rule, h, p) == Some(true))
+            .all(|p| self.eval_predicate(h, p) == Some(true))
     }
-}
-
-/// What the enumerator does with a valuation whose `t.A = s.B` consequence
-/// it decides inside the hash join, before the valuation is built.
-///
-/// The check runs at the depth that binds the later of the consequence's
-/// two (distinct) variables, and only on a list an equality join narrowed:
-/// each hit's `B` cell is compared with the bound tuple's `A` cell by
-/// [`Value::sql_eq`] — `PredOp::Eq`, the leaf's semantics — on borrowed
-/// row values. Unnarrowed lists are never checked: there the check is
-/// per-candidate work that saves nothing. A scalar context
-/// ([`EvalContext::with_columnar`]`(false)`) always visits, so the
-/// reference paths stay independent of this shortcut.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Satisfied {
-    /// Verify every valuation at the leaf and call back with it.
-    Visit,
-    /// Drop a hit whose consequence holds, with its whole subtree: the
-    /// consequence reads only those two variables, so every completion
-    /// satisfies it too.
-    Skip,
 }
 
 /// Enumerate valuations of `rule` over the database, with cheap predicates
@@ -369,12 +362,11 @@ where
     F: FnMut(&Valuation) -> bool,
 {
     let all = FxHashMap::default();
-    enumerate_valuations_with_candidates(rule, ctx, &all, Satisfied::Visit, on_valuation)
+    enumerate_valuations_with_candidates(rule, ctx, &all, on_valuation)
 }
 
 /// Like [`enumerate_valuations`], but with explicit per-variable candidate
-/// lists for any subset of the tuple variables, and with the caller's
-/// choice of what happens to [`Satisfied`] valuations. The scan plan
+/// lists for any subset of the tuple variables. The scan plan
 /// (`crate::scan`) drives every work unit through here: a full-scan unit
 /// restricts variable 0 to a tid range, and a delta pass pins one variable
 /// to the touched tuples and keeps earlier variables off them. Variables
@@ -385,7 +377,6 @@ pub fn enumerate_valuations_with_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     overrides: &FxHashMap<usize, &[TupleId]>,
-    satisfied: Satisfied,
     on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -405,7 +396,7 @@ pub fn enumerate_valuations_with_candidates<F>(
         apply_unary_prefilters(rule, ctx, v, &mut tids);
         candidates.push(tids);
     }
-    enumerate_from_candidates(rule, ctx, candidates, satisfied, on_valuation);
+    enumerate_from_candidates(rule, ctx, candidates, on_valuation);
 }
 
 /// Cheap single-variable predicate prefilter shared by all enumeration
@@ -440,7 +431,7 @@ fn apply_unary_prefilters(rule: &Rule, ctx: &EvalContext<'_>, v: usize, tids: &m
             }
             tids.retain(|tid| {
                 let h = single_var_valuation(rule, v, GlobalTid::new(rule.rel_of(v), *tid), nvars);
-                ctx.eval_predicate(rule, &h, p) == Some(true)
+                ctx.eval_predicate(&h, p) == Some(true)
             });
         }
     }
@@ -477,7 +468,6 @@ struct Joins<'s> {
     indexes: FxHashMap<(usize, AttrId), Cow<'s, JoinIndex>>,
     ml: Vec<MlJoin>,
     candidates: FxHashMap<usize, Bitset>,
-    consequence: Option<ConsequenceCheck>,
 }
 
 /// An ML pair predicate `M(t[Ā], s[B̄])` over two variables whose model
@@ -495,9 +485,10 @@ struct MlJoin {
 }
 
 impl MlJoin {
-    /// The ML joins of `rule`: none on the scalar reference path.
+    /// The ML joins of `rule`: none on the scalar reference path, nor
+    /// where block filters are not read.
     fn of(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<MlJoin> {
-        if !ctx.columnar {
+        if !ctx.columnar || !ctx.block_filters {
             return Vec::new();
         }
         rule.precondition
@@ -533,60 +524,13 @@ impl MlJoin {
     }
 }
 
-/// A `t.A = s.B` consequence decided in the join at `depth`, where the
-/// later of its variables binds: that variable's `attr` against the
-/// earlier-bound `other`'s `other_attr`.
-struct ConsequenceCheck {
-    depth: usize,
-    attr: AttrId,
-    other: usize,
-    other_attr: AttrId,
-}
-
-impl ConsequenceCheck {
-    /// `None` when `satisfied` has nothing to decide in `rule`'s joins.
-    fn new(rule: &Rule, order: &[usize], satisfied: Satisfied) -> Option<ConsequenceCheck> {
-        if satisfied == Satisfied::Visit {
-            return None;
-        }
-        let Predicate::Attr {
-            lvar,
-            lattr,
-            op: crate::op::CmpOp::Eq,
-            rvar,
-            rattr,
-        } = &rule.consequence
-        else {
-            return None;
-        };
-        if lvar == rvar {
-            return None;
-        }
-        let depth_of = |v: usize| order.iter().position(|&w| w == v);
-        let (ld, rd) = (depth_of(*lvar)?, depth_of(*rvar)?);
-        let (depth, attr, other, other_attr) = if ld > rd {
-            (ld, *lattr, *rvar, *rattr)
-        } else {
-            (rd, *rattr, *lvar, *lattr)
-        };
-        Some(ConsequenceCheck {
-            depth,
-            attr,
-            other,
-            other_attr,
-        })
-    }
-}
-
 /// The shared enumeration core: greedy variable ordering, hash-join
 /// narrowing on equality predicates and on ML predicates with a block
-/// filter, the [`Satisfied`] consequence check inside the join, and
-/// recursive binding with full verification at the leaves.
+/// filter, and recursive binding with full verification at the leaves.
 fn enumerate_from_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
     candidates: Vec<Vec<TupleId>>,
-    satisfied: Satisfied,
     mut on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -650,12 +594,6 @@ fn enumerate_from_candidates<F>(
         indexes,
         ml,
         candidates: joined,
-        // the scalar reference path decides nothing in the join
-        consequence: if ctx.columnar {
-            ConsequenceCheck::new(rule, &order, satisfied)
-        } else {
-            None
-        },
     };
 
     // 4. ordered precondition for final verification (cheap first).
@@ -711,7 +649,7 @@ where
         }
         let ok = ordered_preds
             .iter()
-            .all(|p| ctx.eval_predicate(rule, h, p) == Some(true));
+            .all(|p| ctx.eval_predicate(h, p) == Some(true));
         if ok {
             return on_valuation(h);
         }
@@ -757,7 +695,6 @@ where
             Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
         }
     }
-    let eq_narrowed = narrowed.is_some();
     for j in &joins.ml {
         // `side` is v's side of the pair, `1 - side` the bound one
         let side = match j.vars {
@@ -791,26 +728,9 @@ where
             }
         }
     }
-    // The consequence, decided on each hit an equality join narrowed to
-    // before its subtree is built: the bound side's cell, borrowed once
-    // for the whole list.
-    let decide = joins
-        .consequence
-        .as_ref()
-        .filter(|c| c.depth == depth && eq_narrowed)
-        .and_then(|c| {
-            let gt = h.tuples[c.other];
-            let val = ctx.db.relation(gt.rel).get(gt.tid)?.get(c.other_attr);
-            Some((ctx.db.relation(rule.rel_of(v)), c.attr, val))
-        });
     let list = narrowed.as_deref().unwrap_or(&candidates[v]);
     for &tid in list {
         h.tuples[v] = GlobalTid::new(rule.rel_of(v), tid);
-        if let Some((rel, attr, val)) = decide {
-            if rel.get(tid).is_some_and(|t| t.get(attr).sql_eq(val)) {
-                continue;
-            }
-        }
         bound[v] = true;
         let cont = bind_next(
             rule,
@@ -876,12 +796,10 @@ fn bind_vertices(rule: &Rule, ctx: &EvalContext<'_>, h: &mut Valuation) -> bool 
 /// `h ⊭ p0` (§4.2). Trivial valuations binding two variables of the same
 /// relation to the same tuple are skipped for inequality-flavoured
 /// consequences only when they would be vacuous (`t` and `t` always agree).
-/// Satisfied valuations are skipped inside the join ([`Satisfied::Skip`]).
 pub fn find_violations(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
     let mut out = Vec::new();
-    let all = FxHashMap::default();
-    enumerate_valuations_with_candidates(rule, ctx, &all, Satisfied::Skip, |h| {
-        if distinct_ok(rule, h) && ctx.eval_predicate(rule, h, &rule.consequence) != Some(true) {
+    enumerate_valuations(rule, ctx, |h| {
+        if distinct_ok(rule, h) && ctx.eval_predicate(h, &rule.consequence) != Some(true) {
             out.push(h.clone());
         }
         true
@@ -916,8 +834,7 @@ mod tests {
     fn find_satisfying(rule: &Rule, ctx: &EvalContext<'_>) -> Vec<Valuation> {
         let mut out = Vec::new();
         enumerate_valuations(rule, ctx, |h| {
-            if distinct_ok(rule, h) && ctx.eval_predicate(rule, h, &rule.consequence) == Some(true)
-            {
+            if distinct_ok(rule, h) && ctx.eval_predicate(h, &rule.consequence) == Some(true) {
                 out.push(h.clone());
             }
             true
@@ -1245,7 +1162,7 @@ mod tests {
         let reg = ModelRegistry::new();
         let ctx = EvalContext::new(db, &reg).with_columnar(columnar);
         let mut seen = Vec::new();
-        enumerate_valuations_with_candidates(rule, &ctx, overrides, Satisfied::Visit, |h| {
+        enumerate_valuations_with_candidates(rule, &ctx, overrides, |h| {
             seen.push(h.tuples.clone());
             true
         });
@@ -1299,140 +1216,6 @@ mod tests {
         }
     }
 
-    /// Every valuation one mode visits, in call order.
-    fn mode_run(rule: &Rule, ctx: &EvalContext<'_>, satisfied: Satisfied) -> Vec<Valuation> {
-        let mut seen = Vec::new();
-        enumerate_valuations_with_candidates(rule, ctx, &FxHashMap::default(), satisfied, |h| {
-            seen.push(h.clone());
-            true
-        });
-        seen
-    }
-
-    /// Runs `Skip` against `Visit`; returns how many of `Visit`'s
-    /// valuations satisfy p0 and how many `Skip` dropped. Always checked:
-    /// `Skip` drops only satisfied valuations and keeps `Visit`'s order.
-    /// With `skips_all`, `Skip` must be exactly `Visit` minus its satisfied
-    /// valuations.
-    fn compare_modes(
-        rule: &Rule,
-        ctx: &EvalContext<'_>,
-        skips_all: bool,
-        label: &str,
-    ) -> (usize, usize) {
-        let holds = |h: &Valuation| ctx.eval_predicate(rule, h, &rule.consequence) == Some(true);
-        let visit = mode_run(rule, ctx, Satisfied::Visit);
-        let skip = mode_run(rule, ctx, Satisfied::Skip);
-        let unsatisfied: Vec<Valuation> = visit.iter().filter(|h| !holds(h)).cloned().collect();
-        if skips_all {
-            assert_eq!(skip, unsatisfied, "{label}: Skip is Visit minus satisfied");
-        } else {
-            let mut rest = skip.iter().peekable();
-            for h in &visit {
-                if rest.peek() == Some(&h) {
-                    rest.next();
-                } else {
-                    assert!(holds(h), "{label}: Skip dropped a violation {h:?}");
-                }
-            }
-            assert!(
-                rest.next().is_none(),
-                "{label}: Skip is a subsequence of Visit"
-            );
-        }
-        (visit.len() - unsatisfied.len(), visit.len() - skip.len())
-    }
-
-    fn mode_registry() -> ModelRegistry {
-        let reg = ModelRegistry::new();
-        reg.register_pair("M", Arc::new(NgramPairModel::with_threshold(0.5)));
-        reg
-    }
-
-    /// The shapes the join decides: null consequence cells on either side
-    /// and fallback `"n/a"` cells in an Int column (`amount`), `Int(1)` vs
-    /// `Float(1.0)` in one column (`fee`) and across columns (`total` vs
-    /// `fee`), unary prefilters next to the joins, and a cross-relation
-    /// consequence. `Skip` drops exactly the satisfied valuations.
-    #[test]
-    fn skip_decides_satisfied_valuations_in_the_join() {
-        let rules = [
-            "rule cic_area: Company(t) && Branch(b) && t.city = b.city -> t.area_code = b.area_code",
-            "rule tpa_amount: Payment(t) && Payment(s) && t.aid = s.aid -> t.amount = s.amount",
-            "rule tpa_fee: Payment(t) && Payment(s) && t.aid = s.aid && t.total >= 1 -> s.fee = t.fee",
-            "rule tpa_cross: Payment(t) && Payment(s) && t.aid = s.aid && t.amount = s.amount && s.fee > 0.7 -> t.total = s.fee",
-        ];
-        let reg = mode_registry();
-        for text in rules {
-            let mut decided = 0;
-            for seed in 0..8 {
-                let db = seeded_join_db(seed);
-                let mut rule = crate::parse_rule(text, &db.schema()).unwrap();
-                rule.resolve(&reg).unwrap();
-                let ctx = EvalContext::new(&db, &reg);
-                let label = format!("seed {seed}: {text}");
-                let (sat, skipped) = compare_modes(&rule, &ctx, true, &label);
-                assert_eq!(skipped, sat, "{label}");
-                decided += skipped;
-            }
-            assert!(decided > 0, "{text}: the join decided nothing");
-        }
-    }
-
-    /// `Skip` prunes narrowed lists even where the joins alone cannot
-    /// decide the precondition: a 3-variable rule whose consequence
-    /// variables bind before the last one, and `!=`, `EidCmp` and ML
-    /// preconditions. A list no join narrowed is never checked.
-    #[test]
-    fn skip_prunes_narrowed_lists_only() {
-        let pruned = [
-            "rule three: Company(t) && Branch(b) && Company(u) && t.city = b.city && t.area_code = u.area_code -> t.area_code = b.area_code",
-            "rule neq: Payment(t) && Payment(s) && t.aid = s.aid && t.total != s.total -> t.amount = s.amount",
-            "rule eid: Payment(t) && Payment(s) && t.aid = s.aid && t.eid != s.eid -> t.amount = s.amount",
-            "rule ml: Payment(t) && Payment(s) && t.aid = s.aid && ml:M(t[aid], s[aid]) -> t.amount = s.amount",
-        ];
-        let unnarrowed =
-            "rule cross: Company(t) && Branch(b) && t.city = 'c1' -> t.area_code = b.area_code";
-        let reg = mode_registry();
-        for text in pruned.into_iter().chain([unnarrowed]) {
-            let (mut satisfied, mut skipped) = (0, 0);
-            for seed in 0..8 {
-                let db = seeded_join_db(seed);
-                let mut rule = crate::parse_rule(text, &db.schema()).unwrap();
-                rule.resolve(&reg).unwrap();
-                let ctx = EvalContext::new(&db, &reg);
-                let label = format!("seed {seed}: {text}");
-                let (sat, s) = compare_modes(&rule, &ctx, text != unnarrowed, &label);
-                satisfied += sat;
-                skipped += s;
-            }
-            assert!(satisfied > 0, "{text}: no satisfied valuation to decide");
-            if text == unnarrowed {
-                assert_eq!(skipped, 0, "{text}: an unnarrowed list was checked");
-            } else {
-                assert_eq!(skipped, satisfied, "{text}");
-            }
-        }
-    }
-
-    /// A scalar context is a reference: every mode visits everything.
-    #[test]
-    fn scalar_context_always_visits() {
-        let db = seeded_join_db(3);
-        let reg = mode_registry();
-        let rule = crate::parse_rule(
-            "rule cic_area: Company(t) && Branch(b) && t.city = b.city -> t.area_code = b.area_code",
-            &db.schema(),
-        )
-        .unwrap();
-        let ctx = EvalContext::new(&db, &reg).with_columnar(false);
-        let visit = mode_run(&rule, &ctx, Satisfied::Visit);
-        assert!(visit
-            .iter()
-            .any(|h| ctx.eval_predicate(&rule, h, &rule.consequence) == Some(true)));
-        assert_eq!(mode_run(&rule, &ctx, Satisfied::Skip), visit);
-    }
-
     #[test]
     fn correlation_and_predict_predicates() {
         use rock_ml::correlation::{CorrelationModel, ValuePredictor};
@@ -1482,16 +1265,13 @@ mod tests {
             delta: 0.5,
         };
         let (rule, h) = mk(0, corr.clone());
-        assert_eq!(ctx.eval_predicate(&rule, &h, &rule.consequence), Some(true));
+        assert_eq!(ctx.eval_predicate(&h, &rule.consequence), Some(true));
         // a far-fetched constant fails the threshold
         if let Predicate::CorrConst { value, .. } = &mut corr {
             *value = Value::str("000");
         }
         let (rule, h) = mk(0, corr);
-        assert_eq!(
-            ctx.eval_predicate(&rule, &h, &rule.consequence),
-            Some(false)
-        );
+        assert_eq!(ctx.eval_predicate(&h, &rule.consequence), Some(false));
         // CorrAttr on the correct row passes, on the corrupted row fails
         let corr_attr = |row: usize| {
             let (rule, h) = mk(
@@ -1504,7 +1284,7 @@ mod tests {
                     delta: 0.5,
                 },
             );
-            ctx.eval_predicate(&rule, &h, &rule.consequence)
+            ctx.eval_predicate(&h, &rule.consequence)
         };
         assert_eq!(corr_attr(0), Some(true));
         assert_eq!(corr_attr(1), Some(false));
@@ -1520,7 +1300,7 @@ mod tests {
                     target: AttrId(1),
                 },
             );
-            ctx.eval_predicate(&rule, &h, &rule.consequence)
+            ctx.eval_predicate(&h, &rule.consequence)
         };
         assert_eq!(pred(0), Some(true));
         assert_eq!(pred(1), Some(false));

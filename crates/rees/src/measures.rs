@@ -45,8 +45,10 @@ impl Measures {
     }
 }
 
-/// Measure a rule over a database.
+/// Measure a rule over a database, deciding ML predicates by their models
+/// rather than by any installed block filter.
 pub fn measure(rule: &Rule, ctx: &EvalContext<'_>) -> Measures {
+    let ctx = &ctx.without_block_filters();
     let mut pre = 0u64;
     let mut sat = 0u64;
     enumerate_valuations(rule, ctx, |h| {
@@ -54,7 +56,7 @@ pub fn measure(rule: &Rule, ctx: &EvalContext<'_>) -> Measures {
             return true;
         }
         pre += 1;
-        if ctx.eval_predicate(rule, h, &rule.consequence) == Some(true) {
+        if ctx.eval_predicate(h, &rule.consequence) == Some(true) {
             sat += 1;
         }
         true
@@ -150,24 +152,18 @@ pub fn pair_offdiag(n: usize) -> Bitset {
 }
 
 /// Materialize the satisfaction bitset of `p` over `tids` (the live tuples
-/// of `rel`, in iteration order). Each predicate — ML classifiers included
-/// — is evaluated once per instance here and never re-evaluated per
-/// candidate conjunction. Models referenced by `p` must already be
-/// resolved (as after [`Rule::resolve`]).
+/// of `rel`, in iteration order). Each predicate — ML classifiers included,
+/// decided by their models as in [`measure`] — is evaluated once per
+/// instance here and never re-evaluated per candidate conjunction. Models
+/// referenced by `p` must already be resolved (as after [`Rule::resolve`]).
 pub fn predicate_sat_bits(
     p: &Predicate,
     ctx: &EvalContext<'_>,
     rel: RelId,
     tids: &[TupleId],
 ) -> SatBits {
+    let ctx = &ctx.without_block_filters();
     let n = tids.len();
-    let probe = Rule::new(
-        "sat-bits-probe",
-        vec![("t".into(), rel), ("s".into(), rel)],
-        vec![],
-        vec![],
-        p.clone(),
-    );
     // vertex slots stay unbound (None): vertex-dependent predicates
     // evaluate to undecided = unsatisfied, matching the scan path, which
     // never binds vertices for rules without HER preconditions.
@@ -178,7 +174,7 @@ pub fn predicate_sat_bits(
         let mut bits = Bitset::new(n);
         for (i, &tid) in tids.iter().enumerate() {
             h.tuples[0] = GlobalTid::new(rel, tid);
-            if ctx.eval_predicate(&probe, &h, p) == Some(true) {
+            if ctx.eval_predicate(&h, p) == Some(true) {
                 bits.set(i);
             }
         }
@@ -189,7 +185,7 @@ pub fn predicate_sat_bits(
             h.tuples[0] = GlobalTid::new(rel, ti);
             for (j, &tj) in tids.iter().enumerate() {
                 h.tuples[1] = GlobalTid::new(rel, tj);
-                if ctx.eval_predicate(&probe, &h, p) == Some(true) {
+                if ctx.eval_predicate(&h, p) == Some(true) {
                     bits.set(i * n + j);
                 }
             }

@@ -32,8 +32,8 @@ use crate::eval::columnar_prefilter_mask;
 use crate::op::CmpOp;
 use crate::predicate::Predicate;
 use crate::rule::Rule;
-use rock_data::{AttrId, Bitset, CellRef, ColumnSet, Database, FxHashMap, FxHashSet, RelId};
-use rock_data::{GlobalTid, TupleId, Value};
+use rock_data::{AttrId, Bitset, CellRef, ColumnSet, Database, DeltaSet, FxHashMap, FxHashSet};
+use rock_data::{GlobalTid, RelId, TupleId, Value};
 use std::sync::Arc;
 
 /// The join values shared by every pair of a run, in precondition order.
@@ -169,9 +169,9 @@ impl<'a> FdRuns<'a> {
         })
     }
 
-    /// Count only the pairs binding a tuple `touched(rel)` marks.
-    pub fn restrict(&mut self, touched: impl Fn(RelId) -> Bitset) {
-        self.touched = Some(self.shape.rels.map(touched));
+    /// Count only the pairs binding a tuple `touched` marks.
+    pub fn restrict(&mut self, touched: &DeltaSet) {
+        self.touched = Some(self.shape.rels.map(|rel| touched.bits(rel)));
     }
 
     /// The run `tid` belongs to on `side`: `None` when it is dead, filtered
@@ -227,13 +227,11 @@ impl<'a> FdRuns<'a> {
         }
     }
 
-    /// The distinct runs holding a tuple `marked(rel)` marks, on either
-    /// side, in the order first seen.
-    pub fn marked_keys(&self, marked: impl Fn(RelId) -> Bitset) -> Vec<RunKey> {
-        let marks = self.shape.rels.map(marked);
-        let tuples =
-            (0..2).flat_map(|side| marks[side].ones().map(move |i| (side, TupleId(i as u32))));
-        self.keys_of(tuples)
+    /// The distinct runs holding a tuple `marked` marks, on either side,
+    /// in the order first seen.
+    pub fn marked_keys(&self, marked: &DeltaSet) -> Vec<RunKey> {
+        let rels = self.shape.rels;
+        self.keys_of((0..2).flat_map(|side| marked.tids(rels[side]).map(move |t| (side, t))))
     }
 
     /// The distinct runs the given `(side, tuple)`s belong to, in the

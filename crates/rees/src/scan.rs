@@ -4,9 +4,10 @@
 //!
 //! * A **full scan** is one unit per variable-0 tid range.
 //! * A **delta pass** is `ΔR ⋈ S ∪ R_old ⋈ ΔS`: the pass for tuple
-//!   variable `v` pins `v` to a chunk of the tuples a delta touched and
-//!   binds every earlier variable to `R_old`, the live tuples outside the
-//!   touched set. Each valuation binding a touched tuple is therefore
+//!   variable `v` pins `v` to a chunk of the tuples a delta touched (the
+//!   [`DeltaSet`] that incremental detection and the chase both pass in)
+//!   and binds every earlier variable to `R_old`, the live tuples outside
+//!   the touched set. Each valuation binding a touched tuple is therefore
 //!   enumerated exactly once, by the pass pinning its first touched
 //!   variable. Each `R_old` list is built once per (rule, variable) and
 //!   borrowed by every unit.
@@ -15,15 +16,15 @@
 //!   runs (`crate::runs`) instead of its pairs: each unit owns a chunk of
 //!   the run keys, so a run is never split between units.
 //!
-//! [`ScanPlan::run`] turns a pair unit back into an enumerator call; the
-//! caller chooses the [`Satisfied`] mode and the leaf.
-//! [`ScanPlan::runs_of`] hands a run unit's keys to the caller instead.
+//! [`ScanPlan::run`] turns a pair unit back into an enumerator call that
+//! hands every valuation to the caller's leaf; [`ScanPlan::runs_of`] hands
+//! a run unit's keys to the caller instead.
 
-use crate::eval::{enumerate_valuations_with_candidates, EvalContext, Satisfied, Valuation};
+use crate::eval::{enumerate_valuations_with_candidates, EvalContext, Valuation};
 use crate::rule::RuleSet;
 use crate::runs::{FdRuns, RunKey};
 use rock_crystal::work::{partition_range, Partition, WorkUnit};
-use rock_data::{Database, FxHashMap, RelId, TupleId};
+use rock_data::{Database, DeltaSet, FxHashMap, TupleId};
 
 /// Work units for a set of rules over one database snapshot.
 pub struct ScanPlan<'a> {
@@ -87,15 +88,15 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// Delta passes of rule `ri`: `touched(rel)` lists the tuples a delta
-    /// touched in `rel`, ascending. Every variable with touched tuples gets
-    /// one pass, in variable order, chunked into units.
-    pub fn delta(&mut self, ri: usize, touched: impl Fn(RelId) -> Vec<TupleId>) {
+    /// Delta passes of rule `ri` over the tuples `touched` marks. Every
+    /// variable with touched tuples gets one pass, in variable order,
+    /// chunked into units.
+    pub fn delta(&mut self, ri: usize, touched: &DeltaSet) {
         let rule = &self.rules.rules[ri];
         let mut pinned: Vec<usize> = Vec::new();
         for v in 0..rule.tuple_vars.len() {
             let rel = rule.rel_of(v);
-            let list = touched(rel);
+            let list: Vec<TupleId> = touched.tids(rel).collect();
             if list.is_empty() {
                 continue;
             }
@@ -142,9 +143,9 @@ impl<'a> ScanPlan<'a> {
         self.units.clone()
     }
 
-    /// Enumerate one pair unit of this plan with the given [`Satisfied`]
-    /// mode (a run unit enumerates nothing).
-    pub fn run<F>(&self, ctx: &EvalContext<'_>, unit: &WorkUnit, satisfied: Satisfied, visit: F)
+    /// Enumerate one pair unit of this plan, calling `visit` with every
+    /// valuation (a run unit enumerates nothing).
+    pub fn run<F>(&self, ctx: &EvalContext<'_>, unit: &WorkUnit, visit: F)
     where
         F: FnMut(&Valuation) -> bool,
     {
@@ -157,9 +158,7 @@ impl<'a> ScanPlan<'a> {
             Pass::Full => {
                 let slots: Vec<TupleId> = range.map(TupleId).collect();
                 let overrides = FxHashMap::from_iter([(0, slots.as_slice())]);
-                return enumerate_valuations_with_candidates(
-                    rule, ctx, &overrides, satisfied, visit,
-                );
+                return enumerate_valuations_with_candidates(rule, ctx, &overrides, visit);
             }
         };
         let chunk = &self.touched[&(ri, v)][range.start as usize..range.end as usize];
@@ -169,7 +168,7 @@ impl<'a> ScanPlan<'a> {
                 overrides.insert(w, old.as_slice());
             }
         }
-        enumerate_valuations_with_candidates(rule, ctx, &overrides, satisfied, visit);
+        enumerate_valuations_with_candidates(rule, ctx, &overrides, visit);
     }
 }
 
@@ -187,7 +186,7 @@ fn outside(skip: &[TupleId]) -> impl FnMut(&TupleId) -> bool + '_ {
 mod tests {
     use super::*;
     use crate::parser::parse_rules;
-    use rock_data::{AttrType, DatabaseSchema, GlobalTid, RelationSchema, Value};
+    use rock_data::{AttrType, DatabaseSchema, GlobalTid, RelId, RelationSchema, Value};
     use rock_ml::ModelRegistry;
 
     fn tids(xs: &[u32]) -> Vec<TupleId> {
@@ -228,7 +227,7 @@ mod tests {
         let collect = |plan: &ScanPlan<'_>| {
             let mut seen: Vec<Vec<GlobalTid>> = Vec::new();
             for unit in plan.units() {
-                plan.run(&ctx, &unit, Satisfied::Visit, |h| {
+                plan.run(&ctx, &unit, |h| {
                     seen.push(h.tuples.clone());
                     true
                 });
@@ -246,14 +245,12 @@ mod tests {
         let all = collect(&full);
 
         let touched = tids(&[1, 4, 5]);
+        let mut marks = DeltaSet::empty(&db);
+        for &t in &touched {
+            marks.mark(RelId(0), t);
+        }
         let mut delta = ScanPlan::new(&rules, &db, 2);
-        delta.delta(0, |rel| {
-            if rel == RelId(0) {
-                touched.clone()
-            } else {
-                Vec::new()
-            }
-        });
+        delta.delta(0, &marks);
         assert_eq!(delta.units().len(), 4, "two chunks per pinned variable");
         let binds_touched = |h: &Vec<GlobalTid>| h.iter().any(|g| touched.contains(&g.tid));
         let expected: Vec<_> = all.iter().filter(|h| binds_touched(h)).cloned().collect();

@@ -23,8 +23,8 @@ use common::{check, Gen};
 use rock::chase::reference;
 use rock::chase::{ChaseConfig, ChaseEngine, GateMode};
 use rock::data::{
-    AttrId, AttrType, Bitset, CellRef, Database, DatabaseSchema, Delta, Eid, FxHashMap, FxHashSet,
-    GlobalTid, RelId, RelationSchema, TupleId, Update, Value,
+    AttrId, AttrType, CellRef, Database, DatabaseSchema, Delta, DeltaSet, Eid, FxHashMap,
+    FxHashSet, GlobalTid, RelId, RelationSchema, TupleId, Update, Value,
 };
 use rock::detect::Detector;
 use rock::ml::ModelRegistry;
@@ -282,7 +282,7 @@ fn pair_clusters(rule: &Rule, db: &Database, touched: Option<&FxHashSet<GlobalTi
     let mut violations = 0;
     enumerate_valuations(rule, &ctx, |h| {
         let binds = !matches!(touched, Some(t) if !h.tuples.iter().any(|g| t.contains(g)));
-        let holds = ctx.eval_predicate(rule, h, &rule.consequence) == Some(true);
+        let holds = ctx.eval_predicate(h, &rule.consequence) == Some(true);
         if distinct_ok(rule, h) && binds && !holds {
             violations += 1;
             let (l, r) = (h.tuples[shape.vars[0]], h.tuples[shape.vars[1]]);
@@ -301,15 +301,12 @@ fn run_clusters(rule: &Rule, db: &Database, touched: Option<&FxHashSet<GlobalTid
     let keys = match touched {
         None => fd.all_keys(),
         Some(t) => {
-            let marks = |rel: RelId| {
-                let mut bits = Bitset::new(db.relation(rel).capacity());
-                for g in t.iter().filter(|g| g.rel == rel) {
-                    bits.set(g.tid.index());
-                }
-                bits
-            };
-            fd.restrict(marks);
-            fd.marked_keys(marks)
+            let mut marks = DeltaSet::empty(db);
+            for g in t {
+                marks.mark(g.rel, g.tid);
+            }
+            fd.restrict(&marks);
+            fd.marked_keys(&marks)
         }
     };
     let shape = fd.shape.clone();
