@@ -4,10 +4,16 @@
 //! candidate conjunction re-evaluated each of its predicates from raw
 //! tuples. This module materializes, once per predicate over the
 //! candidate instance set, the bitset of satisfied instances
-//! ([`rock_rees::measures::predicate_sat_bits`]) — ML-predicate outputs
-//! included, so each embedded classifier runs once per instance rather
-//! than once per candidate containing it. The levelwise loop then measures
-//! `supp(X ∧ p)` / `conf` with AND+popcount kernels over these bitsets.
+//! ([`rock_rees::measures::predicate_sat_bits`]: `t.A = s.A` from join-index
+//! groups, ML predicates from prepared distinct projections, every other
+//! shape per instance) — ML-predicate outputs included, so each embedded
+//! classifier scores each distinct pair of projections once rather than
+//! once per candidate containing it. The levelwise loop then measures
+//! `supp(X ∧ p)` / `conf` with AND+popcount kernels over these bitsets,
+//! and sampled discovery's verification round
+//! ([`crate::sampling::mine_with_sampling`]) measures the sample's
+//! survivors on a [`PredicateBitsets`] over the full relation the same
+//! way.
 //!
 //! Materialized bitsets live behind a configurable byte budget with LRU
 //! eviction ([`BitsetCache`]): a pair-domain bitset costs `n²/8` bytes, so

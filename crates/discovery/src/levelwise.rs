@@ -197,14 +197,21 @@ impl<'a> Discoverer<'a> {
         let preconditions = space.preconditions();
         let mut report = DiscoveryReport::default();
         let cluster = Cluster::with_config(self.config.workers, self.config.cluster.clone());
+        // every candidate takes a number, whether or not it is measured;
+        // an accepted candidate's rule is named after it
         let mut counter = 0usize;
 
         for (ci, consequence) in space.consequences.iter().enumerate() {
+            // the rule of a candidate conjunction, built only where it is
+            // read: by an accepted candidate, or by a measurer that scans
+            let rule_of = |name: String, idxs: &[usize]| {
+                let precondition = idxs.iter().map(|&i| preconditions[i].clone()).collect();
+                self.make_rule(name, rel, consequence, precondition)
+            };
             // level 0: the consequence alone must clear the support floor.
             // An unknown-model consequence yields no rule and is skipped.
-            let Some((base, root)) = self
-                .make_rule(format!("{rel_name}-c{ci}"), rel, consequence, Vec::new())
-                .and_then(|base| measurer.base(ci, &base))
+            let Some((base, root)) =
+                measurer.base(ci, || rule_of(format!("{rel_name}-c{ci}"), &[]))
             else {
                 continue;
             };
@@ -246,18 +253,9 @@ impl<'a> Discoverer<'a> {
                 if candidates.is_empty() {
                     break;
                 }
-                let rules: Vec<Option<Rule>> = candidates
-                    .iter()
-                    .map(|idxs| {
-                        counter += 1;
-                        self.make_rule(
-                            format!("{rel_name}-r{counter}"),
-                            rel,
-                            consequence,
-                            idxs.iter().map(|&i| preconditions[i].clone()).collect(),
-                        )
-                    })
-                    .collect();
+                let first = counter + 1;
+                counter += candidates.len();
+                let name = |i: usize| format!("{rel_name}-r{}", first + i);
                 measurer.prepare(&candidates);
                 let units: Vec<WorkUnit> = (0..candidates.len())
                     .map(|i| {
@@ -269,9 +267,9 @@ impl<'a> Discoverer<'a> {
                 let outcome = cluster.execute(units, |u| {
                     let i = u.rule as usize;
                     let evaluate = || {
-                        let rule = rules[i].as_ref()?;
                         let pi = *candidates[i].last()?;
-                        measurer.extend(ci, &frontier_ref[u.payload as usize].1, pi, rule)
+                        let parent = &frontier_ref[u.payload as usize].1;
+                        measurer.extend(ci, parent, pi, || rule_of(name(i), &candidates[i]))
                     };
                     Ok(evaluate())
                 });
@@ -283,8 +281,9 @@ impl<'a> Discoverer<'a> {
                 let outs = outcome.results.into_iter().map(Option::flatten);
 
                 let mut next_frontier: Vec<(Vec<usize>, M::Conj)> = Vec::new();
-                for ((idxs, rule), out) in candidates.into_iter().zip(rules).zip(outs) {
-                    let (Some(mut rule), Some((m, conj))) = (rule, out) else {
+                for ((i, idxs), out) in candidates.into_iter().enumerate().zip(outs) {
+                    // `None` also stands for an unknown model: no rule
+                    let Some((m, conj)) = out else {
                         continue;
                     };
                     report.candidates_evaluated += 1;
@@ -293,6 +292,9 @@ impl<'a> Discoverer<'a> {
                         continue; // anti-monotone: no supersets either
                     }
                     if m.confidence() >= self.config.min_confidence && m.precondition_count > 0 {
+                        let Some(mut rule) = rule_of(name(i), &idxs) else {
+                            continue;
+                        };
                         rule.support = m.support();
                         rule.confidence = m.confidence();
                         accepted_for_consequence.push(idxs);
@@ -313,7 +315,8 @@ impl<'a> Discoverer<'a> {
         report
     }
 
-    fn ctx<'b>(&'b self, db: &'b Database) -> EvalContext<'b> {
+    /// The evaluation context every measure of this miner runs under.
+    pub(crate) fn ctx<'b>(&'b self, db: &'b Database) -> EvalContext<'b> {
         let mut ctx = EvalContext::new(db, self.registry);
         if let Some(g) = self.graph {
             ctx = ctx.with_graph(g);
@@ -354,21 +357,28 @@ trait Measurer: Sync {
     /// What a frontier entry keeps of its conjunction.
     type Conj: Send + Sync;
 
-    /// The measures of `base` (`∅ → p0`, the consequence at slot `ci`)
-    /// and the empty conjunction the first level extends.
-    fn base(&self, ci: usize, base: &Rule) -> Option<(Measures, Self::Conj)>;
+    /// The measures of `∅ → p0` (the consequence at slot `ci`) and the
+    /// empty conjunction the first level extends. `base` builds that rule,
+    /// for a measurer that reads it; `None` when a model is unknown.
+    fn base(
+        &self,
+        ci: usize,
+        base: impl FnOnce() -> Option<Rule>,
+    ) -> Option<(Measures, Self::Conj)>;
 
     /// Runs serially before a level's candidates are measured.
     fn prepare(&self, _candidates: &[Vec<usize>]) {}
 
-    /// Measures of `rule`: the parent conjunction `x` extended with
-    /// precondition slot `pi`, implying consequence slot `ci`.
+    /// Measures of the parent conjunction `x` extended with precondition
+    /// slot `pi`, implying consequence slot `ci`. `rule` builds that
+    /// candidate's rule, for a measurer that reads it; `None` when a model
+    /// is unknown.
     fn extend(
         &self,
         ci: usize,
         x: &Self::Conj,
         pi: usize,
-        rule: &Rule,
+        rule: impl FnOnce() -> Option<Rule>,
     ) -> Option<(Measures, Self::Conj)>;
 
     /// Cache counters, for a measurer that caches.
@@ -383,7 +393,11 @@ trait Measurer: Sync {
 impl Measurer for PredicateBitsets<'_> {
     type Conj = Arc<SatBits>;
 
-    fn base(&self, ci: usize, _base: &Rule) -> Option<(Measures, Arc<SatBits>)> {
+    fn base(
+        &self,
+        ci: usize,
+        _base: impl FnOnce() -> Option<Rule>,
+    ) -> Option<(Measures, Arc<SatBits>)> {
         let root = self.root();
         Some((self.measure(ci, &root)?, root))
     }
@@ -407,7 +421,7 @@ impl Measurer for PredicateBitsets<'_> {
         ci: usize,
         x: &Arc<SatBits>,
         pi: usize,
-        _rule: &Rule,
+        _rule: impl FnOnce() -> Option<Rule>,
     ) -> Option<(Measures, Arc<SatBits>)> {
         let child = x.and(self.precondition(pi)?.as_ref(), self.n());
         Some((self.measure(ci, &child)?, Arc::new(child)))
@@ -425,12 +439,18 @@ struct Rescan<'a>(EvalContext<'a>);
 impl Measurer for Rescan<'_> {
     type Conj = ();
 
-    fn base(&self, _ci: usize, base: &Rule) -> Option<(Measures, ())> {
-        Some((measure(base, &self.0), ()))
+    fn base(&self, _ci: usize, base: impl FnOnce() -> Option<Rule>) -> Option<(Measures, ())> {
+        Some((measure(&base()?, &self.0), ()))
     }
 
-    fn extend(&self, _ci: usize, _x: &(), _pi: usize, rule: &Rule) -> Option<(Measures, ())> {
-        Some((measure(rule, &self.0), ()))
+    fn extend(
+        &self,
+        _ci: usize,
+        _x: &(),
+        _pi: usize,
+        rule: impl FnOnce() -> Option<Rule>,
+    ) -> Option<(Measures, ())> {
+        Some((measure(&rule()?, &self.0), ()))
     }
 }
 

@@ -9,13 +9,16 @@
 //! inverts this to the sample size achieving (ε, δ); the driver mines on a
 //! sampled database and then *verifies* survivors on the full data (the
 //! multi-round part), so reported measures are exact while pruning cost is
-//! paid on the sample.
+//! paid on the sample. Verification measures on the miner's satisfaction
+//! bitsets, built over the full relation once per distinct predicate of
+//! the survivors; a rescan per survivor cost as much as the mining.
 
+use crate::cache::PredicateBitsets;
 use crate::levelwise::{Discoverer, DiscoveryConfig, DiscoveryReport};
 use crate::space::PredicateSpace;
 use rock_data::{rng::StdRng, Database, RelId, Relation};
-use rock_rees::measures::measure_into;
-use rock_rees::EvalContext;
+use rock_rees::{Predicate, Rule};
+use std::sync::Arc;
 
 /// Hoeffding sample size for deviation ε with failure probability δ:
 /// `n ≥ ln(2/δ) / (2ε²)`.
@@ -71,9 +74,11 @@ pub fn sample_database(db: &Database, ratio: f64, seed: u64) -> Database {
 /// round with probability ≥ 1 − δ each.
 ///
 /// The sample-phase miner inherits the caller's full `DiscoveryConfig`
-/// (struct-update below), so it runs the bitset-cache path with the same
-/// budget by default; the verification round re-measures the few surviving
-/// rules by direct scan, where a cache would not pay for itself.
+/// (struct-update below) and knowledge graph. The verification round
+/// ([`verify`]) measures the survivors on the full relation with the same
+/// bitset kernels the miner uses, under the caller's own evaluation
+/// context, so the reported measures are exactly those of
+/// [`rock_rees::measures::measure`] over the full data.
 pub fn mine_with_sampling(
     discoverer: &Discoverer<'_>,
     db: &Database,
@@ -87,23 +92,67 @@ pub fn mine_with_sampling(
     let n = sampled.relation(rel).len().max(2);
     // valuation count for a 2-variable template ≈ n².
     let eps = deviation_bound(n * n, delta).min(0.2);
-    let relaxed = Discoverer::new(
-        discoverer.registry,
-        DiscoveryConfig {
+    let relaxed = Discoverer {
+        registry: discoverer.registry,
+        graph: discoverer.graph,
+        config: DiscoveryConfig {
             min_support: (discoverer.config.min_support - eps).max(0.0),
             min_confidence: (discoverer.config.min_confidence - eps).max(0.0),
             ..discoverer.config.clone()
         },
-    );
+    };
     let mut report = relaxed.mine_relation(&sampled, rel, space);
-    // verification round on the full data with the true thresholds
-    let ctx = EvalContext::new(db, discoverer.registry);
-    report.rules.rules.retain_mut(|rule| {
-        let m = measure_into(rule, &ctx);
+    verify(discoverer, db, rel, &mut report.rules.rules);
+    report
+}
+
+/// The verification round on the full data with the true thresholds:
+/// record each rule's full-data support and confidence, and keep the rules
+/// that clear both. Survivors share most of their predicates, so each
+/// distinct predicate is materialized once into a satisfaction bitset over
+/// the full relation ([`PredicateBitsets`]) and each rule is measured by
+/// AND + popcount, as the miner measures its candidates.
+fn verify(discoverer: &Discoverer<'_>, db: &Database, rel: RelId, rules: &mut Vec<Rule>) {
+    let mut pre: Vec<Predicate> = Vec::new();
+    let mut cons: Vec<Predicate> = Vec::new();
+    for rule in rules.iter() {
+        for p in &rule.precondition {
+            if !pre.contains(p) {
+                pre.push(p.clone());
+            }
+        }
+        if !cons.contains(&rule.consequence) {
+            cons.push(rule.consequence.clone());
+        }
+    }
+    let ctx = discoverer.ctx(db);
+    let bits = PredicateBitsets::new(
+        &ctx,
+        db,
+        rel,
+        &pre,
+        &cons,
+        discoverer.registry,
+        discoverer.config.cache_budget_bytes,
+    );
+    let slot = |ps: &[Predicate], p: &Predicate| ps.iter().position(|q| q == p);
+    rules.retain_mut(|rule| {
+        let mut conj = bits.root();
+        for p in &rule.precondition {
+            // every slot resolves: the rules were mined with these models
+            let Some(b) = slot(&pre, p).and_then(|i| bits.precondition(i)) else {
+                return false;
+            };
+            conj = Arc::new(conj.and(&b, bits.n()));
+        }
+        let Some(m) = slot(&cons, &rule.consequence).and_then(|ci| bits.measure(ci, &conj)) else {
+            return false;
+        };
+        rule.support = m.support();
+        rule.confidence = m.confidence();
         m.support() >= discoverer.config.min_support
             && m.confidence() >= discoverer.config.min_confidence
     });
-    report
 }
 
 #[cfg(test)]
@@ -162,6 +211,39 @@ mod tests {
                 .collect()
         };
         assert_eq!(vals(&a), vals(&b));
+    }
+
+    /// Verification measures under the discoverer's own context, knowledge
+    /// graph included: the survivors' measures are those a rescan under
+    /// that context records.
+    #[test]
+    fn verification_runs_under_the_discoverers_graph() {
+        let d = db(120);
+        let reg = ModelRegistry::new();
+        let mut graph = rock_kg::Graph::new("kg");
+        let city = graph.add_vertex(Value::str("Beijing"), "city");
+        let code = graph.add_vertex(Value::str("010"), "code");
+        graph.add_edge(city, "area_code", code);
+        let space = PredicateSpace::build(&d, RelId(0), &[], &SpaceConfig::default());
+        let mut disc = Discoverer::new(
+            &reg,
+            DiscoveryConfig {
+                min_support: 0.02,
+                min_confidence: 0.95,
+                max_preconditions: 1,
+                ..Default::default()
+            },
+        );
+        disc.graph = Some(&graph);
+        let report = mine_with_sampling(&disc, &d, RelId(0), &space, 0.3, 0.05, 3);
+        assert!(!report.rules.is_empty());
+        let ctx = disc.ctx(&d);
+        for rule in report.rules.iter() {
+            let mut rescanned = rule.clone();
+            rock_rees::measures::measure_into(&mut rescanned, &ctx);
+            assert_eq!(rule.support.to_bits(), rescanned.support.to_bits());
+            assert_eq!(rule.confidence.to_bits(), rescanned.confidence.to_bits());
+        }
     }
 
     #[test]

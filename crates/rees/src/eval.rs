@@ -53,7 +53,8 @@ pub struct EvalContext<'a> {
     /// Route unary constant/two-attribute prefilters through the columnar
     /// kernels ([`rock_data::ColumnSet::eval_const_op`]), equality joins
     /// through the snapshot's cached [`rock_data::ColumnSet::join_index`],
-    /// and join ML pair predicates on their block filters' accepted pairs.
+    /// join ML pair predicates on their block filters' accepted pairs, and
+    /// build discovery's pair bitsets from join groups and projection keys.
     /// Always on in production; see [`EvalContext::with_columnar`].
     pub columnar: bool,
     /// Whether ML pair predicates read their models' block filters: off
@@ -160,10 +161,12 @@ impl<'a> EvalContext<'a> {
 
     /// Reference hook, not a user option: `false` answers every prefilter
     /// by scalar per-tuple evaluation, builds each join index per call
-    /// from the rows ([`rock_data::Relation::index_on`]) and decides ML
-    /// predicates at the leaf only — what the reference chase and the
-    /// columnar ≡ scalar tests compare the kernels, the cached indexes and
-    /// the ML join against.
+    /// from the rows ([`rock_data::Relation::index_on`]), decides ML
+    /// predicates at the leaf only and fills discovery's predicate bitsets
+    /// one valuation at a time ([`crate::measures::predicate_sat_bits`]) —
+    /// what the reference chase and the columnar ≡ scalar tests compare
+    /// the kernels, the cached indexes, the ML join and the bitset kernels
+    /// against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self

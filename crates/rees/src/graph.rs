@@ -149,20 +149,20 @@ impl RuleGraph {
             }
         }
 
+        let reads = per_live_rule(&rs, &dead, value_reads);
+        let order_r = per_live_rule(&rs, &dead, order_reads);
+        let order_w = per_live_rule(&rs, &dead, order_writes);
         let mut edges = Vec::new();
         for i in 0..n {
             if dead[i] {
                 continue;
             }
-            let order_w = order_writes(rs[i]);
             for j in 0..n {
                 if i == j || dead[j] {
                     continue;
                 }
-                let value_edge = cell_writes[i]
-                    .iter()
-                    .any(|c| value_reads(rs[j]).contains(c));
-                let order_edge = order_w.iter().any(|c| order_reads(rs[j]).contains(c));
+                let value_edge = cell_writes[i].iter().any(|c| reads[j].contains(c));
+                let order_edge = order_w[i].iter().any(|c| order_r[j].contains(c));
                 let merge_edge =
                     merge_rule[i] && rels[i].iter().any(|r| rels[j].binary_search(r).is_ok());
                 if value_edge || order_edge || merge_edge {
@@ -233,6 +233,19 @@ impl RuleGraph {
         }
         out
     }
+}
+
+/// `cells(r)` of every rule not `dead`, derived once; empty for dead rules
+/// (a malformed rule's variable indices cannot be trusted).
+pub(crate) fn per_live_rule(
+    rs: &[&Rule],
+    dead: &[bool],
+    cells: fn(&Rule) -> Vec<(RelId, AttrId)>,
+) -> Vec<Vec<(RelId, AttrId)>> {
+    rs.iter()
+        .zip(dead)
+        .map(|(r, &d)| if d { Vec::new() } else { cells(r) })
+        .collect()
 }
 
 /// Cells a consequence writes when it fires (mirrors the chase's
@@ -365,8 +378,9 @@ fn covers(weak: &Rule, strong: &Rule) -> bool {
     if weak.name == strong.name {
         return false;
     }
-    let sig = |r: &Rule| r.tuple_vars.iter().map(|(_, rel)| *rel).collect::<Vec<_>>();
-    if sig(weak) != sig(strong)
+    let same_rels = (weak.tuple_vars.iter().map(|(_, rel)| rel))
+        .eq(strong.tuple_vars.iter().map(|(_, rel)| rel));
+    if !same_rels
         || weak.vertex_vars.len() != strong.vertex_vars.len()
         || weak.consequence != strong.consequence
     {

@@ -9,9 +9,11 @@
 //! * `confidence(φ, D)` — `|{h ⊨ X ∧ p0}| / |{h ⊨ X}|`.
 
 use crate::eval::{distinct_ok, enumerate_valuations, EvalContext, Valuation};
+use crate::op::CmpOp;
 use crate::predicate::Predicate;
 use crate::rule::Rule;
-use rock_data::{Bitset, GlobalTid, RelId, TupleId};
+use rock_data::{AttrId, Bitset, ColumnSet, FxHashMap, GlobalTid, RelId, Relation, TupleId};
+use rock_ml::{PairClassifier, PreparedSide};
 
 /// Measured support/confidence of one rule over one instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,6 +158,22 @@ pub fn pair_offdiag(n: usize) -> Bitset {
 /// decided by their models as in [`measure`] — is evaluated once per
 /// instance here and never re-evaluated per candidate conjunction. Models
 /// referenced by `p` must already be resolved (as after [`Rule::resolve`]).
+///
+/// Two pair-domain shapes are filled from the relation's columnar snapshot
+/// instead of one evaluation per tuple pair:
+///
+/// * `t.A = s.A` from the groups of [`rock_data::ColumnSet::join_index`]:
+///   every ordered pair inside a group, nothing else (nulls join nothing);
+/// * `M(t[Ā], s[B̄])` from the distinct
+///   [`rock_data::ColumnSet::projection_keys`] of each side: the model
+///   prepares each distinct projection once and scores each distinct key
+///   pair once ([`PairClassifier::score_prepared`], which equals `score`
+///   bit for bit), metered like any other inference, and the verdict
+///   covers every tuple pair of the two groups.
+///
+/// Every other shape, and every shape under a context with
+/// [`EvalContext::with_columnar`]`(false)`, evaluates `p` per valuation;
+/// that loop is what the kernels are tested against.
 pub fn predicate_sat_bits(
     p: &Predicate,
     ctx: &EvalContext<'_>,
@@ -163,6 +181,11 @@ pub fn predicate_sat_bits(
     tids: &[TupleId],
 ) -> SatBits {
     let ctx = &ctx.without_block_filters();
+    if ctx.columnar {
+        if let Some(bits) = pair_kernel(p, ctx, rel, tids) {
+            return SatBits::Pair(bits);
+        }
+    }
     let n = tids.len();
     // vertex slots stay unbound (None): vertex-dependent predicates
     // evaluate to undecided = unsatisfied, matching the scan path, which
@@ -192,6 +215,109 @@ pub fn predicate_sat_bits(
         }
         SatBits::Pair(bits)
     }
+}
+
+/// The pair-domain bitset of `p` for the shapes with a kernel (see
+/// [`predicate_sat_bits`]); `None` for every other shape.
+fn pair_kernel(
+    p: &Predicate,
+    ctx: &EvalContext<'_>,
+    rel: RelId,
+    tids: &[TupleId],
+) -> Option<Bitset> {
+    let relation = ctx.db.relation(rel);
+    let n = tids.len();
+    match p {
+        Predicate::Attr {
+            lvar: 0,
+            lattr,
+            op: CmpOp::Eq,
+            rvar: 1,
+            rattr,
+        } if lattr == rattr => {
+            let cols = relation.columns();
+            let pos = positions(cols.slots(), tids);
+            let mut bits = Bitset::new(n * n);
+            let mut rows = Vec::new();
+            for group in cols.join_index(*lattr).values() {
+                rows.clear();
+                rows.extend(group.iter().filter_map(|t| pos[t.index()]));
+                set_product(&mut bits, n, &rows, &rows);
+            }
+            Some(bits)
+        }
+        Predicate::Ml {
+            model,
+            lvar: 0,
+            lattrs,
+            rvar: 1,
+            rattrs,
+        } => {
+            let classifier = ctx.models.pair(model.resolved())?;
+            let classifier = classifier.as_ref();
+            let cols = relation.columns();
+            let left = prepared_groups(relation, &cols, lattrs, tids, classifier);
+            let other = (rattrs != lattrs)
+                .then(|| prepared_groups(relation, &cols, rattrs, tids, classifier));
+            let right = other.as_ref().unwrap_or(&left);
+            let mut bits = Bitset::new(n * n);
+            for (l, l_rows) in &left {
+                for (r, r_rows) in right {
+                    ctx.models.meter.add(classifier.cost());
+                    if classifier.score_prepared(l, r) >= classifier.threshold() {
+                        set_product(&mut bits, n, l_rows, r_rows);
+                    }
+                }
+            }
+            Some(bits)
+        }
+        _ => None,
+    }
+}
+
+/// Bit index of each slot of the relation in `tids`' order (`None` for a
+/// slot not in `tids`).
+fn positions(slots: usize, tids: &[TupleId]) -> Vec<Option<usize>> {
+    let mut pos = vec![None; slots];
+    for (i, t) in tids.iter().enumerate() {
+        pos[t.index()] = Some(i);
+    }
+    pos
+}
+
+/// Set bit `i·n + j` for every `i` in `rows` and `j` in `cols`.
+fn set_product(bits: &mut Bitset, n: usize, rows: &[usize], cols: &[usize]) {
+    for &i in rows {
+        for &j in cols {
+            bits.set(i * n + j);
+        }
+    }
+}
+
+/// The distinct projections of `tids` on `attrs`, in the order of their
+/// first tuple: each prepared once by `classifier` from that tuple's
+/// values, with the bit indices of every tuple sharing its key.
+fn prepared_groups(
+    relation: &Relation,
+    cols: &ColumnSet,
+    attrs: &[AttrId],
+    tids: &[TupleId],
+    classifier: &dyn PairClassifier,
+) -> Vec<(PreparedSide, Vec<usize>)> {
+    let keys = cols.projection_keys(attrs);
+    let mut group_of: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut groups: Vec<(PreparedSide, Vec<usize>)> = Vec::new();
+    for (i, &tid) in tids.iter().enumerate() {
+        let Some(t) = relation.get(tid) else {
+            continue;
+        };
+        let g = *group_of.entry(keys.key(tid)).or_insert_with(|| {
+            groups.push((classifier.prepare(&t.project(attrs)), Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(i);
+    }
+    groups
 }
 
 /// [`Measures`] from satisfaction bitsets, reproducing [`measure`]'s

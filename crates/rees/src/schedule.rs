@@ -27,7 +27,9 @@
 //! about which rules a delta can re-activate; termination cares about
 //! whether a rule can keep feeding itself.
 
-use crate::graph::{self, const_eq_consequence, order_reads, order_writes, value_reads};
+use crate::graph::{
+    self, const_eq_consequence, order_reads, order_writes, per_live_rule, value_reads,
+};
 use crate::{Predicate, Rule, RuleSet};
 use rock_data::{AttrId, RelId};
 
@@ -75,22 +77,23 @@ impl ChaseSchedule {
 
         // Certification adjacency: scheduling edges + self-edges +
         // consequence-source reads, live rules only.
+        let reads = per_live_rule(&rs, &g.dead, value_reads);
+        let sources = per_live_rule(&rs, &g.dead, graph::consequence_value_sources);
+        let order_r = per_live_rule(&rs, &g.dead, order_reads);
+        let order_w = per_live_rule(&rs, &g.dead, order_writes);
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in 0..n {
             if g.dead[i] {
                 continue;
             }
-            let order_w = order_writes(rs[i]);
             for j in 0..n {
                 if g.dead[j] {
                     continue;
                 }
-                let reads = value_reads(rs[j]);
-                let sources = graph::consequence_value_sources(rs[j]);
                 let value_edge = g.cell_writes[i]
                     .iter()
-                    .any(|c| reads.contains(c) || sources.contains(c));
-                let order_edge = order_w.iter().any(|c| order_reads(rs[j]).contains(c));
+                    .any(|c| reads[j].contains(c) || sources[j].contains(c));
+                let order_edge = order_w[i].iter().any(|c| order_r[j].contains(c));
                 let merge_edge =
                     g.merge_rule[i] && g.rels[i].iter().any(|r| g.rels[j].binary_search(r).is_ok());
                 if value_edge || order_edge || merge_edge {
