@@ -287,12 +287,8 @@ impl<'a> ChaseEngine<'a> {
         graph: RuleGraph,
         mut dur: Option<DurabilityCtx>,
     ) -> ChaseResult {
-        let committer = Committer::new(
-            self.registry,
-            &self.config.policy,
-            self.config.gate,
-            &ls.st.db,
-        );
+        let mut committer =
+            Committer::new(self.registry, &self.config.policy, self.config.gate, &ls.st);
         let reads: Vec<Vec<(RelId, AttrId)>> = self.rules.rules.iter().map(value_reads).collect();
         // One Cluster for all rounds: membership (a crashed node) persists
         // across rounds, so later rounds place work on survivors only.

@@ -94,46 +94,27 @@ pub(crate) struct RoundCommit {
     pub fixes: Vec<RoundFix>,
 }
 
-/// Tuples grouped by their original `(relation, eid)` key; the chase never
-/// inserts tuples, so one index serves a whole run.
-struct EntityIdx {
-    members: FxHashMap<EntityKey, Vec<GlobalTid>>,
-}
-
-impl EntityIdx {
-    fn build(db: &Database) -> Self {
-        let mut members: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
-        for (rid, rel) in db.iter() {
-            for t in rel.iter() {
-                members
-                    .entry(EntityKey::new(rid, t.eid))
-                    .or_default()
-                    .push(GlobalTid::new(rid, t.tid));
-            }
-        }
-        EntityIdx { members }
-    }
-
-    /// One O(E) pass grouping every member by its current class root — the
-    /// commit phase does thousands of membership lookups per round, and
-    /// per-lookup scans are quadratic.
-    fn grouped(&self, fixes: &FixStore) -> FxHashMap<EntityKey, Vec<GlobalTid>> {
-        let mut out: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
-        for (k, v) in &self.members {
-            out.entry(fixes.find_ref(*k))
+/// Class members by current `[EID]=` root: one O(E) pass over every live
+/// tuple — the commit phase does thousands of membership lookups per
+/// round, and per-lookup scans are quadratic.
+fn group_classes(db: &Database, fixes: &FixStore) -> FxHashMap<EntityKey, Vec<GlobalTid>> {
+    let mut out: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
+    for (rid, rel) in db.iter() {
+        for t in rel.iter() {
+            out.entry(fixes.find_ref(EntityKey::new(rid, t.eid)))
                 .or_default()
-                .extend_from_slice(v);
+                .push(GlobalTid::new(rid, t.tid));
         }
-        for v in out.values_mut() {
-            v.sort();
-        }
-        out
     }
+    for v in out.values_mut() {
+        v.sort();
+    }
+    out
 }
 
-/// Keep a [`EntityIdx::grouped`] map equal to a regrouping after one
-/// merge united the classes rooted at `old_roots` under `root`: their two
-/// member lists become one sorted list, and no other class moves.
+/// Keep a [`group_classes`] map equal to a regrouping after one merge
+/// united the classes rooted at `old_roots` under `root`: their two member
+/// lists become one sorted list, and no other class moves.
 fn regroup(
     groups: &mut FxHashMap<EntityKey, Vec<GlobalTid>>,
     old_roots: [EntityKey; 2],
@@ -150,12 +131,17 @@ fn regroup(
     }
 }
 
-/// The commit phase, bound to one run's policy and entity index.
+/// The commit phase of one run: its policy and its class map. The chase
+/// never inserts or deletes tuples and merges only in Phase B, so the map
+/// is grouped once, when the run starts, and each merge [`regroup`]s the
+/// two classes it unites. It lives for that one run: a new run (or a
+/// resumed one) builds its own from the state it starts with.
 pub(crate) struct Committer<'a> {
     registry: &'a ModelRegistry,
     policy: &'a ConflictPolicy,
     gate: GateMode,
-    entity_idx: EntityIdx,
+    /// Class members by current root, each list ascending.
+    groups: FxHashMap<EntityKey, Vec<GlobalTid>>,
     empty_delta: DeltaSet,
 }
 
@@ -164,14 +150,14 @@ impl<'a> Committer<'a> {
         registry: &'a ModelRegistry,
         policy: &'a ConflictPolicy,
         gate: GateMode,
-        db: &Database,
+        st: &Committed,
     ) -> Self {
         Committer {
             registry,
             policy,
             gate,
-            entity_idx: EntityIdx::build(db),
-            empty_delta: DeltaSet::empty(db),
+            groups: group_classes(&st.db, &st.fixes),
+            empty_delta: DeltaSet::empty(&st.db),
         }
     }
 
@@ -179,15 +165,16 @@ impl<'a> Committer<'a> {
     /// deduplicated by the caller). With `support`, every fix is also
     /// recorded for the WAL with its rule and supporting valuations.
     pub fn commit(
-        &self,
+        &mut self,
         st: &mut Committed,
         proposals: &[Proposal],
         support: Option<&Support>,
     ) -> RoundCommit {
         let changes_start = st.changes.len();
+        let groups = std::mem::take(&mut self.groups);
         let mut round = Round {
             c: self,
-            groups: self.entity_idx.grouped(&st.fixes),
+            groups,
             st,
             support,
             out: RoundCommit {
@@ -201,10 +188,16 @@ impl<'a> Committer<'a> {
         round.merges(proposals);
         round.value_fixes(proposals);
         round.orders(proposals);
-        let Round { st, mut out, .. } = round;
+        let Round {
+            st,
+            groups,
+            mut out,
+            ..
+        } = round;
         for (cell, _, _) in &st.changes[changes_start..] {
             out.delta.mark(cell.rel, cell.tid);
         }
+        self.groups = groups;
         out
     }
 
@@ -212,9 +205,10 @@ impl<'a> Committer<'a> {
     /// validated entity class, all member tuples of a relation get the
     /// class's smallest eid in that relation (the repaired data then
     /// *carries* the deduplication, and re-chasing it is a no-op for
-    /// same-relation ER rules).
+    /// same-relation ER rules). Only tuples whose eid changes are written,
+    /// so a relation without a merged class keeps its column snapshot.
     pub fn materialize_entities(&self, st: &mut Committed) {
-        for members in self.entity_idx.grouped(&st.fixes).values() {
+        for members in self.groups.values().filter(|m| m.len() > 1) {
             let mut min_per_rel: FxHashMap<RelId, rock_data::Eid> = FxHashMap::default();
             for m in members {
                 if let Some(t) = st.db.relation(m.rel).get(m.tid) {
@@ -226,8 +220,11 @@ impl<'a> Committer<'a> {
             }
             for m in members {
                 let target = min_per_rel[&m.rel];
-                if let Some(t) = st.db.relation_mut(m.rel).get_mut(m.tid) {
-                    t.eid = target;
+                let stale = st.db.relation(m.rel).get(m.tid);
+                if stale.is_some_and(|t| t.eid != target) {
+                    if let Some(t) = st.db.relation_mut(m.rel).get_mut(m.tid) {
+                        t.eid = target;
+                    }
                 }
             }
         }
@@ -735,26 +732,31 @@ mod tests {
     use rock_data::rng::StdRng;
     use rock_data::{AttrType, DatabaseSchema, Eid, RelationSchema};
 
-    #[test]
-    fn regrouping_after_each_merge_equals_a_full_regroup() {
+    /// Two relations of 40 tuples whose eids are shared by several
+    /// tuples, so classes start with members.
+    fn shared_eid_db(rng: &mut StdRng) -> Database {
         let schema = DatabaseSchema::new(vec![
             RelationSchema::of("A", &[("x", AttrType::Int)]),
             RelationSchema::of("B", &[("x", AttrType::Int)]),
         ]);
         let mut db = Database::new(&schema);
-        let mut rng = StdRng::seed_from_u64(7);
         for rel in [RelId(0), RelId(1)] {
             for i in 0..40 {
-                // eids shared by several tuples: classes start with members
                 let eid = Eid(rng.gen_range(0..12u32));
                 db.relation_mut(rel)
                     .insert(eid, vec![Value::Int(i)])
                     .unwrap();
             }
         }
-        let idx = EntityIdx::build(&db);
+        db
+    }
+
+    #[test]
+    fn regrouping_after_each_merge_equals_a_full_regroup() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let db = shared_eid_db(&mut rng);
         let mut fixes = FixStore::new();
-        let mut groups = idx.grouped(&fixes);
+        let mut groups = group_classes(&db, &fixes);
         let key = |rng: &mut StdRng| {
             EntityKey::new(RelId(rng.gen_range(0..2u16)), Eid(rng.gen_range(0..12u32)))
         };
@@ -767,8 +769,61 @@ mod tests {
                 let root = fixes.find(ka);
                 regroup(&mut groups, old_roots, root);
             }
-            assert_eq!(groups, idx.grouped(&fixes), "after merging {ka:?} {kb:?}");
+            assert_eq!(
+                groups,
+                group_classes(&db, &fixes),
+                "after merging {ka:?} {kb:?}"
+            );
         }
         assert!(merged > 10, "the sequence merges classes: {merged}");
+    }
+
+    #[test]
+    fn materializing_without_merges_keeps_every_column_snapshot() {
+        let registry = ModelRegistry::new();
+        let policy = ConflictPolicy::default();
+        let db = shared_eid_db(&mut StdRng::seed_from_u64(11));
+        let mut st = Committed::seed(db, FixStore::new(), &[], GateMode::Resolved);
+        let mut committer = Committer::new(&registry, &policy, GateMode::Resolved, &st);
+        let cell = CellRef::new(RelId(0), TupleId(3), AttrId(0));
+        let set = Proposal::SetCell {
+            cell,
+            value: Value::Int(99),
+            rule: 0,
+        };
+        let round = committer.commit(&mut st, &[set], None);
+        assert!(!round.any_merge);
+        let before = [RelId(0), RelId(1)].map(|r| st.db.relation(r).columns());
+        committer.materialize_entities(&mut st);
+        for (r, snapshot) in [RelId(0), RelId(1)].into_iter().zip(&before) {
+            assert!(
+                std::sync::Arc::ptr_eq(snapshot, &st.db.relation(r).columns()),
+                "relation {r:?} rebuilt its columns"
+            );
+        }
+        assert_eq!(
+            st.db.cell(RelId(0), TupleId(3), AttrId(0)),
+            Some(&Value::Int(99))
+        );
+
+        // a merge across the two relations: each member of the united
+        // class takes its relation's smallest member eid
+        let eid_of = |db: &Database, g: GlobalTid| db.relation(g.rel).get(g.tid).map(|t| t.eid);
+        let (a, b) = (
+            GlobalTid::new(RelId(0), TupleId(0)),
+            GlobalTid::new(RelId(1), TupleId(0)),
+        );
+        let merge = Proposal::Merge { a, b, rule: 0 };
+        assert!(committer.commit(&mut st, &[merge], None).any_merge);
+        let root = entity_key(&st.db, a).map(|k| st.fixes.find_ref(k)).unwrap();
+        let members = group_classes(&st.db, &st.fixes)[&root].clone();
+        let smallest = |rel: RelId| {
+            let eids = members.iter().filter(|m| m.rel == rel);
+            eids.map(|m| eid_of(&st.db, *m)).min().flatten()
+        };
+        let want: Vec<_> = members.iter().map(|m| smallest(m.rel)).collect();
+        committer.materialize_entities(&mut st);
+        let got: Vec<_> = members.iter().map(|m| eid_of(&st.db, *m)).collect();
+        assert_eq!(got, want);
     }
 }

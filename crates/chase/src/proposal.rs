@@ -117,9 +117,10 @@ struct FixEntityOracle<'a> {
 }
 
 impl EntityOracle for FixEntityOracle<'_> {
-    fn same(&self, a: (RelId, rock_data::Eid), b: (RelId, rock_data::Eid)) -> bool {
-        self.fixes
-            .same_entity(EntityKey::new(a.0, a.1), EntityKey::new(b.0, b.1))
+    /// The `[EID]=` root of the key's class.
+    fn class(&self, (rel, eid): (RelId, rock_data::Eid)) -> (RelId, rock_data::Eid) {
+        let root = self.fixes.find_ref(EntityKey::new(rel, eid));
+        (root.rel, root.eid)
     }
 }
 

@@ -80,8 +80,8 @@ fn chase(
 ) -> ReferenceResult {
     let rules = &engine.rules.rules;
     let gate: GateMode = engine.config.gate;
-    let committer = Committer::new(engine.registry, &engine.config.policy, gate, &work);
     let mut st = Committed::seed(work, FixStore::new(), trusted, gate);
+    let mut committer = Committer::new(engine.registry, &engine.config.policy, gate, &st);
     // cells each rule's precondition reads
     let reads: Vec<FxHashSet<(RelId, AttrId)>> = rules
         .iter()

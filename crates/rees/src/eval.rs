@@ -10,9 +10,10 @@
 
 use crate::predicate::Predicate;
 use crate::rule::Rule;
+use rock_crystal::sync::OnceLock;
 use rock_data::{
-    AttrId, Bitset, ColumnSet, Database, FxHashMap, GlobalTid, JoinIndex, ProjectionKeys, TupleId,
-    Value,
+    AttrId, Bitset, ColumnSet, Database, Eid, FxHashMap, GlobalTid, JoinIndex, ProjectionKeys,
+    RelId, TupleId, Value,
 };
 use rock_kg::{Graph, VertexId};
 use rock_ml::{BlockFilter, ModelRegistry};
@@ -47,15 +48,22 @@ pub struct EvalContext<'a> {
     /// validated orders. During plain detection this is backed by cell
     /// timestamps; during the chase it is the fix store's `[A]⪯`.
     pub temporal: Option<&'a dyn TemporalOracle>,
-    /// Entity-identity oracle backing `t.eid = s.eid` (the chase's
-    /// `[EID]=` classes). Raw eid comparison when absent.
+    /// Entity-identity oracle backing `t.eid = s.eid`: the chase's
+    /// `[EID]=` classes. Without one, a tuple's class is its own
+    /// `(relation, eid)`. The enumerator joins `t.eid = s.eid` on these
+    /// classes (see [`EvalContext::with_columnar`]).
     pub entities: Option<&'a dyn EntityOracle>,
+    /// Each relation's live tuples grouped by entity class, built on first
+    /// use: at most once per relation per context, so once per detection
+    /// pass or chase round.
+    class_members: Arc<[OnceLock<ClassMembers>]>,
     /// Route unary constant/two-attribute prefilters through the columnar
     /// kernels ([`rock_data::ColumnSet::eval_const_op`]), equality joins
     /// through the snapshot's cached [`rock_data::ColumnSet::join_index`],
-    /// join ML pair predicates on their block filters' accepted pairs, and
-    /// build discovery's pair bitsets from join groups and projection keys.
-    /// Always on in production; see [`EvalContext::with_columnar`].
+    /// join ML pair predicates on their block filters' accepted pairs and
+    /// `t.eid = s.eid` on entity classes, and build discovery's pair
+    /// bitsets from join groups and projection keys. Always on in
+    /// production; see [`EvalContext::with_columnar`].
     pub columnar: bool,
     /// Whether ML pair predicates read their models' block filters: off
     /// for rule measures only (see [`EvalContext::without_block_filters`]).
@@ -77,17 +85,17 @@ pub trait TemporalOracle: Sync {
     ) -> bool;
 }
 
-/// Oracle for entity identity: answers whether two `(relation, eid)` keys
-/// denote the same validated real-world entity. The chase backs this with
-/// its `[EID]=` union–find; without an oracle, raw eids are compared (two
-/// tuples of *different* relations are never the same entity by default).
+/// Oracle for entity identity: maps a `(relation, eid)` key to its class,
+/// a representative key; two keys denote the same validated real-world
+/// entity iff their classes are equal. The chase backs this with its
+/// `[EID]=` union–find root. Without an oracle a key is its own class, so
+/// tuples of *different* relations are never the same entity.
 pub trait EntityOracle: Sync {
-    fn same(
-        &self,
-        a: (rock_data::RelId, rock_data::Eid),
-        b: (rock_data::RelId, rock_data::Eid),
-    ) -> bool;
+    fn class(&self, key: (RelId, Eid)) -> (RelId, Eid);
 }
+
+/// One relation's live tuples by entity class: class → ascending tids.
+type ClassMembers = FxHashMap<(RelId, Eid), Vec<TupleId>>;
 
 /// Timestamp-backed oracle: `t1 ⪯A t2` iff both cells are stamped and
 /// `T(t1[A]) ≤ T(t2[A])` (§2.2).
@@ -126,6 +134,7 @@ impl<'a> EvalContext<'a> {
             models,
             temporal: None,
             entities: None,
+            class_members: (0..db.len()).map(|_| OnceLock::new()).collect(),
             columnar: true,
             block_filters: true,
         }
@@ -139,8 +148,14 @@ impl<'a> EvalContext<'a> {
     /// blocking pass ran last.
     pub(crate) fn without_block_filters(&self) -> EvalContext<'a> {
         EvalContext {
+            db: self.db,
+            graph: self.graph,
+            models: self.models,
+            temporal: self.temporal,
+            entities: self.entities,
+            class_members: Arc::clone(&self.class_members),
+            columnar: self.columnar,
             block_filters: false,
-            ..*self
         }
     }
 
@@ -154,19 +169,45 @@ impl<'a> EvalContext<'a> {
         self
     }
 
+    /// Decide `t.eid = s.eid` by `e`'s classes. Set it before the first
+    /// evaluation: the class member index is built from the oracle the
+    /// context holds at that point.
     pub fn with_entities(mut self, e: &'a dyn EntityOracle) -> Self {
         self.entities = Some(e);
         self
     }
 
+    /// The entity class of `(rel, eid)`: the oracle's, or the key itself.
+    fn class(&self, rel: RelId, eid: Eid) -> (RelId, Eid) {
+        match self.entities {
+            Some(o) => o.class((rel, eid)),
+            None => (rel, eid),
+        }
+    }
+
+    /// `rel`'s live tuples grouped by [`EvalContext::class`], each list
+    /// ascending; built on first use.
+    fn class_members(&self, rel: RelId) -> &ClassMembers {
+        self.class_members[rel.index()].get_or_init(|| {
+            let mut members = ClassMembers::default();
+            for t in self.db.relation(rel).iter() {
+                members
+                    .entry(self.class(rel, t.eid))
+                    .or_default()
+                    .push(t.tid);
+            }
+            members
+        })
+    }
+
     /// Reference hook, not a user option: `false` answers every prefilter
     /// by scalar per-tuple evaluation, builds each join index per call
     /// from the rows ([`rock_data::Relation::index_on`]), decides ML
-    /// predicates at the leaf only and fills discovery's predicate bitsets
-    /// one valuation at a time ([`crate::measures::predicate_sat_bits`]) —
-    /// what the reference chase and the columnar ≡ scalar tests compare
-    /// the kernels, the cached indexes, the ML join and the bitset kernels
-    /// against.
+    /// predicates and `t.eid = s.eid` at the leaf only and fills
+    /// discovery's predicate bitsets one valuation at a time
+    /// ([`crate::measures::predicate_sat_bits`]) — what the reference chase
+    /// and the columnar ≡ scalar tests compare the kernels, the cached
+    /// indexes, the ML and entity joins and the bitset kernels against.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
         self.columnar = columnar;
         self
@@ -335,10 +376,7 @@ impl<'a> EvalContext<'a> {
                 let r = h.tuples[*rvar];
                 let le = self.db.relation(l.rel).get(l.tid)?.eid;
                 let re = self.db.relation(r.rel).get(r.tid)?.eid;
-                let same = match self.entities {
-                    Some(o) => o.same((l.rel, le), (r.rel, re)),
-                    None => l.rel == r.rel && le == re,
-                };
+                let same = self.class(l.rel, le) == self.class(r.rel, re);
                 if *eq {
                     same
                 } else {
@@ -463,12 +501,17 @@ pub(crate) fn columnar_prefilter_mask(
 }
 
 /// The equality predicates between two variables, with the hash side of
-/// each joined `(variable, attribute)`, the ML joins, and each joined
-/// variable's candidates as a bitset. An index spans every live tuple of
-/// the relation; probes keep only the hits that are candidates.
+/// each joined `(variable, attribute)`, the entity joins, the ML joins, and
+/// each joined variable's candidates as a bitset. An index spans every
+/// live tuple of the relation; probes keep only the hits that are
+/// candidates.
 struct Joins<'s> {
     preds: Vec<(usize, AttrId, usize, AttrId)>,
     indexes: FxHashMap<(usize, AttrId), Cow<'s, JoinIndex>>,
+    /// `t.eid = s.eid` between two variables, joined on
+    /// [`EvalContext::class_members`]: once one side is bound, the other
+    /// narrows to its relation's tuples in the bound tuple's class.
+    eids: Vec<(usize, usize)>,
     ml: Vec<MlJoin>,
     candidates: FxHashMap<usize, Bitset>,
 }
@@ -528,8 +571,9 @@ impl MlJoin {
 }
 
 /// The shared enumeration core: greedy variable ordering, hash-join
-/// narrowing on equality predicates and on ML predicates with a block
-/// filter, and recursive binding with full verification at the leaves.
+/// narrowing on equality predicates, on `t.eid = s.eid` and on ML
+/// predicates with a block filter, and recursive binding with full
+/// verification at the leaves.
 fn enumerate_from_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
@@ -559,6 +603,20 @@ fn enumerate_from_candidates<F>(
         })
         .collect();
 
+    // entity joins: the scalar reference path decides them at the leaf
+    let eids: Vec<(usize, usize)> = rule
+        .precondition
+        .iter()
+        .filter_map(|p| match p {
+            Predicate::EidCmp {
+                lvar,
+                rvar,
+                eq: true,
+            } if ctx.columnar && lvar != rvar => Some((*lvar, *rvar)),
+            _ => None,
+        })
+        .collect();
+
     let ml = MlJoin::of(rule, ctx);
 
     // The hash sides: the snapshot's cached indexes in production, built
@@ -567,7 +625,11 @@ fn enumerate_from_candidates<F>(
     let mut snapshots: Vec<Option<Arc<ColumnSet>>> = vec![None; nvars];
     let mut joined: FxHashMap<usize, Bitset> = FxHashMap::default();
     let joined_vars = preds.iter().flat_map(|&(lv, _, rv, _)| [lv, rv]);
-    for v in joined_vars.chain(ml.iter().flat_map(|j| j.vars)) {
+    let eid_vars = eids.iter().flat_map(|&(lv, rv)| [lv, rv]);
+    for v in joined_vars
+        .chain(eid_vars)
+        .chain(ml.iter().flat_map(|j| j.vars))
+    {
         joined.entry(v).or_insert_with(|| {
             let rel = ctx.db.relation(rule.rel_of(v));
             if ctx.columnar {
@@ -595,6 +657,7 @@ fn enumerate_from_candidates<F>(
     let joins = Joins {
         preds,
         indexes,
+        eids,
         ml,
         candidates: joined,
     };
@@ -684,19 +747,26 @@ where
             .get(&val)
             .map(Vec::as_slice)
             .unwrap_or(&[]);
-        match &mut narrowed {
-            None => {
-                let cands = &joins.candidates[&v];
-                narrowed = Some(
-                    hits.iter()
-                        .copied()
-                        .filter(|t| cands.get(t.index()))
-                        .collect(),
-                );
-            }
-            // `cur` holds candidates only, and both lists ascend
-            Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
-        }
+        narrow(&mut narrowed, hits, &joins.candidates[&v]);
+    }
+    for &(lv, rv) in &joins.eids {
+        let other = if lv == v && bound[rv] {
+            rv
+        } else if rv == v && bound[lv] {
+            lv
+        } else {
+            continue;
+        };
+        let gt = h.tuples[other];
+        let Some(t) = ctx.db.relation(gt.rel).get(gt.tid) else {
+            continue;
+        };
+        let hits = ctx
+            .class_members(rule.rel_of(v))
+            .get(&ctx.class(gt.rel, t.eid))
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
+        narrow(&mut narrowed, hits, &joins.candidates[&v]);
     }
     for j in &joins.ml {
         // `side` is v's side of the pair, `1 - side` the bound one
@@ -753,6 +823,23 @@ where
         }
     }
     true
+}
+
+/// Narrow a variable's list to the ascending join `hits`: the hits that
+/// are candidates, or the current list's members that are hits.
+fn narrow(narrowed: &mut Option<Vec<TupleId>>, hits: &[TupleId], candidates: &Bitset) {
+    match narrowed {
+        None => {
+            *narrowed = Some(
+                hits.iter()
+                    .copied()
+                    .filter(|t| candidates.get(t.index()))
+                    .collect(),
+            );
+        }
+        // `cur` holds candidates only, and both lists ascend
+        Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
+    }
 }
 
 /// Bind vertex variables. Every vertex variable must be constrained by at

@@ -1,4 +1,5 @@
-//! Detection and correction at growing sizes (seed 42), for two workloads:
+//! Detection and correction at growing sizes (seed 42), for three
+//! workloads:
 //!
 //! * **Logistics** at 3k, 6k and 12k rows, without ML. Three of its rules
 //!   are FD-shaped (`rr_fd`, `rs_street`, `sn_fd`), so their valuations
@@ -8,6 +9,10 @@
 //!   installs each pair model's block filter, and the enumerator joins
 //!   `ccn_er_ml` and `er_item` on its accepted pairs; the `ml_calls` column
 //!   counts the `predict_pair` calls of detection plus the chase.
+//! * **Bank** at 2k, 4k and 8k rows, without ML. `cnc_cid`
+//!   (`t.eid = s.eid -> t.cid = s.cid`) pairs every Customer with the
+//!   members of its entity class: the enumerator joins `t.eid = s.eid` on
+//!   the classes instead of testing it over the cross product.
 //!
 //! Each line prints detection and correction seconds, violations, chase
 //! proposals and changed cells. At the smallest size of each workload the
@@ -110,6 +115,10 @@ fn main() -> ExitCode {
     for rows in [1_000, 2_000, 4_000] {
         let w = rock::workloads::sales::generate(&gen(rows));
         ok &= probe(&w, Variant::Rock, rows, rows == 1_000);
+    }
+    for rows in [2_000, 4_000, 8_000] {
+        let w = rock::workloads::bank::generate(&gen(rows));
+        ok &= probe(&w, Variant::RockNoMl, rows, rows == 2_000);
     }
     if ok {
         ExitCode::SUCCESS
