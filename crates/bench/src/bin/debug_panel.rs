@@ -72,8 +72,8 @@ fn main() {
     }
     if args.first().map(|s| s.as_str()) == Some("wal") {
         // `debug_panel wal <dir>` — inspect a durability directory: the
-        // segment map, live vs compactable bytes, the checkpoint chain
-        // (full vs delta links), and the health a resume would infer.
+        // segment map, live vs compactable bytes, the live checkpoint, and
+        // the health a resume would infer.
         let Some(dir) = args.get(1) else {
             eprintln!("usage: debug_panel wal <durability-dir>");
             std::process::exit(2);
@@ -133,20 +133,18 @@ fn main() {
                 }
             ),
             Some((pos, round, name, crc)) => {
-                let chain = rock_chase::checkpoint_chain(&vfs, dir, &name, crc, |_| true);
-                println!("checkpoint chain (newest first, ends at round {round}):");
-                let mut chain_names = Vec::new();
-                for e in &chain {
-                    println!(
-                        "  {}  {}  round={}  bytes={}  crc={}",
-                        e.name,
-                        if e.is_full() { "FULL " } else { "delta" },
-                        e.round(),
-                        e.bytes,
-                        if e.crc_ok { "ok" } else { "MISMATCH" }
-                    );
-                    chain_names.push(e.name.clone());
-                }
+                let bytes = vfs.read(&dir.join(&name)).unwrap_or_default();
+                let decoded = rock_chase::ChaseCheckpoint::from_bytes(&bytes);
+                println!(
+                    "live checkpoint: {name}  round={}  bytes={}  crc={}",
+                    decoded.map_or("undecodable".into(), |ck| ck.round.to_string()),
+                    bytes.len(),
+                    if rock_crystal::crc32(&bytes) == crc {
+                        "ok"
+                    } else {
+                        "MISMATCH"
+                    }
+                );
                 let (mut live, mut compactable) = (0u64, 0u64);
                 for s in &scan.segments {
                     let path = dir.join(rock_chase::segment_file_name(s.seq));
@@ -165,7 +163,7 @@ fn main() {
                             .and_then(|s| s.to_str())
                             .unwrap_or_default()
                             .to_string();
-                        if n.starts_with("checkpoint-") && !chain_names.contains(&n) {
+                        if n.starts_with("checkpoint-") && n != name {
                             stale_ckpts += vfs.file_size(&p).unwrap_or(0);
                         }
                     }

@@ -174,14 +174,12 @@ fn main() {
             std::process::exit(3);
         }
         eprintln!(
-            "chase done: rounds={} changes={} wal_records={} checkpoints={} (full={} delta={}) \
+            "chase done: rounds={} changes={} wal_records={} checkpoints={} \
              segments_rotated={} compacted={} resumed_from={:?} health={:?}",
             res.rounds,
             res.changes.len(),
             s.records,
-            s.full_checkpoints + s.delta_checkpoints,
-            s.full_checkpoints,
-            s.delta_checkpoints,
+            s.checkpoints,
             s.segments_rotated,
             s.segments_compacted,
             s.resumed_from,

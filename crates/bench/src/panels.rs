@@ -1238,8 +1238,7 @@ pub fn durability() -> (Table, Json) {
     );
     table.row(vec!["rounds".into(), format!("{}", durable.rounds)]);
     table.row(vec!["WAL records".into(), format!("{}", wal.records)]);
-    let checkpoints = wal.full_checkpoints + wal.delta_checkpoints;
-    table.row(vec!["checkpoints".into(), format!("{checkpoints}")]);
+    table.row(vec!["checkpoints".into(), format!("{}", wal.checkpoints)]);
     table.row(vec![
         "resume points verified".into(),
         format!("{resume_points}"),
@@ -1257,7 +1256,7 @@ pub fn durability() -> (Table, Json) {
         "panel": "durability",
         "rounds": durable.rounds,
         "wal_records": wal.records,
-        "checkpoints": checkpoints,
+        "checkpoints": wal.checkpoints,
         "resume_points": resume_points,
         "provenance_nodes": prov.len(),
         "cells_queried": cells_queried,
@@ -1444,13 +1443,13 @@ pub fn columnar() -> (Table, Json) {
 
 /// Crash-consistency panel (`crashsim`): the seeded storage fault layer +
 /// crash sweep over the durable chase (segmented WAL, compaction,
-/// incremental checkpoints). Headline assertions, all inline:
+/// per-round checkpoints). Headline assertions, all inline:
 /// (1) a durable run through the recording vfs repairs byte-identically to
-/// the in-memory oracle while rotating and compacting segments and mixing
-/// full + delta checkpoints; (2) after the final compaction the directory
-/// is disk-bounded: total bytes <= live checkpoint chain + 2 segment
-/// budgets, with at most 2 segments and no checkpoint file outside the
-/// chain (`wal_disk_bound_ratio <= 1`); (3) re-executing with a crash
+/// the in-memory oracle while rotating and compacting segments; (2) after
+/// the final compaction the directory is disk-bounded: total bytes <= the
+/// latest checkpoint + 2 segment budgets, with at most 2 segments and no
+/// other checkpoint file (`wal_disk_bound_ratio <= 1`); (3) re-executing
+/// with a crash
 /// injected at every sampled point of the recorded I/O trace still repairs
 /// byte-identically (durability degrades, data does not), and resuming
 /// each crashed directory with a clean vfs recovers byte-identically to
@@ -1460,8 +1459,7 @@ pub fn columnar() -> (Table, Json) {
 /// (default 7) so CI sweeps several fault schedules.
 pub fn crashsim() -> (Table, Json) {
     use rock_chase::{
-        checkpoint_chain, list_segments, locate, ChaseConfig, ChaseEngine, DurabilityConfig,
-        WalHealth,
+        list_segments, locate, ChaseConfig, ChaseEngine, DurabilityConfig, WalHealth,
     };
     use rock_crystal::{ClusterConfig, FaultVfs, IoOpKind, StorageFaultPlan};
 
@@ -1470,7 +1468,7 @@ pub fn crashsim() -> (Table, Json) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
     // Sales SClean chases 4 rounds at every generator seed (Logistics
-    // RClean settles in 2), which the delta-chain assertions below need.
+    // RClean settles in 2), which the compaction assertions below need.
     let w = rock_workloads::sales::generate(&GenConfig {
         rows: 240,
         error_rate: 0.08,
@@ -1482,15 +1480,14 @@ pub fn crashsim() -> (Table, Json) {
     let base = std::env::temp_dir().join(format!("rock-crashsim-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    // Aggressive durability shape: tiny segments force rotation, fulls
-    // every other checkpoint force delta chains, compaction bounds disk.
+    // Aggressive durability shape: tiny segments force rotation,
+    // compaction bounds disk.
     const SEG_BYTES: u64 = 4096;
     let dcfg = |dir: &std::path::Path, vfs: FaultVfs| {
         DurabilityConfig::new(dir)
             .with_vfs(vfs)
             .with_segment_bytes(SEG_BYTES)
             .with_compaction(true)
-            .with_full_every(2)
     };
     let mk = |durability: Option<DurabilityConfig>| {
         let cfg = ChaseConfig {
@@ -1534,7 +1531,7 @@ pub fn crashsim() -> (Table, Json) {
     assert!(
         durable.rounds >= 3,
         "the crashsim workload must chase >= 3 rounds to exercise \
-         rotation + compaction + deltas, got {}",
+         rotation + compaction, got {}",
         durable.rounds
     );
     assert!(
@@ -1543,17 +1540,11 @@ pub fn crashsim() -> (Table, Json) {
     );
     assert!(
         wal.segments_compacted >= 1,
-        "a full checkpoint past round 2 must retire older segments"
-    );
-    assert!(
-        wal.full_checkpoints >= 1 && wal.delta_checkpoints >= 1,
-        "full_every=2 must mix full and delta checkpoints ({} full / {} delta)",
-        wal.full_checkpoints,
-        wal.delta_checkpoints
+        "a checkpoint past round 2 must retire older segments"
     );
 
     // (2) disk bound after the final compaction: everything on disk is the
-    // live checkpoint chain plus at most two segment budgets of WAL
+    // latest checkpoint plus at most two segment budgets of WAL
     let clean = FaultVfs::clean();
     let rp = locate(
         &dcfg(&rec_dir, clean.clone()),
@@ -1561,20 +1552,7 @@ pub fn crashsim() -> (Table, Json) {
         None,
     )
     .expect("locate the last durable round");
-    let chain = checkpoint_chain(&clean, &rec_dir, &rp.name, rp.crc, |_| true);
-    assert!(
-        chain.iter().all(|e| e.crc_ok),
-        "every live chain link must pass its CRC: {:?}",
-        chain
-            .iter()
-            .map(|e| (&e.name, e.crc_ok))
-            .collect::<Vec<_>>()
-    );
-    let chain_bytes: u64 = rp
-        .chain
-        .iter()
-        .map(|n| clean.file_size(&rec_dir.join(n)).unwrap_or(0))
-        .sum();
+    let checkpoint_bytes = clean.file_size(&rec_dir.join(&rp.name)).unwrap_or(0);
     let disk_bytes: u64 = clean
         .list_dir(&rec_dir)
         .expect("list durability dir")
@@ -1595,19 +1573,16 @@ pub fn crashsim() -> (Table, Json) {
         .filter_map(|p| p.file_name().and_then(|s| s.to_str()).map(String::from))
         .filter(|n| n.starts_with("checkpoint-"))
         .collect();
-    let mut chain_names = rp.chain.clone();
-    chain_names.sort();
-    let mut disk_names = on_disk_ckpts.clone();
-    disk_names.sort();
     assert_eq!(
-        chain_names, disk_names,
-        "compaction + GC must leave exactly the live checkpoint chain on disk"
+        on_disk_ckpts,
+        [rp.name.as_str()],
+        "compaction + GC must leave exactly the latest checkpoint on disk"
     );
-    let bound_bytes = chain_bytes + 2 * SEG_BYTES;
+    let bound_bytes = checkpoint_bytes + 2 * SEG_BYTES;
     let wal_disk_bound_ratio = disk_bytes as f64 / bound_bytes as f64;
     assert!(
         wal_disk_bound_ratio <= 1.0,
-        "disk must stay within (live chain + 2 segments): {disk_bytes} > {bound_bytes}"
+        "disk must stay within (latest checkpoint + 2 segments): {disk_bytes} > {bound_bytes}"
     );
 
     // (3) crash sweep: re-execute with a crash injected at every sampled
@@ -1750,10 +1725,7 @@ pub fn crashsim() -> (Table, Json) {
         "segments rotated / compacted".into(),
         format!("{} / {}", wal.segments_rotated, wal.segments_compacted),
     ]);
-    table.row(vec![
-        "checkpoints full / delta".into(),
-        format!("{} / {}", wal.full_checkpoints, wal.delta_checkpoints),
-    ]);
+    table.row(vec!["checkpoints".into(), format!("{}", wal.checkpoints)]);
     table.row(vec![
         "disk bytes / bound".into(),
         format!("{disk_bytes} / {bound_bytes} ({wal_disk_bound_ratio:.3}, <=1 asserted)"),
@@ -1785,10 +1757,9 @@ pub fn crashsim() -> (Table, Json) {
         "fresh_fallbacks": fresh_fallbacks,
         "segments_rotated": wal.segments_rotated,
         "segments_compacted": wal.segments_compacted,
-        "full_checkpoints": wal.full_checkpoints,
-        "delta_checkpoints": wal.delta_checkpoints,
+        "checkpoints": wal.checkpoints,
         "live_segments": live_segments,
-        "chain_bytes": chain_bytes,
+        "checkpoint_bytes": checkpoint_bytes,
         "disk_bytes": disk_bytes,
         "wal_disk_bound_ratio": wal_disk_bound_ratio,
         "recovery_wall_ratio": recovery_wall_ratio,

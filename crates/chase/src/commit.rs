@@ -222,9 +222,7 @@ impl<'a> Committer<'a> {
                 let target = min_per_rel[&m.rel];
                 let stale = st.db.relation(m.rel).get(m.tid);
                 if stale.is_some_and(|t| t.eid != target) {
-                    if let Some(t) = st.db.relation_mut(m.rel).get_mut(m.tid) {
-                        t.eid = target;
-                    }
+                    st.db.relation_mut(m.rel).set_eid(m.tid, target);
                 }
             }
         }
@@ -825,5 +823,21 @@ mod tests {
         committer.materialize_entities(&mut st);
         let got: Vec<_> = members.iter().map(|m| eid_of(&st.db, *m)).collect();
         assert_eq!(got, want);
+
+        // a same-relation merge rewrites eids, and eid writes keep the
+        // column snapshot: the columnar image holds no eids
+        let c = (1..40)
+            .map(|i| GlobalTid::new(RelId(0), TupleId(i)))
+            .find(|&c| eid_of(&st.db, c) != eid_of(&st.db, a))
+            .unwrap();
+        let merge = Proposal::Merge { a, b: c, rule: 0 };
+        assert!(committer.commit(&mut st, &[merge], None).any_merge);
+        let before = st.db.relation(RelId(0)).columns();
+        committer.materialize_entities(&mut st);
+        assert_eq!(eid_of(&st.db, a), eid_of(&st.db, c));
+        assert!(
+            std::sync::Arc::ptr_eq(&before, &st.db.relation(RelId(0)).columns()),
+            "an eid write rebuilt the columns"
+        );
     }
 }

@@ -46,8 +46,9 @@ impl ChaseEngine<'_> {
             .clone()
             .ok_or(WalError::NotConfigured)?;
         let rp = checkpoint::locate(&cfg, self.fingerprint(), at)?;
-        let ck = rp.checkpoint.clone();
-        self.check_fits(&ck)?;
+        self.check_fits(&rp.checkpoint)?;
+        let dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), &rp)?;
+        let ck = rp.checkpoint;
         let mut fixes = FixStore::from_snapshot(&ck.fixes);
         for t in trusted {
             fixes.trust_tuple(*t);
@@ -76,7 +77,6 @@ impl ChaseEngine<'_> {
             round_base: ck.round_base as usize,
             done: ck.done,
         };
-        let dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), rp)?;
         Ok(self.run_loop(ls, graph, Some(dur)))
     }
 
@@ -168,14 +168,14 @@ impl ChaseEngine<'_> {
         ls.batch = rp.checkpoint.batch.max(1) + 1;
         ls.rounds = round_base as usize;
         ls.round_base = round_base as usize;
-        let mut dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), rp)?;
+        let mut dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), &rp)?;
         dur.begin_batch(ls.batch, round_base);
         // Batch-opening checkpoint: the post-ΔD state becomes durable
         // *before* the first round runs, so a crash anywhere in this batch
         // (even before its first commit) resumes with the delta applied —
         // and a batch that activates nothing still advances the session.
-        // It re-uses the previous batch's final round number; being a
-        // batch boundary it is always encoded as a full document.
+        // It re-uses the previous batch's final round number, so it
+        // overwrites that round's checkpoint file.
         dur.commit_round(round_base, &[], self.make_checkpoint(&ls));
         Ok(self.run_loop(ls, graph, Some(dur)))
     }

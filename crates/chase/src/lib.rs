@@ -33,12 +33,12 @@
 //!
 //! Durability (`wal` / `checkpoint` / `provenance`): with
 //! [`DurabilityConfig`] set, every committed fix is appended to a
-//! CRC-framed, *segmented* write-ahead log at round boundaries alongside
-//! periodic checkpoints of the loop state (full snapshots plus CRC-chained
-//! incremental deltas), so a crashed chase resumes from its last durable
-//! round byte-identically ([`ChaseEngine::resume`]) and every repaired
-//! cell can answer "why?" ([`ProvenanceGraph::why`]). Segments fully
-//! covered by the latest full checkpoint are compacted away when
+//! CRC-framed, *segmented* write-ahead log at round boundaries alongside a
+//! full checkpoint of the loop state per round, so a crashed chase resumes
+//! from its last durable round byte-identically ([`ChaseEngine::resume`])
+//! and every repaired cell can answer "why?" ([`ProvenanceGraph::why`]).
+//! Segments and checkpoint files covered by the latest checkpoint are
+//! compacted away when
 //! [`DurabilityConfig::with_compaction`] is on; transient I/O errors are
 //! retried under [`ChaseConfig::cluster`], the retry policy the chase's
 //! work units use, and the outcome is surfaced as a typed [`WalHealth`]
@@ -64,10 +64,7 @@ pub mod reference;
 pub mod wal;
 
 pub use chase::{ChaseConfig, ChaseEngine, ChaseResult, GateMode, Proposal};
-pub use checkpoint::{
-    checkpoint_chain, locate, ChainLink, ChaseCheckpoint, CheckpointDelta, CheckpointDoc,
-    ResumePoint, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{locate, ChaseCheckpoint, ResumePoint, CHECKPOINT_VERSION};
 pub use conflict::ConflictPolicy;
 pub use evaluate::{Carry, RoundStats};
 pub use fixes::{EntityKey, FixSnapshot, FixStore};

@@ -20,8 +20,8 @@
 //! truncated or corrupt frame — a crash mid-append (or a torn sector)
 //! loses at most the uncommitted tail, never a committed round. State is
 //! only ever resumed from rounds whose `RoundCommit` marker is inside the
-//! valid prefix *and* whose checkpoint chain verifies against the
-//! marker's CRC (see `crate::checkpoint`).
+//! valid prefix *and* whose checkpoint file verifies against the marker's
+//! CRC (see `crate::checkpoint`).
 //!
 //! **Segments and compaction.** The writer rotates to a fresh segment at the
 //! first round boundary where the live segment exceeds
@@ -29,16 +29,17 @@
 //! segment's header is written and fsynced (file + directory) *before* any
 //! round frame lands in it, and a crash mid-rotation at worst leaves a
 //! partial next segment that the reader discards as a corrupt tail. With
-//! [`DurabilityConfig::compact`] on, committing a *full* checkpoint retires
-//! every earlier segment and every checkpoint file outside the live chain —
-//! bounding the directory to the latest full checkpoint, its deltas, and at
-//! most two segments.
+//! [`DurabilityConfig::compact`] on, committing a checkpoint retires every
+//! earlier segment and the previous checkpoint file — bounding the
+//! directory to the latest checkpoint and at most two segments.
 //!
 //! **I/O faults.** All I/O goes through the config's
 //! [`rock_crystal::FaultVfs`]. Transient errors are retried under the
 //! chase's one retry policy, the [`rock_crystal::ClusterConfig`] its work
-//! units retry under (`max_retries`, capped exponential `backoff_for`);
-//! once retries are exhausted the context *poisons*: durability degrades
+//! units retry under (`max_retries`, capped exponential `backoff_for`).
+//! A write of several steps retries each on its own: a segment's file and
+//! its directory fsync; a checkpoint's temp file (create, write, fsync),
+//! rename and directory fsync. Once retries are exhausted the context *poisons*: durability degrades
 //! to in-memory, the chase keeps repairing, and the failure surfaces as
 //! [`WalHealth::Degraded`] on the run's [`WalSummary`].
 //!
@@ -47,9 +48,9 @@
 //! those tuples last received (`parents`). `crate::provenance` replays
 //! the log into a queryable "why is this cell 42?" graph.
 
-use crate::checkpoint::{encode_doc, ChaseCheckpoint, ResumePoint};
+use crate::checkpoint::{ChaseCheckpoint, ResumePoint};
 use crate::fixes::EntityKey;
-use rock_crystal::{crc32, ClusterConfig, FaultVfs, VfsFile};
+use rock_crystal::{crc32, tmp_path, ClusterConfig, FaultVfs, VfsFile};
 use rock_data::{json, AttrId, CellRef, DataError, FxHashMap, GlobalTid, RelId, TupleId, Value};
 use std::path::{Path, PathBuf};
 
@@ -138,13 +139,9 @@ pub struct DurabilityConfig {
     /// frames never straddle segments).
     pub segment_bytes: u64,
     /// Retire WAL segments and checkpoint files fully covered by the
-    /// latest full checkpoint. Off by default: compaction trades
+    /// latest checkpoint. Off by default: compaction trades
     /// resume-at-any-round and whole-history provenance for bounded disk.
     pub compact: bool,
-    /// Write a full checkpoint every N checkpoints, deltas in between
-    /// (1 = every checkpoint is full). Deltas diff cells/carries/activation
-    /// against the previous snapshot and chain CRCs back to their full.
-    pub full_every: usize,
     /// Filesystem shim all WAL/checkpoint I/O routes through. The clean
     /// default injects nothing; the crash-consistency harness swaps in a
     /// seeded fault plan.
@@ -158,7 +155,6 @@ impl DurabilityConfig {
             sync: true,
             segment_bytes: 8 * 1024 * 1024,
             compact: false,
-            full_every: 1,
             vfs: FaultVfs::clean(),
         }
     }
@@ -175,11 +171,6 @@ impl DurabilityConfig {
 
     pub fn with_compaction(mut self, on: bool) -> Self {
         self.compact = on;
-        self
-    }
-
-    pub fn with_full_every(mut self, n: usize) -> Self {
-        self.full_every = n.max(1);
         self
     }
 }
@@ -584,21 +575,36 @@ fn segment_header(fingerprint: u64) -> Result<Vec<u8>, WalError> {
     Ok(header)
 }
 
+/// Create `path` holding `bytes`, fsynced when `sync` is on. Creation
+/// truncates, so the step is idempotent and a transient failure anywhere
+/// in it can be retried from the top.
+fn write_new(vfs: &FaultVfs, path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<VfsFile> {
+    let mut file = vfs.create(path)?;
+    file.write_all(bytes)?;
+    if sync {
+        file.sync_all()?;
+    }
+    Ok(file)
+}
+
 /// Create segment `seq` holding `header`, synced (file + directory) when
-/// `sync` is on. Creation truncates, so the whole step is idempotent and a
-/// transient failure anywhere in it can be retried from the top.
+/// `sync` is on. The file and the directory entry are retried as separate
+/// steps, so a failed directory fsync does not rewrite the segment.
 fn start_segment(
     vfs: &FaultVfs,
     dir: &Path,
     seq: u64,
     header: &[u8],
     sync: bool,
-) -> std::io::Result<VfsFile> {
-    let mut file = vfs.create(&dir.join(segment_file_name(seq)))?;
-    file.write_all(header)?;
+    retry: &ClusterConfig,
+    retries: &mut u64,
+) -> Result<VfsFile, WalError> {
+    let path = dir.join(segment_file_name(seq));
+    let file = retry_io(retry, retries, || {
+        write_new(vfs, &path, header, sync).map_err(|e| (e, true))
+    })?;
     if sync {
-        file.sync_all()?;
-        vfs.fsync_dir(dir)?;
+        retry_io(retry, retries, || vfs.fsync_dir(dir).map_err(|e| (e, true)))?;
     }
     Ok(file)
 }
@@ -616,9 +622,15 @@ impl WalWriter {
         }
         let header = segment_header(fingerprint)?;
         let mut io_retries = 0;
-        let file = retry_io(retry, &mut io_retries, || {
-            start_segment(&cfg.vfs, &cfg.dir, 1, &header, cfg.sync).map_err(|e| (e, true))
-        })?;
+        let file = start_segment(
+            &cfg.vfs,
+            &cfg.dir,
+            1,
+            &header,
+            cfg.sync,
+            retry,
+            &mut io_retries,
+        )?;
         let mut w = WalWriter::at(cfg, retry, fingerprint, 1, file, header.len() as u64);
         w.appended = 1;
         w.io_retries = io_retries;
@@ -723,10 +735,15 @@ impl WalWriter {
         }
         let next_seq = self.seq + 1;
         let header = segment_header(self.fingerprint)?;
-        let (vfs, dir, sync) = (&self.vfs, &self.dir, self.sync);
-        self.file = retry_io(&self.retry, &mut self.io_retries, || {
-            start_segment(vfs, dir, next_seq, &header, sync).map_err(|e| (e, true))
-        })?;
+        self.file = start_segment(
+            &self.vfs,
+            &self.dir,
+            next_seq,
+            &header,
+            self.sync,
+            &self.retry,
+            &mut self.io_retries,
+        )?;
         self.seq = next_seq;
         self.offset = header.len() as u64;
         self.appended += 1;
@@ -735,27 +752,40 @@ impl WalWriter {
     }
 
     /// Write one checkpoint document next to the log, atomically and (when
-    /// the config syncs) durably. A failed attempt may leave `<name>.tmp`
-    /// behind; the retry recreates it from scratch and the open-time GC
-    /// reaps terminal strays.
+    /// the config syncs) durably: the temp file (created, written and
+    /// fsynced), the rename and the directory fsync are each retried on
+    /// their own, so a step that fails after an earlier one succeeded
+    /// does not redo it. A failed write may leave `<name>.tmp` behind; the
+    /// open-time GC reaps terminal strays.
     pub(crate) fn write_checkpoint(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
         let path = self.dir.join(name);
-        let (vfs, sync) = (&self.vfs, self.sync);
-        retry_io(&self.retry, &mut self.io_retries, || {
-            if sync {
-                vfs.write_atomic_durable(&path, bytes, true)
-            } else {
-                vfs.write_file(&path, bytes)
-            }
-            .map_err(|e| (e, true))
+        let (vfs, retry, retries) = (&self.vfs, &self.retry, &mut self.io_retries);
+        if !self.sync {
+            return retry_io(retry, retries, || {
+                write_new(vfs, &path, bytes, false)
+                    .map(drop)
+                    .map_err(|e| (e, true))
+            });
+        }
+        let tmp = tmp_path(&path);
+        retry_io(retry, retries, || {
+            write_new(vfs, &tmp, bytes, true)
+                .map(drop)
+                .map_err(|e| (e, true))
+        })?;
+        retry_io(retry, retries, || {
+            vfs.rename(&tmp, &path).map_err(|e| (e, true))
+        })?;
+        retry_io(retry, retries, || {
+            vfs.fsync_dir(&self.dir).map_err(|e| (e, true))
         })
     }
 
-    /// Compaction after a durable full checkpoint: delete the checkpoint
-    /// files it made obsolete, then every segment older than the live one.
+    /// Compaction after a durable checkpoint: delete the checkpoint file
+    /// it made obsolete, then every segment older than the live one.
     /// Returns how many segments were retired.
-    pub(crate) fn compact(&mut self, obsolete: &[String]) -> Result<u64, WalError> {
-        for name in obsolete {
+    pub(crate) fn compact(&mut self, obsolete: Option<&str>) -> Result<u64, WalError> {
+        if let Some(name) = obsolete {
             self.vfs.remove_file(&self.dir.join(name))?;
         }
         let mut retired = 0;
@@ -774,10 +804,8 @@ impl WalWriter {
 pub struct WalSummary {
     /// Records appended this run (excluding replayed history).
     pub records: u64,
-    /// Full checkpoint documents written this run.
-    pub full_checkpoints: u64,
-    /// Delta checkpoint documents written this run.
-    pub delta_checkpoints: u64,
+    /// Checkpoint documents written this run.
+    pub checkpoints: u64,
     /// Round the run resumed from (None for a fresh run).
     pub resumed_from: Option<u64>,
     /// ΔD batch this run executed (1 for plain runs; >1 for durable
@@ -813,10 +841,10 @@ pub(crate) struct DurabilityCtx {
     resumed_from: Option<u64>,
     /// ΔD batch this context logs for (1 unless attached by a session).
     batch: u64,
-    /// The last round this context committed (delta base + live chain).
-    prev: Option<ResumePoint>,
-    full_checkpoints: u64,
-    delta_checkpoints: u64,
+    /// Checkpoint file of the last round this context committed: the one
+    /// compaction retires once a newer checkpoint is durable.
+    live: Option<String>,
+    checkpoints: u64,
     segments_compacted: u64,
     temp_files_removed: u64,
     /// The first unrecoverable error; once set, nothing more is logged.
@@ -856,13 +884,13 @@ impl DurabilityCtx {
 
     /// Attach to a recovered log (see `crate::checkpoint::locate`): the WAL
     /// is truncated to `rp.pos`, the resumed round's commit boundary, and
-    /// `rp` becomes the next delta base. The provenance id state comes from
-    /// the checkpoint itself.
+    /// `rp`'s checkpoint becomes the live one. The provenance id state
+    /// comes from the checkpoint itself.
     pub(crate) fn attach(
         cfg: DurabilityConfig,
         retry: &ClusterConfig,
         fingerprint: u64,
-        rp: ResumePoint,
+        rp: &ResumePoint,
     ) -> Result<Self, WalError> {
         let writer = WalWriter::open_at(&cfg, retry, rp.pos, fingerprint)?;
         let temp_files_removed = gc_temp_files(&cfg.vfs, &cfg.dir);
@@ -877,14 +905,15 @@ impl DurabilityCtx {
     fn new(
         cfg: DurabilityConfig,
         writer: Result<WalWriter, WalError>,
-        prev: Option<ResumePoint>,
+        prev: Option<&ResumePoint>,
         temp_files_removed: u64,
     ) -> Self {
         let (writer, error) = match writer {
             Ok(w) => (Some(w), None),
             Err(e) => (None, Some(e.to_string())),
         };
-        let state = prev.as_ref().map(|p| &p.checkpoint);
+        let state = prev.map(|p| &p.checkpoint);
+        let live = prev.map(|p| p.name.clone());
         DurabilityCtx {
             next_fix_id: state.map_or(0, |s| s.next_fix_id),
             last_fix: state
@@ -893,9 +922,8 @@ impl DurabilityCtx {
             batch: state.map_or(1, |s| s.batch.max(1)),
             cfg,
             writer,
-            prev,
-            full_checkpoints: 0,
-            delta_checkpoints: 0,
+            live,
+            checkpoints: 0,
             segments_compacted: 0,
             temp_files_removed,
             error,
@@ -921,7 +949,7 @@ impl DurabilityCtx {
     /// Log one committed round: `RoundBegin`, each fix (with provenance
     /// parents), the round's checkpoint document, and the `RoundCommit`
     /// marker — then one fsync covering the whole boundary, then
-    /// compaction when a full checkpoint just made history dead.
+    /// compaction when it is on.
     pub(crate) fn commit_round(
         &mut self,
         round: u64,
@@ -987,47 +1015,23 @@ impl DurabilityCtx {
         let mut lf: Vec<(GlobalTid, u64)> = self.last_fix.iter().map(|(t, id)| (*t, *id)).collect();
         lf.sort_unstable();
         ck.last_fix = lf;
-        let enc = encode_doc(self.prev.as_ref(), ck, self.cfg.full_every);
-        let state_crc = crc32(&enc.bytes);
-        writer.write_checkpoint(&enc.name, &enc.bytes)?;
-        let old_chain = self.prev.take().map(|p| p.chain).unwrap_or_default();
-        let mut obsolete = None;
-        let chain = if enc.is_full {
-            self.full_checkpoints += 1;
-            if self.cfg.compact {
-                obsolete = Some(
-                    old_chain
-                        .into_iter()
-                        .filter(|f| *f != enc.name)
-                        .collect::<Vec<_>>(),
-                );
-            }
-            vec![enc.name.clone()]
-        } else {
-            self.delta_checkpoints += 1;
-            let mut c = old_chain;
-            c.push(enc.name.clone());
-            c
-        };
+        let name = ChaseCheckpoint::file_name(ck.round);
+        let bytes = ck.to_bytes();
+        let state_crc = crc32(&bytes);
+        writer.write_checkpoint(&name, &bytes)?;
+        self.checkpoints += 1;
         writer.append(&WalRecord::RoundCommit {
             round,
-            checkpoint: Some(enc.name.clone()),
+            checkpoint: Some(name.clone()),
             state_crc,
         })?;
-        self.prev = Some(ResumePoint {
-            checkpoint: enc.state,
-            pos: WalPos {
-                seg: writer.seq,
-                off: writer.offset,
-            },
-            name: enc.name,
-            crc: state_crc,
-            chain,
-        });
+        // a batch-opening checkpoint reuses its round's name: nothing to
+        // retire then
+        let obsolete = self.live.replace(name.clone()).filter(|old| *old != name);
         writer.sync()?;
         // Only after the marker is durable may covered history be retired.
-        if let Some(obsolete) = obsolete {
-            self.segments_compacted += writer.compact(&obsolete)?;
+        if self.cfg.compact {
+            self.segments_compacted += writer.compact(obsolete.as_deref())?;
         }
         Ok(())
     }
@@ -1043,8 +1047,7 @@ impl DurabilityCtx {
         };
         WalSummary {
             records,
-            full_checkpoints: self.full_checkpoints,
-            delta_checkpoints: self.delta_checkpoints,
+            checkpoints: self.checkpoints,
             resumed_from: self.resumed_from,
             batch: self.batch,
             io_retries,

@@ -403,10 +403,15 @@ pub fn to_vec<T: ToJson + ?Sized>(v: &T) -> Vec<u8> {
     v.to_json().to_string().into_bytes()
 }
 
+/// Parse `bytes` as UTF-8 JSON text.
+pub fn parse_slice(bytes: &[u8]) -> Result<Json, JsonError> {
+    let text = std::str::from_utf8(bytes).map_err(|_| JsonError("invalid UTF-8".into()))?;
+    Json::parse(text)
+}
+
 /// Parse `bytes` and decode a `T`.
 pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T, JsonError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| JsonError("invalid UTF-8".into()))?;
-    T::from_json(&Json::parse(text)?)
+    T::from_json(&parse_slice(bytes)?)
 }
 
 impl ToJson for Json {

@@ -146,13 +146,17 @@ impl Relation {
         self.tuples.get(tid.index()).and_then(|t| t.as_ref())
     }
 
-    /// Mutable access to a live tuple. Invalidates the columnar cache
-    /// pessimistically (the caller may rewrite any cell); prefer
-    /// [`Relation::set_cell`], which writes through instead.
-    #[inline]
-    pub fn get_mut(&mut self, tid: TupleId) -> Option<&mut Tuple> {
-        self.columns.invalidate();
-        self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut())
+    /// Set a live tuple's entity id. The columnar image holds no eids, so
+    /// it stays cached. Returns `false`, writing nothing, when the tuple is
+    /// dead.
+    pub fn set_eid(&mut self, tid: TupleId, eid: Eid) -> bool {
+        match self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut()) {
+            Some(t) => {
+                t.eid = eid;
+                true
+            }
+            None => false,
+        }
     }
 
     /// A cell value, if the tuple is live.

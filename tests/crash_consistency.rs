@@ -1,14 +1,13 @@
-//! Crash-consistency suite for the segmented WAL + incremental-checkpoint
-//! durability stack (`rock::chase::wal` / `rock::chase::checkpoint` over
+//! Crash-consistency suite for the segmented WAL + checkpoint durability
+//! stack (`rock::chase::wal` / `rock::chase::checkpoint` over
 //! `rock::crystal::FaultVfs`): a recorded fault-free run yields an I/O
 //! trace, and a crash injected at every sampled trace point must leave a
 //! directory from which recovery is byte-identical to the uninterrupted
-//! oracle. Segment rotation and compaction are transparent; incremental
-//! (delta) checkpoints resume at every round; corrupted checkpoint files
-//! are CRC-rejected with fallback to an earlier marker; transient I/O
-//! errors retry to `Recovered`, persistent ones degrade to in-memory
-//! without corrupting fixes; and durable incremental sessions fold ΔD
-//! batches across crashes.
+//! oracle. Segment rotation and compaction are transparent; corrupted
+//! checkpoint files are CRC-rejected with fallback to an earlier marker;
+//! transient I/O errors retry to `Recovered`, persistent ones degrade to
+//! in-memory without corrupting fixes; and durable incremental sessions
+//! fold ΔD batches across crashes.
 
 mod common;
 
@@ -140,15 +139,13 @@ fn engine<'a>(
     )
 }
 
-/// Small segments + compaction + delta checkpoints: the config the crash
-/// sweep runs under, so rotation, retirement and delta-chain writes all
-/// appear in the recorded trace.
+/// Small segments + compaction: the config the crash sweep runs under, so
+/// rotation and retirement both appear in the recorded trace.
 fn sweep_cfg(dir: &Path, vfs: FaultVfs) -> DurabilityConfig {
     DurabilityConfig::new(dir)
         .with_vfs(vfs)
         .with_segment_bytes(256)
         .with_compaction(true)
-        .with_full_every(2)
 }
 
 /// Evenly strided sample of at most `cap` points (always keeps the ends).
@@ -194,10 +191,6 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
         "sweep config must exercise rotation + compaction (rotated {}, compacted {})",
         s.segments_rotated,
         s.segments_compacted
-    );
-    assert!(
-        s.full_checkpoints >= 1 && s.delta_checkpoints >= 1,
-        "sweep config must write both checkpoint kinds"
     );
     let trace = rec_vfs.trace();
     assert!(trace.len() >= 16, "trace too short to sweep");
@@ -344,8 +337,8 @@ fn compaction_bounds_disk_and_preserves_resume() {
         "full-every-round + tiny segments must retire something"
     );
 
-    // Disk bound: everything on disk is the latest full checkpoint's
-    // chain plus at most two live segments.
+    // Disk bound: everything on disk is the latest checkpoint plus at
+    // most two live segments.
     let vfs = FaultVfs::clean();
     let rp = locate(&mk(), durable.fingerprint(), None).unwrap();
     let live = list_segments(&vfs, &dir).unwrap();
@@ -354,60 +347,22 @@ fn compaction_bounds_disk_and_preserves_resume() {
         "compaction left {} live segments",
         live.len()
     );
-    let mut on_disk: Vec<String> = vfs
+    let on_disk: Vec<String> = vfs
         .list_dir(&dir)
         .unwrap()
         .iter()
         .filter_map(|p| p.file_name().and_then(|n| n.to_str()).map(String::from))
         .filter(|n| n.starts_with("checkpoint-"))
         .collect();
-    on_disk.sort();
-    let mut chain = rp.chain.clone();
-    chain.sort();
-    assert_eq!(on_disk, chain, "stale checkpoint files survived compaction");
+    assert_eq!(
+        on_disk,
+        [rp.name.as_str()],
+        "stale checkpoint files survived compaction"
+    );
 
     // Resume over the compacted directory still reaches the oracle.
     let resumed = durable.resume(&trusted).unwrap();
     assert_eq!(canon(&resumed), want, "compacted resume diverged");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn incremental_checkpoints_resume_at_every_round() {
-    let schema = schema();
-    let rs = rules(&schema);
-    let reg = ModelRegistry::new();
-    let db = build_db(&default_rows());
-    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
-
-    let oracle = engine(&rs, &reg, None).run(&db, &trusted);
-    let want = canon(&oracle);
-
-    let dir = fresh_dir("delta-ckpt");
-    let cfg = DurabilityConfig::new(&dir).with_full_every(3);
-    let durable = engine(&rs, &reg, Some(cfg));
-    let first = durable.run(&db, &trusted);
-    assert_eq!(canon(&first), want);
-    let s = first.wal.as_ref().unwrap();
-    assert!(!matches!(s.health, WalHealth::Degraded { .. }));
-    assert!(s.full_checkpoints >= 1, "chain needs a full to anchor");
-    assert!(
-        first.rounds < 3 || s.delta_checkpoints >= 1,
-        "full_every=3 over {} rounds must write deltas",
-        first.rounds
-    );
-
-    // Every round marker reconstructs through its delta chain.
-    for r in 1..=first.rounds as u64 {
-        let resumed = durable
-            .resume_at(&trusted, r)
-            .unwrap_or_else(|e| panic!("delta-chain resume at round {r} failed: {e}"));
-        assert_eq!(
-            canon(&resumed),
-            want,
-            "delta-chain resume at round {r} diverged"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
