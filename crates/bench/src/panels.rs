@@ -1364,7 +1364,7 @@ pub fn columnar() -> (Table, Json) {
         hits
     };
     // warm the per-relation column caches once — the steady state the
-    // chase and detector run in (snapshots rebuild only on mutation)
+    // chase and detector run in (a mutation patches a snapshot, it does not rebuild it)
     for (rid, _) in db.iter() {
         let _ = db.relation(rid).columns();
     }

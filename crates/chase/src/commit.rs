@@ -205,10 +205,14 @@ impl<'a> Committer<'a> {
     /// validated entity class, all member tuples of a relation get the
     /// class's smallest eid in that relation (the repaired data then
     /// *carries* the deduplication, and re-chasing it is a no-op for
-    /// same-relation ER rules). Only tuples whose eid changes are written,
-    /// so a relation without a merged class keeps its column snapshot.
+    /// same-relation ER rules). Only classes rooted at a merged key can
+    /// hold two eids, so only those are visited, and only tuples whose eid
+    /// changes are written.
     pub fn materialize_entities(&self, st: &mut Committed) {
-        for members in self.groups.values().filter(|m| m.len() > 1) {
+        for root in st.fixes.merged_roots() {
+            let Some(members) = self.groups.get(&root) else {
+                continue;
+            };
             let mut min_per_rel: FxHashMap<RelId, rock_data::Eid> = FxHashMap::default();
             for m in members {
                 if let Some(t) = st.db.relation(m.rel).get(m.tid) {

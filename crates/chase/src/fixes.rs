@@ -112,6 +112,15 @@ impl FixStore {
         root
     }
 
+    /// Roots of the classes that unite more than one key — each merged
+    /// key's root, once, ascending. Every other class has a single eid.
+    pub fn merged_roots(&self) -> Vec<EntityKey> {
+        let mut roots: Vec<EntityKey> = self.parent.keys().map(|k| self.find_ref(*k)).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    }
+
     /// Are two entities validated as the same?
     pub fn same_entity(&self, a: EntityKey, b: EntityKey) -> bool {
         self.find_ref(a) == self.find_ref(b)
@@ -436,6 +445,19 @@ mod tests {
         f.merge(k(2), k(3));
         assert!(f.same_entity(k(1), k(3)));
         assert_eq!(f.merge_count(), 2);
+    }
+
+    #[test]
+    fn merged_roots_are_the_roots_of_multi_key_classes() {
+        let mut f = FixStore::new();
+        assert!(f.merged_roots().is_empty());
+        f.merge(k(5), k(3));
+        f.merge(k(3), k(9));
+        f.merge(k(8), k(7));
+        f.find(k(9)); // path compression keeps the roots
+        assert_eq!(f.merged_roots(), vec![k(3), k(7)]);
+        let back = FixStore::from_snapshot(&f.to_snapshot());
+        assert_eq!(back.merged_roots(), vec![k(3), k(7)], "after a resume");
     }
 
     #[test]

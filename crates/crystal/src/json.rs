@@ -500,6 +500,18 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
+impl<T: ToJson> ToJson for crate::sync::Arc<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for crate::sync::Arc<T> {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        T::from_json(j).map(crate::sync::Arc::new)
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         self.as_ref().map_or(Json::Null, T::to_json)

@@ -9,9 +9,10 @@
 //! balancing and high scalability; no node is idle unless all work units
 //! are finished."
 //!
-//! Simulation: `n` worker threads, one mutex-guarded FIFO queue each;
-//! a unit is placed by its partition hash modulo `n` (see
-//! [`Cluster::owner_of`]); idle workers steal. Per-worker
+//! Simulation: `n` workers, one mutex-guarded FIFO queue each; a unit is
+//! placed by its partition hash modulo `n` (see [`Cluster::owner_of`]);
+//! idle workers steal. Worker 0 is the calling thread and workers 1..n are
+//! scoped threads, so a 1-worker run spawns nothing. Per-worker
 //! execution counts and steal counts are reported so the
 //! scalability experiments (Fig. 4(h)/(l)) can verify balance.
 //!
@@ -336,254 +337,235 @@ impl Cluster {
         let membership = &*self.membership;
         let config = &self.config;
 
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(n);
-            for (w, deque) in deques.iter().enumerate() {
-                let deques = &deques;
-                let global = &global;
-                let executed = &executed;
-                let stolen = &stolen;
-                let busy_ns = &busy_ns;
-                let unit_ns = &unit_ns;
-                let attempts = &attempts;
-                let settled = &settled;
-                let running = &running;
-                let spec_launched = &spec_launched;
-                let started_ns = &started_ns;
-                let done_ns = &done_ns;
-                let done_count = &done_count;
-                let remaining = &remaining;
-                let results = &results;
-                let failures = &failures;
-                let counters = &counters;
-                let units = &units;
-                let fault = &fault;
-                let f = &f;
-                workers.push(scope.spawn(move || {
-                    if !membership.alive[w].load(Ordering::Acquire) {
-                        // Dead from a crash in an earlier round: drain
-                        // anything mistakenly placed here and exit.
-                        while let Some(t) = deque.pop() {
-                            global.push(t);
-                            counters.reassigned.fetch_add(1, Ordering::Relaxed);
+        // One worker's loop; worker 0 runs on the calling thread, so a
+        // 1-worker run spawns no thread at all.
+        let worker = |w: usize| {
+            let deque = &deques[w];
+            if !membership.alive[w].load(Ordering::Acquire) {
+                // Dead from a crash in an earlier round: drain
+                // anything mistakenly placed here and exit.
+                while let Some(t) = deque.pop() {
+                    global.push(t);
+                    counters.reassigned.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
+
+            // Run one task (original or speculative copy) through
+            // the inject → catch_unwind → retry/quarantine pipeline.
+            let run = |i: usize, spec: bool, was_steal: bool, local_done: &mut u64| {
+                if settled[i].load(Ordering::Acquire) {
+                    return;
+                }
+                loop {
+                    // Speculative copies observe the current
+                    // attempt number without consuming one, so the
+                    // owner's retry/quarantine accounting stays
+                    // exact (attempts == max_retries + 1 on
+                    // quarantine, always).
+                    let attempt = if spec {
+                        attempts[i].load(Ordering::Relaxed).max(1)
+                    } else {
+                        attempts[i].fetch_add(1, Ordering::Relaxed)
+                    };
+                    running[i].store(true, Ordering::Relaxed);
+                    let now_rel = start.elapsed().as_nanos() as u64;
+                    let _ = started_ns[i].compare_exchange(
+                        0,
+                        now_rel.max(1),
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                    let decision = fault
+                        .as_ref()
+                        .map(|fi| fi.decide(i, attempt))
+                        .unwrap_or(FaultDecision::None);
+                    if matches!(decision, FaultDecision::Latency(_)) {
+                        counters.latency.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let t0 = Instant::now();
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        match decision {
+                            FaultDecision::Panic => panic_any(InjectedFault { unit: i, attempt }),
+                            FaultDecision::Transient => {
+                                return Err(UnitError::Transient(format!(
+                                    "injected fault (unit {i}, attempt {attempt})"
+                                )));
+                            }
+                            FaultDecision::Latency(d) => std::thread::sleep(d),
+                            FaultDecision::None => {}
+                        }
+                        f(&units[i])
+                    }));
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    busy_ns[w].fetch_add(ns, Ordering::Relaxed);
+                    let error = match outcome {
+                        Ok(Ok(r)) => {
+                            // First-writer-wins idempotent commit:
+                            // the settled swap decides the winner,
+                            // so a unit's result is written at most
+                            // once even when a speculative copy
+                            // races the original.
+                            if !settled[i].swap(true, Ordering::AcqRel) {
+                                *results[i].lock() = Some(r);
+                                unit_ns[i].store(ns, Ordering::Relaxed);
+                                executed[w].fetch_add(1, Ordering::Relaxed);
+                                if was_steal {
+                                    stolen[w].fetch_add(1, Ordering::Relaxed);
+                                }
+                                if spec {
+                                    counters.spec_won.fetch_add(1, Ordering::Relaxed);
+                                }
+                                done_ns.fetch_add(ns, Ordering::Relaxed);
+                                done_count.fetch_add(1, Ordering::Relaxed);
+                                remaining.fetch_sub(1, Ordering::AcqRel);
+                                *local_done += 1;
+                            }
+                            return;
+                        }
+                        Ok(Err(e)) => {
+                            if matches!(e, UnitError::Transient(_)) {
+                                counters.transients.fetch_add(1, Ordering::Relaxed);
+                            }
+                            e
+                        }
+                        Err(payload) => {
+                            counters.panics.fetch_add(1, Ordering::Relaxed);
+                            UnitError::Panic(describe_panic(payload.as_ref()))
+                        }
+                    };
+                    if settled[i].load(Ordering::Acquire) {
+                        return; // another copy already won
+                    }
+                    if spec {
+                        return; // speculative copies never retry
+                    }
+                    if attempt >= max_retries {
+                        // Quarantine: settle without a result; the
+                        // typed failure is reported, not fatal.
+                        if !settled[i].swap(true, Ordering::AcqRel) {
+                            failures.lock().push(UnitFailure {
+                                unit: i,
+                                rule: units[i].rule,
+                                attempts: attempt + 1,
+                                error,
+                            });
+                            counters.quarantined.fetch_add(1, Ordering::Relaxed);
+                            remaining.fetch_sub(1, Ordering::AcqRel);
+                            *local_done += 1;
                         }
                         return;
                     }
+                    counters.retries.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(config.backoff_for(attempt));
+                }
+            };
 
-                    // Run one task (original or speculative copy) through
-                    // the inject → catch_unwind → retry/quarantine pipeline.
-                    let run = |i: usize, spec: bool, was_steal: bool, local_done: &mut u64| {
-                        if settled[i].load(Ordering::Acquire) {
-                            return;
-                        }
-                        loop {
-                            // Speculative copies observe the current
-                            // attempt number without consuming one, so the
-                            // owner's retry/quarantine accounting stays
-                            // exact (attempts == max_retries + 1 on
-                            // quarantine, always).
-                            let attempt = if spec {
-                                attempts[i].load(Ordering::Relaxed).max(1)
-                            } else {
-                                attempts[i].fetch_add(1, Ordering::Relaxed)
-                            };
-                            running[i].store(true, Ordering::Relaxed);
-                            let now_rel = start.elapsed().as_nanos() as u64;
-                            let _ = started_ns[i].compare_exchange(
-                                0,
-                                now_rel.max(1),
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            );
-                            let decision = fault
-                                .as_ref()
-                                .map(|fi| fi.decide(i, attempt))
-                                .unwrap_or(FaultDecision::None);
-                            if matches!(decision, FaultDecision::Latency(_)) {
-                                counters.latency.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let t0 = Instant::now();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                match decision {
-                                    FaultDecision::Panic => {
-                                        panic_any(InjectedFault { unit: i, attempt })
-                                    }
-                                    FaultDecision::Transient => {
-                                        return Err(UnitError::Transient(format!(
-                                            "injected fault (unit {i}, attempt {attempt})"
-                                        )));
-                                    }
-                                    FaultDecision::Latency(d) => std::thread::sleep(d),
-                                    FaultDecision::None => {}
-                                }
-                                f(&units[i])
-                            }));
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            busy_ns[w].fetch_add(ns, Ordering::Relaxed);
-                            let error = match outcome {
-                                Ok(Ok(r)) => {
-                                    // First-writer-wins idempotent commit:
-                                    // the settled swap decides the winner,
-                                    // so a unit's result is written at most
-                                    // once even when a speculative copy
-                                    // races the original.
-                                    if !settled[i].swap(true, Ordering::AcqRel) {
-                                        *results[i].lock() = Some(r);
-                                        unit_ns[i].store(ns, Ordering::Relaxed);
-                                        executed[w].fetch_add(1, Ordering::Relaxed);
-                                        if was_steal {
-                                            stolen[w].fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        if spec {
-                                            counters.spec_won.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        done_ns.fetch_add(ns, Ordering::Relaxed);
-                                        done_count.fetch_add(1, Ordering::Relaxed);
-                                        remaining.fetch_sub(1, Ordering::AcqRel);
-                                        *local_done += 1;
-                                    }
-                                    return;
-                                }
-                                Ok(Err(e)) => {
-                                    if matches!(e, UnitError::Transient(_)) {
-                                        counters.transients.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    e
-                                }
-                                Err(payload) => {
-                                    counters.panics.fetch_add(1, Ordering::Relaxed);
-                                    UnitError::Panic(describe_panic(payload.as_ref()))
-                                }
-                            };
-                            if settled[i].load(Ordering::Acquire) {
-                                return; // another copy already won
-                            }
-                            if spec {
-                                return; // speculative copies never retry
-                            }
-                            if attempt >= max_retries {
-                                // Quarantine: settle without a result; the
-                                // typed failure is reported, not fatal.
-                                if !settled[i].swap(true, Ordering::AcqRel) {
-                                    failures.lock().push(UnitFailure {
-                                        unit: i,
-                                        rule: units[i].rule,
-                                        attempts: attempt + 1,
-                                        error,
-                                    });
-                                    counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                                    remaining.fetch_sub(1, Ordering::AcqRel);
-                                    *local_done += 1;
-                                }
-                                return;
-                            }
-                            counters.retries.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(config.backoff_for(attempt));
-                        }
-                    };
+            // Scan for a running unit that exceeds the speculation
+            // threshold relative to the observed mean unit time.
+            let find_straggler = || -> Option<usize> {
+                let done = done_count.load(Ordering::Relaxed);
+                if spec_threshold <= 0.0 || done < 3 {
+                    return None;
+                }
+                let expected = (done_ns.load(Ordering::Relaxed) / done).max(50_000);
+                let now_rel = start.elapsed().as_nanos() as u64;
+                for i in 0..total {
+                    if settled[i].load(Ordering::Acquire)
+                        || !running[i].load(Ordering::Relaxed)
+                        || spec_launched[i].load(Ordering::Relaxed)
+                    {
+                        continue;
+                    }
+                    let s = started_ns[i].load(Ordering::Relaxed);
+                    if s == 0 {
+                        continue;
+                    }
+                    let limit = ((expected as f64) * spec_threshold) as u64;
+                    if now_rel.saturating_sub(s) > limit.max(200_000)
+                        && !spec_launched[i].swap(true, Ordering::Relaxed)
+                    {
+                        return Some(i);
+                    }
+                }
+                None
+            };
 
-                    // Scan for a running unit that exceeds the speculation
-                    // threshold relative to the observed mean unit time.
-                    let find_straggler = || -> Option<usize> {
-                        let done = done_count.load(Ordering::Relaxed);
-                        if spec_threshold <= 0.0 || done < 3 {
-                            return None;
+            let crash = fault.as_ref().and_then(|fi| fi.plan().crash);
+            let backoff = Backoff::default();
+            let mut local_done: u64 = 0;
+            loop {
+                // Planned whole-node crash, honored at a unit
+                // boundary (no in-flight work is lost) and only
+                // when survivors exist.
+                if let Some(c) = crash {
+                    if c.node == w
+                        && n > 1
+                        && local_done >= c.after_units
+                        && !membership.crash_fired.swap(true, Ordering::AcqRel)
+                    {
+                        let mut moved = 0u64;
+                        while let Some(t) = deque.pop() {
+                            global.push(t);
+                            moved += 1;
                         }
-                        let expected = (done_ns.load(Ordering::Relaxed) / done).max(50_000);
-                        let now_rel = start.elapsed().as_nanos() as u64;
-                        for i in 0..total {
-                            if settled[i].load(Ordering::Acquire)
-                                || !running[i].load(Ordering::Relaxed)
-                                || spec_launched[i].load(Ordering::Relaxed)
-                            {
-                                continue;
-                            }
-                            let s = started_ns[i].load(Ordering::Relaxed);
-                            if s == 0 {
-                                continue;
-                            }
-                            let limit = ((expected as f64) * spec_threshold) as u64;
-                            if now_rel.saturating_sub(s) > limit.max(200_000)
-                                && !spec_launched[i].swap(true, Ordering::Relaxed)
-                            {
-                                return Some(i);
-                            }
+                        counters.reassigned.fetch_add(moved, Ordering::Relaxed);
+                        counters.crashes.fetch_add(1, Ordering::Relaxed);
+                        membership.alive[w].store(false, Ordering::Release);
+                        return;
+                    }
+                }
+                // own queue first, then the reassignment injector,
+                // then steal round-robin from the others
+                let mut task = deque.pop();
+                let mut was_steal = false;
+                if task.is_none() {
+                    task = global.pop();
+                }
+                if task.is_none() {
+                    task = (1..n).find_map(|off| deques[(w + off) % n].pop());
+                    was_steal = task.is_some();
+                }
+                match task {
+                    Some(t) => {
+                        backoff.reset();
+                        run(t.idx, t.spec, was_steal, &mut local_done);
+                    }
+                    None => {
+                        if remaining.load(Ordering::Acquire) == 0 {
+                            break;
                         }
-                        None
-                    };
-
-                    let crash = fault.as_ref().and_then(|fi| fi.plan().crash);
-                    let backoff = Backoff::default();
-                    let mut local_done: u64 = 0;
-                    loop {
-                        // Planned whole-node crash, honored at a unit
-                        // boundary (no in-flight work is lost) and only
-                        // when survivors exist.
-                        if let Some(c) = crash {
-                            if c.node == w
-                                && n > 1
-                                && local_done >= c.after_units
-                                && !membership.crash_fired.swap(true, Ordering::AcqRel)
-                            {
-                                let mut moved = 0u64;
-                                while let Some(t) = deque.pop() {
-                                    global.push(t);
-                                    moved += 1;
-                                }
-                                counters.reassigned.fetch_add(moved, Ordering::Relaxed);
-                                counters.crashes.fetch_add(1, Ordering::Relaxed);
-                                membership.alive[w].store(false, Ordering::Release);
-                                return;
-                            }
+                        if let Some(i) = find_straggler() {
+                            counters.spec_launched.fetch_add(1, Ordering::Relaxed);
+                            backoff.reset();
+                            run(i, true, false, &mut local_done);
+                            continue;
                         }
-                        // own queue first, then the reassignment injector,
-                        // then steal round-robin from the others
-                        let mut task = deque.pop();
-                        let mut was_steal = false;
-                        if task.is_none() {
-                            task = global.pop();
-                        }
-                        if task.is_none() {
-                            task = (1..n).find_map(|off| deques[(w + off) % n].pop());
-                            was_steal = task.is_some();
-                        }
-                        match task {
-                            Some(t) => {
-                                backoff.reset();
-                                run(t.idx, t.spec, was_steal, &mut local_done);
-                            }
-                            None => {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                if let Some(i) = find_straggler() {
-                                    counters.spec_launched.fetch_add(1, Ordering::Relaxed);
-                                    backoff.reset();
-                                    run(i, true, false, &mut local_done);
-                                    continue;
-                                }
-                                // Exponential backoff while idle: spin
-                                // first, then yield, then sleep in short
-                                // naps (there is no unpark signal when a
-                                // victim's queue refills, so a bounded nap
-                                // is the parking stand-in).
-                                if backoff.is_completed() {
-                                    std::thread::sleep(Duration::from_micros(100));
-                                } else {
-                                    backoff.snooze();
-                                }
-                            }
+                        // Exponential backoff while idle: spin
+                        // first, then yield, then sleep in short
+                        // naps (there is no unpark signal when a
+                        // victim's queue refills, so a bounded nap
+                        // is the parking stand-in).
+                        if backoff.is_completed() {
+                            std::thread::sleep(Duration::from_micros(100));
+                        } else {
+                            backoff.snooze();
                         }
                     }
-                }));
+                }
             }
-            // Joined by hand, absorbing worker panics (`scope` re-raises the
-            // panic of a thread it joins itself): unit bodies run under
-            // catch_unwind, so a worker-level unwind means a scheduler bug —
-            // its unsettled units surface as `Lost` failures below rather
-            // than aborting the caller.
-            for worker in workers {
-                let _ = worker.join();
+        };
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            let spawned: Vec<_> = (1..n).map(|w| scope.spawn(move || worker(w))).collect();
+            // Worker panics are absorbed (`scope` re-raises the panic of a
+            // thread it joins itself): unit bodies run under catch_unwind,
+            // so a worker-level unwind means a scheduler bug — its unsettled
+            // units surface as `Lost` failures below rather than aborting
+            // the caller.
+            let _ = catch_unwind(AssertUnwindSafe(|| worker(0)));
+            for handle in spawned {
+                let _ = handle.join();
             }
         });
 

@@ -14,7 +14,7 @@
 //! |-------|----------------------------|
 //! | `steal-quarantine-alive`  | scheduler work-stealing + crash quarantine + alive-bitmap handshake: first `settled` swap wins, unit commits exactly once |
 //! | `speculative-first-writer`| speculative chase commit: two executors, one cell — first writer wins, no torn or double commit |
-//! | `column-cache-version`    | `ColumnCache` version keying: a version-matched snapshot never serves stale data (uniqueness check load-bearing) |
+//! | `column-cache-version`    | `ColumnCache` version keying and copy-on-write patches: a version-matched snapshot never serves stale data, and a snapshot shared with a reader or a clone never changes under it (uniqueness check load-bearing) |
 //! | `sharded-memo`            | 16-shard (modeled: 2) registry memo: hit and miss paths agree with the oracle under shard races |
 
 use rock_crystal::model::{check, ModelInstance, Step};
@@ -163,10 +163,10 @@ fn speculative_first_writer_wins() {
 
 /// Shared scaffolding for the two `ColumnCache` models: an explicit heap
 /// of `Arc<ColumnSet>` allocations so in-place mutation of a snapshot a
-/// caller still holds is observable.
+/// caller or a clone still holds is observable.
 #[derive(Default)]
 struct CacheState {
-    /// Outstanding `&Relation` shared borrows — `write_cell` runs under
+    /// Outstanding `&Relation` shared borrows — `patch` runs under
     /// `&mut Relation`, so it blocks while any reader is inside.
     borrows: u32,
     version: u64,
@@ -175,14 +175,95 @@ struct CacheState {
     heap: Vec<u64>,
     /// The cache slot: (keyed version, heap index).
     snapshot: Option<(u64, usize)>,
-    /// Caller-held clones: (heap index, value observed at serve time).
-    /// Entries outlive the borrow — callers keep the Arc after returning.
+    /// Arcs held outside the cache slot — by callers, and by the cache of
+    /// a cloned relation: (heap index, value observed when taken). Entries
+    /// outlive the borrow — callers keep the Arc after returning.
     holds: Vec<(usize, u64)>,
 }
 
 impl CacheState {
     fn arc_is_unique(&self, idx: usize) -> bool {
         !self.holds.iter().any(|(i, _)| *i == idx)
+    }
+
+    /// `ColumnCache::patch` under `&mut Relation`: mutate the row, then
+    /// patch a version-fresh snapshot — in place when the cache holds the
+    /// only Arc (`Arc::make_mut`), else on a copy installed under the same
+    /// version — or invalidate a stale or absent one.
+    /// `check_unique: false` is the broken protocol of the negative control.
+    fn patch(&mut self, check_unique: bool) {
+        self.truth += 1;
+        match self.snapshot {
+            Some((ver, idx)) if ver == self.version => {
+                if !check_unique || self.arc_is_unique(idx) {
+                    self.heap[idx] = self.truth;
+                } else {
+                    self.heap.push(self.truth);
+                    self.snapshot = Some((ver, self.heap.len() - 1));
+                }
+            }
+            _ => {
+                self.version += 1;
+                self.snapshot = None;
+            }
+        }
+    }
+}
+
+/// A writer thread: one patch under `&mut Relation` (blocked while any
+/// shared borrow is out).
+fn cache_writer(check_unique: bool) -> impl FnMut(&mut CacheState) -> Step {
+    move |s: &mut CacheState| {
+        if s.borrows > 0 {
+            return Step::Blocked; // &mut Relation excludes readers
+        }
+        s.patch(check_unique);
+        Step::Done
+    }
+}
+
+/// `Relation::clone` under a shared borrow: the clone's cache shares a
+/// version-fresh snapshot (one more Arc). Then the clone, owned by this
+/// thread, writes its own row: its cache patches in place only when no
+/// one else holds the allocation, on a copy otherwise. The original's
+/// snapshot must never see the clone's write.
+fn cache_cloner() -> impl FnMut(&mut CacheState) -> Step {
+    let mut pc = 0;
+    let mut shared: Option<(usize, u64)> = None;
+    move |s: &mut CacheState| match pc {
+        0 => {
+            s.borrows += 1;
+            pc = 1;
+            Step::Ready
+        }
+        1 => {
+            // ColumnCache::clone: read lock, share the fresh snapshot
+            if let Some((ver, idx)) = s.snapshot {
+                if ver == s.version {
+                    shared = Some((idx, s.heap[idx]));
+                    s.holds.push((idx, s.heap[idx]));
+                }
+            }
+            s.borrows -= 1;
+            pc = 2;
+            Step::Ready
+        }
+        _ => {
+            // the clone's own patch, then the clone is dropped
+            if let Some(entry) = shared.take() {
+                if let Some(pos) = s.holds.iter().position(|e| *e == entry) {
+                    s.holds.remove(pos);
+                }
+                let (idx, seen) = entry;
+                let in_cache = s.snapshot.is_some_and(|(_, i)| i == idx);
+                if s.arc_is_unique(idx) && !in_cache {
+                    s.heap[idx] = seen + 1;
+                } else {
+                    s.heap.push(seen + 1);
+                }
+            }
+            Step::Done
+        }
     }
 }
 
@@ -243,41 +324,23 @@ fn cache_reader() -> impl FnMut(&mut CacheState) -> Step {
 }
 
 /// `ColumnCache` (rock-data column.rs): readers race to rebuild a
-/// version-keyed snapshot under a shared borrow; `write_cell` runs under
-/// `&mut Relation` (modeled: blocks until no borrows are out) and writes
-/// through only when the snapshot is version-fresh AND uniquely owned
-/// (`Arc::get_mut`), invalidating otherwise. Certificate: a snapshot
-/// matching the current version always equals the current data, and an
-/// Arc a caller was served never mutates under it. The companion test
-/// below shows the uniqueness check is load-bearing.
+/// version-keyed snapshot under a shared borrow; a clone of the relation
+/// shares the snapshot; `patch` runs under `&mut Relation` (modeled:
+/// blocks until no borrows are out) and patches a version-fresh snapshot
+/// in place only when it is uniquely owned (`Arc::make_mut`), installing a
+/// patched copy under the same version otherwise, and invalidates a stale
+/// one. Certificate: a snapshot matching the current version always equals
+/// the current data, and an Arc a caller or a clone holds never mutates
+/// under it — the clone's own writes included. The companion test below
+/// shows the uniqueness check is load-bearing.
 #[test]
 fn column_cache_version_protocol() {
-    let write_cell = || {
-        let mut pc = 0;
-        move |s: &mut CacheState| match pc {
-            0 => {
-                if s.borrows > 0 {
-                    return Step::Blocked; // &mut Relation excludes readers
-                }
-                // exclusive section: mutate the row, then update the cache
-                s.truth += 1;
-                match s.snapshot {
-                    Some((ver, idx)) if ver == s.version && s.arc_is_unique(idx) => {
-                        s.heap[idx] = s.truth; // Arc::get_mut: write through
-                    }
-                    _ => s.version += 1, // shared or stale: invalidate
-                }
-                pc = 1;
-                Step::Done
-            }
-            _ => Step::Done,
-        }
-    };
     let ex = check("column-cache-version", || {
         ModelInstance::new(CacheState::default())
             .thread(cache_reader())
-            .thread(cache_reader())
-            .thread(write_cell())
+            .thread(cache_cloner())
+            .thread(cache_writer(true))
+            .thread(cache_writer(true))
             .invariant(|s| {
                 if let Some((ver, idx)) = s.snapshot {
                     if ver == s.version && s.heap[idx] != s.truth {
@@ -290,7 +353,7 @@ fn column_cache_version_protocol() {
                 for (idx, seen) in &s.holds {
                     if s.heap[*idx] != *seen {
                         return Err(format!(
-                            "served snapshot mutated under the caller: saw {seen}, now {}",
+                            "shared snapshot mutated under its holder: saw {seen}, now {}",
                             s.heap[*idx]
                         ));
                     }
@@ -307,7 +370,7 @@ fn column_cache_version_protocol() {
     assert!(ex.exhausted);
     assert!(
         ex.schedules >= 3,
-        "reader/reader/writer races must interleave"
+        "reader/cloner/writer races must interleave"
     );
 }
 
@@ -392,38 +455,17 @@ fn sharded_memo_hit_and_miss_agree() {
 }
 
 /// Negative control: break the column-cache protocol by removing the
-/// `Arc::get_mut` uniqueness check — write through into a version-fresh
-/// snapshot even while a caller still holds a clone of it. The explorer
-/// must find the interleaving where the caller's supposedly-immutable
-/// snapshot mutates under it. This pins the explorer's power — if this
-/// test ever passes silently, the models above prove nothing.
+/// `Arc::make_mut` uniqueness check — patch a version-fresh snapshot in
+/// place even while a caller still holds a clone of it. The explorer must
+/// find the interleaving where the caller's supposedly-immutable snapshot
+/// mutates under it. This pins the explorer's power — if this test ever
+/// passes silently, the models above prove nothing.
 #[test]
 fn column_cache_without_uniqueness_check_fails() {
-    let broken_write_cell = || {
-        let mut pc = 0;
-        move |s: &mut CacheState| match pc {
-            0 => {
-                if s.borrows > 0 {
-                    return Step::Blocked;
-                }
-                s.truth += 1;
-                match s.snapshot {
-                    // BUG under model: no arc_is_unique(idx) guard
-                    Some((ver, idx)) if ver == s.version => {
-                        s.heap[idx] = s.truth;
-                    }
-                    _ => s.version += 1,
-                }
-                pc = 1;
-                Step::Done
-            }
-            _ => Step::Done,
-        }
-    };
     let result = rock_crystal::model::Explorer::from_env().check("column-cache-broken", || {
         ModelInstance::new(CacheState::default())
             .thread(cache_reader())
-            .thread(broken_write_cell())
+            .thread(cache_writer(false))
             .invariant(|s| {
                 for (idx, seen) in &s.holds {
                     if s.heap[*idx] != *seen {

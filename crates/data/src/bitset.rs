@@ -58,6 +58,17 @@ impl Bitset {
         }
     }
 
+    /// Grow the universe by one instance, with bit `bit`.
+    pub fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(WORD_BITS) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if bit {
+            self.set(self.len - 1);
+        }
+    }
+
     /// All-ones bitset over `len` instances.
     pub fn full(len: usize) -> Bitset {
         let mut b = Bitset {

@@ -31,26 +31,35 @@
 //! ## Lifecycle
 //!
 //! The rows stay the source of truth; the `ColumnSet` is a versioned
-//! cache ([`ColumnCache`]) rebuilt lazily on first use after a structural
-//! mutation. Cell overwrites (`Relation::set_cell`, the chase's commit
-//! write path) write through into the cached columns in place when the
-//! snapshot is exclusively held, so a chase round does not pay a rebuild
-//! per committed fix. String dictionaries are append-only within a
-//! snapshot; a rebuild re-encodes them down to the live value set.
+//! cache ([`ColumnCache`]) built from the rows on the first read. After
+//! that, every row mutation patches it: an insert appends a slot, a delete
+//! tombstones one, and a cell write (`Relation::set_cell`, the chase's
+//! commit path and a ΔD batch alike) overwrites one cell. A clone of a
+//! relation shares the snapshot; the first write on either side patches a
+//! copy, later ones patch that copy in place, so a stream batch costs what
+//! its updates touch rather than a rebuild.
 //!
 //! Each snapshot also carries the equality-join index of every attribute
 //! ([`ColumnSet::join_index`]) and the [`pair_key`] of every projection an
 //! ML pair predicate reads ([`ColumnSet::projection_keys`]), each built on
-//! first probe and shared by every reader of the snapshot. They live and
-//! die with the snapshot: a structural mutation starts a new snapshot with
-//! nothing built, and an in-place cell write drops only what reads the
-//! written attribute.
+//! first probe and shared by every reader of the snapshot. A patch keeps
+//! every join index already built equal to a cold build: the tuple id is
+//! appended, removed or moved, and each id list stays ascending. Projection
+//! keys are not patched: an insert or delete drops them all, a cell write
+//! those that read the written attribute.
+//!
+//! String dictionaries are append-only within a snapshot, so overwritten
+//! payloads leave stale codes behind. Once a column's dictionary holds
+//! more than twice as many codes as the relation has slots, the write
+//! invalidates the snapshot and the next read rebuilds it, re-encoding
+//! every dictionary to the live payloads.
 
 use crate::bitset::Bitset;
 use crate::ids::{AttrId, TupleId};
 use crate::key::pair_key;
 use crate::relation::Relation;
 use crate::schema::AttrType;
+use crate::tuple::Tuple;
 use crate::value::{cmp_int_float, Value};
 use crate::Dictionary;
 use rock_crystal::hash::FxHashMap;
@@ -65,7 +74,7 @@ pub type JoinIndex = FxHashMap<Value, Vec<TupleId>>;
 
 /// The [`pair_key`] of every live tuple's projection on one attribute
 /// list, and the live tuples of each key in ascending id order.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ProjectionKeys {
     /// Key of each slot's projection; 0 at tombstoned slots.
     keys: Vec<u64>,
@@ -81,6 +90,54 @@ impl ProjectionKeys {
     /// The live tuples whose projection has `key`, ascending.
     pub fn tids(&self, key: u64) -> &[TupleId] {
         self.tids.get(&key).map(Vec::as_slice).unwrap_or(&[])
+    }
+}
+
+/// Add live slot `tid`, holding `v`, to a join index; the key's list stays
+/// ascending.
+fn index_add(idx: &mut JoinIndex, v: &Value, tid: TupleId) {
+    let list = idx.entry(v.clone()).or_default();
+    let pos = list.partition_point(|t| *t < tid);
+    list.insert(pos, tid);
+    if pos == 0 {
+        restore_key(idx, v);
+    }
+}
+
+/// Remove live slot `tid`, holding `v` in column `col`, from a join index.
+/// A key leaves with its last tuple: a cold build holds no empty lists.
+fn index_remove(idx: &mut JoinIndex, col: &Column, v: &Value, tid: TupleId) {
+    let Some(list) = idx.get_mut(v) else {
+        return;
+    };
+    let Ok(pos) = list.binary_search(&tid) else {
+        return;
+    };
+    list.remove(pos);
+    match list.first() {
+        None => {
+            idx.remove(v);
+        }
+        Some(first) if pos == 0 => {
+            let first = first.index();
+            restore_key(idx, &col.value_at(first));
+        }
+        Some(_) => {}
+    }
+}
+
+/// A cold build stores each key as the value of its smallest tuple; after
+/// a patch changes the smallest tuple, store that tuple's value `v`, so
+/// the two agree even where one key holds two types (`Int(1)` and
+/// `Float(1.0)` are equal values).
+fn restore_key(idx: &mut JoinIndex, v: &Value) {
+    let stale = idx
+        .get_key_value(v)
+        .is_some_and(|(k, _)| std::mem::discriminant(k) != std::mem::discriminant(v));
+    if stale {
+        if let Some(list) = idx.remove(v) {
+            idx.insert(v.clone(), list);
+        }
     }
 }
 
@@ -226,7 +283,7 @@ impl Column {
         }
     }
 
-    /// Overwrite one cell in place (the `set_cell` write-through path).
+    /// Overwrite one cell in place (the `set_cell` patch).
     fn set_value(&mut self, slot: usize, v: &Value) {
         self.fallback.remove(&(slot as u32));
         self.nulls.unset(slot);
@@ -236,8 +293,8 @@ impl Column {
             (ColumnData::Float64(xs), Value::Float(f)) => xs[slot] = *f,
             (ColumnData::Date(xs), Value::Date(d)) => xs[slot] = *d,
             (ColumnData::Bool(xs), Value::Bool(b)) => xs[slot] = *b,
-            // Append-only interning: the old code may go stranded until the
-            // next full rebuild re-encodes the dictionary.
+            // Append-only interning: the old code may go stranded until a
+            // rebuild re-encodes the dictionary.
             (ColumnData::Str { codes, dict }, Value::Str(s)) => codes[slot] = dict.intern(s),
             _ => {
                 self.fallback.insert(slot as u32, v.clone());
@@ -265,6 +322,14 @@ impl Column {
     /// Number of hetero-typed cells parked in the side map.
     pub fn fallback_len(&self) -> usize {
         self.fallback.len()
+    }
+
+    /// Codes in the string dictionary (0 for other column types).
+    pub fn dict_len(&self) -> usize {
+        match &self.data {
+            ColumnData::Str { dict, .. } => dict.len(),
+            _ => 0,
+        }
     }
 
     /// Set `out[i]` for every non-null slot where `pred(i)` holds.
@@ -296,6 +361,9 @@ fn fill2(a: &Column, b: &Column, out: &mut Bitset, pred: impl Fn(usize) -> bool)
 /// per attribute, all indexed by slot (= `TupleId`, which stays stable
 /// across deletions — tombstoned slots simply have their live bit clear
 /// and all cells marked null).
+///
+/// `Clone` copies the columns and whatever indexes and projection keys are
+/// built; it is the copy a write to a shared snapshot patches.
 #[derive(Debug)]
 pub struct ColumnSet {
     slots: usize,
@@ -306,6 +374,18 @@ pub struct ColumnSet {
     /// Lazily built [`ProjectionKeys`] per attribute list; must match
     /// `columns`.
     projections: RankedRwLock<FxHashMap<Vec<AttrId>, Arc<ProjectionKeys>>>,
+}
+
+impl Clone for ColumnSet {
+    fn clone(&self) -> Self {
+        ColumnSet {
+            slots: self.slots,
+            live: self.live.clone(),
+            columns: self.columns.clone(),
+            join_indexes: self.join_indexes.clone(),
+            projections: RankedRwLock::new(LockRank::ColumnKeys, self.projections.read().clone()),
+        }
+    }
 }
 
 impl ColumnSet {
@@ -419,13 +499,67 @@ impl ColumnSet {
         )
     }
 
-    fn set_cell(&mut self, slot: usize, attr: AttrId, v: &Value) {
-        self.columns[attr.index()].set_value(slot, v);
-        // only what reads the written attribute goes stale
-        self.join_indexes[attr.index()].take();
+    /// Append the slot of the tuple an insert just created: every column
+    /// and built join index gains it, and the projection keys are dropped.
+    /// The patched snapshot always stays (`true`).
+    pub(crate) fn push_row(&mut self, t: &Tuple) -> bool {
+        let slot = self.slots;
+        debug_assert_eq!(t.tid.index(), slot, "inserts append a slot");
+        self.slots += 1;
+        self.live.push(true);
+        for (col, v) in self.columns.iter_mut().zip(&t.values) {
+            col.nulls.push(false);
+            col.push_value(slot, v);
+        }
+        for (idx, v) in self.join_indexes.iter_mut().zip(&t.values) {
+            if let Some(idx) = idx.get_mut().filter(|_| !v.is_null()) {
+                index_add(idx, v, t.tid);
+            }
+        }
+        self.projections.get_mut().clear();
+        true
+    }
+
+    /// Tombstone a live slot: its cells turn null, it leaves every built
+    /// join index, and the projection keys are dropped. The patched
+    /// snapshot always stays (`true`).
+    pub(crate) fn delete_row(&mut self, slot: usize) -> bool {
+        let tid = TupleId(slot as u32);
+        for (idx, col) in self.join_indexes.iter_mut().zip(&self.columns) {
+            if let Some(idx) = idx.get_mut().filter(|_| !col.nulls.get(slot)) {
+                index_remove(idx, col, &col.value_at(slot), tid);
+            }
+        }
+        self.projections.get_mut().clear();
+        self.live.unset(slot);
+        for col in &mut self.columns {
+            col.fallback.remove(&(slot as u32));
+            col.nulls.set(slot);
+        }
+        true
+    }
+
+    /// Overwrite one cell of a live slot, moving the slot within the
+    /// written attribute's join index; the projection keys that read the
+    /// attribute are dropped. Returns `false` when the written column's
+    /// dictionary has outgrown its bound (the snapshot is then invalidated
+    /// and rebuilt).
+    pub(crate) fn set_cell(&mut self, slot: usize, attr: AttrId, v: &Value) -> bool {
+        let tid = TupleId(slot as u32);
+        let col = &mut self.columns[attr.index()];
+        if let Some(idx) = self.join_indexes[attr.index()].get_mut() {
+            if !col.nulls.get(slot) {
+                index_remove(idx, col, &col.value_at(slot), tid);
+            }
+            if !v.is_null() {
+                index_add(idx, v, tid);
+            }
+        }
+        col.set_value(slot, v);
         self.projections
             .get_mut()
             .retain(|attrs, _| !attrs.contains(&attr));
+        col.dict_len() <= 2 * self.slots
     }
 
     /// Vectorized `t.A ⊕ const`: one bit per slot, set iff the scalar
@@ -558,10 +692,12 @@ impl ColumnSet {
 }
 
 /// Approximate heap footprint of the row image of a relation — the
-/// row-vs-column bytes comparison of the `figures -- columnar` panel.
+/// row-vs-column bytes comparison of the `figures -- columnar` panel. Each
+/// slot is a pointer, each live tuple its own reference-counted block.
 pub fn row_heap_bytes(rel: &Relation) -> usize {
-    let mut bytes = rel.capacity() * std::mem::size_of::<Option<crate::tuple::Tuple>>();
+    let mut bytes = rel.capacity() * std::mem::size_of::<Option<Arc<Tuple>>>();
     for t in rel.iter() {
+        bytes += 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Tuple>();
         bytes += t.values.capacity() * std::mem::size_of::<Value>();
         for v in &t.values {
             if let Value::Str(s) = v {
@@ -576,18 +712,19 @@ pub fn row_heap_bytes(rel: &Relation) -> usize {
 ///
 /// * never persisted: checkpoint/WAL bytes are unchanged by the columnar
 ///   plane;
-/// * `Clone` yields an *empty* cache (a cloned relation rebuilds lazily);
-/// * mutators bump `version`; readers rebuild when their snapshot's
-///   version is stale;
-/// * `write_cell` patches the snapshot in place when it is current and
-///   exclusively held, keeping the chase's commit path rebuild-free; the
-///   written attribute's join index is dropped under the same exclusive
-///   borrow, every other attribute keeps its index.
+/// * `Clone` shares the current snapshot (a stale one is not carried);
+/// * readers rebuild when the snapshot's version is stale or absent;
+/// * [`ColumnCache::patch`] applies a row mutation to a current snapshot
+///   in place when it is exclusively held, and to a copy installed under
+///   the same version when it is shared, so an `Arc` a reader was served
+///   never changes under it. A stale snapshot, or a patch that cannot
+///   keep the snapshot within bounds, bumps `version` instead.
 #[derive(Debug)]
 pub struct ColumnCache {
-    // Release bump / Acquire read: a reader that observes version v also
-    // observes every row mutation that preceded the bump to v, so a
-    // version-matched snapshot is never stale.
+    // Bumped only under `&mut Relation` (`patch`), so no reader is inside
+    // while it moves: a reader that observes version v also observes every
+    // row mutation that preceded the bump to v, and a version-matched
+    // snapshot is never stale.
     version: AtomicU64,
     snapshot: RankedRwLock<Option<(u64, Arc<ColumnSet>)>>,
 }
@@ -603,28 +740,35 @@ impl Default for ColumnCache {
 
 impl Clone for ColumnCache {
     fn clone(&self) -> Self {
-        ColumnCache::default()
+        let version = self.version.load(AtomicOrdering::Acquire);
+        let snapshot = self
+            .snapshot
+            .read()
+            .as_ref()
+            .filter(|(ver, _)| *ver == version)
+            .map(|(ver, set)| (*ver, Arc::clone(set)));
+        ColumnCache {
+            version: AtomicU64::new(version),
+            snapshot: RankedRwLock::new(LockRank::ColumnSnapshot, snapshot),
+        }
     }
 }
 
 impl ColumnCache {
-    /// Drop any snapshot validity (structural mutation: insert/delete/raw
-    /// tuple access).
-    pub(crate) fn invalidate(&self) {
-        self.version.fetch_add(1, AtomicOrdering::Release);
-    }
-
-    /// Write one cell through to the cached snapshot, or invalidate when
-    /// the snapshot is stale or shared.
-    pub(crate) fn write_cell(&self, slot: usize, attr: AttrId, v: &Value) {
-        let mut guard = self.snapshot.write();
-        let current = self.version.load(AtomicOrdering::Acquire);
-        match guard.as_mut() {
-            Some((ver, set)) if *ver == current => match Arc::get_mut(set) {
-                Some(set) => set.set_cell(slot, attr, v),
-                None => self.invalidate(),
-            },
-            _ => self.invalidate(),
+    /// Apply one row mutation to the cached snapshot. `apply` returns
+    /// whether the patched snapshot may stay; when it may not, or the
+    /// snapshot is stale or absent, the cache is invalidated and the next
+    /// read rebuilds from the rows.
+    pub(crate) fn patch(&mut self, apply: impl FnOnce(&mut ColumnSet) -> bool) {
+        let current = *self.version.get_mut();
+        let snapshot = self.snapshot.get_mut();
+        let kept = match snapshot {
+            Some((ver, set)) if *ver == current => apply(Arc::make_mut(set)),
+            _ => false,
+        };
+        if !kept {
+            *snapshot = None;
+            *self.version.get_mut() += 1;
         }
     }
 
@@ -846,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_snapshot_invalidates_instead_of_mutating() {
+    fn shared_snapshot_is_patched_on_a_copy() {
         let mut r = rel();
         let held = r.columns(); // keep an Arc alive across the write
         assert!(r.set_cell(TupleId(0), AttrId(1), Value::Int(99)));
@@ -855,38 +999,86 @@ mod tests {
             Value::Int(1),
             "held snapshot is immutable"
         );
-        assert_eq!(r.columns().value_at(AttrId(1), 0), Value::Int(99));
+        let patched = r.columns();
+        assert!(!Arc::ptr_eq(&held, &patched), "the write installed a copy");
+        assert_eq!(patched.value_at(AttrId(1), 0), Value::Int(99));
+        let copy = Arc::as_ptr(&patched);
+        drop((held, patched));
+        assert!(r.set_cell(TupleId(1), AttrId(1), Value::Int(98)));
+        assert_eq!(
+            Arc::as_ptr(&r.columns()),
+            copy,
+            "once exclusive again, the copy is patched in place"
+        );
+    }
+
+    fn dict_len(r: &Relation) -> usize {
+        r.columns().column(AttrId(0)).dict_len()
     }
 
     #[test]
-    fn dictionary_reencoding_compacts_on_rebuild() {
+    fn dictionary_reencodes_past_its_bound() {
         let mut r = Relation::new(RelationSchema::of("T", &[("s", AttrType::Str)]));
-        for s in ["a", "b", "a", "c"] {
+        for s in ["a", "b", "a"] {
             r.insert_row(vec![Value::str(s)]).unwrap();
         }
-        let dict_len = |r: &Relation| match &r.columns().column(AttrId(0)).data {
-            ColumnData::Str { dict, .. } => dict.len(),
-            _ => unreachable!("string column"),
-        };
-        assert_eq!(dict_len(&r), 3);
-        // overwrite every 'a' and 'c' with 'b': append-only interning keeps
-        // stranded codes until a structural mutation forces a re-encode
-        for tid in [0u32, 2, 3] {
-            r.set_cell(TupleId(tid), AttrId(0), Value::str("b"));
+        assert_eq!(dict_len(&r), 2);
+        // Overwrites intern append-only: stale codes pile up, and the
+        // patched snapshot keeps serving, until the dictionary holds more
+        // than twice as many codes as the relation has slots.
+        let snapshot = Arc::as_ptr(&r.columns());
+        for (i, s) in ["c", "d", "e", "f"].into_iter().enumerate() {
+            r.set_cell(TupleId(i as u32 % 3), AttrId(0), Value::str(s));
+            assert_eq!(dict_len(&r), 3 + i, "write {i} interns append-only");
+            assert_join_indexes_match_rows(&r);
         }
-        assert_eq!(dict_len(&r), 3, "write-through interning is append-only");
-        r.insert_row(vec![Value::str("b")]).unwrap(); // invalidates
-        assert_eq!(dict_len(&r), 1, "rebuild re-encodes to the live set");
+        assert_eq!(dict_len(&r), 6, "six codes for three slots: at the bound");
+        assert_eq!(Arc::as_ptr(&r.columns()), snapshot, "patched in place");
+        r.set_cell(TupleId(1), AttrId(0), Value::str("g"));
+        // past the bound: the next read re-encodes to the live payloads,
+        // exactly as a cold build does
+        let cols = r.columns();
+        assert_eq!(dict_len(&r), 3, "f, g and e are the live payloads");
+        let cold = ColumnSet::from_relation(&r);
+        match (&cols.column(AttrId(0)).data, &cold.column(AttrId(0)).data) {
+            (ColumnData::Str { codes, dict }, ColumnData::Str { codes: c, dict: d }) => {
+                assert_eq!(codes, c);
+                let payloads = |d: &Dictionary| d.iter().map(|(_, s)| s.to_string()).collect();
+                let live: Vec<String> = payloads(dict);
+                assert_eq!(live, payloads(d));
+                assert_eq!(live, ["f", "g", "e"].map(String::from));
+            }
+            _ => unreachable!("string column"),
+        }
+        assert_join_indexes_match_rows(&r);
     }
 
     #[test]
-    fn cloned_relation_rebuilds_independently() {
+    fn cloned_relation_shares_the_snapshot_and_patches_independently() {
         let r = rel();
-        let _ = r.columns();
+        let base = r.columns();
+        let _ = base.join_index(AttrId(1));
         let mut c = r.clone();
+        assert!(
+            Arc::ptr_eq(&base, &c.columns()),
+            "a clone shares the snapshot"
+        );
         c.set_cell(TupleId(0), AttrId(1), Value::Int(5));
+        c.insert_row(vec![Value::str("z"), Value::Int(5), Value::Null])
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&base, &r.columns()),
+            "the original keeps its own"
+        );
         assert_eq!(r.columns().value_at(AttrId(1), 0), Value::Int(1));
+        assert_eq!(r.columns().slots(), 4);
         assert_eq!(c.columns().value_at(AttrId(1), 0), Value::Int(5));
+        assert!(
+            join_index_built(&c, AttrId(1)),
+            "the copy carries the index"
+        );
+        assert_join_indexes_match_rows(&r);
+        assert_join_indexes_match_rows(&c);
     }
 
     /// Probe every attribute's cached join index and compare it with the
@@ -903,43 +1095,102 @@ mod tests {
     }
 
     #[test]
-    fn join_index_equals_row_index_across_snapshots() {
+    fn join_index_is_patched_across_inserts_and_deletes() {
         let mut r = rel();
+        assert_join_indexes_match_rows(&r);
+        let snapshot = Arc::as_ptr(&r.columns());
         // a second fallback cell with the same payload shares its key
         r.insert_row(vec![Value::str("b"), Value::str("oops"), Value::Int(2)])
             .unwrap();
+        assert_join_indexes_match_rows(&r);
         assert!(r.delete(TupleId(1)));
         assert_join_indexes_match_rows(&r);
         assert_eq!(
             r.columns().join_index(AttrId(1))[&Value::str("oops")],
             vec![TupleId(3), TupleId(4)]
         );
-        // insert and delete start a new snapshot with no index built
+        // inserts append to the built indexes, deletes remove from them:
+        // the snapshot is the same one throughout
         r.insert_row(vec![Value::str("a"), Value::Int(1), Value::Null])
             .unwrap();
-        assert!(!join_index_built(&r, AttrId(0)));
+        assert!(join_index_built(&r, AttrId(0)));
         assert_join_indexes_match_rows(&r);
         assert!(r.delete(TupleId(0)));
-        assert!(!join_index_built(&r, AttrId(0)));
+        assert!(join_index_built(&r, AttrId(0)));
         assert_join_indexes_match_rows(&r);
+        assert_eq!(
+            r.columns().join_index(AttrId(1))[&Value::Int(1)],
+            vec![TupleId(5)]
+        );
+        assert!(!r
+            .columns()
+            .join_index(AttrId(0))
+            .contains_key(&Value::str("never")));
+        assert_eq!(Arc::as_ptr(&r.columns()), snapshot, "patched in place");
     }
 
     #[test]
-    fn in_place_write_drops_only_the_written_attributes_index() {
+    fn in_place_write_patches_the_written_attributes_index() {
         let mut r = rel();
         assert_join_indexes_match_rows(&r);
-        // the written attribute's index is dropped; the rebuild matches
+        // the written attribute's index moves the tuple between keys
         assert!(r.set_cell(TupleId(0), AttrId(0), Value::str("b")));
-        assert!(!join_index_built(&r, AttrId(0)));
-        assert!(join_index_built(&r, AttrId(1)), "patched in place");
-        assert_join_indexes_match_rows(&r);
-        // another attribute, nulling a cell and clearing a fallback cell:
-        // attribute 0 keeps the index it already has
-        assert!(r.set_cell(TupleId(0), AttrId(1), Value::Null));
-        assert!(r.set_cell(TupleId(3), AttrId(1), Value::Int(1)));
         assert!(join_index_built(&r, AttrId(0)));
-        assert!(!join_index_built(&r, AttrId(1)));
+        assert_eq!(
+            r.columns().join_index(AttrId(0))[&Value::str("b")],
+            vec![TupleId(0), TupleId(1)],
+            "ascending after the move"
+        );
         assert_join_indexes_match_rows(&r);
+        // nulling a cell drops it from the index; overwriting a fallback
+        // cell with a typed value moves it to the typed key
+        assert!(r.set_cell(TupleId(0), AttrId(1), Value::Null));
+        assert!(r.set_cell(TupleId(3), AttrId(1), Value::Int(2)));
+        assert!(join_index_built(&r, AttrId(1)));
+        assert!(!r
+            .columns()
+            .join_index(AttrId(1))
+            .contains_key(&Value::str("oops")));
+        assert_join_indexes_match_rows(&r);
+        // and a null cell filled joins its key
+        assert!(r.set_cell(TupleId(2), AttrId(1), Value::Int(2)));
+        assert_eq!(
+            r.columns().join_index(AttrId(1))[&Value::Int(2)],
+            vec![TupleId(1), TupleId(2), TupleId(3)]
+        );
+        assert_join_indexes_match_rows(&r);
+    }
+
+    fn projections_built(r: &Relation) -> usize {
+        r.columns().projections.read().len()
+    }
+
+    #[test]
+    fn patches_drop_the_projection_keys_they_touch() {
+        let mut r = rel();
+        for attrs in [[AttrId(0), AttrId(2)], [AttrId(1), AttrId(2)]] {
+            let _ = r.columns().projection_keys(&attrs);
+        }
+        // a cell write drops only the projections reading its attribute
+        assert!(r.set_cell(TupleId(0), AttrId(0), Value::str("c")));
+        assert_eq!(projections_built(&r), 1);
+        let keys = r.columns().projection_keys(&[AttrId(1), AttrId(2)]);
+        assert_eq!(
+            *keys,
+            *ColumnSet::from_relation(&r).projection_keys(&[AttrId(1), AttrId(2)])
+        );
+        drop(keys);
+        // inserts and deletes drop them all; the rebuild matches a cold one
+        r.insert_row(vec![Value::str("c"), Value::Int(2), Value::Null])
+            .unwrap();
+        assert_eq!(projections_built(&r), 0);
+        let _ = r.columns().projection_keys(&[AttrId(0)]);
+        assert!(r.delete(TupleId(1)));
+        assert_eq!(projections_built(&r), 0);
+        assert_eq!(
+            *r.columns().projection_keys(&[AttrId(0)]),
+            *ColumnSet::from_relation(&r).projection_keys(&[AttrId(0)])
+        );
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! String columns store dense `u32` codes; the payload `Arc<str>`s live in
 //! one per-column [`Dictionary`]. Interning is append-only within a column
-//! snapshot: updating a cell may strand the old code, and a full rebuild
-//! (re-encoding) of the owning [`crate::column::ColumnSet`] compacts the
-//! dictionary back to the live value set — property-tested in
-//! `tests/columnar_equivalence.rs`.
+//! snapshot: updating a cell may strand the old code. Once a dictionary
+//! holds more than twice as many codes as its relation has slots, the
+//! owning [`crate::column::ColumnSet`] is rebuilt, which re-encodes the
+//! dictionary to the live value set — tested in
+//! `tests/columnar_equivalence.rs` and `tests/column_patches.rs`.
 
 use rock_crystal::hash::FxHashMap;
 use std::sync::Arc;

@@ -19,12 +19,18 @@ use std::sync::Arc;
 /// Rows are the source of truth; the columnar image ([`Relation::columns`])
 /// is a versioned cache that evaluation hot paths use for vectorized
 /// predicate kernels. The cache is neither persisted nor compared
-/// (encoded bytes and `==` are identical with or without it) and cloned
-/// relations start with a cold cache.
+/// (encoded bytes and `==` are identical with or without it).
+///
+/// Rows and the cache are shared copy-on-write, so a clone costs a
+/// reference count per tuple: the clone shares the current column
+/// snapshot, and a write copies only the one tuple it changes. Inserts,
+/// deletes and cell writes patch the snapshot (and its built join
+/// indexes) instead of invalidating it — see [`crate::column`]'s
+/// lifecycle.
 #[derive(Debug, Clone)]
 pub struct Relation {
     pub schema: RelationSchema,
-    tuples: Vec<Option<Tuple>>,
+    tuples: Vec<Option<Arc<Tuple>>>,
     live: usize,
     /// Partial timestamp function `T`.
     pub timestamps: CellTimestamps,
@@ -56,7 +62,7 @@ impl ToJson for Relation {
 impl FromJson for Relation {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         let schema: RelationSchema = j.take("schema")?;
-        let tuples: Vec<Option<Tuple>> = j.take("tuples")?;
+        let tuples: Vec<Option<Arc<Tuple>>> = j.take("tuples")?;
         for (slot, t) in tuples.iter().enumerate() {
             if let Some(t) = t {
                 if t.tid.index() != slot || t.values.len() != schema.arity() {
@@ -114,9 +120,10 @@ impl Relation {
             });
         }
         let tid = TupleId(self.tuples.len() as u32);
-        self.tuples.push(Some(Tuple::new(tid, eid, values)));
+        let t = Arc::new(Tuple::new(tid, eid, values));
+        self.columns.patch(|cols| cols.push_row(&t));
+        self.tuples.push(Some(t));
         self.live += 1;
-        self.columns.invalidate();
         Ok(tid)
     }
 
@@ -130,10 +137,9 @@ impl Relation {
     /// Delete a tuple; returns whether it was live.
     pub fn delete(&mut self, tid: TupleId) -> bool {
         if let Some(slot) = self.tuples.get_mut(tid.index()) {
-            if slot.is_some() {
-                *slot = None;
+            if slot.take().is_some() {
                 self.live -= 1;
-                self.columns.invalidate();
+                self.columns.patch(|cols| cols.delete_row(tid.index()));
                 return true;
             }
         }
@@ -143,7 +149,7 @@ impl Relation {
     /// Get a live tuple.
     #[inline]
     pub fn get(&self, tid: TupleId) -> Option<&Tuple> {
-        self.tuples.get(tid.index()).and_then(|t| t.as_ref())
+        self.tuples.get(tid.index()).and_then(|t| t.as_deref())
     }
 
     /// Set a live tuple's entity id. The columnar image holds no eids, so
@@ -152,7 +158,7 @@ impl Relation {
     pub fn set_eid(&mut self, tid: TupleId, eid: Eid) -> bool {
         match self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut()) {
             Some(t) => {
-                t.eid = eid;
+                Arc::make_mut(t).eid = eid;
                 true
             }
             None => false,
@@ -165,24 +171,20 @@ impl Relation {
     }
 
     /// Overwrite a cell (used when materializing fixes back into data).
-    /// Writes through to the cached columnar image when possible, so the
-    /// chase's commit path does not force a rebuild per fix. Returns `false`,
-    /// writing nothing, when the tuple is dead or the attribute is out of
-    /// range.
+    /// Patches the cached columnar image, so neither the chase's commit
+    /// path nor a ΔD batch forces a rebuild. Returns `false`, writing
+    /// nothing, when the tuple is dead or the attribute is out of range.
     pub fn set_cell(&mut self, tid: TupleId, attr: AttrId, v: Value) -> bool {
-        let slot = self
-            .tuples
-            .get_mut(tid.index())
-            .and_then(|t| t.as_mut())
-            .and_then(|t| t.values.get_mut(attr.index()));
-        match slot {
-            Some(slot) => {
-                *slot = v.clone();
-                self.columns.write_cell(tid.index(), attr, &v);
-                true
-            }
-            None => false,
+        let Some(t) = self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut()) else {
+            return false;
+        };
+        if attr.index() >= t.values.len() {
+            return false;
         }
+        self.columns
+            .patch(|cols| cols.set_cell(tid.index(), attr, &v));
+        *Arc::make_mut(t).get_mut(attr) = v;
+        true
     }
 
     /// The columnar image of this relation, rebuilding it from the rows if
@@ -198,7 +200,7 @@ impl Relation {
 
     /// Iterate live tuples.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter().filter_map(|t| t.as_ref())
+        self.tuples.iter().filter_map(|t| t.as_deref())
     }
 
     /// Iterate live tuple ids.

@@ -1,13 +1,13 @@
 //! Concurrency regression test for the `ColumnCache` version protocol:
-//! concurrent `write_cell` (under exclusive access) and snapshot rebuilds
+//! concurrent `set_cell` patches (under exclusive access) and snapshot rebuilds
 //! (under shared access) must never let a reader observe a columnar image
 //! that disagrees with the row store it was built from.
 //!
 //! The bounded model-checking certificate for this protocol lives in
 //! `rock-crystal/tests/model_protocols.rs` (`column-cache-version`); this
 //! test drives the real implementation — raw `std` threads stand in for
-//! loom, which the build does not carry — so the Arc-uniqueness
-//! write-through, the invalidation path, and racing rebuilds all execute
+//! loom, which the build does not carry — so in-place patches, patches on
+//! a copy of a snapshot a reader holds, and racing rebuilds all execute
 //! for real under contention.
 
 use std::sync::RwLock;
@@ -32,7 +32,7 @@ fn build_relation() -> Relation {
 }
 
 /// Under a read lock the rows cannot move, so the snapshot — whether it
-/// was served from cache, write-through-updated, or just rebuilt by a
+/// was served from cache, patched, or just rebuilt by a
 /// racing reader — must agree cell-for-cell with the row store.
 fn assert_snapshot_consistent(rel: &Relation) {
     let snap = rel.columns();
@@ -64,7 +64,7 @@ fn concurrent_write_cell_and_rebuild_never_serve_stale_cells() {
                     let value = Value::Int((w * OPS + op) as i64);
                     assert!(guard.set_cell(TupleId(slot as u32), int_attr, value));
                     // the writer's own view must be current immediately
-                    // (write-through or invalidate, never a stale hit)
+                    // (patched in place or on a copy, never a stale hit)
                     assert_eq!(
                         guard.columns().value_at(int_attr, slot),
                         Value::Int((w * OPS + op) as i64),

@@ -20,6 +20,14 @@
 //! (`rock::chase::reference`): the program exits non-zero if the changes,
 //! conflicts or steps differ.
 //!
+//! A last line streams Bank (the `Rock` variant) as 20-update ΔD batches
+//! through `run_incremental`, each result the next batch's base, at 2k and
+//! 8k base rows, and prints the per-batch p50 of each and their ratio
+//! (reported, not gated: a batch should cost what its updates touch, so
+//! the ratio stays well under the 4× of the rows). The 2k fold is repeated
+//! with every base made cold by a JSON round trip; the program exits
+//! non-zero if the two folds differ in a byte.
+//!
 //! ```text
 //! cargo run --release --example scale_probe
 //! ```
@@ -27,11 +35,23 @@
 use rock::chase::{reference, ChaseEngine};
 use rock::core::variant::{effective_rules, sorted_rules};
 use rock::core::{RockConfig, Variant};
+use rock::crystal::json;
+use rock::data::rng::StdRng;
+use rock::data::{AttrId, Database, Delta, RelId, TupleId, Update};
 use rock::detect::blocking::precompute_ml;
 use rock::detect::Detector;
 use rock::workloads::workload::{GenConfig, Workload};
 use std::process::ExitCode;
 use std::time::Instant;
+
+fn gen(rows: usize) -> GenConfig {
+    GenConfig {
+        rows,
+        error_rate: 0.08,
+        seed: 42,
+        trusted_per_rel: 40,
+    }
+}
 
 /// One workload at one size; returns whether the production chase matched
 /// the reference chase (`true` when the reference was not run).
@@ -89,6 +109,93 @@ fn probe(w: &Workload, variant: Variant, rows: usize, check: bool) -> bool {
     same
 }
 
+/// ΔD batches of 20 updates over Customer: its last quarter is held out
+/// of the base and arrives as inserts (70 %), mixed with overwrites of a
+/// cell by another tuple's value (20 %) and deletes (10 %) of tuples
+/// present before the batch.
+fn bank_stream(dirty: &Database, batches: usize) -> (Database, Vec<Delta>) {
+    let mut rng = StdRng::seed_from_u64(42);
+    let main = RelId(0);
+    let rel = dirty.relation(main);
+    let tids: Vec<TupleId> = rel.tids().collect();
+    let (kept, held) = tids.split_at(tids.len() - tids.len() / 4);
+    let mut base = dirty.clone();
+    for tid in held {
+        base.relation_mut(main).delete(*tid);
+    }
+    let mut pool = kept.to_vec();
+    let mut next = base.relation(main).capacity() as u32;
+    let mut held = held.iter();
+    let deltas = (0..batches)
+        .map(|_| {
+            let eligible = pool.len();
+            let mut updates = Vec::new();
+            for _ in 0..20 {
+                let draw = rng.gen_range(0..10);
+                match held.next().filter(|_| draw < 7) {
+                    Some(&from) => {
+                        let t = rel.get(from).expect("held-out tuple is live");
+                        updates.push(Update::Insert {
+                            rel: main,
+                            eid: t.eid,
+                            values: t.values.clone(),
+                        });
+                        pool.push(TupleId(next));
+                        next += 1;
+                    }
+                    None if draw == 9 => updates.push(Update::Delete {
+                        rel: main,
+                        tid: pool[rng.gen_range(0..eligible)],
+                    }),
+                    None => {
+                        let attr = AttrId(rng.gen_range(0..rel.schema.arity()) as u16);
+                        let donor = tids[rng.gen_range(0..tids.len())];
+                        updates.push(Update::SetCell {
+                            rel: main,
+                            tid: pool[rng.gen_range(0..eligible)],
+                            attr,
+                            value: rel.cell(donor, attr).expect("donor is live").clone(),
+                        });
+                    }
+                }
+            }
+            Delta::new(updates)
+        })
+        .collect();
+    (base, deltas)
+}
+
+/// Fold a Bank stream at `rows` base rows: the p50 seconds of its timed
+/// batches, and the bytes of the database after each batch. With `cold`,
+/// every base is first made cold by a JSON round trip.
+fn stream_fold(rows: usize, cold: bool) -> (f64, Vec<Vec<u8>>) {
+    const WARMUP: usize = 5;
+    const TIMED: usize = 20;
+    let w = rock::workloads::bank::generate(&gen(rows));
+    let task = w.tasks.last().expect("the whole-database task");
+    let rules = sorted_rules(&effective_rules(Variant::Rock, &w.rules_for(task)));
+    let engine = ChaseEngine::new(&rules, &w.registry, RockConfig::default().chase_config(&w));
+    let (mut base, deltas) = bank_stream(&w.dirty, WARMUP + TIMED);
+    let mut batch_s = Vec::new();
+    let mut folded = Vec::new();
+    for (i, delta) in deltas.iter().enumerate() {
+        if cold {
+            base = json::from_slice(&json::to_vec(&base)).expect("a database round-trips");
+        }
+        let start = Instant::now();
+        let res = engine
+            .run_incremental(&base, &w.trusted, delta)
+            .expect("generated batches are well-formed");
+        if i >= WARMUP {
+            batch_s.push(start.elapsed().as_secs_f64());
+        }
+        base = res.db;
+        folded.push(json::to_vec(&base));
+    }
+    batch_s.sort_by(f64::total_cmp);
+    (batch_s[batch_s.len() / 2], folded)
+}
+
 fn main() -> ExitCode {
     println!(
         "{:<9} {:>6} {:>9} {:>10} {:>11} {:>10} {:>8} {:>9}",
@@ -101,12 +208,6 @@ fn main() -> ExitCode {
         "changes",
         "ml_calls"
     );
-    let gen = |rows| GenConfig {
-        rows,
-        error_rate: 0.08,
-        seed: 42,
-        trusted_per_rel: 40,
-    };
     let mut ok = true;
     for rows in [3_000, 6_000, 12_000] {
         let w = rock::workloads::logistics::generate(&gen(rows));
@@ -120,6 +221,19 @@ fn main() -> ExitCode {
         let w = rock::workloads::bank::generate(&gen(rows));
         ok &= probe(&w, Variant::RockNoMl, rows, rows == 2_000);
     }
+    let (small, carried) = stream_fold(2_000, false);
+    let (large, _) = stream_fold(8_000, false);
+    let (_, cold) = stream_fold(2_000, true);
+    let same = carried == cold;
+    println!(
+        "bank-stream batch p50: {:.2} ms at 2000 rows, {:.2} ms at 8000 rows, ratio {:.2}; \
+         2000-row fold vs cold bases: {}",
+        small * 1e3,
+        large * 1e3,
+        large / small,
+        if same { "identical" } else { "DIFFERENT" }
+    );
+    ok &= same;
     if ok {
         ExitCode::SUCCESS
     } else {

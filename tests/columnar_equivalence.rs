@@ -15,7 +15,7 @@ mod common;
 use common::check;
 use rock::data::{
     AttrId, AttrType, CellRef, ColumnData, Database, DatabaseSchema, GlobalTid, PredOp, RelId,
-    RelationSchema, TupleId, Value,
+    Relation, RelationSchema, TupleId, Value,
 };
 use rock::detect::blocking::precompute_ml;
 use rock::ml::ModelRegistry;
@@ -177,49 +177,66 @@ fn columnar_detection_flags_identical_cells() {
     }
 }
 
-/// Dictionary re-encoding: write-through grows the dictionary append-only;
-/// the next rebuild (after an insert invalidates the snapshot) re-encodes
-/// from live data and drops stranded payloads.
+/// Dictionary re-encoding: inserts and cell writes patch the snapshot and
+/// intern append-only, so overwritten payloads leave stale codes behind;
+/// once a dictionary holds more than twice as many codes as the relation
+/// has slots, the next read rebuilds and re-encodes it to the live
+/// payloads. The join index equals the rows' after every step.
 #[test]
-fn dictionary_reencodes_on_rebuild() {
+fn dictionary_reencodes_past_its_bound() {
     let schema = schema();
     let mut db = Database::new(&schema);
     let r = db.relation_mut(RelId(0));
-    for i in 0..6u32 {
-        r.insert_row(vec![
-            Value::str(format!("k{i}")),
+    let row = |k: &str| {
+        vec![
+            Value::str(k),
             Value::str("a1"),
             Value::str("b1"),
             Value::Null,
-        ])
-        .unwrap();
-    }
-    let dict_len = |rel: &rock::data::Relation| -> usize {
-        match &rel.columns().column(AttrId(0)).data {
-            ColumnData::Str { dict, .. } => dict.len(),
-            other => panic!("k must be a string column, got {other:?}"),
-        }
+        ]
     };
+    for i in 0..6u32 {
+        r.insert_row(row(&format!("k{i}"))).unwrap();
+    }
+    let dict_len = |rel: &Relation| rel.columns().column(AttrId(0)).dict_len();
+    let index_matches =
+        |rel: &Relation| *rel.columns().join_index(AttrId(0)) == rel.index_on(AttrId(0));
     assert_eq!(dict_len(r), 6, "six distinct keys intern six payloads");
-    // overwrite every key with one shared payload: write-through interns
-    // append-only, so the dictionary grows rather than shrinks...
+    assert!(index_matches(r));
+    // overwrite every key with one shared payload, then insert one more
+    // row: all patches, so the dictionary grows rather than shrinks
     let tids: Vec<TupleId> = r.tids().collect();
     for tid in &tids {
         assert!(r.set_cell(*tid, AttrId(0), Value::str("same")));
+        assert!(index_matches(r));
     }
-    assert_eq!(dict_len(r), 7, "write-through interning is append-only");
-    for tid in &tids {
-        assert_eq!(r.get(*tid).unwrap().get(AttrId(0)), &Value::str("same"));
+    r.insert_row(row("same")).unwrap();
+    assert_eq!(dict_len(r), 7, "patched interning is append-only");
+    assert!(index_matches(r));
+    // 7 slots bound the dictionary at 14 codes: seven fresh payloads reach
+    // the bound and the snapshot still serves...
+    for i in 0..7u32 {
+        assert!(r.set_cell(tids[i as usize % 6], AttrId(0), Value::str(format!("x{i}"))));
+        assert!(index_matches(r));
     }
-    // ...and the rebuild after a structural change re-encodes compactly.
-    r.insert_row(vec![
-        Value::str("same"),
-        Value::str("a1"),
-        Value::str("b1"),
-        Value::Null,
-    ])
-    .unwrap();
-    assert_eq!(dict_len(r), 1, "rebuild re-encodes live payloads only");
+    assert_eq!(dict_len(r), 14);
+    // ...and the eighth passes it: the next read re-encodes to the live set
+    assert!(r.set_cell(tids[1], AttrId(0), Value::str("x7")));
+    let live: Vec<String> = r.iter().map(|t| t.get(AttrId(0)).to_string()).collect();
+    let cols = r.columns();
+    let ColumnData::Str { dict, .. } = &cols.column(AttrId(0)).data else {
+        panic!("k must be a string column");
+    };
+    let payloads: Vec<String> = dict.iter().map(|(_, s)| s.to_string()).collect();
+    let mut distinct_live = Vec::new();
+    for s in live {
+        if !distinct_live.contains(&s) {
+            distinct_live.push(s);
+        }
+    }
+    assert_eq!(payloads, distinct_live, "re-encoded to the live payloads");
+    assert_eq!(dict_len(r), 7, "x6 x7 x2 x3 x4 x5 same");
+    assert!(index_matches(r));
 }
 
 /// Null bitmap round-trip: every live cell decodes to exactly the row
