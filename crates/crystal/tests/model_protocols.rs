@@ -14,7 +14,8 @@
 //! |-------|----------------------------|
 //! | `steal-quarantine-alive`  | scheduler work-stealing + crash quarantine + alive-bitmap handshake: first `settled` swap wins, unit commits exactly once |
 //! | `speculative-first-writer`| speculative chase commit: two executors, one cell — first writer wins, no torn or double commit |
-//! | `column-cache-version`    | `ColumnCache` version keying and copy-on-write patches: a version-matched snapshot never serves stale data, and a snapshot shared with a reader or a clone never changes under it (uniqueness check load-bearing) |
+//! | `column-cache-version`    | `ColumnCache` version keying and copy-on-write patches: a version-matched snapshot never serves stale data, and a snapshot shared with a reader or a clone never changes under it (uniqueness check load-bearing); two readers race to rebuild beside a cloner and a writer |
+//! | `column-cache-version-writers` | the same certificate with one reader, a cloner and two writers: a patched copy is patched again |
 //! | `sharded-memo`            | 16-shard (modeled: 2) registry memo: hit and miss paths agree with the oracle under shard races |
 
 use rock_crystal::model::{check, ModelInstance, Step};
@@ -323,54 +324,78 @@ fn cache_reader() -> impl FnMut(&mut CacheState) -> Step {
     }
 }
 
+/// The `ColumnCache` certificate: a snapshot matching the current version
+/// always equals the current data, and an Arc a caller or a clone holds
+/// never mutates under it — the clone's own writes included.
+fn column_cache_certified(m: ModelInstance<CacheState>) -> ModelInstance<CacheState> {
+    m.invariant(|s| {
+        if let Some((ver, idx)) = s.snapshot {
+            if ver == s.version && s.heap[idx] != s.truth {
+                return Err(format!(
+                    "version-matched snapshot is stale: holds {}, truth {}",
+                    s.heap[idx], s.truth
+                ));
+            }
+        }
+        for (idx, seen) in &s.holds {
+            if s.heap[*idx] != *seen {
+                return Err(format!(
+                    "shared snapshot mutated under its holder: saw {seen}, now {}",
+                    s.heap[*idx]
+                ));
+            }
+        }
+        Ok(())
+    })
+    .finally(|s| {
+        if s.borrows != 0 || !s.holds.is_empty() {
+            return Err("borrow or Arc clone leaked".to_owned());
+        }
+        Ok(())
+    })
+}
+
 /// `ColumnCache` (rock-data column.rs): readers race to rebuild a
-/// version-keyed snapshot under a shared borrow; a clone of the relation
-/// shares the snapshot; `patch` runs under `&mut Relation` (modeled:
-/// blocks until no borrows are out) and patches a version-fresh snapshot
-/// in place only when it is uniquely owned (`Arc::make_mut`), installing a
-/// patched copy under the same version otherwise, and invalidates a stale
-/// one. Certificate: a snapshot matching the current version always equals
-/// the current data, and an Arc a caller or a clone holds never mutates
-/// under it — the clone's own writes included. The companion test below
-/// shows the uniqueness check is load-bearing.
+/// version-keyed snapshot under a shared borrow and install it
+/// last-write-wins; a clone of the relation shares the snapshot; `patch`
+/// runs under `&mut Relation` (modeled: blocks until no borrows are out)
+/// and patches a version-fresh snapshot in place only when it is uniquely
+/// owned (`Arc::make_mut`), installing a patched copy under the same
+/// version otherwise, and invalidates a stale one. Five threads exceed the
+/// explorer's bounds, so two instances share the certificate: two racing
+/// readers, a cloner and a writer (the slot holds one rebuilt Arc while
+/// the other reader and the clone hold others), and a reader, a cloner and
+/// two writers (a patched copy is itself patched). The companion test
+/// below shows the uniqueness check is load-bearing.
 #[test]
 fn column_cache_version_protocol() {
-    let ex = check("column-cache-version", || {
-        ModelInstance::new(CacheState::default())
-            .thread(cache_reader())
-            .thread(cache_cloner())
-            .thread(cache_writer(true))
-            .thread(cache_writer(true))
-            .invariant(|s| {
-                if let Some((ver, idx)) = s.snapshot {
-                    if ver == s.version && s.heap[idx] != s.truth {
-                        return Err(format!(
-                            "version-matched snapshot is stale: holds {}, truth {}",
-                            s.heap[idx], s.truth
-                        ));
-                    }
-                }
-                for (idx, seen) in &s.holds {
-                    if s.heap[*idx] != *seen {
-                        return Err(format!(
-                            "shared snapshot mutated under its holder: saw {seen}, now {}",
-                            s.heap[*idx]
-                        ));
-                    }
-                }
-                Ok(())
-            })
-            .finally(|s| {
-                if s.borrows != 0 || !s.holds.is_empty() {
-                    return Err("borrow or Arc clone leaked".to_owned());
-                }
-                Ok(())
-            })
+    let racing_readers = check("column-cache-version", || {
+        column_cache_certified(
+            ModelInstance::new(CacheState::default())
+                .thread(cache_reader())
+                .thread(cache_reader())
+                .thread(cache_cloner())
+                .thread(cache_writer(true)),
+        )
     });
-    assert!(ex.exhausted);
+    assert!(racing_readers.exhausted);
     assert!(
-        ex.schedules >= 3,
-        "reader/cloner/writer races must interleave"
+        racing_readers.schedules >= 3,
+        "reader/reader/cloner/writer races must interleave"
+    );
+    let racing_writers = check("column-cache-version-writers", || {
+        column_cache_certified(
+            ModelInstance::new(CacheState::default())
+                .thread(cache_reader())
+                .thread(cache_cloner())
+                .thread(cache_writer(true))
+                .thread(cache_writer(true)),
+        )
+    });
+    assert!(racing_writers.exhausted);
+    assert!(
+        racing_writers.schedules >= 3,
+        "reader/cloner/writer/writer races must interleave"
     );
 }
 

@@ -17,6 +17,7 @@
 //!   clean data, knowledge graph, trained models, curated REE++s, tasks.
 //! * [`workload`] — the common `Workload` bundle the harness consumes.
 //! * [`defects`] — seeded defective-ruleset generator for `rock-analyze`.
+//! * [`stream`] — seeded ΔD batches over a workload, for incremental runs.
 
 pub mod bank;
 pub mod defects;
@@ -25,6 +26,7 @@ pub mod logistics;
 pub mod metrics;
 pub mod namegen;
 pub mod sales;
+pub mod stream;
 pub mod workload;
 
 pub use defects::{inject_defects, DefectKind, InjectedDefect};

@@ -21,12 +21,17 @@
 //! conflicts or steps differ.
 //!
 //! A last line streams Bank (the `Rock` variant) as 20-update ΔD batches
-//! through `run_incremental`, each result the next batch's base, at 2k and
-//! 8k base rows, and prints the per-batch p50 of each and their ratio
-//! (reported, not gated: a batch should cost what its updates touch, so
-//! the ratio stays well under the 4× of the rows). The 2k fold is repeated
+//! (`rock::workloads::stream`, the benchmark's `bank-stream` draws at seed
+//! 42) through `run_incremental`, each result the next batch's base, at 2k
+//! and 8k base rows, and prints the per-batch p50 of each and their ratio
+//! (reported, not gated: column snapshots and rows no longer cost O(|D|)
+//! per batch, but grouping entity classes still does, so the p50 still
+//! grows with the base; ROADMAP item 7). The 2k fold is repeated
 //! with every base made cold by a JSON round trip; the program exits
-//! non-zero if the two folds differ in a byte.
+//! non-zero if the two folds differ in a byte. The `column_patches` test
+//! holds the same equivalence on a 240-row instance with every join index
+//! built; this check is on the timed fold itself, with the `Rock`
+//! variant's ML rules, so the p50 printed is that of a correct fold.
 //!
 //! ```text
 //! cargo run --release --example scale_probe
@@ -36,10 +41,9 @@ use rock::chase::{reference, ChaseEngine};
 use rock::core::variant::{effective_rules, sorted_rules};
 use rock::core::{RockConfig, Variant};
 use rock::crystal::json;
-use rock::data::rng::StdRng;
-use rock::data::{AttrId, Database, Delta, RelId, TupleId, Update};
 use rock::detect::blocking::precompute_ml;
 use rock::detect::Detector;
+use rock::workloads::stream;
 use rock::workloads::workload::{GenConfig, Workload};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -109,62 +113,6 @@ fn probe(w: &Workload, variant: Variant, rows: usize, check: bool) -> bool {
     same
 }
 
-/// ΔD batches of 20 updates over Customer: its last quarter is held out
-/// of the base and arrives as inserts (70 %), mixed with overwrites of a
-/// cell by another tuple's value (20 %) and deletes (10 %) of tuples
-/// present before the batch.
-fn bank_stream(dirty: &Database, batches: usize) -> (Database, Vec<Delta>) {
-    let mut rng = StdRng::seed_from_u64(42);
-    let main = RelId(0);
-    let rel = dirty.relation(main);
-    let tids: Vec<TupleId> = rel.tids().collect();
-    let (kept, held) = tids.split_at(tids.len() - tids.len() / 4);
-    let mut base = dirty.clone();
-    for tid in held {
-        base.relation_mut(main).delete(*tid);
-    }
-    let mut pool = kept.to_vec();
-    let mut next = base.relation(main).capacity() as u32;
-    let mut held = held.iter();
-    let deltas = (0..batches)
-        .map(|_| {
-            let eligible = pool.len();
-            let mut updates = Vec::new();
-            for _ in 0..20 {
-                let draw = rng.gen_range(0..10);
-                match held.next().filter(|_| draw < 7) {
-                    Some(&from) => {
-                        let t = rel.get(from).expect("held-out tuple is live");
-                        updates.push(Update::Insert {
-                            rel: main,
-                            eid: t.eid,
-                            values: t.values.clone(),
-                        });
-                        pool.push(TupleId(next));
-                        next += 1;
-                    }
-                    None if draw == 9 => updates.push(Update::Delete {
-                        rel: main,
-                        tid: pool[rng.gen_range(0..eligible)],
-                    }),
-                    None => {
-                        let attr = AttrId(rng.gen_range(0..rel.schema.arity()) as u16);
-                        let donor = tids[rng.gen_range(0..tids.len())];
-                        updates.push(Update::SetCell {
-                            rel: main,
-                            tid: pool[rng.gen_range(0..eligible)],
-                            attr,
-                            value: rel.cell(donor, attr).expect("donor is live").clone(),
-                        });
-                    }
-                }
-            }
-            Delta::new(updates)
-        })
-        .collect();
-    (base, deltas)
-}
-
 /// Fold a Bank stream at `rows` base rows: the p50 seconds of its timed
 /// batches, and the bytes of the database after each batch. With `cold`,
 /// every base is first made cold by a JSON round trip.
@@ -175,7 +123,7 @@ fn stream_fold(rows: usize, cold: bool) -> (f64, Vec<Vec<u8>>) {
     let task = w.tasks.last().expect("the whole-database task");
     let rules = sorted_rules(&effective_rules(Variant::Rock, &w.rules_for(task)));
     let engine = ChaseEngine::new(&rules, &w.registry, RockConfig::default().chase_config(&w));
-    let (mut base, deltas) = bank_stream(&w.dirty, WARMUP + TIMED);
+    let (mut base, deltas) = stream::generate(&w, 42, WARMUP + TIMED);
     let mut batch_s = Vec::new();
     let mut folded = Vec::new();
     for (i, delta) in deltas.iter().enumerate() {

@@ -20,8 +20,7 @@ use common::{check, Gen};
 use rock::chase::{ChaseConfig, ChaseEngine};
 use rock::crystal::json;
 use rock::data::{
-    AttrId, AttrType, ColumnSet, Database, Delta, PredOp, RelId, Relation, RelationSchema, TupleId,
-    Update, Value,
+    AttrId, AttrType, ColumnSet, Database, PredOp, Relation, RelationSchema, TupleId, Value,
 };
 use rock::workloads::workload::GenConfig;
 use std::cell::Cell;
@@ -204,62 +203,6 @@ fn random_patch_sequences_equal_a_cold_build() {
     );
 }
 
-/// A seeded stream over Bank's first relation (Customer): its last
-/// quarter is held out of the base and arrives as inserts (70 %), mixed
-/// with cell overwrites by another tuple's value (20 %) and deletes (10 %)
-/// of tuples present before the batch.
-fn bank_stream(dirty: &Database, seed: u64, batches: usize) -> (Database, Vec<Delta>) {
-    let mut g = Gen::new(seed);
-    let main = RelId(0);
-    let rel = dirty.relation(main);
-    let tids: Vec<TupleId> = rel.tids().collect();
-    let (kept, held) = tids.split_at(tids.len() - tids.len() / 4);
-    let mut base = dirty.clone();
-    for tid in held {
-        base.relation_mut(main).delete(*tid);
-    }
-    let mut pool = kept.to_vec();
-    let mut next = base.relation(main).capacity() as u32;
-    let mut held = held.iter();
-    let deltas = (0..batches)
-        .map(|_| {
-            let eligible = pool.len();
-            let mut updates = Vec::new();
-            for _ in 0..20 {
-                let draw = g.below(10);
-                match held.next().filter(|_| draw < 7) {
-                    Some(&from) => {
-                        let t = rel.get(from).unwrap();
-                        updates.push(Update::Insert {
-                            rel: main,
-                            eid: t.eid,
-                            values: t.values.clone(),
-                        });
-                        pool.push(TupleId(next));
-                        next += 1;
-                    }
-                    None if draw == 9 => updates.push(Update::Delete {
-                        rel: main,
-                        tid: pool[g.range(0..eligible)],
-                    }),
-                    None => {
-                        let attr = AttrId(g.below(rel.schema.arity() as u64) as u16);
-                        let donor = g.pick(&tids);
-                        updates.push(Update::SetCell {
-                            rel: main,
-                            tid: pool[g.range(0..eligible)],
-                            attr,
-                            value: rel.cell(donor, attr).unwrap().clone(),
-                        });
-                    }
-                }
-            }
-            Delta::new(updates)
-        })
-        .collect();
-    (base, deltas)
-}
-
 #[test]
 fn stream_fold_with_carried_snapshots_equals_cold_bases() {
     let w = rock::workloads::bank::generate(&GenConfig {
@@ -276,7 +219,7 @@ fn stream_fold_with_carried_snapshots_equals_cold_bases() {
             ..Default::default()
         },
     );
-    let (base, deltas) = bank_stream(&w.dirty, 11, 10);
+    let (base, deltas) = rock::workloads::stream::generate(&w, 11, 10);
     let mut carried = base.clone();
     let mut cold = base;
     let mut changed = 0;
