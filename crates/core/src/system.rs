@@ -308,7 +308,8 @@ impl RockSystem {
         let rules = self.task_rules(w, task);
         // Blocking installs the models' block filters for every variant:
         // they answer the ML predicates and the enumerator joins on them,
-        // until this pass removes them.
+        // until this pass removes them. After `detect` on the same
+        // snapshots it reinstalls the pass `detect` ran.
         if self.config.variant.uses_ml() {
             precompute_ml(&w.dirty, &rules, &w.registry);
         }
@@ -322,8 +323,8 @@ impl RockSystem {
         };
         if self.config.variant.uses_ml() {
             clear_block_filters(&rules, &w.registry);
-        }
-        if self.config.variant.uses_ml() {
+            // the pass `detect` kept ends with the correction
+            w.registry.drop_blocking_pass();
             if let Some((rel, attr)) = task.polynomial_target {
                 if let Some(pipe) = PolyPipeline::fit(
                     &out.repaired,

@@ -92,6 +92,9 @@ pub enum LockRank {
     RegistryNames = 90,
     /// `ml::registry` per-relation block filters.
     RegistryFilters = 100,
+    /// `ml::registry` last blocking pass (leaf: the filters are installed
+    /// before it is taken).
+    RegistryPass = 105,
     /// `ml::registry` 16-way sharded inference memo (one rank for all
     /// shards: a thread never holds two shards at once).
     RegistryMemo = 110,
@@ -392,6 +395,7 @@ mod tests {
             LockRank::RegistryModels,
             LockRank::RegistryNames,
             LockRank::RegistryFilters,
+            LockRank::RegistryPass,
             LockRank::RegistryMemo,
             LockRank::DiscoveryCache,
             LockRank::ColumnSnapshot,
@@ -404,7 +408,7 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[0] < w[1], "{:?} !< {:?}", w[0], w[1]);
         }
-        assert_eq!(all.len(), 11);
+        assert_eq!(all.len(), 12);
     }
 
     #[test]

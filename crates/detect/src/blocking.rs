@@ -18,47 +18,51 @@
 //! featurized and LSH-indexed once and each distinct candidate key pair is
 //! scored once. Tuples only expand the counts: [`BlockingStats`] stays
 //! tuple-level.
+//!
+//! The registry keeps the last pass ([`BlockingPass`]). A call with the
+//! same signatures over the same column snapshots reinstalls it and runs
+//! no inference, so `RockSystem::correct` after `detect` on one database
+//! blocks once.
 
+use rock_crystal::sync::Arc;
 use rock_data::{AttrId, Database, FxHashMap, FxHashSet, Relation};
 use rock_ml::pair::PreparedSide;
 use rock_ml::{
-    BlockFilter, MinHashLsh, MlBlockIndex, ModelId, ModelRegistry, PairClassifier, PairSignature,
+    BlockFilter, BlockingPass, MinHashLsh, MlBlockIndex, ModelRegistry, PairClassifier,
+    PairSignature,
 };
 use rock_rees::{Predicate, RuleSet};
 
-/// Statistics of a pre-computation pass.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BlockingStats {
-    /// ML predicates processed.
-    pub predicates: usize,
-    /// Total possible tuple pairs across predicates.
-    pub total_pairs: u64,
-    /// Tuple pairs that survived blocking (the model scored their values).
-    pub candidate_pairs: u64,
-    /// Of those, tuple pairs the model accepted.
-    pub matches: u64,
-}
-
-impl BlockingStats {
-    /// Fraction of pairs pruned without inference.
-    pub fn pruned_fraction(&self) -> f64 {
-        if self.total_pairs == 0 {
-            0.0
-        } else {
-            1.0 - self.candidate_pairs as f64 / self.total_pairs as f64
-        }
-    }
-}
+pub use rock_ml::BlockingStats;
 
 /// Pre-compute all binary ML predicates of `rules` over `db` and install
-/// each pair model's [`BlockFilter`] in `registry`.
+/// each pair model's [`BlockFilter`] in `registry`: the filters of the
+/// registry's kept pass when that pass ran the same signatures over `db`'s
+/// current snapshots, otherwise those of a new pass, which the registry
+/// keeps instead.
 pub fn precompute_ml(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -> BlockingStats {
-    let mut stats = BlockingStats::default();
+    let signatures = signatures(rules, registry);
+    let kept = registry
+        .blocking_pass()
+        .filter(|kept| kept.ran_over(&signatures, db));
+    let pass = match kept {
+        Some(kept) => kept,
+        None => {
+            // a stale pass is not held while the new one is built
+            registry.drop_blocking_pass();
+            Arc::new(run_pass(db, signatures, registry))
+        }
+    };
+    let stats = pass.stats.clone();
+    registry.install_blocking_pass(pass);
+    stats
+}
+
+/// The distinct signatures of `rules`' ML predicates over pair models, in
+/// rule and predicate order.
+fn signatures(rules: &RuleSet, registry: &ModelRegistry) -> Vec<PairSignature> {
     let mut seen: FxHashSet<PairSignature> = FxHashSet::default();
-    // A model's block filter is the union over every signature that uses
-    // the model: installed per signature, a later one would turn all pairs
-    // of an earlier one into non-candidates.
-    let mut filters: FxHashMap<ModelId, BlockFilter> = FxHashMap::default();
+    let mut out = Vec::new();
     for rule in rules.iter() {
         for p in rule.all_predicates() {
             let Predicate::Ml {
@@ -71,7 +75,6 @@ pub fn precompute_ml(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -
             else {
                 continue;
             };
-            // one pass per (model, relations, attrs) signature
             let sig = PairSignature {
                 model: model.resolved(),
                 lrel: rule.rel_of(*lvar),
@@ -79,59 +82,88 @@ pub fn precompute_ml(db: &Database, rules: &RuleSet, registry: &ModelRegistry) -
                 rrel: rule.rel_of(*rvar),
                 rattrs: rattrs.clone(),
             };
-            let id = sig.model;
-            let Some(classifier) = registry.pair(id) else {
-                continue;
-            };
-            if !seen.insert(sig.clone()) {
-                continue;
+            if registry.pair(sig.model).is_some() && seen.insert(sig.clone()) {
+                out.push(sig);
             }
-            stats.predicates += 1;
+        }
+    }
+    out
+}
 
-            // Both sides are featurized here and dropped with this
-            // iteration: at any time only one signature's sides are alive.
-            let mut lsh = MinHashLsh::new(16, 2);
-            let left = prepare_sides(db.relation(sig.lrel), lattrs, classifier.as_ref(), &lsh);
-            let self_join = sig.lrel == sig.rrel && lattrs == rattrs;
-            let other = (!self_join)
-                .then(|| prepare_sides(db.relation(sig.rrel), rattrs, classifier.as_ref(), &lsh));
-            let right = other.as_ref().unwrap_or(&left);
+/// Score every signature over `db`, one signature at a time.
+fn run_pass(
+    db: &Database,
+    signatures: Vec<PairSignature>,
+    registry: &ModelRegistry,
+) -> BlockingPass {
+    // the snapshots the pass reads, taken before it reads them
+    let mut rels: Vec<_> = signatures.iter().flat_map(|s| [s.lrel, s.rrel]).collect();
+    rels.sort_unstable();
+    rels.dedup();
+    let snapshots = rels
+        .into_iter()
+        .map(|rel| (rel, db.relation(rel).columns()))
+        .collect();
+    let mut stats = BlockingStats::default();
+    // A model's block filter is the union over every signature that uses
+    // the model: installed per signature, a later one would turn all pairs
+    // of an earlier one into non-candidates.
+    let mut filters: FxHashMap<_, BlockFilter> = FxHashMap::default();
+    for sig in &signatures {
+        let Some(classifier) = registry.pair(sig.model) else {
+            continue;
+        };
+        stats.predicates += 1;
+        let (lattrs, rattrs) = (&sig.lattrs, &sig.rattrs);
 
-            // index the left side, by position in `left`
-            let left_tuples: u64 = left.iter().map(|l| l.tuples).sum();
-            for (i, l) in left.iter().enumerate() {
-                lsh.insert_keys(i as u32, &l.bands);
-            }
-            // query with the right side: score only LSH candidates, once
-            // per key pair; the filter answers `false` for the rest
-            // (O(candidates) instead of O(n²) entries).
-            let filter = filters.entry(id).or_default();
-            for s in right {
-                stats.total_pairs += left_tuples * s.tuples;
-                for cand in lsh.candidates_of(&s.bands) {
-                    let l = &left[cand as usize];
-                    let pairs = l.tuples * s.tuples;
-                    stats.candidate_pairs += pairs;
-                    // another signature of the model may have scored the
-                    // same values already
-                    let out = filter.verdict(l.key, s.key).unwrap_or_else(|| {
-                        registry.meter.add(classifier.cost());
-                        let out = classifier.score_prepared(&l.prepared, &s.prepared)
-                            >= classifier.threshold();
-                        filter.insert(l.key, s.key, out);
-                        out
-                    });
-                    if out {
-                        stats.matches += pairs;
-                    }
+        // Both sides are featurized here and dropped with this
+        // iteration: at any time only one signature's sides are alive.
+        let mut lsh = MinHashLsh::new(16, 2);
+        let left = prepare_sides(db.relation(sig.lrel), lattrs, classifier.as_ref(), &lsh);
+        let self_join = sig.lrel == sig.rrel && lattrs == rattrs;
+        let other = (!self_join)
+            .then(|| prepare_sides(db.relation(sig.rrel), rattrs, classifier.as_ref(), &lsh));
+        let right = other.as_ref().unwrap_or(&left);
+
+        // index the left side, by position in `left`
+        let left_tuples: u64 = left.iter().map(|l| l.tuples).sum();
+        for (i, l) in left.iter().enumerate() {
+            lsh.insert_keys(i as u32, &l.bands);
+        }
+        // query with the right side: score only LSH candidates, once
+        // per key pair; the filter answers `false` for the rest
+        // (O(candidates) instead of O(n²) entries).
+        let filter = filters.entry(sig.model).or_default();
+        for s in right {
+            stats.total_pairs += left_tuples * s.tuples;
+            for cand in lsh.candidates_of(&s.bands) {
+                let l = &left[cand as usize];
+                let pairs = l.tuples * s.tuples;
+                stats.candidate_pairs += pairs;
+                // another signature of the model may have scored the
+                // same values already
+                let out = filter.verdict(l.key, s.key).unwrap_or_else(|| {
+                    registry.meter.add(classifier.cost());
+                    let out = classifier.score_prepared(&l.prepared, &s.prepared)
+                        >= classifier.threshold();
+                    filter.insert(l.key, s.key, out);
+                    out
+                });
+                if out {
+                    stats.matches += pairs;
                 }
             }
         }
     }
-    for (id, filter) in filters {
-        registry.set_block_filter(id, filter);
+    BlockingPass {
+        signatures,
+        snapshots,
+        filters: filters
+            .into_iter()
+            .map(|(id, f)| (id, Arc::new(f)))
+            .collect(),
+        stats,
     }
-    stats
 }
 
 /// Remove the block filters [`precompute_ml`] installed for `rules`: a

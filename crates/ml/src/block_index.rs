@@ -9,9 +9,14 @@
 //! enumerator joins an ML predicate on (`rock_rees::eval`): once one side
 //! is bound, the other side's candidates are the tuples whose current key
 //! is accepted with the bound key.
+//!
+//! The registry keeps the last pass ([`BlockingPass`]): a second blocking
+//! call over the same column snapshots with the same signatures reinstalls
+//! its filters instead of scoring again.
 
 use crate::registry::ModelId;
-use rock_data::{AttrId, FxHashMap, RelId};
+use rock_crystal::sync::Arc;
+use rock_data::{AttrId, ColumnSet, Database, FxHashMap, RelId};
 
 /// Identifies one ML pair-predicate signature: the model plus the two
 /// (relation, projection) sides it compares.
@@ -70,6 +75,58 @@ impl BlockFilter {
     /// Scored key pairs and their verdicts, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = ((u64, u64), bool)> + '_ {
         self.verdicts.iter().map(|(&k, &v)| (k, v))
+    }
+}
+
+/// Statistics of a blocking pass.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BlockingStats {
+    /// ML predicates processed.
+    pub predicates: usize,
+    /// Total possible tuple pairs across predicates.
+    pub total_pairs: u64,
+    /// Tuple pairs that survived blocking (the model scored their values).
+    pub candidate_pairs: u64,
+    /// Of those, tuple pairs the model accepted.
+    pub matches: u64,
+}
+
+impl BlockingStats {
+    /// Fraction of pairs pruned without inference.
+    pub fn pruned_fraction(&self) -> f64 {
+        if self.total_pairs == 0 {
+            0.0
+        } else {
+            1.0 - self.candidate_pairs as f64 / self.total_pairs as f64
+        }
+    }
+}
+
+/// One blocking pass: the signatures it ran, the column snapshot of every
+/// relation it read, each model's filter and the pass's statistics.
+///
+/// Its filters are a function of the signatures and of the values of the
+/// relations they read. A snapshot someone holds never changes (a row
+/// write patches a copy of a shared snapshot, or drops it), so while the
+/// pass holds its snapshots, `Arc::ptr_eq` with a relation's current
+/// snapshot means that relation's values are the ones the pass read.
+#[derive(Debug, Default)]
+pub struct BlockingPass {
+    pub signatures: Vec<PairSignature>,
+    pub snapshots: Vec<(RelId, Arc<ColumnSet>)>,
+    pub filters: Vec<(ModelId, Arc<BlockFilter>)>,
+    pub stats: BlockingStats,
+}
+
+impl BlockingPass {
+    /// Whether running `signatures` over `db` would compute this pass: the
+    /// same signature list, and every snapshot it read still current.
+    pub fn ran_over(&self, signatures: &[PairSignature], db: &Database) -> bool {
+        self.signatures == signatures
+            && self
+                .snapshots
+                .iter()
+                .all(|(rel, set)| Arc::ptr_eq(set, &db.relation(*rel).columns()))
     }
 }
 

@@ -48,7 +48,7 @@ pub mod registry;
 pub mod text;
 pub mod tree;
 
-pub use block_index::{BlockFilter, MlBlockIndex, PairSignature};
+pub use block_index::{BlockFilter, BlockingPass, BlockingStats, MlBlockIndex, PairSignature};
 pub use correlation::{CorrelationModel, ValuePredictor};
 pub use her::HerModel;
 pub use lsh::MinHashLsh;

@@ -59,6 +59,11 @@ impl RankModel {
         self.weights.iter().zip(&f).map(|(w, x)| w * x).sum()
     }
 
+    /// Synthetic cost of one currency score `g(t)` (a confidence takes two).
+    pub fn cost(&self) -> f64 {
+        1.0
+    }
+
     /// Confidence that `t1 ⪯ t2` (t2 at least as current as t1), in [0, 1].
     pub fn confidence(&self, t1: &[Value], t2: &[Value]) -> f64 {
         sigmoid(self.currency(t2) - self.currency(t1))

@@ -9,17 +9,20 @@
 //! * **Memoization / pre-computation** (§5.4 "ML predication": "Rock
 //!   pre-computes the results in advance once the ML predicates are
 //!   ready") — a pair model's block filter holds the verdicts blocking
-//!   computed ([`BlockFilter`]); any other inference result is cached
-//!   keyed by input hashes, so the chase never pays for the same
-//!   inference twice.
+//!   computed ([`BlockFilter`]), and the registry keeps the last blocking
+//!   pass ([`BlockingPass`]) so that detection and correction over one
+//!   snapshot block once; any other pair verdict is cached keyed by input
+//!   hashes, and an `Mrank` currency score `g(t)` keyed by its tuple's
+//!   hash, so the chase never pays for the same inference twice.
 //! * **Cost metering** — every inference adds the model's declared cost to
 //!   a [`CostMeter`]. The benchmark harness reads it to reproduce the
 //!   paper's *relative* runtime shapes (e.g. a T5-class model is ~10⁴×
 //!   a similarity kernel) without actually running transformer inference.
 
-use crate::block_index::BlockFilter;
+use crate::block_index::{BlockFilter, BlockingPass};
 use crate::correlation::{CorrelationModel, ValuePredictor};
 use crate::her::HerModel;
+use crate::linear::sigmoid;
 use crate::pair::PairClassifier;
 use crate::rank::RankModel;
 use rock_crystal::sync::{
@@ -105,21 +108,35 @@ fn memo_shard(h1: u64, h2: u64) -> usize {
     (((h1 ^ h2).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 60) as usize & (MEMO_SHARDS - 1)
 }
 
+/// Memo of one kind of inference, keyed by model and input hashes.
+type Memo<K, V> = Vec<RankedMutex<FxHashMap<K, V>>>;
+
+fn memo<K, V>() -> Memo<K, V> {
+    (0..MEMO_SHARDS)
+        .map(|_| RankedMutex::new(LockRank::RegistryMemo, FxHashMap::default()))
+        .collect()
+}
+
 /// Thread-safe registry of named models with memoized inference.
 pub struct ModelRegistry {
     // Rank order: RegistryModels < RegistryNames (`register` holds the
     // model table while inserting into the name index) < RegistryFilters
-    // < RegistryMemo. All 16 memo shards share one rank — a thread never
-    // holds two shards at once.
+    // < RegistryPass < RegistryMemo. All memo shards of both memos share
+    // one rank — a thread never holds two shards at once.
     models: RankedRwLock<Vec<(String, Model)>>,
     by_name: RankedRwLock<FxHashMap<String, ModelId>>,
-    memo_bool: Vec<RankedMutex<FxHashMap<(ModelId, u64, u64), bool>>>,
+    memo_bool: Memo<(ModelId, u64, u64), bool>,
+    /// `Mrank` currency scores `g(t)`, keyed by the tuple's `pair_key`.
+    memo_rank: Memo<(ModelId, u64), f64>,
     /// Blocking filters (§5.3 filter-and-verify): a model with a filter
     /// answers every pair from it — a scored pair with the model's verdict,
     /// any other pair `false` — without inference. LSH guarantees matches
     /// are scored with high probability. Installed whole and read-mostly
     /// after precomputation, hence the `RwLock` over shared entries.
     block_filters: RankedRwLock<FxHashMap<ModelId, Arc<BlockFilter>>>,
+    /// The last blocking pass, reinstalled by a blocking call over the same
+    /// snapshots and signatures (see [`BlockingPass`]).
+    blocking_pass: RankedMutex<Option<Arc<BlockingPass>>>,
     pub meter: CostMeter,
 }
 
@@ -143,10 +160,10 @@ impl ModelRegistry {
         ModelRegistry {
             models: RankedRwLock::new(LockRank::RegistryModels, Vec::new()),
             by_name: RankedRwLock::new(LockRank::RegistryNames, FxHashMap::default()),
-            memo_bool: (0..MEMO_SHARDS)
-                .map(|_| RankedMutex::new(LockRank::RegistryMemo, FxHashMap::default()))
-                .collect(),
+            memo_bool: memo(),
+            memo_rank: memo(),
             block_filters: RankedRwLock::new(LockRank::RegistryFilters, FxHashMap::default()),
+            blocking_pass: RankedMutex::new(LockRank::RegistryPass, None),
             meter: CostMeter::default(),
         }
     }
@@ -166,12 +183,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Install a pair model's block filter: `predict_pair` answers every
-    /// pair from it, without inference.
-    pub fn set_block_filter(&self, id: ModelId, filter: BlockFilter) {
-        self.block_filters.write().insert(id, Arc::new(filter));
-    }
-
     /// Remove a model's blocking filter.
     pub fn clear_block_filter(&self, id: ModelId) {
         self.block_filters.write().remove(&id);
@@ -180,6 +191,27 @@ impl ModelRegistry {
     /// The model's installed block filter, if any.
     pub fn block_filter(&self, id: ModelId) -> Option<Arc<BlockFilter>> {
         self.block_filters.read().get(&id).cloned()
+    }
+
+    /// Install the filters of a blocking pass — `predict_pair` answers
+    /// every pair of a filtered model from its filter, without inference —
+    /// and keep the pass, replacing the one kept before.
+    pub fn install_blocking_pass(&self, pass: Arc<BlockingPass>) {
+        self.block_filters
+            .write()
+            .extend(pass.filters.iter().map(|(id, f)| (*id, Arc::clone(f))));
+        *self.blocking_pass.lock() = Some(pass);
+    }
+
+    /// The last blocking pass [`Self::install_blocking_pass`] kept, whether
+    /// or not its filters are still installed.
+    pub fn blocking_pass(&self) -> Option<Arc<BlockingPass>> {
+        self.blocking_pass.lock().clone()
+    }
+
+    /// Forget the kept blocking pass (its installed filters stay).
+    pub fn drop_blocking_pass(&self) {
+        *self.blocking_pass.lock() = None;
     }
 
     fn register(&self, name: &str, model: Model) -> ModelId {
@@ -270,16 +302,31 @@ impl ModelRegistry {
         }
     }
 
-    /// `Mrank` confidence that `t1 ⪯ t2`, cost-metered (not memoized: the
-    /// caller — TD conflict resolution — usually wants both directions and
-    /// they derive from one subtraction anyway).
+    /// `Mrank` confidence that `t1 ⪯ t2`: σ(g(t2) − g(t1)), the same bits
+    /// as [`RankModel::confidence`]. Each currency score `g(t)` is a pure
+    /// function of the tuple's values, so it is memoized per tuple and
+    /// metered once (cost [`RankModel::cost`]); a lookup that finds it
+    /// counts a memo hit.
     pub fn rank_confidence(&self, id: ModelId, t1: &[Value], t2: &[Value]) -> f64 {
-        let models = self.models.read();
-        let Some((_, Model::Rank(m))) = models.get(id.0 as usize) else {
-            panic!("model {id:?} is not a rank model");
+        let m = match self.models.read().get(id.0 as usize) {
+            Some((_, Model::Rank(m))) => Arc::clone(m),
+            _ => panic!("model {id:?} is not a rank model"),
         };
-        self.meter.add(2.0);
-        m.confidence(t1, t2)
+        sigmoid(self.currency(id, &m, t2) - self.currency(id, &m, t1))
+    }
+
+    /// The memoized currency score `g(t)` of rank model `m` (`id`).
+    fn currency(&self, id: ModelId, m: &RankModel, t: &[Value]) -> f64 {
+        let key = (id, pair_key(t));
+        let shard = memo_shard(key.1, 0);
+        if let Some(&g) = self.lock_shard(&self.memo_rank, shard).get(&key) {
+            self.meter.hit();
+            return g;
+        }
+        self.meter.add(m.cost());
+        let g = m.currency(t);
+        self.lock_shard(&self.memo_rank, shard).insert(key, g);
+        g
     }
 
     /// `Mc` strength, cost-metered.
@@ -323,11 +370,16 @@ impl ModelRegistry {
         }
     }
 
-    /// Drop all memoized results (tests / repeated experiments).
+    /// Drop all memoized results and the kept blocking pass (tests /
+    /// repeated experiments).
     pub fn clear_memo(&self) {
         for s in &self.memo_bool {
             s.lock().clear();
         }
+        for s in &self.memo_rank {
+            s.lock().clear();
+        }
+        self.drop_blocking_pass();
     }
 }
 
@@ -389,6 +441,15 @@ mod tests {
         assert_eq!(m.memo_hits(), 0);
     }
 
+    /// Install `filter` as the only filter of a blocking pass.
+    fn install(reg: &ModelRegistry, id: ModelId, filter: BlockFilter) {
+        let pass = BlockingPass {
+            filters: vec![(id, Arc::new(filter))],
+            ..BlockingPass::default()
+        };
+        reg.install_blocking_pass(Arc::new(pass));
+    }
+
     #[test]
     fn block_filter_answers_every_pair() {
         let reg = ModelRegistry::new();
@@ -398,7 +459,7 @@ mod tests {
         let mut filter = BlockFilter::default();
         filter.insert(pair_key(&a), pair_key(&b), true);
         filter.insert(pair_key(&c), pair_key(&c), false);
-        reg.set_block_filter(id, filter);
+        install(&reg, id, filter);
         assert!(reg.block_filter(id).is_some());
         assert!(reg.predict_pair(id, &a, &b), "scored: the verdict");
         assert!(!reg.predict_pair(id, &c, &c), "scored: the verdict");
@@ -418,6 +479,90 @@ mod tests {
         let reg = ModelRegistry::new();
         let id = reg.register_pair("M", Arc::new(ExactMatchModel));
         reg.rank_confidence(id, &[], &[]);
+    }
+
+    fn rank_model() -> RankModel {
+        let pairs: Vec<(Vec<Value>, Vec<Value>)> = (0..12)
+            .map(|i| {
+                (
+                    vec![Value::str("single"), Value::Int(1000 + i * 10)],
+                    vec![Value::str("married"), Value::Int(5000 + i * 10)],
+                )
+            })
+            .collect();
+        RankModel::train_creator_critic(2, &pairs, &[], 1, 7)
+    }
+
+    fn rank_tuples() -> Vec<Vec<Value>> {
+        vec![
+            vec![Value::str("single"), Value::Int(1200)],
+            vec![Value::str("married"), Value::Int(5100)],
+            vec![Value::Null, Value::Int(3000)],
+            vec![Value::str("married"), Value::Null],
+            vec![Value::Null, Value::Null],
+        ]
+    }
+
+    #[test]
+    fn memoized_rank_confidence_is_the_models_to_the_bit() {
+        let reg = ModelRegistry::new();
+        let oracle = rank_model();
+        let id = reg.register_rank("Mrank", Arc::new(oracle.clone()));
+        let ts = rank_tuples();
+        // twice: the first sweep computes scores, the second reads the memo
+        for _ in 0..2 {
+            for a in &ts {
+                for b in &ts {
+                    let got = reg.rank_confidence(id, a, b);
+                    let want = oracle.confidence(a, b);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{a:?} / {b:?}");
+                }
+            }
+        }
+        // identical tuples tie at σ(0)
+        assert_eq!(reg.rank_confidence(id, &ts[2], &ts[2]), 0.5);
+    }
+
+    #[test]
+    fn rank_meter_counts_one_inference_per_distinct_tuple() {
+        let reg = ModelRegistry::new();
+        let id = reg.register_rank("Mrank", Arc::new(rank_model()));
+        let ts = rank_tuples();
+        for a in &ts {
+            for b in &ts {
+                reg.rank_confidence(id, a, b);
+            }
+        }
+        let n = ts.len() as u64;
+        assert_eq!(reg.meter.inferences(), n);
+        assert_eq!(reg.meter.cost(), n as f64);
+        assert_eq!(reg.meter.memo_hits(), 2 * n * n - n);
+    }
+
+    #[test]
+    fn clear_memo_recomputes_rank_scores() {
+        let reg = ModelRegistry::new();
+        let id = reg.register_rank("Mrank", Arc::new(rank_model()));
+        let ts = rank_tuples();
+        let before = reg.rank_confidence(id, &ts[0], &ts[1]);
+        assert_eq!(reg.meter.inferences(), 2);
+        reg.clear_memo();
+        assert_eq!(reg.rank_confidence(id, &ts[0], &ts[1]), before);
+        assert_eq!(reg.meter.inferences(), 4);
+        assert_eq!(reg.meter.memo_hits(), 0);
+    }
+
+    #[test]
+    fn clear_memo_drops_the_kept_blocking_pass() {
+        let reg = ModelRegistry::new();
+        let id = reg.register_pair("M", Arc::new(ExactMatchModel));
+        install(&reg, id, BlockFilter::default());
+        assert!(reg.block_filter(id).is_some());
+        assert!(reg.blocking_pass().is_some());
+        reg.clear_memo();
+        assert!(reg.blocking_pass().is_none());
+        // dropping the pass leaves its installed filters to their caller
+        assert!(reg.block_filter(id).is_some());
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! drives the real 16-shard implementation with raw `std` threads (the
 //! build carries no loom), so shard lock contention, the benign
 //! double-compute race on a shared miss, and cross-shard independence all
-//! execute for real.
+//! execute for real. The `Mrank` score memo is raced the same way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rock_data::Value;
-use rock_ml::{ModelRegistry, PairClassifier};
+use rock_ml::{ModelRegistry, PairClassifier, RankModel};
 
 /// Deterministic classifier that counts how often real inference runs.
 struct CountingModel {
@@ -109,4 +109,79 @@ fn memo_hit_and_miss_paths_agree_under_contention() {
     let (a, b) = &pairs[0];
     assert_eq!(reg.predict_pair(id, a, b), raw_score(a, b) >= 0.5);
     assert!(model.calls.load(Ordering::Relaxed) > after_storm);
+}
+
+fn rank_model() -> RankModel {
+    let pairs: Vec<(Vec<Value>, Vec<Value>)> = (0..12)
+        .map(|i| {
+            (
+                vec![Value::str("single"), Value::Int(1000 + i * 10)],
+                vec![Value::str("married"), Value::Int(5000 + i * 10)],
+            )
+        })
+        .collect();
+    RankModel::train_creator_critic(2, &pairs, &[], 1, 7)
+}
+
+#[test]
+fn rank_memo_races_serve_only_the_models_scores() {
+    let oracle = rank_model();
+    let reg = ModelRegistry::new();
+    let id = reg.register_rank("Mrank", Arc::new(oracle.clone()));
+    let tuples: Vec<Vec<Value>> = (0..KEYS)
+        .map(|i| vec![Value::str(format!("s{}", i % 5)), Value::Int(i * 97)])
+        .collect();
+    let check = |reg: &ModelRegistry, a: &[Value], b: &[Value]| {
+        assert_eq!(
+            reg.rank_confidence(id, a, b).to_bits(),
+            oracle.confidence(a, b).to_bits(),
+            "memoized confidence differs from the model for {a:?} / {b:?}"
+        );
+    };
+
+    // miss storm: threads start at different tuples, so first lookups of a
+    // score race across threads
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (reg, tuples, check) = (&reg, &tuples, &check);
+            scope.spawn(move || {
+                for rep in 0..REPS {
+                    for k in 0..tuples.len() {
+                        let a = &tuples[(k + t * 5 + rep) % tuples.len()];
+                        let b = &tuples[(k * 7 + t) % tuples.len()];
+                        check(reg, a, b);
+                    }
+                }
+            });
+        }
+    });
+    // one score per tuple, each computed at least once and at most once
+    // per thread that raced on its miss
+    let after_storm = reg.meter.inferences();
+    assert!(after_storm >= KEYS as u64, "memo invented scores");
+    assert!(
+        after_storm <= (THREADS as u64) * KEYS as u64,
+        "{after_storm}"
+    );
+
+    // hit storm: every score is memoized, and every entry is the model's
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (reg, tuples, check) = (&reg, &tuples, &check);
+            scope.spawn(move || {
+                for a in tuples.iter() {
+                    check(reg, a, &tuples[t % tuples.len()]);
+                }
+            });
+        }
+    });
+    assert_eq!(
+        reg.meter.inferences(),
+        after_storm,
+        "a full memo serves hits"
+    );
+
+    reg.clear_memo();
+    check(&reg, &tuples[0], &tuples[1]);
+    assert_eq!(reg.meter.inferences(), after_storm + 2);
 }

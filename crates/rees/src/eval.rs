@@ -213,13 +213,16 @@ impl<'a> EvalContext<'a> {
         self
     }
 
-    fn tuple_values(&self, h: &Valuation, var: usize, attrs: &[rock_data::AttrId]) -> Vec<Value> {
+    fn tuple(&self, h: &Valuation, var: usize) -> &'a rock_data::Tuple {
         let gt = h.tuples[var];
-        let rel = self.db.relation(gt.rel);
-        let t = rel
+        self.db
+            .relation(gt.rel)
             .get(gt.tid)
-            .unwrap_or_else(|| panic!("valuation references dead tuple {:?}", gt));
-        t.project(attrs)
+            .unwrap_or_else(|| panic!("valuation references dead tuple {:?}", gt))
+    }
+
+    fn tuple_values(&self, h: &Valuation, var: usize, attrs: &[rock_data::AttrId]) -> Vec<Value> {
+        self.tuple(h, var).project(attrs)
     }
 
     fn cell(&self, h: &Valuation, var: usize, attr: rock_data::AttrId) -> Value {
@@ -283,15 +286,9 @@ impl<'a> EvalContext<'a> {
                 attr,
                 strict,
             } => {
-                let all: Vec<rock_data::AttrId> = {
-                    let rel = self.db.relation(h.tuples[*lvar].rel);
-                    (0..rel.schema.arity())
-                        .map(rock_data::AttrId::from)
-                        .collect()
-                };
-                let a = self.tuple_values(h, *lvar, &all);
-                let b = self.tuple_values(h, *rvar, &all);
-                let conf = self.models.rank_confidence(model.resolved(), &a, &b);
+                let a = &self.tuple(h, *lvar).values;
+                let b = &self.tuple(h, *rvar).values;
+                let conf = self.models.rank_confidence(model.resolved(), a, b);
                 let _ = attr;
                 // Margins keep ties (σ(0) = 0.5, e.g. identical tuples)
                 // from asserting an order in either direction.

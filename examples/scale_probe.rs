@@ -7,8 +7,11 @@
 //!   the engine evaluates them per run.
 //! * **Sales** at 1k, 2k and 4k rows, with ML (the `Rock` variant). Blocking
 //!   installs each pair model's block filter, and the enumerator joins
-//!   `ccn_er_ml` and `er_item` on its accepted pairs; the `ml_calls` column
-//!   counts the `predict_pair` calls of detection plus the chase.
+//!   `ccn_er_ml` and `er_item` on its accepted pairs. Correction's blocking
+//!   reinstalls the pass detection ran. The `memo_hits` column counts the
+//!   ML lookups of detection plus the chase answered without inference:
+//!   `predict_pair` calls answered by a block filter, and `Mrank` currency
+//!   scores (`cin_td_rank`) read from the registry's memo.
 //! * **Bank** at 2k, 4k and 8k rows, without ML. `cnc_cid`
 //!   (`t.eid = s.eid -> t.cid = s.cid`) pairs every Customer with the
 //!   members of its entity class: the enumerator joins `t.eid = s.eid` on
@@ -154,7 +157,7 @@ fn main() -> ExitCode {
         "violations",
         "proposals",
         "changes",
-        "ml_calls"
+        "memo_hits"
     );
     let mut ok = true;
     for rows in [3_000, 6_000, 12_000] {
