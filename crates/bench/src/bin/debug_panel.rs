@@ -222,14 +222,12 @@ fn main() {
         );
         let f = &out.fault_stats;
         println!(
-            "  retries={} panics_caught={} transients={} latency={} reassigned={} spec_launched={} spec_won={} quarantined={} node_crashes={}",
+            "  retries={} panics_caught={} transients={} latency={} reassigned={} quarantined={} node_crashes={}",
             f.retries,
             f.panics_caught,
             f.transient_errors,
             f.latency_injected,
             f.reassigned,
-            f.speculative_launched,
-            f.speculative_won,
             f.quarantined,
             f.node_crashes
         );

@@ -522,7 +522,7 @@ pub fn lint() -> (Table, Json) {
 /// fault injection (per-unit panics, transient errors, latency spikes, and
 /// one whole-node crash) versus an undisturbed run. The headline assertion
 /// is **byte-identical repairs**: every injected fault is absorbed by the
-/// scheduler's retry / reassignment / speculation machinery, never by
+/// scheduler's retry / reassignment machinery, never by
 /// dropping work. Two controlled scheduler-level sections additionally
 /// demonstrate queue reassignment after a node crash (`reassigned > 0`
 /// under every seed, since the crashed node owns the whole queue) and
@@ -672,11 +672,6 @@ pub fn chaos() -> (Table, Json) {
         format!("{} / {}", f.node_crashes, f.reassigned),
     ]);
     table.row(vec![
-        "speculative launched / won".into(),
-        "0 / 0".into(),
-        format!("{} / {}", f.speculative_launched, f.speculative_won),
-    ]);
-    table.row(vec![
         "controlled crash: reassigned".into(),
         "-".into(),
         format!("{}", crash_out.stats.faults.reassigned),
@@ -706,8 +701,6 @@ pub fn chaos() -> (Table, Json) {
             "transient_errors": f.transient_errors,
             "latency_injected": f.latency_injected,
             "reassigned": f.reassigned,
-            "speculative_launched": f.speculative_launched,
-            "speculative_won": f.speculative_won,
             "quarantined": f.quarantined,
             "node_crashes": f.node_crashes,
         },

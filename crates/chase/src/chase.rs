@@ -86,10 +86,9 @@ pub struct ChaseConfig {
     pub partitions_per_rule: u32,
     pub policy: ConflictPolicy,
     pub gate: GateMode,
-    /// Crystal resilience knobs (fault plan, retry budget, backoff,
-    /// speculation threshold). A rule with a quarantined unit has its round
-    /// voided and retries the next round, so recoverable faults never
-    /// change the committed fixes.
+    /// Crystal resilience knobs (fault plan, retry budget). A rule with a
+    /// quarantined unit has its round voided and retries the next round,
+    /// so recoverable faults never change the committed fixes.
     pub cluster: ClusterConfig,
     /// Durable chase: append every committed fix to a CRC-framed WAL and
     /// checkpoint the loop state at round boundaries, so a crashed run

@@ -61,10 +61,9 @@ pub struct NodeCrash {
 
 /// A seeded, declarative description of which faults to inject.
 ///
-/// All probabilities are per `(unit, attempt)` decision. With
-/// `first_attempt_only = true` (the default) faults only fire on a unit's
-/// first attempt, so any `max_retries ≥ 1` recovers every injected fault —
-/// this is the mode the byte-identical-repair assertions use. Units listed
+/// All probabilities are per-unit decisions that fire on a unit's first
+/// attempt only, so any `max_retries ≥ 1` recovers every injected fault —
+/// which is what the byte-identical-repair assertions rely on. Units listed
 /// in `poison_units` panic on *every* attempt and are the only way to
 /// exercise quarantine deterministically.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,9 +79,6 @@ pub struct FaultPlan {
     /// Upper bound of an injected delay; the actual delay is a seeded
     /// fraction in `[0.25, 1.0]` of this.
     pub max_latency: Duration,
-    /// When true (default), probabilistic faults fire only on attempt 0,
-    /// guaranteeing recovery within `max_retries ≥ 1`.
-    pub first_attempt_only: bool,
     /// Units that panic on every attempt (deterministic poison → quarantine).
     pub poison_units: Vec<u32>,
     /// Optional whole-node crash.
@@ -97,7 +93,6 @@ impl Default for FaultPlan {
             transient_prob: 0.0,
             latency_prob: 0.0,
             max_latency: Duration::from_millis(2),
-            first_attempt_only: true,
             poison_units: Vec::new(),
             crash: None,
         }
@@ -113,9 +108,8 @@ impl FaultPlan {
         }
     }
 
-    /// A "chaos" preset: panics + transients + stragglers at moderate rates,
-    /// first-attempt-only (fully recoverable). This is what the CI seed
-    /// matrix runs.
+    /// A "chaos" preset: panics + transients + stragglers at moderate rates
+    /// (fully recoverable). This is what the CI seed matrix runs.
     pub fn chaos(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -123,7 +117,6 @@ impl FaultPlan {
             transient_prob: 0.08,
             latency_prob: 0.05,
             max_latency: Duration::from_millis(2),
-            first_attempt_only: true,
             poison_units: Vec::new(),
             crash: None,
         }
@@ -199,7 +192,7 @@ impl FaultInjector {
         if unit <= u32::MAX as usize && self.plan.poison_units.contains(&(unit as u32)) {
             return FaultDecision::Panic;
         }
-        if self.plan.first_attempt_only && attempt > 0 {
+        if attempt > 0 {
             return FaultDecision::None;
         }
         let seed = self.plan.seed;
@@ -302,10 +295,6 @@ pub struct FaultStats {
     pub latency_injected: u64,
     /// Units re-enqueued from a crashed node's deque onto survivors.
     pub reassigned: u64,
-    /// Speculative copies launched for stragglers.
-    pub speculative_launched: u64,
-    /// Speculative copies that committed first (won the race).
-    pub speculative_won: u64,
     /// Units quarantined after exhausting retries.
     pub quarantined: u64,
     /// Whole-node crashes honored this run.
@@ -321,8 +310,6 @@ impl FaultStats {
         self.transient_errors += other.transient_errors;
         self.latency_injected += other.latency_injected;
         self.reassigned += other.reassigned;
-        self.speculative_launched += other.speculative_launched;
-        self.speculative_won += other.speculative_won;
         self.quarantined += other.quarantined;
         self.node_crashes += other.node_crashes;
     }
@@ -342,15 +329,6 @@ pub struct ClusterConfig {
     /// Retries per unit beyond the first attempt before quarantine
     /// (total attempts = `max_retries + 1`).
     pub max_retries: u32,
-    /// Base of the capped exponential retry backoff: attempt `k` sleeps
-    /// `retry_backoff × 2^min(k, 4)`. Deterministic in duration (wall-clock
-    /// only; never affects results).
-    pub retry_backoff: Duration,
-    /// A running unit whose elapsed time exceeds `speculative_threshold ×`
-    /// its expected duration (from the observed cost→time rate) gets a
-    /// speculative copy on an idle worker; first writer wins. `0.0`
-    /// disables speculation.
-    pub speculative_threshold: f64,
 }
 
 impl Default for ClusterConfig {
@@ -358,11 +336,12 @@ impl Default for ClusterConfig {
         ClusterConfig {
             fault_plan: None,
             max_retries: 2,
-            retry_backoff: Duration::from_micros(200),
-            speculative_threshold: 4.0,
         }
     }
 }
+
+/// Base of the capped exponential retry backoff.
+const RETRY_BACKOFF: Duration = Duration::from_micros(200);
 
 impl ClusterConfig {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -376,9 +355,10 @@ impl ClusterConfig {
     }
 
     /// Capped exponential backoff before retrying after failed attempt
-    /// `attempt` (0-based).
+    /// `attempt` (0-based): `200 µs × 2^min(attempt, 4)`. Deterministic in
+    /// duration (wall-clock only; never affects results).
     pub fn backoff_for(&self, attempt: u32) -> Duration {
-        self.retry_backoff.saturating_mul(1u32 << attempt.min(4))
+        RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(4))
     }
 }
 

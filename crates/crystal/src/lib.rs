@@ -17,9 +17,8 @@
 //!   same engine, units are placed by the hash of `D_T`, idle nodes fetch
 //!   units from others (work stealing; §5.2 strategy 3).
 //! * [`fault`] — seeded deterministic fault injection (panics, transient
-//!   errors, stragglers, node crashes) plus the retry/quarantine/
-//!   speculation knobs in [`fault::ClusterConfig`]; see DESIGN.md
-//!   §Crystal fault model.
+//!   errors, stragglers, node crashes) plus the retry/quarantine knobs
+//!   in [`fault::ClusterConfig`]; see DESIGN.md §Crystal fault model.
 //! * [`storage`] — durable file primitives (fsync-hardened atomic
 //!   writes) used by the chase WAL/checkpoints and the bench harness,
 //!   plus [`storage::FaultVfs`], the seeded storage fault layer (torn
@@ -33,9 +32,8 @@
 //!   splitmix64 generator and JSON codec the whole workspace uses (this
 //!   crate is the bottom of the crate graph; `rock-data` re-exports them).
 //! * [`model`] — bounded CHESS-style interleaving explorer certifying
-//!   the runtime's four core protocols (work stealing + quarantine,
-//!   speculative first-writer-wins commit, `ColumnCache` versioning,
-//!   sharded memo) in the `models` CI job.
+//!   the runtime's core protocols (work stealing + crash drain,
+//!   `ColumnCache` versioning, sharded memo) in the `models` CI job.
 
 // The substrate must never kill a run: recoverable conditions are typed
 // errors, and panics are isolated per unit. Test code is exempt.

@@ -47,6 +47,9 @@ pub enum Step {
 /// exactly one atomic action per call.
 pub type ThreadFn<S> = Box<dyn FnMut(&mut S) -> Step>;
 
+/// A property over the shared state: `Ok` or a failure message.
+pub type StateCheck<S> = Box<dyn Fn(&S) -> Result<(), String>>;
+
 /// A freshly-built instance of a protocol model: shared state, threads,
 /// and the properties to check. Rebuilt from scratch for every schedule
 /// (stateless exploration), so construction must be deterministic.
@@ -55,9 +58,9 @@ pub struct ModelInstance<S> {
     pub threads: Vec<ThreadFn<S>>,
     /// Checked after **every** step of every schedule. Return an error
     /// string to fail the run with a schedule trace.
-    pub invariant: Box<dyn Fn(&S) -> Result<(), String>>,
+    pub invariant: StateCheck<S>,
     /// Checked once per schedule, after all threads are `Done`.
-    pub finally: Box<dyn Fn(&S) -> Result<(), String>>,
+    pub finally: StateCheck<S>,
 }
 
 impl<S> ModelInstance<S> {

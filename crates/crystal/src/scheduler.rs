@@ -20,12 +20,12 @@
 //! unit body runs under `catch_unwind`, panics and transient errors are
 //! retried with capped deterministic exponential backoff, poison units are
 //! quarantined after `max_retries + 1` attempts (reported in
-//! [`ExecuteOutcome::failures`], never fatal), a crashed node's remaining
-//! queue is re-enqueued onto survivors via a shared queue, and
-//! stragglers get speculative copies with first-writer-wins idempotent
-//! commit into the per-unit result slot. A unit settles exactly once
-//! (commit or quarantine), which is the at-most-once commit argument: the
-//! `settled` flag is swapped atomically before any result is written.
+//! [`ExecuteOutcome::failures`], never fatal), and a crashed node's
+//! remaining queue is re-enqueued onto survivors via a shared queue at a
+//! unit boundary. Every unit index sits in exactly one queue, once, and is
+//! popped once; the worker that pops it runs all of its attempts and
+//! either writes its result slot or quarantines it, so a unit's body runs
+//! to a result at most once and its slot has a single writer.
 
 use crate::fault::{
     ClusterConfig, FaultDecision, FaultInjector, FaultStats, InjectedFault, UnitError, UnitFailure,
@@ -43,16 +43,16 @@ use std::time::{Duration, Instant};
 pub struct SchedulerStats {
     pub workers: usize,
     pub units: usize,
-    /// Units committed per worker (first-writer commits only; failed
-    /// attempts and losing speculative copies are not counted here).
+    /// Units committed per worker (failed attempts and quarantined units
+    /// are not counted here).
     pub executed: Vec<u64>,
     /// Units obtained by stealing, per worker.
     pub stolen: Vec<u64>,
     /// Busy seconds per worker (sum of attempt execution times as actually
     /// scheduled on the host, including failed attempts).
     pub busy_seconds: Vec<f64>,
-    /// Measured execution seconds of each unit's winning attempt, in unit
-    /// order (0.0 for quarantined units).
+    /// Measured execution seconds of each unit's successful attempt, in
+    /// unit order (0.0 for quarantined units).
     pub unit_seconds: Vec<f64>,
     pub wall_seconds: f64,
     /// Fault-handling counters (all zero in an undisturbed run).
@@ -135,30 +135,23 @@ struct Membership {
     crash_fired: AtomicBool,
 }
 
-/// A work item in flight: the unit index plus whether this is a
-/// speculative copy.
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    idx: usize,
-    spec: bool,
-}
-
-/// A FIFO task queue: a worker pops its own from the front, idle workers
-/// steal from the same end, and a crashed node's backlog is re-queued on
-/// the shared one. Every method takes and drops the lock itself, so no
-/// guard outlives a call and a thread never holds two queues at once.
-struct TaskQueue(RankedMutex<VecDeque<Task>>);
+/// A FIFO queue of unit indices: a worker pops its own from the front,
+/// idle workers steal from the same end, and a crashed node's backlog is
+/// re-queued on the shared one. Every method takes and drops the lock
+/// itself, so no guard outlives a call and a thread never holds two queues
+/// at once.
+struct TaskQueue(RankedMutex<VecDeque<usize>>);
 
 impl TaskQueue {
     fn new() -> Self {
         TaskQueue(RankedMutex::new(LockRank::SchedQueue, VecDeque::new()))
     }
 
-    fn push(&self, task: Task) {
-        self.0.lock().push_back(task);
+    fn push(&self, unit: usize) {
+        self.0.lock().push_back(unit);
     }
 
-    fn pop(&self) -> Option<Task> {
+    fn pop(&self) -> Option<usize> {
         self.0.lock().pop_front()
     }
 }
@@ -171,8 +164,6 @@ struct FaultCounters {
     transients: AtomicU64,
     latency: AtomicU64,
     reassigned: AtomicU64,
-    spec_launched: AtomicU64,
-    spec_won: AtomicU64,
     quarantined: AtomicU64,
     crashes: AtomicU64,
 }
@@ -185,8 +176,6 @@ impl FaultCounters {
             transient_errors: self.transients.load(Ordering::Relaxed),
             latency_injected: self.latency.load(Ordering::Relaxed),
             reassigned: self.reassigned.load(Ordering::Relaxed),
-            speculative_launched: self.spec_launched.load(Ordering::Relaxed),
-            speculative_won: self.spec_won.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             node_crashes: self.crashes.load(Ordering::Relaxed),
         }
@@ -223,8 +212,8 @@ impl Cluster {
         Cluster::with_config(workers, ClusterConfig::default())
     }
 
-    /// A cluster with explicit resilience configuration (fault plan,
-    /// retry budget, backoff, speculation threshold).
+    /// A cluster with explicit resilience configuration (fault plan and
+    /// retry budget).
     pub fn with_config(workers: usize, config: ClusterConfig) -> Self {
         let workers = workers.max(1);
         Cluster {
@@ -286,7 +275,6 @@ impl Cluster {
         let total = units.len();
         let start = Instant::now();
         let max_retries = self.config.max_retries;
-        let spec_threshold = self.config.speculative_threshold;
         let fault = self
             .config
             .fault_plan
@@ -306,27 +294,17 @@ impl Cluster {
         // it before stealing.
         let global = TaskQueue::new();
         for (i, u) in units.iter().enumerate() {
-            deques[self.owner_of(u)].0.get_mut().push_back(Task {
-                idx: i,
-                spec: false,
-            });
+            deques[self.owner_of(u)].0.get_mut().push_back(i);
         }
 
         let executed: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let stolen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         // busy time per worker in nanoseconds
         let busy_ns: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        // execution time of the winning attempt per unit, in nanoseconds
+        // execution time of the successful attempt per unit, in nanoseconds
         let unit_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
-        // retry/speculation bookkeeping per unit
+        // attempts made per unit, read back for a `Lost` unit's report
         let attempts: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        let settled: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
-        let running: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
-        let spec_launched: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
-        let started_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
-        // observed unit time (committed work only), for straggler detection
-        let done_ns = AtomicU64::new(0);
-        let done_count = AtomicU64::new(0);
         let remaining = AtomicUsize::new(total);
         let results: Vec<RankedMutex<Option<R>>> = (0..total)
             .map(|_| RankedMutex::new(LockRank::SchedResultSlot, None))
@@ -344,38 +322,19 @@ impl Cluster {
             if !membership.alive[w].load(Ordering::Acquire) {
                 // Dead from a crash in an earlier round: drain
                 // anything mistakenly placed here and exit.
-                while let Some(t) = deque.pop() {
-                    global.push(t);
+                while let Some(i) = deque.pop() {
+                    global.push(i);
                     counters.reassigned.fetch_add(1, Ordering::Relaxed);
                 }
                 return;
             }
 
-            // Run one task (original or speculative copy) through
-            // the inject → catch_unwind → retry/quarantine pipeline.
-            let run = |i: usize, spec: bool, was_steal: bool, local_done: &mut u64| {
-                if settled[i].load(Ordering::Acquire) {
-                    return;
-                }
+            // Run unit `i`, which only this worker holds, through the
+            // inject → catch_unwind → retry/quarantine pipeline until it
+            // commits or is quarantined.
+            let run = |i: usize, was_steal: bool| {
                 loop {
-                    // Speculative copies observe the current
-                    // attempt number without consuming one, so the
-                    // owner's retry/quarantine accounting stays
-                    // exact (attempts == max_retries + 1 on
-                    // quarantine, always).
-                    let attempt = if spec {
-                        attempts[i].load(Ordering::Relaxed).max(1)
-                    } else {
-                        attempts[i].fetch_add(1, Ordering::Relaxed)
-                    };
-                    running[i].store(true, Ordering::Relaxed);
-                    let now_rel = start.elapsed().as_nanos() as u64;
-                    let _ = started_ns[i].compare_exchange(
-                        0,
-                        now_rel.max(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
+                    let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
                     let decision = fault
                         .as_ref()
                         .map(|fi| fi.decide(i, attempt))
@@ -401,27 +360,13 @@ impl Cluster {
                     busy_ns[w].fetch_add(ns, Ordering::Relaxed);
                     let error = match outcome {
                         Ok(Ok(r)) => {
-                            // First-writer-wins idempotent commit:
-                            // the settled swap decides the winner,
-                            // so a unit's result is written at most
-                            // once even when a speculative copy
-                            // races the original.
-                            if !settled[i].swap(true, Ordering::AcqRel) {
-                                *results[i].lock() = Some(r);
-                                unit_ns[i].store(ns, Ordering::Relaxed);
-                                executed[w].fetch_add(1, Ordering::Relaxed);
-                                if was_steal {
-                                    stolen[w].fetch_add(1, Ordering::Relaxed);
-                                }
-                                if spec {
-                                    counters.spec_won.fetch_add(1, Ordering::Relaxed);
-                                }
-                                done_ns.fetch_add(ns, Ordering::Relaxed);
-                                done_count.fetch_add(1, Ordering::Relaxed);
-                                remaining.fetch_sub(1, Ordering::AcqRel);
-                                *local_done += 1;
+                            *results[i].lock() = Some(r);
+                            unit_ns[i].store(ns, Ordering::Relaxed);
+                            executed[w].fetch_add(1, Ordering::Relaxed);
+                            if was_steal {
+                                stolen[w].fetch_add(1, Ordering::Relaxed);
                             }
-                            return;
+                            break;
                         }
                         Ok(Err(e)) => {
                             if matches!(e, UnitError::Transient(_)) {
@@ -434,61 +379,22 @@ impl Cluster {
                             UnitError::Panic(describe_panic(payload.as_ref()))
                         }
                     };
-                    if settled[i].load(Ordering::Acquire) {
-                        return; // another copy already won
-                    }
-                    if spec {
-                        return; // speculative copies never retry
-                    }
                     if attempt >= max_retries {
-                        // Quarantine: settle without a result; the
-                        // typed failure is reported, not fatal.
-                        if !settled[i].swap(true, Ordering::AcqRel) {
-                            failures.lock().push(UnitFailure {
-                                unit: i,
-                                rule: units[i].rule,
-                                attempts: attempt + 1,
-                                error,
-                            });
-                            counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                            *local_done += 1;
-                        }
-                        return;
+                        // Quarantine: settle without a result; the typed
+                        // failure is reported, not fatal.
+                        failures.lock().push(UnitFailure {
+                            unit: i,
+                            rule: units[i].rule,
+                            attempts: attempt + 1,
+                            error,
+                        });
+                        counters.quarantined.fetch_add(1, Ordering::Relaxed);
+                        break;
                     }
                     counters.retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(config.backoff_for(attempt));
                 }
-            };
-
-            // Scan for a running unit that exceeds the speculation
-            // threshold relative to the observed mean unit time.
-            let find_straggler = || -> Option<usize> {
-                let done = done_count.load(Ordering::Relaxed);
-                if spec_threshold <= 0.0 || done < 3 {
-                    return None;
-                }
-                let expected = (done_ns.load(Ordering::Relaxed) / done).max(50_000);
-                let now_rel = start.elapsed().as_nanos() as u64;
-                for i in 0..total {
-                    if settled[i].load(Ordering::Acquire)
-                        || !running[i].load(Ordering::Relaxed)
-                        || spec_launched[i].load(Ordering::Relaxed)
-                    {
-                        continue;
-                    }
-                    let s = started_ns[i].load(Ordering::Relaxed);
-                    if s == 0 {
-                        continue;
-                    }
-                    let limit = ((expected as f64) * spec_threshold) as u64;
-                    if now_rel.saturating_sub(s) > limit.max(200_000)
-                        && !spec_launched[i].swap(true, Ordering::Relaxed)
-                    {
-                        return Some(i);
-                    }
-                }
-                None
+                remaining.fetch_sub(1, Ordering::AcqRel);
             };
 
             let crash = fault.as_ref().and_then(|fi| fi.plan().crash);
@@ -505,8 +411,8 @@ impl Cluster {
                         && !membership.crash_fired.swap(true, Ordering::AcqRel)
                     {
                         let mut moved = 0u64;
-                        while let Some(t) = deque.pop() {
-                            global.push(t);
+                        while let Some(i) = deque.pop() {
+                            global.push(i);
                             moved += 1;
                         }
                         counters.reassigned.fetch_add(moved, Ordering::Relaxed);
@@ -527,19 +433,14 @@ impl Cluster {
                     was_steal = task.is_some();
                 }
                 match task {
-                    Some(t) => {
+                    Some(i) => {
                         backoff.reset();
-                        run(t.idx, t.spec, was_steal, &mut local_done);
+                        run(i, was_steal);
+                        local_done += 1;
                     }
                     None => {
                         if remaining.load(Ordering::Acquire) == 0 {
                             break;
-                        }
-                        if let Some(i) = find_straggler() {
-                            counters.spec_launched.fetch_add(1, Ordering::Relaxed);
-                            backoff.reset();
-                            run(i, true, false, &mut local_done);
-                            continue;
                         }
                         // Exponential backoff while idle: spin
                         // first, then yield, then sleep in short
@@ -741,10 +642,9 @@ mod tests {
             "chaos plan should inject something over 200 units: {:?}",
             out.stats.faults
         );
-        // Every failed first attempt is retried (a speculative copy may
-        // occasionally settle a unit first, so ≤ rather than ==).
+        // Every failed first attempt is retried, once.
         let f = &out.stats.faults;
-        assert!(f.retries > 0 && f.retries <= f.panics_caught + f.transient_errors);
+        assert_eq!(f.retries, f.panics_caught + f.transient_errors);
         assert_eq!(f.quarantined, 0);
     }
 
@@ -841,26 +741,5 @@ mod tests {
         let out = Cluster::with_config(1, cfg).execute(units(5), |u| Ok(u.rule));
         assert!(out.is_complete(), "sole worker must not crash");
         assert_eq!(out.stats.faults.node_crashes, 0);
-    }
-
-    #[test]
-    fn stragglers_get_speculative_copies() {
-        // One unit sleeps far beyond the observed rate; an idle worker must
-        // launch a speculative copy. The injected-latency path exercises
-        // the same machinery end-to-end.
-        let plan = FaultPlan::seeded(21).with_latency(1.0, Duration::from_millis(30));
-        // latency_prob 1.0 with first_attempt_only hits every unit once;
-        // restrict to a handful of units so the test stays fast.
-        let cfg = ClusterConfig {
-            fault_plan: Some(plan),
-            speculative_threshold: 2.0,
-            ..ClusterConfig::default()
-        };
-        let out = Cluster::with_config(4, cfg).execute(units(8), |u| Ok(u.rule));
-        assert!(out.is_complete());
-        // Speculation is timing-dependent (idle workers only), so only the
-        // invariants are asserted: launched ≥ won, and results intact.
-        assert!(out.stats.faults.speculative_won <= out.stats.faults.speculative_launched);
-        assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), 8);
     }
 }

@@ -353,7 +353,7 @@ impl FaultVfs {
         } else {
             let k = mix(p.seed, idx as usize, 0, SALT_KIND);
             let errno = if k & 1 == 0 { "EIO" } else { "ENOSPC" };
-            io::Error::new(io::ErrorKind::Other, format!("{errno}: {what} (op {idx})"))
+            io::Error::other(format!("{errno}: {what} (op {idx})"))
         }
     }
 
@@ -515,7 +515,7 @@ impl FaultVfs {
 }
 
 fn crash_error() -> io::Error {
-    io::Error::new(io::ErrorKind::Other, "simulated crash: storage offline")
+    io::Error::other("simulated crash: storage offline")
 }
 
 /// A writable file handle whose operations route through the owning

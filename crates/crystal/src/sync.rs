@@ -34,8 +34,8 @@ pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Order
 pub use std::sync::Arc;
 pub use std::sync::{Once, OnceLock};
 
-/// Spin-then-yield helper for retry loops (work stealing, speculative
-/// commit): exponentially longer spins, then `yield_now`, then
+/// Spin-then-yield helper for an idle work-stealing loop: exponentially
+/// longer spins, then `yield_now`, then
 /// [`is_completed`](Backoff::is_completed) tells the caller to block.
 #[derive(Debug, Default)]
 pub struct Backoff {
@@ -109,7 +109,8 @@ pub enum LockRank {
     /// `scheduler` task queues (per-worker and the shared re-queue); one
     /// rank for all: every queue operation locks and unlocks by itself.
     SchedQueue = 135,
-    /// `scheduler` per-unit result slot (first-writer-wins commit).
+    /// `scheduler` per-unit result slot (one writer: the worker that
+    /// popped the unit).
     SchedResultSlot = 140,
     /// `scheduler` failure log.
     SchedFailures = 150,

@@ -1,4 +1,4 @@
-//! Bounded model-checking certificates for the four concurrency protocols
+//! Bounded model-checking certificates for the concurrency protocols
 //! the Crystal runtime (and its dependents) stake correctness on. Each
 //! test builds a small step-machine model of the protocol — one step per
 //! atomic action, exactly as implemented — and lets
@@ -12,154 +12,191 @@
 //!
 //! | model | protocol under certificate |
 //! |-------|----------------------------|
-//! | `steal-quarantine-alive`  | scheduler work-stealing + crash quarantine + alive-bitmap handshake: first `settled` swap wins, unit commits exactly once |
-//! | `speculative-first-writer`| speculative chase commit: two executors, one cell — first writer wins, no torn or double commit |
+//! | `steal-crash-drain`       | scheduler queues: owner pops its own queue, a planned crash drains the rest into the shared queue at a unit boundary and clears `alive`, thieves pop the victim's and the shared queue — every unit runs exactly once, none is lost, the dead node runs nothing after its flag clears |
 //! | `column-cache-version`    | `ColumnCache` version keying and copy-on-write patches: a version-matched snapshot never serves stale data, and a snapshot shared with a reader or a clone never changes under it (uniqueness check load-bearing); two readers race to rebuild beside a cloner and a writer |
 //! | `column-cache-version-writers` | the same certificate with one reader, a cloner and two writers: a patched copy is patched again |
 //! | `sharded-memo`            | 16-shard (modeled: 2) registry memo: hit and miss paths agree with the oracle under shard races |
 
 use rock_crystal::model::{check, ModelInstance, Step};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
-/// Scheduler handshake (scheduler.rs): a worker publishes liveness via the
-/// alive bitmap; the failure detector quarantines units of workers it
-/// suspects dead and resubmits them. Both the original execution and the
-/// resubmission race to commit through one `settled` swap (AcqRel in the
-/// implementation). Certificate: the unit commits exactly once in every
-/// interleaving — no double execution, no lost unit.
-#[test]
-fn steal_quarantine_alive_handshake() {
-    #[derive(Default)]
-    struct S {
-        alive: bool,
-        settled: bool,
-        commits: u32,
-        result: Option<u64>,
+/// The scheduler's queues (scheduler.rs `Cluster::execute`): worker `w`
+/// owns one FIFO of unit indices and a shared queue takes a crashed node's
+/// backlog. Each pop and each push is one lock acquisition (one step).
+#[derive(Default)]
+struct QueueState {
+    queues: Vec<VecDeque<usize>>,
+    shared: VecDeque<usize>,
+    alive: Vec<bool>,
+    crash_fired: bool,
+    /// Units not yet run (`remaining` in the implementation).
+    remaining: usize,
+    /// Body runs per unit.
+    runs: Vec<u32>,
+    /// Set when a worker runs a unit after its own `alive` flag cleared.
+    dead_ran: bool,
+    /// Bumped by every push and every completion: an idle worker whose
+    /// scan began at the current value would find the queues exactly as it
+    /// left them, so its nap-and-rescan is modeled as blocking until the
+    /// value moves.
+    epoch: u64,
+}
+
+impl QueueState {
+    /// `queues[w]` holds the units initially placed on worker `w`.
+    fn new(queues: Vec<Vec<usize>>) -> Self {
+        let units = queues.iter().map(Vec::len).sum();
+        QueueState {
+            alive: vec![true; queues.len()],
+            queues: queues.into_iter().map(VecDeque::from).collect(),
+            remaining: units,
+            runs: vec![0; units],
+            ..QueueState::default()
+        }
     }
-    let ex = check("steal-quarantine-alive", || {
-        ModelInstance::new(S::default())
-            .thread({
-                // worker: heartbeat, execute, then settle-or-lose
-                let mut pc = 0;
-                let mut computed = 0u64;
-                move |s: &mut S| match pc {
-                    0 => {
-                        s.alive = true; // Release store in the implementation
-                        pc = 1;
-                        Step::Ready
-                    }
-                    1 => {
-                        computed = 42; // run the unit (no shared state)
-                        pc = 2;
-                        Step::Ready
-                    }
-                    _ => {
-                        // settled.swap(true, AcqRel): first swapper commits
-                        if !s.settled {
-                            s.settled = true;
-                            s.commits += 1;
-                            s.result = Some(computed);
-                        }
-                        Step::Done
-                    }
+}
+
+/// One worker's loop, one step per queue operation: at a unit boundary,
+/// honor the planned crash (`crash_after` units done) by draining the own
+/// queue into the shared one and clearing `alive`; otherwise pop the own
+/// queue, then the shared queue, then steal from the others in order; run
+/// a popped unit (all of its attempts) and count it done; when everything
+/// is empty, exit once `remaining` is 0.
+fn queue_worker(w: usize, crash_after: Option<u32>) -> impl FnMut(&mut QueueState) -> Step {
+    #[derive(Clone, Copy)]
+    enum Pc {
+        Top,
+        Shared,
+        Steal(usize),
+        Run(usize),
+        Idle,
+        Drain,
+        DrainPush(usize),
+        Dead,
+    }
+    let mut pc = Pc::Top;
+    let mut done = 0u32;
+    let mut scan_epoch = 0u64;
+    move |s: &mut QueueState| {
+        let n = s.queues.len();
+        match pc {
+            Pc::Top => {
+                // crash_fired.swap: one planned crash, only with survivors
+                if crash_after.is_some_and(|c| done >= c) && n > 1 && !s.crash_fired {
+                    s.crash_fired = true;
+                    pc = Pc::Drain;
+                    return Step::Ready;
                 }
-            })
-            .thread({
-                // failure detector: suspect, quarantine, resubmit elsewhere
-                let mut pc = 0;
-                let mut suspected = false;
-                move |s: &mut S| match pc {
-                    0 => {
-                        // Acquire load of the alive bit: a worker observed
-                        // alive is left alone
-                        suspected = !s.alive;
-                        pc = 1;
-                        Step::Ready
-                    }
-                    _ => {
-                        if suspected && !s.settled {
-                            // resubmitted unit executed on another node,
-                            // committing through the same settled swap
-                            s.settled = true;
-                            s.commits += 1;
-                            s.result = Some(42);
-                        }
-                        Step::Done
-                    }
+                scan_epoch = s.epoch;
+                pc = match s.queues[w].pop_front() {
+                    Some(u) => Pc::Run(u),
+                    None => Pc::Shared,
+                };
+            }
+            Pc::Shared => {
+                pc = match s.shared.pop_front() {
+                    Some(u) => Pc::Run(u),
+                    None if n > 1 => Pc::Steal(1),
+                    None => Pc::Idle,
+                };
+            }
+            Pc::Steal(off) => {
+                pc = match s.queues[(w + off) % n].pop_front() {
+                    Some(u) => Pc::Run(u),
+                    None if off + 1 < n => Pc::Steal(off + 1),
+                    None => Pc::Idle,
+                };
+            }
+            Pc::Run(u) => {
+                // the body, its retries, the result-slot write and
+                // remaining.fetch_sub, all by the worker that popped `u`
+                s.runs[u] += 1;
+                s.dead_ran |= !s.alive[w];
+                s.remaining -= 1;
+                s.epoch += 1;
+                done += 1;
+                pc = Pc::Top;
+            }
+            Pc::Idle => {
+                if s.remaining == 0 {
+                    return Step::Done;
                 }
-            })
+                if s.epoch == scan_epoch {
+                    return Step::Blocked;
+                }
+                pc = Pc::Top;
+            }
+            Pc::Drain => {
+                pc = match s.queues[w].pop_front() {
+                    Some(u) => Pc::DrainPush(u),
+                    None => Pc::Dead,
+                };
+            }
+            Pc::DrainPush(u) => {
+                s.shared.push_back(u);
+                s.epoch += 1;
+                pc = Pc::Drain;
+            }
+            Pc::Dead => {
+                // alive[w].store(false, Release), then the worker returns
+                s.alive[w] = false;
+                return Step::Done;
+            }
+        }
+        Step::Ready
+    }
+}
+
+/// Work stealing with a crash drain (scheduler.rs): each unit index sits
+/// in exactly one queue, once, and the worker that pops it runs it. Worker
+/// 0 owns three units and crashes after finishing one of them, draining
+/// the rest into the shared queue at that unit boundary; worker 1 owns one
+/// unit and steals from worker 0's queue and the shared queue; worker 2
+/// owns nothing and only steals. Certificate: every unit runs exactly once
+/// (none runs twice and none is lost — a lost unit also surfaces as a
+/// deadlock of the idle workers), and the crashed node runs nothing after
+/// its `alive` flag clears.
+#[test]
+fn steal_and_crash_drain_run_each_unit_once() {
+    let crashed = Rc::new(Cell::new(0u64));
+    let seen = Rc::clone(&crashed);
+    let ex = check("steal-crash-drain", move || {
+        let seen = Rc::clone(&seen);
+        ModelInstance::new(QueueState::new(vec![vec![0, 1, 2], vec![3], vec![]]))
+            .thread(queue_worker(0, Some(1)))
+            .thread(queue_worker(1, None))
+            .thread(queue_worker(2, None))
             .invariant(|s| {
-                if s.commits <= 1 {
-                    Ok(())
-                } else {
-                    Err(format!("unit committed {} times", s.commits))
+                if let Some(u) = s.runs.iter().position(|&r| r > 1) {
+                    return Err(format!("unit {u} ran {} times", s.runs[u]));
                 }
+                if s.dead_ran {
+                    return Err("a crashed node ran a unit".to_owned());
+                }
+                Ok(())
             })
-            .finally(|s| match (s.commits, s.result) {
-                (1, Some(42)) => Ok(()),
-                (c, r) => Err(format!("unit lost or torn: commits={c} result={r:?}")),
+            .finally(move |s| {
+                if let Some(u) = s.runs.iter().position(|&r| r != 1) {
+                    return Err(format!("unit {u} ran {} times", s.runs[u]));
+                }
+                let queued = s.shared.len() + s.queues.iter().map(VecDeque::len).sum::<usize>();
+                if s.remaining != 0 || queued != 0 {
+                    return Err("work left behind".to_owned());
+                }
+                if s.crash_fired == s.alive[0] {
+                    return Err("crash latch and alive flag disagree".to_owned());
+                }
+                seen.set(seen.get() + u64::from(s.crash_fired));
+                Ok(())
             })
     });
     assert!(ex.exhausted, "exploration must be exhaustive within bounds");
-}
-
-/// Speculative chase commit: two speculative executors compute a repair
-/// for the same cell and race to commit. The commit is a single swap on a
-/// claim word (first-writer-wins); the loser discards its result.
-/// Certificate: exactly one commit, and the committed value is the
-/// winner's own — never a torn mix.
-#[test]
-fn speculative_first_writer_wins() {
-    #[derive(Default)]
-    struct S {
-        claimed_by: Option<usize>,
-        cell: Option<(usize, u64)>,
-        commits: u32,
-    }
-    let speculator = |id: usize| {
-        let mut pc = 0;
-        let mut value = 0u64;
-        move |s: &mut S| match pc {
-            0 => {
-                value = 10 + id as u64; // speculative evaluation, private
-                pc = 1;
-                Step::Ready
-            }
-            _ => {
-                // claim.swap: first writer installs value and id together
-                if s.claimed_by.is_none() {
-                    s.claimed_by = Some(id);
-                    s.cell = Some((id, value));
-                    s.commits += 1;
-                }
-                Step::Done
-            }
-        }
-    };
-    let ex = check("speculative-first-writer", || {
-        ModelInstance::new(S::default())
-            .thread(speculator(0))
-            .thread(speculator(1))
-            .invariant(|s| {
-                if s.commits > 1 {
-                    return Err("double commit".to_owned());
-                }
-                match (s.claimed_by, s.cell) {
-                    (Some(w), Some((id, v))) if id != w || v != 10 + w as u64 => {
-                        Err(format!("torn commit: winner {w}, cell ({id}, {v})"))
-                    }
-                    (None, Some(_)) => Err("cell written without a claim".to_owned()),
-                    _ => Ok(()),
-                }
-            })
-            .finally(|s| {
-                if s.commits == 1 {
-                    Ok(())
-                } else {
-                    Err(format!("{} commits", s.commits))
-                }
-            })
-    });
-    assert!(ex.exhausted);
+    assert!(
+        crashed.get() > 0 && crashed.get() < ex.schedules,
+        "schedules must cover both a crash and thieves emptying the queue first"
+    );
 }
 
 /// Shared scaffolding for the two `ColumnCache` models: an explicit heap

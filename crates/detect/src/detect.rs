@@ -111,7 +111,7 @@ pub struct DetectReport {
     pub unit_seconds: Vec<f64>,
     /// Wall seconds of the detection pass.
     pub wall_seconds: f64,
-    /// Fault/retry/speculation counters from the Crystal scheduler.
+    /// Fault/retry counters from the Crystal scheduler.
     pub fault_stats: FaultStats,
     /// Work units quarantined after exhausting retries. Their partitions
     /// contribute no violations — the report is a best-effort under-
@@ -358,7 +358,7 @@ impl<'a> Detector<'a> {
         self
     }
 
-    /// Fault-injection / retry / speculation knobs for the cluster.
+    /// Fault-injection / retry knobs for the cluster.
     pub fn with_cluster(mut self, cluster: ClusterConfig) -> Self {
         self.cluster = cluster;
         self

@@ -58,7 +58,7 @@ pub struct DiscoveryConfig {
     /// Byte budget for the predicate satisfaction-bitset cache; entries
     /// beyond it are LRU-evicted and re-materialized on demand.
     pub cache_budget_bytes: usize,
-    /// Fault-injection / retry / speculation knobs for candidate
+    /// Fault-injection / retry knobs for candidate
     /// measurement on the cluster.
     pub cluster: ClusterConfig,
 }
@@ -90,7 +90,7 @@ pub struct DiscoveryReport {
     pub unit_seconds: Vec<f64>,
     /// Predicate-bitset cache counters (`None` from the scan reference).
     pub cache: Option<CacheStats>,
-    /// Fault/retry/speculation counters from the Crystal scheduler.
+    /// Fault/retry counters from the Crystal scheduler.
     pub fault_stats: FaultStats,
     /// Candidate units quarantined after exhausting retries; their
     /// candidates are treated as pruned (not measured).

@@ -1,7 +1,7 @@
 //! Fault-tolerance properties of the Crystal substrate (DESIGN.md §Crystal
 //! fault model): seeded deterministic fault injection must never change
 //! what a computation produces — only how long it takes. Covers the
-//! scheduler (retry, quarantine, speculation, node crash) and the
+//! scheduler (retry, quarantine, injected latency, node crash) and the
 //! end-to-end cleaning pipeline under chaos.
 
 mod common;
@@ -41,23 +41,39 @@ fn chaos_seed() -> u64 {
 
 /// For any seed and any recoverable fault mix, the non-quarantined
 /// results equal the fault-free run's results (here: everything, since
-/// first-attempt-only faults always recover within one retry).
+/// first-attempt-only faults always recover within one retry), and each
+/// unit's body runs exactly once: injected panics and transient errors
+/// fire before the body, and no other worker ever runs a unit it did not
+/// pop.
 #[test]
 fn faulted_results_equal_fault_free() {
+    use std::sync::atomic::{AtomicU32, Ordering};
     check(CASES, |g| {
-        let (seed, panic_prob, transient_prob) =
-            (g.u64(), g.range(0.0f64..0.3), g.range(0.0f64..0.3));
+        let (seed, panic_prob, transient_prob, latency_prob) = (
+            g.u64(),
+            g.range(0.0f64..0.3),
+            g.range(0.0f64..0.3),
+            g.range(0.0f64..0.3),
+        );
         let (workers, n_units) = (g.range(1usize..5), g.range(20u32..80));
         let us = units(n_units);
         let clean = Cluster::new(workers).execute(us.clone(), |u| Ok(u.placement_hash()));
         let plan = FaultPlan::seeded(seed)
             .with_panics(panic_prob)
-            .with_transients(transient_prob);
+            .with_transients(transient_prob)
+            .with_latency(latency_prob, Duration::from_millis(1));
+        let body_runs: Vec<AtomicU32> = (0..n_units).map(|_| AtomicU32::new(0)).collect();
         let chaotic = Cluster::with_config(workers, ClusterConfig::default().with_fault_plan(plan))
-            .execute(us, |u| Ok(u.placement_hash()));
+            .execute(us, |u| {
+                body_runs[u.partitions[0].start as usize / 10].fetch_add(1, Ordering::Relaxed);
+                Ok(u.placement_hash())
+            });
         assert!(chaotic.is_complete(), "failures: {:?}", chaotic.failures);
         assert_eq!(clean.results, chaotic.results);
         assert_eq!(chaotic.stats.faults.quarantined, 0);
+        for (i, runs) in body_runs.iter().enumerate() {
+            assert_eq!(runs.load(Ordering::Relaxed), 1, "unit {i} body runs");
+        }
     });
 }
 
@@ -241,18 +257,16 @@ fn chase_survives_quarantine_with_degraded_rounds() {
     assert!(out.rounds > 0);
 }
 
+/// Every unit delayed on its first attempt: latency changes how long the
+/// run takes, never what it produces.
 #[test]
-fn straggler_speculation_preserves_results() {
+fn injected_latency_preserves_results() {
     let plan = FaultPlan::seeded(chaos_seed()).with_latency(1.0, Duration::from_millis(20));
-    let cfg = ClusterConfig {
-        fault_plan: Some(plan),
-        speculative_threshold: 2.0,
-        ..ClusterConfig::default()
-    };
     let us = units(12);
     let clean = Cluster::new(4).execute(us.clone(), |u| Ok(u.placement_hash()));
-    let out = Cluster::with_config(4, cfg).execute(us, |u| Ok(u.placement_hash()));
+    let out = Cluster::with_config(4, ClusterConfig::default().with_fault_plan(plan))
+        .execute(us, |u| Ok(u.placement_hash()));
     assert!(out.is_complete());
     assert_eq!(clean.results, out.results);
-    assert!(out.stats.faults.speculative_won <= out.stats.faults.speculative_launched);
+    assert_eq!(out.stats.faults.latency_injected, 12);
 }
