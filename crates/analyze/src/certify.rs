@@ -238,7 +238,7 @@ mod tests {
         Analyzer::new(&s).analyze(&rules)
     }
 
-    fn codes<'a>(r: &'a crate::AnalysisReport, code: DiagCode) -> Vec<&'a Diagnostic> {
+    fn codes(r: &crate::AnalysisReport, code: DiagCode) -> Vec<&Diagnostic> {
         r.diagnostics.iter().filter(|d| d.code == code).collect()
     }
 

@@ -72,8 +72,8 @@ fn main() {
     }
     if args.first().map(|s| s.as_str()) == Some("wal") {
         // `debug_panel wal <dir>` — inspect a durability directory: the
-        // segment map, live vs compactable bytes, the live checkpoint, and
-        // the health a resume would infer.
+        // log's size and valid prefix, the live checkpoint, and the health
+        // a resume would infer.
         let Some(dir) = args.get(1) else {
             eprintln!("usage: debug_panel wal <durability-dir>");
             std::process::exit(2);
@@ -86,26 +86,27 @@ fn main() {
                 std::process::exit(3);
             }
         };
+        let vfs = rock_crystal::FaultVfs::clean();
+        let fingerprint = match scan.records.first() {
+            Some((_, rock_chase::WalRecord::Begin { fingerprint })) => *fingerprint,
+            _ => 0,
+        };
         println!(
-            "WAL: {} segment(s), {} committed-prefix records, fingerprint {:#018x}",
-            scan.segments.len(),
+            "WAL: {}  bytes={}  valid={}  records={}  fingerprint {fingerprint:#018x}{}",
+            rock_chase::WAL_FILE,
+            vfs.file_size(&dir.join(rock_chase::WAL_FILE)).unwrap_or(0),
+            scan.valid_len,
             scan.records.len(),
-            scan.fingerprint.unwrap_or(0)
+            if scan.corrupt_tail {
+                "  CORRUPT TAIL"
+            } else {
+                ""
+            }
         );
-        for s in &scan.segments {
-            println!(
-                "  {}  bytes={}  valid={}  records={}{}",
-                rock_chase::segment_file_name(s.seq),
-                s.bytes,
-                s.valid_len,
-                s.records,
-                if s.corrupt_tail { "  CORRUPT TAIL" } else { "" }
-            );
-        }
         let mut batches = 0u64;
         let mut last_batch = 1u64;
-        let mut newest: Option<(rock_chase::WalPos, u64, String, u32)> = None;
-        for (pos, rec) in &scan.records {
+        let mut newest: Option<(u64, String, u32)> = None;
+        for (_, rec) in &scan.records {
             match rec {
                 rock_chase::WalRecord::BatchBegin { batch, .. } => {
                     batches += 1;
@@ -115,14 +116,13 @@ fn main() {
                     round,
                     checkpoint: Some(name),
                     state_crc,
-                } => newest = Some((*pos, *round, name.clone(), *state_crc)),
+                } => newest = Some((*round, name.clone(), *state_crc)),
                 _ => {}
             }
         }
         if batches > 0 {
             println!("session: {batches} incremental batch(es), latest batch {last_batch}");
         }
-        let vfs = rock_crystal::FaultVfs::clean();
         match newest {
             None => println!(
                 "health: no durable round — resume would fall back to a fresh run{}",
@@ -132,7 +132,7 @@ fn main() {
                     ""
                 }
             ),
-            Some((pos, round, name, crc)) => {
+            Some((round, name, crc)) => {
                 let bytes = vfs.read(&dir.join(&name)).unwrap_or_default();
                 let decoded = rock_chase::ChaseCheckpoint::from_bytes(&bytes);
                 println!(
@@ -144,34 +144,6 @@ fn main() {
                     } else {
                         "MISMATCH"
                     }
-                );
-                let (mut live, mut compactable) = (0u64, 0u64);
-                for s in &scan.segments {
-                    let path = dir.join(rock_chase::segment_file_name(s.seq));
-                    let bytes = vfs.file_size(&path).unwrap_or(s.bytes);
-                    if s.seq < pos.seg {
-                        compactable += bytes;
-                    } else {
-                        live += bytes;
-                    }
-                }
-                let mut stale_ckpts = 0u64;
-                if let Ok(entries) = vfs.list_dir(dir) {
-                    for p in entries {
-                        let n = p
-                            .file_name()
-                            .and_then(|s| s.to_str())
-                            .unwrap_or_default()
-                            .to_string();
-                        if n.starts_with("checkpoint-") && n != name {
-                            stale_ckpts += vfs.file_size(&p).unwrap_or(0);
-                        }
-                    }
-                }
-                println!(
-                    "segments: {live} live bytes (seq >= {}), {compactable} compactable bytes \
-                     (covered by {name}); stale checkpoint bytes: {stale_ckpts}",
-                    pos.seg
                 );
                 println!(
                     "health: {} — resume would recover round {round} from {name}",

@@ -175,13 +175,11 @@ fn main() {
         }
         eprintln!(
             "chase done: rounds={} changes={} wal_records={} checkpoints={} \
-             segments_rotated={} compacted={} resumed_from={:?} health={:?}",
+             resumed_from={:?} health={:?}",
             res.rounds,
             res.changes.len(),
             s.records,
             s.checkpoints,
-            s.segments_rotated,
-            s.segments_compacted,
             s.resumed_from,
             s.health
         );

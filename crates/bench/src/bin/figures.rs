@@ -16,8 +16,7 @@
 //! durability (WAL + checkpoint chase: byte-identical durable repairs,
 //! resume-from-every-round, provenance query per repaired cell),
 //! crashsim (storage fault injection: crash sweep over the recorded I/O
-//! trace, WAL disk bound after compaction, degradation ladder; seed via
-//! `ROCK_CRASHSIM_SEED`),
+//! trace, degradation ladder; seed via `ROCK_CRASHSIM_SEED`),
 //! columnar (typed-column data plane vs row store: byte-identical
 //! detections and repairs on all workloads, >=2x vectorized scan speedup).
 //! Output is printed and written to `results/` (atomically: temp+rename).
@@ -170,10 +169,8 @@ fn main() {
                 }
             }
             "crashsim" => {
-                for k in ["wal_disk_bound_ratio", "recovery_wall_ratio"] {
-                    if let Some(v) = json.get(k) {
-                        trajectory_metrics.insert(k.to_string(), v.clone());
-                    }
+                if let Some(v) = json.get("recovery_wall_ratio") {
+                    trajectory_metrics.insert("recovery_wall_ratio".into(), v.clone());
                 }
             }
             "chaos" => {

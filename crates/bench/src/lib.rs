@@ -32,5 +32,14 @@ pub use runners::{modeled_seconds, COST_UNIT_SECONDS};
 /// truncated results file where a complete one stood, and a completed
 /// write survives power loss (see `rock_crystal::storage`).
 pub fn write_atomic(path: &std::path::Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
-    rock_crystal::FaultVfs::clean().write_atomic_durable(path, contents.as_ref(), true)
+    use std::io::Write;
+    let tmp = rock_crystal::tmp_path(path);
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(contents.as_ref())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => rock_crystal::fsync_dir(dir),
+        _ => Ok(()),
+    }
 }

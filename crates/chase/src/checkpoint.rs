@@ -31,13 +31,12 @@
 //!    checkpointed: it restarts empty on resume. Repair state — database,
 //!    fixes, deltas, carries, changes — is complete, and since v2 the
 //!    provenance id state (`next_fix_id`, `last_fix`) is stored in the
-//!    document itself, so resume needs no WAL replay and compaction may
-//!    drop segments older than the latest checkpoint.
+//!    document itself, so resume needs no WAL replay.
 
 use crate::evaluate::Carry;
 use crate::evaluate::RoundStats;
 use crate::fixes::FixSnapshot;
-use crate::wal::{self, DurabilityConfig, WalError, WalPos, WalRecord};
+use crate::wal::{self, DurabilityConfig, WalError, WalRecord};
 use rock_crystal::crc32;
 use rock_data::{
     json::{self, FromJson, Json, JsonError, ToJson},
@@ -130,8 +129,8 @@ impl ChaseCheckpoint {
 #[derive(Debug)]
 pub struct ResumePoint {
     pub checkpoint: ChaseCheckpoint,
-    /// Position one past the `RoundCommit` frame.
-    pub pos: WalPos,
+    /// Byte offset in the log one past the `RoundCommit` frame.
+    pub pos: u64,
     /// File name of the checkpoint document.
     pub name: String,
 }
@@ -180,7 +179,7 @@ pub fn locate(
         _ => return Err(WalError::Mismatch("WAL has no Begin header".into())),
     }
     // candidate commit markers, newest last
-    let mut commits: Vec<(u64, WalPos, String, u32)> = Vec::new();
+    let mut commits: Vec<(u64, u64, String, u32)> = Vec::new();
     for (pos, rec) in &scan.records {
         if let WalRecord::RoundCommit {
             round,
@@ -350,7 +349,7 @@ mod tests {
             "{decoded} decoded, {refused} refused"
         );
 
-        // A WAL segment: whatever survives is a prefix of what was written.
+        // A WAL: whatever survives is a prefix of what was written.
         let records = vec![
             WalRecord::Begin {
                 fingerprint: u64::MAX,
@@ -378,14 +377,14 @@ mod tests {
                 state_crc: u32::MAX,
             },
         ];
-        let mut segment = wal::WAL_MAGIC.to_vec();
+        let mut log = wal::WAL_MAGIC.to_vec();
         for r in &records {
-            segment.extend_from_slice(&wal::encode_frame(r).unwrap());
+            log.extend_from_slice(&wal::encode_frame(r).unwrap());
         }
-        let clean = wal::decode_wal(&segment).unwrap();
+        let clean = wal::decode_wal(&log).unwrap();
         assert_eq!(clean.records.len(), records.len());
         for _ in 0..4_000 {
-            let damaged = mutate(&mut rng, &segment);
+            let damaged = mutate(&mut rng, &log);
             if let Ok(scan) = wal::decode_wal(&damaged) {
                 assert!(scan.valid_len as usize <= damaged.len());
                 for ((_, got), want) in scan.records.iter().zip(&records) {
@@ -396,8 +395,8 @@ mod tests {
         // A frame that claims 4 GiB of payload ends the prefix; nothing is
         // allocated for it.
         let first_len = wal::WAL_MAGIC.len();
-        segment[first_len..first_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let scan = wal::decode_wal(&segment).unwrap();
+        log[first_len..first_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let scan = wal::decode_wal(&log).unwrap();
         assert!(scan.corrupt_tail && scan.records.is_empty());
     }
 }

@@ -19,7 +19,7 @@ impl ChaseEngine<'_> {
     pub(crate) fn begin_durable(&self) -> Option<DurabilityCtx> {
         self.config
             .durability
-            .clone()
+            .as_ref()
             .map(|cfg| DurabilityCtx::begin(cfg, &self.config.cluster, self.fingerprint()))
     }
 
@@ -43,11 +43,11 @@ impl ChaseEngine<'_> {
         let cfg = self
             .config
             .durability
-            .clone()
+            .as_ref()
             .ok_or(WalError::NotConfigured)?;
-        let rp = checkpoint::locate(&cfg, self.fingerprint(), at)?;
+        let rp = checkpoint::locate(cfg, self.fingerprint(), at)?;
         self.check_fits(&rp.checkpoint)?;
-        let dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), &rp)?;
+        let dur = DurabilityCtx::attach(cfg, &self.config.cluster, &rp)?;
         let ck = rp.checkpoint;
         let mut fixes = FixStore::from_snapshot(&ck.fixes);
         for t in trusted {
@@ -146,9 +146,9 @@ impl ChaseEngine<'_> {
         let cfg = self
             .config
             .durability
-            .clone()
+            .as_ref()
             .ok_or(WalError::NotConfigured)?;
-        if crate::wal::list_segments(&cfg.vfs, &cfg.dir)?.is_empty() {
+        if !crate::wal::wal_exists(&cfg.vfs, &cfg.dir)? {
             return self
                 .run_incremental(db, trusted, delta)
                 .map_err(WalError::Delta);
@@ -158,7 +158,7 @@ impl ChaseEngine<'_> {
         let finished = self.resume(trusted)?;
         let mut work = finished.db;
         // Re-locate for the durable position/state the new batch chains to.
-        let rp = checkpoint::locate(&cfg, self.fingerprint(), None)?;
+        let rp = checkpoint::locate(cfg, self.fingerprint(), None)?;
         let round_base = rp.checkpoint.round;
         let inserted = work.apply(delta).map_err(WalError::Delta)?;
         let seed = delta.touched(&work, &inserted);
@@ -168,7 +168,7 @@ impl ChaseEngine<'_> {
         ls.batch = rp.checkpoint.batch.max(1) + 1;
         ls.rounds = round_base as usize;
         ls.round_base = round_base as usize;
-        let mut dur = DurabilityCtx::attach(cfg, &self.config.cluster, self.fingerprint(), &rp)?;
+        let mut dur = DurabilityCtx::attach(cfg, &self.config.cluster, &rp)?;
         dur.begin_batch(ls.batch, round_base);
         // Batch-opening checkpoint: the post-ΔD state becomes durable
         // *before* the first round runs, so a crash anywhere in this batch

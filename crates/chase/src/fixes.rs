@@ -302,12 +302,11 @@ impl FixStore {
         let mut parent: Vec<(EntityKey, EntityKey)> =
             self.parent.iter().map(|(k, v)| (*k, *v)).collect();
         parent.sort_unstable();
-        let mut values: Vec<(EntityKey, Vec<((RelId, AttrId), Value)>)> = self
+        let mut values: Vec<(EntityKey, ClassValues)> = self
             .values
             .iter()
             .map(|(k, m)| {
-                let mut inner: Vec<((RelId, AttrId), Value)> =
-                    m.iter().map(|(ka, v)| (*ka, v.clone())).collect();
+                let mut inner: ClassValues = m.iter().map(|(ka, v)| (*ka, v.clone())).collect();
                 inner.sort_unstable_by_key(|&(ka, _)| ka);
                 (*k, inner)
             })
@@ -315,11 +314,11 @@ impl FixStore {
         values.sort_unstable_by_key(|&(k, _)| k);
         let mut distinct: Vec<(EntityKey, EntityKey)> = self.distinct.iter().copied().collect();
         distinct.sort_unstable();
-        let mut orders: Vec<((RelId, AttrId), Vec<(TupleId, TupleId, bool)>)> = self
+        let mut orders: Vec<((RelId, AttrId), OrderEdges)> = self
             .orders
             .iter()
             .map(|(k, p)| {
-                let mut edges: Vec<(TupleId, TupleId, bool)> = p.iter_edges().collect();
+                let mut edges: OrderEdges = p.iter_edges().collect();
                 edges.sort_unstable();
                 (*k, edges)
             })
@@ -369,14 +368,20 @@ impl FixStore {
     }
 }
 
+/// One entity class's validated values, keyed by `(relation, attribute)`.
+type ClassValues = Vec<((RelId, AttrId), Value)>;
+
+/// One `(relation, attribute)`'s direct order edges `(t1, t2, strict)`.
+type OrderEdges = Vec<(TupleId, TupleId, bool)>;
+
 /// Deterministic image of a [`FixStore`] for round-boundary checkpoints
 /// (see `crate::checkpoint`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixSnapshot {
     parent: Vec<(EntityKey, EntityKey)>,
-    values: Vec<(EntityKey, Vec<((RelId, AttrId), Value)>)>,
+    values: Vec<(EntityKey, ClassValues)>,
     distinct: Vec<(EntityKey, EntityKey)>,
-    orders: Vec<((RelId, AttrId), Vec<(TupleId, TupleId, bool)>)>,
+    orders: Vec<((RelId, AttrId), OrderEdges)>,
     trusted: Vec<GlobalTid>,
     added_values: usize,
     merges: usize,

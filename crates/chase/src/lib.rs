@@ -33,16 +33,13 @@
 //!
 //! Durability (`wal` / `checkpoint` / `provenance`): with
 //! [`DurabilityConfig`] set, every committed fix is appended to a
-//! CRC-framed, *segmented* write-ahead log at round boundaries alongside a
-//! full checkpoint of the loop state per round, so a crashed chase resumes
-//! from its last durable round byte-identically ([`ChaseEngine::resume`])
-//! and every repaired cell can answer "why?" ([`ProvenanceGraph::why`]).
-//! Segments and checkpoint files covered by the latest checkpoint are
-//! compacted away when
-//! [`DurabilityConfig::with_compaction`] is on; transient I/O errors are
-//! retried under [`ChaseConfig::cluster`], the retry policy the chase's
-//! work units use, and the outcome is surfaced as a typed [`WalHealth`]
-//! in [`ChaseResult`].
+//! CRC-framed write-ahead log (one file, [`WAL_FILE`]) at round boundaries
+//! alongside a full checkpoint of the loop state per round, so a crashed
+//! chase resumes from its last durable round byte-identically
+//! ([`ChaseEngine::resume`]) and every repaired cell can answer "why?"
+//! ([`ProvenanceGraph::why`]). Transient I/O errors are retried under
+//! [`ChaseConfig::cluster`], the retry policy the chase's work units use,
+//! and the outcome is surfaced as a typed [`WalHealth`] in [`ChaseResult`].
 
 // The chase commits fixes round-atomically; a panic mid-commit would leave
 // a torn fix store, so non-test code must surface errors as values (same
@@ -75,7 +72,6 @@ pub use provenance::{
 pub use quality::QualityReport;
 pub use reference::ReferenceResult;
 pub use wal::{
-    decode_wal, list_segments, read_wal_dir, segment_file_name, wal_bytes, DurabilityConfig,
-    FixKind, FixRecord, SegmentInfo, WalDirScan, WalError, WalHealth, WalPos, WalRecord,
-    WalSummary,
+    decode_wal, read_wal_dir, wal_bytes, DurabilityConfig, FixKind, FixRecord, WalError, WalHealth,
+    WalRecord, WalScan, WalSummary, WAL_FILE,
 };

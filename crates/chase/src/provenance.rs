@@ -41,7 +41,7 @@ pub struct ProvenanceChain {
 rock_data::json_codec!(struct ProvenanceChain { fix, ancestors });
 
 impl ProvenanceGraph {
-    /// Load from a durability directory's WAL (all segments, in order).
+    /// Load from a durability directory's WAL.
     pub fn load(dir: &Path) -> Result<Self, WalError> {
         let scan = wal::read_wal_dir(dir)?;
         // keep only the committed prefix

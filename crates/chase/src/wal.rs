@@ -1,9 +1,9 @@
-//! Segmented write-ahead log for the durable chase.
+//! Write-ahead log for the durable chase.
 //!
-//! The log is a sequence of segment files `wal.000001`, `wal.000002`, …
-//! inside the durability directory. Every segment starts with the magic and
-//! a `Begin { fingerprint }` header frame; every round that commits fixes
-//! appends, at the round boundary, one frame sequence:
+//! The log is one file, [`WAL_FILE`], inside the durability directory. It
+//! starts with the magic and a `Begin { fingerprint }` header frame; every
+//! round that commits fixes appends, at the round boundary, one frame
+//! sequence:
 //!
 //! ```text
 //! RoundBegin(r) · Fix* · RoundCommit(r, checkpoint, state_crc)
@@ -23,25 +23,22 @@
 //! valid prefix *and* whose checkpoint file verifies against the marker's
 //! CRC (see `crate::checkpoint`).
 //!
-//! **Segments and compaction.** The writer rotates to a fresh segment at the
-//! first round boundary where the live segment exceeds
-//! [`DurabilityConfig::segment_bytes`]. The switch is crash-safe: the new
-//! segment's header is written and fsynced (file + directory) *before* any
-//! round frame lands in it, and a crash mid-rotation at worst leaves a
-//! partial next segment that the reader discards as a corrupt tail. With
-//! [`DurabilityConfig::compact`] on, committing a checkpoint retires every
-//! earlier segment and the previous checkpoint file — bounding the
-//! directory to the latest checkpoint and at most two segments.
+//! The header is written and fsynced (file + directory) before any round
+//! frame lands in the file, and every round boundary ends with one fsync.
+//! Nothing is ever deleted from the directory except stale checkpoint temp
+//! files, so the log and every round's checkpoint stay for resume at any
+//! round and for whole-history provenance.
 //!
 //! **I/O faults.** All I/O goes through the config's
 //! [`rock_crystal::FaultVfs`]. Transient errors are retried under the
 //! chase's one retry policy, the [`rock_crystal::ClusterConfig`] its work
 //! units retry under (`max_retries`, capped exponential `backoff_for`).
-//! A write of several steps retries each on its own: a segment's file and
-//! its directory fsync; a checkpoint's temp file (create, write, fsync),
-//! rename and directory fsync. Once retries are exhausted the context *poisons*: durability degrades
-//! to in-memory, the chase keeps repairing, and the failure surfaces as
-//! [`WalHealth::Degraded`] on the run's [`WalSummary`].
+//! A write of several steps retries each on its own: the log's header file
+//! and its directory fsync; a checkpoint's temp file (create, write,
+//! fsync), rename and directory fsync. Once retries are exhausted the
+//! context *poisons*: durability degrades to in-memory, the chase keeps
+//! repairing, and the failure surfaces as [`WalHealth::Degraded`] on the
+//! run's [`WalSummary`].
 //!
 //! Each [`FixRecord`] doubles as a **provenance node**: it carries the
 //! rule id, the valuation's bound tuples, and the ids of the prior fixes
@@ -57,27 +54,10 @@ use std::path::{Path, PathBuf};
 /// File magic: identifies the format and its version.
 pub const WAL_MAGIC: &[u8; 8] = b"ROCKWAL1";
 
-/// Name of WAL segment `seq` (1-based): `wal.000001`, `wal.000002`, …
-pub fn segment_file_name(seq: u64) -> String {
-    format!("wal.{seq:06}")
-}
-
-/// Parse a segment file name back to its sequence number.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("wal.")?;
-    if digits.len() < 6 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// Position in the segmented log: segment sequence number + byte offset
-/// within that segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WalPos {
-    pub seg: u64,
-    pub off: u64,
-}
+/// The log's file name inside the durability directory. It is the first
+/// segment's name of the earlier segmented layout, so a log of that layout
+/// that never rotated reads and resumes unchanged.
+pub const WAL_FILE: &str = "wal.000001";
 
 /// Errors surfaced by the durability layer. The chase itself never fails
 /// on these — a mid-run WAL error degrades durability to off and is
@@ -129,19 +109,11 @@ impl From<std::io::Error> for WalError {
 /// one Crystal's work units retry under.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding `wal.NNNNNN` segments and `checkpoint-*` files.
+    /// Directory holding [`WAL_FILE`] and the `checkpoint-*` files.
     pub dir: PathBuf,
     /// fsync the WAL at each round boundary and fsync checkpoint writes.
     /// `false` trades power-loss durability for speed (tests, panels).
     pub sync: bool,
-    /// Rotate to a new WAL segment at the first round boundary where the
-    /// live segment holds at least this many bytes (soft budget: a round's
-    /// frames never straddle segments).
-    pub segment_bytes: u64,
-    /// Retire WAL segments and checkpoint files fully covered by the
-    /// latest checkpoint. Off by default: compaction trades
-    /// resume-at-any-round and whole-history provenance for bounded disk.
-    pub compact: bool,
     /// Filesystem shim all WAL/checkpoint I/O routes through. The clean
     /// default injects nothing; the crash-consistency harness swaps in a
     /// seeded fault plan.
@@ -153,24 +125,12 @@ impl DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             sync: true,
-            segment_bytes: 8 * 1024 * 1024,
-            compact: false,
             vfs: FaultVfs::clean(),
         }
     }
 
     pub fn with_vfs(mut self, vfs: FaultVfs) -> Self {
         self.vfs = vfs;
-        self
-    }
-
-    pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes;
-        self
-    }
-
-    pub fn with_compaction(mut self, on: bool) -> Self {
-        self.compact = on;
         self
     }
 }
@@ -302,8 +262,8 @@ rock_data::json_codec!(struct FixRecord { id, round, rule, kind, valuation, pare
 /// One framed WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// Run/segment header: guards resume against a different rule set /
-    /// config. Every segment starts with one.
+    /// Run header: guards resume against a different rule set / config.
+    /// The log starts with one.
     Begin {
         fingerprint: u64,
     },
@@ -353,8 +313,8 @@ pub fn encode_frame(rec: &WalRecord) -> Result<Vec<u8>, WalError> {
     Ok(frame)
 }
 
-/// Result of scanning one segment: records of the longest valid prefix,
-/// each with the byte offset one past its frame.
+/// Result of scanning the log: records of the longest valid prefix, each
+/// with the byte offset one past its frame.
 #[derive(Debug)]
 pub struct WalScan {
     pub records: Vec<(u64, WalRecord)>,
@@ -418,161 +378,48 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
     })
 }
 
-/// WAL segments present in `dir`, sorted by sequence number. An absent
-/// directory reads as "no segments".
-pub fn list_segments(vfs: &FaultVfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
-    let entries = match vfs.list_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut segs: Vec<(u64, PathBuf)> = entries
-        .into_iter()
-        .filter_map(|p| {
-            let seq = p.file_name()?.to_str().and_then(parse_segment_name)?;
-            Some((seq, p))
-        })
-        .collect();
-    segs.sort_by_key(|(seq, _)| *seq);
-    Ok(segs)
-}
-
-/// Per-segment summary from a directory scan.
-#[derive(Debug, Clone)]
-pub struct SegmentInfo {
-    pub seq: u64,
-    /// Total file bytes on disk.
-    pub bytes: u64,
-    /// Bytes of the valid prefix.
-    pub valid_len: u64,
-    /// Valid records in this segment (including its `Begin` header).
-    pub records: usize,
-    pub corrupt_tail: bool,
-}
-
-/// The logical log assembled from all valid segments in order.
-#[derive(Debug)]
-pub struct WalDirScan {
-    /// Records of the longest valid cross-segment prefix. Segment headers
-    /// after the first segment are elided, so this reads like one log:
-    /// `Begin · (BatchBegin | RoundBegin · Fix* · RoundCommit)*`.
-    pub records: Vec<(WalPos, WalRecord)>,
-    pub segments: Vec<SegmentInfo>,
-    /// True when any scanned segment ended in garbage (later segments are
-    /// then ignored — they postdate the tear).
-    pub corrupt_tail: bool,
-    /// Fingerprint from the first segment's header, when present.
-    pub fingerprint: Option<u64>,
-}
-
-/// Scan all WAL segments in `dir` through `vfs` and concatenate their
-/// valid prefixes. Segments after a corrupt or header-less one are
-/// discarded: a torn segment means everything younger is uncommitted.
-pub fn read_wal_dir_vfs(vfs: &FaultVfs, dir: &Path) -> Result<WalDirScan, WalError> {
-    let segs = list_segments(vfs, dir)?;
-    if segs.is_empty() {
-        return Err(WalError::Mismatch(format!(
-            "no WAL segments in {}",
-            dir.display()
-        )));
+/// Whether `dir` holds a log (an absent directory holds none).
+/// Metadata-only: the check is neither traced nor faulted.
+pub(crate) fn wal_exists(vfs: &FaultVfs, dir: &Path) -> Result<bool, WalError> {
+    match vfs.file_size(&dir.join(WAL_FILE)) {
+        Ok(_) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e.into()),
     }
-    let mut records = Vec::new();
-    let mut segments = Vec::new();
-    let mut corrupt_tail = false;
-    let mut fingerprint: Option<u64> = None;
-    for (i, (seq, path)) in segs.iter().enumerate() {
-        let bytes = vfs.read(path)?;
-        let scan = match decode_wal(&bytes) {
-            Ok(s) => s,
-            Err(e) if i == 0 => return Err(e),
-            Err(_) => {
-                corrupt_tail = true;
-                break;
-            }
-        };
-        // Every later segment must open with a Begin header matching the
-        // first segment's; anything else is rotation debris. A first
-        // segment without one is kept as it is, so `locate` reports the
-        // mismatch, and ends the log.
-        let header = match scan.records.first() {
-            Some((_, WalRecord::Begin { fingerprint })) => Some(*fingerprint),
-            _ => None,
-        };
-        if i > 0 && header != fingerprint {
-            corrupt_tail = true;
-            break;
-        }
-        fingerprint = header;
-        segments.push(SegmentInfo {
-            seq: *seq,
-            bytes: bytes.len() as u64,
-            valid_len: scan.valid_len,
-            records: scan.records.len(),
-            corrupt_tail: scan.corrupt_tail,
-        });
-        corrupt_tail |= scan.corrupt_tail;
-        // later segments' headers repeat the first one's: elide them
-        let elide = usize::from(i > 0);
-        records.extend(
-            (scan.records.into_iter().skip(elide))
-                .map(|(off, rec)| (WalPos { seg: *seq, off }, rec)),
-        );
-        if corrupt_tail || header.is_none() {
-            break;
-        }
-    }
-    Ok(WalDirScan {
-        records,
-        segments,
-        corrupt_tail,
-        fingerprint,
-    })
+}
+
+/// Read and scan the log in `dir` through `vfs`.
+pub fn read_wal_dir_vfs(vfs: &FaultVfs, dir: &Path) -> Result<WalScan, WalError> {
+    decode_wal(&vfs.read(&dir.join(WAL_FILE))?)
 }
 
 /// [`read_wal_dir_vfs`] through a clean (fault-free) vfs — the reader used
 /// by provenance, panels, and tests.
-pub fn read_wal_dir(dir: &Path) -> Result<WalDirScan, WalError> {
+pub fn read_wal_dir(dir: &Path) -> Result<WalScan, WalError> {
     read_wal_dir_vfs(&FaultVfs::clean(), dir)
 }
 
-/// Raw bytes of all segments concatenated in order — the byte-idempotence
-/// oracle (`resume` must leave these bytes unchanged after re-running).
+/// Raw bytes of the log — the byte-idempotence oracle (`resume` must leave
+/// these bytes unchanged after re-running).
 pub fn wal_bytes(dir: &Path) -> Result<Vec<u8>, WalError> {
-    let vfs = FaultVfs::clean();
-    let mut out = Vec::new();
-    for (_, path) in list_segments(&vfs, dir)? {
-        out.extend_from_slice(&vfs.read(&path)?);
-    }
-    Ok(out)
+    Ok(FaultVfs::clean().read(&dir.join(WAL_FILE))?)
 }
 
-/// Append-only segmented WAL writer: every WAL and checkpoint write of a
-/// run goes through it, with the chase's retry policy, and its counters
-/// are the run's.
+/// Append-only WAL writer: every WAL and checkpoint write of a run goes
+/// through it, with the chase's retry policy, and its counters are the
+/// run's.
 #[derive(Debug)]
 pub struct WalWriter {
     vfs: FaultVfs,
     dir: PathBuf,
     sync: bool,
-    segment_bytes: u64,
-    fingerprint: u64,
     retry: ClusterConfig,
-    seq: u64,
     file: VfsFile,
     offset: u64,
-    /// Records appended this run (headers included).
+    /// Records appended this run (the header included).
     pub(crate) appended: u64,
     /// Transient I/O errors recovered by retry.
     pub(crate) io_retries: u64,
-    /// Segment rotations performed this run.
-    pub(crate) segments_rotated: u64,
-}
-
-/// The bytes every segment starts with: the magic and a `Begin` frame.
-fn segment_header(fingerprint: u64) -> Result<Vec<u8>, WalError> {
-    let mut header = WAL_MAGIC.to_vec();
-    header.extend_from_slice(&encode_frame(&WalRecord::Begin { fingerprint })?);
-    Ok(header)
 }
 
 /// Create `path` holding `bytes`, fsynced when `sync` is on. Creation
@@ -587,110 +434,63 @@ fn write_new(vfs: &FaultVfs, path: &Path, bytes: &[u8], sync: bool) -> std::io::
     Ok(file)
 }
 
-/// Create segment `seq` holding `header`, synced (file + directory) when
-/// `sync` is on. The file and the directory entry are retried as separate
-/// steps, so a failed directory fsync does not rewrite the segment.
-fn start_segment(
-    vfs: &FaultVfs,
-    dir: &Path,
-    seq: u64,
-    header: &[u8],
-    sync: bool,
-    retry: &ClusterConfig,
-    retries: &mut u64,
-) -> Result<VfsFile, WalError> {
-    let path = dir.join(segment_file_name(seq));
-    let file = retry_io(retry, retries, || {
-        write_new(vfs, &path, header, sync).map_err(|e| (e, true))
-    })?;
-    if sync {
-        retry_io(retry, retries, || vfs.fsync_dir(dir).map_err(|e| (e, true)))?;
-    }
-    Ok(file)
-}
-
 impl WalWriter {
-    /// Start a fresh log: remove any existing segments, create
-    /// `wal.000001`, and write its magic + `Begin` header durably.
+    /// Start a fresh log: create (or truncate) [`WAL_FILE`] holding the
+    /// magic + `Begin` header, synced when the config syncs. The file and
+    /// the directory entry are retried as separate steps, so a failed
+    /// directory fsync does not rewrite the file.
     pub(crate) fn create(
         cfg: &DurabilityConfig,
         retry: &ClusterConfig,
         fingerprint: u64,
     ) -> Result<Self, WalError> {
-        for (_, path) in list_segments(&cfg.vfs, &cfg.dir)? {
-            cfg.vfs.remove_file(&path)?;
-        }
-        let header = segment_header(fingerprint)?;
+        let mut header = WAL_MAGIC.to_vec();
+        header.extend_from_slice(&encode_frame(&WalRecord::Begin { fingerprint })?);
+        let path = cfg.dir.join(WAL_FILE);
         let mut io_retries = 0;
-        let file = start_segment(
-            &cfg.vfs,
-            &cfg.dir,
-            1,
-            &header,
-            cfg.sync,
-            retry,
-            &mut io_retries,
-        )?;
-        let mut w = WalWriter::at(cfg, retry, fingerprint, 1, file, header.len() as u64);
+        let file = retry_io(retry, &mut io_retries, || {
+            write_new(&cfg.vfs, &path, &header, cfg.sync).map_err(|e| (e, true))
+        })?;
+        if cfg.sync {
+            retry_io(retry, &mut io_retries, || {
+                cfg.vfs.fsync_dir(&cfg.dir).map_err(|e| (e, true))
+            })?;
+        }
+        let mut w = WalWriter::at(cfg, retry, file, header.len() as u64);
         w.appended = 1;
         w.io_retries = io_retries;
         Ok(w)
     }
 
-    /// Open the log for appending at `pos`, discarding any crashed or
-    /// uncommitted suffix: segments younger than `pos.seg` are deleted and
-    /// the live segment is truncated to `pos.off` — rounds re-run after a
-    /// resume then regenerate their records in place (replay is
-    /// idempotent).
+    /// Open the log for appending at byte offset `pos`, discarding any
+    /// crashed or uncommitted suffix: the file is truncated to `pos` —
+    /// rounds re-run after a resume then regenerate their records in place
+    /// (replay is idempotent).
     pub(crate) fn open_at(
         cfg: &DurabilityConfig,
         retry: &ClusterConfig,
-        pos: WalPos,
-        fingerprint: u64,
+        pos: u64,
     ) -> Result<Self, WalError> {
-        for (seq, path) in list_segments(&cfg.vfs, &cfg.dir)? {
-            if seq > pos.seg {
-                cfg.vfs.remove_file(&path)?;
-            }
-        }
-        let mut file = cfg.vfs.open_rw(&cfg.dir.join(segment_file_name(pos.seg)))?;
-        file.set_len(pos.off)?;
-        file.seek_to(pos.off)?;
+        let mut file = cfg.vfs.open_rw(&cfg.dir.join(WAL_FILE))?;
+        file.set_len(pos)?;
+        file.seek_to(pos)?;
         if cfg.sync {
             file.sync_all()?;
             cfg.vfs.fsync_dir(&cfg.dir)?;
         }
-        Ok(WalWriter::at(
-            cfg,
-            retry,
-            fingerprint,
-            pos.seg,
-            file,
-            pos.off,
-        ))
+        Ok(WalWriter::at(cfg, retry, file, pos))
     }
 
-    fn at(
-        cfg: &DurabilityConfig,
-        retry: &ClusterConfig,
-        fingerprint: u64,
-        seq: u64,
-        file: VfsFile,
-        offset: u64,
-    ) -> Self {
+    fn at(cfg: &DurabilityConfig, retry: &ClusterConfig, file: VfsFile, offset: u64) -> Self {
         WalWriter {
             vfs: cfg.vfs.clone(),
             dir: cfg.dir.clone(),
             sync: cfg.sync,
-            segment_bytes: cfg.segment_bytes,
-            fingerprint,
             retry: retry.clone(),
-            seq,
             file,
             offset,
             appended: 0,
             io_retries: 0,
-            segments_rotated: 0,
         }
     }
 
@@ -712,7 +512,7 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Fsync the live segment (no-op when the config is async), retrying
+    /// Fsync the log (no-op when the config is async), retrying
     /// transient errors.
     pub(crate) fn sync(&mut self) -> Result<(), WalError> {
         if !self.sync {
@@ -722,33 +522,6 @@ impl WalWriter {
         retry_io(&self.retry, &mut self.io_retries, || {
             file.sync_all().map_err(|e| (e, true))
         })
-    }
-
-    /// Rotate to a fresh segment if the live one is over budget. Called at
-    /// round boundaries only, so a round's frames never straddle segments.
-    /// Crash-safe: the new header is written and fsynced (file + dir)
-    /// before the writer switches; the old segment was already synced at
-    /// its last round boundary.
-    pub(crate) fn maybe_rotate(&mut self) -> Result<(), WalError> {
-        if self.offset < self.segment_bytes {
-            return Ok(());
-        }
-        let next_seq = self.seq + 1;
-        let header = segment_header(self.fingerprint)?;
-        self.file = start_segment(
-            &self.vfs,
-            &self.dir,
-            next_seq,
-            &header,
-            self.sync,
-            &self.retry,
-            &mut self.io_retries,
-        )?;
-        self.seq = next_seq;
-        self.offset = header.len() as u64;
-        self.appended += 1;
-        self.segments_rotated += 1;
-        Ok(())
     }
 
     /// Write one checkpoint document next to the log, atomically and (when
@@ -780,23 +553,6 @@ impl WalWriter {
             vfs.fsync_dir(&self.dir).map_err(|e| (e, true))
         })
     }
-
-    /// Compaction after a durable checkpoint: delete the checkpoint file
-    /// it made obsolete, then every segment older than the live one.
-    /// Returns how many segments were retired.
-    pub(crate) fn compact(&mut self, obsolete: Option<&str>) -> Result<u64, WalError> {
-        if let Some(name) = obsolete {
-            self.vfs.remove_file(&self.dir.join(name))?;
-        }
-        let mut retired = 0;
-        for (seq, path) in list_segments(&self.vfs, &self.dir)? {
-            if seq < self.seq {
-                self.vfs.remove_file(&path)?;
-                retired += 1;
-            }
-        }
-        Ok(retired)
-    }
 }
 
 /// Totals reported back on [`crate::ChaseResult`] when durability is on.
@@ -813,10 +569,6 @@ pub struct WalSummary {
     pub batch: u64,
     /// Transient I/O errors recovered by capped-backoff retry.
     pub io_retries: u64,
-    /// Segment rotations performed.
-    pub segments_rotated: u64,
-    /// Segments retired by compaction.
-    pub segments_compacted: u64,
     /// Stale checkpoint temp files garbage-collected on open.
     pub temp_files_removed: u64,
     /// Typed durability health (see [`WalHealth`]).
@@ -832,7 +584,6 @@ pub(crate) type RoundFix = (FixKind, u32, Vec<GlobalTid>);
 /// calls no-op) and surfaces as [`WalHealth::Degraded`] — a failing disk
 /// must degrade durability, never the fixes.
 pub(crate) struct DurabilityCtx {
-    cfg: DurabilityConfig,
     /// `None` only when the log could not be opened (`error` says why).
     writer: Option<WalWriter>,
     next_fix_id: u64,
@@ -841,11 +592,7 @@ pub(crate) struct DurabilityCtx {
     resumed_from: Option<u64>,
     /// ΔD batch this context logs for (1 unless attached by a session).
     batch: u64,
-    /// Checkpoint file of the last round this context committed: the one
-    /// compaction retires once a newer checkpoint is durable.
-    live: Option<String>,
     checkpoints: u64,
-    segments_compacted: u64,
     temp_files_removed: u64,
     /// The first unrecoverable error; once set, nothing more is logged.
     error: Option<String>,
@@ -869,7 +616,7 @@ fn gc_temp_files(vfs: &FaultVfs, dir: &Path) -> u64 {
 
 impl DurabilityCtx {
     /// Start a fresh log for a new run.
-    pub(crate) fn begin(cfg: DurabilityConfig, retry: &ClusterConfig, fingerprint: u64) -> Self {
+    pub(crate) fn begin(cfg: &DurabilityConfig, retry: &ClusterConfig, fingerprint: u64) -> Self {
         let mut temp_files_removed = 0;
         let writer = cfg
             .vfs
@@ -877,33 +624,25 @@ impl DurabilityCtx {
             .map_err(WalError::from)
             .and_then(|()| {
                 temp_files_removed = gc_temp_files(&cfg.vfs, &cfg.dir);
-                WalWriter::create(&cfg, retry, fingerprint)
+                WalWriter::create(cfg, retry, fingerprint)
             });
-        DurabilityCtx::new(cfg, writer, None, temp_files_removed)
+        DurabilityCtx::new(writer, None, temp_files_removed)
     }
 
     /// Attach to a recovered log (see `crate::checkpoint::locate`): the WAL
-    /// is truncated to `rp.pos`, the resumed round's commit boundary, and
-    /// `rp`'s checkpoint becomes the live one. The provenance id state
-    /// comes from the checkpoint itself.
+    /// is truncated to `rp.pos`, the resumed round's commit boundary. The
+    /// provenance id state comes from `rp`'s checkpoint itself.
     pub(crate) fn attach(
-        cfg: DurabilityConfig,
+        cfg: &DurabilityConfig,
         retry: &ClusterConfig,
-        fingerprint: u64,
         rp: &ResumePoint,
     ) -> Result<Self, WalError> {
-        let writer = WalWriter::open_at(&cfg, retry, rp.pos, fingerprint)?;
+        let writer = WalWriter::open_at(cfg, retry, rp.pos)?;
         let temp_files_removed = gc_temp_files(&cfg.vfs, &cfg.dir);
-        Ok(DurabilityCtx::new(
-            cfg,
-            Ok(writer),
-            Some(rp),
-            temp_files_removed,
-        ))
+        Ok(DurabilityCtx::new(Ok(writer), Some(rp), temp_files_removed))
     }
 
     fn new(
-        cfg: DurabilityConfig,
         writer: Result<WalWriter, WalError>,
         prev: Option<&ResumePoint>,
         temp_files_removed: u64,
@@ -913,18 +652,14 @@ impl DurabilityCtx {
             Err(e) => (None, Some(e.to_string())),
         };
         let state = prev.map(|p| &p.checkpoint);
-        let live = prev.map(|p| p.name.clone());
         DurabilityCtx {
             next_fix_id: state.map_or(0, |s| s.next_fix_id),
             last_fix: state
                 .map_or_else(FxHashMap::default, |s| s.last_fix.iter().copied().collect()),
             resumed_from: state.map(|s| s.round),
             batch: state.map_or(1, |s| s.batch.max(1)),
-            cfg,
             writer,
-            live,
             checkpoints: 0,
-            segments_compacted: 0,
             temp_files_removed,
             error,
         }
@@ -940,7 +675,6 @@ impl DurabilityCtx {
             let Some(writer) = ctx.writer.as_mut() else {
                 return Ok(());
             };
-            writer.maybe_rotate()?;
             writer.append(&WalRecord::BatchBegin { batch, round_base })?;
             writer.sync()
         });
@@ -948,8 +682,7 @@ impl DurabilityCtx {
 
     /// Log one committed round: `RoundBegin`, each fix (with provenance
     /// parents), the round's checkpoint document, and the `RoundCommit`
-    /// marker — then one fsync covering the whole boundary, then
-    /// compaction when it is on.
+    /// marker — then one fsync covering the whole boundary.
     pub(crate) fn commit_round(
         &mut self,
         round: u64,
@@ -978,7 +711,6 @@ impl DurabilityCtx {
         let Some(writer) = self.writer.as_mut() else {
             return Ok(());
         };
-        writer.maybe_rotate()?;
         writer.append(&WalRecord::RoundBegin { round })?;
         for (kind, rule, valuation) in fixes {
             let id = self.next_fix_id;
@@ -1022,24 +754,17 @@ impl DurabilityCtx {
         self.checkpoints += 1;
         writer.append(&WalRecord::RoundCommit {
             round,
-            checkpoint: Some(name.clone()),
+            checkpoint: Some(name),
             state_crc,
         })?;
-        // a batch-opening checkpoint reuses its round's name: nothing to
-        // retire then
-        let obsolete = self.live.replace(name.clone()).filter(|old| *old != name);
-        writer.sync()?;
-        // Only after the marker is durable may covered history be retired.
-        if self.cfg.compact {
-            self.segments_compacted += writer.compact(obsolete.as_deref())?;
-        }
-        Ok(())
+        writer.sync()
     }
 
     pub(crate) fn into_summary(self) -> WalSummary {
-        let (records, io_retries, segments_rotated) = self.writer.as_ref().map_or((0, 0, 0), |w| {
-            (w.appended, w.io_retries, w.segments_rotated)
-        });
+        let (records, io_retries) = self
+            .writer
+            .as_ref()
+            .map_or((0, 0), |w| (w.appended, w.io_retries));
         let health = match self.error {
             Some(reason) => WalHealth::Degraded { reason },
             None if io_retries > 0 => WalHealth::Recovered { io_retries },
@@ -1051,8 +776,6 @@ impl DurabilityCtx {
             resumed_from: self.resumed_from,
             batch: self.batch,
             io_retries,
-            segments_rotated,
-            segments_compacted: self.segments_compacted,
             temp_files_removed: self.temp_files_removed,
             health,
         }
@@ -1095,18 +818,8 @@ mod tests {
         })
     }
 
-    fn seg1(d: &Path) -> PathBuf {
-        d.join(segment_file_name(1))
-    }
-
-    #[test]
-    fn segment_names_round_trip() {
-        assert_eq!(segment_file_name(1), "wal.000001");
-        assert_eq!(parse_segment_name("wal.000001"), Some(1));
-        assert_eq!(parse_segment_name("wal.001234"), Some(1234));
-        assert_eq!(parse_segment_name("wal.log"), None);
-        assert_eq!(parse_segment_name("wal.12"), None);
-        assert_eq!(parse_segment_name("checkpoint-000001.json"), None);
+    fn log(d: &Path) -> PathBuf {
+        d.join(WAL_FILE)
     }
 
     #[test]
@@ -1116,7 +829,7 @@ mod tests {
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         drop(w);
-        let scan = decode_wal(&std::fs::read(seg1(&d)).unwrap()).unwrap();
+        let scan = decode_wal(&std::fs::read(log(&d)).unwrap()).unwrap();
         assert!(!scan.corrupt_tail);
         let got: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
         assert_eq!(
@@ -1133,7 +846,7 @@ mod tests {
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         drop(w);
-        let path = seg1(&d);
+        let path = log(&d);
         let full = std::fs::read(&path).unwrap();
         // chop mid-way through the last frame
         let second_end = decode_wal(&std::fs::read(&path).unwrap()).unwrap().records[1].0 as usize;
@@ -1152,7 +865,7 @@ mod tests {
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         drop(w);
-        let path = seg1(&d);
+        let path = log(&d);
         let mut bytes = std::fs::read(&path).unwrap();
         let second_end = decode_wal(&std::fs::read(&path).unwrap()).unwrap().records[1].0 as usize;
         // flip one payload bit in the last frame
@@ -1168,7 +881,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let d = dir("magic");
-        let path = seg1(&d);
+        let path = log(&d);
         std::fs::write(&path, b"NOTAWAL0rest").unwrap();
         assert!(matches!(
             decode_wal(&std::fs::read(&path).unwrap()),
@@ -1184,16 +897,13 @@ mod tests {
         let c = cfg(&d);
         let mut w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
         w.append(&rec(0)).unwrap();
-        let pos = WalPos {
-            seg: w.seq,
-            off: w.offset,
-        };
+        let pos = w.offset;
         w.append(&rec(1)).unwrap();
         drop(w);
-        let mut w = WalWriter::open_at(&c, &ClusterConfig::default(), pos, 42).unwrap();
+        let mut w = WalWriter::open_at(&c, &ClusterConfig::default(), pos).unwrap();
         w.append(&rec(9)).unwrap();
         drop(w);
-        let got: Vec<WalRecord> = decode_wal(&std::fs::read(seg1(&d)).unwrap())
+        let got: Vec<WalRecord> = decode_wal(&std::fs::read(log(&d)).unwrap())
             .unwrap()
             .records
             .into_iter()
@@ -1203,60 +913,6 @@ mod tests {
             got,
             vec![WalRecord::Begin { fingerprint: 42 }, rec(0), rec(9)]
         );
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
-    fn rotation_splits_segments_and_dir_scan_merges_them() {
-        let d = dir("rotate");
-        let c = DurabilityConfig {
-            segment_bytes: 1, // rotate at every opportunity
-            ..cfg(&d)
-        };
-        let mut w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
-        for i in 0..3 {
-            w.maybe_rotate().unwrap();
-            w.append(&rec(i)).unwrap();
-        }
-        assert_eq!(w.segments_rotated, 3);
-        drop(w);
-        let segs = list_segments(&FaultVfs::clean(), &d).unwrap();
-        assert_eq!(segs.len(), 4);
-        let scan = read_wal_dir(&d).unwrap();
-        assert!(!scan.corrupt_tail);
-        assert_eq!(scan.fingerprint, Some(42));
-        // headers of later segments are elided: Begin, then the 3 fixes
-        let got: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(
-            got,
-            vec![WalRecord::Begin { fingerprint: 42 }, rec(0), rec(1), rec(2)]
-        );
-        // each fix sits in its own segment
-        assert_eq!(scan.segments.len(), 4);
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
-    fn corrupt_middle_segment_drops_younger_segments() {
-        let d = dir("midcorrupt");
-        let c = DurabilityConfig {
-            segment_bytes: 1,
-            ..cfg(&d)
-        };
-        let mut w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
-        for i in 0..3 {
-            w.maybe_rotate().unwrap();
-            w.append(&rec(i)).unwrap();
-        }
-        drop(w);
-        // Segment 1 holds only the header (the first rotation happens before
-        // the first append), segment 2 holds rec(0). Destroy segment 3's
-        // magic: segments 3..4 must be discarded, 1..2 kept.
-        std::fs::write(d.join(segment_file_name(3)), b"garbage").unwrap();
-        let scan = read_wal_dir(&d).unwrap();
-        assert!(scan.corrupt_tail);
-        let got: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(got, vec![WalRecord::Begin { fingerprint: 42 }, rec(0)]);
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -1277,7 +933,7 @@ mod tests {
         assert!(w.io_retries > 0, "some writes must have been retried");
         drop(w);
         // retries truncated every partial frame: the log is fully valid
-        let scan = decode_wal(&std::fs::read(seg1(&d)).unwrap()).unwrap();
+        let scan = decode_wal(&std::fs::read(log(&d)).unwrap()).unwrap();
         assert!(!scan.corrupt_tail);
         assert_eq!(scan.records.len(), 33);
         std::fs::remove_dir_all(&d).unwrap();
@@ -1291,10 +947,7 @@ mod tests {
         let d = dir("norepair");
         let c = cfg(&d);
         let w = WalWriter::create(&c, &ClusterConfig::default(), 42).unwrap();
-        let pos = WalPos {
-            seg: w.seq,
-            off: w.offset,
-        };
+        let pos = w.offset;
         drop(w);
         // Reopening takes op 0 (Open) and op 1 (SetLen); the append's write
         // is op 2 and tears (transiently), and the SetLen repairing it is
@@ -1305,7 +958,7 @@ mod tests {
             .with_crash_at_op(3);
         let c = c.with_vfs(FaultVfs::with_plan(plan));
         let retry = ClusterConfig::default().with_max_retries(8);
-        let mut w = WalWriter::open_at(&c, &retry, pos, 42).unwrap();
+        let mut w = WalWriter::open_at(&c, &retry, pos).unwrap();
         assert!(matches!(w.append(&rec(0)), Err(WalError::Io(_))));
         assert_eq!(w.io_retries, 0, "an unrepaired tail must not be retried");
         assert_eq!(w.appended, 0);
@@ -1320,7 +973,7 @@ mod tests {
         let d = dir("degrade");
         let vfs = FaultVfs::with_plan(StorageFaultPlan::seeded(5).with_sync_errors(1.0));
         let c = DurabilityConfig::new(&d).with_vfs(vfs); // sync: true
-        let mut ctx = DurabilityCtx::begin(c, &ClusterConfig::default(), 42);
+        let mut ctx = DurabilityCtx::begin(&c, &ClusterConfig::default(), 42);
         assert!(ctx.error.is_some(), "header sync must fail persistently");
         ctx.begin_batch(2, 1); // no-op on a poisoned context
         let s = ctx.into_summary();
@@ -1334,7 +987,7 @@ mod tests {
         std::fs::write(d.join("checkpoint-000002.json.tmp"), b"stray").unwrap();
         std::fs::write(d.join("checkpoint-000003.json.tmp"), b"stray").unwrap();
         std::fs::write(d.join("checkpoint-000001.json"), b"keep").unwrap();
-        let ctx = DurabilityCtx::begin(cfg(&d), &ClusterConfig::default(), 42);
+        let ctx = DurabilityCtx::begin(&cfg(&d), &ClusterConfig::default(), 42);
         assert!(ctx.error.is_none());
         assert_eq!(ctx.temp_files_removed, 2);
         assert!(d.join("checkpoint-000001.json").exists());

@@ -19,11 +19,11 @@
 //! * [`fault`] — seeded deterministic fault injection (panics, transient
 //!   errors, stragglers, node crashes) plus the retry/quarantine knobs
 //!   in [`fault::ClusterConfig`]; see DESIGN.md §Crystal fault model.
-//! * [`storage`] — durable file primitives (fsync-hardened atomic
-//!   writes) used by the chase WAL/checkpoints and the bench harness,
-//!   plus [`storage::FaultVfs`], the seeded storage fault layer (torn
-//!   writes, fsync EIO/ENOSPC, rename failures, read bit-flips,
-//!   crash-at-op) behind the crash-consistency harness.
+//! * [`storage`] — durable file primitives ([`fsync_dir`], [`tmp_path`])
+//!   used by the chase WAL/checkpoints and the bench harness, plus
+//!   [`storage::FaultVfs`], the seeded storage fault layer (torn writes,
+//!   fsync EIO/ENOSPC, rename failures, read bit-flips, crash-at-op)
+//!   behind the crash-consistency harness.
 //! * [`sync`] — the workspace-wide concurrency shim over `std::sync`:
 //!   [`sync::RankedMutex`]/[`sync::RankedRwLock`] enforcing the static
 //!   [`sync::LockRank`] order in debug builds, and poison-free guards.

@@ -437,11 +437,12 @@ mod tests {
             a: bool, // mutex A held?
             b: bool, // mutex B held?
         }
+        /// Projects one mutex's held flag out of the state.
+        type Lock = fn(&mut S) -> &mut bool;
         fn locker(first_a: bool) -> impl FnMut(&mut S) -> Step {
             let mut pc = 0;
             move |s: &mut S| {
-                let (first, second): (fn(&mut S) -> &mut bool, fn(&mut S) -> &mut bool) = if first_a
-                {
+                let (first, second): (Lock, Lock) = if first_a {
                     (|s| &mut s.a, |s| &mut s.b)
                 } else {
                     (|s| &mut s.b, |s| &mut s.a)

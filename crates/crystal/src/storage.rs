@@ -2,12 +2,13 @@
 //!
 //! Two layers live here:
 //!
-//! * [`fsync_dir`] and [`tmp_path`] — the plain building blocks of the
-//!   crash-safe [`FaultVfs::write_atomic_durable`]. `rename(2)` within a
-//!   directory is atomic on POSIX, but atomicity alone is not durability:
-//!   the temp file is fsynced before the rename and the parent directory
-//!   after it, so a completed call survives power loss with either the old
-//!   or the new complete contents — never a torn file.
+//! * [`fsync_dir`] and [`tmp_path`] — the plain building blocks of a
+//!   crash-safe whole-file write (the chase's checkpoint write, the bench
+//!   harness's result files). `rename(2)` within a directory is atomic on
+//!   POSIX, but atomicity alone is not durability: the temp file is
+//!   fsynced before the rename and the parent directory after it, so a
+//!   completed write survives power loss with either the old or the new
+//!   complete contents — never a torn file.
 //! * [`FaultVfs`] — a seeded virtual-filesystem shim that every I/O operation
 //!   of `rock_chase::wal` and `rock_chase::checkpoint` routes through. It
 //!   mirrors the compute-side fault injector in [`crate::fault`]: every fault
@@ -426,7 +427,7 @@ impl FaultVfs {
         std::fs::rename(from, to)
     }
 
-    /// Remove a file (WAL compaction, temp GC).
+    /// Remove a file (the open-time temp GC).
     pub fn remove_file(&self, path: &Path) -> io::Result<()> {
         let idx = self.begin_op(IoOpKind::Remove, path)?;
         if self.crash_due(idx) {
@@ -459,36 +460,6 @@ impl FaultVfs {
             return Err(crash_error());
         }
         std::fs::create_dir_all(dir)
-    }
-
-    /// Plain (non-durable) whole-file write: create + write.
-    pub fn write_file(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        let mut f = self.create(path)?;
-        f.write_all(contents)
-    }
-
-    /// Crash-safe whole-file write through the vfs: temp write (+fsync when
-    /// `sync`), rename, parent-dir fsync. Failure between the temp write and
-    /// the rename leaves `<path>.tmp` behind — exactly the stray the
-    /// durability layer's temp GC cleans up.
-    pub fn write_atomic_durable(&self, path: &Path, contents: &[u8], sync: bool) -> io::Result<()> {
-        let tmp = tmp_path(path);
-        {
-            let mut f = self.create(&tmp)?;
-            f.write_all(contents)?;
-            if sync {
-                f.sync_all()?;
-            }
-        }
-        self.rename(&tmp, path)?;
-        if sync {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    self.fsync_dir(parent)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Sorted listing of a directory's entries (metadata-only: not traced,
@@ -601,20 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn writes_and_replaces() {
-        let d = dir("atomic");
-        let path = d.join("out.json");
-        let vfs = FaultVfs::clean();
-        vfs.write_atomic_durable(&path, b"first", true).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        vfs.write_atomic_durable(&path, b"second", true).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        // no temp file left behind
-        assert!(!d.join("out.json.tmp").exists());
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
     fn clean_vfs_is_transparent() {
         let d = dir("clean");
         let vfs = FaultVfs::clean();
@@ -707,8 +664,8 @@ mod tests {
                 .with_transient_fraction(0.5),
         );
         let kinds: Vec<io::ErrorKind> = (0..64).map(|i| vfs.fault_error(i, "x").kind()).collect();
-        assert!(kinds.iter().any(|k| *k == io::ErrorKind::Interrupted));
-        assert!(kinds.iter().any(|k| *k == io::ErrorKind::Other));
+        assert!(kinds.contains(&io::ErrorKind::Interrupted));
+        assert!(kinds.contains(&io::ErrorKind::Other));
     }
 
     #[test]
@@ -721,16 +678,5 @@ mod tests {
         let flipped: u32 = bytes.iter().map(|b| b.count_ones()).sum();
         assert_eq!(flipped, 1, "exactly one bit flips");
         assert_eq!(vfs.stats().read_flips, 1);
-    }
-
-    #[test]
-    fn atomic_write_failure_leaves_temp_behind() {
-        let d = dir("stray");
-        let p = d.join("ck.json");
-        let vfs = FaultVfs::with_plan(StorageFaultPlan::seeded(2).with_rename_failures(1.0));
-        let err = vfs.write_atomic_durable(&p, b"payload", true).unwrap_err();
-        assert!(err.to_string().contains("rename"), "{err}");
-        assert!(!p.exists());
-        assert!(tmp_path(&p).exists(), "temp file leaks on rename failure");
     }
 }

@@ -60,7 +60,7 @@ impl Bitset {
 
     /// Grow the universe by one instance, with bit `bit`.
     pub fn push(&mut self, bit: bool) {
-        if self.len.is_multiple_of(WORD_BITS) {
+        if self.len % WORD_BITS == 0 {
             self.words.push(0);
         }
         self.len += 1;

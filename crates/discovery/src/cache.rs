@@ -458,7 +458,8 @@ mod tests {
             rvar: 1,
             rattrs: vec![AttrId(0)],
         };
-        let pb = PredicateBitsets::new(&ctx, &db, RelId(0), &[ml.clone()], &[ml], &reg, 1 << 20);
+        let preds = std::slice::from_ref(&ml);
+        let pb = PredicateBitsets::new(&ctx, &db, RelId(0), preds, preds, &reg, 1 << 20);
         assert!(pb.precondition(0).is_none());
         assert!(pb.consequence(0).is_none());
         assert!(pb.measure(0, &pb.root()).is_none());

@@ -309,7 +309,10 @@ mod tests {
         assert_eq!(max_severity(&[]), None);
         let d1 = Diagnostic::new(DiagCode::TriviallyTrue, "r", Span::none(), "x".into());
         let d2 = Diagnostic::new(DiagCode::AttrOutOfRange, "r", Span::none(), "y".into());
-        assert_eq!(max_severity(&[d1.clone()]), Some(Severity::Warning));
+        assert_eq!(
+            max_severity(std::slice::from_ref(&d1)),
+            Some(Severity::Warning)
+        );
         assert_eq!(max_severity(&[d1, d2]), Some(Severity::Error));
     }
 }

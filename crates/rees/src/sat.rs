@@ -129,22 +129,21 @@ fn check_consts(rule: &Rule, out: &mut Vec<Diagnostic>) {
             let span = rule.spans.precondition(j);
             let other = &rule.precondition[i];
             match (opi, opj) {
-                (CmpOp::Eq, CmpOp::Eq) => {
-                    if !ci.sql_eq(cj) {
-                        out.push(
-                            Diagnostic::new(
-                                DiagCode::UnsatConstEq,
-                                &rule.name,
-                                span,
-                                format!(
-                                    "cell is bound to '{cj}' here but to '{ci}' earlier \
-                                     in the same precondition"
-                                ),
-                            )
-                            .with_note(format!("conflicts with {other}")),
-                        );
-                    }
+                (CmpOp::Eq, CmpOp::Eq) if !ci.sql_eq(cj) => {
+                    out.push(
+                        Diagnostic::new(
+                            DiagCode::UnsatConstEq,
+                            &rule.name,
+                            span,
+                            format!(
+                                "cell is bound to '{cj}' here but to '{ci}' earlier \
+                                 in the same precondition"
+                            ),
+                        )
+                        .with_note(format!("conflicts with {other}")),
+                    );
                 }
+                (CmpOp::Eq, CmpOp::Eq) => {}
                 // an equality fixes the value; any other constant
                 // comparison on the cell must accept it
                 (CmpOp::Eq, _) | (_, CmpOp::Eq) => {
@@ -203,15 +202,20 @@ fn check_consts(rule: &Rule, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// An attribute–attribute comparison with its operands in canonical order:
+/// the predicate's index, the lesser and greater `(var, attr)` operand, and
+/// the operator as it reads in that order.
+type AttrCmp = (
+    usize,
+    (usize, rock_data::AttrId),
+    (usize, rock_data::AttrId),
+    CmpOp,
+);
+
 /// E102: attribute–attribute comparisons on the same operand pair whose
 /// admitted orderings are disjoint (`t.a < s.b && t.a > s.b`).
 fn check_attr_pairs(rule: &Rule, out: &mut Vec<Diagnostic>) {
-    let attrs: Vec<(
-        usize,
-        (usize, rock_data::AttrId),
-        (usize, rock_data::AttrId),
-        CmpOp,
-    )> = rule
+    let attrs: Vec<AttrCmp> = rule
         .precondition
         .iter()
         .enumerate()

@@ -205,8 +205,8 @@ fn condense(adj: &[Vec<usize>], live: &[bool]) -> Vec<Vec<usize>> {
         next: 0,
         sccs: Vec::new(),
     };
-    for v in 0..n {
-        if live[v] && state.index[v] == usize::MAX {
+    for (v, &is_live) in live.iter().enumerate() {
+        if is_live && state.index[v] == usize::MAX {
             state.strongconnect(v);
         }
     }

@@ -61,7 +61,6 @@ def shares(panels):
 RISE_IS_BAD = {
     "durability_overhead_ratio",
     "chaos_wall_ratio",
-    "wal_disk_bound_ratio",
     "recovery_wall_ratio",
 }
 

@@ -1,21 +1,17 @@
-//! Crash-consistency suite for the segmented WAL + checkpoint durability
-//! stack (`rock::chase::wal` / `rock::chase::checkpoint` over
+//! Crash-consistency suite for the WAL + checkpoint durability stack
+//! (`rock::chase::wal` / `rock::chase::checkpoint` over
 //! `rock::crystal::FaultVfs`): a recorded fault-free run yields an I/O
 //! trace, and a crash injected at every sampled trace point must leave a
 //! directory from which recovery is byte-identical to the uninterrupted
-//! oracle. Segment rotation and compaction are transparent; corrupted
-//! checkpoint files are CRC-rejected with fallback to an earlier marker;
-//! transient I/O errors retry to `Recovered`, persistent ones degrade to
-//! in-memory without corrupting fixes; and durable incremental sessions
-//! fold ΔD batches across crashes.
+//! oracle. Corrupted checkpoint files are CRC-rejected with fallback to an
+//! earlier marker; transient I/O errors retry to `Recovered`, persistent
+//! ones (fsync, checkpoint rename) degrade to in-memory without corrupting
+//! fixes; and durable incremental sessions fold ΔD batches across crashes.
 
 mod common;
 
 use common::check;
-use rock::chase::{
-    list_segments, locate, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig,
-    WalHealth,
-};
+use rock::chase::{locate, ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, WalHealth};
 use rock::crystal::{ClusterConfig, FaultVfs, IoOpKind, StorageFaultPlan};
 use rock::data::json;
 use rock::data::json::ToJson;
@@ -139,15 +135,6 @@ fn engine<'a>(
     )
 }
 
-/// Small segments + compaction: the config the crash sweep runs under, so
-/// rotation and retirement both appear in the recorded trace.
-fn sweep_cfg(dir: &Path, vfs: FaultVfs) -> DurabilityConfig {
-    DurabilityConfig::new(dir)
-        .with_vfs(vfs)
-        .with_segment_bytes(256)
-        .with_compaction(true)
-}
-
 /// Evenly strided sample of at most `cap` points (always keeps the ends).
 fn sample(points: &[u64], cap: usize) -> Vec<u64> {
     if points.len() <= cap {
@@ -162,11 +149,10 @@ fn sample(points: &[u64], cap: usize) -> Vec<u64> {
 
 /// Tentpole: replay the recorded fault-free run with a crash injected at
 /// every sampled I/O trace point — all structural ops (create / rename /
-/// remove / dir-sync, the segment-switch and compaction and checkpoint
-/// commit edges) plus an even stride over everything else. At each point
-/// the crashed run must still repair byte-identically (durability
-/// degrades, fixes never do) and recovery from the frozen directory must
-/// match the uninterrupted oracle.
+/// remove / dir-sync: the log header and the checkpoint commit edges) plus
+/// an even stride over everything else. At each point the crashed run must
+/// still repair byte-identically (durability degrades, fixes never do) and
+/// recovery from the frozen directory must match the uninterrupted oracle.
 #[test]
 fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
     let schema = schema();
@@ -181,17 +167,15 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
     // Fault-free recorded run: the crash plan's op universe.
     let rec_dir = fresh_dir("sweep-record");
     let rec_vfs = FaultVfs::recording();
-    let durable = engine(&rs, &reg, Some(sweep_cfg(&rec_dir, rec_vfs.clone())));
+    let durable = engine(
+        &rs,
+        &reg,
+        Some(DurabilityConfig::new(&rec_dir).with_vfs(rec_vfs.clone())),
+    );
     let first = durable.run(&db, &trusted);
     assert_eq!(canon(&first), want, "recorded run diverged from oracle");
     let s = first.wal.as_ref().expect("recorded run has a WalSummary");
     assert_eq!(s.health, WalHealth::Healthy);
-    assert!(
-        s.segments_rotated >= 1 && s.segments_compacted >= 1,
-        "sweep config must exercise rotation + compaction (rotated {}, compacted {})",
-        s.segments_rotated,
-        s.segments_compacted
-    );
     let trace = rec_vfs.trace();
     assert!(trace.len() >= 16, "trace too short to sweep");
 
@@ -212,6 +196,20 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
     points.push(everything[everything.len() - 1]);
     points.sort_unstable();
     points.dedup();
+    // Every structural op kind the durable write path issues must be in the
+    // trace and among the crash points.
+    for kind in [IoOpKind::Create, IoOpKind::Rename, IoOpKind::SyncDir] {
+        assert!(
+            trace.iter().any(|t| t.op == kind),
+            "the recorded trace holds no {kind:?} op"
+        );
+        assert!(
+            trace
+                .iter()
+                .any(|t| t.op == kind && points.binary_search(&t.index).is_ok()),
+            "no crash point falls on a {kind:?} op"
+        );
+    }
 
     for &p in &points {
         let dir_p = fresh_dir(&format!("sweep-{p}"));
@@ -219,7 +217,7 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
         let crashed = engine(
             &rs,
             &reg,
-            Some(sweep_cfg(&dir_p, FaultVfs::with_plan(plan))),
+            Some(DurabilityConfig::new(&dir_p).with_vfs(FaultVfs::with_plan(plan))),
         )
         .run(&db, &trusted);
         assert_eq!(
@@ -236,7 +234,11 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
 
         // Recovery: resume off the frozen directory with a clean vfs; if
         // nothing was durable yet, a fresh durable run is the fallback.
-        let rec = engine(&rs, &reg, Some(sweep_cfg(&dir_p, FaultVfs::clean())));
+        let rec = engine(
+            &rs,
+            &reg,
+            Some(DurabilityConfig::new(&dir_p).with_vfs(FaultVfs::clean())),
+        );
         match rec.resume(&trusted) {
             Ok(resumed) => assert_eq!(
                 canon(&resumed),
@@ -246,8 +248,12 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
             Err(_) => {
                 let _ = std::fs::remove_dir_all(&dir_p);
                 std::fs::create_dir_all(&dir_p).unwrap();
-                let fresh = engine(&rs, &reg, Some(sweep_cfg(&dir_p, FaultVfs::clean())))
-                    .run(&db, &trusted);
+                let fresh = engine(
+                    &rs,
+                    &reg,
+                    Some(DurabilityConfig::new(&dir_p).with_vfs(FaultVfs::clean())),
+                )
+                .run(&db, &trusted);
                 assert_eq!(
                     canon(&fresh),
                     want,
@@ -258,112 +264,6 @@ fn crash_at_every_sampled_trace_point_recovers_byte_identical() {
         let _ = std::fs::remove_dir_all(&dir_p);
     }
     let _ = std::fs::remove_dir_all(&rec_dir);
-}
-
-#[test]
-fn segment_rotation_is_transparent_and_replay_idempotent() {
-    let schema = schema();
-    let rs = rules(&schema);
-    let reg = ModelRegistry::new();
-    let db = build_db(&default_rows());
-    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
-
-    let oracle = engine(&rs, &reg, None).run(&db, &trusted);
-    let want = canon(&oracle);
-
-    let dir = fresh_dir("rotation");
-    let cfg = DurabilityConfig::new(&dir).with_segment_bytes(256);
-    let durable = engine(&rs, &reg, Some(cfg));
-    let first = durable.run(&db, &trusted);
-    assert_eq!(canon(&first), want);
-    let s = first.wal.as_ref().unwrap();
-    assert!(
-        !matches!(s.health, WalHealth::Degraded { .. }),
-        "rotation run degraded: {:?}",
-        s.health
-    );
-    assert!(
-        s.segments_rotated >= 1,
-        "256-byte budget must rotate at least once"
-    );
-    let segs = list_segments(&FaultVfs::clean(), &dir).unwrap();
-    assert_eq!(segs.len() as u64, s.segments_rotated + 1);
-
-    // Cross-segment read-back + resume land on the same state, and the
-    // resumed rounds regenerate the concatenated log byte-for-byte.
-    let before = wal_bytes(&dir).unwrap();
-    for r in 1..=first.rounds as u64 {
-        let resumed = durable
-            .resume_at(&trusted, r)
-            .unwrap_or_else(|e| panic!("resume at round {r} across segments failed: {e}"));
-        assert_eq!(canon(&resumed), want, "segmented resume at {r} diverged");
-        assert_eq!(
-            before,
-            wal_bytes(&dir).unwrap(),
-            "segmented WAL not replay-idempotent at round {r}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compaction_bounds_disk_and_preserves_resume() {
-    let schema = schema();
-    let rs = rules(&schema);
-    let reg = ModelRegistry::new();
-    let db = build_db(&default_rows());
-    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
-
-    let oracle = engine(&rs, &reg, None).run(&db, &trusted);
-    let want = canon(&oracle);
-
-    let dir = fresh_dir("compaction");
-    let mk = || {
-        DurabilityConfig::new(&dir)
-            .with_segment_bytes(256)
-            .with_compaction(true)
-    };
-    let durable = engine(&rs, &reg, Some(mk()));
-    let first = durable.run(&db, &trusted);
-    assert_eq!(canon(&first), want);
-    let s = first.wal.as_ref().unwrap();
-    assert!(
-        !matches!(s.health, WalHealth::Degraded { .. }),
-        "compaction run degraded: {:?}",
-        s.health
-    );
-    assert!(
-        s.segments_compacted >= 1,
-        "full-every-round + tiny segments must retire something"
-    );
-
-    // Disk bound: everything on disk is the latest checkpoint plus at
-    // most two live segments.
-    let vfs = FaultVfs::clean();
-    let rp = locate(&mk(), durable.fingerprint(), None).unwrap();
-    let live = list_segments(&vfs, &dir).unwrap();
-    assert!(
-        live.len() <= 2,
-        "compaction left {} live segments",
-        live.len()
-    );
-    let on_disk: Vec<String> = vfs
-        .list_dir(&dir)
-        .unwrap()
-        .iter()
-        .filter_map(|p| p.file_name().and_then(|n| n.to_str()).map(String::from))
-        .filter(|n| n.starts_with("checkpoint-"))
-        .collect();
-    assert_eq!(
-        on_disk,
-        [rp.name.as_str()],
-        "stale checkpoint files survived compaction"
-    );
-
-    // Resume over the compacted directory still reaches the oracle.
-    let resumed = durable.resume(&trusted).unwrap();
-    assert_eq!(canon(&resumed), want, "compacted resume diverged");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -427,6 +327,57 @@ fn persistent_fsync_failure_degrades_without_corrupting_fixes() {
         s.health
     );
     assert!(matches!(&s.health, WalHealth::Degraded { reason } if !reason.is_empty()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint rename that always fails exhausts its retries: the run
+/// still repairs byte-identically, reports `Degraded`, and leaves the
+/// checkpoint's temp file behind, which the next clean run's open-time GC
+/// reaps.
+#[test]
+fn rename_failure_degrades_and_leaves_a_temp_file_for_gc() {
+    let schema = schema();
+    let rs = rules(&schema);
+    let reg = ModelRegistry::new();
+    let db = build_db(&default_rows());
+    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
+    let want = canon(&engine(&rs, &reg, None).run(&db, &trusted));
+
+    let dir = fresh_dir("rename-fail");
+    let plan = StorageFaultPlan::seeded(2).with_rename_failures(1.0);
+    let res = engine(
+        &rs,
+        &reg,
+        Some(DurabilityConfig::new(&dir).with_vfs(FaultVfs::with_plan(plan))),
+    )
+    .run(&db, &trusted);
+    assert_eq!(canon(&res), want, "rename failure corrupted repairs");
+    let s = res.wal.as_ref().unwrap();
+    assert!(
+        matches!(&s.health, WalHealth::Degraded { reason } if reason.contains("rename")),
+        "persistent rename failure must degrade, got {:?}",
+        s.health
+    );
+    let strays = |d: &Path| -> usize {
+        std::fs::read_dir(d)
+            .unwrap()
+            .filter(|e| {
+                let p = e.as_ref().unwrap().path();
+                p.extension().is_some_and(|x| x == "tmp")
+            })
+            .count()
+    };
+    assert_eq!(strays(&dir), 1, "the failed rename leaves its temp file");
+
+    let clean = engine(&rs, &reg, Some(DurabilityConfig::new(&dir))).run(&db, &trusted);
+    assert_eq!(canon(&clean), want);
+    let s = clean.wal.as_ref().unwrap();
+    assert_eq!(s.health, WalHealth::Healthy);
+    assert_eq!(
+        s.temp_files_removed, 1,
+        "the clean run's GC reaps the stray"
+    );
+    assert_eq!(strays(&dir), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,9 +12,8 @@ mod common;
 use common::check;
 use rock::chase::wal::{encode_frame, WAL_MAGIC};
 use rock::chase::{
-    decode_wal, read_wal_dir, segment_file_name, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult,
-    DurabilityConfig, ProvenanceGraph, RoundStats, WalError, WalHealth, WalRecord,
-    CHECKPOINT_VERSION,
+    decode_wal, read_wal_dir, wal_bytes, ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig,
+    ProvenanceGraph, RoundStats, WalError, WalHealth, WalRecord, CHECKPOINT_VERSION, WAL_FILE,
 };
 use rock::data::json;
 use rock::data::json::{FromJson, Json, ToJson};
@@ -213,9 +212,7 @@ fn corrupted_tail_falls_back_to_last_intact_round() {
     let first = durable.run(&db, &trusted);
     assert_no_wal_error(&first);
 
-    // The default 8 MiB segment budget keeps this tiny workload in one
-    // segment, so the tail-damage surgery targets that first segment file.
-    let path = dir.join(segment_file_name(1));
+    let path = dir.join(WAL_FILE);
     let intact = std::fs::read(&path).unwrap();
     let scan = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
     assert!(!scan.corrupt_tail);
@@ -456,7 +453,7 @@ fn round_stats_with_retired_fields_still_decode() {
 /// the file name and the document's fields) and re-point each commit
 /// marker's CRC at the new bytes, so recovery accepts the edited files.
 fn rewrite_checkpoints(dir: &Path, mut edit: impl FnMut(&str, &mut Vec<(String, Json)>)) {
-    let path = dir.join(segment_file_name(1));
+    let path = dir.join(WAL_FILE);
     let mut wal = WAL_MAGIC.to_vec();
     for (_, rec) in decode_wal(&std::fs::read(&path).unwrap()).unwrap().records {
         let rec = match rec {
