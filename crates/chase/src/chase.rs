@@ -29,6 +29,7 @@ use crate::conflict::ConflictPolicy;
 use crate::evaluate::{evaluate, Frontier, RoundStats};
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityConfig, DurabilityCtx, WalSummary};
+use rock_crystal::sync::OnceLock;
 use rock_crystal::{Cluster, ClusterConfig, FaultStats, UnitFailure};
 use rock_data::{AttrId, CellRef, Database, Delta, DeltaSet, FxHashSet, GlobalTid, RelId, Value};
 use rock_kg::Graph;
@@ -159,12 +160,22 @@ impl ChaseResult {
 }
 
 /// The chase engine. Borrows the rule set, model registry and optional
-/// knowledge graph; owns nothing but configuration.
+/// knowledge graph; owns its configuration and what it derives from the
+/// rules once, on the first run.
 pub struct ChaseEngine<'a> {
     pub rules: &'a RuleSet,
     pub registry: &'a ModelRegistry,
     pub graph: Option<&'a Graph>,
     pub config: ChaseConfig,
+    derived: OnceLock<Derived>,
+}
+
+/// What the round loop reads of the rule set alone: the rule graph and
+/// each rule's precondition reads. Both depend on the rules and the
+/// schema they are typed against, so an engine derives them once.
+struct Derived {
+    graph: RuleGraph,
+    reads: Vec<Vec<(RelId, AttrId)>>,
 }
 
 impl<'a> ChaseEngine<'a> {
@@ -174,7 +185,17 @@ impl<'a> ChaseEngine<'a> {
             registry,
             graph: None,
             config,
+            derived: OnceLock::new(),
         }
+    }
+
+    /// The rule graph and value reads, derived against `db`'s schema on
+    /// the engine's first run.
+    fn derived(&self, db: &Database) -> &Derived {
+        self.derived.get_or_init(|| Derived {
+            graph: RuleGraph::derive(self.rules, &db.schema()),
+            reads: self.rules.rules.iter().map(value_reads).collect(),
+        })
     }
 
     pub fn with_graph(mut self, g: &'a Graph) -> Self {
@@ -198,8 +219,8 @@ impl<'a> ChaseEngine<'a> {
     /// RocknoC schedules run the ER/CR/MI/TD groups one at a time and must
     /// carry `[EID]=` classes and validated orders across the group runs.
     pub fn run_seeded(&self, db: &Database, trusted: &[GlobalTid], fixes: FixStore) -> ChaseResult {
-        let (ls, graph) = self.start(db.clone(), trusted, None, fixes);
-        self.run_loop(ls, graph, self.begin_durable())
+        let ls = self.start(db.clone(), trusted, None, fixes);
+        self.run_loop(ls, self.begin_durable())
     }
 
     /// Incremental chase: apply ΔD, then chase with the round-1 delta
@@ -216,31 +237,45 @@ impl<'a> ChaseEngine<'a> {
         trusted: &[GlobalTid],
         delta: &Delta,
     ) -> Result<ChaseResult, rock_data::DataError> {
+        self.run_incremental_seeded(db, trusted, delta, FixStore::new())
+    }
+
+    /// Incremental chase continuing from an existing fix store: its
+    /// `[EID]=` classes and validated values hold from round 1 on, and
+    /// only valuations binding a ΔD tuple fire, as in
+    /// [`ChaseEngine::run_incremental`].
+    pub fn run_incremental_seeded(
+        &self,
+        db: &Database,
+        trusted: &[GlobalTid],
+        delta: &Delta,
+        fixes: FixStore,
+    ) -> Result<ChaseResult, rock_data::DataError> {
         let mut work = db.clone();
         let inserted = work.apply(delta)?;
         let seed = delta.touched(&work, &inserted);
-        let (ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());
-        Ok(self.run_loop(ls, graph, self.begin_durable()))
+        let ls = self.start(work, trusted, Some(seed), fixes);
+        Ok(self.run_loop(ls, self.begin_durable()))
     }
 
-    /// Round-0 state of a chase over `work_db`: Γ seeded, the rule graph
-    /// derived, and the initial activation — every live rule in batch mode,
-    /// live rules binding a seeded relation in incremental mode.
+    /// Round-0 state of a chase over `work_db`: Γ seeded and the initial
+    /// activation — every live rule in batch mode, live rules binding a
+    /// seeded relation in incremental mode.
     pub(crate) fn start(
         &self,
         work_db: Database,
         trusted: &[GlobalTid],
         seed: Option<DeltaSet>,
         fixes: FixStore,
-    ) -> (LoopState, RuleGraph) {
-        let graph = RuleGraph::derive(self.rules, &work_db.schema());
+    ) -> LoopState {
+        let graph = &self.derived(&work_db).graph;
         let classic = initial_activation(self.rules, seed.as_ref());
         let active: FxHashSet<usize> = classic
             .iter()
             .copied()
             .filter(|&ri| !graph.dead[ri])
             .collect();
-        let ls = LoopState {
+        LoopState {
             pruned_carry: classic.len() - active.len(),
             active,
             frontier: Frontier::new(&work_db, self.rules.len(), seed),
@@ -250,8 +285,7 @@ impl<'a> ChaseEngine<'a> {
             batch: 1,
             round_base: 0,
             done: false,
-        };
-        (ls, graph)
+        }
     }
 
     /// Fingerprint of the ruleset (names and bodies) plus the
@@ -283,12 +317,11 @@ impl<'a> ChaseEngine<'a> {
     pub(crate) fn run_loop(
         &self,
         mut ls: LoopState,
-        graph: RuleGraph,
         mut dur: Option<DurabilityCtx>,
     ) -> ChaseResult {
         let mut committer =
             Committer::new(self.registry, &self.config.policy, self.config.gate, &ls.st);
-        let reads: Vec<Vec<(RelId, AttrId)>> = self.rules.rules.iter().map(value_reads).collect();
+        let derived = self.derived(&ls.st.db);
         // One Cluster for all rounds: membership (a crashed node) persists
         // across rounds, so later rounds place work on survivors only.
         let cluster = Cluster::with_config(self.config.workers, self.config.cluster.clone());
@@ -330,12 +363,12 @@ impl<'a> ChaseEngine<'a> {
                 ls.frontier.absorb(&c.delta);
                 Some(c)
             };
-            self.activate(&mut ls, &graph, &reads, committed.as_ref(), eval.failed);
+            self.activate(&mut ls, derived, committed.as_ref(), eval.failed);
             let round_fixes = committed.map(|c| c.fixes).unwrap_or_default();
             self.commit_round_durable(&ls, &mut dur, &round_fixes);
         }
 
-        committer.materialize_entities(&mut ls.st);
+        ls.st.materialize_entities();
         ChaseResult {
             db: ls.st.db,
             fixes: ls.st.fixes,
@@ -370,11 +403,11 @@ impl<'a> ChaseEngine<'a> {
     fn activate(
         &self,
         ls: &mut LoopState,
-        g: &RuleGraph,
-        reads: &[Vec<(RelId, AttrId)>],
+        derived: &Derived,
         committed: Option<&RoundCommit>,
         failed: FxHashSet<usize>,
     ) {
+        let (g, reads) = (&derived.graph, &derived.reads);
         ls.active.clear();
         let changed = |ri: usize| {
             committed.is_some_and(|c| reads[ri].iter().any(|ra| c.changed_cells.contains(ra)))

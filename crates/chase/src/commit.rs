@@ -29,10 +29,12 @@ use rock_ml::ModelRegistry;
 pub(crate) type Support = FxHashMap<ProposalKey, Vec<GlobalTid>>;
 
 /// What a chase has committed so far: the working database with all fixes
-/// materialized, the fix store `U`, and the running totals.
+/// materialized, the fix store `U`, the members of its merged classes, and
+/// the running totals.
 pub(crate) struct Committed {
     pub db: Database,
     pub fixes: FixStore,
+    pub classes: MergedClasses,
     pub changes: Vec<(CellRef, Value, Value)>,
     pub merged_pairs: Vec<(GlobalTid, GlobalTid)>,
     pub conflicts: usize,
@@ -70,6 +72,7 @@ impl Committed {
             }
         }
         Committed {
+            classes: MergedClasses::new(&db, &fixes),
             db,
             fixes,
             changes: Vec::new(),
@@ -94,54 +97,100 @@ pub(crate) struct RoundCommit {
     pub fixes: Vec<RoundFix>,
 }
 
-/// Class members by current `[EID]=` root: one O(E) pass over every live
-/// tuple — the commit phase does thousands of membership lookups per
-/// round, and per-lookup scans are quadratic.
-fn group_classes(db: &Database, fixes: &FixStore) -> FxHashMap<EntityKey, Vec<GlobalTid>> {
-    let mut out: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
-    for (rid, rel) in db.iter() {
-        for t in rel.iter() {
-            out.entry(fixes.find_ref(EntityKey::new(rid, t.eid)))
-                .or_default()
-                .push(GlobalTid::new(rid, t.tid));
+/// The members of every entity class that unites more than one key, by
+/// current `[EID]=` root, each list ascending. A class of one key is not
+/// listed: its members are its relation's class index entry for its eid
+/// ([`rock_data::Relation::classes`]), which the database keeps current.
+///
+/// The chase never inserts or deletes tuples and merges only in Phase B,
+/// so the lists are built once, when a run (or a resumed one) starts,
+/// from the fix store's merged keys — O(merged keys) — and each merge
+/// [`MergedClasses::regroup`]s the two classes it unites.
+#[derive(Debug, Default)]
+pub(crate) struct MergedClasses(FxHashMap<EntityKey, Vec<GlobalTid>>);
+
+impl MergedClasses {
+    pub fn new(db: &Database, fixes: &FixStore) -> Self {
+        let classes = fixes.merged_classes().into_iter().map(|(root, keys)| {
+            let mut members: Vec<GlobalTid> =
+                keys.into_iter().flat_map(|k| key_members(db, k)).collect();
+            members.sort_unstable();
+            (root, members)
+        });
+        MergedClasses(classes.collect())
+    }
+
+    /// Members of the class rooted at `root`, ascending.
+    pub fn members(&self, db: &Database, root: EntityKey) -> Vec<GlobalTid> {
+        match self.0.get(&root) {
+            Some(members) => members.clone(),
+            None => key_members(db, root),
         }
     }
-    for v in out.values_mut() {
-        v.sort();
-    }
-    out
-}
 
-/// Keep a [`group_classes`] map equal to a regrouping after one merge
-/// united the classes rooted at `old_roots` under `root`: their two member
-/// lists become one sorted list, and no other class moves.
-fn regroup(
-    groups: &mut FxHashMap<EntityKey, Vec<GlobalTid>>,
-    old_roots: [EntityKey; 2],
-    root: EntityKey,
-) {
-    let mut members: Vec<GlobalTid> = old_roots
-        .iter()
-        .filter_map(|k| groups.remove(k))
-        .flatten()
-        .collect();
-    if !members.is_empty() {
-        members.sort();
-        groups.insert(root, members);
+    /// The members of the merged class rooted at `root`; `None` for a
+    /// class of one key.
+    pub fn merged(&self, root: EntityKey) -> Option<&[GlobalTid]> {
+        self.0.get(&root).map(Vec::as_slice)
+    }
+
+    /// After one merge united the classes rooted at `old_roots` under
+    /// `root`: their two member lists become one ascending list, and no
+    /// other class moves.
+    fn regroup(&mut self, db: &Database, old_roots: [EntityKey; 2], root: EntityKey) {
+        let mut members: Vec<GlobalTid> = old_roots
+            .iter()
+            .flat_map(|k| self.0.remove(k).unwrap_or_else(|| key_members(db, *k)))
+            .collect();
+        members.sort_unstable();
+        self.0.insert(root, members);
     }
 }
 
-/// The commit phase of one run: its policy and its class map. The chase
-/// never inserts or deletes tuples and merges only in Phase B, so the map
-/// is grouped once, when the run starts, and each merge [`regroup`]s the
-/// two classes it unites. It lives for that one run: a new run (or a
-/// resumed one) builds its own from the state it starts with.
+/// The live tuples whose own entity key is `k`, ascending.
+fn key_members(db: &Database, k: EntityKey) -> Vec<GlobalTid> {
+    let classes = db.relation(k.rel).classes();
+    let members = classes.members(k.eid);
+    members.map(|tid| GlobalTid::new(k.rel, tid)).collect()
+}
+
+impl Committed {
+    /// Materialize the ER outcome into the repaired database: within each
+    /// validated entity class, all member tuples of a relation get the
+    /// class's smallest eid in that relation (the repaired data then
+    /// *carries* the deduplication, and re-chasing it is a no-op for
+    /// same-relation ER rules). Only merged classes can hold two eids, so
+    /// only those are visited, and only tuples whose eid changes are
+    /// written.
+    pub fn materialize_entities(&mut self) {
+        let Committed { db, classes, .. } = self;
+        for members in classes.0.values() {
+            let mut min_per_rel: FxHashMap<RelId, rock_data::Eid> = FxHashMap::default();
+            for m in members {
+                if let Some(t) = db.relation(m.rel).get(m.tid) {
+                    min_per_rel
+                        .entry(m.rel)
+                        .and_modify(|e| *e = (*e).min(t.eid))
+                        .or_insert(t.eid);
+                }
+            }
+            for m in members {
+                let target = min_per_rel[&m.rel];
+                let stale = db.relation(m.rel).get(m.tid);
+                if stale.is_some_and(|t| t.eid != target) {
+                    db.relation_mut(m.rel).set_eid(m.tid, target);
+                }
+            }
+        }
+    }
+}
+
+/// The commit phase of one run: its policy. The class members it reads
+/// and regroups are the committed state's ([`Committed::classes`]).
 pub(crate) struct Committer<'a> {
     registry: &'a ModelRegistry,
     policy: &'a ConflictPolicy,
     gate: GateMode,
-    /// Class members by current root, each list ascending.
-    groups: FxHashMap<EntityKey, Vec<GlobalTid>>,
     empty_delta: DeltaSet,
 }
 
@@ -156,7 +205,6 @@ impl<'a> Committer<'a> {
             registry,
             policy,
             gate,
-            groups: group_classes(&st.db, &st.fixes),
             empty_delta: DeltaSet::empty(&st.db),
         }
     }
@@ -171,10 +219,8 @@ impl<'a> Committer<'a> {
         support: Option<&Support>,
     ) -> RoundCommit {
         let changes_start = st.changes.len();
-        let groups = std::mem::take(&mut self.groups);
         let mut round = Round {
             c: self,
-            groups,
             st,
             support,
             out: RoundCommit {
@@ -188,48 +234,11 @@ impl<'a> Committer<'a> {
         round.merges(proposals);
         round.value_fixes(proposals);
         round.orders(proposals);
-        let Round {
-            st,
-            groups,
-            mut out,
-            ..
-        } = round;
+        let Round { st, mut out, .. } = round;
         for (cell, _, _) in &st.changes[changes_start..] {
             out.delta.mark(cell.rel, cell.tid);
         }
-        self.groups = groups;
         out
-    }
-
-    /// Materialize the ER outcome into the repaired database: within each
-    /// validated entity class, all member tuples of a relation get the
-    /// class's smallest eid in that relation (the repaired data then
-    /// *carries* the deduplication, and re-chasing it is a no-op for
-    /// same-relation ER rules). Only classes rooted at a merged key can
-    /// hold two eids, so only those are visited, and only tuples whose eid
-    /// changes are written.
-    pub fn materialize_entities(&self, st: &mut Committed) {
-        for root in st.fixes.merged_roots() {
-            let Some(members) = self.groups.get(&root) else {
-                continue;
-            };
-            let mut min_per_rel: FxHashMap<RelId, rock_data::Eid> = FxHashMap::default();
-            for m in members {
-                if let Some(t) = st.db.relation(m.rel).get(m.tid) {
-                    min_per_rel
-                        .entry(m.rel)
-                        .and_modify(|e| *e = (*e).min(t.eid))
-                        .or_insert(t.eid);
-                }
-            }
-            for m in members {
-                let target = min_per_rel[&m.rel];
-                let stale = st.db.relation(m.rel).get(m.tid);
-                if stale.is_some_and(|t| t.eid != target) {
-                    st.db.relation_mut(m.rel).set_eid(m.tid, target);
-                }
-            }
-        }
     }
 }
 
@@ -237,8 +246,6 @@ impl<'a> Committer<'a> {
 struct Round<'r, 'a> {
     c: &'r Committer<'a>,
     st: &'r mut Committed,
-    /// Class members by current root; regrouped after every merge.
-    groups: FxHashMap<EntityKey, Vec<GlobalTid>>,
     support: Option<&'r Support>,
     out: RoundCommit,
 }
@@ -253,7 +260,7 @@ impl Round<'_, '_> {
     }
 
     fn members_of(&self, root: EntityKey) -> Vec<GlobalTid> {
-        self.groups.get(&root).cloned().unwrap_or_default()
+        self.st.classes.members(&self.st.db, root)
     }
 
     /// Write `value` into `m[attr]` unless ground truth protects the cell
@@ -322,12 +329,13 @@ impl Round<'_, '_> {
                     let merge_changes_start = self.st.changes.len();
                     self.record(FixKind::Merge { a: *a, b: *b }, *rule, p);
                     let root = self.st.fixes.find(ka);
-                    regroup(&mut self.groups, old_roots, root);
+                    let st = &mut *self.st;
+                    st.classes.regroup(&st.db, old_roots, root);
                     // the merge changes the entity oracle (and the
                     // validated-value visibility) for every member of the
                     // united class, even when no cell is rewritten — all of
                     // them join the delta
-                    for m in self.groups.get(&root).into_iter().flatten() {
+                    for m in st.classes.merged(root).into_iter().flatten() {
                         self.out.delta.mark(m.rel, m.tid);
                     }
                     for (rel, attr, v1, v2) in vcs {
@@ -753,12 +761,38 @@ mod tests {
         db
     }
 
+    /// Class members by current root, from one pass over every live tuple:
+    /// what the merged lists and the class index together must answer.
+    fn cold_classes(db: &Database, fixes: &FixStore) -> FxHashMap<EntityKey, Vec<GlobalTid>> {
+        let mut out: FxHashMap<EntityKey, Vec<GlobalTid>> = FxHashMap::default();
+        for (rid, rel) in db.iter() {
+            for t in rel.iter() {
+                out.entry(fixes.find_ref(EntityKey::new(rid, t.eid)))
+                    .or_default()
+                    .push(GlobalTid::new(rid, t.tid));
+            }
+        }
+        out
+    }
+
+    /// Every key's class members, as `classes` answers them.
+    fn assert_members_match(db: &Database, fixes: &FixStore, classes: &MergedClasses) {
+        let cold = cold_classes(db, fixes);
+        for rel in [RelId(0), RelId(1)] {
+            for eid in 0..12 {
+                let root = fixes.find_ref(EntityKey::new(rel, Eid(eid)));
+                let want = cold.get(&root).cloned().unwrap_or_default();
+                assert_eq!(classes.members(db, root), want, "class of {rel:?}/{eid}");
+            }
+        }
+    }
+
     #[test]
     fn regrouping_after_each_merge_equals_a_full_regroup() {
         let mut rng = StdRng::seed_from_u64(7);
         let db = shared_eid_db(&mut rng);
         let mut fixes = FixStore::new();
-        let mut groups = group_classes(&db, &fixes);
+        let mut classes = MergedClasses::new(&db, &fixes);
         let key = |rng: &mut StdRng| {
             EntityKey::new(RelId(rng.gen_range(0..2u16)), Eid(rng.gen_range(0..12u32)))
         };
@@ -769,13 +803,12 @@ mod tests {
             if let MergeOutcome::Merged { .. } = fixes.merge(ka, kb) {
                 merged += 1;
                 let root = fixes.find(ka);
-                regroup(&mut groups, old_roots, root);
+                classes.regroup(&db, old_roots, root);
             }
-            assert_eq!(
-                groups,
-                group_classes(&db, &fixes),
-                "after merging {ka:?} {kb:?}"
-            );
+            assert_members_match(&db, &fixes, &classes);
+            // a run seeded (or resumed) with these merges lists the same
+            let rebuilt = MergedClasses::new(&db, &fixes);
+            assert_eq!(rebuilt.0, classes.0, "after merging {ka:?} {kb:?}");
         }
         assert!(merged > 10, "the sequence merges classes: {merged}");
     }
@@ -796,7 +829,7 @@ mod tests {
         let round = committer.commit(&mut st, &[set], None);
         assert!(!round.any_merge);
         let before = [RelId(0), RelId(1)].map(|r| st.db.relation(r).columns());
-        committer.materialize_entities(&mut st);
+        st.materialize_entities();
         for (r, snapshot) in [RelId(0), RelId(1)].into_iter().zip(&before) {
             assert!(
                 std::sync::Arc::ptr_eq(snapshot, &st.db.relation(r).columns()),
@@ -818,13 +851,14 @@ mod tests {
         let merge = Proposal::Merge { a, b, rule: 0 };
         assert!(committer.commit(&mut st, &[merge], None).any_merge);
         let root = entity_key(&st.db, a).map(|k| st.fixes.find_ref(k)).unwrap();
-        let members = group_classes(&st.db, &st.fixes)[&root].clone();
+        let members = st.classes.members(&st.db, root);
+        assert_eq!(members, cold_classes(&st.db, &st.fixes)[&root]);
         let smallest = |rel: RelId| {
             let eids = members.iter().filter(|m| m.rel == rel);
             eids.map(|m| eid_of(&st.db, *m)).min().flatten()
         };
         let want: Vec<_> = members.iter().map(|m| smallest(m.rel)).collect();
-        committer.materialize_entities(&mut st);
+        st.materialize_entities();
         let got: Vec<_> = members.iter().map(|m| eid_of(&st.db, *m)).collect();
         assert_eq!(got, want);
 
@@ -837,7 +871,7 @@ mod tests {
         let merge = Proposal::Merge { a, b: c, rule: 0 };
         assert!(committer.commit(&mut st, &[merge], None).any_merge);
         let before = st.db.relation(RelId(0)).columns();
-        committer.materialize_entities(&mut st);
+        st.materialize_entities();
         assert_eq!(eid_of(&st.db, a), eid_of(&st.db, c));
         assert!(
             std::sync::Arc::ptr_eq(&before, &st.db.relation(RelId(0)).columns()),

@@ -7,12 +7,11 @@
 
 use crate::chase::{ChaseEngine, ChaseResult, LoopState};
 use crate::checkpoint::{self, ChaseCheckpoint, CHECKPOINT_VERSION};
-use crate::commit::Committed;
+use crate::commit::{Committed, MergedClasses};
 use crate::evaluate::{per_run, Carry, Frontier};
 use crate::fixes::FixStore;
 use crate::wal::{DurabilityCtx, RoundFix, WalError};
 use rock_data::{Database, Delta, GlobalTid};
-use rock_rees::RuleGraph;
 
 impl ChaseEngine<'_> {
     /// A fresh WAL for a run starting from round 0, when configured.
@@ -53,9 +52,9 @@ impl ChaseEngine<'_> {
         for t in trusted {
             fixes.trust_tuple(*t);
         }
-        let graph = RuleGraph::derive(self.rules, &ck.db.schema());
         let ls = LoopState {
             st: Committed {
+                classes: MergedClasses::new(&ck.db, &fixes),
                 db: ck.db,
                 fixes,
                 changes: ck.changes,
@@ -77,7 +76,7 @@ impl ChaseEngine<'_> {
             round_base: ck.round_base as usize,
             done: ck.done,
         };
-        Ok(self.run_loop(ls, graph, Some(dur)))
+        Ok(self.run_loop(ls, Some(dur)))
     }
 
     /// A checkpoint that decodes and matches the fingerprint can still
@@ -164,7 +163,7 @@ impl ChaseEngine<'_> {
         let seed = delta.touched(&work, &inserted);
         // Fresh fix store per batch, like the in-memory fold; Strict mode
         // re-seeds Γ= from the trusted tuples of the *current* database.
-        let (mut ls, graph) = self.start(work, trusted, Some(seed), FixStore::new());
+        let mut ls = self.start(work, trusted, Some(seed), FixStore::new());
         ls.batch = rp.checkpoint.batch.max(1) + 1;
         ls.rounds = round_base as usize;
         ls.round_base = round_base as usize;
@@ -177,7 +176,7 @@ impl ChaseEngine<'_> {
         // It re-uses the previous batch's final round number, so it
         // overwrites that round's checkpoint file.
         dur.commit_round(round_base, &[], self.make_checkpoint(&ls));
-        Ok(self.run_loop(ls, graph, Some(dur)))
+        Ok(self.run_loop(ls, Some(dur)))
     }
 
     /// Snapshot the loop state for a round-boundary checkpoint.

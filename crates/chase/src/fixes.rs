@@ -112,13 +112,16 @@ impl FixStore {
         root
     }
 
-    /// Roots of the classes that unite more than one key — each merged
-    /// key's root, once, ascending. Every other class has a single eid.
-    pub fn merged_roots(&self) -> Vec<EntityKey> {
-        let mut roots: Vec<EntityKey> = self.parent.keys().map(|k| self.find_ref(*k)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        roots
+    /// The keys of every class that unites more than one key, by root
+    /// (the root among them): O(merged keys). Every other class has a
+    /// single key.
+    pub fn merged_classes(&self) -> FxHashMap<EntityKey, Vec<EntityKey>> {
+        let mut classes: FxHashMap<EntityKey, Vec<EntityKey>> = FxHashMap::default();
+        for k in self.parent.keys() {
+            let root = self.find_ref(*k);
+            classes.entry(root).or_insert_with(|| vec![root]).push(*k);
+        }
+        classes
     }
 
     /// Are two entities validated as the same?
@@ -453,16 +456,25 @@ mod tests {
     }
 
     #[test]
-    fn merged_roots_are_the_roots_of_multi_key_classes() {
+    fn merged_classes_are_the_multi_key_classes_by_root() {
+        let sorted = |f: &FixStore| {
+            let mut classes: Vec<_> = f.merged_classes().into_iter().collect();
+            for (_, keys) in &mut classes {
+                keys.sort_unstable();
+            }
+            classes.sort_unstable();
+            classes
+        };
         let mut f = FixStore::new();
-        assert!(f.merged_roots().is_empty());
+        assert!(f.merged_classes().is_empty());
         f.merge(k(5), k(3));
         f.merge(k(3), k(9));
         f.merge(k(8), k(7));
         f.find(k(9)); // path compression keeps the roots
-        assert_eq!(f.merged_roots(), vec![k(3), k(7)]);
+        let want = vec![(k(3), vec![k(3), k(5), k(9)]), (k(7), vec![k(7), k(8)])];
+        assert_eq!(sorted(&f), want);
         let back = FixStore::from_snapshot(&f.to_snapshot());
-        assert_eq!(back.merged_roots(), vec![k(3), k(7)], "after a resume");
+        assert_eq!(sorted(&back), want, "after a resume");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (`crate::reference`) differ only in *which* valuations they visit.
 
 use crate::chase::{ChaseEngine, GateMode};
-use crate::commit::Committed;
+use crate::commit::{Committed, MergedClasses};
 use crate::fixes::{ChaseOrderOracle, EntityKey, FixStore};
 use rock_data::{AttrId, CellRef, GlobalTid, RelId, TupleId, Value};
 use rock_rees::eval::{distinct_ok, EntityOracle, EvalContext, Valuation};
@@ -114,6 +114,7 @@ impl Proposal {
 
 struct FixEntityOracle<'a> {
     fixes: &'a FixStore,
+    classes: &'a MergedClasses,
 }
 
 impl EntityOracle for FixEntityOracle<'_> {
@@ -121,6 +122,11 @@ impl EntityOracle for FixEntityOracle<'_> {
     fn class(&self, (rel, eid): (RelId, rock_data::Eid)) -> (RelId, rock_data::Eid) {
         let root = self.fixes.find_ref(EntityKey::new(rel, eid));
         (root.rel, root.eid)
+    }
+
+    /// The committed state's member list of a merged class.
+    fn merged_members(&self, (rel, eid): (RelId, rock_data::Eid)) -> Option<&[GlobalTid]> {
+        self.classes.merged(EntityKey::new(rel, eid))
     }
 }
 
@@ -138,7 +144,10 @@ pub(crate) fn with_context<R>(
         fixes: &st.fixes,
         db: &st.db,
     };
-    let entity_oracle = FixEntityOracle { fixes: &st.fixes };
+    let entity_oracle = FixEntityOracle {
+        fixes: &st.fixes,
+        classes: &st.classes,
+    };
     let mut ctx = EvalContext::new(&st.db, engine.registry)
         .with_temporal(&oracle)
         .with_entities(&entity_oracle)

@@ -46,7 +46,17 @@ pub struct ReferenceResult {
 /// Batch reference chase with `engine`'s rules, models, graph, gate, policy
 /// and round budget.
 pub fn run(engine: &ChaseEngine<'_>, db: &Database, trusted: &[GlobalTid]) -> ReferenceResult {
-    chase(engine, db.clone(), trusted, None)
+    run_seeded(engine, db, trusted, FixStore::new())
+}
+
+/// Batch reference chase continuing from an existing fix store.
+pub fn run_seeded(
+    engine: &ChaseEngine<'_>,
+    db: &Database,
+    trusted: &[GlobalTid],
+    fixes: FixStore,
+) -> ReferenceResult {
+    chase(engine, db.clone(), trusted, fixes, None)
 }
 
 /// Incremental reference chase: apply ΔD, then chase the touched tuples.
@@ -55,6 +65,17 @@ pub fn run_incremental(
     db: &Database,
     trusted: &[GlobalTid],
     delta: &Delta,
+) -> Result<ReferenceResult, rock_data::DataError> {
+    run_incremental_seeded(engine, db, trusted, delta, FixStore::new())
+}
+
+/// Incremental reference chase continuing from an existing fix store.
+pub fn run_incremental_seeded(
+    engine: &ChaseEngine<'_>,
+    db: &Database,
+    trusted: &[GlobalTid],
+    delta: &Delta,
+    fixes: FixStore,
 ) -> Result<ReferenceResult, rock_data::DataError> {
     let mut work = db.clone();
     let mut inserted = work.apply(delta)?.into_iter();
@@ -69,18 +90,19 @@ pub fn run_incremental(
             Update::Delete { rel, tid } | Update::SetCell { rel, tid, .. } => seed.mark(*rel, *tid),
         }
     }
-    Ok(chase(engine, work, trusted, Some(seed)))
+    Ok(chase(engine, work, trusted, fixes, Some(seed)))
 }
 
 fn chase(
     engine: &ChaseEngine<'_>,
     work: Database,
     trusted: &[GlobalTid],
+    fixes: FixStore,
     mut delta: Option<DeltaSet>,
 ) -> ReferenceResult {
     let rules = &engine.rules.rules;
     let gate: GateMode = engine.config.gate;
-    let mut st = Committed::seed(work, FixStore::new(), trusted, gate);
+    let mut st = Committed::seed(work, fixes, trusted, gate);
     let mut committer = Committer::new(engine.registry, &engine.config.policy, gate, &st);
     // cells each rule's precondition reads
     let reads: Vec<FxHashSet<(RelId, AttrId)>> = rules
@@ -157,7 +179,7 @@ fn chase(
             .collect();
     }
 
-    committer.materialize_entities(&mut st);
+    st.materialize_entities();
     ReferenceResult {
         db: st.db,
         fixes: st.fixes,

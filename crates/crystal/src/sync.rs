@@ -101,7 +101,8 @@ pub enum LockRank {
     /// `discovery::BitsetCache.inner` — LRU state; the build closure runs
     /// *outside* this lock by construction.
     DiscoveryCache = 120,
-    /// `data::ColumnCache.snapshot` — versioned columnar snapshot slot.
+    /// `data::SnapshotCache.snapshot` — versioned snapshot slot of a
+    /// relation's columns or of its entity class index (never both held).
     ColumnSnapshot = 130,
     /// `data::ColumnSet` projection-key cache of one snapshot (leaf: keys
     /// are built outside the lock).

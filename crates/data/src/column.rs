@@ -31,7 +31,8 @@
 //! ## Lifecycle
 //!
 //! The rows stay the source of truth; the `ColumnSet` is a versioned
-//! cache ([`ColumnCache`]) built from the rows on the first read. After
+//! cache ([`ColumnCache`], one [`SnapshotCache`]) built from the rows on
+//! the first read. After
 //! that, every row mutation patches it: an insert appends a slot, a delete
 //! tombstones one, and a cell write (`Relation::set_cell`, the chase's
 //! commit path and a ΔD batch alike) overwrites one cell. A clone of a
@@ -708,37 +709,61 @@ pub fn row_heap_bytes(rel: &Relation) -> usize {
     bytes
 }
 
-/// Versioned per-relation cache of the [`ColumnSet`].
+/// A snapshot a relation derives from its rows and caches in a
+/// [`SnapshotCache`]: the [`ColumnSet`] and the
+/// [`crate::classes::ClassIndex`].
+pub(crate) trait Snapshot: Clone {
+    /// Build the snapshot from the rows.
+    fn build(rel: &Relation) -> Self;
+}
+
+impl Snapshot for ColumnSet {
+    fn build(rel: &Relation) -> Self {
+        ColumnSet::from_relation(rel)
+    }
+}
+
+impl Snapshot for crate::classes::ClassIndex {
+    fn build(rel: &Relation) -> Self {
+        crate::classes::ClassIndex::from_relation(rel)
+    }
+}
+
+/// The columnar image's cache.
+pub(crate) type ColumnCache = SnapshotCache<ColumnSet>;
+
+/// Versioned per-relation cache of one snapshot of the rows (the
+/// [`ColumnSet`], and beside it the entity class index).
 ///
-/// * never persisted: checkpoint/WAL bytes are unchanged by the columnar
-///   plane;
+/// * never persisted: checkpoint/WAL bytes are unchanged by the cached
+///   snapshots;
 /// * `Clone` shares the current snapshot (a stale one is not carried);
 /// * readers rebuild when the snapshot's version is stale or absent;
-/// * [`ColumnCache::patch`] applies a row mutation to a current snapshot
+/// * [`SnapshotCache::patch`] applies a row mutation to a current snapshot
 ///   in place when it is exclusively held, and to a copy installed under
 ///   the same version when it is shared, so an `Arc` a reader was served
 ///   never changes under it. A stale snapshot, or a patch that cannot
 ///   keep the snapshot within bounds, bumps `version` instead.
 #[derive(Debug)]
-pub struct ColumnCache {
+pub(crate) struct SnapshotCache<T> {
     // Bumped only under `&mut Relation` (`patch`), so no reader is inside
     // while it moves: a reader that observes version v also observes every
     // row mutation that preceded the bump to v, and a version-matched
     // snapshot is never stale.
     version: AtomicU64,
-    snapshot: RankedRwLock<Option<(u64, Arc<ColumnSet>)>>,
+    snapshot: RankedRwLock<Option<(u64, Arc<T>)>>,
 }
 
-impl Default for ColumnCache {
+impl<T> Default for SnapshotCache<T> {
     fn default() -> Self {
-        ColumnCache {
+        SnapshotCache {
             version: AtomicU64::new(0),
             snapshot: RankedRwLock::new(LockRank::ColumnSnapshot, None),
         }
     }
 }
 
-impl Clone for ColumnCache {
+impl<T> Clone for SnapshotCache<T> {
     fn clone(&self) -> Self {
         let version = self.version.load(AtomicOrdering::Acquire);
         let snapshot = self
@@ -747,19 +772,19 @@ impl Clone for ColumnCache {
             .as_ref()
             .filter(|(ver, _)| *ver == version)
             .map(|(ver, set)| (*ver, Arc::clone(set)));
-        ColumnCache {
+        SnapshotCache {
             version: AtomicU64::new(version),
             snapshot: RankedRwLock::new(LockRank::ColumnSnapshot, snapshot),
         }
     }
 }
 
-impl ColumnCache {
+impl<T: Snapshot> SnapshotCache<T> {
     /// Apply one row mutation to the cached snapshot. `apply` returns
     /// whether the patched snapshot may stay; when it may not, or the
     /// snapshot is stale or absent, the cache is invalidated and the next
     /// read rebuilds from the rows.
-    pub(crate) fn patch(&mut self, apply: impl FnOnce(&mut ColumnSet) -> bool) {
+    pub(crate) fn patch(&mut self, apply: impl FnOnce(&mut T) -> bool) {
         let current = *self.version.get_mut();
         let snapshot = self.snapshot.get_mut();
         let kept = match snapshot {
@@ -773,7 +798,7 @@ impl ColumnCache {
     }
 
     /// Current snapshot, rebuilding from the rows if stale or absent.
-    pub(crate) fn get_or_build(&self, rel: &Relation) -> Arc<ColumnSet> {
+    pub(crate) fn get_or_build(&self, rel: &Relation) -> Arc<T> {
         let current = self.version.load(AtomicOrdering::Acquire);
         {
             let guard = self.snapshot.read();
@@ -783,7 +808,7 @@ impl ColumnCache {
                 }
             }
         }
-        let built = Arc::new(ColumnSet::from_relation(rel));
+        let built = Arc::new(T::build(rel));
         let mut guard = self.snapshot.write();
         // Concurrent readers may race to rebuild the same version; both
         // build identical data, so last-write-wins is fine. Mutation

@@ -22,6 +22,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bitset;
+pub mod classes;
 pub mod column;
 pub mod csvio;
 pub mod database;
@@ -42,6 +43,7 @@ pub use rock_crystal::hash::{FxHashMap, FxHashSet};
 pub use rock_crystal::{json, json_codec, rng};
 
 pub use bitset::Bitset;
+pub use classes::ClassIndex;
 pub use column::{
     row_heap_bytes, Column, ColumnData, ColumnSet, JoinIndex, PredOp, ProjectionKeys,
 };

@@ -1,7 +1,8 @@
 //! Relations: a schema, a set of tuples, and (optionally) per-cell
 //! timestamps making the relation *temporal* (paper §2.2).
 
-use crate::column::{ColumnCache, ColumnSet, JoinIndex};
+use crate::classes::ClassIndex;
+use crate::column::{ColumnCache, ColumnSet, JoinIndex, SnapshotCache};
 use crate::error::DataError;
 use crate::ids::{AttrId, Eid, TupleId};
 use crate::schema::RelationSchema;
@@ -26,7 +27,8 @@ use std::sync::Arc;
 /// snapshot, and a write copies only the one tuple it changes. Inserts,
 /// deletes and cell writes patch the snapshot (and its built join
 /// indexes) instead of invalidating it — see [`crate::column`]'s
-/// lifecycle.
+/// lifecycle. The entity class index ([`Relation::classes`]) is cached
+/// beside the columns the same way, and eid writes patch it too.
 #[derive(Debug, Clone)]
 pub struct Relation {
     pub schema: RelationSchema,
@@ -35,6 +37,7 @@ pub struct Relation {
     /// Partial timestamp function `T`.
     pub timestamps: CellTimestamps,
     columns: ColumnCache,
+    classes: SnapshotCache<ClassIndex>,
 }
 
 impl PartialEq for Relation {
@@ -79,6 +82,7 @@ impl FromJson for Relation {
             tuples,
             timestamps: j.take("timestamps")?,
             columns: ColumnCache::default(),
+            classes: SnapshotCache::default(),
         })
     }
 }
@@ -91,6 +95,7 @@ impl Relation {
             live: 0,
             timestamps: CellTimestamps::new(),
             columns: ColumnCache::default(),
+            classes: SnapshotCache::default(),
         }
     }
 
@@ -122,6 +127,7 @@ impl Relation {
         let tid = TupleId(self.tuples.len() as u32);
         let t = Arc::new(Tuple::new(tid, eid, values));
         self.columns.patch(|cols| cols.push_row(&t));
+        self.classes.patch(|classes| classes.push(tid, eid));
         self.tuples.push(Some(t));
         self.live += 1;
         Ok(tid)
@@ -137,9 +143,10 @@ impl Relation {
     /// Delete a tuple; returns whether it was live.
     pub fn delete(&mut self, tid: TupleId) -> bool {
         if let Some(slot) = self.tuples.get_mut(tid.index()) {
-            if slot.take().is_some() {
+            if let Some(t) = slot.take() {
                 self.live -= 1;
                 self.columns.patch(|cols| cols.delete_row(tid.index()));
+                self.classes.patch(|classes| classes.remove(tid, t.eid));
                 return true;
             }
         }
@@ -152,17 +159,20 @@ impl Relation {
         self.tuples.get(tid.index()).and_then(|t| t.as_deref())
     }
 
-    /// Set a live tuple's entity id. The columnar image holds no eids, so
-    /// it stays cached. Returns `false`, writing nothing, when the tuple is
+    /// Set a live tuple's entity id, moving the tuple between classes of
+    /// the cached class index. The columnar image holds no eids, so it
+    /// stays as it is. Returns `false`, writing nothing, when the tuple is
     /// dead.
     pub fn set_eid(&mut self, tid: TupleId, eid: Eid) -> bool {
-        match self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut()) {
-            Some(t) => {
-                Arc::make_mut(t).eid = eid;
-                true
-            }
-            None => false,
+        let Some(t) = self.tuples.get_mut(tid.index()).and_then(|t| t.as_mut()) else {
+            return false;
+        };
+        let old = t.eid;
+        if old != eid {
+            Arc::make_mut(t).eid = eid;
+            self.classes.patch(|classes| classes.move_to(tid, old, eid));
         }
+        true
     }
 
     /// A cell value, if the tuple is live.
@@ -191,6 +201,14 @@ impl Relation {
     /// stale. Cheap when cached: an `Arc` clone.
     pub fn columns(&self) -> Arc<ColumnSet> {
         self.columns.get_or_build(self)
+    }
+
+    /// The entity class index of this relation (eid → ascending live
+    /// tuple ids), built from the rows on the first read and patched by
+    /// every later insert, delete and eid write. Cheap when cached: an
+    /// `Arc` clone.
+    pub fn classes(&self) -> Arc<ClassIndex> {
+        self.classes.get_or_build(self)
     }
 
     /// Record a cell timestamp `T(t[A])`.

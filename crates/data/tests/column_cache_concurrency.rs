@@ -1,7 +1,9 @@
 //! Concurrency regression test for the `ColumnCache` version protocol:
-//! concurrent `set_cell` patches (under exclusive access) and snapshot rebuilds
-//! (under shared access) must never let a reader observe a columnar image
-//! that disagrees with the row store it was built from.
+//! concurrent `set_cell` and `set_eid` patches (under exclusive access) and
+//! snapshot rebuilds (under shared access) must never let a reader observe
+//! a columnar image or an entity class index that disagrees with the row
+//! store it was built from. The class index sits in a cache of its own
+//! beside the columns, running the same generic cache code.
 //!
 //! The bounded model-checking certificate for this protocol lives in
 //! `rock-crystal/tests/model_protocols.rs` (`column-cache-version`); this
@@ -12,7 +14,7 @@
 
 use std::sync::RwLock;
 
-use rock_data::{AttrType, PredOp, Relation, RelationSchema, TupleId, Value};
+use rock_data::{AttrType, Eid, PredOp, Relation, RelationSchema, TupleId, Value};
 
 const ROWS: usize = 64;
 const WRITERS: usize = 2;
@@ -29,6 +31,34 @@ fn build_relation() -> Relation {
             .unwrap();
     }
     rel
+}
+
+/// The class index groups exactly the rows' tuples by eid.
+fn assert_classes_consistent(rel: &Relation) {
+    let classes = rel.classes();
+    let mut seen = 0;
+    for t in rel.iter() {
+        let members: Vec<TupleId> = classes.members(t.eid).collect();
+        assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "class {:?} not ascending: {members:?}",
+            t.eid
+        );
+        assert!(
+            members.contains(&t.tid),
+            "{:?} missing from its class",
+            t.tid
+        );
+        for m in &members {
+            assert_eq!(
+                rel.get(*m).map(|u| u.eid),
+                Some(t.eid),
+                "stale member {m:?}"
+            );
+        }
+        seen += 1;
+    }
+    assert_eq!(seen, ROWS);
 }
 
 /// Under a read lock the rows cannot move, so the snapshot — whether it
@@ -55,6 +85,20 @@ fn concurrent_write_cell_and_rebuild_never_serve_stale_cells() {
     let int_attr = rel.read().unwrap().schema.iter_attrs().next().unwrap().0;
 
     std::thread::scope(|scope| {
+        // eid writes move tuples between a handful of classes
+        let eid_writer = &rel;
+        scope.spawn(move || {
+            for op in 0..OPS {
+                let mut guard = eid_writer.write().unwrap();
+                let tid = TupleId((op * 7 % ROWS) as u32);
+                let eid = Eid((op % 5) as u32);
+                assert!(guard.set_eid(tid, eid));
+                assert!(
+                    guard.classes().members(eid).any(|t| t == tid),
+                    "the writer's own class index must be current"
+                );
+            }
+        });
         for w in 0..WRITERS {
             let rel = &rel;
             scope.spawn(move || {
@@ -78,6 +122,7 @@ fn concurrent_write_cell_and_rebuild_never_serve_stale_cells() {
                 for op in 0..OPS {
                     let guard = rel.read().unwrap();
                     assert_snapshot_consistent(&guard);
+                    assert_classes_consistent(&guard);
                     // the predicate kernels run over the same snapshot:
                     // the mask must match a scalar recomputation
                     let pivot = Value::Int(((r + op) % OPS) as i64);
@@ -104,6 +149,7 @@ fn concurrent_write_cell_and_rebuild_never_serve_stale_cells() {
     // two back-to-back snapshots with no mutation share the same Arc
     let guard = rel.read().unwrap();
     assert_snapshot_consistent(&guard);
+    assert_classes_consistent(&guard);
     let a = guard.columns();
     let b = guard.columns();
     assert!(

@@ -10,14 +10,14 @@
 
 use crate::predicate::Predicate;
 use crate::rule::Rule;
-use rock_crystal::sync::OnceLock;
 use rock_data::{
-    AttrId, Bitset, ColumnSet, Database, Eid, FxHashMap, GlobalTid, JoinIndex, ProjectionKeys,
-    RelId, TupleId, Value,
+    AttrId, Bitset, ClassIndex, ColumnSet, Database, Eid, FxHashMap, GlobalTid, JoinIndex,
+    ProjectionKeys, RelId, TupleId, Value,
 };
 use rock_kg::{Graph, VertexId};
 use rock_ml::{BlockFilter, ModelRegistry};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A (partial) valuation of a rule's variables.
@@ -53,10 +53,6 @@ pub struct EvalContext<'a> {
     /// `(relation, eid)`. The enumerator joins `t.eid = s.eid` on these
     /// classes (see [`EvalContext::with_columnar`]).
     pub entities: Option<&'a dyn EntityOracle>,
-    /// Each relation's live tuples grouped by entity class, built on first
-    /// use: at most once per relation per context, so once per detection
-    /// pass or chase round.
-    class_members: Arc<[OnceLock<ClassMembers>]>,
     /// Route unary constant/two-attribute prefilters through the columnar
     /// kernels ([`rock_data::ColumnSet::eval_const_op`]), equality joins
     /// through the snapshot's cached [`rock_data::ColumnSet::join_index`],
@@ -92,10 +88,14 @@ pub trait TemporalOracle: Sync {
 /// tuples of *different* relations are never the same entity.
 pub trait EntityOracle: Sync {
     fn class(&self, key: (RelId, Eid)) -> (RelId, Eid);
-}
 
-/// One relation's live tuples by entity class: class → ascending tids.
-type ClassMembers = FxHashMap<(RelId, Eid), Vec<TupleId>>;
+    /// Every member of `class`, ascending by (relation, tuple), when the
+    /// class unites more than one key. `None` says its members are the
+    /// tuples whose own key is `class`: its relation's class index entry
+    /// for its eid ([`rock_data::Relation::classes`]). An oracle may list
+    /// such a class too.
+    fn merged_members(&self, class: (RelId, Eid)) -> Option<&[GlobalTid]>;
+}
 
 /// Timestamp-backed oracle: `t1 ⪯A t2` iff both cells are stamped and
 /// `T(t1[A]) ≤ T(t2[A])` (§2.2).
@@ -134,7 +134,6 @@ impl<'a> EvalContext<'a> {
             models,
             temporal: None,
             entities: None,
-            class_members: (0..db.len()).map(|_| OnceLock::new()).collect(),
             columnar: true,
             block_filters: true,
         }
@@ -153,7 +152,6 @@ impl<'a> EvalContext<'a> {
             models: self.models,
             temporal: self.temporal,
             entities: self.entities,
-            class_members: Arc::clone(&self.class_members),
             columnar: self.columnar,
             block_filters: false,
         }
@@ -169,9 +167,7 @@ impl<'a> EvalContext<'a> {
         self
     }
 
-    /// Decide `t.eid = s.eid` by `e`'s classes. Set it before the first
-    /// evaluation: the class member index is built from the oracle the
-    /// context holds at that point.
+    /// Decide `t.eid = s.eid` by `e`'s classes.
     pub fn with_entities(mut self, e: &'a dyn EntityOracle) -> Self {
         self.entities = Some(e);
         self
@@ -183,21 +179,6 @@ impl<'a> EvalContext<'a> {
             Some(o) => o.class((rel, eid)),
             None => (rel, eid),
         }
-    }
-
-    /// `rel`'s live tuples grouped by [`EvalContext::class`], each list
-    /// ascending; built on first use.
-    fn class_members(&self, rel: RelId) -> &ClassMembers {
-        self.class_members[rel.index()].get_or_init(|| {
-            let mut members = ClassMembers::default();
-            for t in self.db.relation(rel).iter() {
-                members
-                    .entry(self.class(rel, t.eid))
-                    .or_default()
-                    .push(t.tid);
-            }
-            members
-        })
     }
 
     /// Reference hook, not a user option: `false` answers every prefilter
@@ -399,42 +380,119 @@ pub fn enumerate_valuations<F>(rule: &Rule, ctx: &EvalContext<'_>, on_valuation:
 where
     F: FnMut(&Valuation) -> bool,
 {
-    let all = FxHashMap::default();
-    enumerate_valuations_with_candidates(rule, ctx, &all, on_valuation)
+    let sets: Vec<CandidateSet> = (0..rule.tuple_vars.len())
+        .map(|v| CandidateSet::of(rule, ctx, v))
+        .collect();
+    enumerate_candidates(
+        rule,
+        ctx,
+        sets.iter().map(CandidateSet::all).collect(),
+        on_valuation,
+    );
 }
 
-/// Like [`enumerate_valuations`], but with explicit per-variable candidate
-/// lists for any subset of the tuple variables. The scan plan
-/// (`crate::scan`) drives every work unit through here: a full-scan unit
-/// restricts variable 0 to a tid range, and a delta pass pins one variable
-/// to the touched tuples and keeps earlier variables off them. Variables
-/// absent from `overrides` enumerate the full relation. Overridden lists
-/// are filtered to live tuples and re-run through the cheap unary
-/// prefilters, so callers may pass raw tid lists.
-pub fn enumerate_valuations_with_candidates<F>(
-    rule: &Rule,
-    ctx: &EvalContext<'_>,
-    overrides: &FxHashMap<usize, &[TupleId]>,
-    on_valuation: F,
-) where
-    F: FnMut(&Valuation) -> bool,
-{
-    let nvars = rule.tuple_vars.len();
-    let mut candidates: Vec<Vec<TupleId>> = Vec::with_capacity(nvars);
-    for v in 0..nvars {
-        let rel = ctx.db.relation(rule.rel_of(v));
-        let mut tids: Vec<TupleId> = match overrides.get(&v) {
-            Some(list) => list
-                .iter()
-                .copied()
-                .filter(|t| rel.get(*t).is_some())
-                .collect(),
-            None => rel.tids().collect(),
-        };
-        apply_unary_prefilters(rule, ctx, v, &mut tids);
-        candidates.push(tids);
+/// One rule variable's live tuples that pass its unary prefilters, as an
+/// ascending list and as a slot mask. A scan plan builds each once per
+/// (rule, variable) and every work unit borrows it.
+pub struct CandidateSet {
+    tids: Vec<TupleId>,
+    mask: Bitset,
+}
+
+impl CandidateSet {
+    /// The live tuples of `rule`'s variable `v` that pass its unary
+    /// prefilters.
+    pub fn of(rule: &Rule, ctx: &EvalContext<'_>, v: usize) -> CandidateSet {
+        let (mut mask, scalar) = unary_prefilter_mask(rule, ctx, v);
+        let mut tids: Vec<TupleId> = mask.ones().map(|i| TupleId(i as u32)).collect();
+        if !scalar.is_empty() {
+            let (rel, nvars) = (rule.rel_of(v), rule.tuple_vars.len());
+            tids.retain(|tid| {
+                let h = single_var_valuation(rule, v, GlobalTid::new(rel, *tid), nvars);
+                scalar
+                    .iter()
+                    .all(|p| ctx.eval_predicate(&h, p) == Some(true))
+            });
+            mask = Bitset::new(mask.len());
+            for t in &tids {
+                mask.set(t.index());
+            }
+        }
+        CandidateSet { tids, mask }
     }
-    enumerate_from_candidates(rule, ctx, candidates, on_valuation);
+
+    /// This set without the ascending `skip` tuples.
+    pub fn without(&self, skip: &[TupleId]) -> CandidateSet {
+        let mut out = CandidateSet {
+            tids: self.tids.clone(),
+            mask: self.mask.clone(),
+        };
+        out.tids.retain(outside(skip));
+        let slots = out.mask.len();
+        for t in skip.iter().filter(|t| t.index() < slots) {
+            out.mask.unset(t.index());
+        }
+        out
+    }
+
+    /// Every tuple of the set.
+    pub fn all(&self) -> Candidates<'_> {
+        self.range(0..self.mask.len() as u32)
+    }
+
+    /// The set's tuples in the slot range `slots`.
+    pub fn range(&self, slots: Range<u32>) -> Candidates<'_> {
+        let lo = self.tids.partition_point(|t| t.0 < slots.start);
+        let hi = self.tids.partition_point(|t| t.0 < slots.end);
+        Candidates {
+            tids: Cow::Borrowed(&self.tids[lo..hi]),
+            member: Some((&self.mask, slots.start as usize..slots.end as usize)),
+        }
+    }
+
+    /// The ascending `list`'s tuples that are in the set.
+    pub fn restrict(&self, list: &[TupleId]) -> Candidates<'static> {
+        let mask = &self.mask;
+        let held = |t: &&TupleId| t.index() < mask.len() && mask.get(t.index());
+        Candidates::listed(list.iter().filter(held).copied().collect())
+    }
+}
+
+/// The tuples one variable may bind in one enumeration: an ascending list
+/// and the membership test join probes filter their hits with.
+pub struct Candidates<'s> {
+    tids: Cow<'s, [TupleId]>,
+    /// A shared set's mask and the slot range the list covers; `None`
+    /// tests the list itself.
+    member: Option<(&'s Bitset, Range<usize>)>,
+}
+
+impl Candidates<'_> {
+    /// An ascending list, tested by search: for short lists of pinned
+    /// tuples, which are not worth a mask.
+    fn listed(tids: Vec<TupleId>) -> Candidates<'static> {
+        Candidates {
+            tids: Cow::Owned(tids),
+            member: None,
+        }
+    }
+
+    fn contains(&self, t: TupleId) -> bool {
+        match &self.member {
+            Some((mask, slots)) => slots.contains(&t.index()) && mask.get(t.index()),
+            None => self.tids.binary_search(&t).is_ok(),
+        }
+    }
+}
+
+/// A filter for an ascending tid sequence that keeps the tuples the
+/// ascending `skip` list does not hold, in one merge pass.
+pub(crate) fn outside(skip: &[TupleId]) -> impl FnMut(&TupleId) -> bool + '_ {
+    let mut skip = skip.iter().peekable();
+    move |t| {
+        while skip.next_if(|s| *s < t).is_some() {}
+        skip.peek() != Some(&t)
+    }
 }
 
 /// Cheap single-variable predicate prefilter shared by all enumeration
@@ -443,39 +501,42 @@ pub fn enumerate_valuations_with_candidates<F>(
 ///
 /// With `ctx.columnar` set, constant / two-attribute / null predicates are
 /// answered by the vectorized kernels: one satisfaction [`rock_data::Bitset`]
-/// per predicate, ANDed together, then one retain pass over the candidate
-/// list (a `TupleId` indexes the columnar slots directly — ids are stable
-/// across deletions on both sides). Predicates the kernels cannot answer
-/// fall back to the per-tuple scalar path; the two paths agree exactly
-/// because they share [`rock_data::PredOp::eval`].
-fn apply_unary_prefilters(rule: &Rule, ctx: &EvalContext<'_>, v: usize, tids: &mut Vec<TupleId>) {
-    let nvars = rule.tuple_vars.len();
-    let cols = if ctx.columnar {
-        Some(ctx.db.relation(rule.rel_of(v)).columns())
-    } else {
-        None
-    };
-    let mut mask: Option<rock_data::Bitset> = None;
-    for p in &rule.precondition {
-        if p.tuple_vars() == [v] && !p.is_ml() && p.vertex_vars().is_empty() {
-            if let Some(cols) = &cols {
-                if let Some(m) = columnar_prefilter_mask(cols, p) {
-                    match &mut mask {
-                        Some(acc) => acc.intersect_with(&m),
-                        None => mask = Some(m),
-                    }
-                    continue;
-                }
-            }
-            tids.retain(|tid| {
-                let h = single_var_valuation(rule, v, GlobalTid::new(rule.rel_of(v), *tid), nvars);
-                ctx.eval_predicate(&h, p) == Some(true)
-            });
+/// per predicate, ANDed into the snapshot's live bitmap (a `TupleId`
+/// indexes the columnar slots directly — ids are stable across deletions
+/// on both sides). Predicates the kernels cannot answer fall back to the
+/// per-tuple scalar path; the two paths agree exactly because they share
+/// [`rock_data::PredOp::eval`].
+///
+/// Returns the slots of `v`'s live tuples that pass every unary predicate
+/// the kernels answer, and the unary predicates left to the per-tuple
+/// path (all of them on the scalar reference path).
+fn unary_prefilter_mask<'r>(
+    rule: &'r Rule,
+    ctx: &EvalContext<'_>,
+    v: usize,
+) -> (Bitset, Vec<&'r Predicate>) {
+    let rel = ctx.db.relation(rule.rel_of(v));
+    let unary = rule
+        .precondition
+        .iter()
+        .filter(|p| p.tuple_vars() == [v] && !p.is_ml() && p.vertex_vars().is_empty());
+    if !ctx.columnar {
+        let mut live = Bitset::new(rel.capacity());
+        for t in rel.tids() {
+            live.set(t.index());
+        }
+        return (live, unary.collect());
+    }
+    let cols = rel.columns();
+    let mut mask = cols.live().clone();
+    let mut scalar = Vec::new();
+    for p in unary {
+        match columnar_prefilter_mask(&cols, p) {
+            Some(m) => mask.intersect_with(&m),
+            None => scalar.push(p),
         }
     }
-    if let Some(mask) = mask {
-        tids.retain(|tid| mask.get(tid.index()));
-    }
+    (mask, scalar)
 }
 
 /// Kernel-answerable unary predicates: `t.A ⊕ c`, `t.A ⊕ t.B`, `null(t.A)`.
@@ -498,19 +559,19 @@ pub(crate) fn columnar_prefilter_mask(
 }
 
 /// The equality predicates between two variables, with the hash side of
-/// each joined `(variable, attribute)`, the entity joins, the ML joins, and
-/// each joined variable's candidates as a bitset. An index spans every
-/// live tuple of the relation; probes keep only the hits that are
+/// each joined `(variable, attribute)`, the entity joins with the class
+/// index of each entity-joined variable, and the ML joins. An index spans
+/// every live tuple of the relation; probes keep only the hits that are
 /// candidates.
 struct Joins<'s> {
     preds: Vec<(usize, AttrId, usize, AttrId)>,
     indexes: FxHashMap<(usize, AttrId), Cow<'s, JoinIndex>>,
-    /// `t.eid = s.eid` between two variables, joined on
-    /// [`EvalContext::class_members`]: once one side is bound, the other
-    /// narrows to its relation's tuples in the bound tuple's class.
+    /// `t.eid = s.eid` between two variables: once one side is bound, the
+    /// other narrows to its relation's tuples in the bound tuple's class —
+    /// the oracle's merged members, or the relation's [`ClassIndex`].
     eids: Vec<(usize, usize)>,
+    classes: FxHashMap<usize, Arc<ClassIndex>>,
     ml: Vec<MlJoin>,
-    candidates: FxHashMap<usize, Bitset>,
 }
 
 /// An ML pair predicate `M(t[Ā], s[B̄])` over two variables whose model
@@ -570,11 +631,11 @@ impl MlJoin {
 /// The shared enumeration core: greedy variable ordering, hash-join
 /// narrowing on equality predicates, on `t.eid = s.eid` and on ML
 /// predicates with a block filter, and recursive binding with full
-/// verification at the leaves.
-fn enumerate_from_candidates<F>(
+/// verification at the leaves. `candidates` holds each tuple variable's.
+pub fn enumerate_candidates<F>(
     rule: &Rule,
     ctx: &EvalContext<'_>,
-    candidates: Vec<Vec<TupleId>>,
+    candidates: Vec<Candidates<'_>>,
     mut on_valuation: F,
 ) where
     F: FnMut(&Valuation) -> bool,
@@ -582,7 +643,7 @@ fn enumerate_from_candidates<F>(
     let nvars = rule.tuple_vars.len();
     // 2. variable order: smallest candidate list first (greedy).
     let mut order: Vec<usize> = (0..nvars).collect();
-    order.sort_by_key(|&v| candidates[v].len());
+    order.sort_by_key(|&v| candidates[v].tids.len());
 
     // 3. binary equality predicates for hash-join binding.
     let preds: Vec<(usize, AttrId, usize, AttrId)> = rule
@@ -613,6 +674,11 @@ fn enumerate_from_candidates<F>(
             _ => None,
         })
         .collect();
+    let classes = eids
+        .iter()
+        .flat_map(|&(lv, rv)| [lv, rv])
+        .map(|v| (v, ctx.db.relation(rule.rel_of(v)).classes()))
+        .collect();
 
     let ml = MlJoin::of(rule, ctx);
 
@@ -620,30 +686,18 @@ fn enumerate_from_candidates<F>(
     // at most once per snapshot and shared by every caller; a per-call
     // build from the rows on the scalar reference path.
     let mut snapshots: Vec<Option<Arc<ColumnSet>>> = vec![None; nvars];
-    let mut joined: FxHashMap<usize, Bitset> = FxHashMap::default();
-    let joined_vars = preds.iter().flat_map(|&(lv, _, rv, _)| [lv, rv]);
-    let eid_vars = eids.iter().flat_map(|&(lv, rv)| [lv, rv]);
-    for v in joined_vars
-        .chain(eid_vars)
-        .chain(ml.iter().flat_map(|j| j.vars))
-    {
-        joined.entry(v).or_insert_with(|| {
-            let rel = ctx.db.relation(rule.rel_of(v));
-            if ctx.columnar {
-                snapshots[v] = Some(rel.columns());
-            }
-            let mut mask = Bitset::new(rel.capacity());
-            for t in &candidates[v] {
-                mask.set(t.index());
-            }
-            mask
-        });
+    let joined = || {
+        preds
+            .iter()
+            .flat_map(|&(lv, la, rv, ra)| [(lv, la), (rv, ra)])
+    };
+    if ctx.columnar {
+        for (v, _) in joined() {
+            snapshots[v].get_or_insert_with(|| ctx.db.relation(rule.rel_of(v)).columns());
+        }
     }
     let mut indexes: FxHashMap<(usize, AttrId), Cow<'_, JoinIndex>> = FxHashMap::default();
-    for (v, a) in preds
-        .iter()
-        .flat_map(|&(lv, la, rv, ra)| [(lv, la), (rv, ra)])
-    {
+    for (v, a) in joined() {
         indexes
             .entry((v, a))
             .or_insert_with(|| match &snapshots[v] {
@@ -655,8 +709,8 @@ fn enumerate_from_candidates<F>(
         preds,
         indexes,
         eids,
+        classes,
         ml,
-        candidates: joined,
     };
 
     // 4. ordered precondition for final verification (cheap first).
@@ -695,7 +749,7 @@ fn bind_next<F>(
     ctx: &EvalContext<'_>,
     order: &[usize],
     depth: usize,
-    candidates: &[Vec<TupleId>],
+    candidates: &[Candidates<'_>],
     joins: &Joins<'_>,
     ordered_preds: &[&Predicate],
     h: &mut Valuation,
@@ -744,7 +798,7 @@ where
             .get(&val)
             .map(Vec::as_slice)
             .unwrap_or(&[]);
-        narrow(&mut narrowed, hits, &joins.candidates[&v]);
+        narrow(&mut narrowed, hits, &candidates[v]);
     }
     for &(lv, rv) in &joins.eids {
         let other = if lv == v && bound[rv] {
@@ -758,12 +812,21 @@ where
         let Some(t) = ctx.db.relation(gt.rel).get(gt.tid) else {
             continue;
         };
-        let hits = ctx
-            .class_members(rule.rel_of(v))
-            .get(&ctx.class(gt.rel, t.eid))
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        narrow(&mut narrowed, hits, &joins.candidates[&v]);
+        let class = ctx.class(gt.rel, t.eid);
+        let rel = rule.rel_of(v);
+        let cands = &candidates[v];
+        match ctx.entities.and_then(|o| o.merged_members(class)) {
+            Some(members) => {
+                let lo = members.partition_point(|m| m.rel < rel);
+                let hi = members.partition_point(|m| m.rel <= rel);
+                let hits = members[lo..hi].iter().map(|m| m.tid);
+                narrow_ascending(&mut narrowed, hits, cands);
+            }
+            None if class.0 == rel => {
+                narrow_ascending(&mut narrowed, joins.classes[&v].members(class.1), cands);
+            }
+            None => narrow_ascending(&mut narrowed, std::iter::empty(), cands),
+        }
     }
     for j in &joins.ml {
         // `side` is v's side of the pair, `1 - side` the bound one
@@ -784,21 +847,21 @@ where
             // the accepted partner keys' tuples; partner keys are
             // distinct, so their tuple lists are disjoint
             None => {
-                let cands = &joins.candidates[&v];
+                let cands = &candidates[v];
                 let mut hits: Vec<TupleId> = j
                     .filter
                     .partners(bound_key, side == 1)
                     .iter()
                     .flat_map(|k| keys.tids(*k))
                     .copied()
-                    .filter(|t| cands.get(t.index()))
+                    .filter(|t| cands.contains(*t))
                     .collect();
                 hits.sort_unstable();
                 narrowed = Some(hits);
             }
         }
     }
-    let list = narrowed.as_deref().unwrap_or(&candidates[v]);
+    let list = narrowed.as_deref().unwrap_or(&candidates[v].tids);
     for &tid in list {
         h.tuples[v] = GlobalTid::new(rule.rel_of(v), tid);
         bound[v] = true;
@@ -824,18 +887,37 @@ where
 
 /// Narrow a variable's list to the ascending join `hits`: the hits that
 /// are candidates, or the current list's members that are hits.
-fn narrow(narrowed: &mut Option<Vec<TupleId>>, hits: &[TupleId], candidates: &Bitset) {
+fn narrow(narrowed: &mut Option<Vec<TupleId>>, hits: &[TupleId], candidates: &Candidates<'_>) {
     match narrowed {
         None => {
             *narrowed = Some(
                 hits.iter()
                     .copied()
-                    .filter(|t| candidates.get(t.index()))
+                    .filter(|t| candidates.contains(*t))
                     .collect(),
             );
         }
         // `cur` holds candidates only, and both lists ascend
         Some(cur) => cur.retain(|t| hits.binary_search(t).is_ok()),
+    }
+}
+
+/// [`narrow`] to hits that arrive as an ascending sequence: an entity
+/// class's members, short enough to merge against.
+fn narrow_ascending(
+    narrowed: &mut Option<Vec<TupleId>>,
+    hits: impl Iterator<Item = TupleId>,
+    candidates: &Candidates<'_>,
+) {
+    match narrowed {
+        None => *narrowed = Some(hits.filter(|t| candidates.contains(*t)).collect()),
+        Some(cur) => {
+            let mut hits = hits.peekable();
+            cur.retain(|t| {
+                while hits.next_if(|h| h < t).is_some() {}
+                hits.peek() == Some(t)
+            });
+        }
     }
 }
 
@@ -1239,17 +1321,27 @@ mod tests {
         db
     }
 
-    /// Every valuation the enumerator calls back with, in call order.
+    /// Every valuation the enumerator calls back with, in call order, with
+    /// variable `pinned.0` (if any) restricted to the tuples `pinned.1`.
     fn visit_sequence(
         rule: &Rule,
         db: &Database,
         columnar: bool,
-        overrides: &FxHashMap<usize, &[TupleId]>,
+        pinned: Option<(usize, &[TupleId])>,
     ) -> Vec<Vec<GlobalTid>> {
         let reg = ModelRegistry::new();
         let ctx = EvalContext::new(db, &reg).with_columnar(columnar);
+        let sets: Vec<CandidateSet> = (0..rule.tuple_vars.len())
+            .map(|v| CandidateSet::of(rule, &ctx, v))
+            .collect();
+        let candidates = (0..sets.len())
+            .map(|v| match pinned {
+                Some((var, list)) if var == v => sets[v].restrict(list),
+                _ => sets[v].all(),
+            })
+            .collect();
         let mut seen = Vec::new();
-        enumerate_valuations_with_candidates(rule, &ctx, overrides, |h| {
+        enumerate_candidates(rule, &ctx, candidates, |h| {
             seen.push(h.tuples.clone());
             true
         });
@@ -1266,11 +1358,11 @@ mod tests {
             let db = seeded_join_db(seed);
             for text in rules {
                 let rule = crate::parse_rule(text, &db.schema()).unwrap();
-                let full = visit_sequence(&rule, &db, true, &FxHashMap::default());
+                let full = visit_sequence(&rule, &db, true, None);
                 assert!(!full.is_empty(), "seed {seed}: {text}");
                 assert_eq!(
                     full,
-                    visit_sequence(&rule, &db, false, &FxHashMap::default()),
+                    visit_sequence(&rule, &db, false, None),
                     "seed {seed}: {text}"
                 );
                 // pin each variable to every other tid, live or dead: the
@@ -1280,12 +1372,11 @@ mod tests {
                     let rel = db.relation(rule.rel_of(var));
                     let pinned: Vec<TupleId> =
                         (0..rel.capacity() as u32).step_by(2).map(TupleId).collect();
-                    let overrides: FxHashMap<usize, &[TupleId]> =
-                        [(var, pinned.as_slice())].into_iter().collect();
-                    let restricted = visit_sequence(&rule, &db, true, &overrides);
+                    let pin = Some((var, pinned.as_slice()));
+                    let restricted = visit_sequence(&rule, &db, true, pin);
                     assert_eq!(
                         restricted,
-                        visit_sequence(&rule, &db, false, &overrides),
+                        visit_sequence(&rule, &db, false, pin),
                         "seed {seed} var {var}: {text}"
                     );
                     let mut expected: Vec<_> = full

@@ -9,8 +9,14 @@
 //!   and binds every earlier variable to `R_old`, the live tuples outside
 //!   the touched set. Each valuation binding a touched tuple is therefore
 //!   enumerated exactly once, by the pass pinning its first touched
-//!   variable. Each `R_old` list is built once per (rule, variable) and
-//!   borrowed by every unit.
+//!   variable.
+//!
+//! Every unit borrows its candidates from sets the plan builds once per
+//! (rule, variable) on first use: the live tuples that pass the
+//! variable's unary prefilters, as a list and a slot mask, and for a
+//! variable bound to `R_old` that set without the touched tuples. A unit
+//! then costs what its own range or chunk holds, not a pass over the
+//! relation.
 //!
 //! * A **run pass** ([`ScanPlan::runs`]) covers an FD-shaped rule's join
 //!   runs (`crate::runs`) instead of its pairs: each unit owns a chunk of
@@ -20,13 +26,21 @@
 //! hands every valuation to the caller's leaf; [`ScanPlan::runs_of`] hands
 //! a run unit's keys to the caller instead.
 
-use crate::eval::{enumerate_valuations_with_candidates, EvalContext, Valuation};
+use crate::eval::{enumerate_candidates, CandidateSet, Candidates, EvalContext, Valuation};
 use crate::rule::RuleSet;
 use crate::runs::{FdRuns, RunKey};
+use rock_crystal::sync::OnceLock;
 use rock_crystal::work::{partition_range, Partition, WorkUnit};
 use rock_data::{Database, DeltaSet, FxHashMap, TupleId};
+use std::cmp::Ordering;
 
-/// Work units for a set of rules over one database snapshot.
+/// A candidate set per evaluation path: indexed by
+/// [`EvalContext::columnar`], so a plan run under the scalar reference
+/// path computes its own prefilters.
+type Shared = [OnceLock<CandidateSet>; 2];
+
+/// Work units for a set of rules over one database snapshot. Every unit
+/// runs under contexts over that snapshot with the same oracles.
 pub struct ScanPlan<'a> {
     rules: &'a RuleSet,
     db: &'a Database,
@@ -37,8 +51,11 @@ pub struct ScanPlan<'a> {
     passes: Vec<Pass>,
     /// Touched tuples of each pinned (rule, variable), ascending.
     touched: FxHashMap<(usize, usize), Vec<TupleId>>,
-    /// `R_old` of each (rule, variable) that a later pass of the rule binds.
-    old: FxHashMap<(usize, usize), Vec<TupleId>>,
+    /// Each (rule, variable) of a pair unit: its candidate set.
+    sets: FxHashMap<(usize, usize), Shared>,
+    /// `R_old` of each (rule, variable) that a later pass of the rule
+    /// binds: its candidate set without the touched tuples.
+    old: FxHashMap<(usize, usize), Shared>,
     /// Each run-pass rule's prepared runs and keys.
     runs: FxHashMap<usize, (FdRuns<'a>, Vec<RunKey>)>,
 }
@@ -63,6 +80,7 @@ impl<'a> ScanPlan<'a> {
             units: Vec::new(),
             passes: Vec::new(),
             touched: FxHashMap::default(),
+            sets: FxHashMap::default(),
             old: FxHashMap::default(),
             runs: FxHashMap::default(),
         }
@@ -72,6 +90,11 @@ impl<'a> ScanPlan<'a> {
         let unit = WorkUnit::new(ri as u32, vec![p]).with_payload(self.passes.len() as u64);
         self.units.push(unit);
         self.passes.push(pass);
+        if !matches!(pass, Pass::Runs) {
+            for v in 0..self.rules.rules[ri].tuple_vars.len() {
+                self.sets.entry((ri, v)).or_default();
+            }
+        }
     }
 
     /// Scan rule `ri` in full, partitioned on variable 0's tid slots. An
@@ -110,9 +133,7 @@ impl<'a> ScanPlan<'a> {
         // comes after the last pinned one
         if let Some((_, earlier)) = pinned.split_last() {
             for &w in earlier {
-                let live = self.db.relation(rule.rel_of(w)).tids();
-                let old = live.filter(outside(&self.touched[&(ri, w)])).collect();
-                self.old.insert((ri, w), old);
+                self.old.insert((ri, w), Shared::default());
             }
         }
     }
@@ -152,33 +173,35 @@ impl<'a> ScanPlan<'a> {
         let ri = unit.rule as usize;
         let rule = &self.rules.rules[ri];
         let range = unit.partitions[0].start..unit.partitions[0].end;
-        let v = match self.passes[unit.payload as usize] {
-            Pass::Pinned(v) => v,
+        let path = usize::from(ctx.columnar);
+        let set =
+            |w: usize| self.sets[&(ri, w)][path].get_or_init(|| CandidateSet::of(rule, ctx, w));
+        let pass = self.passes[unit.payload as usize];
+        let candidates: Vec<Candidates<'_>> = match pass {
             Pass::Runs => return,
-            Pass::Full => {
-                let slots: Vec<TupleId> = range.map(TupleId).collect();
-                let overrides = FxHashMap::from_iter([(0, slots.as_slice())]);
-                return enumerate_valuations_with_candidates(rule, ctx, &overrides, visit);
-            }
+            Pass::Full => (0..rule.tuple_vars.len())
+                .map(|w| match w {
+                    0 => set(0).range(range.clone()),
+                    _ => set(w).all(),
+                })
+                .collect(),
+            Pass::Pinned(v) => (0..rule.tuple_vars.len())
+                .map(|w| {
+                    let touched = &self.touched.get(&(ri, w));
+                    match (w.cmp(&v), self.old.get(&(ri, w)), touched) {
+                        (Ordering::Equal, _, Some(touched)) => {
+                            let chunk = &touched[range.start as usize..range.end as usize];
+                            set(w).restrict(chunk)
+                        }
+                        (Ordering::Less, Some(old), Some(touched)) => {
+                            old[path].get_or_init(|| set(w).without(touched)).all()
+                        }
+                        _ => set(w).all(),
+                    }
+                })
+                .collect(),
         };
-        let chunk = &self.touched[&(ri, v)][range.start as usize..range.end as usize];
-        let mut overrides = FxHashMap::from_iter([(v, chunk)]);
-        for w in 0..v {
-            if let Some(old) = self.old.get(&(ri, w)) {
-                overrides.insert(w, old.as_slice());
-            }
-        }
-        enumerate_valuations_with_candidates(rule, ctx, &overrides, visit);
-    }
-}
-
-/// A filter for an ascending tid sequence that keeps the tuples the
-/// ascending `skip` list does not hold, in one merge pass.
-fn outside(skip: &[TupleId]) -> impl FnMut(&TupleId) -> bool + '_ {
-    let mut skip = skip.iter().peekable();
-    move |t| {
-        while skip.next_if(|s| *s < t).is_some() {}
-        skip.peek() != Some(&t)
+        enumerate_candidates(rule, ctx, candidates, visit);
     }
 }
 
@@ -196,7 +219,7 @@ mod tests {
     #[test]
     fn outside_drops_exactly_the_skipped_tuples() {
         let mut list = tids(&[0, 1, 2, 3, 5, 8, 9, 10]);
-        list.retain(outside(&tids(&[0, 3, 4, 9, 11])));
+        list.retain(crate::eval::outside(&tids(&[0, 3, 4, 9, 11])));
         assert_eq!(list, tids(&[1, 2, 5, 8, 10]));
     }
 
@@ -256,5 +279,84 @@ mod tests {
         let expected: Vec<_> = all.iter().filter(|h| binds_touched(h)).cloned().collect();
         assert!(!expected.is_empty() && expected.len() < all.len());
         assert_eq!(collect(&delta), expected);
+    }
+
+    /// The shared candidate sets keep each pass exact when variables carry
+    /// unary prefilters: an unpinned variable enumerates only its filtered
+    /// tuples, an `R_old` variable its filtered untouched ones, and every
+    /// valuation binding a touched tuple still comes once — on both
+    /// evaluation paths, at any chunking.
+    #[test]
+    fn delta_passes_with_prefilters_and_r_old_enumerate_each_touched_valuation_once() {
+        let schema = DatabaseSchema::new(vec![
+            RelationSchema::of("T", &[("k", AttrType::Str)]),
+            RelationSchema::of("E", &[("k", AttrType::Str)]),
+        ]);
+        let mut db = Database::new(&schema);
+        for k in ["a", "c", "a", "b", "a", "c", "b", "a"] {
+            let t = db.relation_mut(RelId(0));
+            t.insert_row(vec![Value::str(k)]).unwrap();
+        }
+        for k in ["x", "y", "x", "x"] {
+            let e = db.relation_mut(RelId(1));
+            e.insert_row(vec![Value::str(k)]).unwrap();
+        }
+        db.relation_mut(RelId(0)).delete(TupleId(6));
+        let rules = RuleSet::new(
+            parse_rules(
+                "rule q: T(t) && E(u) && T(s) && t.k = s.k && u.k = 'x' && t.k != 'c' \
+                 -> t.k = s.k",
+                &schema,
+            )
+            .unwrap(),
+        );
+        let reg = ModelRegistry::new();
+        for columnar in [true, false] {
+            let ctx = EvalContext::new(&db, &reg).with_columnar(columnar);
+            let collect = |plan: &ScanPlan<'_>| {
+                let mut seen: Vec<Vec<GlobalTid>> = Vec::new();
+                for unit in plan.units() {
+                    plan.run(&ctx, &unit, |h| {
+                        seen.push(h.tuples.clone());
+                        true
+                    });
+                }
+                seen.sort();
+                seen
+            };
+            let mut full = ScanPlan::new(&rules, &db, 3);
+            full.full(0);
+            let all = collect(&full);
+            assert!(all
+                .iter()
+                .all(|h| h[1].rel == RelId(1) && h[1].tid != TupleId(1)));
+
+            // touched T tuples pass and fail `t.k != 'c'`, one is dead;
+            // with touched E tuples `u` is pinned and then `R_old` too
+            let cases: [(&[u32], &[u32]); 3] =
+                [(&[0, 1, 6, 7], &[]), (&[2, 5], &[0, 1]), (&[], &[3])];
+            for (t_touched, e_touched) in cases {
+                let mut marks = DeltaSet::empty(&db);
+                for &t in t_touched {
+                    marks.mark(RelId(0), TupleId(t));
+                }
+                for &e in e_touched {
+                    marks.mark(RelId(1), TupleId(e));
+                }
+                let binds_touched =
+                    |h: &Vec<GlobalTid>| h.iter().any(|g| marks.contains(g.rel, g.tid));
+                let expected: Vec<_> = all.iter().filter(|h| binds_touched(h)).cloned().collect();
+                assert!(!expected.is_empty(), "{t_touched:?} {e_touched:?}");
+                for parts in [1, 2, 4] {
+                    let mut delta = ScanPlan::new(&rules, &db, parts);
+                    delta.delta(0, &marks);
+                    let got = collect(&delta);
+                    assert_eq!(
+                        got, expected,
+                        "{t_touched:?} {e_touched:?}, {parts} parts, columnar {columnar}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -27,14 +27,16 @@
 //! (`rock::workloads::stream`, the benchmark's `bank-stream` draws at seed
 //! 42) through `run_incremental`, each result the next batch's base, at 2k
 //! and 8k base rows, and prints the per-batch p50 of each and their ratio
-//! (reported, not gated: column snapshots and rows no longer cost O(|D|)
-//! per batch, but grouping entity classes still does, so the p50 still
-//! grows with the base; ROADMAP item 7). The 2k fold is repeated
-//! with every base made cold by a JSON round trip; the program exits
-//! non-zero if the two folds differ in a byte. The `column_patches` test
-//! holds the same equivalence on a 240-row instance with every join index
-//! built; this check is on the timed fold itself, with the `Rock`
-//! variant's ML rules, so the p50 printed is that of a correct fold.
+//! (reported, not gated: column snapshots, rows and entity classes are
+//! patched rather than rebuilt per batch, and each delta unit costs what
+//! its chunk holds, but the batch still clones the database it is given,
+//! so the p50 still grows with the base; ROADMAP item 7). Both folds are
+//! repeated with every base made cold by a JSON round trip; the program
+//! exits non-zero if a fold and its cold twin differ in a byte. The
+//! `column_patches` test holds the same equivalence on a 240-row instance
+//! with every join index built; this check is on the timed folds
+//! themselves, with the `Rock` variant's ML rules, so the p50s printed
+//! are those of correct folds.
 //!
 //! ```text
 //! cargo run --release --example scale_probe
@@ -173,18 +175,20 @@ fn main() -> ExitCode {
         ok &= probe(&w, Variant::RockNoMl, rows, rows == 2_000);
     }
     let (small, carried) = stream_fold(2_000, false);
-    let (large, _) = stream_fold(8_000, false);
-    let (_, cold) = stream_fold(2_000, true);
-    let same = carried == cold;
+    let (large, carried_large) = stream_fold(8_000, false);
+    let same = carried == stream_fold(2_000, true).1;
+    let same_large = carried_large == stream_fold(8_000, true).1;
+    let verdict = |same: bool| if same { "identical" } else { "DIFFERENT" };
     println!(
         "bank-stream batch p50: {:.2} ms at 2000 rows, {:.2} ms at 8000 rows, ratio {:.2}; \
-         2000-row fold vs cold bases: {}",
+         folds vs cold bases: 2000 rows {}, 8000 rows {}",
         small * 1e3,
         large * 1e3,
         large / small,
-        if same { "identical" } else { "DIFFERENT" }
+        verdict(same),
+        verdict(same_large)
     );
-    ok &= same;
+    ok &= same && same_large;
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -1,14 +1,16 @@
-//! Patched column snapshots against cold builds.
+//! Patched column snapshots and class indexes against cold builds.
 //!
 //! Inserts, deletes and cell writes patch a relation's cached
 //! `ColumnSet` — cells, live bitmap, every join index and projection
-//! already built — and a clone shares the snapshot until either side
-//! writes. Two properties pin that down:
+//! already built — and inserts, deletes and eid writes patch its entity
+//! class index; a clone shares both snapshots until either side writes.
+//! Two properties pin that down:
 //!
-//! * random `insert` / `delete` / `set_cell` / clone sequences: after every
-//!   step the snapshot equals `ColumnSet::from_relation` of the same rows,
-//!   a snapshot a reader still holds never changes, and neither side of a
-//!   clone sees the other's writes;
+//! * random `insert` / `delete` / `set_cell` / `set_eid` / clone
+//!   sequences: after every step the snapshot equals
+//!   `ColumnSet::from_relation` of the same rows and the class index
+//!   equals a grouping of the rows by eid, a snapshot a reader still holds
+//!   never changes, and neither side of a clone sees the other's writes;
 //! * a Bank stream folded through `run_incremental`, each batch's result
 //!   the next batch's base with its snapshots carried, is byte-identical
 //!   to the same fold whose base is made cold (a JSON round trip) before
@@ -20,10 +22,12 @@ use common::{check, Gen};
 use rock::chase::{ChaseConfig, ChaseEngine};
 use rock::crystal::json;
 use rock::data::{
-    AttrId, AttrType, ColumnSet, Database, PredOp, Relation, RelationSchema, TupleId, Value,
+    AttrId, AttrType, ClassIndex, ColumnSet, Database, Eid, PredOp, Relation, RelationSchema,
+    TupleId, Value,
 };
 use rock::workloads::workload::GenConfig;
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const ATTRS: [(&str, AttrType); 4] = [
@@ -59,6 +63,31 @@ fn row(g: &mut Gen) -> Vec<Value> {
 
 fn attrs() -> impl Iterator<Item = AttrId> {
     (0..ATTRS.len()).map(|a| AttrId(a as u16))
+}
+
+/// A few eids, so classes hold several tuples.
+fn eid(g: &mut Gen) -> Eid {
+    Eid(g.below(5) as u32)
+}
+
+/// The rows' live tuples grouped by eid, each class ascending.
+fn grouped(rel: &Relation) -> BTreeMap<Eid, Vec<TupleId>> {
+    let mut classes: BTreeMap<Eid, Vec<TupleId>> = BTreeMap::new();
+    for t in rel.iter() {
+        classes.entry(t.eid).or_default().push(t.tid);
+    }
+    classes
+}
+
+/// A class index holds exactly the rows' classes.
+fn assert_classes_equal(classes: &ClassIndex, rel: &Relation) {
+    let want = grouped(rel);
+    assert_eq!(classes.len(), want.len(), "eids with a live tuple");
+    for (eid, tids) in &want {
+        let got: Vec<TupleId> = classes.members(*eid).collect();
+        assert_eq!(&got, tids, "class {eid:?}");
+    }
+    assert_eq!(*classes, ClassIndex::from_relation(rel), "cold class index");
 }
 
 /// An independent copy of the rows with a cold cache.
@@ -109,6 +138,7 @@ fn assert_cold_equal(rel: &Relation, probed: &[AttrId], proj: &[AttrId]) {
     if !proj.is_empty() {
         assert_eq!(*cols.projection_keys(proj), *cold.projection_keys(proj));
     }
+    assert_classes_equal(&rel.classes(), rel);
 }
 
 #[test]
@@ -119,7 +149,13 @@ fn random_patch_sequences_equal_a_cold_build() {
         let schema = RelationSchema::of("T", &ATTRS.map(|(n, ty)| (n, ty)));
         let mut rel = Relation::new(schema);
         for _ in 0..g.range(0..12usize) {
-            rel.insert_row(row(g)).unwrap();
+            let eid = eid(g);
+            rel.insert(eid, row(g)).unwrap();
+        }
+        // half the cases patch a class index built up front; the others
+        // build it at the first check and patch it from then on
+        if g.bool() {
+            let _ = rel.classes();
         }
         // build some indexes and projections up front; the rest stay
         // unbuilt until the end
@@ -133,8 +169,8 @@ fn random_patch_sequences_equal_a_cold_build() {
         }
         // clones frozen at clone time: (clone, its independent copy)
         let mut twins: Vec<(Relation, Relation)> = Vec::new();
-        // a snapshot a reader holds across writes, and the rows it was for
-        let mut held: Option<(Arc<ColumnSet>, Relation)> = None;
+        // snapshots a reader holds across writes, and the rows they were for
+        let mut held: Option<(Arc<ColumnSet>, Arc<ClassIndex>, Relation)> = None;
         // half the cases only write cells after the first inserts
         let write_heavy = g.bool();
         for _ in 0..60 {
@@ -142,20 +178,24 @@ fn random_patch_sequences_equal_a_cold_build() {
             let dict_before: Vec<usize> = attrs()
                 .map(|a| rel.columns().column(a).dict_len())
                 .collect();
-            let op = match g.below(10) {
+            let op = match g.below(12) {
                 0..=2 if write_heavy && !live.is_empty() => 7,
                 op => op,
             };
             match op {
                 0..=2 => {
-                    rel.insert_row(row(g)).unwrap();
+                    let eid = eid(g);
+                    rel.insert(eid, row(g)).unwrap();
                 }
                 3 if !live.is_empty() => {
                     assert!(rel.delete(g.pick(&live)));
                 }
                 4 => {
+                    let classes = rel.classes();
                     let twin = rel.clone();
                     assert!(Arc::ptr_eq(&twin.columns(), &rel.columns()));
+                    assert!(Arc::ptr_eq(&twin.classes(), &classes));
+                    drop(classes);
                     let frozen = deep_copy(&twin);
                     // either side goes on being written
                     if g.bool() {
@@ -168,8 +208,12 @@ fn random_patch_sequences_equal_a_cold_build() {
                         twins.remove(0);
                     }
                 }
-                5 => held = Some((rel.columns(), deep_copy(&rel))),
+                5 => held = Some((rel.columns(), rel.classes(), deep_copy(&rel))),
                 6 => held = None,
+                10 | 11 if !live.is_empty() => {
+                    let eid = eid(g);
+                    assert!(rel.set_eid(g.pick(&live), eid));
+                }
                 _ if !live.is_empty() => {
                     let attr = AttrId(g.below(ATTRS.len() as u64) as u16);
                     let v = cell(g, ATTRS[attr.index()].1);
@@ -185,13 +229,14 @@ fn random_patch_sequences_equal_a_cold_build() {
                 assert!(twin == frozen, "a clone saw the other side's writes");
                 assert_cold_equal(twin, &probed, &proj);
             }
-            if let Some((snapshot, rows)) = &held {
+            if let Some((snapshot, classes, rows)) = &held {
                 let cold = ColumnSet::from_relation(rows);
                 for attr in attrs() {
                     for slot in 0..cold.slots() {
                         assert_eq!(snapshot.value_at(attr, slot), cold.value_at(attr, slot));
                     }
                 }
+                assert_classes_equal(classes, rows);
             }
         }
         let all: Vec<AttrId> = attrs().collect();

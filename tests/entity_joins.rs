@@ -17,15 +17,20 @@
 //!   batch violations that bind a touched tuple.
 //! * **Chase** — production commits what the reference chase commits
 //!   (database with eids, changes, merges, conflicts, steps), batch and
-//!   incremental, one and two workers; round 1's valuations are the
-//!   pairwise count, on classes merged before the run and on the tuples a
-//!   ΔD touched.
+//!   incremental, one and two workers, from an empty fix store and from
+//!   one with merged classes; a durable run over merged classes resumed
+//!   from every round repairs byte-identically; round 1's valuations are
+//!   the pairwise count, on classes merged before the run and on the
+//!   tuples a ΔD touched.
 
 mod common;
 
 use common::{check, Gen};
 use rock::chase::reference;
-use rock::chase::{ChaseConfig, ChaseEngine, EntityKey, FixStore, GateMode};
+use rock::chase::{
+    ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, EntityKey, FixStore, GateMode,
+    ReferenceResult,
+};
 use rock::data::{
     AttrType, CellRef, Database, DatabaseSchema, Delta, DeltaSet, Eid, FxHashMap, GlobalTid, RelId,
     RelationSchema, TupleId, Update, Value,
@@ -143,13 +148,41 @@ fn live(db: &Database) -> Vec<GlobalTid> {
         .collect()
 }
 
-/// An entity oracle over a fix store's `[EID]=` classes.
-struct Classes<'a>(&'a FixStore);
+/// An entity oracle over a fix store's `[EID]=` classes, with the members
+/// of every class that holds tuples of more than one key grouped from
+/// scratch.
+struct Classes<'a> {
+    fixes: &'a FixStore,
+    merged: FxHashMap<(RelId, Eid), Vec<GlobalTid>>,
+}
+
+impl<'a> Classes<'a> {
+    fn new(db: &Database, fixes: &'a FixStore) -> Self {
+        let mut groups: FxHashMap<(RelId, Eid), (bool, Vec<GlobalTid>)> = FxHashMap::default();
+        for t in live(db) {
+            let key = EntityKey::new(t.rel, db.relation(t.rel).get(t.tid).unwrap().eid);
+            let root = fixes.find_ref(key);
+            let group = groups.entry((root.rel, root.eid)).or_default();
+            group.0 |= key != root;
+            group.1.push(t);
+        }
+        let merged = groups
+            .into_iter()
+            .filter(|(_, (several, _))| *several)
+            .map(|(class, (_, members))| (class, members))
+            .collect();
+        Classes { fixes, merged }
+    }
+}
 
 impl EntityOracle for Classes<'_> {
     fn class(&self, (rel, eid): (RelId, Eid)) -> (RelId, Eid) {
-        let root = self.0.find_ref(EntityKey::new(rel, eid));
+        let root = self.fixes.find_ref(EntityKey::new(rel, eid));
         (root.rel, root.eid)
+    }
+
+    fn merged_members(&self, class: (RelId, Eid)) -> Option<&[GlobalTid]> {
+        self.merged.get(&class).map(Vec::as_slice)
     }
 }
 
@@ -174,7 +207,7 @@ fn scan_units_visit_the_per_valuation_tests_valuations() {
     check(120, |g| {
         let db = random_db(g, 10);
         let fixes = random_merges(g);
-        let oracle = Classes(&fixes);
+        let oracle = Classes::new(&db, &fixes);
         let mut touched = DeltaSet::empty(&db);
         for t in live(&db) {
             if g.below(3) == 0 {
@@ -287,9 +320,33 @@ fn tuples(db: &Database) -> Vec<(RelId, TupleId, Eid, Vec<Value>)> {
         .collect()
 }
 
+/// The repaired tuples, changes, merges, conflicts and steps of a
+/// production run.
+fn outcome(r: ChaseResult) -> Outcome {
+    (
+        tuples(&r.db),
+        r.changes,
+        r.merged_pairs,
+        r.conflicts,
+        r.steps,
+    )
+}
+
+/// The same of a reference run.
+fn reference_outcome(r: ReferenceResult) -> Outcome {
+    (
+        tuples(&r.db),
+        r.changes,
+        r.merged_pairs,
+        r.conflicts,
+        r.steps,
+    )
+}
+
 /// Production (entity joins, delta rounds) commits what the reference
 /// chase (per-valuation eid test, full re-enumeration) commits, batch and
-/// incremental, with trusted tuples, on one and two workers.
+/// incremental, with trusted tuples, on one and two workers — from an
+/// empty fix store and from one whose merged classes hold from round 1.
 #[test]
 fn chase_equals_the_reference() {
     let rules = rules();
@@ -299,6 +356,7 @@ fn chase_equals_the_reference() {
         let db = random_db(g, 9);
         let trusted: Vec<GlobalTid> = live(&db).into_iter().filter(|_| g.below(5) == 0).collect();
         let delta = random_delta(g, &db);
+        let fixes = random_merges(g);
         for workers in [1, 2] {
             let config = ChaseConfig {
                 workers,
@@ -307,44 +365,34 @@ fn chase_equals_the_reference() {
             };
             let engine = ChaseEngine::new(&rules, &reg, config);
             let prod = engine.run(&db, &trusted);
-            let naive = reference::run(&engine, &db, &trusted);
-            let got: Outcome = (
-                tuples(&prod.db),
-                prod.changes,
-                prod.merged_pairs,
-                prod.conflicts,
-                prod.steps,
-            );
-            let want: Outcome = (
-                tuples(&naive.db),
-                naive.changes,
-                naive.merged_pairs,
-                naive.conflicts,
-                naive.steps,
-            );
+            let rounds = prod.rounds;
+            let got = outcome(prod);
+            let want = reference_outcome(reference::run(&engine, &db, &trusted));
             assert_eq!(got, want, "batch, {workers} workers");
             // merges in one round, eid-joined fixes in a later one
-            if !got.2.is_empty() && prod.rounds > 2 {
+            if !got.2.is_empty() && rounds > 2 {
                 merged_runs.set(merged_runs.get() + 1);
             }
 
-            let prod = engine.run_incremental(&db, &trusted, &delta).unwrap();
-            let naive = reference::run_incremental(&engine, &db, &trusted, &delta).unwrap();
-            let got: Outcome = (
-                tuples(&prod.db),
-                prod.changes,
-                prod.merged_pairs,
-                prod.conflicts,
-                prod.steps,
-            );
-            let want: Outcome = (
-                tuples(&naive.db),
-                naive.changes,
-                naive.merged_pairs,
-                naive.conflicts,
-                naive.steps,
+            let got = outcome(engine.run_incremental(&db, &trusted, &delta).unwrap());
+            let want = reference_outcome(
+                reference::run_incremental(&engine, &db, &trusted, &delta).unwrap(),
             );
             assert_eq!(got, want, "incremental, {workers} workers");
+
+            let got = outcome(engine.run_seeded(&db, &trusted, fixes.clone()));
+            let want =
+                reference_outcome(reference::run_seeded(&engine, &db, &trusted, fixes.clone()));
+            assert_eq!(got, want, "seeded with merges, {workers} workers");
+
+            let prod = engine.run_incremental_seeded(&db, &trusted, &delta, fixes.clone());
+            let naive =
+                reference::run_incremental_seeded(&engine, &db, &trusted, &delta, fixes.clone());
+            let (got, want) = (outcome(prod.unwrap()), reference_outcome(naive.unwrap()));
+            assert_eq!(
+                got, want,
+                "incremental seeded with merges, {workers} workers"
+            );
         }
     });
     let merged_runs = merged_runs.get();
@@ -352,6 +400,63 @@ fn chase_equals_the_reference() {
         merged_runs > 20,
         "runs that merge, then join: {merged_runs}"
     );
+}
+
+/// Everything a durable run's byte identity covers: the repaired
+/// database, the fix store, the changes, merges and round statistics.
+fn durable_bytes(r: &ChaseResult) -> Vec<u8> {
+    let all = rock::crystal::json!({
+        "db": r.db,
+        "fixes": r.fixes.to_snapshot(),
+        "changes": r.changes,
+        "merged_pairs": r.merged_pairs,
+        "round_stats": r.round_stats,
+        "conflicts": r.conflicts,
+        "steps": r.steps,
+    });
+    all.to_string().into_bytes()
+}
+
+/// A durable run seeded with merged classes, resumed from every round,
+/// repairs byte-identically to the in-memory run: the resumed commit
+/// phase lists the merged classes of the checkpointed fix store, those it
+/// was seeded with and those its earlier rounds merged.
+#[test]
+fn durable_resume_over_merged_classes_repairs_byte_identically() {
+    let rules = rules();
+    let reg = ModelRegistry::new();
+    let resumed_after_merges = Cell::new(0);
+    check(24, |g| {
+        let db = random_db(g, 9);
+        let fixes = random_merges(g);
+        let trusted: Vec<GlobalTid> = live(&db).into_iter().filter(|_| g.below(5) == 0).collect();
+        let dir = std::env::temp_dir().join(format!(
+            "rock-entity-joins-{}-{}",
+            std::process::id(),
+            g.u64()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let memory = ChaseEngine::new(&rules, &reg, ChaseConfig::default());
+        let want = durable_bytes(&memory.run_seeded(&db, &trusted, fixes.clone()));
+        let config = ChaseConfig {
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ChaseConfig::default()
+        };
+        let durable = ChaseEngine::new(&rules, &reg, config);
+        let first = durable.run_seeded(&db, &trusted, fixes.clone());
+        assert_eq!(durable_bytes(&first), want, "durable run");
+        for r in 1..=first.rounds as u64 {
+            let resumed = durable.resume_at(&trusted, r).unwrap();
+            assert_eq!(resumed.wal.as_ref().unwrap().resumed_from, Some(r));
+            assert_eq!(durable_bytes(&resumed), want, "resumed from round {r}");
+            if r > 1 && !first.merged_pairs.is_empty() {
+                resumed_after_merges.set(resumed_after_merges.get() + 1);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+    let resumed = resumed_after_merges.get();
+    assert!(resumed > 5, "resumes after a round that merged: {resumed}");
 }
 
 /// Valuations whose precondition holds, per rule, by the per-valuation
@@ -386,7 +491,7 @@ fn round_one_valuations_are_the_pairwise_count() {
         let engine = ChaseEngine::new(&rules, &reg, config);
 
         let seeded = engine.run_seeded(&db, &[], fixes.clone());
-        let oracle = Classes(&fixes);
+        let oracle = Classes::new(&db, &fixes);
         let scalar = EvalContext::new(&db, &reg)
             .with_entities(&oracle)
             .with_columnar(false);
