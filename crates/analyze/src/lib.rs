@@ -243,21 +243,6 @@ impl ToJson for AnalyzerStats {
     }
 }
 
-impl AnalyzerStats {
-    /// Accumulate another report's counters (discovery mines per relation
-    /// and sums the screens into one `DiscoveryOutcome`).
-    pub fn merge(&mut self, other: &AnalyzerStats) {
-        self.rules += other.rules;
-        self.errors += other.errors;
-        self.warnings += other.warnings;
-        self.dead_rules += other.dead_rules;
-        self.subsumed_rules += other.subsumed_rules;
-        for (k, v) in &other.diagnostics_by_code {
-            *self.diagnostics_by_code.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

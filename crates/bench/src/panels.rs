@@ -8,7 +8,7 @@ use rock_baselines::sqlengine::SqlEngineKind;
 use rock_core::Variant;
 use rock_crystal::scheduler::makespan_lpt;
 use rock_data::{json, json::Json, CellRef, FxHashSet};
-use rock_workloads::metrics::{correction_metrics, detection_metrics, er_pair_metrics, Metrics};
+use rock_workloads::metrics::{correction_metrics, detection_metrics, er_pair_metrics};
 use rock_workloads::workload::GenConfig;
 use rock_workloads::Workload;
 
@@ -188,7 +188,7 @@ pub fn rd_cache() -> (Table, Json) {
 
     let w = logistics();
     let sigs = rock_core::ml_signatures(&w);
-    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig::default());
+    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig);
     let base_cfg = DiscoveryConfig {
         min_support: 1e-4,
         min_confidence: 0.9,
@@ -1106,11 +1106,6 @@ pub fn ec_per_task() -> (Table, Json) {
         rows_json.push(json!({ "task": tname, "systems": obj }));
     }
     (table, json!({ "panel": "ec-per-task", "rows": rows_json }))
-}
-
-/// Metric convenience re-export for the summary.
-pub fn metrics_f1(m: &Metrics) -> f64 {
-    m.f1()
 }
 
 /// Durability panel: the Logistics correction chase with the WAL +

@@ -64,7 +64,7 @@ pub fn es_discovery(w: &Workload) -> (RuleSet, f64) {
         if rel.is_empty() {
             continue;
         }
-        let space = PredicateSpace::build(&w.dirty, rid, &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&w.dirty, rid, &[], &SpaceConfig);
         let report = miner.mine(&w.dirty, rid, &space.preconditions(), &space.consequences);
         wall += report.wall_seconds;
         for r in report.rules.rules {

@@ -131,7 +131,7 @@ pub struct ChaseResult {
     /// Total proposals applied (chase steps that extended `U`).
     pub steps: usize,
     /// Modeled per-round scheduler makespans (scaling experiments read the
-    /// sum; see `rock_crystal::SchedulerStats::modeled_makespan`).
+    /// sum; see `rock_crystal::scheduler::makespan_lpt`).
     pub round_makespans: Vec<Vec<f64>>,
     /// Per-round evaluation observability (valuations enumerated, delta
     /// sizes, carried emissions).
@@ -146,17 +146,6 @@ pub struct ChaseResult {
     /// Durability totals (records/checkpoints written, resumed round,
     /// degradation error). `None` when durability was not configured.
     pub wal: Option<WalSummary>,
-}
-
-impl ChaseResult {
-    /// Modeled parallel runtime over `workers` nodes (sum over rounds of
-    /// LPT makespans of per-unit durations).
-    pub fn modeled_parallel_seconds(&self, workers: usize) -> f64 {
-        self.round_makespans
-            .iter()
-            .map(|durs| rock_crystal::scheduler::makespan_lpt(durs, workers))
-            .sum()
-    }
 }
 
 /// The chase engine. Borrows the rule set, model registry and optional

@@ -138,10 +138,6 @@ impl FixStore {
         self.trusted.contains(&t)
     }
 
-    pub fn trusted_count(&self) -> usize {
-        self.trusted.len()
-    }
-
     /// Validated value of an entity's attribute, if any.
     pub fn validated_value(&self, key: EntityKey, rel: RelId, attr: AttrId) -> Option<&Value> {
         let root = self.find_ref(key);
@@ -293,11 +289,6 @@ impl FixStore {
             .all(|(a, b)| self.find_ref(*a) != self.find_ref(*b))
     }
 
-    /// Number of entity classes that have at least one member merged in.
-    pub fn merge_count(&self) -> usize {
-        self.merges
-    }
-
     /// Flatten into a *deterministic* image with a JSON codec (all maps
     /// and sets become sorted pair lists — JSON cannot key objects by
     /// struct types, and the sort makes the checkpoint bytes stable).
@@ -395,18 +386,6 @@ rock_data::json_codec!(struct FixSnapshot {
     parent, values, distinct, orders, trusted, added_values, merges, added_orders,
 });
 
-/// [`rock_rees::eval::TemporalOracle`] backed by the fix store: the chase
-/// evaluates `t ⪯A s` preconditions against *validated* orders only.
-pub struct FixOrderOracle<'a> {
-    pub fixes: &'a FixStore,
-}
-
-impl rock_rees::eval::TemporalOracle for FixOrderOracle<'_> {
-    fn holds(&self, rel: RelId, attr: AttrId, t1: TupleId, t2: TupleId, strict: bool) -> bool {
-        self.fixes.order_holds(rel, attr, t1, t2, strict)
-    }
-}
-
 /// The chase's temporal oracle: validated orders in `U` plus the *lazy*
 /// Γ⪯ — pairs implied by the initial cell timestamps (§4.1 initializes Γ⪯
 /// "with the temporal orders in D with initial timestamps"; materializing
@@ -452,7 +431,7 @@ mod tests {
         assert_eq!(f.merge(k(1), k(2)), MergeOutcome::Known);
         f.merge(k(2), k(3));
         assert!(f.same_entity(k(1), k(3)));
-        assert_eq!(f.merge_count(), 2);
+        assert_eq!(f.merges, 2);
     }
 
     #[test]
@@ -567,7 +546,6 @@ mod tests {
         assert!(!f.is_trusted(t));
         f.trust_tuple(t);
         assert!(f.is_trusted(t));
-        assert_eq!(f.trusted_count(), 1);
     }
 
     #[test]
@@ -589,7 +567,7 @@ mod tests {
         );
         assert!(g.order_holds(RelId(0), AttrId(1), TupleId(0), TupleId(2), true));
         assert!(g.is_trusted(GlobalTid::new(RelId(0), TupleId(7))));
-        assert_eq!(g.merge_count(), 1);
+        assert_eq!(g.merges, 1);
         assert_eq!(g.added_orders, 2);
         // deterministic: re-snapshotting the rebuilt store is bit-identical
         assert_eq!(snap, g.to_snapshot());

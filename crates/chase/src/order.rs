@@ -14,7 +14,6 @@ use rock_data::{FxHashMap, FxHashSet, TupleId};
 pub struct PartialOrderStore {
     /// adjacency: t -> [(successor, strict)]
     succ: FxHashMap<TupleId, Vec<(TupleId, bool)>>,
-    edges: usize,
 }
 
 /// Result of inserting an order pair.
@@ -36,20 +35,14 @@ impl PartialOrderStore {
 
     /// Rebuild a store from a previously captured direct-edge list
     /// ([`Self::iter_edges`]). Bypasses the derivability check so the
-    /// reconstructed store has the *identical* direct-edge set (and thus
-    /// identical `edge_count`), not merely the same closure — checkpoint
-    /// resume must restore the store exactly.
+    /// reconstructed store has the *identical* direct-edge set, not merely
+    /// the same closure — checkpoint resume must restore the store exactly.
     pub fn from_edges(edges: &[(TupleId, TupleId, bool)]) -> Self {
         let mut s = PartialOrderStore::new();
         for &(a, b, strict) in edges {
             s.succ.entry(a).or_default().push((b, strict));
-            s.edges += 1;
         }
         s
-    }
-
-    pub fn edge_count(&self) -> usize {
-        self.edges
     }
 
     /// Is `a ⪯ b` derivable (strict=false), or `a ≺ b` (strict=true)?
@@ -101,7 +94,6 @@ impl PartialOrderStore {
             return OrderInsert::Known;
         }
         self.succ.entry(a).or_default().push((b, strict));
-        self.edges += 1;
         OrderInsert::Added
     }
 
@@ -110,17 +102,6 @@ impl PartialOrderStore {
         self.succ
             .iter()
             .flat_map(|(&a, vs)| vs.iter().map(move |&(b, s)| (a, b, s)))
-    }
-
-    /// Tuples with no validated successor among `candidates` — the "latest"
-    /// values TD reports (paper §1: "infer the latest attribute values of
-    /// each entity"). Ties (incomparable tuples) are all returned.
-    pub fn maximal(&self, candidates: &[TupleId]) -> Vec<TupleId> {
-        candidates
-            .iter()
-            .copied()
-            .filter(|&t| !candidates.iter().any(|&u| u != t && self.holds(t, u, true)))
-            .collect()
     }
 }
 
@@ -182,7 +163,7 @@ mod tests {
         let mut p = PartialOrderStore::new();
         assert_eq!(p.insert(T0, T1, false), OrderInsert::Added);
         assert_eq!(p.insert(T0, T1, false), OrderInsert::Known);
-        assert_eq!(p.edge_count(), 1);
+        assert_eq!(p.iter_edges().count(), 1);
         // a strict insert over a known non-strict pair adds information
         assert_eq!(p.insert(T0, T1, true), OrderInsert::Added);
     }
@@ -192,16 +173,5 @@ mod tests {
         let mut p = PartialOrderStore::new();
         assert_eq!(p.insert(T0, T0, true), OrderInsert::Conflict);
         assert_eq!(p.insert(T0, T0, false), OrderInsert::Known);
-    }
-
-    #[test]
-    fn maximal_elements() {
-        let mut p = PartialOrderStore::new();
-        p.insert(T0, T1, true);
-        p.insert(T1, T2, true);
-        assert_eq!(p.maximal(&[T0, T1, T2]), vec![T2]);
-        // incomparable tuples are all maximal
-        let q = PartialOrderStore::new();
-        assert_eq!(q.maximal(&[T0, T1]), vec![T0, T1]);
     }
 }

@@ -94,13 +94,6 @@ impl QualityReport {
             violations,
         }
     }
-
-    /// Scalar summary in [0, 1] (equal-weight mean of the dimensions,
-    /// ignoring timeliness coverage which measures metadata presence, not
-    /// quality).
-    pub fn overall(&self) -> f64 {
-        (self.completeness + self.uniqueness + self.consistency) / 3.0
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +131,6 @@ mod tests {
         assert!(q.consistency < 1.0);
         assert_eq!(q.violations[0].0, "fd");
         assert_eq!(q.violations[0].1, 2); // (t0,t1) both directions
-        assert!(q.overall() < 1.0);
     }
 
     #[test]
@@ -157,6 +149,5 @@ mod tests {
         assert_eq!(q.completeness, 1.0);
         assert_eq!(q.uniqueness, 1.0);
         assert_eq!(q.consistency, 1.0);
-        assert_eq!(q.overall(), 1.0);
     }
 }

@@ -3,9 +3,7 @@
 
 use crate::poly::PolyPipeline;
 use crate::variant::{effective_rules, sorted_rules, split_by_task, Variant};
-use rock_chase::{
-    ChaseConfig, ChaseEngine, ChaseResult, ConflictPolicy, RoundStats, WalError, WalSummary,
-};
+use rock_chase::{ChaseConfig, ChaseEngine, ChaseResult, ConflictPolicy, RoundStats, WalSummary};
 use rock_crystal::{FaultStats, UnitFailure};
 use rock_data::{DataError, Database};
 use rock_detect::blocking::{clear_block_filters, precompute_ml, BlockingStats};
@@ -120,14 +118,6 @@ pub struct DiscoveryOutcome {
     pub rules: RuleSet,
     pub candidates_evaluated: usize,
     pub wall_seconds: f64,
-    /// Modeled ML cost spent (registry meter delta).
-    pub ml_cost: f64,
-    /// Scheduler fault counters aggregated over all mined relations.
-    pub fault_stats: FaultStats,
-    /// `rock-analyze` screen counters summed over all mined relations.
-    pub analyzer: rock_analyze::AnalyzerStats,
-    /// Mined rules the analyzer screen rejected across relations.
-    pub rules_dropped_by_analyzer: usize,
 }
 
 /// Detection outcome.
@@ -212,7 +202,6 @@ impl RockSystem {
     /// (§5.2) when the relation is larger than ~200 rows.
     pub fn discover(&self, w: &Workload) -> DiscoveryOutcome {
         let start = Instant::now();
-        let cost0 = w.registry.meter.cost();
         let sigs = if self.config.variant.uses_ml() {
             ml_signatures(w)
         } else {
@@ -221,14 +210,11 @@ impl RockSystem {
         let disc = Discoverer::new(&w.registry, self.config.discovery_config());
         let mut rules = RuleSet::default();
         let mut candidates = 0usize;
-        let mut fault_stats = FaultStats::default();
-        let mut analyzer = rock_analyze::AnalyzerStats::default();
-        let mut rules_dropped = 0usize;
         for (rid, rel) in w.dirty.iter() {
             if rel.is_empty() {
                 continue;
             }
-            let space = PredicateSpace::build(&w.dirty, rid, &sigs, &SpaceConfig::default());
+            let space = PredicateSpace::build(&w.dirty, rid, &sigs, &SpaceConfig);
             let report = if rel.len() > 200 && self.config.sample_ratio < 1.0 {
                 mine_with_sampling(
                     &disc,
@@ -243,9 +229,6 @@ impl RockSystem {
                 disc.mine_relation(&w.dirty, rid, &space)
             };
             candidates += report.candidates_evaluated;
-            fault_stats.merge(&report.fault_stats);
-            analyzer.merge(&report.analyzer);
-            rules_dropped += report.rules_dropped_by_analyzer;
             for r in report.rules.rules {
                 rules.push(r);
             }
@@ -254,10 +237,6 @@ impl RockSystem {
             rules,
             candidates_evaluated: candidates,
             wall_seconds: start.elapsed().as_secs_f64(),
-            ml_cost: w.registry.meter.cost() - cost0,
-            fault_stats,
-            analyzer,
-            rules_dropped_by_analyzer: rules_dropped,
         }
     }
 
@@ -356,26 +335,6 @@ impl RockSystem {
         let res = self
             .engine(w, &rules, self.config.chase_config(w))
             .run_incremental(&w.dirty, &w.trusted, delta)?;
-        Ok(self.scored(w, task, start, CorrectionOutcome::from_chase(res)))
-    }
-
-    /// Durable incremental correction: like [`Self::correct_incremental`],
-    /// but each ΔD batch is logged to `config.chase.durability`'s WAL as a
-    /// new session batch before its rounds run, so a correction stream
-    /// killed mid-batch resumes mid-stream with the delta already durable
-    /// ([`ChaseEngine::run_incremental_durable`]). Returns the chase's
-    /// typed error surface; requires `config.chase.durability` to be set.
-    pub fn correct_incremental_durable(
-        &self,
-        w: &Workload,
-        task: &Task,
-        delta: &rock_data::Delta,
-    ) -> Result<CorrectionOutcome, WalError> {
-        let start = Instant::now();
-        let rules = self.task_rules(w, task);
-        let res = self
-            .engine(w, &rules, self.config.chase_config(w))
-            .run_incremental_durable(&w.dirty, &w.trusted, delta)?;
         Ok(self.scored(w, task, start, CorrectionOutcome::from_chase(res)))
     }
 
@@ -631,7 +590,8 @@ mod tests {
             after.consistency >= before.consistency,
             "violations resolved"
         );
-        assert!(after.overall() > before.overall());
+        let sum = |q: &rock_chase::QualityReport| q.completeness + q.uniqueness + q.consistency;
+        assert!(sum(&after) > sum(&before));
     }
 
     #[test]
@@ -784,73 +744,5 @@ mod tests {
                 got: 1,
             })
         );
-    }
-
-    /// A durable incremental session repairs like the in-memory one, and a
-    /// ΔD that does not apply is a typed delta error, both on a fresh
-    /// session and on one that already holds a batch.
-    #[test]
-    fn durable_incremental_correction_matches_in_memory() {
-        use rock_data::{AttrId, Delta, Eid, RelId, TupleId, Update, Value};
-        let w = small();
-        let task = w.task("RClean").unwrap().clone();
-        let rel = RelId(0);
-        let arity = w.dirty.relation(rel).schema.arity();
-        let cell = |tid: u32, a: usize| w.dirty.cell(rel, TupleId(tid), AttrId(a as u16)).cloned();
-        let delta = Delta::new(vec![
-            Update::Insert {
-                rel,
-                eid: Eid(999_999),
-                values: (0..arity).map(|a| cell(0, a).unwrap()).collect(),
-            },
-            Update::SetCell {
-                rel,
-                tid: TupleId(1),
-                attr: AttrId(1),
-                value: cell(2, 1).unwrap(),
-            },
-        ]);
-        let dir = |tag: &str| {
-            std::env::temp_dir().join(format!("rock-core-durable-{tag}-{}", std::process::id()))
-        };
-        let durable = |tag: &str| {
-            let _ = std::fs::remove_dir_all(dir(tag));
-            RockSystem::new(RockConfig {
-                chase: ChaseConfig {
-                    durability: Some(rock_chase::DurabilityConfig::new(dir(tag))),
-                    ..ChaseConfig::default()
-                },
-                ..RockConfig::default()
-            })
-        };
-        let plain = RockSystem::new(RockConfig::default())
-            .correct_incremental(&w, &task, &delta)
-            .unwrap();
-        let session = durable("ok");
-        let logged = session
-            .correct_incremental_durable(&w, &task, &delta)
-            .unwrap();
-        assert_eq!(logged.repaired, plain.repaired);
-        assert_eq!(logged.changes, plain.changes);
-        assert!(logged.wal.is_some());
-
-        let bad = Delta::new(vec![Update::Insert {
-            rel,
-            eid: Eid(999_998),
-            values: vec![Value::str("x")],
-        }]);
-        for sys in [session, durable("bad")] {
-            let err = sys.correct_incremental_durable(&w, &task, &bad).err();
-            assert!(
-                matches!(
-                    err,
-                    Some(WalError::Delta(DataError::ArityMismatch { got: 1, .. }))
-                ),
-                "{err:?}"
-            );
-        }
-        for tag in ["ok", "bad"] {
-            let _ = std::fs::remove_dir_all(dir(tag));
-        }
     }
 }

@@ -38,34 +38,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Streaming CRC-32, for input that arrives in pieces.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state = TABLE[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-    }
-
-    pub fn finalize(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,15 +52,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn streaming_matches_oneshot() {
-        let data = b"consistent hashing over CRC-32";
-        let mut s = Crc32::new();
-        s.update(&data[..10]);
-        s.update(&data[10..]);
-        assert_eq!(s.finalize(), crc32(data));
     }
 
     #[test]

@@ -48,43 +48,12 @@ pub struct SchedulerStats {
     pub executed: Vec<u64>,
     /// Units obtained by stealing, per worker.
     pub stolen: Vec<u64>,
-    /// Busy seconds per worker (sum of attempt execution times as actually
-    /// scheduled on the host, including failed attempts).
-    pub busy_seconds: Vec<f64>,
     /// Measured execution seconds of each unit's successful attempt, in
     /// unit order (0.0 for quarantined units).
     pub unit_seconds: Vec<f64>,
     pub wall_seconds: f64,
     /// Fault-handling counters (all zero in an undisturbed run).
     pub faults: FaultStats,
-}
-
-impl SchedulerStats {
-    /// max/mean executed — 1.0 is perfect balance.
-    pub fn imbalance(&self) -> f64 {
-        if self.executed.is_empty() || self.units == 0 {
-            return 1.0;
-        }
-        let max = self.executed.iter().copied().max().unwrap_or(0) as f64;
-        let mean = self.units as f64 / self.workers as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
-    /// Modeled parallel makespan on `self.workers` nodes: greedy
-    /// longest-processing-time list scheduling of the measured per-unit
-    /// durations. Work stealing on real hardware realizes greedy list
-    /// scheduling, so this is the faithful stand-in for "runtime on an
-    /// n-node cluster" that the Fig. 4(h)/(l) scaling panels report; the
-    /// repository's CI substrate has a single CPU, so actual wall time
-    /// cannot exhibit parallel speedup (see DESIGN.md §1 on the cluster
-    /// substitution).
-    pub fn modeled_makespan(&self) -> f64 {
-        makespan_lpt(&self.unit_seconds, self.workers)
-    }
 }
 
 /// Greedy longest-processing-time makespan of `durations` on `bins` equal
@@ -299,8 +268,6 @@ impl Cluster {
 
         let executed: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let stolen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        // busy time per worker in nanoseconds
-        let busy_ns: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         // execution time of the successful attempt per unit, in nanoseconds
         let unit_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
         // attempts made per unit, read back for a `Lost` unit's report
@@ -357,7 +324,6 @@ impl Cluster {
                         f(&units[i])
                     }));
                     let ns = t0.elapsed().as_nanos() as u64;
-                    busy_ns[w].fetch_add(ns, Ordering::Relaxed);
                     let error = match outcome {
                         Ok(Ok(r)) => {
                             *results[i].lock() = Some(r);
@@ -491,10 +457,6 @@ impl Cluster {
             units: total,
             executed: executed.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
             stolen: stolen.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            busy_seconds: busy_ns
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed) as f64 / 1e9)
-                .collect(),
             unit_seconds: unit_ns
                 .iter()
                 .map(|a| a.load(Ordering::Relaxed) as f64 / 1e9)
@@ -547,7 +509,6 @@ mod tests {
         let out = cluster.execute(units(10), |u| Ok(u.rule));
         assert_eq!(out.results.len(), 10);
         assert_eq!(out.stats.executed, vec![10]);
-        assert_eq!(out.stats.imbalance(), 1.0);
     }
 
     #[test]
@@ -578,12 +539,10 @@ mod tests {
         assert_eq!(out.results.len(), 64);
         let total_stolen: u64 = out.stats.stolen.iter().sum();
         assert!(total_stolen > 0, "expected steals, stats={:?}", out.stats);
-        // balance should be far better than everything-on-one-node
-        assert!(
-            out.stats.imbalance() < 3.0,
-            "imbalance {}",
-            out.stats.imbalance()
-        );
+        // balance should be far better than everything-on-one-node: the
+        // busiest worker runs under 3× the mean of 16 units
+        let busiest = out.stats.executed.iter().copied().max().unwrap_or(0);
+        assert!(busiest < 48, "busiest worker ran {busiest} units");
     }
 
     #[test]
@@ -604,7 +563,7 @@ mod tests {
         // on 1 CPU inflates per-unit wall durations with preemption time.
         let us = units(64);
         let out = Cluster::new(1).execute(us, work);
-        let m1 = out.stats.modeled_makespan();
+        let m1 = makespan_lpt(&out.stats.unit_seconds, 1);
         let m4 = makespan_lpt(&out.stats.unit_seconds, 4);
         assert!(m1 > 0.0 && m4 > 0.0);
         assert!(m4 < m1 / 2.0, "m1={m1} m4={m4}");

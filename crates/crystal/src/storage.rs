@@ -274,12 +274,6 @@ impl FaultVfs {
         &self.0.plan
     }
 
-    /// Operations issued so far.
-    pub fn ops_done(&self) -> u64 {
-        // Relaxed: monotone counter observation; no other memory depends on it.
-        self.0.ops.load(Ordering::Relaxed)
-    }
-
     /// Whether the simulated crash has fired.
     pub fn crashed(&self) -> bool {
         // Acquire: pairs with the Release in `set_crashed` so a `true`
@@ -580,7 +574,6 @@ mod tests {
         f.write_all(b"hello").unwrap();
         f.sync_all().unwrap();
         assert_eq!(vfs.read(&p).unwrap(), b"hello");
-        assert!(vfs.ops_done() >= 4);
         assert!(!vfs.crashed());
         assert!(vfs.trace().is_empty());
     }

@@ -3,7 +3,7 @@
 use crate::error::DataError;
 use crate::ids::{AttrId, RelId, TupleId};
 use crate::relation::Relation;
-use crate::schema::{DatabaseSchema, RelationSchema};
+use crate::schema::DatabaseSchema;
 use crate::update::{Delta, Update};
 use crate::value::Value;
 use rock_crystal::hash::FxHashMap;
@@ -73,10 +73,6 @@ impl Database {
 
     pub fn by_name(&self, name: &str) -> Option<&Relation> {
         self.rel_id(name).map(|id| self.relation(id))
-    }
-
-    pub fn by_name_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.rel_id(name).map(|id| self.relation_mut(id))
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (RelId, &Relation)> {
@@ -182,38 +178,11 @@ impl Interner {
     }
 }
 
-/// Helper for building a relation schema + instance in one go (tests and
-/// examples lean on this heavily).
-pub struct RelationBuilder {
-    rel: Relation,
-}
-
-impl RelationBuilder {
-    pub fn new(schema: RelationSchema) -> Self {
-        RelationBuilder {
-            rel: Relation::new(schema),
-        }
-    }
-
-    pub fn row(mut self, values: Vec<Value>) -> Self {
-        // The builder keeps its chaining signature; a wrong-arity row in a
-        // hand-written fixture is a programming error, so surface it loudly.
-        match self.rel.insert_row(values) {
-            Ok(_) => self,
-            Err(e) => panic!("RelationBuilder::row: {e}"),
-        }
-    }
-
-    pub fn build(self) -> Relation {
-        self.rel
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::Eid;
-    use crate::schema::AttrType;
+    use crate::schema::{AttrType, RelationSchema};
 
     fn db() -> Database {
         let schema = DatabaseSchema::new(vec![
@@ -226,8 +195,7 @@ mod tests {
     #[test]
     fn relations_addressable_by_name_and_id() {
         let mut d = db();
-        d.by_name_mut("A")
-            .unwrap()
+        d.relation_mut(RelId(0))
             .insert_row(vec![Value::Int(1)])
             .unwrap();
         assert_eq!(d.total_tuples(), 1);

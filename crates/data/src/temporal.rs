@@ -81,28 +81,6 @@ impl CellTimestamps {
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, AttrId, Timestamp)> + '_ {
         self.map.iter().map(|(&(t, a), &ts)| (t, a, ts))
     }
-
-    /// All pairs `(t2, t1)` with `T(t2[A]) ≤ T(t1[A])` for a given attribute
-    /// — the initial temporal order `⪯A` induced by the timestamps. Only
-    /// *comparable* (both-defined) pairs are produced; the order stays
-    /// partial.
-    pub fn induced_order(&self, attr: AttrId) -> Vec<(TupleId, TupleId)> {
-        let mut stamped: Vec<(TupleId, Timestamp)> = self
-            .map
-            .iter()
-            .filter(|((_, a), _)| *a == attr)
-            .map(|(&(t, _), &ts)| (t, ts))
-            .collect();
-        stamped.sort_by_key(|&(t, ts)| (ts, t));
-        let mut out = Vec::new();
-        for i in 0..stamped.len() {
-            for j in (i + 1)..stamped.len() {
-                // stamped[i].ts <= stamped[j].ts  =>  t_i ⪯A t_j
-                out.push((stamped[i].0, stamped[j].0));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -117,21 +95,6 @@ mod tests {
         assert_eq!(t.get(TupleId(0), AttrId(1)), Some(Timestamp(100)));
         assert_eq!(t.get(TupleId(0), AttrId(2)), None);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn induced_order_is_chronological() {
-        let mut t = CellTimestamps::new();
-        t.set(TupleId(0), AttrId(0), Timestamp(50));
-        t.set(TupleId(1), AttrId(0), Timestamp(10));
-        t.set(TupleId(2), AttrId(0), Timestamp(99));
-        t.set(TupleId(3), AttrId(1), Timestamp(1)); // other attribute
-        let ord = t.induced_order(AttrId(0));
-        // t1 (ts 10) ⪯ t0 (ts 50) ⪯ t2 (ts 99): 3 comparable pairs
-        assert_eq!(ord.len(), 3);
-        assert!(ord.contains(&(TupleId(1), TupleId(0))));
-        assert!(ord.contains(&(TupleId(1), TupleId(2))));
-        assert!(ord.contains(&(TupleId(0), TupleId(2))));
     }
 
     #[test]

@@ -48,17 +48,6 @@ impl Tuple {
     pub fn null_count(&self) -> usize {
         self.values.iter().filter(|v| v.is_null()).count()
     }
-
-    /// Indices of attributes whose value is non-null ("validated values"
-    /// feed `Md(t[Ā], B)` in MI rules, paper §2.3).
-    pub fn non_null_attrs(&self) -> Vec<AttrId> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_null())
-            .map(|(i, _)| AttrId(i as u16))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +76,6 @@ mod tests {
     fn null_accounting() {
         let t = t();
         assert_eq!(t.null_count(), 1);
-        assert_eq!(t.non_null_attrs(), vec![AttrId(0), AttrId(2)]);
     }
 
     #[test]

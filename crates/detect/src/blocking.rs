@@ -283,7 +283,11 @@ mod tests {
         assert_eq!(stats.predicates, 1);
         assert_eq!(stats.total_pairs, 144);
         assert!(stats.candidate_pairs < stats.total_pairs, "{stats:?}");
-        assert!(stats.pruned_fraction() > 0.3, "{stats:?}");
+        // over 30 % of the pairs are pruned without inference
+        assert!(
+            stats.candidate_pairs * 10 < stats.total_pairs * 7,
+            "{stats:?}"
+        );
         assert!(stats.matches >= 12, "self pairs at minimum: {stats:?}");
     }
 

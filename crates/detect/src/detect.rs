@@ -143,11 +143,6 @@ impl DetectReport {
         let runs = self.runs.iter().flat_map(RunViolations::expand);
         self.violations.iter().cloned().chain(runs).collect()
     }
-
-    /// Modeled parallel seconds over `workers` nodes.
-    pub fn modeled_parallel_seconds(&self, workers: usize) -> f64 {
-        rock_crystal::scheduler::makespan_lpt(&self.unit_seconds, workers)
-    }
 }
 
 /// Cells a violation implicates, excluding the two-sided Attr consequence
@@ -697,16 +692,5 @@ mod tests {
         let rep =
             Detector::new(&rules, &reg).detect_incremental(&db, &rock_data::Delta::default(), &[]);
         assert_eq!(rep.count(), 0);
-    }
-
-    #[test]
-    fn modeled_parallel_seconds_monotone() {
-        let db = db();
-        let reg = ModelRegistry::new();
-        let rules = ruleset();
-        let rep = Detector::new(&rules, &reg).detect(&db);
-        let t1 = rep.modeled_parallel_seconds(1);
-        let t4 = rep.modeled_parallel_seconds(4);
-        assert!(t4 <= t1 + 1e-12);
     }
 }

@@ -41,6 +41,11 @@ use rock_rees::measures::{measure, Measures, SatBits};
 use rock_rees::{EvalContext, Predicate, Rule, RuleSet};
 use std::sync::Arc;
 
+/// Consequences whose own support is below this are skipped (a
+/// consequence that almost never holds cannot anchor a high-confidence
+/// rule).
+const MIN_CONSEQUENCE_SUPPORT: f64 = 1e-9;
+
 /// Discovery configuration.
 #[derive(Debug, Clone)]
 pub struct DiscoveryConfig {
@@ -52,9 +57,6 @@ pub struct DiscoveryConfig {
     pub max_preconditions: usize,
     /// Crystal workers.
     pub workers: usize,
-    /// Skip consequences whose own support is below this (a consequence
-    /// that almost never holds cannot anchor a high-confidence rule).
-    pub min_consequence_support: f64,
     /// Byte budget for the predicate satisfaction-bitset cache; entries
     /// beyond it are LRU-evicted and re-materialized on demand.
     pub cache_budget_bytes: usize,
@@ -70,7 +72,6 @@ impl Default for DiscoveryConfig {
             min_confidence: 0.9,
             max_preconditions: 3,
             workers: 1,
-            min_consequence_support: 1e-9,
             cache_budget_bytes: 64 << 20,
             cluster: ClusterConfig::default(),
         }
@@ -100,12 +101,6 @@ pub struct DiscoveryReport {
     /// Mined rules the screen rejected: error-severity diagnostics
     /// (unsatisfiable or ill-typed) or subsumed by another mined rule.
     pub rules_dropped_by_analyzer: usize,
-}
-
-impl DiscoveryReport {
-    pub fn modeled_parallel_seconds(&self, workers: usize) -> f64 {
-        rock_crystal::scheduler::makespan_lpt(&self.unit_seconds, workers)
-    }
 }
 
 /// The miner.
@@ -216,7 +211,7 @@ impl<'a> Discoverer<'a> {
                 continue;
             };
             report.candidates_evaluated += 1;
-            if base.support() < self.config.min_consequence_support {
+            if base.support() < MIN_CONSEQUENCE_SUPPORT {
                 report.pruned += 1;
                 continue;
             }
@@ -484,7 +479,7 @@ mod tests {
     fn discovers_fd_city_determines_area_code() {
         let db = db();
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let miner = Discoverer::new(
             &reg,
             DiscoveryConfig {
@@ -530,7 +525,7 @@ mod tests {
     fn constant_rules_discovered() {
         let db = db();
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let miner = Discoverer::new(
             &reg,
             DiscoveryConfig {
@@ -559,7 +554,7 @@ mod tests {
     fn minimality_no_redundant_supersets() {
         let db = db();
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let miner = Discoverer::new(
             &reg,
             DiscoveryConfig {
@@ -592,7 +587,7 @@ mod tests {
     fn parallel_mining_matches_sequential() {
         let db = db();
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let cfg = DiscoveryConfig {
             min_support: 0.01,
             min_confidence: 0.9,
@@ -619,7 +614,7 @@ mod tests {
     fn strict_thresholds_prune_everything() {
         let db = db();
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let miner = Discoverer::new(
             &reg,
             DiscoveryConfig {
@@ -640,7 +635,7 @@ mod tests {
     fn cached_and_scan_paths_mine_identical_rules() {
         let db = db();
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         for max_preconditions in 1..=3 {
             let cfg = DiscoveryConfig {
                 min_support: 0.01,

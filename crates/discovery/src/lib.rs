@@ -19,9 +19,8 @@
 //! * [`topk`] — top-k discovery under objective (support, confidence,
 //!   coverage diversification) and subjective (learned user preference)
 //!   measures, plus the anytime iterator ([37]).
-//! * [`prune`] — FDX-style correlation pruning of predicate candidates and
-//!   the polynomial-expression learner (XGBoost-style feature ranking +
-//!   LASSO) of §5.4.
+//! * [`prune`] — the polynomial-expression learner (XGBoost-style feature
+//!   ranking + LASSO) of §5.4.
 
 // Mining runs on the Crystal cluster's worker threads: a panic in a
 // candidate evaluation quarantines the unit and silently shrinks the
@@ -39,4 +38,4 @@ pub mod topk;
 pub use cache::{BitsetCache, CacheStats, PredicateBitsets};
 pub use levelwise::{Discoverer, DiscoveryConfig};
 pub use space::PredicateSpace;
-pub use topk::{AnytimeMiner, PreferenceModel, RuleScore};
+pub use topk::{AnytimeMiner, PreferenceModel};

@@ -1,19 +1,14 @@
-//! Predicate pruning and polynomial-expression discovery (paper §5.4).
+//! Polynomial-expression discovery (paper §5.4): gradient boosting ranks
+//! numerical attributes (the XGBoost role), LASSO fits a sparse polynomial
+//! over the selected features; non-zero weights become arithmetic
+//! consistency checks (e.g. `total ≈ price · qty`).
 //!
-//! * **FDX-style correlation pruning** — "given a target predicate, Rock
-//!   adopts an unsupervised ML model based on FDX [95] to prune predicate
-//!   candidates that are not correlated to the target, to speed up rule
-//!   discovery." FDX estimates structure from *value-difference*
-//!   statistics: for sampled tuple pairs, whether attributes agree. We
-//!   compute, per candidate attribute `A` and target `B`, the mutual
-//!   information between the agree-indicators of `A` and `B` over sampled
-//!   pairs, and prune candidates below a threshold.
-//! * **Polynomial expressions** — gradient boosting ranks numerical
-//!   attributes (the XGBoost role), LASSO fits a sparse polynomial over
-//!   the selected features; non-zero weights become arithmetic
-//!   consistency checks (e.g. `total ≈ price · qty`).
+//! The paper's other §5.4 pruning step, FDX-style correlation pruning of
+//! predicate candidates, is not implemented: wiring it into the levelwise
+//! miner would change which rules are mined, so it belongs with a measured
+//! discovery change.
 
-use rock_data::{rng::StdRng, AttrId, Database, RelId};
+use rock_data::{AttrId, Database, RelId};
 use rock_ml::linear::Lasso;
 use rock_ml::tree::GradientBoosting;
 
@@ -81,88 +76,6 @@ fn ols(xs: &[Vec<f64>], ys: &[f64], support: &[usize]) -> (Vec<f64>, f64) {
     }
     let intercept = w.pop().unwrap_or(0.0);
     (w, intercept)
-}
-
-/// Mutual information (in nats) between two binary vectors.
-pub fn binary_mutual_information(xs: &[bool], ys: &[bool]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut joint = [[0f64; 2]; 2];
-    for (&x, &y) in xs.iter().zip(ys) {
-        joint[x as usize][y as usize] += 1.0;
-    }
-    let nf = n as f64;
-    let px = [
-        (joint[0][0] + joint[0][1]) / nf,
-        (joint[1][0] + joint[1][1]) / nf,
-    ];
-    let py = [
-        (joint[0][0] + joint[1][0]) / nf,
-        (joint[0][1] + joint[1][1]) / nf,
-    ];
-    let mut mi = 0.0;
-    for x in 0..2 {
-        for y in 0..2 {
-            let pxy = joint[x][y] / nf;
-            if pxy > 0.0 && px[x] > 0.0 && py[y] > 0.0 {
-                mi += pxy * (pxy / (px[x] * py[y])).ln();
-            }
-        }
-    }
-    mi.max(0.0)
-}
-
-/// FDX-style pruning: which attributes correlate (in agree-indicator MI
-/// over sampled tuple pairs) with the target attribute. Returns attribute
-/// ids with MI ≥ `min_mi`, sorted by MI descending.
-#[allow(clippy::needless_range_loop)] // parallel per-attribute vectors
-pub fn correlated_attributes(
-    db: &Database,
-    rel: RelId,
-    target: AttrId,
-    pairs: usize,
-    min_mi: f64,
-    seed: u64,
-) -> Vec<(AttrId, f64)> {
-    let r = db.relation(rel);
-    let tids: Vec<_> = r.tids().collect();
-    if tids.len() < 2 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut agree_target = Vec::with_capacity(pairs);
-    let arity = r.schema.arity();
-    let mut agree_attr: Vec<Vec<bool>> = vec![Vec::with_capacity(pairs); arity];
-    for _ in 0..pairs {
-        let i = tids[rng.gen_range(0..tids.len())];
-        let j = tids[rng.gen_range(0..tids.len())];
-        if i == j {
-            continue;
-        }
-        let (Some(ti), Some(tj)) = (r.get(i), r.get(j)) else {
-            continue;
-        };
-        agree_target.push(ti.get(target).sql_eq(tj.get(target)));
-        for a in 0..arity {
-            let attr = AttrId(a as u16);
-            agree_attr[a].push(ti.get(attr).sql_eq(tj.get(attr)));
-        }
-    }
-    let mut out: Vec<(AttrId, f64)> = (0..arity)
-        .filter(|&a| AttrId(a as u16) != target)
-        .map(|a| {
-            (
-                AttrId(a as u16),
-                binary_mutual_information(&agree_attr[a], &agree_target),
-            )
-        })
-        .filter(|(_, mi)| *mi >= min_mi)
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    out
 }
 
 /// A discovered polynomial expression `target ≈ Σ wᵢ · termᵢ` over
@@ -350,51 +263,6 @@ pub fn discover_polynomial(
 mod tests {
     use super::*;
     use rock_data::{AttrType, DatabaseSchema, RelationSchema, Value};
-
-    #[test]
-    fn mi_basics() {
-        let x = vec![true, true, false, false];
-        assert!(binary_mutual_information(&x, &x) > 0.6); // ≈ ln 2
-        let indep = vec![true, false, true, false];
-        assert!(binary_mutual_information(&x, &indep) < 1e-9);
-        assert_eq!(binary_mutual_information(&[], &[]), 0.0);
-    }
-
-    fn corr_db() -> Database {
-        // city determines area_code; id is independent of both
-        let schema = DatabaseSchema::new(vec![RelationSchema::of(
-            "Store",
-            &[
-                ("id", AttrType::Int),
-                ("city", AttrType::Str),
-                ("area_code", AttrType::Str),
-            ],
-        )]);
-        let mut db = Database::new(&schema);
-        let r = db.relation_mut(RelId(0));
-        for i in 0..40i64 {
-            let (c, a) = if i % 2 == 0 {
-                ("Beijing", "010")
-            } else {
-                ("Shanghai", "021")
-            };
-            r.insert_row(vec![Value::Int(i), Value::str(c), Value::str(a)])
-                .unwrap();
-        }
-        db
-    }
-
-    #[test]
-    fn fdx_pruning_keeps_correlated_attribute() {
-        let db = corr_db();
-        let kept = correlated_attributes(&db, RelId(0), AttrId(2), 600, 0.05, 1);
-        assert!(!kept.is_empty());
-        assert_eq!(kept[0].0, AttrId(1), "city must rank first: {kept:?}");
-        assert!(
-            !kept.iter().any(|(a, _)| *a == AttrId(0)),
-            "independent id must be pruned: {kept:?}"
-        );
-    }
 
     fn poly_db() -> Database {
         // total = price * qty

@@ -224,7 +224,7 @@ mod tests {
         let city = graph.add_vertex(Value::str("Beijing"), "city");
         let code = graph.add_vertex(Value::str("010"), "code");
         graph.add_edge(city, "area_code", code);
-        let space = PredicateSpace::build(&d, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&d, RelId(0), &[], &SpaceConfig);
         let mut disc = Discoverer::new(
             &reg,
             DiscoveryConfig {
@@ -250,7 +250,7 @@ mod tests {
     fn sampled_mining_recovers_fd_verified_on_full_data() {
         let d = db(120);
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&d, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&d, RelId(0), &[], &SpaceConfig);
         let disc = Discoverer::new(
             &reg,
             DiscoveryConfig {

@@ -27,26 +27,17 @@ pub struct MlSignature {
     pub attrs: Vec<AttrId>,
 }
 
-/// Configuration for space construction.
-#[derive(Debug, Clone)]
-pub struct SpaceConfig {
-    /// Max distinct values for a column to be treated as categorical.
-    pub max_categorical: usize,
-    /// Max constant predicates per column.
-    pub max_constants: usize,
-    /// Minimum frequency for a constant candidate.
-    pub min_constant_count: usize,
-}
+/// Max distinct values for a column to be treated as categorical.
+const MAX_CATEGORICAL: usize = 24;
+/// Max constant predicates per column.
+const MAX_CONSTANTS: usize = 8;
+/// Minimum frequency for a constant candidate.
+const MIN_CONSTANT_COUNT: usize = 2;
 
-impl Default for SpaceConfig {
-    fn default() -> Self {
-        SpaceConfig {
-            max_categorical: 24,
-            max_constants: 8,
-            min_constant_count: 2,
-        }
-    }
-}
+/// Configuration for space construction. It has no settable field: the
+/// space's bounds are the constants above.
+#[derive(Debug, Clone, Default)]
+pub struct SpaceConfig;
 
 /// The enumerated predicate space for a two-variable template `R(t) ∧ R(s)`
 /// (single-relation; cross-relation templates are built per relation pair).
@@ -66,9 +57,9 @@ impl PredicateSpace {
         db: &Database,
         rel: RelId,
         ml: &[MlSignature],
-        cfg: &SpaceConfig,
+        _cfg: &SpaceConfig,
     ) -> PredicateSpace {
-        let stats = TableStats::compute(db.relation(rel), cfg.max_constants * 2);
+        let stats = TableStats::compute(db.relation(rel), MAX_CONSTANTS * 2);
         let schema = &db.relation(rel).schema;
         let mut unary = Vec::new();
         let mut binary = Vec::new();
@@ -77,9 +68,9 @@ impl PredicateSpace {
         for (attr, a) in schema.iter_attrs() {
             let col = stats.column(attr);
             // constants over categorical columns
-            if col.is_categorical(cfg.max_categorical) {
-                for (v, count) in col.top_values.iter().take(cfg.max_constants) {
-                    if *count >= cfg.min_constant_count {
+            if col.is_categorical(MAX_CATEGORICAL) {
+                for (v, count) in col.top_values.iter().take(MAX_CONSTANTS) {
+                    if *count >= MIN_CONSTANT_COUNT {
                         unary.push(Predicate::Const {
                             var: 0,
                             attr,
@@ -212,14 +203,14 @@ mod tests {
     #[test]
     fn constants_only_for_categorical_frequent_values() {
         let db = db();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let consts: Vec<&Predicate> = space
             .unary
             .iter()
             .filter(|p| matches!(p, Predicate::Const { .. }))
             .collect();
         // city has 2 frequent values; name column has 10 distinct
-        // singletons (below min_constant_count)
+        // singletons (below MIN_CONSTANT_COUNT)
         assert_eq!(consts.len(), 2, "{consts:?}");
         for c in consts {
             if let Predicate::Const { attr, .. } = c {
@@ -231,7 +222,7 @@ mod tests {
     #[test]
     fn null_trigger_for_nullable_column() {
         let db = db();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         assert!(space
             .unary
             .iter()
@@ -245,7 +236,7 @@ mod tests {
     #[test]
     fn binary_and_consequences_present() {
         let db = db();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         // eq per attribute + numeric ≤ for sales
         let eqs = space
             .binary
@@ -278,7 +269,7 @@ mod tests {
             rel: RelId(0),
             attrs: vec![AttrId(0)],
         }];
-        let space = PredicateSpace::build(&db, RelId(0), &sigs, &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &sigs, &SpaceConfig);
         assert!(space
             .binary
             .iter()
@@ -289,7 +280,7 @@ mod tests {
             rel: RelId(7),
             attrs: vec![],
         }];
-        let space2 = PredicateSpace::build(&db, RelId(0), &other, &SpaceConfig::default());
+        let space2 = PredicateSpace::build(&db, RelId(0), &other, &SpaceConfig);
         assert!(!space2.binary.iter().any(|p| p.is_ml()));
     }
 }

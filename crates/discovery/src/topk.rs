@@ -18,15 +18,6 @@ use rock_data::FxHashSet;
 use rock_ml::linear::{LogisticRegression, SgdParams};
 use rock_rees::{Predicate, Rule};
 
-/// A scored rule (index into the candidate pool plus its score parts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleScore {
-    pub rule_index: usize,
-    pub objective: f64,
-    pub subjective: f64,
-    pub total: f64,
-}
-
 /// Structural features of a rule for the preference model.
 pub fn rule_features(rule: &Rule) -> Vec<f64> {
     let mut n_const = 0.0;
@@ -97,13 +88,10 @@ impl PreferenceModel {
         }
         self.lr.prob(&rule_features(rule))
     }
-
-    pub fn is_trained(&self) -> bool {
-        self.trained
-    }
 }
 
-/// Score all rules: `total = w_obj · (supp_norm + conf)/2 + w_subj · pref`.
+/// Score all rules, in pool order:
+/// `w_obj · (supp_norm + conf)/2 + w_subj · pref`.
 /// `supp_norm` rescales log-support into [0, 1] (raw support spans many
 /// orders of magnitude).
 pub fn score_rules(
@@ -111,11 +99,10 @@ pub fn score_rules(
     pref: &PreferenceModel,
     w_objective: f64,
     w_subjective: f64,
-) -> Vec<RuleScore> {
+) -> Vec<f64> {
     rules
         .iter()
-        .enumerate()
-        .map(|(i, r)| {
+        .map(|r| {
             let supp_norm = if r.support <= 0.0 {
                 0.0
             } else {
@@ -123,13 +110,7 @@ pub fn score_rules(
                 ((r.support.log10() + 8.0) / 8.0).clamp(0.0, 1.0)
             };
             let objective = (supp_norm + r.confidence) / 2.0;
-            let subjective = pref.score(r);
-            RuleScore {
-                rule_index: i,
-                objective,
-                subjective,
-                total: w_objective * objective + w_subjective * subjective,
-            }
+            w_objective * objective + w_subjective * pref.score(r)
         })
         .collect()
 }
@@ -137,19 +118,15 @@ pub fn score_rules(
 /// Greedy diversified top-k: pick the highest-scored rule whose *coverage*
 /// (the set of tuples its precondition touches, supplied by the caller)
 /// adds the most uncovered elements, scaled by its score.
-pub fn diversified_top_k(
-    scores: &[RuleScore],
-    coverage: &[FxHashSet<u32>],
-    k: usize,
-) -> Vec<usize> {
+pub fn diversified_top_k(scores: &[f64], coverage: &[FxHashSet<u32>], k: usize) -> Vec<usize> {
     assert_eq!(scores.len(), coverage.len());
     let mut chosen: Vec<usize> = Vec::new();
     let mut covered: FxHashSet<u32> = FxHashSet::default();
     let mut remaining: Vec<usize> = (0..scores.len()).collect();
     while chosen.len() < k && !remaining.is_empty() {
         let Some((pos, &best)) = remaining.iter().enumerate().max_by(|(_, &a), (_, &b)| {
-            let ga = gain(&covered, &coverage[a], scores[a].total);
-            let gb = gain(&covered, &coverage[b], scores[b].total);
+            let ga = gain(&covered, &coverage[a], scores[a]);
+            let gb = gain(&covered, &coverage[b], scores[b]);
             ga.total_cmp(&gb).then_with(|| b.cmp(&a))
         }) else {
             break;
@@ -203,12 +180,7 @@ impl AnytimeMiner {
         let mut order: Vec<usize> = (0..self.pool.len())
             .filter(|i| !self.emitted.contains(i))
             .collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .total
-                .total_cmp(&scores[a].total)
-                .then_with(|| a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
         order.truncate(k);
         self.emitted.extend(order.iter().copied());
         order
@@ -280,8 +252,9 @@ mod tests {
         ];
         let pref = PreferenceModel::new();
         let scores = score_rules(&rules, &pref, 1.0, 0.0);
-        assert!(scores[0].total > scores[1].total);
-        assert_eq!(scores[0].subjective, 0.5);
+        assert!(scores[0] > scores[1]);
+        // an untrained preference model is neutral
+        assert_eq!(pref.score(&rules[0]), 0.5);
     }
 
     #[test]
@@ -298,7 +271,6 @@ mod tests {
         labeled.extend(plain.iter().map(|r| (r, false)));
         let mut pref = PreferenceModel::new();
         pref.train(&labeled);
-        assert!(pref.is_trained());
         assert!(
             pref.score(&rule("x", 1e-3, 0.95, true)) > pref.score(&rule("y", 1e-3, 0.95, false))
         );

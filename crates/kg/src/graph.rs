@@ -69,10 +69,6 @@ impl Graph {
         &self.vertices[id.index()]
     }
 
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
     pub fn edge_count(&self) -> usize {
         self.edge_count
     }
@@ -123,7 +119,6 @@ mod tests {
     #[test]
     fn vertices_and_edges() {
         let (g, store, city, code) = g();
-        assert_eq!(g.vertex_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.neighbours(store, "LocationAt"), &[city]);
         assert_eq!(g.neighbours(city, "AreaCode"), &[code]);

@@ -91,17 +91,6 @@ pub struct BlockingStats {
     pub matches: u64,
 }
 
-impl BlockingStats {
-    /// Fraction of pairs pruned without inference.
-    pub fn pruned_fraction(&self) -> f64 {
-        if self.total_pairs == 0 {
-            0.0
-        } else {
-            1.0 - self.candidate_pairs as f64 / self.total_pairs as f64
-        }
-    }
-}
-
 /// One blocking pass: the signatures it ran, the column snapshot of every
 /// relation it read, each model's filter and the pass's statistics.
 ///

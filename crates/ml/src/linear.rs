@@ -122,7 +122,6 @@ impl LogisticRegression {
 pub struct Lasso {
     pub weights: Vec<f64>,
     pub intercept: f64,
-    pub lambda: f64,
 }
 
 impl Lasso {
@@ -134,7 +133,6 @@ impl Lasso {
             return Lasso {
                 weights: Vec::new(),
                 intercept: 0.0,
-                lambda,
             };
         }
         let dim = xs[0].len();
@@ -180,7 +178,6 @@ impl Lasso {
         Lasso {
             weights: w,
             intercept: b,
-            lambda,
         }
     }
 

@@ -69,11 +69,6 @@ impl RankModel {
         sigmoid(self.currency(t2) - self.currency(t1))
     }
 
-    /// Boolean prediction `Mrank(t1, t2, ⪯)` at threshold 0.5.
-    pub fn predict_before(&self, t1: &[Value], t2: &[Value]) -> bool {
-        self.confidence(t1, t2) >= 0.5
-    }
-
     /// Train under the creator–critic loop.
     ///
     /// `pairs` are labeled ordered pairs `(earlier, later)`; `constraints`
@@ -153,44 +148,6 @@ impl RankModel {
             }
         }
     }
-
-    /// F-measure of the model on held-out labeled pairs (the paper reports
-    /// Mrank F-measure consistently above 0.80).
-    pub fn f_measure(&self, pairs: &[(Vec<Value>, Vec<Value>)]) -> f64 {
-        if pairs.is_empty() {
-            return 1.0;
-        }
-        let mut tp = 0usize;
-        let mut fp = 0usize;
-        let mut fnn = 0usize;
-        for (a, b) in pairs {
-            // true direction: a ⪯ b
-            if self.predict_before(a, b) {
-                tp += 1;
-            } else {
-                fnn += 1;
-            }
-            // reversed pair should be rejected
-            if self.predict_before(b, a) && self.confidence(b, a) > self.confidence(a, b) {
-                fp += 1;
-            }
-        }
-        let prec = if tp + fp == 0 {
-            0.0
-        } else {
-            tp as f64 / (tp + fp) as f64
-        };
-        let rec = if tp + fnn == 0 {
-            0.0
-        } else {
-            tp as f64 / (tp + fnn) as f64
-        };
-        if prec + rec == 0.0 {
-            0.0
-        } else {
-            2.0 * prec * rec / (prec + rec)
-        }
-    }
 }
 
 /// Does `(a, b)` agree (Some(true)), disagree (Some(false)) or say nothing
@@ -253,25 +210,8 @@ mod tests {
         let m = RankModel::train_creator_critic(2, &status_pairs(), &constraints(), 2, 42);
         let early = vec![Value::str("single"), Value::Int(1200)];
         let late = vec![Value::str("married"), Value::Int(5100)];
-        assert!(m.predict_before(&early, &late));
+        assert!(m.confidence(&early, &late) >= 0.5);
         assert!(m.confidence(&early, &late) > m.confidence(&late, &early));
-    }
-
-    #[test]
-    fn f_measure_above_paper_bar() {
-        let m = RankModel::train_creator_critic(2, &status_pairs(), &constraints(), 2, 42);
-        // Paper: "Mrank has F-measure consistently above 0.80".
-        let held_out = vec![
-            (
-                vec![Value::str("single"), Value::Int(1111)],
-                vec![Value::str("married"), Value::Int(7777)],
-            ),
-            (
-                vec![Value::str("single"), Value::Int(900)],
-                vec![Value::str("married"), Value::Int(4500)],
-            ),
-        ];
-        assert!(m.f_measure(&held_out) > 0.8);
     }
 
     #[test]
@@ -286,7 +226,7 @@ mod tests {
         let m = RankModel::train_creator_critic(2, &pairs, &constraints(), 3, 1);
         let early = vec![Value::str("single"), Value::Int(1000)];
         let late = vec![Value::str("married"), Value::Int(6000)];
-        assert!(m.predict_before(&early, &late));
+        assert!(m.confidence(&early, &late) >= 0.5);
     }
 
     #[test]

@@ -363,13 +363,6 @@ impl<'a> EvalContext<'a> {
             }
         })
     }
-
-    /// `h ⊨ X` for the precondition.
-    pub fn satisfies_precondition(&self, rule: &Rule, h: &Valuation) -> bool {
-        rule.precondition
-            .iter()
-            .all(|p| self.eval_predicate(h, p) == Some(true))
-    }
 }
 
 /// Enumerate valuations of `rule` over the database, with cheap predicates

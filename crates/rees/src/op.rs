@@ -39,18 +39,6 @@ impl CmpOp {
         }
     }
 
-    /// The negation (used to express violations `h ⊨ X ∧ ¬p0`).
-    pub fn negate(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Neq,
-            CmpOp::Neq => CmpOp::Eq,
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Gt => CmpOp::Le,
-            CmpOp::Ge => CmpOp::Lt,
-        }
-    }
-
     /// Parse from the DSL token.
     pub fn parse(s: &str) -> Option<CmpOp> {
         Some(match s {
@@ -109,36 +97,6 @@ mod tests {
             assert!(!op.eval(&Value::Null, &Value::Int(1)), "{op}");
             assert!(!op.eval(&Value::Int(1), &Value::Null), "{op}");
             assert!(!op.eval(&Value::Null, &Value::Null), "{op}");
-        }
-    }
-
-    #[test]
-    fn negation_involution() {
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Neq,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            assert_eq!(op.negate().negate(), op);
-        }
-    }
-
-    #[test]
-    fn negation_complementary_on_non_null() {
-        let a = Value::Int(3);
-        let b = Value::Int(7);
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Neq,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            assert_ne!(op.eval(&a, &b), op.negate().eval(&a, &b));
         }
     }
 

@@ -57,8 +57,6 @@ pub struct ChaseSchedule {
     /// Strongly connected components of the certification graph in
     /// topological order; members sorted. Dead rules appear in no stratum.
     pub strata: Vec<Vec<usize>>,
-    /// Inverse map: `stratum_of[rule]`, `None` for dead rules.
-    pub stratum_of: Vec<Option<usize>>,
     /// Whether each stratum contains a dependency cycle (more than one
     /// member, or a self-edge).
     pub stratum_cyclic: Vec<bool>,
@@ -104,12 +102,6 @@ impl ChaseSchedule {
 
         let live: Vec<bool> = g.dead.iter().map(|d| !d).collect();
         let strata = condense(&adj, &live);
-        let mut stratum_of = vec![None; n];
-        for (s, members) in strata.iter().enumerate() {
-            for &m in members {
-                stratum_of[m] = Some(s);
-            }
-        }
         let stratum_cyclic: Vec<bool> = strata
             .iter()
             .map(|ms| ms.len() > 1 || ms.iter().any(|&m| adj[m].contains(&m)))
@@ -177,7 +169,6 @@ impl ChaseSchedule {
         ChaseSchedule {
             graph: g,
             strata,
-            stratum_of,
             stratum_cyclic,
             oscillations,
             cascades,
@@ -335,8 +326,6 @@ mod tests {
             "rule dead: T(t) && t.a = 'x' && t.a = 'y' -> t.b = 'z'\n\
              rule live: T(t) && t.a = 'x' -> t.b = 'z'\n",
         );
-        assert_eq!(sch.stratum_of[0], None);
-        assert_eq!(sch.stratum_of[1], Some(0));
         assert_eq!(sch.strata, vec![vec![1]]);
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
-use crate::workload::{GenConfig, MlHint, Task, Workload};
+use crate::workload::{curated_rules, push_row, GenConfig, MlHint, Task, Workload};
 use rock_data::{
     rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Value,
 };
@@ -25,7 +25,6 @@ use rock_kg::Graph;
 use rock_ml::correlation::{CorrelationModel, ValuePredictor};
 use rock_ml::pair::NgramPairModel;
 use rock_ml::ModelRegistry;
-use rock_rees::{parse_rules, RuleSet};
 use std::sync::Arc;
 
 /// Relation indices.
@@ -143,15 +142,15 @@ pub fn generate(cfg: &GenConfig) -> Workload {
     {
         let r = clean.relation_mut(RelId(rels::BRANCH));
         for (i, (city, code)) in namegen::CITIES.iter().enumerate() {
-            r.insert(
+            push_row(
+                r,
                 Eid(i as u32),
                 vec![
                     Value::str(format!("B{i:02}")),
                     Value::str(*city),
                     Value::str(*code),
                 ],
-            )
-            .expect("generated row matches schema arity");
+            );
         }
     }
 
@@ -166,7 +165,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let phone = format!("13{:09}", rng.gen_range(0..1_000_000_000u64));
             let (city, _) = *pick(&mut rng, namegen::CITIES);
             for _src in 0..rng.gen_range(3..=4usize) {
-                r.insert(
+                push_row(
+                    r,
                     Eid(c as u32),
                     vec![
                         Value::str(&cid),
@@ -175,8 +175,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(&phone),
                         Value::str(city),
                     ],
-                )
-                .expect("generated row matches schema arity");
+                );
             }
         }
     }
@@ -191,7 +190,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let industry = *pick(&mut rng, INDUSTRIES);
             let (city, code) = *pick(&mut rng, namegen::CITIES);
             for _ in 0..3 {
-                r.insert(
+                push_row(
+                    r,
                     Eid(c as u32),
                     vec![
                         Value::str(&coid),
@@ -200,8 +200,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(city),
                         Value::str(code),
                     ],
-                )
-                .expect("generated row matches schema arity");
+                );
             }
         }
     }
@@ -212,15 +211,15 @@ pub fn generate(cfg: &GenConfig) -> Workload {
     {
         let r = clean.relation_mut(RelId(rels::ACCOUNT));
         for a in 0..n_accounts {
-            r.insert(
+            push_row(
+                r,
                 Eid(a as u32),
                 vec![
                     Value::str(format!("A{a:05}")),
                     Value::str(format!("C{:05}", a % n_customers)),
                     Value::Float((rng.gen_range(10..100_000) as f64) / 10.0),
                 ],
-            )
-            .expect("generated row matches schema arity");
+            );
         }
     }
     {
@@ -231,7 +230,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let amount = (rng.gen_range(100..500_000) as f64) / 100.0;
             let fee = (amount * 0.01 * rng.gen_range(1..5) as f64 * 100.0).round() / 100.0;
             for _ in 0..3 {
-                r.insert(
+                push_row(
+                    r,
                     Eid(batch as u32),
                     vec![
                         Value::str(format!("P{pid:06}")),
@@ -240,8 +240,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::Float(fee),
                         Value::Float(amount + fee),
                     ],
-                )
-                .expect("generated row matches schema arity");
+                );
                 pid += 1;
             }
         }
@@ -359,8 +358,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
         )),
     );
 
-    let mut rules = RuleSet::new(parse_rules(RULES, &dirty.schema()).expect("curated rules parse"));
-    rules.resolve(&registry).expect("models registered");
+    let rules = curated_rules(RULES, &dirty, &registry);
 
     let task =
         |name: &str, prefixes: &[&str], scope: &[(u16, u16)], poly: Option<(u16, u16)>| -> Task {
@@ -465,6 +463,7 @@ fn company_graph(n: usize, seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::checks::{assert_curated_rules, class_sizes};
 
     fn wl() -> Workload {
         generate(&GenConfig {
@@ -485,6 +484,29 @@ mod tests {
             w.dirty.relation(RelId(rels::BRANCH)).len(),
             namegen::CITIES.len()
         );
+    }
+
+    #[test]
+    fn curated_rules_parse_and_resolve() {
+        assert_curated_rules(RULES, &generate(&GenConfig::default()));
+    }
+
+    #[test]
+    fn every_relation_has_its_intended_rows() {
+        let cfg = GenConfig::default();
+        let w = generate(&cfg);
+        let sizes = |rel: u16| class_sizes(w.clean.relation(RelId(rel)));
+        let n_customers = cfg.rows / 3;
+        assert_eq!(sizes(rels::BRANCH), vec![1; namegen::CITIES.len()]);
+        let customers = sizes(rels::CUSTOMER);
+        assert_eq!(customers.len(), n_customers);
+        assert!(
+            customers.iter().all(|n| (3..=4).contains(n)),
+            "{customers:?}"
+        );
+        assert_eq!(sizes(rels::COMPANY), vec![3; (cfg.rows / 6).max(4)]);
+        assert_eq!(sizes(rels::ACCOUNT), vec![1; n_customers]);
+        assert_eq!(sizes(rels::PAYMENT), vec![3; cfg.rows / 2]);
     }
 
     #[test]

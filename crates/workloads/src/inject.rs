@@ -274,10 +274,10 @@ impl Injector {
                         .map(|ts| (attr, ts))
                 })
                 .collect();
-            let dup = db
-                .relation_mut(rel)
-                .insert(new_eid, values)
-                .expect("duplicated row keeps its source arity");
+            // the duplicate keeps its source's arity, so the insert succeeds
+            let Ok(dup) = db.relation_mut(rel).insert(new_eid, values) else {
+                continue;
+            };
             for (attr, ts) in stamps {
                 db.relation_mut(rel).set_timestamp(dup, attr, ts);
             }
@@ -378,6 +378,16 @@ mod tests {
                 Some(&Value::str("old town road"))
             );
         }
+    }
+
+    #[test]
+    fn every_picked_tuple_is_duplicated() {
+        // at rate 1 every tuple is picked, and each gets its duplicate
+        let mut d = db(30);
+        let mut inj = Injector::new(9);
+        let dups = inj.duplicate_tuples(&mut d, RelId(0), 1.0, &[AttrId(0)]);
+        assert_eq!(dups.len(), 30);
+        assert_eq!(d.relation(RelId(0)).len(), 60);
     }
 
     #[test]

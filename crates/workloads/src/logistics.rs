@@ -13,7 +13,7 @@
 
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
-use crate::workload::{GenConfig, MlHint, Task, Workload};
+use crate::workload::{curated_rules, push_row, GenConfig, MlHint, Task, Workload};
 use rock_data::{
     rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Timestamp,
     Value,
@@ -23,7 +23,6 @@ use rock_ml::correlation::{CorrelationModel, ValuePredictor};
 use rock_ml::pair::NgramPairModel;
 use rock_ml::rank::{CurrencyConstraint, RankModel};
 use rock_ml::ModelRegistry;
-use rock_rees::{parse_rules, RuleSet};
 use std::sync::Arc;
 
 /// Attribute indices of the Shipment table (kept in one place; the rules
@@ -110,27 +109,26 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let events = rng.gen_range(2..=4usize);
             for ev in 0..events {
                 let status = STATUSES[ev.min(STATUSES.len() - 1)];
-                let tid = r
-                    .insert(
-                        Eid(ship as u32),
-                        vec![
-                            Value::str(&order_no),
-                            Value::str(&recipient),
-                            Value::str(&street),
-                            Value::str(city),
-                            Value::str(region),
-                            Value::str(&sid),
-                            Value::str(&seller),
-                            Value::str(status),
-                        ],
-                    )
-                    .expect("generated row matches schema arity");
-                // status cells carry event timestamps (TD ground truth Γ⪯)
-                r.set_timestamp(
-                    tid,
-                    AttrId(attrs::STATUS),
-                    Timestamp::from_days(100 + (ship * 10 + ev) as i32),
-                );
+                if let Some(tid) = push_row(
+                    r,
+                    Eid(ship as u32),
+                    vec![
+                        Value::str(&order_no),
+                        Value::str(&recipient),
+                        Value::str(&street),
+                        Value::str(city),
+                        Value::str(region),
+                        Value::str(&sid),
+                        Value::str(&seller),
+                        Value::str(status),
+                    ],
+                ) {
+                    r.set_timestamp(
+                        tid,
+                        AttrId(attrs::STATUS),
+                        Timestamp::from_days(100 + (ship * 10 + ev) as i32),
+                    );
+                }
             }
         }
     }
@@ -223,8 +221,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
     );
 
     // rules
-    let mut rules = RuleSet::new(parse_rules(RULES, &dirty.schema()).expect("curated rules parse"));
-    rules.resolve(&registry).expect("models registered");
+    let rules = curated_rules(RULES, &dirty, &registry);
 
     // tasks
     let task = |name: &str, prefixes: &[&str], scope_attrs: &[u16]| -> Task {
@@ -294,6 +291,7 @@ fn seller_graph(sellers: &[(String, String)], seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::checks::{assert_curated_rules, class_sizes};
 
     fn wl() -> Workload {
         generate(&GenConfig {
@@ -302,6 +300,23 @@ mod tests {
             seed: 7,
             trusted_per_rel: 20,
         })
+    }
+
+    #[test]
+    fn curated_rules_parse_and_resolve() {
+        assert_curated_rules(RULES, &wl());
+    }
+
+    #[test]
+    fn every_shipment_has_its_scan_events() {
+        let cfg = GenConfig::default();
+        let w = generate(&cfg);
+        let events = class_sizes(w.clean.relation(RelId(0)));
+        assert_eq!(events.len(), cfg.rows / 3);
+        assert!(events.iter().all(|n| (2..=4).contains(n)), "{events:?}");
+        // every scan event carries its status timestamp
+        let r = w.clean.relation(RelId(0));
+        assert_eq!(r.timestamps.len(), r.len());
     }
 
     #[test]

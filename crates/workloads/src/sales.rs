@@ -15,7 +15,7 @@
 
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
-use crate::workload::{GenConfig, MlHint, Task, Workload};
+use crate::workload::{curated_rules, push_row, GenConfig, MlHint, Task, Workload};
 use rock_data::{
     rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Timestamp,
     Value,
@@ -25,7 +25,6 @@ use rock_ml::correlation::{CorrelationModel, ValuePredictor};
 use rock_ml::pair::NgramPairModel;
 use rock_ml::rank::{CurrencyConstraint, RankModel};
 use rock_ml::ModelRegistry;
-use rock_rees::{parse_rules, RuleSet};
 use std::sync::Arc;
 
 pub mod rels {
@@ -153,22 +152,22 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let (city, _) = *pick(&mut rng, namegen::CITIES);
             let top_tier = rng.gen_range(0..TIERS.len());
             for (i, tier) in TIERS.iter().enumerate().take(top_tier + 1) {
-                let tid = r
-                    .insert(
-                        Eid(c as u32),
-                        vec![
-                            Value::str(&cid),
-                            Value::str(&name),
-                            Value::str(city),
-                            Value::str(*tier),
-                        ],
-                    )
-                    .expect("generated row matches schema arity");
-                r.set_timestamp(
-                    tid,
-                    AttrId(client::TIER),
-                    Timestamp::from_days(100 + (c * 10 + i) as i32),
-                );
+                if let Some(tid) = push_row(
+                    r,
+                    Eid(c as u32),
+                    vec![
+                        Value::str(&cid),
+                        Value::str(&name),
+                        Value::str(city),
+                        Value::str(*tier),
+                    ],
+                ) {
+                    r.set_timestamp(
+                        tid,
+                        AttrId(client::TIER),
+                        Timestamp::from_days(100 + (c * 10 + i) as i32),
+                    );
+                }
             }
         }
     }
@@ -182,11 +181,11 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let name = namegen::unique_company(f);
             let sector = *pick(&mut rng, SECTORS);
             for _ in 0..3 {
-                r.insert(
+                push_row(
+                    r,
                     Eid(f as u32),
                     vec![Value::str(&fid), Value::str(&name), Value::str(sector)],
-                )
-                .expect("generated row matches schema arity");
+                );
             }
         }
     }
@@ -199,7 +198,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let price = (base * rng.gen_range(0.8..1.2) * 100.0).round() / 100.0;
             let tax = (price * 0.13 * 100.0).round() / 100.0;
             for i in 0..3 {
-                r.insert(
+                push_row(
+                    r,
                     Eid(o as u32),
                     vec![
                         Value::str(format!("O{o:05}-{i}")),
@@ -208,8 +208,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::Float(tax),
                         Value::Float(((price - tax) * 100.0).round() / 100.0),
                     ],
-                )
-                .expect("generated row matches schema arity");
+                );
             }
         }
     }
@@ -229,7 +228,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                 let var = variants[i / namegen::COMMODITIES.len()];
                 let name = format!("{com} {var}");
                 let cat = CATS[i % CATS.len()];
-                r.insert(
+                push_row(
+                    r,
                     Eid(i as u32),
                     vec![
                         Value::str(format!("I{i:03}")),
@@ -237,8 +237,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(cat),
                         Value::str(mfg),
                     ],
-                )
-                .expect("generated row matches schema arity");
+                );
                 ext_rows.push((
                     format!("X{i:03}"),
                     format!("{name} (official)"),
@@ -250,7 +249,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
         }
         let r = clean.relation_mut(RelId(rels::ITEM_EXT));
         for (xid, name, cat, mfg, i) in ext_rows {
-            r.insert(
+            push_row(
+                r,
                 Eid((1000 + i) as u32),
                 vec![
                     Value::str(xid),
@@ -258,8 +258,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                     Value::str(cat),
                     Value::str(mfg),
                 ],
-            )
-            .expect("generated row matches schema arity");
+            );
         }
     }
 
@@ -387,8 +386,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
         )),
     );
 
-    let mut rules = RuleSet::new(parse_rules(RULES, &dirty.schema()).expect("curated rules parse"));
-    rules.resolve(&registry).expect("models registered");
+    let rules = curated_rules(RULES, &dirty, &registry);
 
     let task =
         |name: &str, prefixes: &[&str], scope: &[(u16, u16)], poly: Option<(u16, u16)>| -> Task {
@@ -480,6 +478,7 @@ fn item_graph(n: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::checks::{assert_curated_rules, class_sizes};
 
     fn wl() -> Workload {
         generate(&GenConfig {
@@ -488,6 +487,32 @@ mod tests {
             seed: 11,
             trusted_per_rel: 20,
         })
+    }
+
+    #[test]
+    fn curated_rules_parse_and_resolve() {
+        assert_curated_rules(RULES, &wl());
+    }
+
+    #[test]
+    fn every_relation_has_its_intended_rows() {
+        let cfg = GenConfig::default();
+        let w = generate(&cfg);
+        let sizes = |rel: u16| class_sizes(w.clean.relation(RelId(rel)));
+        let clients = sizes(rels::CLIENT);
+        assert_eq!(clients.len(), cfg.rows / 3);
+        assert!(
+            clients.iter().all(|n| (1..=TIERS.len()).contains(n)),
+            "{clients:?}"
+        );
+        assert_eq!(sizes(rels::FIRM), vec![3; (cfg.rows / 6).max(4)]);
+        assert_eq!(sizes(rels::ORDER), vec![3; cfg.rows / 2]);
+        let n_items = namegen::COMMODITIES.len() * 5;
+        assert_eq!(sizes(rels::ITEM), vec![1; n_items]);
+        assert_eq!(sizes(rels::ITEM_EXT), vec![1; n_items]);
+        // every client row carries its tier's timestamp
+        let cl = w.clean.relation(RelId(rels::CLIENT));
+        assert_eq!(cl.timestamps.len(), cl.len());
     }
 
     #[test]

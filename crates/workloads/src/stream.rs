@@ -58,8 +58,9 @@ pub fn generate(w: &Workload, seed: u64, n_batches: usize) -> (Database, Vec<Del
         for _ in 0..UPDATES_PER_BATCH {
             let draw = rng.gen_range(0..10usize);
             let insert = if draw < 7 { held.next() } else { None };
-            if let Some(&from) = insert {
-                let t = dirty.get(from).expect("held-out tuple is live in dirty");
+            // Held-out tuples and donors are drawn from `dirty`'s live
+            // tids, so both lookups succeed (the tests pin it).
+            if let Some(t) = insert.and_then(|&from| dirty.get(from)) {
                 updates.push(Update::Insert {
                     rel: main,
                     eid: t.eid,
@@ -78,13 +79,14 @@ pub fn generate(w: &Workload, seed: u64, n_batches: usize) -> (Database, Vec<Del
                 let tid = pool[rng.gen_range(0..eligible)];
                 let attr = AttrId(rng.gen_range(0..arity) as u16);
                 let donor = tids[rng.gen_range(0..tids.len())];
-                let value = dirty.cell(donor, attr).expect("donor is live").clone();
-                updates.push(Update::SetCell {
-                    rel: main,
-                    tid,
-                    attr,
-                    value,
-                });
+                if let Some(value) = dirty.cell(donor, attr) {
+                    updates.push(Update::SetCell {
+                        rel: main,
+                        tid,
+                        attr,
+                        value: value.clone(),
+                    });
+                }
             }
         }
         batches.push(Delta::new(updates));
@@ -126,5 +128,41 @@ mod tests {
             db.apply(d).unwrap();
         }
         assert!(deletes > 0, "the stream must delete");
+    }
+
+    /// Inserts replay the held-out tuples in order, and every overwrite
+    /// copies a live donor cell of the same attribute: both lookups in
+    /// `generate` find a live tuple, so no update is dropped.
+    #[test]
+    fn held_out_and_donor_tuples_are_live() {
+        let w = crate::bank::generate(&GenConfig {
+            rows: 300,
+            ..Default::default()
+        });
+        let (base, batches) = generate(&w, 7, 12);
+        let main = RelId(0);
+        let dirty = w.dirty.relation(main);
+        let updates: Vec<&Update> = batches.iter().flat_map(|d| &d.updates).collect();
+        assert_eq!(updates.len(), 12 * UPDATES_PER_BATCH);
+        let inserted: Vec<_> = updates
+            .iter()
+            .filter_map(|u| match u {
+                Update::Insert { eid, values, .. } => Some((*eid, values.clone())),
+                _ => None,
+            })
+            .collect();
+        let held: Vec<_> = dirty
+            .iter()
+            .filter(|t| base.relation(main).get(t.tid).is_none())
+            .take(inserted.len())
+            .map(|t| (t.eid, t.values.clone()))
+            .collect();
+        assert!(!inserted.is_empty());
+        assert_eq!(inserted, held);
+        for u in &updates {
+            if let Update::SetCell { attr, value, .. } = u {
+                assert!(dirty.iter().any(|t| t.get(*attr) == value), "{u:?}");
+            }
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! The common workload bundle the evaluation harness consumes.
 
 use crate::inject::ErrorTruth;
-use rock_data::{AttrId, CellRef, Database, FxHashSet, GlobalTid, RelId};
+use rock_data::{
+    AttrId, CellRef, Database, Eid, FxHashSet, GlobalTid, RelId, Relation, TupleId, Value,
+};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
-use rock_rees::RuleSet;
+use rock_rees::{parse_rules, RuleSet};
 use std::sync::Arc;
 
 /// A named cleaning task within an application (e.g. Bank's `CNC` —
@@ -114,6 +116,24 @@ impl Workload {
     }
 }
 
+/// Insert a generated row. A generator builds every row from its own
+/// schema, so the arity check cannot fail; each generator's tests assert
+/// that every relation holds the rows the generator intends.
+pub(crate) fn push_row(r: &mut Relation, eid: Eid, values: Vec<Value>) -> Option<TupleId> {
+    r.insert(eid, values).ok()
+}
+
+/// A generator's curated rules, parsed against its schema and resolved
+/// against its models. The texts are fixed, so neither step can fail; each
+/// generator's tests assert that its rules parse and resolve.
+pub(crate) fn curated_rules(text: &str, db: &Database, registry: &ModelRegistry) -> RuleSet {
+    let mut rules = parse_rules(text, &db.schema())
+        .map(RuleSet::new)
+        .unwrap_or_default();
+    let _ = rules.resolve(registry);
+    rules
+}
+
 /// Common generation parameters for all three applications.
 #[derive(Debug, Clone)]
 pub struct GenConfig {
@@ -192,5 +212,31 @@ mod tests {
                 GlobalTid::new(RelId(0), TupleId(5)),
             ]
         );
+    }
+}
+
+/// Checks the generators' tests share: the invariants their total row
+/// inserts and rule parsing rely on.
+#[cfg(test)]
+pub(crate) mod checks {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// Rows per entity id, in ascending eid order.
+    pub(crate) fn class_sizes(r: &Relation) -> Vec<usize> {
+        let mut sizes: BTreeMap<Eid, usize> = BTreeMap::new();
+        for t in r.iter() {
+            *sizes.entry(t.eid).or_default() += 1;
+        }
+        sizes.into_values().collect()
+    }
+
+    /// `text` parses against the workload's schema, resolves against its
+    /// models, and is the whole of the workload's rule set.
+    pub(crate) fn assert_curated_rules(text: &str, w: &Workload) {
+        let mut rules = RuleSet::new(parse_rules(text, &w.dirty.schema()).unwrap());
+        rules.resolve(&w.registry).unwrap();
+        assert!(!rules.is_empty());
+        assert_eq!(rules.len(), w.rules.len());
     }
 }

@@ -268,7 +268,7 @@ fn assert_sampling_matches(w: &Workload, min_rows: usize) -> usize {
         if rel.len() <= min_rows {
             continue;
         }
-        let space = PredicateSpace::build(&w.dirty, rid, &sigs, &SpaceConfig::default());
+        let space = PredicateSpace::build(&w.dirty, rid, &sigs, &SpaceConfig);
         let (ratio, delta, seed) = (cfg.sample_ratio, 0.05, 17);
         let got = mine_with_sampling(&disc, &w.dirty, rid, &space, ratio, delta, seed);
         let want = mine_then_measure(&disc, &w.dirty, rid, &space, ratio, delta, seed);

@@ -42,7 +42,7 @@ fn accepted_rules_clear_thresholds() {
         let rows = g.vec(4..24, |g| (g.range(0u8..3), g.range(0u8..3)));
         let db = db_from(&rows);
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let cfg = DiscoveryConfig {
             min_support: 0.01,
             min_confidence: 0.9,
@@ -72,7 +72,7 @@ fn sampled_rules_verified_on_full_data() {
         let seed = g.below(50);
         let db = db_from(&rows);
         let reg = ModelRegistry::new();
-        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig::default());
+        let space = PredicateSpace::build(&db, RelId(0), &[], &SpaceConfig);
         let cfg = DiscoveryConfig {
             min_support: 0.01,
             min_confidence: 0.9,
@@ -115,4 +115,65 @@ fn sample_size_is_exact() {
         let expect = ((rows.len() as f64) * ratio).round() as usize;
         assert_eq!(sampled.relation(RelId(0)).len(), expect);
     });
+}
+
+/// FNV-1a over a string: a stable digest of a predicate list's `Debug` text.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The predicate space discovery mines on each real workload (1k rows,
+/// seed 42, with the workload's ML signatures) is pinned: per relation,
+/// the unary, binary and consequence counts and a digest of their `Debug`
+/// text. A change to column statistics or to the space's constants that
+/// moves one constant predicate fails here.
+#[test]
+fn predicate_space_on_real_workloads_is_pinned() {
+    use rock::core::system::ml_signatures;
+    use rock::workloads::workload::GenConfig;
+
+    let cfg = GenConfig {
+        rows: 1000,
+        seed: 42,
+        ..GenConfig::default()
+    };
+    let workloads = [
+        ("sales", rock::workloads::sales::generate(&cfg)),
+        ("logistics", rock::workloads::logistics::generate(&cfg)),
+        ("bank", rock::workloads::bank::generate(&cfg)),
+    ];
+    let mut got = Vec::new();
+    for (name, w) in &workloads {
+        let sigs = ml_signatures(w);
+        for (rid, rel) in w.dirty.iter() {
+            let space = PredicateSpace::build(&w.dirty, rid, &sigs, &SpaceConfig);
+            got.push(format!(
+                "{name}.{} {} {} {} {:016x}",
+                rel.schema.name,
+                space.unary.len(),
+                space.binary.len(),
+                space.consequences.len(),
+                fnv1a(&format!(
+                    "{:?}{:?}{:?}",
+                    space.unary, space.binary, space.consequences
+                )),
+            ));
+        }
+    }
+    let expected = [
+        "sales.Client 12 4 20 9cebaa0e835408a2",
+        "sales.Firm 4 4 11 854b32ee63539be8",
+        "sales.OrderLine 9 8 19 72b34426d7b18a37",
+        "sales.Item 14 5 21 21006c16ae109eb6",
+        "sales.ItemExt 12 4 21 a9ee01f46eeed034",
+        "logistics.Shipment 16 9 32 68f80304af04194f",
+        "bank.Customer 9 6 19 36eb641562ff5857",
+        "bank.Company 22 6 32 c02b8431510c16fb",
+        "bank.Account 0 4 7 5870d52eb9c468be",
+        "bank.Payment 1 8 11 12fd3e0a4722f31b",
+        "bank.Branch 0 3 7 ff925de861075c96",
+    ];
+    assert_eq!(got, expected);
 }

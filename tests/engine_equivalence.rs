@@ -508,7 +508,7 @@ fn logistics_rows(rows: usize) -> Workload {
 /// through production and through the scan reference.
 fn mine_both(w: &Workload, cfg: DiscoveryConfig) -> (DiscoveryReport, DiscoveryReport) {
     let sigs = ml_signatures(w);
-    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig::default());
+    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig);
     let miner = Discoverer::new(&w.registry, cfg);
     let cached = miner.mine_relation(&w.dirty, RelId(0), &space);
     let scan = miner.mine_relation_scan(&w.dirty, RelId(0), &space);
@@ -624,7 +624,7 @@ fn poisoned_candidate_is_dropped_by_both_miners() {
 fn chaos_faults_never_change_mined_rules() {
     let w = logistics_rows(48);
     let sigs = ml_signatures(&w);
-    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig::default());
+    let space = PredicateSpace::build(&w.dirty, RelId(0), &sigs, &SpaceConfig);
     let mine = |cfg: DiscoveryConfig| {
         Discoverer::new(&w.registry, cfg).mine_relation(&w.dirty, RelId(0), &space)
     };
