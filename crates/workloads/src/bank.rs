@@ -17,7 +17,7 @@
 
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
-use crate::workload::{curated_rules, push_row, GenConfig, MlHint, Task, Workload};
+use crate::workload::{curated_rules, GenConfig, MlHint, Task, Workload};
 use rock_data::{
     rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Value,
 };
@@ -142,15 +142,15 @@ pub fn generate(cfg: &GenConfig) -> Workload {
     {
         let r = clean.relation_mut(RelId(rels::BRANCH));
         for (i, (city, code)) in namegen::CITIES.iter().enumerate() {
-            push_row(
-                r,
+            r.insert(
                 Eid(i as u32),
                 vec![
                     Value::str(format!("B{i:02}")),
                     Value::str(*city),
                     Value::str(*code),
                 ],
-            );
+            )
+            .ok();
         }
     }
 
@@ -165,8 +165,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let phone = format!("13{:09}", rng.gen_range(0..1_000_000_000u64));
             let (city, _) = *pick(&mut rng, namegen::CITIES);
             for _src in 0..rng.gen_range(3..=4usize) {
-                push_row(
-                    r,
+                r.insert(
                     Eid(c as u32),
                     vec![
                         Value::str(&cid),
@@ -175,7 +174,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(&phone),
                         Value::str(city),
                     ],
-                );
+                )
+                .ok();
             }
         }
     }
@@ -190,8 +190,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let industry = *pick(&mut rng, INDUSTRIES);
             let (city, code) = *pick(&mut rng, namegen::CITIES);
             for _ in 0..3 {
-                push_row(
-                    r,
+                r.insert(
                     Eid(c as u32),
                     vec![
                         Value::str(&coid),
@@ -200,7 +199,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(city),
                         Value::str(code),
                     ],
-                );
+                )
+                .ok();
             }
         }
     }
@@ -211,15 +211,15 @@ pub fn generate(cfg: &GenConfig) -> Workload {
     {
         let r = clean.relation_mut(RelId(rels::ACCOUNT));
         for a in 0..n_accounts {
-            push_row(
-                r,
+            r.insert(
                 Eid(a as u32),
                 vec![
                     Value::str(format!("A{a:05}")),
                     Value::str(format!("C{:05}", a % n_customers)),
                     Value::Float((rng.gen_range(10..100_000) as f64) / 10.0),
                 ],
-            );
+            )
+            .ok();
         }
     }
     {
@@ -230,8 +230,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let amount = (rng.gen_range(100..500_000) as f64) / 100.0;
             let fee = (amount * 0.01 * rng.gen_range(1..5) as f64 * 100.0).round() / 100.0;
             for _ in 0..3 {
-                push_row(
-                    r,
+                r.insert(
                     Eid(batch as u32),
                     vec![
                         Value::str(format!("P{pid:06}")),
@@ -240,7 +239,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::Float(fee),
                         Value::Float(amount + fee),
                     ],
-                );
+                )
+                .ok();
                 pid += 1;
             }
         }

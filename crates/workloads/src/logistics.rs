@@ -13,7 +13,7 @@
 
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
-use crate::workload::{curated_rules, push_row, GenConfig, MlHint, Task, Workload};
+use crate::workload::{curated_rules, GenConfig, MlHint, Task, Workload};
 use rock_data::{
     rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Timestamp,
     Value,
@@ -109,8 +109,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let events = rng.gen_range(2..=4usize);
             for ev in 0..events {
                 let status = STATUSES[ev.min(STATUSES.len() - 1)];
-                if let Some(tid) = push_row(
-                    r,
+                if let Ok(tid) = r.insert(
                     Eid(ship as u32),
                     vec![
                         Value::str(&order_no),
@@ -123,6 +122,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(status),
                     ],
                 ) {
+                    // status cells carry event timestamps (TD ground truth Γ⪯)
                     r.set_timestamp(
                         tid,
                         AttrId(attrs::STATUS),

@@ -15,7 +15,7 @@
 
 use crate::inject::Injector;
 use crate::namegen::{self, pick};
-use crate::workload::{curated_rules, push_row, GenConfig, MlHint, Task, Workload};
+use crate::workload::{curated_rules, GenConfig, MlHint, Task, Workload};
 use rock_data::{
     rng::StdRng, AttrId, AttrType, Database, DatabaseSchema, Eid, RelId, RelationSchema, Timestamp,
     Value,
@@ -152,8 +152,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let (city, _) = *pick(&mut rng, namegen::CITIES);
             let top_tier = rng.gen_range(0..TIERS.len());
             for (i, tier) in TIERS.iter().enumerate().take(top_tier + 1) {
-                if let Some(tid) = push_row(
-                    r,
+                if let Ok(tid) = r.insert(
                     Eid(c as u32),
                     vec![
                         Value::str(&cid),
@@ -181,11 +180,11 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let name = namegen::unique_company(f);
             let sector = *pick(&mut rng, SECTORS);
             for _ in 0..3 {
-                push_row(
-                    r,
+                r.insert(
                     Eid(f as u32),
                     vec![Value::str(&fid), Value::str(&name), Value::str(sector)],
-                );
+                )
+                .ok();
             }
         }
     }
@@ -198,8 +197,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
             let price = (base * rng.gen_range(0.8..1.2) * 100.0).round() / 100.0;
             let tax = (price * 0.13 * 100.0).round() / 100.0;
             for i in 0..3 {
-                push_row(
-                    r,
+                r.insert(
                     Eid(o as u32),
                     vec![
                         Value::str(format!("O{o:05}-{i}")),
@@ -208,7 +206,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::Float(tax),
                         Value::Float(((price - tax) * 100.0).round() / 100.0),
                     ],
-                );
+                )
+                .ok();
             }
         }
     }
@@ -228,8 +227,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                 let var = variants[i / namegen::COMMODITIES.len()];
                 let name = format!("{com} {var}");
                 let cat = CATS[i % CATS.len()];
-                push_row(
-                    r,
+                r.insert(
                     Eid(i as u32),
                     vec![
                         Value::str(format!("I{i:03}")),
@@ -237,7 +235,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                         Value::str(cat),
                         Value::str(mfg),
                     ],
-                );
+                )
+                .ok();
                 ext_rows.push((
                     format!("X{i:03}"),
                     format!("{name} (official)"),
@@ -249,8 +248,7 @@ pub fn generate(cfg: &GenConfig) -> Workload {
         }
         let r = clean.relation_mut(RelId(rels::ITEM_EXT));
         for (xid, name, cat, mfg, i) in ext_rows {
-            push_row(
-                r,
+            r.insert(
                 Eid((1000 + i) as u32),
                 vec![
                     Value::str(xid),
@@ -258,7 +256,8 @@ pub fn generate(cfg: &GenConfig) -> Workload {
                     Value::str(cat),
                     Value::str(mfg),
                 ],
-            );
+            )
+            .ok();
         }
     }
 

@@ -1,9 +1,7 @@
 //! The common workload bundle the evaluation harness consumes.
 
 use crate::inject::ErrorTruth;
-use rock_data::{
-    AttrId, CellRef, Database, Eid, FxHashSet, GlobalTid, RelId, Relation, TupleId, Value,
-};
+use rock_data::{AttrId, CellRef, Database, FxHashSet, GlobalTid, RelId};
 use rock_kg::Graph;
 use rock_ml::ModelRegistry;
 use rock_rees::{parse_rules, RuleSet};
@@ -116,22 +114,26 @@ impl Workload {
     }
 }
 
-/// Insert a generated row. A generator builds every row from its own
-/// schema, so the arity check cannot fail; each generator's tests assert
-/// that every relation holds the rows the generator intends.
-pub(crate) fn push_row(r: &mut Relation, eid: Eid, values: Vec<Value>) -> Option<TupleId> {
-    r.insert(eid, values).ok()
-}
-
 /// A generator's curated rules, parsed against its schema and resolved
-/// against its models. The texts are fixed, so neither step can fail; each
-/// generator's tests assert that its rules parse and resolve.
+/// against its models. The texts are fixed, so neither step fails for a
+/// generator that builds. If one does, the rule set is empty rather than
+/// half resolved (an unresolved model panics at its first use), and debug
+/// builds stop here at every config. Each generator's
+/// `curated_rules_parse_and_resolve` test checks the same at its default
+/// config.
 pub(crate) fn curated_rules(text: &str, db: &Database, registry: &ModelRegistry) -> RuleSet {
-    let mut rules = parse_rules(text, &db.schema())
-        .map(RuleSet::new)
-        .unwrap_or_default();
-    let _ = rules.resolve(registry);
-    rules
+    let rules = parse_rules(text, &db.schema())
+        .map_err(|e| e.to_string())
+        .and_then(|parsed| {
+            let mut rules = RuleSet::new(parsed);
+            rules.resolve(registry).map(|()| rules)
+        });
+    debug_assert!(
+        rules.is_ok(),
+        "curated rules do not parse or resolve: {:?}",
+        rules.as_ref().err()
+    );
+    rules.unwrap_or_default()
 }
 
 /// Common generation parameters for all three applications.
@@ -220,6 +222,7 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod checks {
     use super::*;
+    use rock_data::{Eid, Relation};
     use std::collections::BTreeMap;
 
     /// Rows per entity id, in ascending eid order.

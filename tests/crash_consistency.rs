@@ -11,13 +11,15 @@
 mod common;
 
 use common::check;
-use rock::chase::{locate, ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, WalHealth};
+use rock::chase::{
+    locate, ChaseConfig, ChaseEngine, ChaseResult, DurabilityConfig, WalError, WalHealth,
+};
 use rock::crystal::{ClusterConfig, FaultVfs, IoOpKind, StorageFaultPlan};
 use rock::data::json;
 use rock::data::json::ToJson;
 use rock::data::{
-    AttrType, Database, DatabaseSchema, Delta, Eid, GlobalTid, RelId, RelationSchema, TupleId,
-    Update, Value,
+    AttrType, DataError, Database, DatabaseSchema, Delta, Eid, GlobalTid, RelId, RelationSchema,
+    TupleId, Update, Value,
 };
 use rock::ml::ModelRegistry;
 use rock::rees::{parse_rules, RuleSet};
@@ -476,6 +478,48 @@ fn durable_session_matches_the_incremental_fold() {
     );
     assert_eq!(s3.wal.as_ref().unwrap().batch, 3);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ΔD that does not apply is a typed delta error, both on a fresh
+/// session directory and on a session that already holds a batch.
+#[test]
+fn durable_session_rejects_a_malformed_delta() {
+    let schema = schema();
+    let rs = rules(&schema);
+    let reg = ModelRegistry::new();
+    let db = build_db(&default_rows());
+    let trusted: [GlobalTid; 1] = [GlobalTid::new(RelId(0), TupleId(1))];
+    let [d1, ..] = session_deltas();
+    let bad = Delta::new(vec![Update::Insert {
+        rel: RelId(0),
+        eid: Eid(900_002),
+        values: vec![Value::str("x")],
+    }]);
+    let assert_arity_error = |r: Result<ChaseResult, WalError>| {
+        let err = r.err();
+        assert!(
+            matches!(
+                err,
+                Some(WalError::Delta(DataError::ArityMismatch { got: 1, .. }))
+            ),
+            "{err:?}"
+        );
+    };
+
+    let fresh = fresh_dir("bad-fresh");
+    assert_arity_error(
+        engine(&rs, &reg, Some(DurabilityConfig::new(&fresh)))
+            .run_incremental_durable(&db, &trusted, &bad),
+    );
+
+    let held = fresh_dir("bad-held");
+    let session = engine(&rs, &reg, Some(DurabilityConfig::new(&held)));
+    let s1 = session.run_incremental_durable(&db, &trusted, &d1).unwrap();
+    assert_eq!(s1.wal.as_ref().unwrap().batch, 1);
+    assert_arity_error(session.run_incremental_durable(&db, &trusted, &bad));
+    for d in [fresh, held] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
 }
 
 #[test]
